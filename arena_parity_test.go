@@ -61,12 +61,11 @@ func runParityJob(tb testing.TB, job mapreduce.Job, input []byte) (*mapreduce.Re
 
 // parityConfig forces the interesting machinery: several reducers, a sort
 // buffer small enough to spill, and fan-in 2 so multi-pass merges run.
-func parityConfig(name string, barrier bool) mapreduce.Config {
+func parityConfig(name string) mapreduce.Config {
 	cfg := mapreduce.DefaultConfig(name)
 	cfg.NumReducers = 3
 	cfg.SortBuffer = 4 * units.KB
 	cfg.MergeFactor = 2
-	cfg.BarrierShuffle = barrier
 	cfg.Parallelism = 1
 	return cfg
 }
@@ -143,22 +142,19 @@ func comparePaths(t *testing.T, fast mapreduce.Job, input []byte) {
 
 // TestArenaStringCounterParityAllWorkloads pins exact counter parity — the
 // KV.Bytes accounting identity — between the byte fast paths and the
-// string adapters for every workload, in both shuffle modes. Spilled,
-// merged and shuffled byte counters must match record for record.
+// string adapters for every workload. Spilled, merged and shuffled byte
+// counters must match record for record.
 func TestArenaStringCounterParityAllWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			t.Parallel()
 			input := w.Generate(48*units.KB, 7)
-			for _, barrier := range []bool{true, false} {
-				cfg := parityConfig(w.Name(), barrier)
-				job, err := w.Build(cfg, input)
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePaths(t, job, input)
+			job, err := w.Build(parityConfig(w.Name()), input)
+			if err != nil {
+				t.Fatal(err)
 			}
+			comparePaths(t, job, input)
 		})
 	}
 }
@@ -193,36 +189,30 @@ func FuzzStringVsArenaParity(f *testing.F) {
 		if len(data) > limit {
 			data = data[:limit]
 		}
-		job, err := buildParityJob(mode, parityConfig("fuzz", true), data)
+		job, err := buildParityJob(mode, parityConfig("fuzz"), data)
 		if err != nil {
 			// Both paths share Build; nothing to compare.
 			return
 		}
 		comparePaths(t, job, data)
 
-		// The streaming shuffle must agree with the string-forced barrier
-		// reference on everything but the timing-dependent interim-merge
-		// counter.
-		sjob, err := buildParityJob(mode, parityConfig("fuzz", false), data)
-		if err != nil {
-			t.Fatalf("streaming Build failed after barrier Build succeeded: %v", err)
-		}
+		// The parallel arena run must agree with the serial string-forced
+		// reference on output and on every counter.
+		pjob := job
+		pjob.Config.Parallelism = 4
 		want, wantErr := runParityJob(t, stringOnlyJob(job), data)
-		got, gotErr := runParityJob(t, sjob, data)
+		got, gotErr := runParityJob(t, pjob, data)
 		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("streaming error parity: barrier err=%v, streaming err=%v", wantErr, gotErr)
+			t.Fatalf("parallel error parity: serial err=%v, parallel err=%v", wantErr, gotErr)
 		}
 		if wantErr != nil {
 			return
 		}
 		if !reflect.DeepEqual(got.Output(), want.Output()) {
-			t.Fatalf("streaming arena output differs from string-path barrier output")
+			t.Fatalf("parallel arena output differs from serial string-path output")
 		}
-		gc, wc := got.Counters, want.Counters
-		gc.ReduceMergePasses = 0
-		wc.ReduceMergePasses = 0
-		if gc != wc {
-			t.Fatalf("streaming counters differ:\narena  %+v\nstring %+v", gc, wc)
+		if got.Counters != want.Counters || want.Counters.ReduceMergePasses != 0 {
+			t.Fatalf("parallel counters differ:\narena  %+v\nstring %+v", got.Counters, want.Counters)
 		}
 	})
 }

@@ -109,11 +109,10 @@ func BenchmarkFullEvaluation(b *testing.B) {
 // ---- engine micro-benchmarks: the real execution path under load ----
 
 // benchEngine runs a real workload end to end per iteration, as a pair of
-// sub-benchmarks: "serial" pins one task slot and the legacy barrier
-// shuffle (the measurement baseline), "parallel" uses the default
-// configuration — one slot per CPU with the streaming shuffle. Output is
+// sub-benchmarks: "serial" pins one task slot (the measurement baseline),
+// "parallel" uses the default configuration — one slot per CPU. Output is
 // byte-identical between the two (engine_parity_test.go pins this); the
-// pair measures only the executor. cmd/benchmr records the same pair at
+// pair measures only the parallelism. cmd/benchmr records the same pair at
 // paper-adjacent sizes into BENCH_mapreduce.json.
 func benchEngine(b *testing.B, name string, size units.Bytes) {
 	b.Helper()
@@ -125,10 +124,9 @@ func benchEngine(b *testing.B, name string, size units.Bytes) {
 	for _, mode := range []struct {
 		name        string
 		parallelism int
-		barrier     bool
 	}{
-		{"serial", 1, true},
-		{"parallel", 0, false},
+		{"serial", 1},
+		{"parallel", 0},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
@@ -144,7 +142,6 @@ func benchEngine(b *testing.B, name string, size units.Bytes) {
 				cfg := mapreduce.DefaultConfig(name)
 				cfg.NumReducers = 2
 				cfg.Parallelism = mode.parallelism
-				cfg.BarrierShuffle = mode.barrier
 				job, err := w.Build(cfg, input)
 				if err != nil {
 					b.Fatal(err)

@@ -17,6 +17,12 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# Determinism gate (engine half): the executor's suites — whole-Counters
+# parity across parallelism, the collector property tests, the out-of-core
+# and consolidation suites — must hold at one, two and four scheduler
+# threads, under -race, repeatedly. Seconds, not minutes: a hang fails fast.
+go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/mapreduce/ .
+
 # Observability smoke: regenerate one artefact with a streaming trace and
 # validate the emitted JSONL strictly (decodes line by line, spans balance,
 # and an expt.artefact span covers table3) with tracer -check.
@@ -35,7 +41,7 @@ go run ./cmd/tracer -check -artefacts table3 "$trace_file"
 
 # Phase-timeline smoke: trace all six workloads through the in-process
 # engine and replay the trace offline. The tracer must reconstruct every
-# run (both executor modes per workload), report the paper's four-way phase
+# run (serial and parallel per workload), report the paper's four-way phase
 # split and a critical path, and skip nothing — a live-written trace has no
 # excuse for malformed lines.
 go run ./cmd/benchmr -workloads wordcount,naivebayes,grep,sort,terasort,fpgrowth \
@@ -194,7 +200,7 @@ fi
 # with HH_MEMLANE_SIZE) runs out-of-core under a GOMEMLIMIT of a quarter of
 # the input. benchmr exits non-zero unless the bounded runs actually spill
 # (Spills and SpillFilesWritten > 0), produce output byte-identical to an
-# unbounded in-memory reference in both executor modes, and leave the spill
+# unbounded in-memory reference both serial and parallel, and leave the spill
 # directory empty afterwards — including on a probe run whose context is
 # cancelled the moment the first spill file lands. The input itself is
 # streamed to disk in chunks, so nothing in the lane ever holds the dataset
@@ -222,4 +228,4 @@ test -z "$(ls -A "$smoke_dir/spill")"
 go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob' ./internal/dist/
 
 go test -race -run 'TestArenaStringCounterParityAllWorkloads|FuzzStringVsArenaParity' .
-go test -race -run 'TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestCollectorSingleSegmentPartition|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestStreamingMatchesBarrierConcurrentPublication' ./internal/mapreduce/
+go test -race -run 'TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/

@@ -1,9 +1,9 @@
 // Command benchmr benchmarks the MapReduce engine's executor directly —
 // no `go test` harness — and records the results as JSON, so CI can track
 // the serial-vs-parallel trajectory across commits. Each workload is run
-// twice over the same input: "serial" (one task slot, legacy barrier
-// shuffle) and "parallel" (one slot per CPU, streaming shuffle); output is
-// byte-identical between the two, so the pair isolates the executor.
+// twice over the same input: "serial" (one task slot) and "parallel" (one
+// slot per CPU); output is byte-identical between the two, so the pair
+// isolates the parallelism.
 // Alongside wall time, every row records the run's heap-allocation profile
 // (allocs/op and bytes/op, `go test -benchmem` style), so the flat-arena
 // record path's GC pressure is tracked with the same trajectory machinery.
@@ -406,7 +406,7 @@ func (s *heapSampler) Stop() int64 {
 	return s.peak
 }
 
-// benchWorkload measures one workload in both executor modes over the given
+// benchWorkload measures one workload serial and parallel over the given
 // input at the current GOMAXPROCS. A non-nil observer receives the phase
 // trace of every run, with the job named "<workload>/<mode>"; a non-nil
 // profile meters each run's estimated energy.
@@ -422,7 +422,7 @@ func benchWorkload(w workloads.Workload, input []byte, reducers, runs int, ob ob
 		meter = energy.NewMeter(prof)
 	}
 	runOb := meterObserver(meter, ob)
-	run := func(mode string, parallelism int, barrier bool) (measurement, error) {
+	run := func(mode string, parallelism int) (measurement, error) {
 		var best measurement
 		for i := 0; i < runs; i++ {
 			store, err := hdfs.NewStore(hdfs.Config{BlockSize: block, Replication: 1})
@@ -435,7 +435,6 @@ func benchWorkload(w workloads.Workload, input []byte, reducers, runs int, ob ob
 			cfg := mapreduce.DefaultConfig(w.Name() + "/" + mode)
 			cfg.NumReducers = reducers
 			cfg.Parallelism = parallelism
-			cfg.BarrierShuffle = barrier
 			job, err := w.Build(cfg, input)
 			if err != nil {
 				return measurement{}, err
@@ -472,11 +471,11 @@ func benchWorkload(w workloads.Workload, input []byte, reducers, runs int, ob ob
 		}
 		return best, nil
 	}
-	serial, err := run("serial", 1, true)
+	serial, err := run("serial", 1)
 	if err != nil {
 		return nil, fmt.Errorf("%s serial: %w", w.Name(), err)
 	}
-	parallel, err := run("parallel", 0, false)
+	parallel, err := run("parallel", 0)
 	if err != nil {
 		return nil, fmt.Errorf("%s parallel: %w", w.Name(), err)
 	}
@@ -604,12 +603,11 @@ func memLimitWorkload(w workloads.Workload, work string, size int64, reducers in
 		meter.Reset()
 		return j
 	}
-	run := func(ctx context.Context, mode string, bounded bool, parallelism int, barrier bool, ob obs.Observer) (*mapreduce.Result, time.Duration, int64, error) {
+	run := func(ctx context.Context, mode string, bounded bool, parallelism int, ob obs.Observer) (*mapreduce.Result, time.Duration, int64, error) {
 		ob = meterObserver(meter, ob)
 		cfg := mapreduce.DefaultConfig(w.Name() + "/" + mode)
 		cfg.NumReducers = reducers
 		cfg.Parallelism = parallelism
-		cfg.BarrierShuffle = barrier
 		// Every mode sorts with the same buffer, so the ooc rows' delta
 		// against the reference isolates the spill machinery, not a sort
 		// configuration difference.
@@ -657,7 +655,7 @@ func memLimitWorkload(w workloads.Workload, work string, size int64, reducers in
 		return nil
 	}
 
-	refRes, refTime, refPeak, err := run(context.Background(), "inmem-ref", false, 0, false, nil)
+	refRes, refTime, refPeak, err := run(context.Background(), "inmem-ref", false, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("reference run: %w", err)
 	}
@@ -676,12 +674,11 @@ func memLimitWorkload(w workloads.Workload, work string, size int64, reducers in
 	for _, m := range []struct {
 		mode        string
 		parallelism int
-		barrier     bool
 	}{
-		{"ooc-serial", 1, true},
-		{"ooc-parallel", 0, false},
+		{"ooc-serial", 1},
+		{"ooc-parallel", 0},
 	} {
-		res, elapsed, peak, err := run(context.Background(), m.mode, true, m.parallelism, m.barrier, nil)
+		res, elapsed, peak, err := run(context.Background(), m.mode, true, m.parallelism, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m.mode, err)
 		}
@@ -716,7 +713,7 @@ func memLimitWorkload(w workloads.Workload, work string, size int64, reducers in
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	probe := &spillCancelProbe{cancel: cancel}
-	if res, _, _, err := run(ctx, "ooc-cancel", true, 0, false, probe); err == nil {
+	if res, _, _, err := run(ctx, "ooc-cancel", true, 0, probe); err == nil {
 		res.Close()
 		return nil, fmt.Errorf("cancellation probe: run survived a context cancelled mid-spill")
 	} else if ctx.Err() == nil {

@@ -271,21 +271,6 @@ type Config struct {
 	// slot per schedulable CPU (runtime.GOMAXPROCS); set 1 explicitly for a
 	// serial run.
 	Parallelism int
-	// BarrierShuffle opts out of the streaming shuffle: the map wave runs to
-	// a hard barrier before any reduce-side merging starts, as classic
-	// two-phase Hadoop does. Output is byte-identical either way; the flag
-	// exists for baselines and A/B measurements.
-	BarrierShuffle bool
-	// CollectorShards is the number of interval-sharded collectors each
-	// reduce partition's streaming shuffle runs. Map tasks are assigned to
-	// shards by contiguous task-index intervals; each shard merges its own
-	// interval's runs independently and the reduce task folds the shards
-	// with one final stable merge, so output stays byte-identical to the
-	// barrier path for every shard count (stable merging is associative
-	// over adjacent runs). Zero picks a shard count from the run's
-	// parallelism; 1 restores the single-collector behaviour. Ignored by
-	// the barrier path.
-	CollectorShards int
 	// SpillDir, when non-empty, enables the out-of-core path: spills that
 	// overflow SpillMemory are written as compressed, checksummed segment
 	// files under a per-run temp directory inside SpillDir, merged with a
@@ -294,9 +279,9 @@ type Config struct {
 	// memory. Map-only jobs ignore it (their outputs must outlive the
 	// run's spill directory).
 	SpillDir string
-	// SpillMemory bounds how many spilled bytes a map task (and each
-	// streaming-shuffle collector) may keep buffered in memory before
-	// further runs go to disk — the out-of-core budget alongside
+	// SpillMemory bounds how many spilled bytes a map task (and each reduce
+	// partition's shuffle collectors, together) may keep buffered in memory
+	// before further runs go to disk — the out-of-core budget alongside
 	// SortBuffer. Zero defaults to SortBuffer. Ignored unless SpillDir is
 	// set.
 	SpillMemory units.Bytes
@@ -338,9 +323,6 @@ func (c Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("mapreduce: %s: negative parallelism", c.Name)
-	}
-	if c.CollectorShards < 0 {
-		return fmt.Errorf("mapreduce: %s: negative collector shards", c.Name)
 	}
 	if c.SpillMemory < 0 {
 		return fmt.Errorf("mapreduce: %s: negative spill memory", c.Name)

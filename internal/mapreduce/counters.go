@@ -69,9 +69,11 @@ type Counters struct {
 	MergeBytes      units.Bytes // bytes re-read and re-written by merges
 	ShuffleBytes    units.Bytes
 	ShuffleSegments int
-	// ReduceMergePasses counts reduce-side interim merge passes performed
-	// by the streaming shuffle while the map wave was still running. The
-	// barrier path never records any; output is identical either way.
+	// ReduceMergePasses counts reduce-side disk merge passes: collector
+	// pressure folds that merged two or more runs into a spill file, plus
+	// the MergeFactor consolidation rounds ahead of a reduce task's final
+	// external merge. Always 0 without SpillDir; under SpillDir the fold
+	// count depends on run arrival order, so it is reported, not compared.
 	ReduceMergePasses int
 
 	// SpillFilesWritten counts on-disk segment files written by the
@@ -143,11 +145,13 @@ func (c Counters) CombinerReduction() float64 {
 // String summarizes the counters.
 func (c Counters) String() string {
 	return fmt.Sprintf(
-		"counters{maps=%d reduces=%d in=%v/%d out=%v/%d spills=%d shuffle=%v groups=%d reduceOut=%v/%d retries=%d}",
+		"counters{maps=%d reduces=%d in=%v/%d out=%v/%d spills=%d shuffle=%v reduceMerges=%d spillFiles=%d/%v/%v groups=%d reduceOut=%v/%d retries=%d}",
 		c.MapTasks, c.ReduceTasks,
 		c.MapInputBytes, c.MapInputRecords,
 		c.MapOutputBytes, c.MapOutputRecords,
 		c.Spills, c.ShuffleBytes,
+		c.ReduceMergePasses,
+		c.SpillFilesWritten, c.SpillFileBytesWritten, c.SpillFileBytesRead,
 		c.ReduceInputGroups, c.ReduceOutputBytes, c.ReduceOutputRecords,
 		c.TaskRetries)
 }

@@ -193,11 +193,10 @@ func (js *jobSpill) mapOutPath(task int) string {
 	return filepath.Join(js.dir, fmt.Sprintf("map%d-out.seg", task))
 }
 
-// mapInterPath names one intermediate file of a map-side multi-pass merge
-// round. Deterministic (and truncating on create), so a retried task
-// attempt rewrites the same files.
-func (js *jobSpill) mapInterPath(task, round, group int) string {
-	return filepath.Join(js.dir, fmt.Sprintf("map%d-r%d-g%d.seg", task, round, group))
+// mapInterPrefix is the consolidate prefix of a map task's multi-pass merge
+// intermediates (map<task>-r<round>-g<group>.seg).
+func (js *jobSpill) mapInterPrefix(task int) string {
+	return filepath.Join(js.dir, fmt.Sprintf("map%d-", task))
 }
 func (js *jobSpill) colPath(part, shard, seq int) string {
 	return filepath.Join(js.dir, fmt.Sprintf("col%d-h%d-s%d.seg", part, shard, seq))
@@ -224,46 +223,29 @@ func sanitizeJobName(name string) string {
 	return string(b)
 }
 
-// execute resolves the run shape (partitions, parallelism, spill context)
-// and dispatches to the barrier or streaming path, cleaning up spill state
-// afterwards: interim spills are always removed; reduce-output files
-// transfer to the Result on success (released by Result.Close) and are
-// removed on failure.
+// execute resolves the run shape (partitions, parallelism, spill context),
+// runs the job and cleans up spill state afterwards: interim spills are
+// always removed; reduce-output files transfer to the Result on success
+// (released by Result.Close) and are removed on failure.
 func (e *Engine) execute(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange) (*Result, error) {
 	if job.Partitioner == nil {
 		job.Partitioner = HashPartitioner()
 	}
-	nparts := job.Config.NumReducers
-	mapOnly := nparts == 0
-	if mapOnly {
-		nparts = 1
-	}
-	par := job.Config.Parallelism
+	par := job.Config.Parallelism // validated non-negative
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
-	}
-	if par < 1 {
-		par = 1
 	}
 	// Map-only jobs have no shuffle to spill; SpillDir is documented as
 	// ignored for them.
 	var js *jobSpill
-	if !mapOnly && job.Config.SpillDir != "" {
+	if job.Config.NumReducers > 0 && job.Config.SpillDir != "" {
 		var err error
 		js, err = newJobSpill(job.Config)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %s: spill dir: %w", job.Config.Name, err)
 		}
 	}
-	var res *Result
-	var err error
-	// Map-only jobs have no shuffle to stream; BarrierShuffle is the
-	// explicit opt-out onto the legacy two-phase path.
-	if mapOnly || job.Config.BarrierShuffle {
-		res, err = e.runBarrier(ctx, o, job, in, splits, nparts, mapOnly, par, js)
-	} else {
-		res, err = e.runStreaming(ctx, o, job, in, splits, nparts, par, js)
-	}
+	res, err := e.run(ctx, o, job, in, splits, par, js)
 	if js != nil {
 		os.RemoveAll(js.dir)
 		if err != nil || res == nil {
@@ -275,178 +257,173 @@ func (e *Engine) execute(ctx context.Context, o obs.Observer, job Job, in inputS
 	return res, err
 }
 
-// runBarrier is the two-phase execution path: the map wave runs to
-// completion, the shuffle is assembled in one step, then reduce tasks run.
-func (e *Engine) runBarrier(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange, nparts int, mapOnly bool, par int, js *jobSpill) (*Result, error) {
-	total := &Counters{}
-	// Task slots double as working-memory handles: a slot's buffers pass
-	// from task to task, so the wave allocates par emit arenas total.
+// wave runs task(i, bufs) for i in [0, n) on the slot pool, in index order,
+// and returns once every dispatched task has finished. Task slots double as
+// working-memory handles: a slot's buffers pass from task to task, so a wave
+// holds exactly cap(slots) of each. A cancelled context stops dispatch
+// between tasks (tasks already running finish) and its error is returned.
+func wave(ctx context.Context, slots chan *taskBufs, n int, task func(i int, bufs *taskBufs)) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for i := 0; i < n; i++ {
+		bufs := <-slots
+		// Checked after (possibly) blocking on a slot: a cancellation that
+		// lands while waiting must not dispatch another task.
+		if err := ctx.Err(); err != nil {
+			slots <- bufs
+			return err
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { slots <- bufs }()
+			task(i, bufs)
+		}()
+	}
+	return nil
+}
+
+// run is the engine's one executor: a map wave publishing into the shuffle
+// sink, then a reduce wave over each partition's collected runs. Each task
+// writes only its own result slots; aggregation happens once after a wave
+// drains, so the hot path takes no locks. Map-only jobs (NumReducers 0) are
+// the same run with a sink that keeps each task's single run — no
+// collectors, no reduce wave. On failure the partial Result carries the
+// counters of the tasks that did complete.
+func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange, par int, js *jobSpill) (*Result, error) {
+	name := job.Config.Name
+	nparts := job.Config.NumReducers
+	mapOnly := nparts == 0
+	if mapOnly {
+		nparts = 1
+	}
 	slots := make(chan *taskBufs, par)
 	for i := 0; i < par; i++ {
 		slots <- new(taskBufs)
 	}
-	var wg sync.WaitGroup
+	var total Counters
+	// finish folds one wave's per-task outcomes into total and returns the
+	// first task error in index order, else the dispatch (context) error.
+	finish := func(counters []Counters, errs []error, ctxErr error) error {
+		for i := range counters {
+			total.Add(counters[i])
+		}
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		if ctxErr != nil {
+			return fmt.Errorf("mapreduce: %s: %w", name, ctxErr)
+		}
+		return nil
+	}
 
-	// ---- Map phase: one task per split, run on a bounded worker pool.
-	// Each task writes only its own slots; aggregation happens once after
-	// the wave drains, so the hot path takes no locks.
+	// ---- Shuffle sink.
 	var (
-		mapOutputs   = make([][]partRun, len(splits)) // [task][partition]sorted run
-		taskErr      = make([]error, len(splits))
-		taskCounters = make([]Counters, len(splits))
-		completed    = make([]bool, len(splits))
+		mapOut []partRun // map-only: [task]run
+		sh     *shuffle
+		pcs    []phaseClock // reduce tasks' phase clocks
 	)
-	dispatched := 0
-	var ctxErr error
-	for i, split := range splits {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break
-		}
-		bufs := <-slots
-		// Re-check after (possibly) blocking on a slot: a cancellation that
-		// lands while waiting must not dispatch another task.
-		if err := ctx.Err(); err != nil {
-			slots <- bufs
-			ctxErr = err
-			break
-		}
-		dispatched++
-		wg.Add(1)
-		go func(i int, split splitRange, bufs *taskBufs) {
-			defer wg.Done()
-			defer func() { slots <- bufs }()
-			taskID := fmt.Sprintf("%s/map-%d", job.Config.Name, i)
-			pc := mapTaskClock(o, job, i)
-			win, base, err := in.window(split, pc, bufs)
-			if err != nil {
-				taskErr[i] = fmt.Errorf("mapreduce: %s: %s: %w", job.Config.Name, taskID, err)
-				return
-			}
-			out, tc, err := runWithRetry(job, taskID, func() ([]partRun, Counters, error) {
-				return runMapTask(job, win, base, split, nparts, pc, bufs, js, i)
-			})
-			if err != nil {
-				taskErr[i] = err
-				return
-			}
-			mapOutputs[i] = out
-			taskCounters[i] = tc
-			completed[i] = true
-		}(i, split, bufs)
-	}
-	wg.Wait()
-	for i := 0; i < dispatched; i++ {
-		if completed[i] {
-			total.MapTasks++
-			total.Add(taskCounters[i])
-		}
-	}
-	for i := 0; i < dispatched; i++ {
-		if taskErr[i] != nil {
-			return &Result{Counters: *total}, taskErr[i]
-		}
-	}
-	if ctxErr != nil {
-		return &Result{Counters: *total}, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, ctxErr)
-	}
-
 	if mapOnly {
-		out := make([]partRun, len(splits))
-		for i, mo := range mapOutputs {
-			out[i] = mo[0]
+		mapOut = make([]partRun, len(splits))
+	} else {
+		pcs = make([]phaseClock, nparts)
+		for p := range pcs {
+			pcs[p] = reduceTaskClock(o, job, p)
 		}
-		return newResultRuns(out, *total), nil
+		sh = newShuffle(job, pcs, len(splits), par, js)
 	}
 
-	// ---- Shuffle: route each map task's partition p to reduce task p.
-	shuffled := make([][]partRun, nparts) // [partition][run]sorted run
-	var shuffleBytes units.Bytes
-	segments := 0
-	for _, mo := range mapOutputs {
-		for p := 0; p < nparts; p++ {
-			if mo[p].recs() == 0 {
-				continue
-			}
-			shuffled[p] = append(shuffled[p], mo[p])
-			segments++
-			shuffleBytes += mo[p].accountBytes()
+	// ---- Map wave: one task per split.
+	mapErr := make([]error, len(splits))
+	mapCounters := make([]Counters, len(splits))
+	ctxErr := wave(ctx, slots, len(splits), func(i int, bufs *taskBufs) {
+		taskID := fmt.Sprintf("%s/map-%d", name, i)
+		pc := mapTaskClock(o, job, i)
+		win, base, err := in.window(splits[i], pc, bufs)
+		if err != nil {
+			mapErr[i] = fmt.Errorf("mapreduce: %s: %s: %w", name, taskID, err)
+			return
 		}
-	}
-	total.ShuffleBytes = shuffleBytes
-	total.ShuffleSegments = segments
-	total.ReduceTasks = nparts
-
-	// ---- Reduce phase.
-	var (
-		output      = make([]partRun, nparts)
-		redErr      = make([]error, nparts)
-		redCounters = make([]Counters, nparts)
-		redDone     = make([]bool, nparts)
-	)
-	ctxErr = nil
-	for p := 0; p < nparts; p++ {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break
+		out, tc, err := runWithRetry(job, taskID, func() ([]partRun, Counters, error) {
+			return runMapTask(job, win, base, splits[i], nparts, pc, bufs, js, i)
+		})
+		if err != nil {
+			mapErr[i] = err
+			return
 		}
-		bufs := <-slots
-		if err := ctx.Err(); err != nil {
-			slots <- bufs
-			ctxErr = err
-			break
-		}
-		wg.Add(1)
-		go func(p int, bufs *taskBufs) {
-			defer wg.Done()
-			defer func() { slots <- bufs }()
-			taskID := fmt.Sprintf("%s/reduce-%d", job.Config.Name, p)
-			pc := reduceTaskClock(o, job, p)
-			out, tc, err := runWithRetry(job, taskID, func() (partRun, Counters, error) {
-				if js == nil {
-					segs := make([]Segment, len(shuffled[p]))
-					for i, r := range shuffled[p] {
-						segs[i] = r.seg
-					}
-					seg, tc, err := runReduceTask(job, segs, pc, bufs)
-					return memRun(seg), tc, err
+		tc.MapTasks = 1 // counts finished map tasks only
+		if mapOnly {
+			mapOut[i] = out[0]
+		} else {
+			// Shuffle traffic is counted at publish time.
+			for _, r := range out {
+				if r.recs() > 0 {
+					tc.ShuffleSegments++
+					tc.ShuffleBytes += r.accountBytes()
 				}
-				return reduceToFile(job, js.outPath(p), shuffled[p], pc)
-			})
-			if err != nil {
-				redErr[p] = err
-				return
 			}
-			output[p] = out
-			redCounters[p] = tc
-			redDone[p] = true
-		}(p, bufs)
-	}
-	wg.Wait()
-	for p := 0; p < nparts; p++ {
-		if redDone[p] {
-			total.Add(redCounters[p])
+			sh.publish(i, out)
 		}
+		mapCounters[i] = tc
+	})
+	if sh != nil {
+		sh.wait()
 	}
-	for p := 0; p < nparts; p++ {
-		if redErr[p] != nil {
-			return &Result{Counters: *total}, redErr[p]
-		}
+	if err := finish(mapCounters, mapErr, ctxErr); err != nil {
+		return &Result{Counters: total}, err
 	}
-	if ctxErr != nil {
-		return &Result{Counters: *total}, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, ctxErr)
+	if mapOnly {
+		return newResultRuns(mapOut, total), nil
 	}
 
-	return newResultRuns(output, *total), nil
+	// ---- Reduce wave: one task per partition, over its runs in task order.
+	total.ReduceTasks = nparts
+	output := make([]partRun, nparts)
+	redErr := make([]error, nparts)
+	redCounters := make([]Counters, nparts)
+	ctxErr = wave(ctx, slots, nparts, func(p int, bufs *taskBufs) {
+		taskID := fmt.Sprintf("%s/reduce-%d", name, p)
+		runs, folds, err := sh.partition(p)
+		if err != nil {
+			redErr[p] = fmt.Errorf("mapreduce: %s: %w", taskID, err)
+			return
+		}
+		out, tc, err := runWithRetry(job, taskID, func() (partRun, Counters, error) {
+			if js != nil {
+				return reduceToFile(job, js.outPath(p), runs, pcs[p])
+			}
+			segs := make([]Segment, 0, len(runs))
+			for _, r := range runs {
+				if r.seg.Len() > 0 {
+					segs = append(segs, r.seg)
+				}
+			}
+			seg, tc, err := runReduceTask(job, segs, pcs[p], bufs)
+			return memRun(seg), tc, err
+		})
+		if err != nil {
+			redErr[p] = err
+			return
+		}
+		output[p] = out
+		tc.Add(folds)
+		redCounters[p] = tc
+	})
+	if err := finish(redCounters, redErr, ctxErr); err != nil {
+		return &Result{Counters: total}, err
+	}
+	return newResultRuns(output, total), nil
 }
 
 // reduceToFile streams one partition's reduce output into a
 // single-partition segment file at path — the out-of-core reduce task
 // body. When more disk runs are pending than MergeFactor allows open at
-// once, intermediate disk-to-disk merge passes consolidate them first
-// (Hadoop's io.sort.factor discipline), so the final merge's open-file
-// count and loser-tree width stay bounded. A retried attempt recreates
-// every file from scratch — the intermediate paths are deterministic and
+// once, intermediate disk-to-disk merge rounds consolidate them first, so
+// the final merge's open-file count and loser-tree width stay bounded; each
+// round counts as one ReduceMergePass. A retried attempt recreates every
+// file from scratch — the intermediate paths are deterministic and
 // truncating.
 func reduceToFile(job Job, path string, runs []partRun, pc phaseClock) (partRun, Counters, error) {
 	var c Counters
@@ -456,18 +433,30 @@ func reduceToFile(job Job, path string, runs []partRun, pc phaseClock) (partRun,
 			disk++
 		}
 	}
-	var cleanup []*SegmentFile
+	var interm []*SegmentFile // last consolidation round's files
+	defer func() {
+		for _, sf := range interm {
+			sf.Remove()
+		}
+	}()
 	if disk > job.Config.MergeFactor {
-		var err error
-		runs, cleanup, err = consolidateRuns(job, path, runs, pc, &c)
+		single := make([][]partRun, len(runs))
+		for i := range runs {
+			single[i] = runs[i : i+1]
+		}
+		merged, made, rounds, err := consolidate(single, job.Config.MergeFactor, path+".", false, pc, obs.PhaseSpillWrite, &c)
 		if err != nil {
-			removeSegFiles(cleanup)
-			return partRun{}, c, err
+			return partRun{}, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, err)
+		}
+		c.ReduceMergePasses += rounds
+		interm = made
+		runs = make([]partRun, len(merged))
+		for i, r := range merged {
+			runs[i] = r[0]
 		}
 	}
 	w, err := newSpillWriter(path)
 	if err != nil {
-		removeSegFiles(cleanup)
 		return partRun{}, c, fmt.Errorf("mapreduce: %s: reduce output: %w", job.Config.Name, err)
 	}
 	w.beginPartition()
@@ -475,104 +464,14 @@ func reduceToFile(job Job, path string, runs []partRun, pc phaseClock) (partRun,
 	c.Add(cr)
 	if err != nil {
 		w.abort()
-		removeSegFiles(cleanup)
 		return partRun{}, c, err
 	}
 	sf, err := w.finish()
-	removeSegFiles(cleanup)
 	if err != nil {
 		w.abort()
 		return partRun{}, c, fmt.Errorf("mapreduce: %s: reduce output: %w", job.Config.Name, err)
 	}
 	return diskRun(sf, 0), c, nil
-}
-
-func removeSegFiles(files []*SegmentFile) {
-	for _, sf := range files {
-		sf.Remove()
-	}
-}
-
-// consolidateRuns bounds the fan-in of the final external merge: while the
-// run count exceeds MergeFactor, adjacent groups of up to MergeFactor runs
-// are merged into single-partition intermediate segment files. Groups are
-// contiguous in slot order, so the round structure composes by the same
-// associativity argument as everywhere else — the final output stays
-// byte-identical to a one-shot merge over the original runs. The input
-// slice is not mutated (retried attempts replay it); each round removes
-// the previous round's intermediates once it has consumed them, and the
-// last round's files are returned for the caller to remove after the final
-// merge. Each round counts as one ReduceMergePass; intermediate writes and
-// the reads feeding them accrue to the spill-file counters.
-func consolidateRuns(job Job, base string, runs []partRun, pc phaseClock, c *Counters) ([]partRun, []*SegmentFile, error) {
-	factor := job.Config.MergeFactor
-	var prev []*SegmentFile // previous round's intermediates, consumed this round
-	fail := func(created []*SegmentFile, err error) ([]partRun, []*SegmentFile, error) {
-		return nil, append(prev, created...), fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, err)
-	}
-	for round := 0; len(runs) > factor; round++ {
-		next := make([]partRun, 0, (len(runs)+factor-1)/factor)
-		var created []*SegmentFile
-		var roundRead, roundWritten int64
-		t := pc.Start()
-		for lo := 0; lo < len(runs); lo += factor {
-			hi := lo + factor
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			if hi-lo == 1 {
-				next = append(next, runs[lo])
-				continue
-			}
-			w, err := newSpillWriter(fmt.Sprintf("%s.r%d-g%d.seg", base, round, lo/factor))
-			if err != nil {
-				return fail(created, err)
-			}
-			w.beginPartition()
-			read, err := mergeRunsTo(runs[lo:hi], w.append)
-			if err == nil {
-				err = w.endPartition()
-			}
-			if err != nil {
-				w.abort()
-				return fail(created, err)
-			}
-			sf, err := w.finish()
-			if err != nil {
-				w.abort()
-				return fail(created, err)
-			}
-			c.SpillFilesWritten++
-			c.SpillFileBytesWritten += sf.StoredBytes()
-			c.SpillFileBytesRead += units.Bytes(read)
-			roundRead += int64(read)
-			roundWritten += int64(sf.StoredBytes())
-			created = append(created, sf)
-			next = append(next, diskRun(sf, 0))
-		}
-		pc.EmitIO(obs.PhaseSpillWrite, t, roundRead, roundWritten)
-		c.ReduceMergePasses++
-		// Remove the previous round's intermediates this round consumed. A
-		// trailing singleton group passes its run through unmerged, so a
-		// prev file can still be live in next — keep those for the round
-		// (or final merge) that actually reads them.
-		live := make(map[*SegmentFile]bool, len(next))
-		for _, r := range next {
-			if r.file != nil {
-				live[r.file] = true
-			}
-		}
-		for _, sf := range prev {
-			if live[sf] {
-				created = append(created, sf)
-			} else {
-				sf.Remove()
-			}
-		}
-		prev = created
-		runs = next
-	}
-	return runs, prev, nil
 }
 
 // runWithRetry executes a task body, consulting the failure injector and
@@ -609,13 +508,6 @@ type splitRange struct {
 	start, end int
 }
 
-// mapSpill is one spill's output: resident per-partition runs, or a
-// segment file when the task crossed its spill-memory budget.
-type mapSpill struct {
-	parts []Segment
-	file  *SegmentFile
-}
-
 // runMapTask executes the mapper over one split with Hadoop's sort-buffer
 // spill discipline and returns per-partition sorted output runs. Records
 // are emitted into the slot's flat arena (no per-record allocation);
@@ -642,7 +534,7 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 	var (
 		bufBytes units.Bytes
 		memBytes units.Bytes // accounting size of the resident spills
-		spills   []mapSpill
+		spills   [][]partRun // [spill][partition], resident or one file's partitions
 	)
 	doSpill := func() error {
 		if len(buf.meta) == 0 {
@@ -664,10 +556,14 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 			pc.EmitIO(obs.PhaseSpillWrite, tW, 0, int64(sf.StoredBytes()))
 			c.SpillFilesWritten++
 			c.SpillFileBytesWritten += sf.StoredBytes()
-			spills = append(spills, mapSpill{file: sf})
+			spills = append(spills, fileRuns(sf))
 		} else {
 			memBytes += b
-			spills = append(spills, mapSpill{parts: parts})
+			run := make([]partRun, nparts)
+			for p := range run {
+				run[p] = memRun(parts[p])
+			}
+			spills = append(spills, run)
 		}
 		buf.reset()
 		bufBytes = 0
@@ -729,158 +625,57 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 	}
 
 	// Merge spills into the task's final per-partition output. Hadoop
-	// re-reads and re-writes spill data in passes of MergeFactor fan-in.
-	out := make([]partRun, nparts)
+	// re-reads and re-writes spill data in passes of MergeFactor fan-in;
+	// MergePasses/MergeBytes follow that formula whether or not the rounds
+	// really run, so in-memory and out-of-core runs agree on those counters.
 	switch len(spills) {
 	case 0:
-		// No output at all.
+		return make([]partRun, nparts), c, nil
 	case 1:
-		sp := spills[0]
-		for p := 0; p < nparts; p++ {
-			if sp.file != nil {
-				out[p] = diskRun(sp.file, p)
-			} else {
-				out[p] = memRun(sp.parts[p])
-			}
-		}
-	default:
-		tMerge := pc.Start()
-		passes := mergePasses(len(spills), job.Config.MergeFactor)
-		c.MergePasses += passes
-		c.MergeBytes += c.SpilledBytes * units.Bytes(passes)
-		anyDisk := false
-		for _, sp := range spills {
-			if sp.file != nil {
-				anyDisk = true
-				break
-			}
-		}
-		if !anyDisk {
-			for p := 0; p < nparts; p++ {
-				segs := make([]Segment, 0, len(spills))
-				for _, sp := range spills {
-					if sp.parts[p].Len() > 0 {
-						segs = append(segs, sp.parts[p])
-					}
-				}
-				out[p] = memRun(mergeSegs(segs))
-			}
-			pc.Emit(obs.PhaseMergeFetch, tMerge)
-			break
-		}
-		// Multi-pass consolidation: while more spills are pending than
-		// MergeFactor allows open at once, merge adjacent groups of spills
-		// into intermediate multi-partition files — the real rounds behind
-		// the formula-based MergePasses/MergeBytes accounting above, which
-		// is deliberately unchanged so in-memory and out-of-core runs agree
-		// on those counters. Groups are contiguous in spill order, so the
-		// final output stays byte-identical to a one-shot merge; consumed
-		// disk files (original spills or earlier intermediates) are removed
-		// as each group lands.
-		factor := job.Config.MergeFactor
-		var mergeRead, mergeWritten int64
-		for round := 0; len(spills) > factor; round++ {
-			next := make([]mapSpill, 0, (len(spills)+factor-1)/factor)
-			for lo := 0; lo < len(spills); lo += factor {
-				hi := lo + factor
-				if hi > len(spills) {
-					hi = len(spills)
-				}
-				if hi-lo == 1 {
-					next = append(next, spills[lo])
-					continue
-				}
-				w, werr := newSpillWriter(js.mapInterPath(task, round, lo/factor))
-				if werr != nil {
-					return nil, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, werr)
-				}
-				var read int64
-				for p := 0; p < nparts; p++ {
-					w.beginPartition()
-					runs := make([]partRun, 0, hi-lo)
-					for _, sp := range spills[lo:hi] {
-						if sp.file != nil {
-							runs = append(runs, diskRun(sp.file, p))
-						} else if sp.parts[p].Len() > 0 {
-							runs = append(runs, memRun(sp.parts[p]))
-						}
-					}
-					n, merr := mergeRunsTo(runs, w.append)
-					read += n
-					if merr == nil {
-						merr = w.endPartition()
-					}
-					if merr != nil {
-						w.abort()
-						return nil, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, merr)
-					}
-				}
-				sf, ferr := w.finish()
-				if ferr != nil {
-					w.abort()
-					return nil, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, ferr)
-				}
-				c.SpillFilesWritten++
-				c.SpillFileBytesWritten += sf.StoredBytes()
-				c.SpillFileBytesRead += units.Bytes(read)
-				mergeRead += read
-				mergeWritten += int64(sf.StoredBytes())
-				for _, sp := range spills[lo:hi] {
-					if sp.file != nil {
-						sp.file.Remove()
-					}
-				}
-				next = append(next, mapSpill{file: sf})
-			}
-			spills = next
-		}
-		// External consolidation: stream every spill's partition runs —
-		// resident and on-disk alike, in spill order, so the stable merge
-		// is byte-identical to the in-memory path — into one output file.
-		w, werr := newSpillWriter(js.mapOutPath(task))
-		if werr != nil {
-			return nil, c, fmt.Errorf("mapreduce: %s: merge output: %w", job.Config.Name, werr)
-		}
-		var read int64
-		for p := 0; p < nparts; p++ {
-			w.beginPartition()
-			runs := make([]partRun, 0, len(spills))
+		return spills[0], c, nil
+	}
+	tMerge := pc.Start()
+	passes := mergePasses(len(spills), job.Config.MergeFactor)
+	c.MergePasses += passes
+	c.MergeBytes += c.SpilledBytes * units.Bytes(passes)
+	anyDisk := false
+	for _, sp := range spills {
+		anyDisk = anyDisk || sp[0].isDisk()
+	}
+	if !anyDisk {
+		out := make([]partRun, nparts)
+		for p := range out {
+			segs := make([]Segment, 0, len(spills))
 			for _, sp := range spills {
-				if sp.file != nil {
-					runs = append(runs, diskRun(sp.file, p))
-				} else if sp.parts[p].Len() > 0 {
-					runs = append(runs, memRun(sp.parts[p]))
+				if sp[p].seg.Len() > 0 {
+					segs = append(segs, sp[p].seg)
 				}
 			}
-			n, merr := mergeRunsTo(runs, w.append)
-			read += n
-			if merr == nil {
-				merr = w.endPartition()
-			}
-			if merr != nil {
-				w.abort()
-				return nil, c, fmt.Errorf("mapreduce: %s: merge: %w", job.Config.Name, merr)
-			}
+			out[p] = memRun(mergeSegs(segs))
 		}
-		sf, ferr := w.finish()
-		if ferr != nil {
-			w.abort()
-			return nil, c, fmt.Errorf("mapreduce: %s: merge output: %w", job.Config.Name, ferr)
-		}
-		pc.EmitIO(obs.PhaseMergeFetch, tMerge, mergeRead+read, mergeWritten+int64(sf.StoredBytes()))
-		c.SpillFilesWritten++
-		c.SpillFileBytesWritten += sf.StoredBytes()
-		c.SpillFileBytesRead += units.Bytes(read)
-		for _, sp := range spills {
-			if sp.file != nil {
-				sp.file.Remove()
-			}
-		}
-		for p := 0; p < nparts; p++ {
-			out[p] = diskRun(sf, p)
+		pc.Emit(obs.PhaseMergeFetch, tMerge)
+		return out, c, nil
+	}
+	// External merge: consolidate to at most MergeFactor spills in real
+	// rounds, then stream every remaining spill's partition runs — resident
+	// and on-disk alike, in spill order, so the stable merge is
+	// byte-identical to the in-memory path — into one output file.
+	spills, _, _, err = consolidate(spills, job.Config.MergeFactor, js.mapInterPrefix(task), true, pc, obs.PhaseMergeFetch, &c)
+	if err != nil {
+		return nil, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, err)
+	}
+	tMerge = pc.Start()
+	sf, read, err := mergeToFile(js.mapOutPath(task), spills, &c)
+	if err != nil {
+		return nil, c, fmt.Errorf("mapreduce: %s: merge output: %w", job.Config.Name, err)
+	}
+	pc.EmitIO(obs.PhaseMergeFetch, tMerge, read, int64(sf.StoredBytes()))
+	for _, sp := range spills {
+		if f := sp[0].file; f != nil {
+			f.Remove()
 		}
 	}
-	return out, c, nil
+	return fileRuns(sf), c, nil
 }
 
 // spill sorts the buffered records, applies the combiner if configured,
@@ -1037,11 +832,9 @@ func runReduceTask(job Job, segments []Segment, pc phaseClock, bufs *taskBufs) (
 // reduceMerged applies the reducer per key group over one partition's fully
 // merged record stream, emitting into the slot's flat arena — no per-record
 // KV or string is allocated; the returned segment costs two allocations
-// regardless of record count. The streaming path calls it directly with the
-// incrementally merged stream; the barrier path goes through runReduceTask.
-// Reducers implementing StreamReducer get the group's values streamed; the
-// string API gets a pooled values slice reused across groups and a key
-// string materialized once per group.
+// regardless of record count. Reducers implementing StreamReducer get the
+// group's values streamed; the string API gets a pooled values slice reused
+// across groups and a key string materialized once per group.
 //
 // Identity reducers that declare themselves via PassthroughReducer skip the
 // group loop entirely when no Grouping comparator is installed: their
@@ -1160,12 +953,6 @@ func mergePasses(n, factor int) int {
 	return passes
 }
 
-// record is one line-based input record.
-type record struct {
-	offset int
-	line   string
-}
-
 // forEachRecordWindow streams the records of the absolute byte range
 // [start, end) to fn under Hadoop's LineRecordReader split semantics: a
 // non-first split discards everything up to and including its first
@@ -1207,29 +994,4 @@ func forEachRecordWindow(win []byte, base, start, end int, fn func(offset int, l
 		pos = lineEnd + 1
 	}
 	return nil
-}
-
-// forEachRecordBytes is forEachRecordWindow over a fully resident input
-// (base 0, window = the whole data).
-func forEachRecordBytes(data []byte, start, end int, fn func(offset int, line []byte) error) error {
-	return forEachRecordWindow(data, 0, start, end, fn)
-}
-
-// forEachRecord is forEachRecordBytes with each line materialized as a
-// string — the form the string Mapper API consumes.
-func forEachRecord(data []byte, start, end int, fn func(offset int, line string) error) error {
-	return forEachRecordBytes(data, start, end, func(offset int, line []byte) error {
-		return fn(offset, string(line))
-	})
-}
-
-// splitRecords materializes forEachRecord's stream — kept for tests and
-// callers that want the records as a slice.
-func splitRecords(data []byte, start, end int) []record {
-	var recs []record
-	_ = forEachRecord(data, start, end, func(offset int, line string) error {
-		recs = append(recs, record{offset: offset, line: line})
-		return nil
-	})
-	return recs
 }

@@ -138,6 +138,17 @@ func TestSplitSemanticsIndependentOfBlockSize(t *testing.T) {
 	}
 }
 
+// windowLines collects the lines forEachRecordWindow yields for the split
+// [start, end) of a fully resident input.
+func windowLines(data []byte, start, end int) []string {
+	var lines []string
+	_ = forEachRecordWindow(data, 0, start, end, func(_ int, line []byte) error {
+		lines = append(lines, string(line))
+		return nil
+	})
+	return lines
+}
+
 func TestSplitRecordsExactlyOncePerLine(t *testing.T) {
 	data := []byte("aa\nbbbb\nc\ndddddd\nee")
 	for _, bs := range []int{1, 2, 3, 4, 5, 7, 19, 100} {
@@ -147,9 +158,7 @@ func TestSplitRecordsExactlyOncePerLine(t *testing.T) {
 			if end > len(data) {
 				end = len(data)
 			}
-			for _, r := range splitRecords(data, start, end) {
-				seen = append(seen, r.line)
-			}
+			seen = append(seen, windowLines(data, start, end)...)
 		}
 		sort.Strings(seen)
 		want := []string{"aa", "bbbb", "c", "dddddd", "ee"}
@@ -176,7 +185,7 @@ func TestSplitRecordsProperty(t *testing.T) {
 			if end > len(data) {
 				end = len(data)
 			}
-			count += len(splitRecords(data, start, end))
+			count += len(windowLines(data, start, end))
 		}
 		want := 0
 		for _, l := range strings.Split(string(data), "\n") {
@@ -346,38 +355,50 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	}
 }
 
+// TestMapOnlyJob runs a map-only job through the one executor, serial and
+// parallel: no reduce wave, one output partition per map task in task
+// order, identical counters at any parallelism.
 func TestMapOnlyJob(t *testing.T) {
-	e := newEngine(t, 16, "one two\nthree four\nfive six\n")
-	cfg := DefaultConfig("grep-like")
-	cfg.NumReducers = 0
-	job := Job{
-		Config: cfg,
-		Mapper: MapperFunc(func(_, line string, emit Emitter) error {
-			for _, w := range strings.Fields(line) {
-				if strings.Contains(w, "o") {
-					emit(w, "")
-				}
+	oMapper := MapperFunc(func(_, line string, emit Emitter) error {
+		for _, w := range strings.Fields(line) {
+			if strings.Contains(w, "o") {
+				emit(w, "")
 			}
-			return nil
-		}),
-	}
-	res, err := e.Run(job, "input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.ReduceTasks != 0 {
-		t.Errorf("map-only job ran %d reduce tasks", res.Counters.ReduceTasks)
-	}
-	var words []string
-	for _, p := range res.Output() {
-		for _, kv := range p {
-			words = append(words, kv.Key)
 		}
+		return nil
+	})
+	var results []*Result
+	for _, par := range []int{1, 4} {
+		e := newEngine(t, 16, "one two\nthree four\nfive six\n")
+		cfg := DefaultConfig("grep-like")
+		cfg.NumReducers = 0
+		cfg.Parallelism = par
+		res, err := e.Run(Job{Config: cfg, Mapper: oMapper}, "input")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters.ReduceTasks != 0 || res.Counters.ShuffleSegments != 0 {
+			t.Errorf("par %d: map-only job ran %d reduce tasks, shuffled %d segments",
+				par, res.Counters.ReduceTasks, res.Counters.ShuffleSegments)
+		}
+		if res.NumPartitions() != res.Counters.MapTasks {
+			t.Errorf("par %d: %d output partitions for %d map tasks", par, res.NumPartitions(), res.Counters.MapTasks)
+		}
+		var words []string
+		for _, p := range res.Output() {
+			for _, kv := range p {
+				words = append(words, kv.Key)
+			}
+		}
+		// Partitions come in task order; the first 16-byte split owns both
+		// matching lines and its run is key-sorted.
+		if got, want := strings.Join(words, ","), "four,one,two"; got != want {
+			t.Errorf("par %d: matched %v, want %v", par, got, want)
+		}
+		results = append(results, res)
 	}
-	sort.Strings(words)
-	want := []string{"four", "one", "two"}
-	if strings.Join(words, ",") != strings.Join(want, ",") {
-		t.Errorf("matched %v, want %v", words, want)
+	if results[0].Counters != results[1].Counters {
+		t.Errorf("map-only counters differ by parallelism:\nserial   %+v\nparallel %+v", results[0].Counters, results[1].Counters)
 	}
 }
 
@@ -528,14 +549,23 @@ func TestMergePasses(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
+// kvSegs converts sorted string-record runs to flat segments.
+func kvSegs(runs [][]KV) []Segment {
+	segs := make([]Segment, len(runs))
+	for i, r := range runs {
+		segs[i] = SegmentFromKVs(r)
+	}
+	return segs
+}
+
+func TestMergeSegs(t *testing.T) {
 	segs := [][]KV{
 		{{Key: "a"}, {Key: "c"}, {Key: "e"}},
 		{{Key: "b"}, {Key: "c"}, {Key: "f"}},
 		{},
 		{{Key: "a"}},
 	}
-	out := mergeSorted(segs)
+	out := mergeSegs(kvSegs(segs)).KVs()
 	if len(out) != 7 {
 		t.Fatalf("merged %d records, want 7", len(out))
 	}
@@ -544,16 +574,16 @@ func TestMergeSorted(t *testing.T) {
 			t.Fatalf("not sorted at %d: %v", i, out)
 		}
 	}
-	if mergeSorted(nil) != nil {
-		t.Error("empty merge should be nil")
+	if mergeSegs(nil).Len() != 0 {
+		t.Error("empty merge should be empty")
 	}
-	single := mergeSorted([][]KV{{{Key: "z"}}})
+	single := mergeSegs(kvSegs([][]KV{{{Key: "z"}}})).KVs()
 	if len(single) != 1 || single[0].Key != "z" {
 		t.Errorf("single-segment merge = %v", single)
 	}
 }
 
-func TestMergeSortedProperty(t *testing.T) {
+func TestMergeSegsProperty(t *testing.T) {
 	f := func(seed int64, nsegs uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nsegs%6) + 1
@@ -567,7 +597,7 @@ func TestMergeSortedProperty(t *testing.T) {
 			}
 			sort.SliceStable(segs[i], func(a, b int) bool { return segs[i][a].Key < segs[i][b].Key })
 		}
-		out := mergeSorted(segs)
+		out := mergeSegs(kvSegs(segs)).KVs()
 		if len(out) != total {
 			return false
 		}

@@ -321,6 +321,126 @@ func mergeRunsTo(runs []partRun, emit func(k, v []byte) error) (int64, error) {
 	}
 }
 
+// fileRuns returns one disk run per partition of sf.
+func fileRuns(sf *SegmentFile) []partRun {
+	runs := make([]partRun, sf.NumPartitions())
+	for p := range runs {
+		runs[p] = diskRun(sf, p)
+	}
+	return runs
+}
+
+// mergeToFile writes the stable merge of runs, partition by partition, into
+// one new segment file at path — the one "merge these runs into a file"
+// routine behind map-side spill consolidation, collector pressure folds and
+// reduce-side merge rounds. runs[i][p] is sorted run i's partition p; every
+// run carries the same partition count and runs are merged in slot order.
+// A partition whose only non-empty run is resident is framed straight from
+// its segment (no merge). The file and the stored disk bytes the merge read
+// are charged to c's spill-file counters; the read bytes are also returned
+// for phase I/O attribution. On error the partial file is removed.
+func mergeToFile(path string, runs [][]partRun, c *Counters) (*SegmentFile, int64, error) {
+	w, err := newSpillWriter(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	var read int64
+	col := make([]partRun, 0, len(runs))
+	for p := range runs[0] {
+		col = col[:0]
+		for _, r := range runs {
+			if r[p].recs() > 0 {
+				col = append(col, r[p])
+			}
+		}
+		w.beginPartition()
+		if len(col) == 1 && !col[0].isDisk() {
+			err = w.appendSegment(col[0].seg)
+		} else {
+			var n int64
+			n, err = mergeRunsTo(col, w.append)
+			read += n
+		}
+		if err == nil {
+			err = w.endPartition()
+		}
+		if err != nil {
+			w.abort()
+			return nil, read, err
+		}
+	}
+	sf, err := w.finish()
+	if err != nil {
+		w.abort()
+		return nil, read, err
+	}
+	c.SpillFilesWritten++
+	c.SpillFileBytesWritten += sf.StoredBytes()
+	c.SpillFileBytesRead += units.Bytes(read)
+	return sf, read, nil
+}
+
+// consolidate bounds the fan-in of a final external merge (Hadoop's
+// io.sort.factor discipline): while more than factor runs are pending,
+// adjacent groups of up to factor runs are merged into intermediate segment
+// files named <prefix>r<round>-g<group>.seg — deterministic and truncating,
+// so a retried attempt rewrites the same files. Groups are contiguous in
+// slot order and stable merging is associative over adjacent runs, so the
+// final merge over the returned runs is byte-identical to a one-shot merge
+// over the input. Runs are laid out as in mergeToFile (one partition for
+// reduce-side runs, the job's partition count for map spills); a run is
+// resident in every partition or one file's partitions. A trailing singleton
+// group passes its run through unmerged.
+//
+// The input slice is never mutated (a retried reduce attempt replays it).
+// Consumed files are removed as each group lands: always the intermediates
+// of earlier rounds, and the input's own disk runs only when ownInputs is
+// set (a map task owns its spills; a reduce task's inputs belong to the
+// shuffle). The intermediates still live in the returned runs come back as
+// made, for the caller to remove after its final merge; on error everything
+// consolidate created is removed and made is nil. Each round is emitted as
+// one phase interval on pc and counted in the returned rounds.
+func consolidate(runs [][]partRun, factor int, prefix string, ownInputs bool, pc phaseClock, phase obs.Phase, c *Counters) (out [][]partRun, made []*SegmentFile, rounds int, err error) {
+	live := make(map[*SegmentFile]bool) // intermediates created and not yet consumed
+	for ; len(runs) > factor; rounds++ {
+		next := make([][]partRun, 0, (len(runs)+factor-1)/factor)
+		var roundRead, roundWritten int64
+		t := pc.Start()
+		for lo := 0; lo < len(runs); lo += factor {
+			hi := min(lo+factor, len(runs))
+			if hi-lo == 1 {
+				next = append(next, runs[lo])
+				continue
+			}
+			sf, read, err := mergeToFile(fmt.Sprintf("%sr%d-g%d.seg", prefix, rounds, lo/factor), runs[lo:hi], c)
+			if err != nil {
+				for f := range live {
+					f.Remove()
+				}
+				return nil, nil, rounds, err
+			}
+			roundRead += read
+			roundWritten += int64(sf.StoredBytes())
+			for _, r := range runs[lo:hi] {
+				if f := r[0].file; f != nil && (ownInputs || live[f]) {
+					f.Remove()
+					delete(live, f)
+				}
+			}
+			live[sf] = true
+			next = append(next, fileRuns(sf))
+		}
+		pc.EmitIO(phase, t, roundRead, roundWritten)
+		runs = next
+	}
+	for _, r := range runs {
+		if live[r[0].file] {
+			made = append(made, r[0].file)
+		}
+	}
+	return runs, made, rounds, nil
+}
+
 // reduceStreamed is reduceMerged over a streaming merge: it applies the
 // reducer per key group as records flow out of the k-way merge, never
 // materializing the merged partition, and hands output records to sink.

@@ -139,18 +139,3 @@ func mergeSegs(segments []Segment) Segment {
 	putLoserTree(t)
 	return out.seg()
 }
-
-// mergeSorted merges already-sorted []KV segments into one sorted slice —
-// the legacy string-record form of mergeSegs, kept for tests and []KV
-// callers.
-func mergeSorted(segments [][]KV) []KV {
-	segs := make([]Segment, len(segments))
-	for i, s := range segments {
-		segs[i] = SegmentFromKVs(s)
-	}
-	return mergeSegs(segs).KVs()
-}
-
-// partScratchPool pools the per-record partition index scratch used to
-// pre-size spill partitions exactly.
-var partScratchPool = sync.Pool{New: func() interface{} { s := make([]int32, 0, 256); return &s }}

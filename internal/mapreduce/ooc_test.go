@@ -53,13 +53,14 @@ func materialized(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestOutOfCoreParity is the tentpole's acceptance gate in miniature: for
+// TestOutOfCoreParity is the out-of-core acceptance gate in miniature: for
 // wordcount (combiner, string API) and sort (ByteMapper + passthrough
 // reducer), a run whose spills overflow a tiny memory budget onto disk
-// must produce byte-identical output to the unbounded in-memory run —
-// serial and parallel, barrier and streaming — with identical counters up
-// to the spill-file and interim-pass fields, and must leave nothing under
-// SpillDir once the run's Result is closed.
+// must produce byte-identical output to the serial unbounded in-memory run
+// at any parallelism, with identical counters up to the spill-file and
+// disk-merge-pass fields, and must leave nothing under SpillDir once the
+// run's Result is closed. The parallel in-memory run must match the serial
+// one in every counter.
 func TestOutOfCoreParity(t *testing.T) {
 	input := oocInput(4000) // ~150 KB
 	jobs := map[string]func(cfg Config) Job{
@@ -69,87 +70,89 @@ func TestOutOfCoreParity(t *testing.T) {
 		},
 	}
 	for name, mkJob := range jobs {
-		for _, barrier := range []bool{true, false} {
-			for _, par := range []int{1, 4} {
-				mode := "streaming"
-				if barrier {
-					mode = "barrier"
-				}
-				t.Run(fmt.Sprintf("%s/%s/par%d", name, mode, par), func(t *testing.T) {
-					base := DefaultConfig("ooc-" + name)
-					base.NumReducers = 4
-					base.SortBuffer = 4 * units.KB // many spills per map task
-					base.MergeFactor = 3           // interim merge passes
-					base.BarrierShuffle = barrier
-					base.Parallelism = par
+		base := DefaultConfig("ooc-" + name)
+		base.NumReducers = 4
+		base.SortBuffer = 4 * units.KB // many spills per map task
+		base.MergeFactor = 3           // multi-pass merges
+		base.Parallelism = 1
 
-					run := func(cfg Config) *Result {
-						t.Helper()
-						e := newEngine(t, 8*units.KB, input) // ~19 map tasks
-						res, err := e.Run(mkJob(cfg), "input")
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					want := run(base) // unbounded in-memory reference
-
-					spillDir := t.TempDir()
-					cfg := base
-					cfg.SpillDir = spillDir
-					cfg.SpillMemory = 8 * units.KB // force overflow to disk
-					got := run(cfg)
-
-					if !got.OutOfCore() {
-						t.Fatal("bounded run did not go out of core")
-					}
-					if got.Counters.Spills == 0 || got.Counters.SpillFilesWritten == 0 {
-						t.Fatalf("no disk spills: Spills=%d SpillFilesWritten=%d",
-							got.Counters.Spills, got.Counters.SpillFilesWritten)
-					}
-					if got.Counters.SpillFileBytesWritten == 0 || got.Counters.SpillFileBytesRead == 0 {
-						t.Fatalf("spill-file byte accounting silent: written=%d read=%d",
-							got.Counters.SpillFileBytesWritten, got.Counters.SpillFileBytesRead)
-					}
-
-					// Byte parity, both through the string API and the streaming
-					// writer.
-					if !reflect.DeepEqual(got.Output(), want.Output()) {
-						t.Fatal("out-of-core output differs from in-memory output")
-					}
-					if gb, wb := materialized(t, got), materialized(t, want); !bytes.Equal(gb, wb) {
-						t.Fatal("materialized byte streams differ")
-					}
-
-					// Counters agree up to the fields the disk path owns.
-					g, w := got.Counters, want.Counters
-					g.SpillFilesWritten, g.SpillFileBytesWritten, g.SpillFileBytesRead = 0, 0, 0
-					w.SpillFilesWritten, w.SpillFileBytesWritten, w.SpillFileBytesRead = 0, 0, 0
-					g.ReduceMergePasses, w.ReduceMergePasses = 0, 0 // collector pressure folds
-					if g != w {
-						t.Fatalf("counters diverge beyond spill fields:\nooc %+v\nmem %+v", g, w)
-					}
-
-					// Interim spills are gone as soon as the run returns; the
-					// reduce outputs live until Close; Close empties SpillDir.
-					roots := spillDirEntries(t, spillDir)
-					if len(roots) != 1 {
-						t.Fatalf("SpillDir holds %v, want exactly the run root", roots)
-					}
-					if interm := spillDirEntries(t, filepath.Join(spillDir, roots[0], "interm")); len(interm) != 0 {
-						t.Fatalf("interim spills survived the run: %v", interm)
-					}
-					if err := got.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if left := spillDirEntries(t, spillDir); len(left) != 0 {
-						t.Fatalf("Close left %v under SpillDir", left)
-					}
-					if err := got.Close(); err != nil {
-						t.Fatalf("second Close: %v", err)
-					}
-				})
+		run := func(t *testing.T, cfg Config) *Result {
+			t.Helper()
+			e := newEngine(t, 8*units.KB, input) // ~19 map tasks
+			res, err := e.Run(mkJob(cfg), "input")
+			if err != nil {
+				t.Fatal(err)
 			}
+			return res
+		}
+		want := run(t, base) // serial unbounded in-memory reference
+		if w := want.Counters; w.ReduceMergePasses != 0 || w.SpillFilesWritten != 0 || w.SpillFileBytesWritten != 0 || w.SpillFileBytesRead != 0 {
+			t.Fatalf("%s: in-memory run recorded disk work: %+v", name, w)
+		}
+
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par%d", name, par), func(t *testing.T) {
+				mem := base
+				mem.Parallelism = par
+				if got := run(t, mem); got.Counters != want.Counters || !bytes.Equal(materialized(t, got), materialized(t, want)) {
+					t.Fatalf("in-memory run at parallelism %d diverges from serial:\npar    %+v\nserial %+v", par, got.Counters, want.Counters)
+				}
+
+				spillDir := t.TempDir()
+				cfg := mem
+				cfg.SpillDir = spillDir
+				cfg.SpillMemory = 8 * units.KB // force overflow to disk
+				got := run(t, cfg)
+
+				if !got.OutOfCore() {
+					t.Fatal("bounded run did not go out of core")
+				}
+				if got.Counters.Spills == 0 || got.Counters.SpillFilesWritten == 0 {
+					t.Fatalf("no disk spills: Spills=%d SpillFilesWritten=%d",
+						got.Counters.Spills, got.Counters.SpillFilesWritten)
+				}
+				if got.Counters.SpillFileBytesWritten == 0 || got.Counters.SpillFileBytesRead == 0 {
+					t.Fatalf("spill-file byte accounting silent: written=%d read=%d",
+						got.Counters.SpillFileBytesWritten, got.Counters.SpillFileBytesRead)
+				}
+
+				// Byte parity, both through the string API and the streaming
+				// writer.
+				if !reflect.DeepEqual(got.Output(), want.Output()) {
+					t.Fatal("out-of-core output differs from in-memory output")
+				}
+				if gb, wb := materialized(t, got), materialized(t, want); !bytes.Equal(gb, wb) {
+					t.Fatal("materialized byte streams differ")
+				}
+
+				// Counters agree up to the fields the disk path owns (all
+				// zero in memory, asserted above).
+				g := got.Counters
+				g.SpillFilesWritten, g.SpillFileBytesWritten, g.SpillFileBytesRead = 0, 0, 0
+				g.ReduceMergePasses = 0 // pressure folds + consolidation rounds
+				if g != want.Counters {
+					t.Fatalf("counters diverge beyond spill fields:\nooc %+v\nmem %+v", g, want.Counters)
+				}
+
+				// Interim spills are gone as soon as the run returns; the
+				// reduce outputs live until Close; Close empties SpillDir.
+				roots := spillDirEntries(t, spillDir)
+				if len(roots) != 1 {
+					t.Fatalf("SpillDir holds %v, want exactly the run root", roots)
+				}
+				if interm := spillDirEntries(t, filepath.Join(spillDir, roots[0], "interm")); len(interm) != 0 {
+					t.Fatalf("interim spills survived the run: %v", interm)
+				}
+				if err := got.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if left := spillDirEntries(t, spillDir); len(left) != 0 {
+					t.Fatalf("Close left %v under SpillDir", left)
+				}
+				if err := got.Close(); err != nil {
+					t.Fatalf("second Close: %v", err)
+				}
+			})
 		}
 	}
 }
@@ -180,46 +183,37 @@ func TestOutOfCoreLargeBudgetStaysResident(t *testing.T) {
 // cancelled mid-flight after spill files exist must remove its entire
 // spill tree before returning.
 func TestOutOfCoreCancellationCleanup(t *testing.T) {
-	for _, barrier := range []bool{true, false} {
-		name := "streaming"
-		if barrier {
-			name = "barrier"
+	spillDir := t.TempDir()
+	e := newEngine(t, 4*units.KB, oocInput(2000))
+	cfg := DefaultConfig("ooc-cancel")
+	cfg.NumReducers = 2
+	cfg.SortBuffer = 2 * units.KB
+	cfg.SpillDir = spillDir
+	cfg.SpillMemory = 1 // every spill goes to disk immediately
+	cfg.Parallelism = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	cfg.FailureInjector = func(task string, attempt int) error {
+		calls++
+		if calls == 4 { // a few map tasks have spilled to disk by now
+			cancel()
 		}
-		t.Run(name, func(t *testing.T) {
-			spillDir := t.TempDir()
-			e := newEngine(t, 4*units.KB, oocInput(2000))
-			cfg := DefaultConfig("ooc-cancel")
-			cfg.NumReducers = 2
-			cfg.SortBuffer = 2 * units.KB
-			cfg.SpillDir = spillDir
-			cfg.SpillMemory = 1 // every spill goes to disk immediately
-			cfg.BarrierShuffle = barrier
-			cfg.Parallelism = 1
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			calls := 0
-			cfg.FailureInjector = func(task string, attempt int) error {
-				calls++
-				if calls == 4 { // a few map tasks have spilled to disk by now
-					cancel()
-				}
-				return nil
-			}
-			_, err := e.RunContext(ctx, wordCountJob(cfg), "input")
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if left := spillDirEntries(t, spillDir); len(left) != 0 {
-				t.Fatalf("cancelled run left %v under SpillDir", left)
-			}
-		})
+		return nil
+	}
+	_, err := e.RunContext(ctx, wordCountJob(cfg), "input")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if left := spillDirEntries(t, spillDir); len(left) != 0 {
+		t.Fatalf("cancelled run left %v under SpillDir", left)
 	}
 }
 
-// TestCollectorPressureSpill exercises the streaming collector's
-// fold-to-disk path directly: under a budget nothing fits in, randomized
-// arrival orders must still merge byte-identically to the barrier
-// reference, with the folded chains actually hitting disk.
+// TestCollectorPressureSpill exercises the collector's fold-to-disk path
+// directly: under a budget nothing fits in, randomized arrival orders must
+// still merge byte-identically to the one-shot reference, with the folded
+// chains actually hitting disk.
 func TestCollectorPressureSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -253,27 +247,22 @@ func TestCollectorPressureSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := newCollector(nsplits, factor)
-		col.js = js
-		col.part = 0
-		col.budget = js.budget
+		col := &collector{factor: factor, js: js, budget: js.budget}
 		for _, task := range rng.Perm(nsplits) {
-			if err := col.add(streamSeg{task: task, run: memRun(segs[task])}); err != nil {
+			if err := col.add(task, memRun(segs[task])); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var got []KV
-		if _, err := mergeRunsTo(col.finishRuns(), func(k, v []byte) error {
-			got = append(got, KV{Key: string(k), Value: string(v)})
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		runs := make([]partRun, len(col.runs))
+		for i, r := range col.runs {
+			runs[i] = r.run
 		}
+		got := drainRuns(t, runs)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("trial %d (nsplits=%d factor=%d folds=%d): pressure-folded merge diverges",
-				trial, nsplits, factor, col.spillFiles)
+				trial, nsplits, factor, col.folds.SpillFilesWritten)
 		}
-		if len(want) > 0 && col.spillFiles == 0 {
+		if len(want) > 0 && col.folds.SpillFilesWritten == 0 {
 			t.Fatalf("trial %d: budget of 1 byte produced no disk folds", trial)
 		}
 		os.RemoveAll(js.root)
@@ -283,68 +272,233 @@ func TestCollectorPressureSpill(t *testing.T) {
 // TestMultiPassExternalMergeParity forces far more disk runs into the
 // reduce-side merge than MergeFactor allows open at once, with the factor
 // pinned to 2–3, so reduceToFile must run intermediate disk-to-disk merge
-// passes (and the map side must consolidate its spills in rounds too).
-// Output must stay byte-identical to the unbounded in-memory reference,
-// the passes must be visible in ReduceMergePasses, and no intermediate
-// file may survive the run.
+// rounds (and the map side must consolidate its spills in rounds too).
+// Output must stay byte-identical to the serial in-memory reference, the
+// rounds must be visible in ReduceMergePasses, and no intermediate file may
+// survive the run.
 func TestMultiPassExternalMergeParity(t *testing.T) {
 	input := oocInput(3000)
 	for _, factor := range []int{2, 3} {
-		for _, barrier := range []bool{true, false} {
-			mode := "streaming"
-			if barrier {
-				mode = "barrier"
+		t.Run(fmt.Sprintf("factor%d", factor), func(t *testing.T) {
+			base := DefaultConfig("multipass")
+			base.NumReducers = 2
+			base.SortBuffer = 2 * units.KB
+			base.MergeFactor = factor
+			base.Parallelism = 1
+
+			run := func(cfg Config) *Result {
+				t.Helper()
+				e := newEngine(t, 8*units.KB, input) // ~14 map tasks
+				res, err := e.Run(wordCountJob(cfg), "input")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			t.Run(fmt.Sprintf("factor%d/%s", factor, mode), func(t *testing.T) {
-				base := DefaultConfig("multipass")
-				base.NumReducers = 2
-				base.SortBuffer = 2 * units.KB
-				base.MergeFactor = factor
-				base.BarrierShuffle = barrier
-				base.Parallelism = 2
+			want := run(base)
 
-				run := func(cfg Config) *Result {
-					t.Helper()
-					e := newEngine(t, 8*units.KB, input) // ~14 map tasks
-					res, err := e.Run(wordCountJob(cfg), "input")
-					if err != nil {
-						t.Fatal(err)
+			spillDir := t.TempDir()
+			cfg := base
+			cfg.Parallelism = 2
+			cfg.SpillDir = spillDir
+			cfg.SpillMemory = 1 // every spill and every collector run on disk
+			got := run(cfg)
+			defer got.Close()
+
+			if !reflect.DeepEqual(got.Output(), want.Output()) {
+				t.Fatal("multi-pass output differs from in-memory output")
+			}
+			if gb, wb := materialized(t, got), materialized(t, want); !bytes.Equal(gb, wb) {
+				t.Fatal("materialized byte streams differ")
+			}
+			// Every map task's output is already a disk file, so the
+			// collectors have nothing resident to fold: each partition's
+			// passes are exactly the consolidation rounds over one run per
+			// map task, whatever the arrival order.
+			rounds := mergePasses(got.Counters.MapTasks, factor) - 1
+			if rounds < 1 || got.Counters.ReduceMergePasses != base.NumReducers*rounds {
+				t.Fatalf("ReduceMergePasses = %d, want %d partitions × %d rounds (%d runs, factor %d)",
+					got.Counters.ReduceMergePasses, base.NumReducers, rounds, got.Counters.MapTasks, factor)
+			}
+			// Only the final reduce outputs survive: intermediates of every
+			// consolidation round are removed as they are consumed.
+			roots := spillDirEntries(t, spillDir)
+			if len(roots) != 1 {
+				t.Fatalf("SpillDir holds %v, want exactly the run root", roots)
+			}
+			if interm := spillDirEntries(t, filepath.Join(spillDir, roots[0], "interm")); len(interm) != 0 {
+				t.Fatalf("interim files survived the run: %v", interm)
+			}
+			if out := spillDirEntries(t, filepath.Join(spillDir, roots[0], "out")); len(out) != base.NumReducers {
+				t.Fatalf("out dir holds %v, want %d reduce outputs", out, base.NumReducers)
+			}
+		})
+	}
+}
+
+// consolidateCase builds n sorted single-run inputs with nparts partitions
+// each — run i lives on disk unless mixed && i%3 == 1 — and returns them in
+// consolidate's [run][partition] layout with the per-partition one-shot
+// reference merge.
+func consolidateCase(t *testing.T, dir string, n, nparts int, mixed bool) ([][]partRun, [][]KV) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n*31 + nparts)))
+	runs := make([][]partRun, n)
+	byPart := make([][]Segment, nparts)
+	for i := range runs {
+		parts := make([]Segment, nparts)
+		for p := range parts {
+			kvs := make([]KV, rng.Intn(5)) // some partitions stay empty
+			for j := range kvs {
+				kvs[j] = KV{Key: fmt.Sprintf("k%02d", rng.Intn(6)), Value: fmt.Sprintf("r%d.p%d.%d", i, p, j)}
+			}
+			sort.SliceStable(kvs, func(a, b int) bool { return kvs[a].Key < kvs[b].Key })
+			parts[p] = SegmentFromKVs(kvs)
+			if parts[p].Len() > 0 {
+				byPart[p] = append(byPart[p], parts[p])
+			}
+		}
+		if mixed && i%3 == 1 {
+			runs[i] = make([]partRun, nparts)
+			for p := range parts {
+				runs[i][p] = memRun(parts[p])
+			}
+			continue
+		}
+		sf, err := WriteSegmentsFile(filepath.Join(dir, fmt.Sprintf("in%d.seg", i)), parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = fileRuns(sf)
+	}
+	want := make([][]KV, nparts)
+	for p := range want {
+		want[p] = mergeSegs(byPart[p]).KVs()
+	}
+	return runs, want
+}
+
+// TestConsolidateRounds drives the shared consolidate/mergeToFile helper
+// directly, in both shapes the engine uses it (one partition for reduce
+// runs, several for map spills): the round count must follow mergePasses
+// (whose last pass is the caller's final merge), the final merge over the
+// returned runs must equal mergeSegs over the original runs in order, the
+// input slice must come back untouched (a retried attempt replays it), and
+// the only files left are the inputs and the returned last-round
+// intermediates.
+func TestConsolidateRounds(t *testing.T) {
+	for _, tc := range []struct {
+		n, factor, nparts int
+		mixed, own        bool
+	}{
+		{n: 9, factor: 2, nparts: 1},
+		{n: 9, factor: 3, nparts: 1},
+		{n: 7, factor: 2, nparts: 1, mixed: true},
+		{n: 10, factor: 3, nparts: 4},
+		{n: 7, factor: 3, nparts: 3, mixed: true},
+		{n: 8, factor: 2, nparts: 3, own: true},
+		{n: 2, factor: 3, nparts: 2}, // within fan-in: no rounds, no files
+	} {
+		t.Run(fmt.Sprintf("n%d-f%d-p%d-mixed%v-own%v", tc.n, tc.factor, tc.nparts, tc.mixed, tc.own), func(t *testing.T) {
+			dir := t.TempDir()
+			runs, want := consolidateCase(t, dir, tc.n, tc.nparts, tc.mixed)
+			inputs := spillDirEntries(t, dir)
+			orig := append([][]partRun(nil), runs...)
+
+			var c Counters
+			out, made, rounds, err := consolidate(runs, tc.factor, filepath.Join(dir, "x-"), tc.own, phaseClock{}, 0, &c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds != max(mergePasses(tc.n, tc.factor)-1, 0) {
+				t.Fatalf("rounds = %d, want mergePasses(%d,%d)-1 = %d", rounds, tc.n, tc.factor, mergePasses(tc.n, tc.factor)-1)
+			}
+			if len(out) > tc.factor {
+				t.Fatalf("%d runs left, fan-in cap %d", len(out), tc.factor)
+			}
+			if !reflect.DeepEqual(runs, orig) {
+				t.Fatal("consolidate mutated its input slice")
+			}
+			if (c.SpillFilesWritten == 0) != (rounds == 0) || c.ReduceMergePasses != 0 {
+				t.Fatalf("counters after %d rounds: %+v", rounds, c)
+			}
+			for p := 0; p < tc.nparts; p++ {
+				col := make([]partRun, len(out))
+				for i, r := range out {
+					col[i] = r[p]
+				}
+				if got := drainRuns(t, col); len(got) != len(want[p]) || (len(got) > 0 && !reflect.DeepEqual(got, want[p])) {
+					t.Fatalf("partition %d: consolidated merge diverges from mergeSegs\ngot  %v\nwant %v", p, got, want[p])
+				}
+			}
+			// What is on disk: the inputs (unless owned, then only those
+			// still referenced) plus exactly the returned intermediates.
+			keep := make(map[string]bool)
+			for _, sf := range made {
+				keep[filepath.Base(sf.Path())] = true
+			}
+			if !tc.own {
+				for _, name := range inputs {
+					keep[name] = true
+				}
+			} else {
+				for _, r := range out {
+					if r[0].isDisk() {
+						keep[filepath.Base(r[0].file.Path())] = true
 					}
-					return res
 				}
-				want := run(base)
+			}
+			left := spillDirEntries(t, dir)
+			if len(left) != len(keep) {
+				t.Fatalf("dir holds %v, want %d files (%d made)", left, len(keep), len(made))
+			}
+			for _, name := range left {
+				if !keep[name] {
+					t.Fatalf("stray file %s survived consolidation (dir %v)", name, left)
+				}
+			}
+		})
+	}
+}
 
-				spillDir := t.TempDir()
-				cfg := base
-				cfg.SpillDir = spillDir
-				cfg.SpillMemory = 1 // every spill and every collector run on disk
-				got := run(cfg)
-				defer got.Close()
-
-				if !reflect.DeepEqual(got.Output(), want.Output()) {
-					t.Fatal("multi-pass output differs from in-memory output")
-				}
-				if gb, wb := materialized(t, got), materialized(t, want); !bytes.Equal(gb, wb) {
-					t.Fatal("materialized byte streams differ")
-				}
-				if barrier && got.Counters.ReduceMergePasses == 0 {
-					// The barrier path has no collector passes, so a zero here
-					// means the disk-run count never tripped consolidation.
-					t.Fatalf("no reduce-side merge passes despite %d-way fan-in cap", factor)
-				}
-				// Only the final reduce outputs survive: intermediates of every
-				// consolidation round are removed as they are consumed.
-				roots := spillDirEntries(t, spillDir)
-				if len(roots) != 1 {
-					t.Fatalf("SpillDir holds %v, want exactly the run root", roots)
-				}
-				if interm := spillDirEntries(t, filepath.Join(spillDir, roots[0], "interm")); len(interm) != 0 {
-					t.Fatalf("interim files survived the run: %v", interm)
-				}
-				if out := spillDirEntries(t, filepath.Join(spillDir, roots[0], "out")); len(out) != base.NumReducers {
-					t.Fatalf("out dir holds %v, want %d reduce outputs", out, base.NumReducers)
-				}
-			})
+// TestConsolidateFailureLeavesNothing breaks an input file that only a
+// later group (and, for the deeper case, a later round) reads: consolidate
+// must fail, remove every intermediate it had already written, and leave
+// the inputs it does not own alone.
+func TestConsolidateFailureLeavesNothing(t *testing.T) {
+	for _, tc := range []struct{ n, factor, victim int }{
+		{n: 8, factor: 2, victim: 5}, // round 0, third group
+		{n: 7, factor: 2, victim: 6}, // trailing singleton: first read in round 1
+	} {
+		dir := t.TempDir()
+		runs, _ := consolidateCase(t, dir, tc.n, 2, false)
+		inputs := spillDirEntries(t, dir)
+		// Corrupt the victim's frames in place; its index stays valid, so
+		// the failure surfaces mid-merge as a CRC error.
+		path := runs[tc.victim][0].file.Path()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16 && i < len(raw); i++ {
+			raw[i] ^= 0xff
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var c Counters
+		out, made, _, err := consolidate(runs, tc.factor, filepath.Join(dir, "x-"), false, phaseClock{}, 0, &c)
+		if err == nil {
+			t.Fatalf("victim %d: consolidate succeeded over a corrupt input", tc.victim)
+		}
+		if out != nil || made != nil {
+			t.Fatalf("victim %d: failed consolidate returned runs/files", tc.victim)
+		}
+		if c.SpillFilesWritten == 0 {
+			t.Fatalf("victim %d: failure hit before any intermediate was written — test shape is off", tc.victim)
+		}
+		if left := spillDirEntries(t, dir); !reflect.DeepEqual(left, inputs) {
+			t.Fatalf("victim %d: failure left %v, want only the inputs %v", tc.victim, left, inputs)
 		}
 	}
 }

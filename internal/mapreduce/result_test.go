@@ -127,30 +127,31 @@ func nonPassthroughIdentity() Reducer {
 
 // TestPassthroughReduceParity pins the zero-copy identity-reduce fast path
 // against the ordinary reduce loop: records and counters must be identical
-// whether or not the reducer carries the PassthroughReducer marker, in both
-// shuffle modes.
+// whether or not the reducer carries the PassthroughReducer marker, both in
+// memory (reduceMerged) and under SpillDir (reduceStreamed; the default
+// spill budget keeps every run resident, so no pressure fold perturbs the
+// counters).
 func TestPassthroughReduceParity(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 300; i++ {
 		fmt.Fprintf(&sb, "%05d payload-%d\n", (i*7919)%500, i)
 	}
 	input := sb.String()
-	for _, barrier := range []bool{false, true} {
-		mode := "streaming"
-		if barrier {
-			mode = "barrier"
-		}
+	for _, mode := range []string{"memory", "spilldir"} {
 		t.Run(mode, func(t *testing.T) {
 			run := func(red Reducer) *Result {
 				t.Helper()
 				e := newEngine(t, 256, input)
 				cfg := DefaultConfig("sort-pt")
 				cfg.NumReducers = 4
-				cfg.BarrierShuffle = barrier
+				if mode == "spilldir" {
+					cfg.SpillDir = t.TempDir()
+				}
 				res, err := e.Run(identityJob(cfg, red), "input")
 				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(func() { res.Close() })
 				return res
 			}
 			fast := run(IdentityReducer())

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -34,11 +35,7 @@ func segKVs(t testing.TB, n int, seed int64, incompressible bool) Segment {
 }
 
 func sortKVs(kvs []KV) {
-	for i := 1; i < len(kvs); i++ {
-		for j := i; j > 0 && kvs[j].Key < kvs[j-1].Key; j-- {
-			kvs[j], kvs[j-1] = kvs[j-1], kvs[j]
-		}
-	}
+	sort.SliceStable(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 }
 
 // readPartAll materializes one partition of a segment file through the

@@ -9,15 +9,13 @@ import (
 	"heterohadoop/internal/units"
 )
 
-// BenchmarkContendedShuffle stresses the streaming shuffle's collector
-// plane: many small map tasks publishing into many partitions. Before the
-// collector shards, every partition ran one collector goroutine and every
-// map task paid one channel send per (task, partition) — ~75 tasks × 32
-// partitions ≈ 2400 sends per run here, all funneling into 32 serialized
-// merge loops. With interval-sharded collectors and batched handoff each
-// task pays one send and the merge work spreads across the shards. Run
-// with `-cpu 1,4` to see the contention difference; cmd/benchmr's -cores
-// matrix covers the end-to-end workloads.
+// BenchmarkContendedShuffle stresses the shuffle sink's collector plane:
+// many small map tasks publishing into many partitions — ~75 tasks × 32
+// partitions here. With interval-sharded collectors and batched handoff
+// each task pays one channel send (not one per partition) and the
+// collecting spreads across the shards. Run with `-cpu 1,4` to see the
+// contention difference; cmd/benchmr's -cores matrix covers the end-to-end
+// workloads.
 func BenchmarkContendedShuffle(b *testing.B) {
 	var sb strings.Builder
 	for i := 0; i < 6000; i++ {

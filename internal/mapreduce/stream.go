@@ -1,310 +1,143 @@
 package mapreduce
 
 import (
-	"context"
-	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"heterohadoop/internal/obs"
 	"heterohadoop/internal/units"
 )
 
-// stream.go implements the streaming shuffle: map tasks publish their
-// per-partition sorted runs to partition channels the moment they finish,
-// and per-partition collectors merge runs incrementally while the rest of
-// the map wave is still running — Hadoop's overlapped shuffle/sort phase,
-// instead of a global barrier between map and reduce.
+// stream.go is the run's shuffle sink: map tasks publish their
+// per-partition sorted runs the moment they finish, and interval-sharded
+// collectors file them in task order for the reduce wave. In memory a
+// collector only files; under a spill context it also folds resident runs
+// to disk whenever they outgrow the spill budget, while the rest of the map
+// wave is still running.
 //
-// Determinism: the barrier path merges each partition's runs in map task
-// order with a stable k-way merge (key ties broken by task index). Stable
-// merging is associative over contiguous runs, so the collector only ever
-// merges runs covering *adjacent* task-index intervals; any such interim
-// merge schedule yields output byte-identical to the one-shot barrier
-// merge, no matter the order runs arrive in. To know which intervals are
-// adjacent, every map task publishes a run for every partition — empty
-// ones included, as coverage markers. The same argument covers disk runs:
-// a segment-file partition is the same sorted record stream as its
-// resident form, so folding resident runs to disk under memory pressure
-// changes where bytes live, never which bytes come out.
-
-// streamSeg is one map task's sorted output for one partition, tagged with
-// the producing task's index.
-type streamSeg struct {
-	task int
-	run  partRun
-}
+// Determinism: a partition's output is the stable k-way merge of its runs
+// in map-task order (key ties broken by task index). Stable merging is
+// associative over contiguous runs, so a collector only ever folds runs
+// covering *adjacent* task-index intervals; any such fold schedule yields
+// output byte-identical to the one-shot merge, no matter the order runs
+// arrive in. To know which intervals are adjacent, every map task publishes
+// a run for every partition — empty ones included, as coverage markers. A
+// segment-file partition is the same sorted record stream as its resident
+// form, so folding changes where bytes live, never which bytes come out.
 
 // taskBatch is one map task's complete shuffle publication: its sorted run
 // for every partition, empties included as coverage markers. Handing the
 // whole slice over in a single channel send costs one channel operation
-// per task instead of one per (task, partition) — the handoff half of the
-// contention fix at high partition counts.
+// per task instead of one per (task, partition).
 type taskBatch struct {
 	task int
 	runs []partRun
 }
 
-// collectorShards resolves the collector shard count for a streaming run:
-// an explicit Config.CollectorShards wins; zero derives one shard per task
-// slot, so shard parallelism tracks the map wave's. Shards are capped at
-// the split count — a shard with an empty task interval would be a dead
-// goroutine — and floored at one.
-func collectorShards(cfg, par, nsplits int) int {
-	n := cfg
-	if n == 0 {
-		n = par
-	}
-	if n > nsplits {
-		n = nsplits
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // shardOf maps a map-task index onto its collector shard: contiguous,
 // near-equal task-index intervals in shard order, so concatenating the
-// shards' per-partition results in shard order lists runs in task order —
-// the order the stable barrier merge is defined over.
+// shards' per-partition runs in shard order lists them in task order — the
+// order the stable merge is defined over.
 func shardOf(task, nsplits, nshards int) int {
 	return task * nshards / nsplits
 }
 
-// runStreaming executes the job with the streaming shuffle. Each partition
-// is collected by nshards interval-sharded collectors — shard s merges the
-// run chains of its contiguous task interval independently, and the reduce
-// finalizer folds the shards with one final stable merge, byte-identical to
-// the single-collector (and barrier) result because stable merging is
-// associative over adjacent intervals. Collector shards and reduce
-// finalizers hold no task slot while waiting for runs — a finalizer
-// acquires one only for the final merge+reduce — so reduce work can never
-// starve the map wave of slots.
-func (e *Engine) runStreaming(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange, nparts, par int, js *jobSpill) (*Result, error) {
-	nsplits := len(splits)
-	nshards := collectorShards(job.Config.CollectorShards, par, nsplits)
+// shuffle routes published map output to nshards collector goroutines, one
+// per contiguous task interval (one shard per task slot, capped at the split
+// count), each owning one collector per partition. Shards hold no task slot,
+// so collecting can never starve the map wave.
+type shuffle struct {
+	nsplits int
+	batches []chan taskBatch
+	cols    [][]*collector // [shard][partition]
+	errs    [][]error      // first add error per (shard, partition)
+	wg      sync.WaitGroup
+}
+
+// newShuffle starts the collector shards. pcs are the reduce tasks' phase
+// clocks, shared across shards (a phaseClock is a stateless value, so
+// concurrent emits are safe). With a spill context, each partition's
+// residency budget is split across its shards so their combined resident
+// bytes stay bounded by js.budget.
+func newShuffle(job Job, pcs []phaseClock, nsplits, par int, js *jobSpill) *shuffle {
+	nshards := min(par, nsplits)
+	s := &shuffle{
+		nsplits: nsplits,
+		batches: make([]chan taskBatch, nshards),
+		cols:    make([][]*collector, nshards),
+		errs:    make([][]error, nshards),
+	}
 	shardSize := make([]int, nshards)
 	for i := 0; i < nsplits; i++ {
 		shardSize[shardOf(i, nsplits, nshards)]++
 	}
-	batches := make([]chan taskBatch, nshards)
-	for s := range batches {
-		// Buffered to the shard's interval size: publishers never block, so
-		// a map task releases its slot immediately after its one send.
-		batches[s] = make(chan taskBatch, shardSize[s])
-	}
-	slots := make(chan *taskBufs, par)
-	for i := 0; i < par; i++ {
-		slots <- new(taskBufs)
-	}
-
-	var (
-		failed       atomic.Bool
-		taskErr      = make([]error, nsplits)
-		taskCounters = make([]Counters, nsplits)
-		completed    = make([]bool, nsplits)
-	)
-
-	// ---- Collector shards: started before the first map task so merging
-	// begins as soon as runs arrive. Shard s owns one collector per
-	// partition, restricted to s's task interval; an add error poisons only
-	// that (shard, partition) pair. Phase clocks are per partition and
-	// shared across shards — obs.PhaseClock is a stateless value, so
-	// concurrent emits are safe.
-	budget := units.Bytes(0)
+	var budget units.Bytes
 	if js != nil {
-		// Split the partition's residency budget across its shards so the
-		// shards' combined resident bytes stay bounded by js.budget.
 		budget = js.budget / units.Bytes(nshards)
 	}
-	pcs := make([]phaseClock, nparts)
-	for p := range pcs {
-		pcs[p] = reduceTaskClock(o, job, p)
-	}
-	cols := make([][]*collector, nshards)
-	colErrs := make([][]error, nshards)
-	var colWg sync.WaitGroup
-	colWg.Add(nshards)
-	for s := 0; s < nshards; s++ {
-		cols[s] = make([]*collector, nparts)
-		colErrs[s] = make([]error, nparts)
-		for p := 0; p < nparts; p++ {
-			col := newCollector(shardSize[s], job.Config.MergeFactor)
-			col.pc = pcs[p]
-			col.js = js
-			col.part = p
-			col.shard = s
-			col.budget = budget
-			cols[s][p] = col
+	s.wg.Add(nshards)
+	for sh := 0; sh < nshards; sh++ {
+		// Buffered to the shard's interval size: publishers never block, so
+		// a map task releases its slot immediately after its one send.
+		s.batches[sh] = make(chan taskBatch, shardSize[sh])
+		s.cols[sh] = make([]*collector, len(pcs))
+		s.errs[sh] = make([]error, len(pcs))
+		for p := range pcs {
+			s.cols[sh][p] = &collector{
+				runs:   make([]mergeRun, 0, shardSize[sh]),
+				factor: job.Config.MergeFactor,
+				pc:     pcs[p],
+				js:     js,
+				part:   p,
+				shard:  sh,
+				budget: budget,
+			}
 		}
-		go func(s int) {
-			defer colWg.Done()
-			for b := range batches[s] {
-				for p := 0; p < nparts; p++ {
-					if colErrs[s][p] == nil {
-						colErrs[s][p] = cols[s][p].add(streamSeg{task: b.task, run: b.runs[p]})
+		go func(sh int) {
+			defer s.wg.Done()
+			for b := range s.batches[sh] {
+				for p, col := range s.cols[sh] {
+					// An add error poisons only its (shard, partition) pair.
+					if s.errs[sh][p] == nil {
+						s.errs[sh][p] = col.add(b.task, b.runs[p])
 					}
 				}
 			}
-		}(s)
+		}(sh)
 	}
+	return s
+}
 
-	// ---- Map phase.
-	var mapWg sync.WaitGroup
-	dispatched := 0
-	var ctxErr error
-	for i, split := range splits {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break
-		}
-		bufs := <-slots
-		// Re-check after (possibly) blocking on a slot: a cancellation that
-		// lands while waiting must not dispatch another task.
-		if err := ctx.Err(); err != nil {
-			slots <- bufs
-			ctxErr = err
-			break
-		}
-		dispatched++
-		mapWg.Add(1)
-		go func(i int, split splitRange, bufs *taskBufs) {
-			defer mapWg.Done()
-			defer func() { slots <- bufs }()
-			taskID := fmt.Sprintf("%s/map-%d", job.Config.Name, i)
-			pc := mapTaskClock(o, job, i)
-			win, base, err := in.window(split, pc, bufs)
-			if err != nil {
-				taskErr[i] = fmt.Errorf("mapreduce: %s: %s: %w", job.Config.Name, taskID, err)
-				failed.Store(true)
-				return
-			}
-			out, tc, err := runWithRetry(job, taskID, func() ([]partRun, Counters, error) {
-				return runMapTask(job, win, base, split, nparts, pc, bufs, js, i)
-			})
-			if err != nil {
-				taskErr[i] = err
-				failed.Store(true)
-				return
-			}
-			// Shuffle traffic is counted at publish time; the per-task sums
-			// add up to exactly the barrier path's post-hoc accounting.
-			var shuffleBytes units.Bytes
-			for p := 0; p < nparts; p++ {
-				if out[p].recs() > 0 {
-					tc.ShuffleSegments++
-					shuffleBytes += out[p].accountBytes()
-				}
-			}
-			tc.ShuffleBytes = shuffleBytes
-			taskCounters[i] = tc
-			completed[i] = true
-			batches[shardOf(i, nsplits, nshards)] <- taskBatch{task: i, runs: out}
-		}(i, split, bufs)
-	}
-	if ctxErr != nil {
-		failed.Store(true)
-	}
-	mapWg.Wait()
-	// The map wave has drained; closing the shard channels lets the
-	// collector shards finish their pending merges and exit.
-	for s := range batches {
-		close(batches[s])
-	}
-	colWg.Wait()
+// publish hands one finished map task's runs to its shard.
+func (s *shuffle) publish(task int, runs []partRun) {
+	s.batches[shardOf(task, s.nsplits, len(s.batches))] <- taskBatch{task: task, runs: runs}
+}
 
-	// ---- Reduce finalizers: gather each partition's runs across the
-	// shards (shard order = task order, full interval coverage) and run the
-	// final merge + reduce.
-	var (
-		redWg       sync.WaitGroup
-		redErr      = make([]error, nparts)
-		redCounters = make([]Counters, nparts)
-		output      = make([]partRun, nparts)
-	)
-	redWg.Add(nparts)
-	for p := 0; p < nparts; p++ {
-		go func(p int) {
-			defer redWg.Done()
-			if failed.Load() {
-				return // a map task failed or dispatch was cancelled; abort
-			}
-			for s := 0; s < nshards; s++ {
-				if err := colErrs[s][p]; err != nil {
-					redErr[p] = fmt.Errorf("mapreduce: %s: reduce-%d: %w", job.Config.Name, p, err)
-					return
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				redErr[p] = fmt.Errorf("mapreduce: %s: reduce-%d: %w", job.Config.Name, p, err)
-				return
-			}
-			bufs := <-slots
-			defer func() { slots <- bufs }()
-			runs := make([]partRun, 0, nsplits)
-			for s := 0; s < nshards; s++ {
-				runs = append(runs, cols[s][p].finishRuns()...)
-			}
-			taskID := fmt.Sprintf("%s/reduce-%d", job.Config.Name, p)
-			out, tc, err := runWithRetry(job, taskID, func() (partRun, Counters, error) {
-				if js == nil {
-					segs := make([]Segment, 0, len(runs))
-					for _, r := range runs {
-						if r.seg.Len() > 0 {
-							segs = append(segs, r.seg)
-						}
-					}
-					t := pcs[p].Start()
-					merged := mergeSegs(segs)
-					pcs[p].Emit(obs.PhaseMergeFetch, t)
-					seg, tc, err := reduceMerged(job, merged, pcs[p], bufs)
-					return memRun(seg), tc, err
-				}
-				return reduceToFile(job, js.outPath(p), runs, pcs[p])
-			})
-			if err != nil {
-				redErr[p] = err
-				return
-			}
-			output[p] = out
-			for s := 0; s < nshards; s++ {
-				tc.ReduceMergePasses += cols[s][p].interimPasses
-				tc.SpillFilesWritten += cols[s][p].spillFiles
-				tc.SpillFileBytesWritten += cols[s][p].spillBytesW
-			}
-			redCounters[p] = tc
-		}(p)
+// wait closes the shards' channels once the map wave has drained and blocks
+// until every collector has filed (and folded) what it was sent.
+func (s *shuffle) wait() {
+	for _, ch := range s.batches {
+		close(ch)
 	}
-	redWg.Wait()
+	s.wg.Wait()
+}
 
-	// ---- Aggregate per-task locals once, lock-free.
-	total := &Counters{}
-	for i := 0; i < dispatched; i++ {
-		if completed[i] {
-			total.MapTasks++
-			total.Add(taskCounters[i])
+// partition gathers partition p's runs across the shards — shard order is
+// task order, full interval coverage — with the collectors' pressure-fold
+// counters and the first collector error, if any. Only valid after wait.
+func (s *shuffle) partition(p int) ([]partRun, Counters, error) {
+	runs := make([]partRun, 0, s.nsplits)
+	var c Counters
+	for sh, cols := range s.cols {
+		if err := s.errs[sh][p]; err != nil {
+			return nil, c, err
 		}
-	}
-	for i := 0; i < dispatched; i++ {
-		if taskErr[i] != nil {
-			return &Result{Counters: *total}, taskErr[i]
+		for _, r := range cols[p].runs {
+			runs = append(runs, r.run)
 		}
+		c.Add(cols[p].folds)
 	}
-	if ctxErr != nil {
-		return &Result{Counters: *total}, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, ctxErr)
-	}
-	total.ReduceTasks = nparts
-	for p := 0; p < nparts; p++ {
-		total.Add(redCounters[p])
-	}
-	for p := 0; p < nparts; p++ {
-		if redErr[p] != nil {
-			return &Result{Counters: *total}, redErr[p]
-		}
-	}
-	return newResultRuns(output, *total), nil
+	return runs, c, nil
 }
 
 // mergeRun is a sorted run covering the contiguous map-task interval
@@ -314,22 +147,16 @@ type mergeRun struct {
 	run    partRun
 }
 
-// collector incrementally merges one partition's runs as they arrive.
-// Runs are kept sorted by task interval. In-memory (js == nil), a chain
-// of adjacent runs is folded once too many are pending (an interim pass,
-// mirroring the map side's MergeFactor discipline). Out of core, resident
-// runs are instead folded to disk segment files whenever their total
-// accounting size crosses the spill budget — the reduce side's half of
-// bounded-memory execution.
+// collector files one partition's runs, for one shard's task interval, as
+// they arrive: sorted by task interval, intervals disjoint. With no spill
+// context that is all it does — the reduce task's one-shot stable merge in
+// task order is the in-memory path. Out of core, resident runs are folded
+// to disk segment files whenever their total accounting size crosses the
+// spill budget — the reduce side's half of bounded-memory execution.
 type collector struct {
-	runs          []mergeRun // sorted by lo, intervals disjoint
-	factor        int
-	interimPasses int
-	merged        Segment
-	finalRuns     []partRun
-	finished      bool
-	// pc attributes the collector's merge work to its reduce task:
-	// interim and final passes as merge-fetch, pressure folds as
+	runs   []mergeRun // sorted by lo, intervals disjoint
+	factor int
+	// pc attributes the collector's pressure folds to its reduce task, as
 	// spill-write.
 	pc phaseClock
 
@@ -337,70 +164,25 @@ type collector struct {
 	part  int
 	shard int // collector shard index, part of pressure-fold file names
 	// budget bounds this collector's resident bytes: the partition's spill
-	// budget split across its shards, so the shards together stay within
-	// js.budget.
+	// budget split across its shards.
 	budget   units.Bytes
 	spillSeq int
-	// Pressure-fold accounting, added to the owning reduce task's
-	// counters at finish.
-	spillFiles  int
-	spillBytesW units.Bytes
+	// folds is the pressure-fold accounting (merge passes, spill files),
+	// added to the owning reduce task's counters.
+	folds Counters
 }
 
-func newCollector(nsplits, factor int) *collector {
-	return &collector{runs: make([]mergeRun, 0, nsplits), factor: factor}
-}
-
-// add inserts one run at its interval position, then either coalesces
-// (in-memory policy) or folds resident runs to disk if they exceed the
-// spill budget.
-func (c *collector) add(s streamSeg) error {
-	run := mergeRun{lo: s.task, hi: s.task, run: s.run}
-	i := sort.Search(len(c.runs), func(i int) bool { return c.runs[i].lo > run.lo })
+// add inserts one task's run at its interval position, then folds resident
+// runs to disk if a spill budget is set and they exceed it.
+func (c *collector) add(task int, run partRun) error {
+	i := sort.Search(len(c.runs), func(i int) bool { return c.runs[i].lo > task })
 	c.runs = append(c.runs, mergeRun{})
 	copy(c.runs[i+1:], c.runs[i:])
-	c.runs[i] = run
+	c.runs[i] = mergeRun{lo: task, hi: task, run: run}
 	if c.js == nil {
-		c.coalesce()
 		return nil
 	}
 	return c.pressureFold()
-}
-
-// coalesce folds interval-adjacent runs when too many are pending. An
-// interim pass re-copies every byte it touches and the final merge copies
-// it again, so eager interim merging (the original policy: fold any chain
-// reaching MergeFactor) nearly doubled reduce-side merge traffic at
-// ordinary split counts — the collector overhead that made parallel
-// terasort slower than serial in the committed trajectory. Runs now
-// accumulate until twice the fan-in are pending — the loser tree handles
-// wide merges in one pass anyway — and only then is the longest adjacent
-// chain folded, capped at MergeFactor per pass like Hadoop's intermediate
-// merges. At typical split counts no interim pass fires at all and the
-// final merge is a single k-way pass, the barrier path's exact cost.
-// Output bytes are unchanged by policy: stable merging is associative over
-// adjacent runs, so any interim schedule yields identical records.
-func (c *collector) coalesce() {
-	for len(c.runs) >= 2*c.factor {
-		bestStart, bestLen := -1, 0
-		for i := 0; i < len(c.runs); {
-			j := i
-			for j+1 < len(c.runs) && c.runs[j].hi+1 == c.runs[j+1].lo {
-				j++
-			}
-			if n := j - i + 1; n > bestLen {
-				bestStart, bestLen = i, n
-			}
-			i = j + 1
-		}
-		if bestLen < 2 {
-			return // nothing adjacent to fold yet
-		}
-		if bestLen > c.factor {
-			bestLen = c.factor
-		}
-		c.mergeChain(bestStart, bestLen)
-	}
 }
 
 // pressureFold keeps the collector's resident bytes under the spill
@@ -450,113 +232,27 @@ func (c *collector) pressureFold() error {
 
 // foldToDisk replaces runs[start : start+n] — one contiguous task interval
 // of resident runs — with a single-partition disk run holding their stable
-// merge.
+// merge. Folding a single non-empty run is a plain write, not a merge pass.
 func (c *collector) foldToDisk(start, n int) error {
 	t := c.pc.Start()
-	path := c.js.colPath(c.part, c.shard, c.spillSeq)
-	c.spillSeq++
-	w, err := newSpillWriter(path)
-	if err != nil {
-		return err
-	}
-	w.beginPartition()
-	chain := c.runs[start : start+n]
+	chain := make([][]partRun, n)
 	nonEmpty := 0
 	for i := range chain {
-		if chain[i].run.recs() > 0 {
+		chain[i] = []partRun{c.runs[start+i].run}
+		if chain[i][0].recs() > 0 {
 			nonEmpty++
 		}
 	}
-	if nonEmpty == 1 {
-		for i := range chain {
-			if chain[i].run.recs() > 0 {
-				err = w.appendSegment(chain[i].run.seg)
-			}
-		}
-	} else {
-		runs := make([]partRun, n)
-		for i := range chain {
-			runs[i] = chain[i].run
-		}
-		_, err = mergeRunsTo(runs, w.append)
-		c.interimPasses++
-	}
-	if err == nil {
-		err = w.endPartition()
-	}
+	sf, _, err := mergeToFile(c.js.colPath(c.part, c.shard, c.spillSeq), chain, &c.folds)
+	c.spillSeq++
 	if err != nil {
-		w.abort()
 		return err
 	}
-	sf, err := w.finish()
-	if err != nil {
-		w.abort()
-		return err
+	if nonEmpty > 1 {
+		c.folds.ReduceMergePasses++
 	}
 	c.pc.EmitIO(obs.PhaseSpillWrite, t, 0, int64(sf.StoredBytes()))
-	c.spillFiles++
-	c.spillBytesW += sf.StoredBytes()
 	c.runs[start] = mergeRun{lo: c.runs[start].lo, hi: c.runs[start+n-1].hi, run: diskRun(sf, 0)}
 	c.runs = append(c.runs[:start+1], c.runs[start+n:]...)
 	return nil
-}
-
-// mergeChain replaces runs[start : start+n] — which cover one contiguous
-// task interval — with their stable merge. In-memory policy only; every
-// run in the chain is resident.
-func (c *collector) mergeChain(start, n int) {
-	segs := make([]Segment, 0, n)
-	for _, r := range c.runs[start : start+n] {
-		if r.run.seg.Len() > 0 {
-			segs = append(segs, r.run.seg)
-		}
-	}
-	var merged Segment
-	switch len(segs) {
-	case 0:
-	case 1:
-		merged = segs[0] // a single non-empty run is already in final order
-	default:
-		t := c.pc.Start()
-		merged = mergeSegs(segs)
-		c.pc.Emit(obs.PhaseMergeFetch, t)
-		c.interimPasses++
-	}
-	c.runs[start] = mergeRun{lo: c.runs[start].lo, hi: c.runs[start+n-1].hi, run: memRun(merged)}
-	c.runs = append(c.runs[:start+1], c.runs[start+n:]...)
-}
-
-// finish merges the remaining runs into the partition's final record
-// stream — the in-memory endgame. It is idempotent, so a retried reduce
-// attempt reuses the merge.
-func (c *collector) finish() Segment {
-	if c.finished {
-		return c.merged
-	}
-	c.finished = true
-	segs := make([]Segment, 0, len(c.runs))
-	for _, r := range c.runs {
-		if r.run.seg.Len() > 0 {
-			segs = append(segs, r.run.seg)
-		}
-	}
-	t := c.pc.Start()
-	c.merged = mergeSegs(segs)
-	c.pc.Emit(obs.PhaseMergeFetch, t)
-	c.runs = nil
-	return c.merged
-}
-
-// finishRuns returns the partition's runs in task order for the streaming
-// external merge — the out-of-core endgame. Idempotent, like finish.
-func (c *collector) finishRuns() []partRun {
-	if !c.finished {
-		c.finished = true
-		c.finalRuns = make([]partRun, len(c.runs))
-		for i := range c.runs {
-			c.finalRuns[i] = c.runs[i].run
-		}
-		c.runs = nil
-	}
-	return c.finalRuns
 }

@@ -17,22 +17,19 @@ import (
 // TestPartialResultCountsOnlyCompletedMaps pins the MapTasks accounting on
 // early abort: a run cancelled mid-wave must return a partial result whose
 // MapTasks counter equals the number of map tasks that actually completed,
-// not the number of splits.
+// not the number of splits — for a reduce job and for a map-only job (the
+// same run with the other sink).
 func TestPartialResultCountsOnlyCompletedMaps(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 400; i++ {
 		fmt.Fprintf(&sb, "line %d with words\n", i)
 	}
-	for _, barrier := range []bool{false, true} {
-		name := "streaming"
-		if barrier {
-			name = "barrier"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, reducers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("reducers%d", reducers), func(t *testing.T) {
 			e := newEngine(t, 64, sb.String())
 			cfg := DefaultConfig("wc-partial")
+			cfg.NumReducers = reducers
 			cfg.Parallelism = 1
-			cfg.BarrierShuffle = barrier
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			// Cancel from inside the third map attempt: tasks 0 and 1 complete,
@@ -63,62 +60,60 @@ func TestPartialResultCountsOnlyCompletedMaps(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesBarrierConcurrentPublication drives the streaming
-// shuffle hard — many small splits publishing into many partitions at full
-// parallelism — and checks byte-identical output against the barrier path.
-// Run under -race this doubles as the concurrent-segment-publication race
-// test.
-func TestStreamingMatchesBarrierConcurrentPublication(t *testing.T) {
+// TestParallelMatchesSerialConcurrentPublication drives the shuffle sink
+// hard — many small splits publishing into many partitions at full
+// parallelism — and checks byte-identical output and identical counters
+// against the serial run. Run under -race this doubles as the
+// concurrent-segment-publication race test.
+func TestParallelMatchesSerialConcurrentPublication(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 600; i++ {
 		fmt.Fprintf(&sb, "w%d x%d shared tail%d\n", i%97, i%13, i%7)
 	}
 	input := sb.String()
 
-	run := func(barrier bool) *Result {
+	run := func(par int) *Result {
 		t.Helper()
 		e := newEngine(t, 64, input) // ~hundreds of map tasks
 		cfg := DefaultConfig("wc-pub")
 		cfg.NumReducers = 16 // some partitions stay empty
-		cfg.BarrierShuffle = barrier
+		cfg.Parallelism = par
 		res, err := e.Run(wordCountJob(cfg), "input")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	want := run(true)
+	want := run(1)
+	if want.Counters.ReduceMergePasses != 0 {
+		t.Fatalf("in-memory run recorded %d reduce merge passes", want.Counters.ReduceMergePasses)
+	}
 	for round := 0; round < 4; round++ {
-		got := run(false)
+		got := run(4)
 		if !reflect.DeepEqual(got.Output(), want.Output()) {
-			t.Fatalf("round %d: streaming output differs from barrier output", round)
+			t.Fatalf("round %d: parallel output differs from serial output", round)
 		}
-		// Counters must agree except for the streaming-only interim passes.
-		w, g := want.Counters, got.Counters
-		g.ReduceMergePasses = 0
-		w.ReduceMergePasses = 0
-		if g != w {
-			t.Fatalf("round %d: counters differ:\nstreaming %+v\nbarrier   %+v", round, g, w)
+		if got.Counters != want.Counters {
+			t.Fatalf("round %d: counters differ:\nparallel %+v\nserial   %+v", round, got.Counters, want.Counters)
 		}
 	}
 }
 
 // TestCollectorArrivalOrderProperty is the property test behind the
-// streaming shuffle's determinism claim, exercised directly on the
-// (sharded) collector: for randomized shard counts × segment arrival
-// orders — including empty coverage markers, single-segment partitions,
-// merge factors small enough to force interim passes, and trials where a
-// tiny spill budget pressure-folds resident runs to disk — gathering the
-// shards' runs in shard order and folding them with one final stable merge
-// must be byte-identical to the one-shot barrier merge over the same
-// segments in task order. This drives the exact routing (shardOf) and
-// composition (finishRuns concatenation) runStreaming uses.
+// shuffle's determinism claim, exercised directly on the sharded
+// collectors: for randomized shard counts × run arrival orders — including
+// empty coverage markers, single-run partitions, and trials where a tiny
+// spill budget pressure-folds resident runs to disk — gathering the shards'
+// runs in shard order and folding them with one final stable merge must be
+// byte-identical to the one-shot merge over the same segments in task
+// order. This drives the exact routing (shardOf) and composition (gather in
+// shard order) the shuffle sink uses.
 func TestCollectorArrivalOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		nsplits := 1 + rng.Intn(40)
 		factor := 2 + rng.Intn(6)
-		nshards := collectorShards(1+rng.Intn(6), 0, nsplits)
+		nshards := min(1+rng.Intn(6), nsplits)
 		pressure := trial%3 == 2 // every third trial folds runs to disk
 		// Build one sorted run per task; some tasks publish empty coverage
 		// markers, some runs share keys so merge stability is observable.
@@ -139,7 +134,7 @@ func TestCollectorArrivalOrderProperty(t *testing.T) {
 			segs[task] = SegmentFromKVs(kvs)
 		}
 
-		// Reference: the barrier path's one-shot stable merge in task order.
+		// Reference: the one-shot stable merge in task order.
 		nonEmpty := make([]Segment, 0, nsplits)
 		for _, s := range segs {
 			if s.Len() > 0 {
@@ -152,64 +147,54 @@ func TestCollectorArrivalOrderProperty(t *testing.T) {
 		if pressure {
 			js = &jobSpill{dir: t.TempDir()}
 		}
-		sizes := make([]int, nshards)
-		for task := 0; task < nsplits; task++ {
-			sizes[shardOf(task, nsplits, nshards)]++
-		}
 		cols := make([]*collector, nshards)
 		for s := range cols {
-			cols[s] = newCollector(sizes[s], factor)
-			cols[s].js = js
-			cols[s].shard = s
 			// Pressure trials keep the zero budget: every resident byte is
 			// over it, so each non-empty run is folded to disk.
+			cols[s] = &collector{factor: factor, js: js, shard: s}
 		}
 		for _, task := range rng.Perm(nsplits) {
 			s := shardOf(task, nsplits, nshards)
-			if err := cols[s].add(streamSeg{task: task, run: memRun(segs[task])}); err != nil {
+			if err := cols[s].add(task, memRun(segs[task])); err != nil {
 				t.Fatalf("trial %d: add: %v", trial, err)
 			}
 		}
 
 		// Gather in shard order — shard intervals are contiguous and
 		// increasing, so the concatenation lists runs in task order.
-		gather := func() ([]partRun, int) {
-			runs := make([]partRun, 0, nsplits)
-			passes := 0
-			for s := range cols {
-				runs = append(runs, cols[s].finishRuns()...)
-				passes += cols[s].interimPasses
+		var runs []partRun
+		passes := 0
+		for _, col := range cols {
+			for _, r := range col.runs {
+				runs = append(runs, r.run)
 			}
-			return runs, passes
+			passes += col.folds.ReduceMergePasses
 		}
-		runs, passes := gather()
 		got := drainRuns(t, runs)
 		if len(got) != 0 || len(want) != 0 {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (nsplits=%d nshards=%d factor=%d passes=%d pressure=%v): sharded collector output diverges from barrier merge\ngot  %v\nwant %v",
+				t.Fatalf("trial %d (nsplits=%d nshards=%d factor=%d passes=%d pressure=%v): sharded collector output diverges from one-shot merge\ngot  %v\nwant %v",
 					trial, nsplits, nshards, factor, passes, pressure, got, want)
 			}
 		}
-		if pressure {
-			folded := false
-			for _, r := range runs {
-				if r.isDisk() {
-					folded = true
-					break
-				}
+		if !pressure {
+			// In memory the collector only files: one run per task, no
+			// merge passes.
+			if len(runs) != nsplits || passes != 0 {
+				t.Fatalf("trial %d: in-memory collectors hold %d runs for %d tasks, %d passes", trial, len(runs), nsplits, passes)
 			}
-			if !folded && len(want) > 0 {
-				t.Fatalf("trial %d: pressure trial folded nothing to disk", trial)
-			}
+			continue
 		}
-		// finishRuns is idempotent: a retried reduce attempt replays the
-		// same run list.
-		again, _ := gather()
-		if len(again) != len(runs) {
-			t.Fatalf("trial %d: second finishRuns() returned %d runs, want %d", trial, len(again), len(runs))
+		folded := false
+		for _, r := range runs {
+			folded = folded || r.isDisk()
 		}
-		if got2 := drainRuns(t, again); !reflect.DeepEqual(got2, got) {
-			t.Fatalf("trial %d: second finishRuns() drain diverges", trial)
+		if !folded && len(want) > 0 {
+			t.Fatalf("trial %d: pressure trial folded nothing to disk", trial)
+		}
+		// A retried reduce attempt replays the same run list.
+		if got2 := drainRuns(t, runs); !reflect.DeepEqual(got2, got) {
+			t.Fatalf("trial %d: second drain of the gathered runs diverges", trial)
 		}
 	}
 }
@@ -227,22 +212,10 @@ func drainRuns(t *testing.T, runs []partRun) []KV {
 	return kvs
 }
 
-// TestCollectorShardRouting pins the shard-count resolution and the
-// interval property shardOf must provide: contiguous, non-decreasing,
-// full-coverage task intervals for every (nsplits, nshards) shape.
+// TestCollectorShardRouting pins the interval property shardOf must
+// provide: contiguous, non-decreasing, full-coverage task intervals for
+// every (nsplits, nshards) shape.
 func TestCollectorShardRouting(t *testing.T) {
-	if got := collectorShards(0, 4, 100); got != 4 {
-		t.Errorf("auto shards = %d, want parallelism 4", got)
-	}
-	if got := collectorShards(8, 4, 5); got != 5 {
-		t.Errorf("shards = %d, want cap at nsplits 5", got)
-	}
-	if got := collectorShards(0, 0, 10); got != 1 {
-		t.Errorf("shards = %d, want floor 1", got)
-	}
-	if got := collectorShards(3, 1, 10); got != 3 {
-		t.Errorf("explicit shards = %d, want 3", got)
-	}
 	for nsplits := 1; nsplits <= 40; nsplits++ {
 		for nshards := 1; nshards <= nsplits; nshards++ {
 			seen := make([]int, nshards)
@@ -267,33 +240,44 @@ func TestCollectorShardRouting(t *testing.T) {
 	}
 }
 
-// TestCollectorSingleSegmentPartition pins the degenerate shapes: a
-// one-task partition and an all-empty partition must come through the
-// collector unchanged and without interim passes.
-func TestCollectorSingleSegmentPartition(t *testing.T) {
+// TestShuffleDegeneratePartitions pins the degenerate shapes through the
+// shuffle sink itself: a one-task partition and an all-empty partition must
+// come out of publish/wait/partition unchanged, in task order, with zero
+// fold counters.
+func TestShuffleDegeneratePartitions(t *testing.T) {
 	seg := SegmentFromKVs([]KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}})
-	col := newCollector(1, 10)
-	col.add(streamSeg{task: 0, run: memRun(seg)})
-	if got := col.finish().KVs(); !reflect.DeepEqual(got, seg.KVs()) {
-		t.Fatalf("single-segment partition altered: %v", got)
+	const nsplits = 3
+	sh := newShuffle(wordCountJob(DefaultConfig("degenerate")), make([]phaseClock, 2), nsplits, 2, nil)
+	for _, task := range []int{2, 0, 1} {
+		runs := []partRun{{}, {}}
+		if task == 1 {
+			runs[0] = memRun(seg)
+		}
+		sh.publish(task, runs)
 	}
-	if col.interimPasses != 0 {
-		t.Errorf("single-segment partition paid %d interim passes", col.interimPasses)
-	}
-
-	empty := newCollector(3, 2)
-	for task := 0; task < 3; task++ {
-		empty.add(streamSeg{task: task})
-	}
-	if got := empty.finish(); got.Len() != 0 {
-		t.Fatalf("all-empty partition produced %d records", got.Len())
+	sh.wait()
+	for p := 0; p < 2; p++ {
+		runs, folds, err := sh.partition(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != nsplits || folds != (Counters{}) {
+			t.Fatalf("partition %d: %d runs (want %d), folds %+v", p, len(runs), nsplits, folds)
+		}
+		got := drainRuns(t, runs)
+		if p == 0 && !reflect.DeepEqual(got, seg.KVs()) {
+			t.Fatalf("single-run partition altered: %v", got)
+		}
+		if p == 1 && len(got) != 0 {
+			t.Fatalf("all-empty partition produced %d records", len(got))
+		}
 	}
 }
 
 // FuzzStreamingShuffleParity fuzzes the determinism claim: for arbitrary
 // input bytes, block sizes and reducer counts — including counts far above
-// the key count, so most partitions are empty — the streaming shuffle's
-// output must match the barrier path exactly.
+// the key count, so most partitions are empty — the parallel run and the
+// out-of-core run must match the serial in-memory run exactly.
 func FuzzStreamingShuffleParity(f *testing.F) {
 	f.Add([]byte("a b c\nb c d\nc d e\n"), uint8(8), uint8(4))
 	f.Add([]byte("lone\n"), uint8(2), uint8(31)) // 31 reducers, 1 key: empty partitions
@@ -306,23 +290,33 @@ func FuzzStreamingShuffleParity(f *testing.F) {
 		}
 		bs := int(bsRaw%64) + 1
 		nred := int(nredRaw%32) + 1
-		run := func(barrier bool) *Result {
+		run := func(par int, spillDir string) *Result {
 			t.Helper()
 			e := newEngine(t, units.Bytes(bs), string(data))
 			cfg := DefaultConfig("wc-fuzz")
 			cfg.NumReducers = nred
 			cfg.SortBuffer = 64 // tiny buffer: spills on most inputs
-			cfg.BarrierShuffle = barrier
+			cfg.Parallelism = par
+			cfg.SpillDir = spillDir
+			cfg.SpillMemory = 1 // with a SpillDir: everything goes to disk
 			res, err := e.Run(wordCountJob(cfg), "input")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		want := run(true)
-		got := run(false)
+		want := run(1, "")
+		got := run(4, "")
 		if !reflect.DeepEqual(got.Output(), want.Output()) {
-			t.Fatalf("streaming/barrier divergence: bs=%d nred=%d input=%q", bs, nred, data)
+			t.Fatalf("parallel/serial divergence: bs=%d nred=%d input=%q", bs, nred, data)
+		}
+		if got.Counters != want.Counters || want.Counters.ReduceMergePasses != 0 {
+			t.Fatalf("parallel/serial counters diverge: bs=%d nred=%d input=%q\nparallel %+v\nserial   %+v", bs, nred, data, got.Counters, want.Counters)
+		}
+		ooc := run(4, t.TempDir())
+		defer ooc.Close()
+		if !reflect.DeepEqual(ooc.Output(), want.Output()) {
+			t.Fatalf("out-of-core/in-memory divergence: bs=%d nred=%d input=%q", bs, nred, data)
 		}
 	})
 }

@@ -42,27 +42,11 @@ func ExecuteMapSplitObs(job Job, chunk []byte, nparts int, ref obs.TaskRef, o ob
 	return segs, c, nil
 }
 
-// ExecuteReduce runs the job's reducer over the sorted shuffle segments of
-// one partition — the distributed runtime's reduce-task entry point.
+// ExecuteReduceSeg runs the job's reducer over the sorted shuffle segments
+// of one partition — the distributed runtime's reduce-task entry point.
 // Segments must be in map-task order; empty segments are skipped. The
-// output is returned as string records; wire-bound callers should prefer
-// ExecuteReduceSeg, which keeps the output flat.
-func ExecuteReduce(job Job, segments []Segment) ([]KV, Counters, error) {
-	seg, c, err := ExecuteReduceSegObs(job, segments, obs.TaskRef{}, nil)
-	return seg.KVs(), c, err
-}
-
-// ExecuteReduceObs is ExecuteReduce with task-phase telemetry: phase
-// intervals (merge-fetch, reduce) are attributed to ref and emitted on o.
-// A nil or disabled observer costs nothing.
-func ExecuteReduceObs(job Job, segments []Segment, ref obs.TaskRef, o obs.Observer) ([]KV, Counters, error) {
-	seg, c, err := ExecuteReduceSegObs(job, segments, ref, o)
-	return seg.KVs(), c, err
-}
-
-// ExecuteReduceSeg is ExecuteReduce returning the partition's output as a
-// flat arena-backed segment — ready for EncodeSegment — without ever
-// materializing string records.
+// partition's output is returned as a flat arena-backed segment — ready for
+// EncodeSegment — without ever materializing string records.
 func ExecuteReduceSeg(job Job, segments []Segment) (Segment, Counters, error) {
 	return ExecuteReduceSegObs(job, segments, obs.TaskRef{}, nil)
 }
