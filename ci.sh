@@ -23,6 +23,14 @@ go test -race ./...
 # threads, under -race, repeatedly. Seconds, not minutes: a hang fails fast.
 go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/mapreduce/ .
 
+# Determinism gate (dist half): the one runtime path — Submit + Wait against
+# RunForeverCtx workers over the worker-served shuffle — including the
+# idle-workers-then-submit regression, the loss/eviction/corruption
+# recoveries and the chaos scenario, at the same thread counts. Every test
+# job waits under a deadline that prints the job's status, so a stall fails
+# in seconds with a state, never at the package timeout.
+go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/dist/
+
 # Observability smoke: regenerate one artefact with a streaming trace and
 # validate the emitted JSONL strictly (decodes line by line, spans balance,
 # and an expt.artefact span covers table3) with tracer -check.

@@ -16,32 +16,99 @@ import (
 	"heterohadoop/internal/workloads"
 )
 
-// startCluster brings up a master and n workers on loopback.
-func startCluster(t *testing.T, n int, timeout time.Duration) (*Master, []*Worker, *sync.WaitGroup) {
+// startMaster starts a loopback master, closed when the test ends.
+func startMaster(t *testing.T, opts ...Option) *Master {
 	t.Helper()
-	m, err := NewMaster("127.0.0.1:0", timeout)
+	m, err := StartMaster("127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	var wg sync.WaitGroup
-	workers := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		w, err := NewWorker("worker-"+strconv.Itoa(i), m.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			if err := w.Run(); err != nil {
+	return m
+}
+
+// connectWorker connects a worker whose loop is not running — its shuffle
+// server is live, and a test can drive it by hand (stealMapTask + runMap) —
+// closed when the test ends.
+func connectWorker(t *testing.T, m *Master, id string, opts ...Option) *Worker {
+	t.Helper()
+	w, err := ConnectWorker(id, m.Addr(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// runWorker runs a connected worker's loop. The returned stop function —
+// also run when the test ends — stops the loop and waits for it to return,
+// so everything the worker emits has been emitted; a loop error fails the
+// test.
+func runWorker(t *testing.T, w *Worker) (stop func()) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.RunForeverCtx(context.Background()) }()
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			w.Stop()
+			if err := <-done; err != nil {
 				t.Errorf("%s: %v", w.ID, err)
 			}
-		}(w)
-		t.Cleanup(func() { w.Close() })
+		})
 	}
-	return m, workers, &wg
+	t.Cleanup(stop)
+	return stop
+}
+
+// startWorker connects a worker and runs its loop until the test ends (or
+// the test closes it).
+func startWorker(t *testing.T, m *Master, id string, opts ...Option) *Worker {
+	t.Helper()
+	w := connectWorker(t, m, id, opts...)
+	runWorker(t, w)
+	return w
+}
+
+// startCluster brings up a master and n looping workers on loopback.
+func startCluster(t *testing.T, n int, opts ...Option) (*Master, []*Worker) {
+	t.Helper()
+	m := startMaster(t, opts...)
+	workers := make([]*Worker, n)
+	for i := range workers {
+		workers[i] = startWorker(t, m, "worker-"+strconv.Itoa(i))
+	}
+	return m, workers
+}
+
+// jobDeadline bounds a test job that has nothing slow in it.
+const jobDeadline = 30 * time.Second
+
+// waitJob waits for the job under a deadline. On expiry it fails the test
+// with the job's status and the master's stats, so a stall reads as a state
+// in seconds instead of as the package timeout in minutes.
+func waitJob(t *testing.T, h *JobHandle, deadline time.Duration) *mapreduce.Result {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	res, err := h.Wait(ctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("job %s not done after %v: status %+v, master %+v", h.ID(), deadline, h.Status(), h.m.Stats())
+	}
+	if err != nil {
+		t.Fatalf("job %s: %v", h.ID(), err)
+	}
+	return res
+}
+
+// submitWait is Submit + waitJob: the synchronous job run of most tests.
+func submitWait(t *testing.T, m *Master, desc JobDescriptor, input []byte, blockSize int) *mapreduce.Result {
+	t.Helper()
+	h, err := m.Submit(context.Background(), desc, input, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return waitJob(t, h, jobDeadline)
 }
 
 func outputCounts(t *testing.T, res *mapreduce.Result) map[string]int {
@@ -62,16 +129,10 @@ func outputCounts(t *testing.T, res *mapreduce.Result) map[string]int {
 	return out
 }
 
-func TestDistributedWordCountMatchesLocal(t *testing.T) {
-	input := workloads.GenerateText(64*units.KB, 5)
-	m, workers, wg := startCluster(t, 3, 5*time.Second)
-
-	res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 3}, input, 8*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
+// checkWordCount compares a wordcount job's output with a direct count of
+// its input's words.
+func checkWordCount(t *testing.T, res *mapreduce.Result, input []byte) {
+	t.Helper()
 	got := outputCounts(t, res)
 	want := map[string]int{}
 	for _, w := range strings.Fields(string(input)) {
@@ -85,6 +146,14 @@ func TestDistributedWordCountMatchesLocal(t *testing.T) {
 			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
 		}
 	}
+}
+
+func TestDistributedWordCountMatchesLocal(t *testing.T) {
+	input := workloads.GenerateText(64*units.KB, 5)
+	m, workers := startCluster(t, 3)
+	res := submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 3}, input, 8*1024)
+
+	checkWordCount(t, res, input)
 	if res.Counters.MapTasks < 8 {
 		t.Errorf("only %d map tasks for 64KB at 8KB chunks", res.Counters.MapTasks)
 	}
@@ -105,12 +174,8 @@ func TestDistributedWordCountMatchesLocal(t *testing.T) {
 
 func TestDistributedTeraSortGlobalOrder(t *testing.T) {
 	input := workloads.GenerateTeraRecords(32*units.KB, 9)
-	m, _, wg := startCluster(t, 3, 5*time.Second)
-	res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "terasort", NumReducers: 3}, input, 8*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	m, _ := startCluster(t, 3)
+	res := submitWait(t, m, JobDescriptor{Workload: "terasort", NumReducers: 3}, input, 8*1024)
 
 	var keys []string
 	for _, p := range res.Output() {
@@ -136,12 +201,8 @@ func TestDistributedTeraSortGlobalOrder(t *testing.T) {
 
 func TestDistributedFPGrowthMatchesLocalMiner(t *testing.T) {
 	input := workloads.GenerateTransactions(8*units.KB, 7)
-	m, _, wg := startCluster(t, 2, 5*time.Second)
-	res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "fpgrowth", NumReducers: 2}, input, 2*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	m, _ := startCluster(t, 2)
+	res := submitWait(t, m, JobDescriptor{Workload: "fpgrowth", NumReducers: 2}, input, 2*1024)
 
 	var txs [][]string
 	for _, line := range strings.Split(strings.TrimRight(string(input), "\n"), "\n") {
@@ -162,16 +223,40 @@ func TestDistributedFPGrowthMatchesLocalMiner(t *testing.T) {
 	}
 }
 
+// TestIdleWorkersSurviveUntilSubmission is the regression for the one-shot
+// worker loop: workers that poll an idle master — here for well over five
+// poll intervals before any job exists — must keep polling, so the job
+// submitted afterwards runs instead of waiting on a master with no workers.
+func TestIdleWorkersSurviveUntilSubmission(t *testing.T) {
+	m, workers := startCluster(t, 2)
+	time.Sleep(10 * workers[0].PollInterval)
+	if st := m.Stats(); st.Workers != 2 {
+		t.Fatalf("%d workers polled the idle master, want 2", st.Workers)
+	}
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2},
+		workloads.GenerateText(16*units.KB, 17), 4*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitJob(t, h, 10*time.Second)
+	ran := 0
+	for _, w := range workers {
+		ran += w.TasksRun()
+	}
+	if want := res.Counters.MapTasks + res.Counters.ReduceTasks; ran < want {
+		t.Errorf("workers ran %d tasks, want >= %d", ran, want)
+	}
+	if st := m.Stats(); st.Workers != 2 || st.Evicted != 0 {
+		t.Errorf("after the job: %+v, want both workers still polling", st)
+	}
+}
+
 // TestWorkerFailureReassignment kills a worker that has taken tasks; the
 // master must reissue its work after the timeout and the job completes
 // correctly on the survivor.
 func TestWorkerFailureReassignment(t *testing.T) {
 	input := workloads.GenerateText(32*units.KB, 11)
-	m, err := NewMaster("127.0.0.1:0", 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(300*time.Millisecond))
 
 	// A saboteur that grabs map tasks and never completes them.
 	sab, err := rpc.Dial("tcp", m.Addr())
@@ -179,88 +264,20 @@ func TestWorkerFailureReassignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sab.Close()
-
-	resCh := make(chan *mapreduce.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 4*1024)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		resCh <- res
-	}()
-
-	// Let the saboteur steal a few tasks first.
-	stolen := 0
-	deadline := time.Now().Add(2 * time.Second)
-	for stolen < 3 && time.Now().Before(deadline) {
-		var task Task
-		if err := sab.Call("Master.GetTask", GetTaskArgs{WorkerID: "saboteur"}, &task); err != nil {
-			t.Fatal(err)
-		}
-		if task.Kind == TaskMap {
-			stolen++
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 4*1024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stolen == 0 {
-		t.Fatal("saboteur stole no tasks")
+	for i := 0; i < 3; i++ {
+		stealMapTask(t, sab, "saboteur")
 	}
 
 	// Now start an honest worker; it must pick up the reissued tasks.
-	w, err := NewWorker("honest", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go func() {
-		if err := w.Run(); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	case res := <-resCh:
-		got := outputCounts(t, res)
-		want := map[string]int{}
-		for _, word := range strings.Fields(string(input)) {
-			want[word]++
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("count[%q] = %d, want %d after reassignment", k, got[k], v)
-			}
-		}
-		st := m.Stats()
-		if st.Reassigned+st.Speculative == 0 {
-			t.Error("no reassignments or speculative attempts recorded despite the saboteur")
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("job did not complete after worker failure")
-	}
-}
-
-func TestSubmitValidation(t *testing.T) {
-	m, err := NewMaster("127.0.0.1:0", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 0}, []byte("x\n"), 4); err == nil {
-		t.Error("zero reducers accepted")
-	}
-	if _, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "nope", NumReducers: 1}, []byte("x\n"), 4); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if _, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1}, nil, 4); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "grep", NumReducers: 1}, []byte("x\n"), 4); err == nil {
-		t.Error("grep without pattern accepted")
+	startWorker(t, m, "honest")
+	checkWordCount(t, waitJob(t, h, jobDeadline), input)
+	st := m.Stats()
+	if st.Reassigned+st.Speculative == 0 {
+		t.Error("no reassignments or speculative attempts recorded despite the saboteur")
 	}
 }
 
@@ -313,24 +330,11 @@ func TestSplitInputRecordAligned(t *testing.T) {
 }
 
 // TestRemoteSubmit exercises the RPC submission path used by cmd/hadoopd:
-// a client dials the master and submits a job while daemon-mode workers
-// keep polling across it.
+// a client dials the master and submits a job while the worker keeps
+// polling across it.
 func TestRemoteSubmit(t *testing.T) {
-	m, err := NewMaster("127.0.0.1:0", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	w, err := NewWorker("daemon", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go func() {
-		if err := w.RunForever(); err != nil {
-			t.Error(err)
-		}
-	}()
+	m := startMaster(t)
+	startWorker(t, m, "daemon")
 
 	client, err := rpc.Dial("tcp", m.Addr())
 	if err != nil {
@@ -344,15 +348,8 @@ func TestRemoteSubmit(t *testing.T) {
 	}, &res); err != nil {
 		t.Fatal(err)
 	}
-	got := outputCounts(t, &res)
-	want := map[string]int{}
-	for _, word := range strings.Fields(string(input)) {
-		want[word]++
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d words, want %d", len(got), len(want))
-	}
-	// The daemon worker survives the job: submit a second one.
+	checkWordCount(t, &res, input)
+	// The worker survives the job: submit a second one.
 	var res2 mapreduce.Result
 	if err := client.Call("Master.Submit", SubmitArgs{
 		Desc: JobDescriptor{Workload: "grep", NumReducers: 1, Aux: []byte("ou")}, Input: input, BlockSize: 4096,
@@ -370,11 +367,7 @@ func TestRemoteSubmit(t *testing.T) {
 // semantics.
 func TestSpeculativeExecution(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 13)
-	m, err := NewMaster("127.0.0.1:0", 10*time.Second) // long hard timeout
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(10*time.Second)) // long hard timeout
 
 	// The straggler grabs one map task and sits on it.
 	sab, err := rpc.Dial("tcp", m.Addr())
@@ -382,116 +375,57 @@ func TestSpeculativeExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sab.Close()
-
-	resCh := make(chan *mapreduce.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1}, input, 4*1024)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		resCh <- res
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		var task Task
-		if err := sab.Call("Master.GetTask", GetTaskArgs{WorkerID: "straggler"}, &task); err != nil {
-			t.Fatal(err)
-		}
-		if task.Kind == TaskMap {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Wait past the speculation age (5s x 0.5 = 5s is too slow for a test;
-	// the master computes it from the timeout, so poll until speculation
-	// fires with an honest worker attached).
-	w, err := NewWorker("honest", m.Addr())
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1}, input, 4*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	go func() {
-		if err := w.Run(); err != nil {
-			t.Error(err)
-		}
-	}()
+	stealMapTask(t, sab, "straggler")
 
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	case res := <-resCh:
-		if res.Counters.MapTasks == 0 {
-			t.Error("no map tasks ran")
-		}
-		if m.Stats().Speculative == 0 {
-			t.Error("no speculative attempts despite the straggler")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("job never completed")
+	// An honest worker drains the rest, then idles until the straggler's
+	// task passes the speculation age (half the timeout) and is backed up.
+	startWorker(t, m, "honest")
+	if res := waitJob(t, h, jobDeadline); res.Counters.MapTasks == 0 {
+		t.Error("no map tasks ran")
+	}
+	if m.Stats().Speculative == 0 {
+		t.Error("no speculative attempts despite the straggler")
 	}
 }
 
 // TestReportFailureRequeuesImmediately checks the fast-failure path: a
-// worker whose registry cannot build the job reports the failure, and the
-// master hands the task to a healthy worker without waiting for the
-// timeout.
+// worker whose registry cannot build the job reports the failure and stops
+// with the error, and the master hands the task to a healthy worker without
+// waiting for the timeout.
 func TestReportFailureRequeuesImmediately(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 19)
-	m, err := NewMaster("127.0.0.1:0", 60*time.Second) // timeout far beyond the test
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(60*time.Second)) // timeout far beyond the test
 
 	// A broken worker whose registry rejects every build.
-	broken, err := NewWorker("broken", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broken.Close()
+	broken := connectWorker(t, m, "broken")
 	broken.Registry().Register("wordcount", func(JobDescriptor) (mapreduce.Job, error) {
 		return mapreduce.Job{}, errors.New("broken factory")
 	})
-	go broken.Run() // will error out after reporting; ignore its exit
+	brokenErr := make(chan error, 1)
+	go func() { brokenErr <- broken.RunForeverCtx(context.Background()) }()
 
-	resCh := make(chan *mapreduce.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1}, input, 4*1024)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		resCh <- res
-	}()
-
-	// Give the broken worker a moment to fail a task, then add a healthy one.
-	time.Sleep(100 * time.Millisecond)
-	w, err := NewWorker("healthy", m.Addr())
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1}, input, 4*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	go func() {
-		if err := w.Run(); err != nil {
-			t.Error(err)
-		}
-	}()
-
 	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	case res := <-resCh:
-		if res.Counters.MapTasks == 0 {
-			t.Error("no tasks ran")
+	case err := <-brokenErr:
+		if err == nil {
+			t.Error("broken worker's loop returned nil, want the build error")
 		}
-		if m.Stats().Reassigned == 0 {
-			t.Error("failure report did not requeue anything")
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("job hung despite failure reporting (would have needed the 60s timeout)")
+	case <-time.After(jobDeadline):
+		t.Fatal("broken worker never failed a task")
+	}
+
+	startWorker(t, m, "healthy")
+	if res := waitJob(t, h, 20*time.Second); res.Counters.MapTasks == 0 {
+		t.Error("no tasks ran")
+	}
+	if m.Stats().Reassigned == 0 {
+		t.Error("failure report did not requeue anything")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"net/rpc"
 	"path/filepath"
 	"strconv"
@@ -57,11 +56,7 @@ func TestPerJobKnobOverrides(t *testing.T) {
 }
 
 func TestJobHandleAsyncLifecycle(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0", WithMaxQueuedJobs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithMaxQueuedJobs(2))
 	ctx := context.Background()
 	input := workloads.GenerateText(4*units.KB, 3)
 
@@ -130,67 +125,23 @@ func TestJobHandleAsyncLifecycle(t *testing.T) {
 	}
 }
 
-// completeMapsServed drives the master as a manual worker that executes
-// every map task of the running job for real but claims to serve the
-// output at addr — a shuffle endpoint the test controls (typically dead).
-func completeMapsServed(t *testing.T, m *Master, client *rpc.Client, workerID, addr string, desc JobDescriptor) int {
+// driveMaps executes every map task of the job on w — a worker whose loop
+// is not running — through the production map path, and returns how many it
+// ran. It checks the status before each poll: once the last map completes
+// the next poll could hand this never-again-polling worker a reduce task,
+// stalling the job until the task timeout.
+func driveMaps(t *testing.T, h *JobHandle, w *Worker) int {
 	t.Helper()
-	job, err := NewRegistry().Build(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for total == 0 && time.Now().Before(deadline) {
-		for _, st := range m.Jobs() {
-			if st.State == JobRunning {
-				total = st.MapsTotal
-			}
+	ran := 0
+	for {
+		if st := h.Status(); st.MapsDone == st.MapsTotal {
+			return ran
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if total == 0 {
-		t.Fatal("no running job appeared")
-	}
-	served := 0
-	deadline = time.Now().Add(10 * time.Second)
-	for served < total && time.Now().Before(deadline) {
-		var task Task
-		if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: workerID}, &task); err != nil {
+		if err := w.runMap(stealMapTask(t, w.client, w.ID)); err != nil {
 			t.Fatal(err)
 		}
-		if task.Kind != TaskMap {
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		segs, counters, err := mapreduce.ExecuteMapSplit(job, task.SplitData, task.NParts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []PartStat
-		for p, seg := range segs {
-			blob := mapreduce.EncodeSegment(seg)
-			n, b, err := mapreduce.SegmentStats(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				continue
-			}
-			stats = append(stats, PartStat{Part: p, Recs: n, Bytes: int64(b)})
-		}
-		if err := client.Call("Master.CompleteMap", MapDone{
-			WorkerID: workerID, Epoch: task.Epoch, Seq: task.Seq,
-			Addr: addr, PartStats: stats, Counters: counters,
-		}, &Ack{}); err != nil {
-			t.Fatal(err)
-		}
-		served++
+		ran++
 	}
-	if served < total {
-		t.Fatalf("served %d/%d maps before the deadline", served, total)
-	}
-	return served
 }
 
 // TestLostShuffleMapRerun is the lost-shuffle regression: a worker serves
@@ -207,60 +158,19 @@ func TestLostShuffleMapRerun(t *testing.T) {
 		Workload: "wordcount", NumReducers: 1,
 		TaskTimeout: time.Minute, ReduceSlowstart: 1.0,
 	}
-	m, err := StartMaster("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	doomed, err := rpc.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer doomed.Close()
-
-	// A shuffle address that is guaranteed dead: bind a loopback port, then
-	// close it before anyone fetches.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
-
+	m := startMaster(t)
 	h, err := m.Submit(context.Background(), desc, input, 2*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := completeMapsServed(t, m, doomed, "doomed", deadAddr, desc)
+	doomed := connectWorker(t, m, "doomed")
+	served := driveMaps(t, h, doomed)
+	doomed.Close() // takes its shuffle server, and with it every segment, down
 
-	// A real worker now takes the reduce, fails to fetch from deadAddr,
-	// reports the loss, and re-executes the invalidated maps itself.
-	w, err := ConnectWorker("survivor", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go w.Run() //nolint:errcheck // exits when the job drains
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := h.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := outputCounts(t, res)
-	want := map[string]int{}
-	for _, word := range strings.Fields(string(input)) {
-		want[word]++
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d words, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d after map re-execution", k, got[k], v)
-		}
-	}
+	// A real worker now takes the reduce, fails to fetch from the dead
+	// server, reports the loss, and re-executes the invalidated maps itself.
+	startWorker(t, m, "survivor")
+	checkWordCount(t, waitJob(t, h, jobDeadline), input)
 	st := m.Stats()
 	if st.RecoveredMaps < served {
 		t.Errorf("RecoveredMaps = %d, want >= %d (every served map was lost)", st.RecoveredMaps, served)
@@ -279,12 +189,7 @@ func TestLostShuffleMapRerun(t *testing.T) {
 // (deliberately enormous) task timeout.
 func TestWorkerEvictionRequeuesInFlight(t *testing.T) {
 	input := workloads.GenerateText(16*units.KB, 23)
-	m, err := StartMaster("127.0.0.1:0",
-		WithTaskTimeout(time.Minute), WithWorkerTimeout(150*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(time.Minute), WithWorkerTimeout(150*time.Millisecond))
 	ghost, err := rpc.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -299,29 +204,8 @@ func TestWorkerEvictionRequeuesInFlight(t *testing.T) {
 	stealMapTask(t, ghost, "ghost")
 	// The ghost never polls again: only eviction can free its task.
 
-	w, err := ConnectWorker("survivor", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go w.Run() //nolint:errcheck
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	res, err := h.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := outputCounts(t, res)
-	want := map[string]int{}
-	for _, word := range strings.Fields(string(input)) {
-		want[word]++
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("count[%q] = %d, want %d after eviction", k, got[k], v)
-		}
-	}
+	startWorker(t, m, "survivor")
+	checkWordCount(t, waitJob(t, h, 20*time.Second), input)
 	st := m.Stats()
 	if st.Evicted < 1 {
 		t.Errorf("Evicted = %d, want >= 1", st.Evicted)
@@ -333,66 +217,36 @@ func TestWorkerEvictionRequeuesInFlight(t *testing.T) {
 
 // TestSnapshotRestartResumesJob checks crash recovery through the
 // versioned snapshot: a master with an in-flight job — one map already
-// completed inline — is closed and a new master started on the same
-// snapshot path resumes the job, keeps the completed work, and finishes
-// it with a fresh worker.
+// completed — is closed and a new master started on the same snapshot path
+// resumes the job. The completing worker's shuffle server outlives the old
+// master, so the map stays done and the new master's reducers fetch its
+// output from there; a fresh worker finishes the rest.
 func TestSnapshotRestartResumesJob(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "master.snap")
 	input := workloads.GenerateText(8*units.KB, 29)
 	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
 
-	m1, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap), WithTaskTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := startMaster(t, WithSnapshotPath(snap))
 	h1, err := m1.Submit(context.Background(), desc, input, 2*1024)
 	if err != nil {
-		m1.Close()
 		t.Fatal(err)
 	}
-
-	// Complete one map inline (master-held output: it must survive the
-	// restart) through a manual client, then kill the master.
-	clerk, err := rpc.Dial("tcp", m1.Addr())
-	if err != nil {
-		m1.Close()
+	clerk := connectWorker(t, m1, "clerk")
+	if err := clerk.runMap(stealMapTask(t, clerk.client, clerk.ID)); err != nil {
 		t.Fatal(err)
 	}
-	task := stealMapTask(t, clerk, "clerk")
-	job, err := NewRegistry().Build(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, counters, err := mapreduce.ExecuteMapSplit(job, task.SplitData, task.NParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([][]byte, len(segs))
-	for p, seg := range segs {
-		parts[p] = mapreduce.EncodeSegment(seg)
-	}
-	if err := clerk.Call("Master.CompleteMap", MapDone{
-		WorkerID: "clerk", Epoch: task.Epoch, Seq: task.Seq, Parts: parts, Counters: counters,
-	}, &Ack{}); err != nil {
-		t.Fatal(err)
-	}
-	clerk.Close()
-	if st, ok := m1.JobStatus(h1.ID()); !ok || st.MapsDone != 1 {
-		t.Fatalf("pre-restart status = %+v, %v, want 1 map done", st, ok)
+	if st := h1.Status(); st.MapsDone != 1 {
+		t.Fatalf("pre-restart status = %+v, want 1 map done", st)
 	}
 	m1.Close()
 
-	m2, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap), WithTaskTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
+	m2 := startMaster(t, WithSnapshotPath(snap))
 	st, ok := m2.JobStatus(h1.ID())
 	if !ok {
 		t.Fatalf("restored master lost job %s", h1.ID())
 	}
 	if st.MapsDone != 1 {
-		t.Errorf("restored MapsDone = %d, want 1 (inline map output must survive)", st.MapsDone)
+		t.Errorf("restored MapsDone = %d, want 1 (the served map must stay done)", st.MapsDone)
 	}
 	if st.State != JobRunning {
 		t.Errorf("restored job state = %q, want %q", st.State, JobRunning)
@@ -402,35 +256,68 @@ func TestSnapshotRestartResumesJob(t *testing.T) {
 		t.Fatal("restored master has no handle for the job")
 	}
 
-	w, err := ConnectWorker("resumer", m2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go w.Run() //nolint:errcheck
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	res, err := h2.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := outputCounts(t, res)
-	want := map[string]int{}
-	for _, word := range strings.Fields(string(input)) {
-		want[word]++
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d words, want %d (restored job lost input coverage)", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d across the restart", k, got[k], v)
-		}
+	startWorker(t, m2, "resumer")
+	checkWordCount(t, waitJob(t, h2, 20*time.Second), input)
+	if n := m2.Stats().RecoveredMaps; n != 0 {
+		t.Errorf("RecoveredMaps = %d, want 0 (the clerk's shuffle server never went away)", n)
 	}
 	// The restored master accepts new work alongside the resumed job.
-	if _, err := m2.SubmitCtx(ctx, desc, workloads.GenerateText(4*units.KB, 31), 2*1024); err != nil {
-		t.Errorf("fresh submit on the restored master: %v", err)
+	submitWait(t, m2, desc, workloads.GenerateText(4*units.KB, 31), 2*1024)
+}
+
+// TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
+// written by the version-1 layout (inline segment payloads in the
+// publication log) must fail StartMaster instead of resuming jobs whose
+// segments the current layout cannot hold.
+func TestSnapshotVersionMismatchRejected(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	v1 := snapshot{Version: 1, Epoch: 1, JobSeq: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
+	if err := writeSnapshot(snap, &v1); err != nil {
+		t.Fatal(err)
+	}
+	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+	if err == nil {
+		m.Close()
+		t.Fatal("StartMaster resumed a version-1 snapshot")
+	}
+	if want := "snapshot version 1, want 2"; !strings.Contains(err.Error(), want) {
+		t.Errorf("StartMaster error %q, want it to name %q", err, want)
+	}
+}
+
+// TestSnapshotBlobsRoundTrip pins the file layout: map splits and reduce
+// outputs travel as their own gob messages after the snapshot value, and
+// come back in their slots — a finished reducer's output intact, an
+// unfinished one's empty (restoreLocked reads "done" off exactly that).
+func TestSnapshotBlobsRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "master.snap")
+	in := snapshot{Version: snapshotVersion, Epoch: 2, JobSeq: 2, Jobs: []snapJob{
+		{ID: "job-1", Epoch: 1, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 3},
+			MapTasks:   []snapTask{{Done: true, Owner: "w", split: []byte("one")}, {split: []byte("two")}},
+			PartSegs:   make([][]TaggedSegment, 3),
+			redOutputs: [][]byte{nil, []byte("out"), nil}},
+		{ID: "job-2", Epoch: 2, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 1},
+			MapTasks: []snapTask{{split: []byte("three")}}, PartSegs: make([][]TaggedSegment, 1),
+			redOutputs: [][]byte{nil}},
+	}}
+	if err := writeSnapshot(path, &in); err != nil {
+		t.Fatal(err)
+	}
+	out, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := in.blobs(), out.blobs()
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d blobs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(*got[i], *want[i]) {
+			t.Errorf("blob %d = %q, want %q", i, *got[i], *want[i])
+		}
+	}
+	if ts := out.Jobs[0].MapTasks[0]; !ts.Done || ts.Owner != "w" || len(out.Jobs[0].PartSegs) != 3 {
+		t.Errorf("snapshot value did not survive: %+v, %d partitions", ts, len(out.Jobs[0].PartSegs))
 	}
 }
 
@@ -468,22 +355,10 @@ func TestChaosMultiTenantRecovery(t *testing.T) {
 	// Serial reference: the same jobs one at a time on a plain master.
 	serial := make([][]byte, len(jobs))
 	{
-		ms, err := StartMaster("127.0.0.1:0", WithTaskTimeout(10*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := ConnectWorker("serial", ms.Addr())
-		if err != nil {
-			ms.Close()
-			t.Fatal(err)
-		}
-		go ws.RunForever() //nolint:errcheck
+		ms := startMaster(t, WithTaskTimeout(10*time.Second))
+		ws := startWorker(t, ms, "serial")
 		for i, cj := range jobs {
-			res, err := ms.SubmitCtx(context.Background(), cj.desc, cj.input, 4*1024)
-			if err != nil {
-				t.Fatalf("serial job %d: %v", i, err)
-			}
-			serial[i] = mapreduce.MaterializeOutput(res)
+			serial[i] = mapreduce.MaterializeOutput(submitWait(t, ms, cj.desc, cj.input, 4*1024))
 		}
 		ws.Close()
 		ms.Close()
@@ -494,23 +369,15 @@ func TestChaosMultiTenantRecovery(t *testing.T) {
 		WithSnapshotPath(snap), WithTaskTimeout(2 * time.Second),
 		WithMaxConcurrentJobs(3), WithWorkerTimeout(400 * time.Millisecond),
 	}
-	m1, err := StartMaster("127.0.0.1:0", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startWorkers := func(addr, prefix string) []*Worker {
+	m1 := startMaster(t, opts...)
+	startWorkers := func(m *Master, prefix string) []*Worker {
 		workers := make([]*Worker, 3)
 		for i := range workers {
-			w, err := ConnectWorker(prefix+strconv.Itoa(i), addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workers[i] = w
-			go w.RunForever() //nolint:errcheck // killed mid-run by design
+			workers[i] = startWorker(t, m, prefix+strconv.Itoa(i))
 		}
 		return workers
 	}
-	gen1 := startWorkers(m1.Addr(), "cw-")
+	gen1 := startWorkers(m1, "cw-")
 
 	handles := make([]*JobHandle, len(jobs))
 	for i, cj := range jobs {
@@ -531,43 +398,22 @@ func TestChaosMultiTenantRecovery(t *testing.T) {
 	gen1[0].Close()
 	gen1[1].Close()
 
-	m2, err := StartMaster("127.0.0.1:0", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	gen2 := startWorkers(m2.Addr(), "nw-")
-	defer func() {
-		for _, w := range gen2 {
-			w.Close()
-		}
-	}()
+	m2 := startMaster(t, opts...)
+	startWorkers(m2, "nw-")
 
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
 	for i, h := range handles {
-		var res *mapreduce.Result
 		select {
 		case <-h.Done():
 			// Finished on the first master before the kill: its result is
 			// already latched in the original handle.
-			r, err := h.Wait(ctx)
-			if err != nil {
-				t.Fatalf("job %s (finished pre-restart): %v", h.ID(), err)
-			}
-			res = r
 		default:
 			h2, ok := m2.Handle(h.ID())
 			if !ok {
 				t.Fatalf("restored master lost in-flight job %s", h.ID())
 			}
-			r, err := h2.Wait(ctx)
-			if err != nil {
-				t.Fatalf("job %s (resumed): %v", h.ID(), err)
-			}
-			res = r
+			h = h2
 		}
-		if got := mapreduce.MaterializeOutput(res); !bytes.Equal(got, serial[i]) {
+		if got := mapreduce.MaterializeOutput(waitJob(t, h, 120*time.Second)); !bytes.Equal(got, serial[i]) {
 			t.Errorf("job %s output differs from the serial run (%d vs %d bytes)",
 				h.ID(), len(got), len(serial[i]))
 		}

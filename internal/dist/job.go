@@ -26,7 +26,7 @@ const (
 	JobDone = "done"
 	// JobFailed: completed unsuccessfully (output decode failure).
 	JobFailed = "failed"
-	// JobCancelled: aborted by JobHandle.Cancel or a cancelled SubmitCtx.
+	// JobCancelled: aborted by JobHandle.Cancel.
 	JobCancelled = "cancelled"
 )
 
@@ -37,13 +37,10 @@ type taskState struct {
 	assignee   string
 	assignedAt time.Time
 	done       bool
-	// owner/ownerAddr record who holds a completed map task's shuffle
-	// output and where it is served from. ownerAddr is empty for inline
-	// output (held by the master, survives the worker); when set, the
-	// segments die with the worker and the task must re-execute if the
-	// owner is evicted or a reducer reports the segments lost.
-	owner     string
-	ownerAddr string
+	// owner is the worker serving a completed map task's shuffle output.
+	// The segments die with it: the task must re-execute if the owner is
+	// evicted or a reducer reports the segments lost.
+	owner string
 	// readyAt is when the task became dispatchable (job admission, or
 	// re-enqueue after loss); the gap to the first assignment is the
 	// schedule phase. For reduce tasks it includes the slowstart gate by
@@ -200,17 +197,14 @@ func (js *jobState) clearTables() {
 
 // invalidateMap re-enqueues a completed map task whose shuffle output is
 // gone (its serving worker died): the task re-executes and republishes.
-// Returns false when the task is not in a revocable state (not done, or
-// its output is master-held inline data that cannot be lost). Called
-// under the master's mutex.
+// Returns false when the task is not done. Called under the master's mutex.
 func (js *jobState) invalidateMap(ts *taskState, now time.Time) bool {
-	if !ts.done || ts.ownerAddr == "" {
+	if !ts.done {
 		return false
 	}
 	ts.done = false
 	ts.assigned = false
 	ts.owner = ""
-	ts.ownerAddr = ""
 	ts.readyAt = now
 	js.mapsLeft++
 	js.recoveredMaps++

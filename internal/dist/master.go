@@ -62,18 +62,6 @@ type Master struct {
 	janitorStop chan struct{}
 }
 
-// NewMaster starts a master listening on addr ("127.0.0.1:0" for an
-// ephemeral port). taskTimeout bounds how long a task may stay assigned
-// without completion before it is reissued to another worker; idle workers
-// additionally receive speculative copies of tasks that have been running
-// for more than half the timeout.
-//
-// Deprecated: use StartMaster with WithTaskTimeout; this wrapper remains
-// for source compatibility with the positional API.
-func NewMaster(addr string, taskTimeout time.Duration) (*Master, error) {
-	return StartMaster(addr, WithTaskTimeout(taskTimeout))
-}
-
 // StartMaster starts a master listening on addr ("127.0.0.1:0" for an
 // ephemeral port), configured by functional options: WithTaskTimeout,
 // WithSpeculativeFraction and WithReduceSlowstart set the default per-job
@@ -277,29 +265,6 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	return &JobHandle{m: m, js: js}, nil
 }
 
-// SubmitCtx is the synchronous convenience wrapper: submit, then wait. A
-// cancelled context aborts the job — undispatched tasks are dropped,
-// in-flight completions become stale — and the error wraps ctx.Err().
-//
-// Deprecated: use Submit and JobHandle.Wait; this wrapper serializes the
-// caller against a master built to run many jobs at once.
-func (m *Master) SubmitCtx(ctx context.Context, desc JobDescriptor, input []byte, blockSize int) (*mapreduce.Result, error) {
-	h, err := m.Submit(ctx, desc, input, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-h.Done():
-		return h.result()
-	case <-ctx.Done():
-		// Abort loses to a concurrent finish: if the job completed between
-		// ctx firing and the abort taking the lock, the result stands.
-		m.abortJob(h.js, ctx.Err())
-		<-h.Done()
-		return h.result()
-	}
-}
-
 // abortJob moves a job to the cancelled state and retires it: its tasks
 // leave the scheduler, workers polling for it are turned away, and
 // in-flight completion reports find no job to land on. A finished job is
@@ -448,8 +413,8 @@ func (m *Master) scheduleOrderLocked() []*jobState {
 }
 
 // activeEpochsLocked lists every queued or running job's epoch — the
-// piggyback on TaskWait/TaskDone that lets shuffle-serving workers prune
-// stored output of finished jobs. Called under m.mu.
+// piggyback on TaskWait that lets workers prune stored output of finished
+// jobs. Called under m.mu.
 func (m *Master) activeEpochsLocked() []uint64 {
 	out := make([]uint64, 0, len(m.order))
 	for _, js := range m.order {
@@ -459,8 +424,10 @@ func (m *Master) activeEpochsLocked() []uint64 {
 }
 
 // nextTask hands the polling worker a task from the running jobs, or a
-// speculative backup of an aging straggler run by a different worker;
-// called under m.mu.
+// speculative backup of an aging straggler run by a different worker, or
+// TaskWait when there is nothing to run — an idle master included, so a
+// worker that polls before the first submission keeps polling. Called under
+// m.mu.
 //
 // Map tasks take priority across every job (they unblock shuffles); once a
 // job passes its slowstart fraction of completed maps its reduce tasks
@@ -468,11 +435,6 @@ func (m *Master) activeEpochsLocked() []uint64 {
 // map wave is still running. Jobs are visited in fair/priority order, so
 // one wide job cannot starve the rest.
 func (m *Master) nextTask(workerID string) Task {
-	if len(m.jobs) == 0 {
-		// Nothing queued or running: the worker may exit (its store prunes
-		// to nothing — no ActiveEpochs).
-		return Task{Kind: TaskDone}
-	}
 	now := time.Now()
 	order := m.scheduleOrderLocked()
 	for _, js := range order {
@@ -577,13 +539,12 @@ func (m *Master) assignFrom(js *jobState, pool []*taskState, workerID string, no
 	return Task{}, false
 }
 
-// completeMap records a map result and publishes the task's non-empty
-// segments to the job's streaming shuffle, where already-dispatched
-// reducers pick them up on their next fetch. Served output (res.Addr set)
-// publishes address references — the segments stay on the worker; inline
-// output publishes the blobs themselves. Duplicate completions (from
-// reissued attempts) and stale completions (the job is gone) are ignored.
-// Called under m.mu.
+// completeMap records a map result and publishes references to the task's
+// non-empty segments — they stay on the worker at res.Addr — to the job's
+// streaming shuffle, where already-dispatched reducers pick them up on
+// their next fetch. The accounting comes from the worker's own segment
+// headers (PartStats). Duplicate completions (from reissued attempts) and
+// stale completions (the job is gone) are ignored. Called under m.mu.
 func (m *Master) completeMap(res *MapDone) {
 	js := m.byEpoch[res.Epoch]
 	if js == nil || js.mapTasks == nil ||
@@ -594,47 +555,16 @@ func (m *Master) completeMap(res *MapDone) {
 	ts.done = true
 	ts.assigned = false
 	ts.owner = res.WorkerID
-	ts.ownerAddr = res.Addr
 	js.counters.Add(res.Counters)
-	if res.Addr != "" {
-		// Worker-served output: publish references; the accounting comes
-		// from the worker's own segment headers (PartStats).
-		for _, ps := range res.PartStats {
-			if ps.Part < 0 || ps.Part >= len(js.partSegs) || ps.Recs == 0 {
-				continue
-			}
-			js.partSegs[ps.Part] = append(js.partSegs[ps.Part], TaggedSegment{
-				MapSeq: res.Seq, Addr: res.Addr, Owner: res.WorkerID,
-			})
-			js.counters.ShuffleSegments++
-			js.counters.ShuffleBytes += units.Bytes(ps.Bytes)
+	for _, ps := range res.PartStats {
+		if ps.Part < 0 || ps.Part >= len(js.partSegs) || ps.Recs == 0 {
+			continue
 		}
-	} else {
-		nonEmpty := res.NonEmpty
-		if nonEmpty == nil {
-			// Legacy sender: derive the availability report from the segment
-			// headers (O(1) per partition, no payload decode).
-			for p, part := range res.Parts {
-				if n, _, err := mapreduce.SegmentStats(part); err == nil && n > 0 {
-					nonEmpty = append(nonEmpty, p)
-				}
-			}
-		}
-		for _, p := range nonEmpty {
-			if p < 0 || p >= len(js.partSegs) || p >= len(res.Parts) {
-				continue
-			}
-			// The blob is forwarded to reducers untouched; only its header is
-			// read, for the shuffle accounting the engine's in-process paths
-			// compute from the same per-record formula.
-			nrecs, segBytes, err := mapreduce.SegmentStats(res.Parts[p])
-			if err != nil || nrecs == 0 {
-				continue
-			}
-			js.partSegs[p] = append(js.partSegs[p], TaggedSegment{MapSeq: res.Seq, Data: res.Parts[p]})
-			js.counters.ShuffleSegments++
-			js.counters.ShuffleBytes += segBytes
-		}
+		js.partSegs[ps.Part] = append(js.partSegs[ps.Part], TaggedSegment{
+			MapSeq: res.Seq, Addr: res.Addr, Owner: res.WorkerID,
+		})
+		js.counters.ShuffleSegments++
+		js.counters.ShuffleBytes += units.Bytes(ps.Bytes)
 	}
 	js.mapsLeft--
 	if m.ob.Enabled() {
@@ -745,10 +675,10 @@ func (m *Master) reportLostSegments(args *SegmentsLost) {
 }
 
 // evictWorkerLocked declares a worker dead: its in-flight assignments are
-// requeued across every active job, and its completed maps whose shuffle
-// output it was serving are invalidated for re-execution (inline-shipped
-// output lives on the master and survives). A fresh poll resurrects the
-// worker, but its revoked tasks stay revoked. Called under m.mu.
+// requeued across every active job, and its completed maps — whose shuffle
+// output it was serving — are invalidated for re-execution. A fresh poll
+// resurrects the worker, but its revoked tasks stay revoked. Called under
+// m.mu.
 func (m *Master) evictWorkerLocked(id string, now time.Time) {
 	w := m.workers.workers[id]
 	if w == nil || w.Evicted {
@@ -794,7 +724,7 @@ type masterRPC struct {
 	m *Master
 }
 
-// GetTask hands the polling worker its next task (or wait/done). The
+// GetTask hands the polling worker its next task (or wait). The
 // dist.rpc.get_task counter ticks on every poll — a strictly monotone
 // series the live /metrics smoke test leans on.
 func (r *masterRPC) GetTask(args GetTaskArgs, reply *Task) error {
@@ -809,8 +739,13 @@ func (r *masterRPC) GetTask(args GetTaskArgs, reply *Task) error {
 	return nil
 }
 
-// CompleteMap records a finished map task.
+// CompleteMap records a finished map task. A completion that names no
+// shuffle address has no fetchable output and is refused; the task stays
+// assigned and the timeout path reissues it.
 func (r *masterRPC) CompleteMap(res MapDone, _ *Ack) error {
+	if res.Addr == "" {
+		return fmt.Errorf("dist: map completion from %s (epoch %d seq %d) names no shuffle address", res.WorkerID, res.Epoch, res.Seq)
+	}
 	r.m.mu.Lock()
 	defer r.m.mu.Unlock()
 	r.m.workers.touch(res.WorkerID, res.Addr, time.Now())
@@ -880,7 +815,12 @@ func (r *masterRPC) ReportLostSegments(args SegmentsLost, _ *Ack) error {
 // Submit accepts a remote job submission over RPC and blocks until the job
 // completes, returning the full result to the client.
 func (r *masterRPC) Submit(args SubmitArgs, reply *mapreduce.Result) error {
-	res, err := r.m.SubmitCtx(context.Background(), args.Desc, args.Input, args.BlockSize)
+	ctx := context.Background()
+	h, err := r.m.Submit(ctx, args.Desc, args.Input, args.BlockSize)
+	if err != nil {
+		return err
+	}
+	res, err := h.Wait(ctx)
 	if err != nil {
 		return err
 	}

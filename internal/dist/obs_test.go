@@ -7,8 +7,6 @@ import (
 	"errors"
 	"net/rpc"
 	"strconv"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -42,12 +40,7 @@ func TestOptionsRejectInvalidValues(t *testing.T) {
 }
 
 func TestStartMasterAppliesOptions(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0",
-		WithTaskTimeout(42*time.Second), WithSpeculativeFraction(0.75))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(42*time.Second), WithSpeculativeFraction(0.75))
 	if m.defaults.taskTimeout != 42*time.Second {
 		t.Errorf("taskTimeout %v, want 42s", m.defaults.taskTimeout)
 	}
@@ -56,43 +49,26 @@ func TestStartMasterAppliesOptions(t *testing.T) {
 	}
 }
 
-func TestSubmitCtxAbortsOnCancel(t *testing.T) {
+func TestCancelReturnsMasterToIdle(t *testing.T) {
 	// No workers: the job would sit in the map phase forever without the
-	// deadline firing.
-	m, err := StartMaster("127.0.0.1:0", WithTaskTimeout(5*time.Second))
+	// cancel.
+	m := startMaster(t)
+	input := workloads.GenerateText(8*units.KB, 3)
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
+	h, err := m.Submit(context.Background(), desc, input, 2*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	input := workloads.GenerateText(8*units.KB, 3)
-	_, err = m.SubmitCtx(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 2*1024)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("aborted submit: %v, want wrapped context.DeadlineExceeded", err)
+	h.Cancel()
+	if _, err := h.Wait(context.Background()); !errors.Is(err, ErrJobCancelled) {
+		t.Fatalf("cancelled job: %v, want wrapped ErrJobCancelled", err)
 	}
 
 	// The abort must return the master to idle so the next job can run.
-	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		w, err := ConnectWorker("retry-"+strconv.Itoa(i), m.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(); err != nil {
-				t.Errorf("%s: %v", w.ID, err)
-			}
-		}()
-		defer w.Close()
+		startWorker(t, m, "retry-"+strconv.Itoa(i))
 	}
-	if _, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 2*1024); err != nil {
-		t.Fatalf("submit after aborted job: %v", err)
-	}
-	wg.Wait()
+	submitWait(t, m, desc, input, 2*1024)
 }
 
 // stealMapTask polls GetTask as workerID until the master hands out a map
@@ -120,157 +96,70 @@ func stealMapTask(t *testing.T, client *rpc.Client, workerID string) Task {
 // that is valid in the new job's range. The epoch guard must reject it so
 // the aborted job's output is never recorded as the new job's.
 func TestStaleCompletionRejectedAfterAbort(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0", WithTaskTimeout(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	stale, err := rpc.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stale.Close()
+	m := startMaster(t, WithTaskTimeout(time.Minute))
+	stale := connectWorker(t, m, "stale")
+	ctx := context.Background()
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 1}
 
 	// Job A: the stale worker grabs map task 0, then the job is cancelled
 	// with the task still in flight.
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-	errA := make(chan error, 1)
-	go func() {
-		_, err := m.SubmitCtx(ctxA, JobDescriptor{Workload: "wordcount", NumReducers: 1},
-			workloads.GenerateText(8*units.KB, 3), 2*1024)
-		errA <- err
-	}()
-	staleTask := stealMapTask(t, stale, "stale")
-	cancelA()
-	if err := <-errA; !errors.Is(err, context.Canceled) {
-		t.Fatalf("aborted submit: %v, want wrapped context.Canceled", err)
-	}
-
-	// Job B: submitted before the stale worker reports. Wait for its map
-	// phase, then deliver the aborted job's completion — same Seq, old
-	// epoch — while no honest worker has run yet.
-	inputB := workloads.GenerateText(8*units.KB, 5)
-	resCh := make(chan *mapreduce.Result, 1)
-	errB := make(chan error, 1)
-	go func() {
-		res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1}, inputB, 2*1024)
-		if err != nil {
-			errB <- err
-			return
-		}
-		resCh <- res
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	var epochB uint64
-	for epochB == 0 {
-		m.mu.Lock()
-		for _, js := range m.order {
-			if js.state == JobRunning && js.phase == "map" {
-				epochB = js.epoch
-			}
-		}
-		m.mu.Unlock()
-		if epochB != 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job B never reached the map phase")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	bogus := MapDone{
-		WorkerID: "stale", Epoch: staleTask.Epoch, Seq: staleTask.Seq,
-		Parts: [][]byte{mapreduce.EncodeSegment(mapreduce.SegmentFromKVs(
-			[]mapreduce.KV{{Key: "bogus", Value: "999"}}))},
-	}
-	if err := stale.Call("Master.CompleteMap", bogus, &Ack{}); err != nil {
+	hA, err := m.Submit(ctx, desc, workloads.GenerateText(8*units.KB, 3), 2*1024)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	jsB := m.byEpoch[epochB]
-	contaminated := jsB != nil && staleTask.Seq < len(jsB.mapTasks) && jsB.mapTasks[staleTask.Seq].done
-	m.mu.Unlock()
-	if contaminated {
-		t.Fatal("stale completion from the aborted job was recorded against the new job")
+	staleTask := stealMapTask(t, stale.client, stale.ID)
+	hA.Cancel()
+
+	// Job B: submitted before the stale worker reports. The worker then
+	// finishes the aborted job's task for real and reports it — same Seq,
+	// old epoch — while no honest worker has run yet.
+	inputB := workloads.GenerateText(8*units.KB, 5)
+	hB, err := m.Submit(ctx, desc, inputB, 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.runMap(staleTask); err != nil {
+		t.Fatal(err)
+	}
+	if st := hB.Status(); st.MapsDone != 0 {
+		t.Fatalf("stale completion from the aborted job was recorded against the new job: %+v", st)
 	}
 
 	// An honest worker finishes job B; its output must match job B's input
 	// exactly, with no trace of the stale report.
-	w, err := ConnectWorker("honest", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go func() {
-		if err := w.Run(); err != nil {
-			t.Error(err)
-		}
-	}()
-	select {
-	case err := <-errB:
-		t.Fatal(err)
-	case res := <-resCh:
-		got := outputCounts(t, res)
-		if _, ok := got["bogus"]; ok {
-			t.Error("stale map output surfaced in the new job's result")
-		}
-		want := map[string]int{}
-		for _, word := range strings.Fields(string(inputB)) {
-			want[word]++
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d words, want %d", len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-			}
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("job B never completed")
-	}
+	startWorker(t, m, "honest")
+	checkWordCount(t, waitJob(t, hB, jobDeadline), inputB)
 }
 
 // TestAbortedJobTasksNotReissued checks the abort winds the job down for
 // pollers: the aborted job's undone tasks must not be handed out again
-// (even after the reassignment timeout has passed), non-persistent workers
-// get TaskDone, and the job's task tables are released.
+// (even after the reassignment timeout has passed), pollers are told to
+// wait, and the job's task tables are released.
 func TestAbortedJobTasksNotReissued(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0", WithTaskTimeout(30*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(30*time.Millisecond))
 	client, err := rpc.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := m.SubmitCtx(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1},
-			workloads.GenerateText(8*units.KB, 7), 2*1024)
-		errCh <- err
-	}()
-	stealMapTask(t, client, "holder")
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("aborted submit: %v, want wrapped context.Canceled", err)
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1},
+		workloads.GenerateText(8*units.KB, 7), 2*1024)
+	if err != nil {
+		t.Fatal(err)
 	}
+	stealMapTask(t, client, "holder")
+	h.Cancel()
 
 	// Past the task timeout the aborted job's tasks would be reissuable if
-	// they were still in the pool; pollers must see TaskDone instead.
+	// they were still in the pool; pollers must see TaskWait instead.
 	time.Sleep(60 * time.Millisecond)
 	var task Task
 	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: "late"}, &task); err != nil {
 		t.Fatal(err)
 	}
-	if task.Kind != TaskDone {
-		t.Errorf("poll after abort returned %q, want %q", task.Kind, TaskDone)
+	if task.Kind != TaskWait {
+		t.Errorf("poll after abort returned %q, want %q", task.Kind, TaskWait)
 	}
 	m.mu.Lock()
 	leaked := len(m.jobs) != 0 || len(m.byEpoch) != 0 || len(m.order) != 0
@@ -285,58 +174,42 @@ func TestAbortedJobTasksNotReissued(t *testing.T) {
 	}
 }
 
-func TestSubmitCtxSentinels(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+func TestSubmitSentinels(t *testing.T) {
+	m := startMaster(t)
 	ctx := context.Background()
 
-	if _, err := m.SubmitCtx(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 0}, []byte("x"), 8); !errors.Is(err, ErrInvalidJob) {
+	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 0}, []byte("x"), 8); !errors.Is(err, ErrInvalidJob) {
 		t.Errorf("zero reducers: %v, want wrapped ErrInvalidJob", err)
 	}
-	if _, err := m.SubmitCtx(ctx, JobDescriptor{Workload: "no-such", NumReducers: 1}, []byte("x"), 8); !errors.Is(err, ErrInvalidJob) {
+	if _, err := m.Submit(ctx, JobDescriptor{Workload: "no-such", NumReducers: 1}, []byte("x"), 8); !errors.Is(err, ErrInvalidJob) {
 		t.Errorf("unknown workload: %v, want wrapped ErrInvalidJob", err)
 	}
-	if _, err := m.SubmitCtx(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, nil, 8); !errors.Is(err, ErrEmptyInput) {
+	if _, err := m.Submit(ctx, JobDescriptor{Workload: "grep", NumReducers: 1}, []byte("x\n"), 8); !errors.Is(err, ErrInvalidJob) {
+		t.Errorf("grep without its pattern: %v, want wrapped ErrInvalidJob", err)
+	}
+	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, nil, 8); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("empty input: %v, want wrapped ErrEmptyInput", err)
 	}
 	m.Close()
-	if _, err := m.SubmitCtx(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, []byte("x y"), 8); !errors.Is(err, ErrMasterClosed) {
+	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, []byte("x y"), 8); !errors.Is(err, ErrMasterClosed) {
 		t.Errorf("closed master: %v, want wrapped ErrMasterClosed", err)
 	}
 }
 
 func TestDistJobEmitsObserverEvents(t *testing.T) {
 	c := obs.NewCollector()
-	m, err := StartMaster("127.0.0.1:0", WithTaskTimeout(5*time.Second), WithObserver(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
+	m := startMaster(t, WithObserver(c))
+	var stops []func()
 	for i := 0; i < 2; i++ {
-		w, err := ConnectWorker("obs-"+strconv.Itoa(i), m.Addr(), WithObserver(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(); err != nil {
-				t.Errorf("%s: %v", w.ID, err)
-			}
-		}()
-		defer w.Close()
+		w := connectWorker(t, m, "obs-"+strconv.Itoa(i), WithObserver(c))
+		stops = append(stops, runWorker(t, w))
 	}
 
 	input := workloads.GenerateText(16*units.KB, 7)
-	res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 4*1024)
-	if err != nil {
-		t.Fatal(err)
+	res := submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 4*1024)
+	for _, stop := range stops {
+		stop() // the last task's span ends after its completion is reported
 	}
-	wg.Wait()
 
 	if n := c.SpanCount("dist.submit"); n != 1 {
 		t.Errorf("dist.submit span count %d, want 1", n)
@@ -355,16 +228,9 @@ func TestDistJobEmitsObserverEvents(t *testing.T) {
 }
 
 func TestReportFailureSurfacesRPCErrors(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t)
 	c := obs.NewCollector()
-	w, err := ConnectWorker("rf", m.Addr(), WithObserver(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := connectWorker(t, m, "rf", WithObserver(c))
 
 	// Sever the connection, then fail a task: the failure report cannot
 	// reach the master, and that delivery error must be counted instead of
@@ -394,12 +260,7 @@ func TestSpeculativeAttemptsDistinguishableInTrace(t *testing.T) {
 	// Short timeout + small speculative fraction: a task held for ~200ms is
 	// already a straggler, but the hard reassignment timeout (2s) never
 	// fires inside the test.
-	m, err := StartMaster("127.0.0.1:0",
-		WithTaskTimeout(2*time.Second), WithSpeculativeFraction(0.1), WithObserver(tw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t, WithTaskTimeout(2*time.Second), WithSpeculativeFraction(0.1), WithObserver(tw))
 	slowJob := func(sleep time.Duration) JobFactory {
 		return func(desc JobDescriptor) (mapreduce.Job, error) {
 			cfg := mapreduce.DefaultConfig("slowmap")
@@ -420,67 +281,34 @@ func TestSpeculativeAttemptsDistinguishableInTrace(t *testing.T) {
 	// Worker registries are per-worker: the straggler's factory sleeps well
 	// past the speculation age, the honest worker's does not, so the same
 	// map task genuinely runs twice on distinct workers.
-	straggler, err := ConnectWorker("w-slow", m.Addr(), WithObserver(tw))
+	straggler := connectWorker(t, m, "w-slow", WithObserver(tw))
+	straggler.Registry().Register("slowmap", slowJob(1500*time.Millisecond))
+	stopStraggler := runWorker(t, straggler)
+
+	// One line, one split, one map task: the straggler must grab it.
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "slowmap", NumReducers: 1},
+		[]byte("only line\n"), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer straggler.Close()
-	straggler.Registry().Register("slowmap", slowJob(1500*time.Millisecond))
-	var workerWg sync.WaitGroup
-	workerWg.Add(1)
-	go func() {
-		defer workerWg.Done()
-		// The straggler finishes its attempt after the job is done; its
-		// completion is a duplicate the master ignores, and the next poll
-		// tells it the job is over.
-		if err := straggler.Run(); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	resCh := make(chan *mapreduce.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		// One line, one split, one map task: the straggler must grab it.
-		res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "slowmap", NumReducers: 1},
-			[]byte("only line\n"), 1024)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		resCh <- res
-	}()
 
 	// Give the straggler time to take the task, then add the honest worker,
 	// which can only receive the speculative backup copy.
 	time.Sleep(300 * time.Millisecond)
-	honest, err := ConnectWorker("w-fast", m.Addr(), WithObserver(tw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer honest.Close()
+	honest := connectWorker(t, m, "w-fast", WithObserver(tw))
 	honest.Registry().Register("slowmap", slowJob(0))
-	workerWg.Add(1)
-	go func() {
-		defer workerWg.Done()
-		if err := honest.Run(); err != nil {
-			t.Error(err)
-		}
-	}()
+	stopHonest := runWorker(t, honest)
 
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	case <-resCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("job never completed")
-	}
+	waitJob(t, h, jobDeadline)
 	if m.Stats().Speculative == 0 {
 		t.Fatal("no speculative attempt launched")
 	}
-	// Both polling loops exit on TaskDone; wait so the straggler's late
-	// attempt lands in the trace, then flush the writer before reading.
-	workerWg.Wait()
+	// The straggler finishes its attempt after the job is done (its
+	// completion is a duplicate the master ignores). Stop waits out the
+	// current task, so the late attempt lands in the trace; then flush the
+	// writer before reading.
+	stopStraggler()
+	stopHonest()
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 package dist
 
 // options.go holds the functional options shared by StartMaster and
-// ConnectWorker, plus the package's sentinel errors. The positional
-// constructors (NewMaster, NewWorker) remain as deprecated wrappers.
+// ConnectWorker, plus the package's sentinel errors.
 
 import (
 	"errors"
@@ -17,11 +16,6 @@ var (
 	// ErrMasterClosed marks a submission against a master whose listener
 	// has been closed.
 	ErrMasterClosed = errors.New("dist: master closed")
-	// ErrJobRunning marks a submission while another job is in flight.
-	//
-	// Deprecated: the master is multi-tenant; concurrent submissions queue
-	// instead of failing. Kept for errors.Is source compatibility.
-	ErrJobRunning = errors.New("dist: a job is already running")
 	// ErrEmptyInput marks a submission whose input splits to zero chunks.
 	ErrEmptyInput = errors.New("dist: empty input")
 	// ErrInvalidJob marks a job descriptor that fails validation.
@@ -48,7 +42,6 @@ type config struct {
 	maxQueuedJobs   int
 	workerTimeout   time.Duration
 	snapshotPath    string
-	serveShuffle    bool
 	spillDir        string
 	coreClass       string
 }
@@ -63,7 +56,6 @@ func defaultConfig() config {
 		maxActiveJobs:   4,
 		maxQueuedJobs:   64,
 		workerTimeout:   30 * time.Second,
-		serveShuffle:    true,
 	}
 }
 
@@ -170,16 +162,14 @@ func WithSnapshotPath(path string) Option {
 	return func(c *config) { c.snapshotPath = path }
 }
 
-// WithSpillDir gives a shuffle-serving worker an out-of-core map-output
-// store: completed map output is written to a compressed, checksummed
-// segment file under a per-worker temp directory inside dir instead of
-// staying resident, and reducers pull it frame by frame (FetchPartArgs.
-// Frame). The worker's resident shuffle state drops from the full map
+// WithSpillDir gives a worker an out-of-core map-output store: completed
+// map output is written to a compressed, checksummed segment file under a
+// per-worker temp directory inside dir instead of staying resident, and
+// reducers pull it frame by frame (FetchPartArgs.Frame). The worker's resident shuffle state drops from the full map
 // output to one frame per in-flight fetch. A spill file that fails
 // validation on read is answered as segment loss, so the master re-executes
 // the owning map — the same recovery path as a dead worker. Empty keeps the
-// in-memory store; ignored when shuffle serving is off (inline output must
-// outlive the worker).
+// in-memory store.
 func WithSpillDir(dir string) Option {
 	return func(c *config) { c.spillDir = dir }
 }
@@ -192,13 +182,4 @@ func WithSpillDir(dir string) Option {
 // keeps the class undeclared.
 func WithCoreClass(class string) Option {
 	return func(c *config) { c.coreClass = class }
-}
-
-// WithShuffleServing toggles worker-served shuffle: when on (the default)
-// a worker keeps its map output local and serves it to reducers directly,
-// the way Hadoop map output stays on the mapper's node; when off the
-// worker ships output inline in MapDone (the segments then survive the
-// worker, at the cost of master memory).
-func WithShuffleServing(on bool) Option {
-	return func(c *config) { c.serveShuffle = on }
 }

@@ -59,7 +59,6 @@ const (
 	TaskWait   = "wait"   // nothing pending; poll again
 	TaskMap    = "map"    // run a map split
 	TaskReduce = "reduce" // run a reduce partition
-	TaskDone   = "done"   // job finished; worker may exit
 )
 
 // Task is one unit of work handed to a worker.
@@ -85,23 +84,21 @@ type Task struct {
 	// SplitData is the record-aligned input chunk (map tasks).
 	SplitData []byte
 	// Partition is the reduce partition index (reduce tasks). Reduce tasks
-	// carry no shuffle data: the worker streams its partition's segments
-	// from the master with Master.FetchSegments while the map wave is still
-	// running.
+	// carry no shuffle data: the worker streams its partition's segment
+	// references from the master with Master.FetchSegments while the map
+	// wave is still running.
 	Partition int
 	// ActiveEpochs lists the epochs of every job currently queued or
-	// running, piggybacked on TaskWait/TaskDone replies so a
-	// shuffle-serving worker can prune stored map output belonging to
-	// finished jobs.
+	// running, piggybacked on TaskWait replies so the worker can prune
+	// stored map output belonging to finished jobs.
 	ActiveEpochs []uint64
 }
 
 // GetTaskArgs is the worker's poll request (the heartbeat).
 type GetTaskArgs struct {
 	WorkerID string
-	// Addr is the worker's shuffle-serve address ("" when the worker ships
-	// map output inline). The master records it so evictions can be
-	// attributed to served segments.
+	// Addr is the worker's shuffle-serve address. The master records it so
+	// evictions can be attributed to served segments.
 	Addr string
 	// Class is the worker's declared core class ("big", "little", or a
 	// custom profile name; "" when undeclared). The master records it in
@@ -111,61 +108,46 @@ type GetTaskArgs struct {
 
 // MapDone reports a completed map task. Epoch is copied from the Task.
 //
-// Parts carries one wire-encoded segment per partition
-// (mapreduce.EncodeSegment): a length-prefixed binary blob gob treats as
-// one opaque []byte, instead of reflecting over every KV as the legacy
-// [][]KV payload did. Empty partitions still ship their 8-byte header —
-// the coverage marker the reduce-side stable merge is defined over.
+// The output itself stays on the worker: Addr is the shuffle server
+// (Shuffle.Fetch) reducers pull it from, and PartStats carries the
+// per-partition accounting from the worker's own segment headers. If the
+// worker dies, the segments are gone and the master re-executes the map.
 type MapDone struct {
 	WorkerID string
 	Epoch    uint64
 	Seq      int
-	Parts    [][]byte
-	// NonEmpty lists the partitions in Parts that actually hold records —
-	// the availability report that lets the master publish this task's
-	// segments to early-dispatched reducers without rescanning Parts. A nil
-	// NonEmpty makes the master derive it from the segment headers (legacy
-	// senders).
-	NonEmpty []int
-	// Addr, when set, means the worker serves this task's output itself
-	// (Shuffle.Fetch at Addr) instead of shipping it inline: Parts is nil
-	// and PartStats carries the per-partition accounting the master would
-	// otherwise read from the segment headers. If the worker dies, the
-	// segments are gone and the master re-executes the map.
+	// Addr is the producing worker's shuffle-serve address; a completion
+	// without one is rejected.
 	Addr string
-	// PartStats is the per-partition record/byte accounting for served
-	// output (one entry per non-empty partition).
+	// PartStats is the per-partition record/byte accounting (one entry per
+	// non-empty partition).
 	PartStats []PartStat
 	Counters  mapreduce.Counters
 }
 
-// PartStat is one non-empty partition's accounting in a served MapDone.
+// PartStat is one non-empty partition's accounting in a MapDone.
 type PartStat struct {
 	Part  int
 	Recs  int
 	Bytes int64
 }
 
-// TaggedSegment is one map task's sorted output for one partition — a
-// wire-encoded segment blob (mapreduce.DecodeSegment) — tagged with the
-// producing task's Seq so reducers can restore map-task order — the order
-// the engine's stable merge is defined over — no matter the order segments
-// were fetched in. The master forwards Data untouched; only the worker
-// ever decodes it.
+// TaggedSegment references one map task's sorted output for one partition,
+// tagged with the producing task's Seq so reducers can restore map-task
+// order — the order the engine's stable merge is defined over — no matter
+// the order segments were fetched in. The segment itself lives on the
+// producing worker; the reducer pulls it with Shuffle.Fetch at Addr.
 //
-// A segment is either inline (Data set) or served (Addr set): served
-// segments live on the producing worker and the reducer fetches them with
-// Shuffle.Fetch. When the producer is unreachable the reducer reports the
-// loss (Master.ReportLostSegments) and the master re-executes the map,
+// When the producer is unreachable the reducer reports the loss
+// (Master.ReportLostSegments) and the master re-executes the map,
 // publishing a replacement entry with the same MapSeq — consumers keep the
 // latest entry per MapSeq.
 type TaggedSegment struct {
 	MapSeq int
-	Data   []byte
-	// Addr is the producing worker's shuffle-serve address ("" = inline).
+	// Addr is the producing worker's shuffle-serve address.
 	Addr string
-	// Owner is the producing worker's ID (served segments only), echoed in
-	// loss reports so a stale report cannot invalidate a re-executed map.
+	// Owner is the producing worker's ID, echoed in loss reports so a stale
+	// report cannot invalidate a re-executed map.
 	Owner string
 }
 

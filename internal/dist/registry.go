@@ -102,7 +102,7 @@ func descConfig(desc JobDescriptor, name string) mapreduce.Config {
 type workerInfo struct {
 	// ID is the worker's self-declared identity.
 	ID string
-	// Addr is the worker's shuffle-serve address ("" for inline shippers).
+	// Addr is the worker's shuffle-serve address.
 	Addr string
 	// Class is the worker's declared core class ("" when undeclared); set
 	// from the poll that carries it, kept across touches that do not.

@@ -2,14 +2,18 @@ package dist
 
 // snapshot.go is the master's crash-recovery persistence: a versioned gob
 // snapshot of every queued and running job (descriptors, split input,
-// task completion state, the shuffle publication log, buffered reduce
-// outputs), the epoch/job counters and the worker registry, written
-// atomically (temp file + rename) on every state mutation and loaded by
-// StartMaster when WithSnapshotPath names an existing file. A restarted
-// master resumes in-flight jobs where they stood: completed inline work
-// is kept, assignments are cleared for re-dispatch, and served segments
-// whose workers died with the master are recovered through the normal
-// loss-report path when reducers fail to fetch them.
+// task completion state, the shuffle publication log of segment
+// references, buffered reduce outputs), the epoch/job counters and the
+// worker registry, written atomically (temp file + rename) on every state
+// mutation and loaded by StartMaster when WithSnapshotPath names an
+// existing file. The file is one gob stream: the snapshot value, then each
+// bulk payload (map split, reduce output) as a message of its own, so the
+// encoder's buffer is reused and never outgrows the largest payload. A
+// restarted master resumes in-flight jobs where they stood: completed maps
+// stay done as long as their workers still serve the output, finished
+// reduce outputs are kept, assignments are cleared for re-dispatch, and
+// segments whose workers died with the master are recovered through the
+// normal loss-report path when reducers fail to fetch them.
 
 import (
 	"encoding/gob"
@@ -25,16 +29,17 @@ import (
 
 // snapshotVersion is bumped on any incompatible layout change; a loaded
 // snapshot with a different version is rejected (the operator removes the
-// stale file) rather than misread.
-const snapshotVersion = 1
+// stale file) rather than misread. Version 2 dropped the inline segment
+// payload from the publication log: gob would decode a version-1 file
+// without complaint and resume jobs whose master-held segments are gone.
+const snapshotVersion = 2
 
-// snapTask is one map task's persistent state (reduce tasks persist only
-// their done flag — their inputs are the publication log).
+// snapTask is one map task's persistent state. Unexported fields are left
+// out of the snapshot value by gob and travel as blobs.
 type snapTask struct {
-	Done      bool
-	Owner     string
-	OwnerAddr string
-	Split     []byte
+	Done  bool
+	Owner string
+	split []byte
 }
 
 // snapJob is one active job's persistent state.
@@ -47,8 +52,7 @@ type snapJob struct {
 	Phase         string
 	MapTasks      []snapTask
 	PartSegs      [][]TaggedSegment
-	RedDone       []bool
-	RedOutputs    [][]byte
+	redOutputs    [][]byte // one per reducer, empty until it is done
 	Counters      mapreduce.Counters
 	Reassigned    int
 	Speculative   int
@@ -67,6 +71,22 @@ type snapshot struct {
 	Workers []workerInfo
 }
 
+// blobs lists the slots of the snapshot's bulk payloads in file order: job
+// by job, every map split, then every reduce output.
+func (s *snapshot) blobs() []*[]byte {
+	var out []*[]byte
+	for j := range s.Jobs {
+		sj := &s.Jobs[j]
+		for i := range sj.MapTasks {
+			out = append(out, &sj.MapTasks[i].split)
+		}
+		for p := range sj.redOutputs {
+			out = append(out, &sj.redOutputs[p])
+		}
+	}
+	return out
+}
+
 // saveSnapshotLocked persists the master state when snapshots are
 // enabled; called under m.mu after every mutation that must survive a
 // restart (submission, completion, invalidation, eviction, retirement).
@@ -81,21 +101,14 @@ func (m *Master) saveSnapshotLocked() {
 		sj := snapJob{
 			ID: js.id, Epoch: js.epoch, Desc: js.desc, BlockSize: js.blockSize,
 			State: js.state, Phase: js.phase,
-			PartSegs: js.partSegs, RedOutputs: js.redOutputs,
+			PartSegs: js.partSegs, redOutputs: js.redOutputs,
 			Counters: js.counters, Reassigned: js.reassigned,
 			Speculative: js.speculative, EarlyReduces: js.earlyReduces,
 			RecoveredMaps: js.recoveredMaps, SubmittedAt: js.submittedAt,
 		}
 		sj.MapTasks = make([]snapTask, len(js.mapTasks))
 		for i, ts := range js.mapTasks {
-			sj.MapTasks[i] = snapTask{
-				Done: ts.done, Owner: ts.owner, OwnerAddr: ts.ownerAddr,
-				Split: ts.task.SplitData,
-			}
-		}
-		sj.RedDone = make([]bool, len(js.redTasks))
-		for i, ts := range js.redTasks {
-			sj.RedDone[i] = ts.done
+			sj.MapTasks[i] = snapTask{Done: ts.done, Owner: ts.owner, split: ts.task.SplitData}
 		}
 		snap.Jobs = append(snap.Jobs, sj)
 	}
@@ -118,11 +131,17 @@ func writeSnapshot(path string, snap *snapshot) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(snap); err != nil {
-		tmp.Close()
-		return err
+	enc := gob.NewEncoder(tmp)
+	err = enc.Encode(snap)
+	for _, b := range snap.blobs() {
+		if err == nil {
+			err = enc.Encode(*b)
+		}
 	}
-	if err := tmp.Close(); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
@@ -139,11 +158,20 @@ func loadSnapshot(path string) (*snapshot, error) {
 	}
 	defer f.Close()
 	var snap snapshot
-	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
+	dec := gob.NewDecoder(f)
+	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("dist: snapshot decode: %w", err)
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("dist: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	}
+	for j := range snap.Jobs {
+		snap.Jobs[j].redOutputs = make([][]byte, snap.Jobs[j].Desc.NumReducers)
+	}
+	for _, b := range snap.blobs() {
+		if err := dec.Decode(b); err != nil {
+			return nil, fmt.Errorf("dist: snapshot decode: %w", err)
+		}
 	}
 	return &snap, nil
 }
@@ -151,9 +179,9 @@ func loadSnapshot(path string) (*snapshot, error) {
 // restoreLocked rebuilds the master's job tables from a snapshot; called
 // from StartMaster before the RPC plane accepts connections. Every
 // restored assignment is cleared (the assignees are gone or must
-// re-poll), so the scheduler re-dispatches outstanding work; completed
-// inline state — done maps with master-held segments, finished reduce
-// outputs — resumes as done.
+// re-poll), so the scheduler re-dispatches outstanding work; done maps
+// (their segments still referenced at their workers) and finished reduce
+// outputs resume as done.
 func (m *Master) restoreLocked(snap *snapshot) {
 	m.epoch = snap.Epoch
 	m.jobSeq = snap.JobSeq
@@ -168,19 +196,13 @@ func (m *Master) restoreLocked(snap *snapshot) {
 	for _, sj := range snap.Jobs {
 		chunks := make([][]byte, len(sj.MapTasks))
 		for i := range sj.MapTasks {
-			chunks[i] = sj.MapTasks[i].Split
+			chunks[i] = sj.MapTasks[i].split
 		}
 		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, chunks, m.defaults, sj.SubmittedAt)
 		js.phase = sj.Phase
 		js.state = JobQueued // promoteLocked re-admits up to the cap
 		js.partSegs = sj.PartSegs
-		if js.partSegs == nil {
-			js.partSegs = make([][]TaggedSegment, sj.Desc.NumReducers)
-		}
-		js.redOutputs = sj.RedOutputs
-		if js.redOutputs == nil {
-			js.redOutputs = make([][]byte, sj.Desc.NumReducers)
-		}
+		js.redOutputs = sj.redOutputs
 		js.counters = sj.Counters
 		js.reassigned = sj.Reassigned
 		js.speculative = sj.Speculative
@@ -190,13 +212,12 @@ func (m *Master) restoreLocked(snap *snapshot) {
 			ts := js.mapTasks[i]
 			ts.done = st.Done
 			ts.owner = st.Owner
-			ts.ownerAddr = st.OwnerAddr
 			if st.Done {
 				js.mapsLeft--
 			}
 		}
-		for i, done := range sj.RedDone {
-			if i < len(js.redTasks) && done {
+		for i, out := range sj.redOutputs {
+			if len(out) > 0 {
 				js.redTasks[i].done = true
 				js.redsLeft--
 			}

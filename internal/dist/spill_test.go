@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -116,34 +115,12 @@ func TestSpillDirShuffleEndToEnd(t *testing.T) {
 	input := workloads.GenerateText(2*units.MB+512*units.KB, 41)
 	spillRoot := t.TempDir()
 
-	m, err := StartMaster("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
+	m := startMaster(t)
 	workers := make([]*Worker, 2)
 	for i := range workers {
-		w, err := ConnectWorker("spill-"+strconv.Itoa(i), m.Addr(), WithSpillDir(spillRoot))
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			if err := w.Run(); err != nil {
-				t.Errorf("%s: %v", w.ID, err)
-			}
-		}(w)
+		workers[i] = startWorker(t, m, "spill-"+strconv.Itoa(i), WithSpillDir(spillRoot))
 	}
-
-	res, err := m.SubmitCtx(context.Background(),
-		JobDescriptor{Workload: "sort", NumReducers: 2}, input, 256*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	res := submitWait(t, m, JobDescriptor{Workload: "sort", NumReducers: 2}, input, 256*1024)
 
 	// Global order and record conservation — the sort workload's contract.
 	var prev string
@@ -196,48 +173,17 @@ func TestSpillFileCorruptionRerun(t *testing.T) {
 		Workload: "wordcount", NumReducers: 1,
 		TaskTimeout: time.Minute, ReduceSlowstart: 1.0,
 	}
-	m, err := StartMaster("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := startMaster(t)
 
 	// The corruptible worker: its polling loop never starts — the test
 	// drives its map execution directly so every spill file exists before
 	// anything fetches — but its shuffle server is live.
-	corruptible, err := ConnectWorker("corruptible", m.Addr(), WithSpillDir(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer corruptible.Close()
-
+	corruptible := connectWorker(t, m, "corruptible", WithSpillDir(t.TempDir()))
 	h, err := m.Submit(context.Background(), desc, input, 2*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		// Status first: once the last map completes, the slowstart gate opens
-		// and the next poll would hand this never-again-polling worker the
-		// reduce task, stalling the job until the task timeout.
-		if st := h.Status(); st.MapsTotal > 0 && st.MapsDone == st.MapsTotal {
-			break
-		}
-		var task Task
-		if err := corruptible.client.Call("Master.GetTask",
-			GetTaskArgs{WorkerID: corruptible.ID, Addr: corruptible.ShuffleAddr()}, &task); err != nil {
-			t.Fatal(err)
-		}
-		if task.Kind == TaskMap {
-			if err := corruptible.runMap(task); err != nil {
-				t.Fatal(err)
-			}
-			served++
-			continue
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	served := driveMaps(t, h, corruptible)
 	if served < 2 {
 		t.Fatalf("drove only %d maps; the corpus should split into several", served)
 	}
@@ -262,32 +208,8 @@ func TestSpillFileCorruptionRerun(t *testing.T) {
 
 	// A healthy worker takes the reduce, hits the rotten frames, reports
 	// the loss, and re-executes the invalidated maps itself.
-	survivor, err := ConnectWorker("survivor", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer survivor.Close()
-	go survivor.Run() //nolint:errcheck // exits when the job drains
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := h.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := outputCounts(t, res)
-	want := map[string]int{}
-	for _, word := range strings.Fields(string(input)) {
-		want[word]++
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d words, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d after corruption re-run", k, got[k], v)
-		}
-	}
+	startWorker(t, m, "survivor")
+	checkWordCount(t, waitJob(t, h, jobDeadline), input)
 	if st := m.Stats(); st.RecoveredMaps < served {
 		t.Errorf("RecoveredMaps = %d, want >= %d (every corrupt map re-run)", st.RecoveredMaps, served)
 	}

@@ -2,85 +2,58 @@ package dist
 
 import (
 	"context"
-	"errors"
-	"net/rpc"
 	"testing"
-	"time"
 
 	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
 
-// TestEarlyReduceDispatchAndStreamingFetch drives the master by hand: it
-// steals every map task, completes just past the slowstart fraction, and
-// asserts that a reduce task is dispatched while the map wave is still
-// running and that FetchSegments streams the published segments
-// incrementally — Complete only once the last map has reported.
+// TestEarlyReduceDispatchAndStreamingFetch drives the master by hand
+// through a worker whose loop is not running: it steals every map task,
+// completes just past the slowstart fraction, and asserts that a reduce task
+// is dispatched while the map wave is still running and that FetchSegments
+// streams the published segment references incrementally — Complete only
+// once the last map has reported — each one fetchable from the worker's
+// shuffle server.
 func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 3)
 	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
-	m, err := StartMaster("127.0.0.1:0", WithTaskTimeout(5*time.Second), WithReduceSlowstart(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	client, err := rpc.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := m.SubmitCtx(ctx, desc, input, 2*1024)
-		errCh <- err
-	}()
-
-	job, err := NewRegistry().Build(desc)
+	m := startMaster(t, WithReduceSlowstart(0.5))
+	tester := connectWorker(t, m, "tester")
+	client := tester.client
+	h, err := m.Submit(context.Background(), desc, input, 2*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Steal every map task; polling must then answer TaskWait (no reduce is
 	// eligible before the slowstart threshold).
-	var maps []Task
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		var task Task
-		if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: "tester"}, &task); err != nil {
-			t.Fatal(err)
-		}
-		if task.Kind == TaskMap {
-			maps = append(maps, task)
-			continue
-		}
-		if task.Kind == TaskWait && len(maps) > 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	maps := make([]Task, h.Status().MapsTotal)
+	for i := range maps {
+		maps[i] = stealMapTask(t, client, tester.ID)
 	}
 	if len(maps) < 3 {
 		t.Fatalf("stole %d map tasks, need >= 3 for a split wave", len(maps))
 	}
+	var idle Task
+	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: tester.ID}, &idle); err != nil {
+		t.Fatal(err)
+	}
+	if idle.Kind != TaskWait {
+		t.Fatalf("poll with every map in flight returned %q, want %q", idle.Kind, TaskWait)
+	}
+
+	// A completion that names no shuffle address is refused, not recorded.
+	if err := client.Call("Master.CompleteMap", MapDone{
+		WorkerID: tester.ID, Epoch: maps[0].Epoch, Seq: maps[0].Seq,
+	}, &Ack{}); err == nil || h.Status().MapsDone != 0 {
+		t.Fatalf("address-less completion: err %v, status %+v, want refused", err, h.Status())
+	}
 
 	complete := func(task Task) {
 		t.Helper()
-		segs, counters, err := mapreduce.ExecuteMapSplit(job, task.SplitData, task.NParts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([][]byte, len(segs))
-		for p, seg := range segs {
-			parts[p] = mapreduce.EncodeSegment(seg)
-		}
-		// NonEmpty deliberately omitted: the master must derive it from the
-		// segment headers (the legacy-sender path).
-		if err := client.Call("Master.CompleteMap", MapDone{
-			WorkerID: "tester", Epoch: task.Epoch, Seq: task.Seq, Parts: parts, Counters: counters,
-		}, &Ack{}); err != nil {
+		if err := tester.runMap(task); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +65,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	// Past slowstart with maps still outstanding: the next poll must hand
 	// out a reduce task.
 	var red Task
-	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: "tester"}, &red); err != nil {
+	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: tester.ID}, &red); err != nil {
 		t.Fatal(err)
 	}
 	if red.Kind != TaskReduce {
@@ -151,9 +124,13 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 			t.Fatalf("map %d published twice to partition %d", s.MapSeq, red.Partition)
 		}
 		seen[s.MapSeq] = true
-		seg, err := mapreduce.DecodeSegment(s.Data)
+		frames, err := tester.fetchServed(s, red.Epoch, red.Partition)
 		if err != nil {
-			t.Fatalf("map %d published an undecodable segment: %v", s.MapSeq, err)
+			t.Fatalf("map %d published an unfetchable segment: %v", s.MapSeq, err)
+		}
+		seg, err := mapreduce.DecodeSegment(frames[0])
+		if err != nil {
+			t.Fatalf("map %d serves an undecodable segment: %v", s.MapSeq, err)
 		}
 		if seg.Len() == 0 {
 			t.Fatalf("map %d published an empty segment", s.MapSeq)
@@ -164,10 +141,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	}
 
 	// Abort: the epoch guard must extend to the segment stream.
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("aborted submit: %v, want wrapped context.Canceled", err)
-	}
+	h.Cancel()
 	var r3 FetchSegmentsReply
 	if err := client.Call("Master.FetchSegments", FetchSegmentsArgs{
 		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Partition, Cursor: r2.Cursor,
@@ -184,26 +158,9 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 // yet the job still completes.
 func TestReduceSlowstartOneRestoresBarrier(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 9)
-	m, err := StartMaster("127.0.0.1:0", WithTaskTimeout(5*time.Second), WithReduceSlowstart(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	w, err := ConnectWorker("w0", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	runErr := make(chan error, 1)
-	go func() { runErr <- w.Run() }()
-
-	res, err := m.SubmitCtx(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 2*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-runErr; err != nil {
-		t.Fatal(err)
-	}
+	m := startMaster(t, WithReduceSlowstart(1.0))
+	startWorker(t, m, "w0")
+	res := submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 2*1024)
 	if res.Counters.ReduceTasks != 2 {
 		t.Errorf("ReduceTasks = %d, want 2", res.Counters.ReduceTasks)
 	}

@@ -1,11 +1,11 @@
 package dist
 
 // wire_test.go pins the binary segment wire format the distributed runtime
-// ships in MapDone.Parts, TaggedSegment.Data and ReduceDone.Output: every
-// record shape must round-trip exactly (including the zero-record blob an
-// empty partition publishes as a coverage marker), header-only SegmentStats
-// must agree with the decoded segment, and corrupt blobs must be rejected
-// rather than mis-framed. BenchmarkSegmentEncode measures the format
+// ships in FetchPartReply.Data (worker to reducer) and ReduceDone.Output
+// (reducer to master): every record shape must round-trip exactly (including
+// the zero-record blob a worker stores for an empty partition as a coverage
+// marker), header-only SegmentStats must agree with the decoded segment, and
+// corrupt blobs must be rejected rather than mis-framed. BenchmarkSegmentEncode measures the format
 // against the gob []KV encoding it replaced.
 
 import (

@@ -18,11 +18,10 @@ import (
 // Worker executes tasks for a master. One Worker runs one polling loop;
 // start several for a multi-slot node.
 //
-// By default the worker serves its own map output (worker-served shuffle,
-// the way Hadoop map output stays on the mapper's node): completed map
-// segments stay in a local store and reducers pull them from the worker's
-// shuffle server directly, with only address references passing through
-// the master. WithShuffleServing(false) restores inline shipping.
+// The worker serves its own map output (the way Hadoop map output stays on
+// the mapper's node): completed map segments stay in a local store and
+// reducers pull them from the worker's shuffle server directly, with only
+// address references passing through the master.
 type Worker struct {
 	// ID identifies the worker in the master's tables.
 	ID string
@@ -36,9 +35,8 @@ type Worker struct {
 	// phase event and reported in each poll, "" when undeclared.
 	class string
 
-	// Worker-served shuffle plane: shuffleAddr is "" when serving is off
-	// (inline shipping); otherwise the store holds this worker's map output
-	// and shuffleLn accepts reducers' Shuffle.Fetch calls.
+	// Shuffle plane: the store holds this worker's map output and shuffleLn
+	// (at shuffleAddr) accepts reducers' Shuffle.Fetch calls.
 	shuffleLn   net.Listener
 	shuffleAddr string
 	store       *shuffleStore
@@ -79,7 +77,7 @@ type storedOutput struct {
 	file  *mapreduce.SegmentFile
 }
 
-// shuffleStore holds a serving worker's map output: epoch → map Seq →
+// shuffleStore holds a worker's map output: epoch → map Seq →
 // stored output. It has its own lock because the shuffle server's fetch
 // goroutines race the polling loop; disk reads happen outside the lock
 // (SegmentFile handles are goroutine-safe).
@@ -238,8 +236,8 @@ func (s *shuffleStore) getFrame(epoch uint64, mapSeq, part, frame int) (data []b
 }
 
 // prune drops stored output for every epoch not in the active set — the
-// master piggybacks the set on TaskWait/TaskDone replies, so finished
-// jobs' segments (and their spill files) are released within a heartbeat.
+// master piggybacks the set on TaskWait replies, so finished jobs' segments
+// (and their spill files) are released within a heartbeat.
 func (s *shuffleStore) prune(active []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,18 +281,10 @@ func (r *shuffleRPC) Fetch(args FetchPartArgs, reply *FetchPartReply) error {
 	return nil
 }
 
-// NewWorker dials the master and returns a ready worker.
-//
-// Deprecated: use ConnectWorker with options; this wrapper remains for
-// source compatibility with the positional API.
-func NewWorker(id, masterAddr string) (*Worker, error) {
-	return ConnectWorker(id, masterAddr)
-}
-
 // ConnectWorker dials the master and returns a ready worker, configured by
 // functional options: WithPollInterval sets the idle heartbeat period,
-// WithShuffleServing toggles the worker-served shuffle plane (on by
-// default) and WithObserver attaches telemetry (dist.task spans,
+// WithSpillDir moves served map output to disk, WithCoreClass declares the
+// node class and WithObserver attaches telemetry (dist.task spans,
 // failure-report counters).
 func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 	if id == "" {
@@ -315,51 +305,49 @@ func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 		client:       rpc.NewClient(conn),
 		ob:           cfg.observer,
 		class:        cfg.coreClass,
+		store:        newShuffleStore(),
 		peers:        make(map[string]*rpc.Client),
 	}
-	if cfg.serveShuffle {
-		// Serve on the interface that reaches the master — the same one
-		// reducers on other nodes dial back over.
-		host, _, err := net.SplitHostPort(conn.LocalAddr().String())
-		if err != nil {
-			w.client.Close()
-			return nil, fmt.Errorf("dist: worker %s local addr: %w", id, err)
-		}
-		ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
-		if err != nil {
-			w.client.Close()
-			return nil, fmt.Errorf("dist: worker %s shuffle listen: %w", id, err)
-		}
-		w.shuffleLn = ln
-		w.shuffleAddr = ln.Addr().String()
-		w.store = newShuffleStore()
-		srv := rpc.NewServer()
-		if err := srv.RegisterName("Shuffle", &shuffleRPC{w: w}); err != nil {
-			ln.Close()
-			w.client.Close()
-			return nil, err
-		}
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go srv.ServeConn(c)
-			}
-		}()
-		if cfg.spillDir != "" {
-			if err := os.MkdirAll(cfg.spillDir, 0o755); err != nil {
-				w.Close()
-				return nil, fmt.Errorf("dist: worker %s spill dir: %w", id, err)
-			}
-			dir, err := os.MkdirTemp(cfg.spillDir, "worker-")
+	// Serve on the interface that reaches the master — the same one
+	// reducers on other nodes dial back over.
+	host, _, err := net.SplitHostPort(conn.LocalAddr().String())
+	if err != nil {
+		w.client.Close()
+		return nil, fmt.Errorf("dist: worker %s local addr: %w", id, err)
+	}
+	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
+	if err != nil {
+		w.client.Close()
+		return nil, fmt.Errorf("dist: worker %s shuffle listen: %w", id, err)
+	}
+	w.shuffleLn = ln
+	w.shuffleAddr = ln.Addr().String()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Shuffle", &shuffleRPC{w: w}); err != nil {
+		ln.Close()
+		w.client.Close()
+		return nil, err
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
 			if err != nil {
-				w.Close()
-				return nil, fmt.Errorf("dist: worker %s spill dir: %w", id, err)
+				return
 			}
-			w.spillDir = dir
+			go srv.ServeConn(c)
 		}
+	}()
+	if cfg.spillDir != "" {
+		if err := os.MkdirAll(cfg.spillDir, 0o755); err != nil {
+			w.Close()
+			return nil, fmt.Errorf("dist: worker %s spill dir: %w", id, err)
+		}
+		dir, err := os.MkdirTemp(cfg.spillDir, "worker-")
+		if err != nil {
+			w.Close()
+			return nil, fmt.Errorf("dist: worker %s spill dir: %w", id, err)
+		}
+		w.spillDir = dir
 	}
 	return w, nil
 }
@@ -367,8 +355,7 @@ func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 // Registry exposes the worker-side job registry for custom registrations.
 func (w *Worker) Registry() *Registry { return w.registry }
 
-// ShuffleAddr returns the worker's shuffle-serve address, "" when serving
-// is off.
+// ShuffleAddr returns the worker's shuffle-serve address.
 func (w *Worker) ShuffleAddr() string { return w.shuffleAddr }
 
 // TasksRun reports how many task attempts this worker completed.
@@ -428,9 +415,7 @@ func (w *Worker) Close() error {
 	for _, c := range peers {
 		c.Close()
 	}
-	if w.shuffleLn != nil {
-		w.shuffleLn.Close()
-	}
+	w.shuffleLn.Close()
 	if w.spillDir != "" {
 		// The spill files ARE this worker's served segments; removing them is
 		// part of what makes a closed worker's output unreachable.
@@ -445,28 +430,15 @@ func (w *Worker) isStopped() bool {
 	return w.stopped
 }
 
-// Run polls the master for tasks and executes them until the master
-// reports no jobs remain or Stop is called. It returns the first hard
-// error (task execution errors are hard: the job cannot succeed with a
-// broken factory). It is RunCtx with a background context.
-func (w *Worker) Run() error { return w.run(context.Background(), false) }
-
-// RunCtx is Run with cancellation: a cancelled context stops the loop at
-// the next poll or idle sleep with an error wrapping ctx.Err().
-func (w *Worker) RunCtx(ctx context.Context) error { return w.run(ctx, false) }
-
-// RunForever is the daemon mode: the worker keeps polling across jobs,
-// treating an idle master as "wait", until Stop is called. It is
-// RunForeverCtx with a background context.
-func (w *Worker) RunForever() error { return w.run(context.Background(), true) }
-
-// RunForeverCtx is RunForever with cancellation.
-func (w *Worker) RunForeverCtx(ctx context.Context) error { return w.run(ctx, true) }
-
-func (w *Worker) run(ctx context.Context, persistent bool) error {
+// RunForeverCtx is the worker loop: it polls the master for tasks and
+// executes them, across jobs, treating an idle master as "wait", until Stop
+// is called (nil) or ctx is cancelled (an error wrapping ctx.Err()). Any
+// other return is the first hard error — task execution errors are hard:
+// the job cannot succeed with a broken factory.
+func (w *Worker) RunForeverCtx(ctx context.Context) error {
 	// Background reduces terminate on their own within a poll interval of
 	// any exit condition (stop, cancellation, closed connection, stale
-	// epoch); wait for them so no attempt outlives Run.
+	// epoch); wait for them so no attempt outlives the loop.
 	defer w.bg.Wait()
 	for !w.isStopped() {
 		if err := ctx.Err(); err != nil {
@@ -480,24 +452,10 @@ func (w *Worker) run(ctx context.Context, persistent bool) error {
 			return fmt.Errorf("dist: worker %s poll: %w", w.ID, err)
 		}
 		switch task.Kind {
-		case TaskDone:
-			if w.store != nil {
-				w.store.prune(task.ActiveEpochs)
-			}
-			if persistent {
-				if err := w.idle(ctx); err != nil {
-					return err
-				}
-				continue
-			}
-			w.bg.Wait()
-			return w.takeBgErr()
 		case TaskWait:
 			// The wait reply carries the active-epoch set: release stored
 			// map output of finished jobs before idling.
-			if w.store != nil {
-				w.store.prune(task.ActiveEpochs)
-			}
+			w.store.prune(task.ActiveEpochs)
 			if err := w.idle(ctx); err != nil {
 				return err
 			}
@@ -570,6 +528,9 @@ func (w *Worker) taskRef(task Task) obs.TaskRef {
 	}
 }
 
+// runMap executes one map task and keeps its output here — resident blobs,
+// or a segment file under WithSpillDir — reporting only addressable
+// references and per-partition accounting to the master.
 func (w *Worker) runMap(task Task) error {
 	sp := w.taskSpan(task)
 	defer sp.End()
@@ -585,16 +546,17 @@ func (w *Worker) runMap(task Task) error {
 		w.reportFailure(task, err)
 		return fmt.Errorf("dist: worker %s map %d: %w", w.ID, task.Seq, err)
 	}
-	if w.shuffleAddr != "" && w.spillDir != "" {
+	w.mu.Lock()
+	w.tasksRun++
+	w.spillSeq++
+	seq := w.spillSeq
+	w.mu.Unlock()
+	stats := make([]PartStat, 0, len(segs))
+	if w.spillDir != "" {
 		// Out-of-core serving: the output goes straight to a segment file and
 		// is served from it frame by frame — the resident blobs are never
 		// built. The accounting PartStats carry comes from the file's index,
 		// which matches the in-memory per-record formula exactly.
-		w.mu.Lock()
-		w.tasksRun++
-		w.spillSeq++
-		seq := w.spillSeq
-		w.mu.Unlock()
 		path := filepath.Join(w.spillDir, fmt.Sprintf("e%d-m%d-a%d.seg", task.Epoch, task.Seq, seq))
 		tSpill := pc.Start()
 		sf, err := mapreduce.WriteSegmentsFile(path, segs)
@@ -606,56 +568,30 @@ func (w *Worker) runMap(task Task) error {
 		counters.SpillFilesWritten++
 		counters.SpillFileBytesWritten += sf.StoredBytes()
 		w.store.putFile(task.Epoch, task.Seq, sf)
-		stats := make([]PartStat, 0, len(segs))
 		for p := range segs {
 			if segs[p].Len() > 0 {
 				stats = append(stats, PartStat{Part: p, Recs: int(sf.Records(p)), Bytes: int64(sf.PartitionBytes(p))})
 			}
 		}
-		return w.client.Call("Master.CompleteMap", MapDone{
-			WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
-			Addr: w.shuffleAddr, PartStats: stats, Counters: counters,
-		}, &Ack{})
-	}
-	// Encode every partition — empties included, as 8-byte coverage
-	// markers — and report which ones actually hold records, so the master
-	// can publish the segments to early-dispatched reducers without
-	// rescanning the payload.
-	tWrite := pc.Start()
-	parts := make([][]byte, len(segs))
-	nonEmpty := make([]int, 0, len(segs))
-	var encoded int64
-	for p, seg := range segs {
-		parts[p] = mapreduce.EncodeSegment(seg)
-		encoded += int64(len(parts[p]))
-		if seg.Len() > 0 {
-			nonEmpty = append(nonEmpty, p)
-		}
-	}
-	pc.EmitIO(obs.PhaseWrite, tWrite, 0, encoded)
-	w.mu.Lock()
-	w.tasksRun++
-	w.mu.Unlock()
-	if w.shuffleAddr != "" {
-		// Serve the output from here: keep the blobs, report addressable
-		// references with the same header-derived accounting the master
-		// would compute from inline blobs.
-		w.store.put(task.Epoch, task.Seq, parts)
-		stats := make([]PartStat, 0, len(nonEmpty))
-		for _, p := range nonEmpty {
-			n, b, err := mapreduce.SegmentStats(parts[p])
-			if err != nil || n == 0 {
-				continue
+	} else {
+		// Encode every partition — empties included, as 8-byte coverage
+		// markers — and keep the blobs for reducers to pull.
+		tWrite := pc.Start()
+		parts := make([][]byte, len(segs))
+		var encoded int64
+		for p, seg := range segs {
+			parts[p] = mapreduce.EncodeSegment(seg)
+			encoded += int64(len(parts[p]))
+			if seg.Len() > 0 {
+				stats = append(stats, PartStat{Part: p, Recs: seg.Len(), Bytes: int64(seg.Bytes())})
 			}
-			stats = append(stats, PartStat{Part: p, Recs: n, Bytes: int64(b)})
 		}
-		return w.client.Call("Master.CompleteMap", MapDone{
-			WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
-			Addr: w.shuffleAddr, PartStats: stats, Counters: counters,
-		}, &Ack{})
+		pc.EmitIO(obs.PhaseWrite, tWrite, 0, encoded)
+		w.store.put(task.Epoch, task.Seq, parts)
 	}
 	return w.client.Call("Master.CompleteMap", MapDone{
-		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq, Parts: parts, NonEmpty: nonEmpty, Counters: counters,
+		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
+		Addr: w.shuffleAddr, PartStats: stats, Counters: counters,
 	}, &Ack{})
 }
 
@@ -736,7 +672,7 @@ func (w *Worker) fetchServed(s TaggedSegment, epoch uint64, partition int) ([][]
 
 // fetchServedFrame pulls one frame of a served segment.
 func (w *Worker) fetchServedFrame(s TaggedSegment, epoch uint64, partition, frame int) ([]byte, bool, error) {
-	if s.Addr == w.shuffleAddr && w.store != nil {
+	if s.Addr == w.shuffleAddr {
 		blob, more, ok := w.store.getFrame(epoch, s.MapSeq, partition, frame)
 		if !ok {
 			return nil, false, fmt.Errorf("dist: worker %s: own store lacks epoch %d map %d frame %d", w.ID, epoch, s.MapSeq, frame)
@@ -759,11 +695,10 @@ func (w *Worker) fetchServedFrame(s TaggedSegment, epoch uint64, partition, fram
 	return reply.Data, reply.More, nil
 }
 
-// runReduceStreaming fetches the task's partition segments as the map wave
-// publishes them — inline payloads from the master, served payloads from
-// their producing workers — then merges and reduces once the shuffle is
-// complete. Unreachable served segments are reported to the master
-// (Master.ReportLostSegments) and the loop keeps streaming until the
+// runReduceStreaming fetches the task's partition segments from their
+// producing workers as the map wave publishes them, then merges and reduces
+// once the shuffle is complete. Unreachable segments are reported to the
+// master (Master.ReportLostSegments) and the loop keeps streaming until the
 // re-executed maps republish them. A Stale reply or cancellation abandons
 // the attempt quietly (the job is gone, or the loop owner reports the
 // cancellation).
@@ -809,17 +744,13 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 			byMap[s.MapSeq] = s
 		}
 		cursor = reply.Cursor
-		// Resolve unresolved entries. A served segment whose producer is
-		// unreachable is lost: report it (grouped per owner), drop the
-		// entry, and keep streaming — the master re-executes the maps and
-		// the replacements arrive under the same MapSeq.
+		// Resolve unresolved entries. A segment whose producer is unreachable
+		// is lost: report it (grouped per owner), drop the entry, and keep
+		// streaming — the master re-executes the maps and the replacements
+		// arrive under the same MapSeq.
 		lost := make(map[string][]int)
 		for seq, s := range byMap {
 			if _, ok := blobs[seq]; ok {
-				continue
-			}
-			if s.Addr == "" {
-				blobs[seq] = [][]byte{s.Data}
 				continue
 			}
 			frames, err := w.fetchServed(s, task.Epoch, task.Partition)
