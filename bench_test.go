@@ -112,8 +112,8 @@ func BenchmarkFullEvaluation(b *testing.B) {
 // sub-benchmarks: "serial" pins one task slot (the measurement baseline),
 // "parallel" uses the default configuration — one slot per CPU. Output is
 // byte-identical between the two (engine_parity_test.go pins this); the
-// pair measures only the parallelism. cmd/benchmr records the same pair at
-// paper-adjacent sizes into BENCH_mapreduce.json.
+// pair measures only the parallelism. Recorded numbers come from bench/
+// (mapreduce.engine_overlap_ratio is its scaling figure), not from here.
 func benchEngine(b *testing.B, name string, size units.Bytes) {
 	b.Helper()
 	w, err := workloads.ByName(name)

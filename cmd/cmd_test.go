@@ -3,13 +3,13 @@
 package cmd_test
 
 import (
-	"net"
+	"bufio"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
 
 // build compiles one command into dir and returns the binary path.
@@ -151,8 +151,13 @@ func TestHadoopdCLIRoundTrip(t *testing.T) {
 	input := filepath.Join(dir, "in.txt")
 	run(t, teragen, "-kind", "text", "-size", "16384", "-out", input)
 
-	const addr = "127.0.0.1:42731"
-	master := exec.Command(hadoopd, "-role", "master", "-addr", addr)
+	// The master binds a free port and announces it on stdout, so runs of
+	// this test cannot collide with each other or with a stray process.
+	master := exec.Command(hadoopd, "-role", "master", "-addr", "127.0.0.1:0")
+	stdout, err := master.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := master.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +165,17 @@ func TestHadoopdCLIRoundTrip(t *testing.T) {
 		master.Process.Kill()
 		master.Wait()
 	}()
-	// Workers dial once, so wait for the master to accept connections.
-	waitForMaster(t, addr)
+	// The line is printed once the master accepts connections; workers dial
+	// once, so they start only after it.
+	var addr string
+	for sc := bufio.NewScanner(stdout); addr == "" && sc.Scan(); {
+		if a, ok := strings.CutPrefix(sc.Text(), "master listening on "); ok {
+			addr = a
+		}
+	}
+	if addr == "" {
+		t.Fatal("master exited without announcing its address")
+	}
 
 	worker := exec.Command(hadoopd, "-role", "worker", "-master", addr, "-id", "w0")
 	if err := worker.Start(); err != nil {
@@ -187,16 +201,40 @@ func TestHadoopdCLIRoundTrip(t *testing.T) {
 	}
 }
 
-// waitForMaster polls until the master accepts TCP connections (bounded).
-func waitForMaster(t *testing.T, addr string) {
-	t.Helper()
-	for i := 0; i < 100; i++ {
-		conn, err := net.DialTimeout("tcp", addr, 100*time.Millisecond)
-		if err == nil {
-			conn.Close()
-			return
+// TestHadoopsimTraceReplay is the engine -> trace -> tracer path for every
+// workload, serial and one slot per CPU: a trace written live by
+// `hadoopsim -real -trace` must replay into a timeline with the paper's
+// four-way split and a critical path, skip no line, and price every paper
+// phase under either core class.
+func TestHadoopsimTraceReplay(t *testing.T) {
+	dir := t.TempDir()
+	hadoopsim := build(t, dir, "hadoopsim")
+	tracer := build(t, dir, "tracer")
+	for _, wl := range []string{"wordcount", "naivebayes", "grep", "sort", "terasort", "fpgrowth"} {
+		for _, parallel := range []string{"1", "0"} {
+			trace := filepath.Join(dir, wl+"-"+parallel+".jsonl")
+			run(t, hadoopsim, "-workload", wl, "-real", "-realsize", "262144", "-parallel", parallel, "-trace", trace)
+			out := run(t, tracer, trace)
+			for _, want := range []string{"run " + wl + " ", "  paper split: ", "  critical path: "} {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s -parallel %s: timeline missing %q:\n%s", wl, parallel, want, out)
+				}
+			}
+			if strings.Contains(out, "skipped") {
+				t.Errorf("%s -parallel %s: tracer skipped lines:\n%s", wl, parallel, out)
+			}
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatal("master never came up")
+	for wl, class := range map[string]string{"terasort": "little", "wordcount": "big"} {
+		out := run(t, tracer, "-energy", "-default-class", class, filepath.Join(dir, wl+"-0.jsonl"))
+		if !regexp.MustCompile(`(?m)^run ` + wl + ` \(epoch 0\): energy \S+ J, edp \S+ J·s over `).MatchString(out) {
+			t.Errorf("%s as %s: no per-run energy line:\n%s", wl, class, out)
+		}
+		for _, bucket := range []string{"map", "sort", "shuffle", "reduce"} {
+			m := regexp.MustCompile(`(?m)^  energy ` + bucket + ` +(\S+) J`).FindStringSubmatch(out)
+			if m == nil || m[1] == "0.000000" {
+				t.Errorf("%s as %s: no joules attributed to %s:\n%s", wl, class, bucket, out)
+			}
+		}
+	}
 }

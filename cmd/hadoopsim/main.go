@@ -9,6 +9,7 @@
 //	hadoopsim -workload terasort -compare
 //	hadoopsim -workload fpgrowth -real -realsize 65536
 //	hadoopsim -workload sort -trace run.jsonl   # JSONL sim.run span trace
+//	hadoopsim -workload sort -real -trace run.jsonl   # plus the real run's phase events, for cmd/tracer
 package main
 
 import (
@@ -149,7 +150,7 @@ func main() {
 	}
 
 	if *real {
-		res, err := core.RunRealParallel(w, units.Bytes(*realSize), units.Bytes(*realSize/4), *cores, *parallel, 42)
+		res, err := core.RunRealParallel(ctx, w, units.Bytes(*realSize), units.Bytes(*realSize/4), *cores, *parallel, 42)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

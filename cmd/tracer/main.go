@@ -1,5 +1,5 @@
 // Command tracer analyses a JSONL observability trace (cmd/hadoopd -trace,
-// cmd/benchmr -trace, cmd/experiments -trace) offline. By default it
+// cmd/hadoopsim -real -trace, cmd/experiments -trace) offline. By default it
 // replays the trace's phase events into per-run timelines and prints, for
 // every (job, epoch) run: the per-phase breakdown, the paper's four-way
 // map/sort/shuffle/reduce split, the job critical path, and any straggler

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -87,7 +88,7 @@ func main() {
 	ii := &InvertedIndex{}
 
 	// 1. Real run: index 32 KB of documents.
-	res, err := core.RunReal(ii, 32*units.KB, 8*units.KB, 2, 7)
+	res, err := core.RunRealParallel(context.Background(), ii, 32*units.KB, 8*units.KB, 2, 0, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 
 	// 1. Execute the real job over 64 KB of generated Zipf text split into
 	//    16 KB HDFS blocks (4 map tasks), with 2 reducers.
-	res, err := core.RunReal(wc, 64*units.KB, 16*units.KB, 2, 42)
+	res, err := core.RunRealParallel(context.Background(), wc, 64*units.KB, 16*units.KB, 2, 0, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

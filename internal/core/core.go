@@ -219,17 +219,13 @@ func MinimalCores(w workloads.Workload, kind cpu.Kind, data units.Bytes, f units
 	return sched.CoreCounts[len(sched.CoreCounts)-1], nil
 }
 
-// RunReal executes the workload for real on the MapReduce engine over a
-// synthetic dataset of the given size — the functional-verification path.
-// It runs at the engine's default parallelism (one task slot per CPU).
-func RunReal(w workloads.Workload, size, blockSize units.Bytes, reducers int, seed int64) (*mapreduce.Result, error) {
-	return RunRealParallel(w, size, blockSize, reducers, 0, seed)
-}
-
-// RunRealParallel is RunReal with an explicit task-slot count: 0 means one
-// slot per schedulable CPU, 1 forces a serial run (useful as a measurement
-// baseline). Output and counters are identical at any parallelism.
-func RunRealParallel(w workloads.Workload, size, blockSize units.Bytes, reducers, parallelism int, seed int64) (*mapreduce.Result, error) {
+// RunRealParallel executes the workload for real on the MapReduce engine
+// over a synthetic dataset of the given size — the functional-verification
+// path. parallelism is the task-slot count: 0 means one slot per
+// schedulable CPU, 1 forces a serial run (useful as a measurement
+// baseline). Output and counters are identical at any parallelism. An
+// observer carried by ctx sees the run's spans and phase events.
+func RunRealParallel(ctx context.Context, w workloads.Workload, size, blockSize units.Bytes, reducers, parallelism int, seed int64) (*mapreduce.Result, error) {
 	input := w.Generate(size, seed)
 	store, err := hdfs.NewStore(hdfs.Config{BlockSize: blockSize, Replication: 1})
 	if err != nil {
@@ -245,5 +241,5 @@ func RunRealParallel(w workloads.Workload, size, blockSize units.Bytes, reducers
 	if err != nil {
 		return nil, err
 	}
-	return mapreduce.NewEngine(store).Run(job, "input")
+	return mapreduce.NewEngine(store).RunContext(ctx, job, "input")
 }

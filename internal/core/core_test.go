@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"heterohadoop/internal/cpu"
@@ -118,7 +119,7 @@ func TestMinimalCores(t *testing.T) {
 func TestRunRealEndToEnd(t *testing.T) {
 	for _, name := range []string{"wordcount", "terasort"} {
 		w, _ := workloads.ByName(name)
-		res, err := RunReal(w, 32*units.KB, 8*units.KB, 2, 7)
+		res, err := RunRealParallel(context.Background(), w, 32*units.KB, 8*units.KB, 2, 0, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

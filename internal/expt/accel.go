@@ -69,11 +69,7 @@ func accelTable(ctx context.Context, id, title, param string, values []string, e
 // fig14Accelerations is the paper's swept mapper acceleration range.
 var fig14Accelerations = []float64{1, 2, 5, 10, 20, 40, 60, 80, 100}
 
-// Fig14 sweeps the mapper acceleration rate at 512 MB / 1.8 GHz. It is
-// Fig14Ctx with a background context.
-func Fig14() (Table, error) { return Fig14Ctx(context.Background()) }
-
-// Fig14Ctx is Fig14 with cancellation and observability.
+// Fig14Ctx sweeps the mapper acceleration rate at 512 MB / 1.8 GHz.
 func Fig14Ctx(ctx context.Context) (Table, error) {
 	var labels []string
 	for _, k := range fig14Accelerations {
@@ -87,11 +83,7 @@ func Fig14Ctx(ctx context.Context) (Table, error) {
 		})
 }
 
-// Fig15 sweeps frequency at a fixed 30x acceleration. It is Fig15Ctx with
-// a background context.
-func Fig15() (Table, error) { return Fig15Ctx(context.Background()) }
-
-// Fig15Ctx is Fig15 with cancellation and observability.
+// Fig15Ctx sweeps frequency at a fixed 30x acceleration.
 func Fig15Ctx(ctx context.Context) (Table, error) {
 	var labels []string
 	for _, f := range paperFrequencies {
@@ -105,11 +97,7 @@ func Fig15Ctx(ctx context.Context) (Table, error) {
 		})
 }
 
-// Fig16 sweeps HDFS block size at a fixed 30x acceleration. It is Fig16Ctx
-// with a background context.
-func Fig16() (Table, error) { return Fig16Ctx(context.Background()) }
-
-// Fig16Ctx is Fig16 with cancellation and observability.
+// Fig16Ctx sweeps HDFS block size at a fixed 30x acceleration.
 func Fig16Ctx(ctx context.Context) (Table, error) {
 	var labels []string
 	for _, bs := range microBlockSizes {

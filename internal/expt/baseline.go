@@ -12,12 +12,8 @@ import (
 	"heterohadoop/internal/workloads"
 )
 
-// Table1 echoes the paper's architectural parameters (Table 1) from the
-// shipped core models. It is Table1Ctx with a background context.
-func Table1() (Table, error) { return Table1Ctx(context.Background()) }
-
-// Table1Ctx is Table1 with cancellation and observability (the table is
-// static, so only the generator-level span applies).
+// Table1Ctx echoes the paper's architectural parameters (Table 1) from the
+// shipped core models.
 func Table1Ctx(_ context.Context) (Table, error) {
 	atom, xeon := cpu.AtomC2758(), cpu.XeonE52420()
 	row := func(name string, a, x string) []string { return []string{name, a, x} }
@@ -44,12 +40,7 @@ func Table1Ctx(_ context.Context) (Table, error) {
 	}, nil
 }
 
-// Table2 lists the studied applications (Table 2). It is Table2Ctx with a
-// background context.
-func Table2() (Table, error) { return Table2Ctx(context.Background()) }
-
-// Table2Ctx is Table2 with cancellation and observability (the table is
-// static, so only the generator-level span applies).
+// Table2Ctx lists the studied applications (Table 2).
 func Table2Ctx(_ context.Context) (Table, error) {
 	rows := [][]string{}
 	for _, w := range workloads.MicroBenchmarks() {
@@ -70,11 +61,8 @@ func Table2Ctx(_ context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig1 reproduces the IPC comparison: suite-average IPC of SPEC, PARSEC and
-// Hadoop on both cores at 1.8 GHz. It is Fig1Ctx with a background context.
-func Fig1() (Table, error) { return Fig1Ctx(context.Background()) }
-
-// Fig1Ctx is Fig1 with cancellation and observability.
+// Fig1Ctx reproduces the IPC comparison: suite-average IPC of SPEC, PARSEC
+// and Hadoop on both cores at 1.8 GHz.
 func Fig1Ctx(ctx context.Context) (Table, error) {
 	if err := ctx.Err(); err != nil {
 		return Table{}, fmt.Errorf("expt: fig1: cancelled: %w", err)
@@ -139,12 +127,8 @@ func Fig1Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig2 reproduces the EDxP ratio comparison between suites: Atom-to-Xeon
-// EDP, ED2P and ED3P ratios for SPEC, PARSEC and the Hadoop average. It is
-// Fig2Ctx with a background context.
-func Fig2() (Table, error) { return Fig2Ctx(context.Background()) }
-
-// Fig2Ctx is Fig2 with cancellation and observability.
+// Fig2Ctx reproduces the EDxP ratio comparison between suites: Atom-to-Xeon
+// EDP, ED2P and ED3P ratios for SPEC, PARSEC and the Hadoop average.
 func Fig2Ctx(ctx context.Context) (Table, error) {
 	f := 1.8 * units.GHz
 	ratioRow := func(label string, edp, ed2p, ed3p float64) []string {

@@ -55,12 +55,8 @@ func allCostSamples(ctx context.Context) ([]map[string]metrics.Sample, error) {
 	})
 }
 
-// Table3 reproduces the operational and capital cost table: EDP, ED2P, EDAP
-// and ED2AP for 2/4/6/8 cores (mappers = cores) on both platforms. It is
-// Table3Ctx with a background context.
-func Table3() (Table, error) { return Table3Ctx(context.Background()) }
-
-// Table3Ctx is Table3 with cancellation and observability.
+// Table3Ctx reproduces the operational and capital cost table: EDP, ED2P,
+// EDAP and ED2AP for 2/4/6/8 cores (mappers = cores) on both platforms.
 func Table3Ctx(ctx context.Context) (Table, error) {
 	header := []string{"Metric", "Workload", "Atom-M2", "Atom-M4", "Atom-M6", "Atom-M8", "Xeon-M2", "Xeon-M4", "Xeon-M6", "Xeon-M8"}
 	metricsList := []struct {
@@ -96,12 +92,8 @@ func Table3Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig17 reproduces the spider-graph data: the four cost metrics for every
-// (platform, core count), normalized to the 8-Xeon-core configuration. It
-// is Fig17Ctx with a background context.
-func Fig17() (Table, error) { return Fig17Ctx(context.Background()) }
-
-// Fig17Ctx is Fig17 with cancellation and observability.
+// Fig17Ctx reproduces the spider-graph data: the four cost metrics for every
+// (platform, core count), normalized to the 8-Xeon-core configuration.
 func Fig17Ctx(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Config", "EDP", "ED2P", "EDAP", "ED2AP"}
 	bySample, err := allCostSamples(ctx)
@@ -131,12 +123,8 @@ func Fig17Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// SchedulingCase reproduces the §3.5 case study: the policy decision and
-// the exhaustive-search optimum for each workload under each goal. It is
-// SchedulingCaseCtx with a background context.
-func SchedulingCase() (Table, error) { return SchedulingCaseCtx(context.Background()) }
-
-// SchedulingCaseCtx is SchedulingCase with cancellation and observability.
+// SchedulingCaseCtx reproduces the §3.5 case study: the policy decision and
+// the exhaustive-search optimum for each workload under each goal.
 func SchedulingCaseCtx(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Class", "Goal", "Policy", "Optimal", "Optimal score"}
 	all := workloads.All()

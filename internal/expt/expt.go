@@ -74,9 +74,8 @@ func (t Table) Fprint(w io.Writer) error {
 	return err
 }
 
-// Generator produces one artefact. Run and RunCtx replace the former
-// exported func field: existing g.Run() call sites compile unchanged,
-// while RunCtx adds cancellation and observability.
+// Generator produces one artefact: RunCtx with cancellation and
+// observability, Run with neither.
 type Generator struct {
 	ID   string
 	Name string
@@ -105,10 +104,6 @@ func (g Generator) RunCtx(ctx context.Context) (Table, error) {
 	}
 	return g.fn(ctx)
 }
-
-// RunAll regenerates every artefact in the paper's order. It is RunAllCtx
-// with a background context.
-func RunAll() ([]Table, error) { return RunAllCtx(context.Background()) }
 
 // RunAllCtx regenerates every artefact in the paper's order, stopping at
 // the first failure. Cancellation aborts the evaluation within one

@@ -16,11 +16,8 @@ import (
 // heterogeneous scheduling, per-phase DVFS) with the same table machinery
 // as the reproduced figures.
 
-// ExtDSE scores the default candidate space on the paper mix and reports
-// the Pareto frontier. It is ExtDSECtx with a background context.
-func ExtDSE() (Table, error) { return ExtDSECtx(context.Background()) }
-
-// ExtDSECtx is ExtDSE with cancellation and observability.
+// ExtDSECtx scores the default candidate space on the paper mix and reports
+// the Pareto frontier.
 func ExtDSECtx(ctx context.Context) (Table, error) {
 	results, err := dse.ExploreCtx(ctx, dse.DefaultSpace(), dse.PaperMix(), 256*units.MB, 1.8*units.GHz, 8)
 	if err != nil {
@@ -50,13 +47,9 @@ func ExtDSECtx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// ExtPhaseSplit compares homogeneous deployments against the little-map/
+// ExtPhaseSplitCtx compares homogeneous deployments against the little-map/
 // big-reduce split for every workload. Workload rows run on the pool; the
 // homogeneous runs coalesce with the split's per-side runs in the cache.
-// It is ExtPhaseSplitCtx with a background context.
-func ExtPhaseSplit() (Table, error) { return ExtPhaseSplitCtx(context.Background()) }
-
-// ExtPhaseSplitCtx is ExtPhaseSplit with cancellation and observability.
 func ExtPhaseSplitCtx(ctx context.Context) (Table, error) {
 	little := sim.NewCluster(sim.AtomNode(8))
 	big := sim.NewCluster(sim.XeonNode(8))
@@ -99,13 +92,8 @@ func ExtPhaseSplitCtx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// ExtPerPhaseDVFS reports the EDP-optimal per-phase DVFS assignment for
-// every workload on the little cluster. It is ExtPerPhaseDVFSCtx with a
-// background context.
-func ExtPerPhaseDVFS() (Table, error) { return ExtPerPhaseDVFSCtx(context.Background()) }
-
-// ExtPerPhaseDVFSCtx is ExtPerPhaseDVFS with cancellation and
-// observability.
+// ExtPerPhaseDVFSCtx reports the EDP-optimal per-phase DVFS assignment for
+// every workload on the little cluster.
 func ExtPerPhaseDVFSCtx(ctx context.Context) (Table, error) {
 	cluster := sim.NewCluster(sim.AtomNode(8))
 	all := workloads.All()
@@ -143,14 +131,9 @@ func ExtPerPhaseDVFSCtx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// ExtPowerBreakdown decomposes each workload's map-phase dynamic power into
-// components (cores, uncore, DRAM, disk) on both platforms — the
-// constituents the paper's wall meter aggregates. It is
-// ExtPowerBreakdownCtx with a background context.
-func ExtPowerBreakdown() (Table, error) { return ExtPowerBreakdownCtx(context.Background()) }
-
-// ExtPowerBreakdownCtx is ExtPowerBreakdown with cancellation and
-// observability.
+// ExtPowerBreakdownCtx decomposes each workload's map-phase dynamic power
+// into components (cores, uncore, DRAM, disk) on both platforms — the
+// constituents the paper's wall meter aggregates.
 func ExtPowerBreakdownCtx(ctx context.Context) (Table, error) {
 	all := workloads.All()
 	plats := []struct {

@@ -70,11 +70,8 @@ func execTimeSweep(ctx context.Context, id, title string, ws []workloads.Workloa
 	return Table{ID: id, Title: title, Header: header, Rows: rows}, nil
 }
 
-// Fig3 sweeps the four micro-benchmarks at 1 GB/node over block size and
-// frequency on both clusters. It is Fig3Ctx with a background context.
-func Fig3() (Table, error) { return Fig3Ctx(context.Background()) }
-
-// Fig3Ctx is Fig3 with cancellation and observability.
+// Fig3Ctx sweeps the four micro-benchmarks at 1 GB/node over block size and
+// frequency on both clusters.
 func Fig3Ctx(ctx context.Context) (Table, error) {
 	return execTimeSweep(ctx, "fig3",
 		"Execution time of Hadoop micro-benchmarks vs HDFS block size and frequency (1 GB/node)",
@@ -82,11 +79,8 @@ func Fig3Ctx(ctx context.Context) (Table, error) {
 		func(string) units.Bytes { return units.GB })
 }
 
-// Fig4 sweeps the two real-world applications at 10 GB/node (block sizes
-// from 64 MB per the paper). It is Fig4Ctx with a background context.
-func Fig4() (Table, error) { return Fig4Ctx(context.Background()) }
-
-// Fig4Ctx is Fig4 with cancellation and observability.
+// Fig4Ctx sweeps the two real-world applications at 10 GB/node (block sizes
+// from 64 MB per the paper).
 func Fig4Ctx(ctx context.Context) (Table, error) {
 	return execTimeSweep(ctx, "fig4",
 		"Execution time of real-world applications vs HDFS block size and frequency (10 GB/node)",
@@ -139,22 +133,14 @@ func edpVsFrequency(ctx context.Context, id, title string, ws []workloads.Worklo
 	return Table{ID: id, Title: title, Header: header, Rows: rows}, nil
 }
 
-// Fig5 gives whole-application EDP vs frequency for NB and FP. It is
-// Fig5Ctx with a background context.
-func Fig5() (Table, error) { return Fig5Ctx(context.Background()) }
-
-// Fig5Ctx is Fig5 with cancellation and observability.
+// Fig5Ctx gives whole-application EDP vs frequency for NB and FP.
 func Fig5Ctx(ctx context.Context) (Table, error) {
 	return edpVsFrequency(ctx, "fig5",
 		"EDP of real-world applications vs frequency (normalized to Atom @1.2GHz)",
 		workloads.RealWorld())
 }
 
-// Fig6 gives whole-application EDP vs frequency for the micro-benchmarks.
-// It is Fig6Ctx with a background context.
-func Fig6() (Table, error) { return Fig6Ctx(context.Background()) }
-
-// Fig6Ctx is Fig6 with cancellation and observability.
+// Fig6Ctx gives whole-application EDP vs frequency for the micro-benchmarks.
 func Fig6Ctx(ctx context.Context) (Table, error) {
 	return edpVsFrequency(ctx, "fig6",
 		"EDP of micro-benchmarks vs frequency (normalized to Atom @1.2GHz)",
@@ -218,33 +204,22 @@ func phaseEDP(ctx context.Context, id, title string, ws []workloads.Workload) (T
 	return Table{ID: id, Title: title, Header: header, Rows: rows}, nil
 }
 
-// Fig7 gives map/reduce phase EDP vs frequency for the micro-benchmarks.
-// It is Fig7Ctx with a background context.
-func Fig7() (Table, error) { return Fig7Ctx(context.Background()) }
-
-// Fig7Ctx is Fig7 with cancellation and observability.
+// Fig7Ctx gives map/reduce phase EDP vs frequency for the micro-benchmarks.
 func Fig7Ctx(ctx context.Context) (Table, error) {
 	return phaseEDP(ctx, "fig7",
 		"Map/Reduce phase EDP of micro-benchmarks vs frequency (normalized to Atom @1.2GHz)",
 		workloads.MicroBenchmarks())
 }
 
-// Fig8 gives map/reduce phase EDP vs frequency for NB and FP. It is
-// Fig8Ctx with a background context.
-func Fig8() (Table, error) { return Fig8Ctx(context.Background()) }
-
-// Fig8Ctx is Fig8 with cancellation and observability.
+// Fig8Ctx gives map/reduce phase EDP vs frequency for NB and FP.
 func Fig8Ctx(ctx context.Context) (Table, error) {
 	return phaseEDP(ctx, "fig8",
 		"Map/Reduce phase EDP of real-world applications vs frequency (normalized to Atom @1.2GHz)",
 		workloads.RealWorld())
 }
 
-// Fig9 gives the Xeon-to-Atom EDP ratio as a function of block size at
-// 1.8 GHz for all six workloads. It is Fig9Ctx with a background context.
-func Fig9() (Table, error) { return Fig9Ctx(context.Background()) }
-
-// Fig9Ctx is Fig9 with cancellation and observability.
+// Fig9Ctx gives the Xeon-to-Atom EDP ratio as a function of block size at
+// 1.8 GHz for all six workloads.
 func Fig9Ctx(ctx context.Context) (Table, error) {
 	header := []string{"Block[MB]"}
 	for _, w := range workloads.All() {
@@ -340,11 +315,7 @@ func breakdownSweep(ctx context.Context, id, title string, ws []workloads.Worklo
 	}, nil
 }
 
-// Fig10 gives the execution-time breakdown vs data size for WC and TS.
-// It is Fig10Ctx with a background context.
-func Fig10() (Table, error) { return Fig10Ctx(context.Background()) }
-
-// Fig10Ctx is Fig10 with cancellation and observability.
+// Fig10Ctx gives the execution-time breakdown vs data size for WC and TS.
 func Fig10Ctx(ctx context.Context) (Table, error) {
 	wc, _ := workloads.ByName("wordcount")
 	ts, _ := workloads.ByName("terasort")
@@ -353,22 +324,15 @@ func Fig10Ctx(ctx context.Context) (Table, error) {
 		[]workloads.Workload{wc, ts})
 }
 
-// Fig11 gives the execution-time breakdown vs data size for NB and FP.
-// It is Fig11Ctx with a background context.
-func Fig11() (Table, error) { return Fig11Ctx(context.Background()) }
-
-// Fig11Ctx is Fig11 with cancellation and observability.
+// Fig11Ctx gives the execution-time breakdown vs data size for NB and FP.
 func Fig11Ctx(ctx context.Context) (Table, error) {
 	return breakdownSweep(ctx, "fig11",
 		"Execution time and breakdown of real-world applications vs input size (512MB, 1.8GHz)",
 		workloads.RealWorld())
 }
 
-// Fig12 gives whole-application EDP vs data size, normalized per workload
-// to Atom at 1 GB. It is Fig12Ctx with a background context.
-func Fig12() (Table, error) { return Fig12Ctx(context.Background()) }
-
-// Fig12Ctx is Fig12 with cancellation and observability.
+// Fig12Ctx gives whole-application EDP vs data size, normalized per workload
+// to Atom at 1 GB.
 func Fig12Ctx(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Platform", "1GB", "10GB", "20GB"}
 	_, at, err := dataSizeGrid(ctx, workloads.All())
@@ -398,13 +362,9 @@ func Fig12Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig13 gives map- and reduce-phase EDP vs data size, normalized per
-// workload and phase to Atom at 1 GB. Both phase passes read the same
-// cached grid instead of re-simulating it. It is Fig13Ctx with a
-// background context.
-func Fig13() (Table, error) { return Fig13Ctx(context.Background()) }
-
-// Fig13Ctx is Fig13 with cancellation and observability.
+// Fig13Ctx gives map- and reduce-phase EDP vs data size, normalized per
+// workload and phase to Atom at 1 GB. Both phase passes read the same cached
+// grid instead of re-simulating it.
 func Fig13Ctx(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Platform", "Phase", "1GB", "10GB", "20GB"}
 	_, at, err := dataSizeGrid(ctx, workloads.All())

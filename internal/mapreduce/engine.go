@@ -23,7 +23,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine bound to a block store. The store may be nil
-// for engines that only run file-backed jobs (RunFile).
+// for engines that only run file-backed jobs (RunFileContext).
 func NewEngine(store *hdfs.Store) *Engine {
 	return &Engine{store: store}
 }
@@ -69,17 +69,12 @@ func (e *Engine) RunContext(ctx context.Context, job Job, input string) (*Result
 	return e.execute(ctx, o, job, inputSource{data: data}, splits)
 }
 
-// RunFile executes the job over a local disk file instead of a store
-// entry, reading the input in split-sized windows — the out-of-core input
-// path for datasets that should never be resident whole.
-func (e *Engine) RunFile(job Job, path string, blockSize units.Bytes) (*Result, error) {
-	return e.RunFileContext(context.Background(), job, path, blockSize)
-}
-
-// RunFileContext is RunFile with cancellation. Splits are blockSize-sized
-// byte ranges of the file; each map task reads only its own window (plus
-// the straddling-record tail), so peak input residency is one window per
-// task slot. A non-positive blockSize defaults to 64 MB.
+// RunFileContext executes the job over a local disk file instead of a
+// store entry, reading the input in split-sized windows — the out-of-core
+// input path for datasets that should never be resident whole. Splits are
+// blockSize-sized byte ranges of the file; each map task reads only its own
+// window (plus the straddling-record tail), so peak input residency is one
+// window per task slot. A non-positive blockSize defaults to 64 MB.
 func (e *Engine) RunFileContext(ctx context.Context, job Job, path string, blockSize units.Bytes) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -109,7 +104,7 @@ func (e *Engine) RunFileContext(ctx context.Context, job Job, path string, block
 }
 
 // inputSource is where map tasks read their splits from: a resident byte
-// slice (store-backed runs) or a local file read in windows (RunFile).
+// slice (store-backed runs) or a local file read in windows (RunFileContext).
 type inputSource struct {
 	data []byte
 	file *hdfs.LocalFile

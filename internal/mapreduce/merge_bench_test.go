@@ -9,7 +9,7 @@ import (
 
 // BenchmarkShuffleMerge measures the reduce-side k-way merge — the loser
 // tree over pre-sorted segments — at the fan-ins the shuffle produces.
-// Compare against historical numbers with cmd/benchmr's JSON or benchstat over `go test -bench ShuffleMerge -count N`.
+// Compare runs with benchstat over `go test -bench ShuffleMerge -count N`.
 func BenchmarkShuffleMerge(b *testing.B) {
 	const perSegment = 2048
 	for _, k := range []int{4, 16, 64} {

@@ -514,7 +514,7 @@ func (offsetMapper) Map(key, value string, emit Emitter) error {
 }
 
 // TestRunFileWindowedParity runs the same job over the same bytes through
-// the in-memory store engine and through RunFile's windowed disk reader,
+// the in-memory store engine and through RunFileContext's windowed disk reader,
 // across block sizes that cut mid-record, at record boundaries, and past
 // EOF. Outputs embed per-line byte offsets, so they match only if the
 // window arithmetic is exact.
@@ -538,12 +538,12 @@ func TestRunFileWindowedParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewEngine(nil).RunFile(job, path, bs)
+			got, err := NewEngine(nil).RunFileContext(context.Background(), job, path, bs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Output(), want.Output()) {
-				t.Fatal("RunFile output differs from store-backed run (offset or window drift)")
+				t.Fatal("RunFileContext output differs from store-backed run (offset or window drift)")
 			}
 			gc, wc := got.Counters, want.Counters
 			if gc != wc {
@@ -573,7 +573,7 @@ func TestRunFileOutOfCore(t *testing.T) {
 	cfg.SortBuffer = 4 * units.KB
 	cfg.SpillMemory = 8 * units.KB
 	cfg.SpillDir = t.TempDir()
-	got, err := NewEngine(nil).RunFile(wordCountJob(cfg), path, 8*units.KB)
+	got, err := NewEngine(nil).RunFileContext(context.Background(), wordCountJob(cfg), path, 8*units.KB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,7 @@ import (
 // partitions here. With interval-sharded collectors and batched handoff
 // each task pays one channel send (not one per partition) and the
 // collecting spreads across the shards. Run with `-cpu 1,4` to see the
-// contention difference; cmd/benchmr's -cores matrix covers the end-to-end
-// workloads.
+// contention difference; bench/ covers the end-to-end workloads.
 func BenchmarkContendedShuffle(b *testing.B) {
 	var sb strings.Builder
 	for i := 0; i < 6000; i++ {

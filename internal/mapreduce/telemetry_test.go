@@ -96,9 +96,9 @@ func spanKeys(snap obs.Snapshot) []string {
 // BenchmarkNoopObserver measures exactly what the phase telemetry adds to
 // the hot path when no observer is installed: building the clock from a
 // bare context and cycling it through the full task-phase taxonomy. It must
-// report 0 allocs/op — the engine-wide allocation fence stays with
-// cmd/benchmr's -maxallocfactor gate, which runs the instrumented record
-// path against the committed BENCH_mapreduce.json baseline.
+// report 0 allocs/op — the engine-wide allocation fence is
+// TestEngineAllocsPerRecord, which bounds a whole job's allocations per map
+// output record.
 func BenchmarkNoopObserver(b *testing.B) {
 	ctx := context.Background()
 	job := wordCountJob(DefaultConfig("noop-obs"))

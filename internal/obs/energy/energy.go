@@ -4,8 +4,7 @@
 // the study reads. A Profile pairs a power.Model with the chip parameters
 // of one core class (internal/cpu); its PhaseJoules implements
 // obs.EnergyModel, so a Collector can aggregate live energy series and a
-// benchmr/tracer run can attribute joules to the paper's four phase
-// buckets.
+// tracer run can attribute joules to the paper's four phase buckets.
 //
 // The estimate is deliberately first-order: per-phase CPU utilization
 // drives active-core count and activity, allocation rate drives DRAM

@@ -36,8 +36,8 @@ func (c *classifier) TaskPhase(ev obs.PhaseEvent) {
 }
 
 // Meter is a standalone phase observer that integrates a Profile over every
-// phase event it sees — the per-run joule counter benchmr records as
-// est_joules. Safe for concurrent emission.
+// phase event it sees — a per-run joule counter. Safe for concurrent
+// emission.
 type Meter struct {
 	profile *Profile
 

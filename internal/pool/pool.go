@@ -4,10 +4,9 @@
 // callers that assemble rows from them produce byte-identical output at
 // any width — the property the artefact golden files pin down.
 //
-// MapCtx and ForEachCtx are the context-aware entry points: a cancelled
-// context stops the pool from handing out new indices, and the call
-// returns an error wrapping the context's error. The legacy Map/ForEach
-// delegate to them with context.Background().
+// MapCtx is the context-aware entry point: a cancelled context stops the
+// pool from handing out new indices, and the call returns an error wrapping
+// the context's error. Map delegates to it with context.Background().
 package pool
 
 import (
@@ -106,17 +105,4 @@ func MapCtx[T any](ctx context.Context, width, n int, fn func(int) (T, error)) (
 // Map is MapCtx without cancellation.
 func Map[T any](width, n int, fn func(int) (T, error)) ([]T, error) {
 	return MapCtx(context.Background(), width, n, fn)
-}
-
-// ForEachCtx is MapCtx for side-effecting work without per-index results.
-func ForEachCtx(ctx context.Context, width, n int, fn func(int) error) error {
-	_, err := MapCtx(ctx, width, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEach is ForEachCtx without cancellation.
-func ForEach(width, n int, fn func(int) error) error {
-	return ForEachCtx(context.Background(), width, n, fn)
 }
