@@ -1,17 +1,18 @@
 package heterohadoop_test
 
-// arena_parity_test.go pins the arena fast path's equivalence contract: a
-// job whose mapper/reducer/partitioner expose the byte-level interfaces
-// (ByteMapper, StreamReducer, BytePartitioner) must produce output,
-// sorted output and counters byte-identical to the same job forced through
-// the legacy string adapters. The fuzz target drives all six workloads
-// plus an adversarial echo job (empty keys and values, multi-KB keys,
-// non-UTF8 bytes, duplicate keys spanning spill segments) through both
-// paths; the deterministic test pins exact counter parity — spill, merge
-// and shuffle byte accounting included — for every workload.
+// arena_parity_test.go pins the string API's equivalence contract: a job
+// written against the func adapters (MapperFunc, ReducerFunc,
+// PartitionerFunc) must produce output, sorted output, counters and errors
+// identical to the same job written natively against the engine's byte
+// contracts. The fuzz target drives an adversarial echo job (empty keys and
+// values, multi-KB keys, non-UTF8 bytes, duplicate keys spanning spill
+// segments, secondary-sort grouping) through both forms, and every job —
+// the six workloads included — serially and at Parallelism 4.
 
 import (
 	"bytes"
+	"errors"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,29 +22,6 @@ import (
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
-
-// stringOnlyJob rewraps a job's user code in the plain func adapters, which
-// implement only the string interfaces: the engine's type assertions for
-// the byte fast paths all fail, forcing the legacy string route through
-// the same arena machinery. A nil partitioner is pinned to the wrapped
-// default so the engine's built-in hash partitioner cannot sneak its byte
-// path back in.
-func stringOnlyJob(job mapreduce.Job) mapreduce.Job {
-	out := job
-	out.Mapper = mapreduce.MapperFunc(job.Mapper.Map)
-	if job.Combiner != nil {
-		out.Combiner = mapreduce.ReducerFunc(job.Combiner.Reduce)
-	}
-	if job.Reducer != nil {
-		out.Reducer = mapreduce.ReducerFunc(job.Reducer.Reduce)
-	}
-	p := job.Partitioner
-	if p == nil {
-		p = mapreduce.HashPartitioner()
-	}
-	out.Partitioner = mapreduce.PartitionerFunc(p.Partition)
-	return out
-}
 
 // runParityJob executes a job over input without failing the test, so
 // callers can require that both paths agree on errors too.
@@ -70,21 +48,18 @@ func parityConfig(name string) mapreduce.Config {
 	return cfg
 }
 
-// echoMapper splits each line at the first ':' into (key, value) on both
-// the string and byte paths — the adversarial record generator for the
-// fuzz target (fuzz data chooses the bytes on either side of the colon).
+// errEcho is what both echo mappers return for a line starting with '!'.
+var errEcho = errors.New("echo: rejected line")
+
+// echoMapper splits each line at the first ':' into (key, value) — the
+// adversarial record generator for the fuzz target (fuzz data chooses the
+// bytes on either side of the colon).
 type echoMapper struct{}
 
-func (echoMapper) Map(_, line string, emit mapreduce.Emitter) error {
-	if i := strings.IndexByte(line, ':'); i >= 0 {
-		emit(line[:i], line[i+1:])
-	} else {
-		emit(line, "")
-	}
-	return nil
-}
-
 func (echoMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error {
+	if line[0] == '!' {
+		return errEcho
+	}
 	if i := bytes.IndexByte(line, ':'); i >= 0 {
 		emit(line[:i], line[i+1:])
 	} else {
@@ -93,77 +68,85 @@ func (echoMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error
 	return nil
 }
 
-// buildParityJob returns the fast-path job for a fuzz mode: modes 0-5 are
-// the six studied workloads, 6 the adversarial echo job, 7 the echo job
-// with a secondary-sort grouping (group on first key byte).
-func buildParityJob(mode uint8, cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
-	if mode < 6 {
-		return workloads.All()[mode].Build(cfg, input)
+// echoJob is the echo job in native form: byte mapper, the engine's
+// identity reducer (as combiner too) and its default hash partitioner.
+func echoJob(cfg mapreduce.Config) mapreduce.Job {
+	return mapreduce.Job{
+		Config:   cfg,
+		Mapper:   echoMapper{},
+		Combiner: mapreduce.IdentityReducer(),
+		Reducer:  mapreduce.IdentityReducer(),
 	}
-	job := mapreduce.Job{
-		Config:  cfg,
-		Mapper:  echoMapper{},
-		Reducer: mapreduce.IdentityReducer(),
-	}
-	if mode == 7 {
-		job.Grouping = func(a, b string) bool {
-			if len(a) == 0 || len(b) == 0 {
-				return len(a) == len(b)
-			}
-			return a[0] == b[0]
-		}
-	}
-	return job, nil
 }
 
-// comparePaths runs the fast job and its string-forced twin over input and
-// fails if any observable — per-partition output, globally sorted output,
-// counters, or error behaviour — differs.
-func comparePaths(t *testing.T, fast mapreduce.Job, input []byte) {
+// echoJobStrings is the same job written against the string API only.
+func echoJobStrings(cfg mapreduce.Config) mapreduce.Job {
+	identity := mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emitter) error {
+		for _, v := range values {
+			emit(key, v)
+		}
+		return nil
+	})
+	return mapreduce.Job{
+		Config: cfg,
+		Mapper: mapreduce.MapperFunc(func(_, line string, emit mapreduce.Emitter) error {
+			if line[0] == '!' {
+				return errEcho
+			}
+			key, value, _ := strings.Cut(line, ":")
+			emit(key, value)
+			return nil
+		}),
+		Combiner: identity,
+		Reducer:  identity,
+		Partitioner: mapreduce.PartitionerFunc(func(key string, n int) int {
+			h := fnv.New32a()
+			h.Write([]byte(key))
+			return int(h.Sum32() % uint32(n))
+		}),
+	}
+}
+
+// groupOnFirstByte is the secondary-sort comparator of fuzz mode 7.
+func groupOnFirstByte(a, b string) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return len(a) == len(b)
+	}
+	return a[0] == b[0]
+}
+
+// compareRuns fails if two runs of what should be the same job differ in
+// any observable: error behaviour, per-partition output, globally sorted
+// output, or any counter.
+func compareRuns(t *testing.T, what string, got *mapreduce.Result, gotErr error, want *mapreduce.Result, wantErr error) {
 	t.Helper()
-	want, wantErr := runParityJob(t, stringOnlyJob(fast), input)
-	got, gotErr := runParityJob(t, fast, input)
 	if (wantErr != nil) != (gotErr != nil) {
-		t.Fatalf("error parity: string path err=%v, arena path err=%v", wantErr, gotErr)
+		t.Fatalf("%s: error parity: got err=%v, want err=%v", what, gotErr, wantErr)
 	}
 	if wantErr != nil {
+		if errors.Is(wantErr, errEcho) != errors.Is(gotErr, errEcho) {
+			t.Fatalf("%s: error cause differs: got %v, want %v", what, gotErr, wantErr)
+		}
 		return
 	}
 	if !reflect.DeepEqual(got.Output(), want.Output()) {
-		t.Fatalf("arena output differs from string-path output")
+		t.Fatalf("%s: output differs", what)
 	}
 	if !reflect.DeepEqual(got.SortedOutput(), want.SortedOutput()) {
-		t.Fatalf("arena SortedOutput differs from string path")
+		t.Fatalf("%s: SortedOutput differs", what)
 	}
-	if got.Counters != want.Counters {
-		t.Fatalf("counters differ:\narena  %+v\nstring %+v", got.Counters, want.Counters)
-	}
-}
-
-// TestArenaStringCounterParityAllWorkloads pins exact counter parity — the
-// KV.Bytes accounting identity — between the byte fast paths and the
-// string adapters for every workload. Spilled, merged and shuffled byte
-// counters must match record for record.
-func TestArenaStringCounterParityAllWorkloads(t *testing.T) {
-	for _, w := range workloads.All() {
-		w := w
-		t.Run(w.Name(), func(t *testing.T) {
-			t.Parallel()
-			input := w.Generate(48*units.KB, 7)
-			job, err := w.Build(parityConfig(w.Name()), input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePaths(t, job, input)
-		})
+	if got.Counters != want.Counters || want.Counters.ReduceMergePasses != 0 {
+		t.Fatalf("%s: counters differ:\ngot  %+v\nwant %+v", what, got.Counters, want.Counters)
 	}
 }
 
-// FuzzStringVsArenaParity fuzzes the equivalence contract itself. The seed
-// corpus covers each workload plus the adversarial record shapes the arena
-// must not mangle: empty keys, empty values, multi-kilobyte keys larger
-// than the sort buffer's spill granule, invalid UTF-8, and duplicate-key
-// runs long enough to span several spill segments.
+// FuzzStringVsArenaParity fuzzes the equivalence contract itself. Modes
+// 0-5 are the six studied workloads, 6 the adversarial echo job, 7 the echo
+// job with a secondary-sort grouping. The seed corpus covers each workload
+// plus the record shapes the arena must not mangle: empty keys, empty
+// values, multi-kilobyte keys larger than the sort buffer's spill granule,
+// invalid UTF-8, and duplicate-key runs long enough to span several spill
+// segments.
 func FuzzStringVsArenaParity(f *testing.F) {
 	for mode := uint8(0); mode < 6; mode++ {
 		f.Add(mode, workloads.All()[mode].Generate(4*units.KB, 21))
@@ -174,6 +157,7 @@ func FuzzStringVsArenaParity(f *testing.F) {
 	f.Add(uint8(6), []byte(strings.Repeat("dup:x\n", 600)))                 // duplicates spanning segments
 	f.Add(uint8(7), []byte("a1:x\na2:y\nb1:z\na3:w\n"))                     // grouped keys
 	f.Add(uint8(7), []byte(strings.Repeat("g", 4096)+":v\n:empty\ng0:q\n")) // grouping with edge keys
+	f.Add(uint8(6), []byte("a:1\nb:2\n!boom\nc:3\n"))                       // mapper error mid-input
 
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
 		mode %= 8
@@ -189,30 +173,30 @@ func FuzzStringVsArenaParity(f *testing.F) {
 		if len(data) > limit {
 			data = data[:limit]
 		}
-		job, err := buildParityJob(mode, parityConfig("fuzz"), data)
-		if err != nil {
-			// Both paths share Build; nothing to compare.
-			return
+		cfg := parityConfig("fuzz")
+		var job mapreduce.Job
+		if mode < 6 {
+			var err error
+			if job, err = workloads.All()[mode].Build(cfg, data); err != nil {
+				return // nothing to run
+			}
+		} else {
+			job = echoJob(cfg)
+			strs := echoJobStrings(cfg)
+			if mode == 7 {
+				job.Grouping, strs.Grouping = groupOnFirstByte, groupOnFirstByte
+			}
+			want, wantErr := runParityJob(t, strs, data)
+			got, gotErr := runParityJob(t, job, data)
+			compareRuns(t, "native vs string API", got, gotErr, want, wantErr)
 		}
-		comparePaths(t, job, data)
 
-		// The parallel arena run must agree with the serial string-forced
-		// reference on output and on every counter.
+		// The parallel run must agree with the serial one on output, errors
+		// and every counter.
 		pjob := job
 		pjob.Config.Parallelism = 4
-		want, wantErr := runParityJob(t, stringOnlyJob(job), data)
+		want, wantErr := runParityJob(t, job, data)
 		got, gotErr := runParityJob(t, pjob, data)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("parallel error parity: serial err=%v, parallel err=%v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			return
-		}
-		if !reflect.DeepEqual(got.Output(), want.Output()) {
-			t.Fatalf("parallel arena output differs from serial string-path output")
-		}
-		if got.Counters != want.Counters || want.Counters.ReduceMergePasses != 0 {
-			t.Fatalf("parallel counters differ:\narena  %+v\nstring %+v", got.Counters, want.Counters)
-		}
+		compareRuns(t, "parallel vs serial", got, gotErr, want, wantErr)
 	})
 }

@@ -91,8 +91,10 @@ done
 worker_http="$(sed -n 's/^http listening on //p' "$smoke_dir/worker.log")"
 # The task tables are dropped when a job completes, so /jobs and /tasks
 # are scraped while the job is in flight: submit in the background, poll
-# until the tables show the running job, then wait for the result.
-seq 1 100000 >"$smoke_dir/input.txt"
+# until the tables show the running job, then wait for the result. The
+# input is 6.9 MB (about 3400 map tasks): with 0.6 MB the job could finish
+# before the first scrape saw it in flight.
+seq 1 1000000 >"$smoke_dir/input.txt"
 "$smoke_dir/hadoopd" -role submit -master "$master_addr" -workload wordcount \
 	-input "$smoke_dir/input.txt" -reducers 2 -block 2048 >/dev/null &
 submit_pid=$!
@@ -145,13 +147,6 @@ go test -run '^$' -bench 'BenchmarkEngine|BenchmarkShuffleMerge|BenchmarkSortedO
 # path, the -cpu 4 point the cross-shard handoff. One iteration each.
 go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./internal/mapreduce/
 
-# String-vs-arena equivalence corpus plus the output-path parity suite:
-# the parity fuzz seeds (all six workloads plus adversarial record shapes)
-# already run inside the blanket race gate above; this re-runs them
-# spotlighted, still under -race, so a corpus failure is easy to attribute.
-# The second run covers the arena-backed output path end to end: the
-# passthrough identity reduce, the collector's arrival-order property, the
-# merge-based SortedOutput and the Result gob wire round-trip.
 # Chaos lane: the multi-tenant fault path spotlighted under -race — eight
 # concurrent jobs on three workers with one worker killed mid-run and a
 # master restart from its snapshot, plus the lost-shuffle, eviction and
@@ -160,5 +155,26 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # failure easy to attribute.
 go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob' ./internal/dist/
 
-go test -race -run 'TestArenaStringCounterParityAllWorkloads|FuzzStringVsArenaParity' .
+# String-API equivalence corpus: the parity fuzz seeds (the echo job native
+# and through the func adapters over the adversarial record shapes, all six
+# workloads serial against parallel) already run inside the blanket race
+# gate above; this re-runs them spotlighted, still under -race, so a corpus
+# failure is easy to attribute.
+go test -race -run 'FuzzStringVsArenaParity' .
+
+# Output-path parity suite, spotlighted the same way: the passthrough
+# identity reduce, the collector's arrival-order property, the merge-based
+# SortedOutput and the Result gob wire round-trip.
 go test -race -run 'TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
+
+# Fuzz lane: everything above runs only the fuzz targets' seed corpora;
+# here each target mutates for ten seconds (go test -fuzz takes one target
+# and one package per run).
+go test -run '^$' -fuzz '^FuzzStringVsArenaParity$' -fuzztime 10s .
+go test -run '^$' -fuzz '^FuzzSplitRecords$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzSplitInput$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzStreamingShuffleParity$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzSegmentFileReader$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzFPTreeMine$' -fuzztime 10s ./internal/workloads/
+go test -run '^$' -fuzz '^FuzzNaiveBayesModel$' -fuzztime 10s ./internal/workloads/
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/obs/timeline/

@@ -35,7 +35,9 @@ func (*InvertedIndex) Generate(size units.Bytes, seed int64) []byte {
 }
 
 // Build assembles the job: map emits (word, docID) once per distinct word
-// per document; reduce concatenates sorted unique document ids.
+// per document; reduce concatenates sorted unique document ids. It is
+// written against the string API — MapperFunc and ReducerFunc adapt string
+// functions to the engine's byte-level Mapper and Reducer contracts.
 func (*InvertedIndex) Build(cfg mapreduce.Config, _ []byte) (mapreduce.Job, error) {
 	mapper := mapreduce.MapperFunc(func(offset, line string, emit mapreduce.Emitter) error {
 		seen := map[string]bool{}

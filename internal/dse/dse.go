@@ -129,22 +129,14 @@ func PaperMix() Mix {
 	return mix
 }
 
-// Explore scores every candidate on the mix at the given knobs and marks
+// ExploreCtx scores every candidate on the mix at the given knobs and marks
 // the Pareto frontier. Results are sorted by EDP ascending. The flattened
 // (candidate x mix entry) grid runs across the worker pool, and each
 // simulation goes through the result cache; the per-candidate totals are
 // accumulated serially in mix order, so results are identical at any
-// pool width.
-//
-// Explore is ExploreCtx with a background context.
-func Explore(space []Candidate, mix Mix, block units.Bytes, f units.Hertz, cores int) ([]Result, error) {
-	return ExploreCtx(context.Background(), space, mix, block, f, cores)
-}
-
-// ExploreCtx is Explore with cancellation and observability: the context
-// flows through the worker pool into every cached simulation, so a
-// cancelled context stops the sweep within one cell and an Observer
-// carried by ctx sees per-cell sim.run spans and cache counters.
+// pool width. The context flows through the worker pool into every cached
+// simulation, so a cancelled context stops the sweep within one cell and an
+// Observer carried by ctx sees per-cell sim.run spans and cache counters.
 func ExploreCtx(ctx context.Context, space []Candidate, mix Mix, block units.Bytes, f units.Hertz, cores int) ([]Result, error) {
 	if len(space) == 0 {
 		return nil, fmt.Errorf("dse: empty candidate space")

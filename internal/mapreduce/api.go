@@ -11,7 +11,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"heterohadoop/internal/units"
 )
@@ -29,43 +28,24 @@ func (kv KV) Bytes() units.Bytes {
 	return units.Bytes(len(kv.Key) + len(kv.Value) + recordOverhead)
 }
 
-// Emitter receives records produced by mappers, combiners and reducers.
-type Emitter func(key, value string)
-
-// ByteEmitter receives byte-level records on the arena fast path. The
-// engine copies both slices into its flat buffer before returning, so the
-// caller may reuse them immediately.
+// ByteEmitter receives the records mappers, combiners and reducers produce.
+// The engine copies both slices into its flat buffer before returning, so
+// the caller may reuse them immediately.
 type ByteEmitter func(key, value []byte)
 
-// Mapper transforms one input record into zero or more intermediate records.
+// Mapper transforms one input line into zero or more intermediate records.
+// line aliases the input split and is valid only during the call; offset is
+// the line's byte offset in the file (the record key MapperFunc renders in
+// decimal).
 type Mapper interface {
-	Map(key, value string, emit Emitter) error
-}
-
-// ByteMapper is the optional allocation-free mapper fast path: the engine
-// detects it by type assertion and, when present, feeds raw line bytes
-// (aliasing the input split — valid only during the call) instead of
-// materializing a string per line. offset is the line's byte offset in the
-// file, the value the string API renders with strconv.Itoa as the record
-// key. Implementations must emit exactly what their string Map would.
-type ByteMapper interface {
-	Mapper
 	MapBytes(offset int, line []byte, emit ByteEmitter) error
 }
 
 // Reducer folds all values of one key into zero or more output records.
-// Combiners satisfy the same contract and run on map-side spill batches.
+// The key group's values arrive through a ValueIter; key and values alias
+// the engine's merge buffer and are valid only during the call. Combiners
+// satisfy the same contract and run on map-side spill batches.
 type Reducer interface {
-	Reduce(key string, values []string, emit Emitter) error
-}
-
-// StreamReducer is the optional allocation-free reducer/combiner fast
-// path: instead of a materialized []string, the key group's values arrive
-// through a ValueIter that yields byte slices aliasing the engine's merge
-// buffer (valid only during the call). Implementations must emit exactly
-// what their string Reduce would for the same group.
-type StreamReducer interface {
-	Reducer
 	ReduceStream(key []byte, values *ValueIter, emit ByteEmitter) error
 }
 
@@ -82,31 +62,11 @@ type PassthroughReducer interface {
 	Passthrough() bool
 }
 
-// MapperFunc adapts a function to the Mapper interface.
-type MapperFunc func(key, value string, emit Emitter) error
-
-// Map calls f.
-func (f MapperFunc) Map(key, value string, emit Emitter) error { return f(key, value, emit) }
-
-// ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key string, values []string, emit Emitter) error
-
-// Reduce calls f.
-func (f ReducerFunc) Reduce(key string, values []string, emit Emitter) error {
-	return f(key, values, emit)
-}
-
-// IdentityMapper emits its input record unchanged, keyed by value (the
-// classic Hadoop sort mapper). The returned mapper implements ByteMapper,
-// so identity jobs (Sort) ride the arena fast path.
+// IdentityMapper emits its input line unchanged as the key, with an empty
+// value (the classic Hadoop sort mapper).
 func IdentityMapper() Mapper { return identityMapper{} }
 
 type identityMapper struct{}
-
-func (identityMapper) Map(_ string, value string, emit Emitter) error {
-	emit(value, "")
-	return nil
-}
 
 func (identityMapper) MapBytes(_ int, line []byte, emit ByteEmitter) error {
 	emit(line, nil)
@@ -114,9 +74,8 @@ func (identityMapper) MapBytes(_ int, line []byte, emit ByteEmitter) error {
 }
 
 // IdentityReducer emits each value of each key unchanged. The returned
-// reducer implements StreamReducer and PassthroughReducer, so identity
-// jobs (sort, terasort) ride the arena fast path and skip reduce-side
-// record processing entirely.
+// reducer implements PassthroughReducer, so identity jobs (sort, terasort)
+// skip reduce-side record processing entirely.
 func IdentityReducer() Reducer { return identityReducer{} }
 
 type identityReducer struct{}
@@ -124,13 +83,6 @@ type identityReducer struct{}
 // Passthrough marks the identity reducer for the engine's zero-copy
 // reduce path.
 func (identityReducer) Passthrough() bool { return true }
-
-func (identityReducer) Reduce(key string, values []string, emit Emitter) error {
-	for _, v := range values {
-		emit(key, v)
-	}
-	return nil
-}
 
 func (identityReducer) ReduceStream(key []byte, values *ValueIter, emit ByteEmitter) error {
 	for {
@@ -144,44 +96,18 @@ func (identityReducer) ReduceStream(key []byte, values *ValueIter, emit ByteEmit
 
 // Partitioner routes an intermediate key to one of n reduce partitions.
 type Partitioner interface {
-	Partition(key string, n int) int
-}
-
-// BytePartitioner is the optional byte-level partitioner fast path,
-// detected by type assertion like ByteMapper. PartitionBytes must return
-// the same partition Partition would for the equivalent string key.
-type BytePartitioner interface {
-	Partitioner
 	PartitionBytes(key []byte, n int) int
 }
 
-// PartitionerFunc adapts a function to the Partitioner interface.
-type PartitionerFunc func(key string, n int) int
-
-// Partition calls f.
-func (f PartitionerFunc) Partition(key string, n int) int { return f(key, n) }
-
-// HashPartitioner routes keys by FNV hash, Hadoop's default. The returned
-// partitioner implements BytePartitioner (the inlined FNV-32a loop matches
-// hash/fnv bit for bit).
+// HashPartitioner routes keys by FNV-32a hash, Hadoop's default.
 func HashPartitioner() Partitioner { return hashPartitioner{} }
 
 type hashPartitioner struct{}
-
-func (hashPartitioner) Partition(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
 
 func (hashPartitioner) PartitionBytes(key []byte, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	// FNV-32a, identical to hash/fnv without the hasher allocation.
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -196,36 +122,16 @@ func (hashPartitioner) PartitionBytes(key []byte, n int) int {
 
 // RangePartitioner routes keys into contiguous sorted ranges delimited by
 // n-1 sampled cut keys, as TeraSort's sampler builds: partition i receives
-// keys in [cuts[i-1], cuts[i]). The returned partitioner implements
-// BytePartitioner (byte-wise comparison is exactly Go's string ordering).
+// keys in [cuts[i-1], cuts[i]), compared byte-wise (Go's string ordering).
 func RangePartitioner(cuts []string) Partitioner { return rangePartitioner{cuts: cuts} }
 
 type rangePartitioner struct{ cuts []string }
-
-func (r rangePartitioner) Partition(key string, n int) int {
-	if n <= 1 || len(r.cuts) == 0 {
-		return 0
-	}
-	// Binary search for the first cut greater than key.
-	lo, hi := 0, len(r.cuts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key < r.cuts[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo >= n {
-		lo = n - 1
-	}
-	return lo
-}
 
 func (r rangePartitioner) PartitionBytes(key []byte, n int) int {
 	if n <= 1 || len(r.cuts) == 0 {
 		return 0
 	}
+	// Binary search for the first cut greater than key.
 	lo, hi := 0, len(r.cuts)
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -1,7 +1,7 @@
 package mapreduce
 
 import (
-	"sync"
+	"bytes"
 
 	"heterohadoop/internal/units"
 )
@@ -60,6 +60,17 @@ func (s Segment) val(i int) []byte {
 	return s.data[start : start+m.valLen : start+m.valLen]
 }
 
+// groupEnd returns the end of the run of records whose key equals record
+// i's: the index of the first record after i with a different key, or Len.
+func (s Segment) groupEnd(i int) int {
+	k := s.key(i)
+	j := i + 1
+	for j < len(s.meta) && bytes.Equal(s.key(j), k) {
+		j++
+	}
+	return j
+}
+
 // Bytes returns the run's accounting size — the sum of KV.Bytes over its
 // records — in O(1) via the payload-exactness invariant.
 func (s Segment) Bytes() units.Bytes {
@@ -109,7 +120,7 @@ func SegmentFromKVs(kvs []KV) Segment {
 }
 
 // arena is the mutable builder behind Segment: an append-only record
-// buffer, reused across tasks through arenaPool.
+// buffer, reused across tasks through the slot's taskBufs.
 type arena struct {
 	data []byte
 	meta []recMeta
@@ -157,19 +168,10 @@ func (a *arena) reset() {
 // appends.
 func (a *arena) seg() Segment { return Segment{data: a.data, meta: a.meta} }
 
-// arenaPool recycles map-side sort buffers and combine scratch arenas
-// across tasks, the arena counterpart of the legacy mapBufferPool.
-var arenaPool = sync.Pool{New: func() interface{} { return new(arena) }}
-
-// valuesPool recycles the per-group []string handed to string-API reducers
-// and combiners: one slice per task, reset per key group, instead of a
-// fresh make per group.
-var valuesPool = sync.Pool{New: func() interface{} { s := make([]string, 0, 64); return &s }}
-
-// ValueIter streams one key group's values to a StreamReducer without
-// materializing []string. The iterator is only valid during the
-// ReduceStream call it is passed to, and the byte slices it yields alias
-// the engine's buffers: copy anything that must outlive the call.
+// ValueIter streams one key group's values to a Reducer. The iterator is
+// only valid during the ReduceStream call it is passed to, and the byte
+// slices it yields alias the engine's buffers: copy anything that must
+// outlive the call.
 type ValueIter struct {
 	seg  Segment
 	i, j int // remaining records: [i, j)

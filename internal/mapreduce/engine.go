@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 
 	"heterohadoop/internal/hdfs"
@@ -41,6 +40,9 @@ func (e *Engine) Run(job Job, input string) (*Result, error) {
 func (e *Engine) RunContext(ctx context.Context, job Job, input string) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
+	}
+	if e.store == nil {
+		return nil, fmt.Errorf("mapreduce: %s: engine has no store", job.Config.Name)
 	}
 	// The observer rides the context (obs.NewContext); with none installed
 	// every phase emission below collapses to the zero-cost inert path.
@@ -505,8 +507,7 @@ type splitRange struct {
 
 // runMapTask executes the mapper over one split with Hadoop's sort-buffer
 // spill discipline and returns per-partition sorted output runs. Records
-// are emitted into the slot's flat arena (no per-record allocation);
-// mappers implementing ByteMapper additionally skip the per-line string.
+// are emitted into the slot's flat arena (no per-record allocation).
 // win holds the input bytes starting at absolute offset base; resident
 // inputs pass the whole input at base 0.
 //
@@ -565,14 +566,15 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 		return nil
 	}
 
-	// account charges one emitted record to the counters and the sort
-	// buffer, spilling when the buffer crosses io.sort.mb — identical
-	// bookkeeping for both emit paths, so counters never depend on which
-	// API the mapper used. The open map interval is closed around the
-	// spill so sort/spill time is not charged to the map phase.
+	// emit copies one record into the sort buffer and charges it to the
+	// counters, spilling when the buffer crosses io.sort.mb. The open map
+	// interval is closed around the spill so sort/spill time is not charged
+	// to the map phase.
 	var mapErr error
 	tMap := pc.Start()
-	account := func(rb units.Bytes) {
+	emit := func(k, v []byte) {
+		buf.appendBytes(k, v)
+		rb := units.Bytes(len(k) + len(v) + recordOverhead)
 		bufBytes += rb
 		c.MapOutputRecords++
 		c.MapOutputBytes += rb
@@ -584,33 +586,13 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 			tMap = pc.Start()
 		}
 	}
-
-	var err error
-	if bm, ok := job.Mapper.(ByteMapper); ok {
-		emit := func(k, v []byte) {
-			buf.appendBytes(k, v)
-			account(units.Bytes(len(k) + len(v) + recordOverhead))
+	err := forEachRecordWindow(win, base, split.start, split.end, func(offset int, line []byte) error {
+		c.MapInputRecords++
+		if err := job.Mapper.MapBytes(offset, line, emit); err != nil {
+			return fmt.Errorf("mapreduce: %s: map: %w", job.Config.Name, err)
 		}
-		err = forEachRecordWindow(win, base, split.start, split.end, func(offset int, line []byte) error {
-			c.MapInputRecords++
-			if err := bm.MapBytes(offset, line, emit); err != nil {
-				return fmt.Errorf("mapreduce: %s: map: %w", job.Config.Name, err)
-			}
-			return mapErr
-		})
-	} else {
-		emit := func(k, v string) {
-			buf.append(k, v)
-			account(units.Bytes(len(k) + len(v) + recordOverhead))
-		}
-		err = forEachRecordWindow(win, base, split.start, split.end, func(offset int, line []byte) error {
-			c.MapInputRecords++
-			if err := job.Mapper.Map(strconv.Itoa(offset), string(line), emit); err != nil {
-				return fmt.Errorf("mapreduce: %s: map: %w", job.Config.Name, err)
-			}
-			return mapErr
-		})
-	}
+		return mapErr
+	})
 	pc.Emit(obs.PhaseMap, tMap)
 	if err != nil {
 		return nil, c, err
@@ -704,17 +686,11 @@ func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *ta
 
 	ids := bufs.partIds[:0]
 	defer func() { bufs.partIds = ids[:0] }()
-	bp, hasBP := job.Partitioner.(BytePartitioner)
 	n := working.Len()
 	counts := make([]int, nparts)
 	dataSizes := make([]int, nparts)
 	for i := 0; i < n; i++ {
-		var p int
-		if hasBP {
-			p = bp.PartitionBytes(working.key(i), nparts)
-		} else {
-			p = job.Partitioner.Partition(string(working.key(i)), nparts)
-		}
+		p := job.Partitioner.PartitionBytes(working.key(i), nparts)
 		if p < 0 || p >= nparts {
 			return nil, 0, 0, fmt.Errorf("mapreduce: %s: partitioner returned %d for %d partitions", job.Config.Name, p, nparts)
 		}
@@ -762,43 +738,16 @@ func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *ta
 }
 
 // combineInto runs the combiner over key groups of a sorted run, writing
-// its output into the scratch arena. Combiners implementing StreamReducer
-// get the group's values streamed (no []string); others get a pooled
-// values slice reused across groups.
+// its output into the scratch arena.
 func combineInto(job Job, sorted Segment, out *arena, c *Counters) error {
-	sc, stream := job.Combiner.(StreamReducer)
-	var valp *[]string
-	if !stream {
-		valp = valuesPool.Get().(*[]string)
-		defer func() {
-			*valp = (*valp)[:0]
-			valuesPool.Put(valp)
-		}()
-	}
-	emitB := ByteEmitter(func(k, v []byte) { out.appendBytes(k, v) })
-	emitS := Emitter(func(k, v string) { out.append(k, v) })
-	n := sorted.Len()
-	for i := 0; i < n; {
-		j := i + 1
-		k0 := sorted.key(i)
-		for j < n && bytes.Equal(sorted.key(j), k0) {
-			j++
-		}
+	emit := ByteEmitter(out.appendBytes)
+	var it ValueIter // one per run, not per group: &it escapes into the call
+	for i, n := 0, sorted.Len(); i < n; {
+		j := sorted.groupEnd(i)
 		c.CombineInputRecords += int64(j - i)
 		before := len(out.meta)
-		var err error
-		if stream {
-			it := ValueIter{seg: sorted, i: i, j: j, n: j - i}
-			err = sc.ReduceStream(k0, &it, emitB)
-		} else {
-			values := (*valp)[:0]
-			for k := i; k < j; k++ {
-				values = append(values, string(sorted.val(k)))
-			}
-			*valp = values
-			err = job.Combiner.Reduce(string(k0), values, emitS)
-		}
-		if err != nil {
+		it = ValueIter{seg: sorted, i: i, j: j, n: j - i}
+		if err := job.Combiner.ReduceStream(sorted.key(i), &it, emit); err != nil {
 			return fmt.Errorf("mapreduce: %s: combine: %w", job.Config.Name, err)
 		}
 		c.CombineOutputRecords += int64(len(out.meta) - before)
@@ -827,15 +776,13 @@ func runReduceTask(job Job, segments []Segment, pc phaseClock, bufs *taskBufs) (
 // reduceMerged applies the reducer per key group over one partition's fully
 // merged record stream, emitting into the slot's flat arena — no per-record
 // KV or string is allocated; the returned segment costs two allocations
-// regardless of record count. Reducers implementing StreamReducer get the
-// group's values streamed; the string API gets a pooled values slice reused
-// across groups and a key string materialized once per group.
+// regardless of record count.
 //
 // Identity reducers that declare themselves via PassthroughReducer skip the
 // group loop entirely when no Grouping comparator is installed: their
 // output IS the merged input, returned as-is with zero copies (mergeSegs
 // always hands back a freshly built segment, so ownership transfer is
-// safe). Counters match the slow path exactly — groups are counted with
+// safe). Counters match the group loop exactly — groups are counted with
 // one adjacent-equality scan.
 func reduceMerged(job Job, merged Segment, pc phaseClock, bufs *taskBufs) (Segment, Counters, error) {
 	var c Counters
@@ -845,14 +792,8 @@ func reduceMerged(job Job, merged Segment, pc phaseClock, bufs *taskBufs) (Segme
 	defer func() { pc.Emit(obs.PhaseReduce, tReduce) }()
 
 	if pr, ok := job.Reducer.(PassthroughReducer); ok && pr.Passthrough() && job.Grouping == nil {
-		for i := 0; i < n; {
-			j := i + 1
-			k0 := merged.key(i)
-			for j < n && bytes.Equal(merged.key(j), k0) {
-				j++
-			}
+		for i := 0; i < n; i = merged.groupEnd(i) {
 			c.ReduceInputGroups++
-			i = j
 		}
 		c.ReduceOutputRecords = int64(n)
 		c.ReduceOutputBytes = merged.Bytes()
@@ -862,38 +803,23 @@ func reduceMerged(job Job, merged Segment, pc phaseClock, bufs *taskBufs) (Segme
 	out := &bufs.emit
 	out.reset()
 	defer out.reset()
-	emitB := ByteEmitter(func(k, v []byte) {
+	emit := ByteEmitter(func(k, v []byte) {
 		out.appendBytes(k, v)
 		c.ReduceOutputRecords++
 		c.ReduceOutputBytes += units.Bytes(len(k) + len(v) + recordOverhead)
 	})
-	emitS := Emitter(func(k, v string) {
-		out.append(k, v)
-		c.ReduceOutputRecords++
-		c.ReduceOutputBytes += units.Bytes(len(k) + len(v) + recordOverhead)
-	})
-
-	sr, stream := job.Reducer.(StreamReducer)
-	var valp *[]string
-	if !stream {
-		valp = valuesPool.Get().(*[]string)
-		defer func() {
-			*valp = (*valp)[:0]
-			valuesPool.Put(valp)
-		}()
-	}
+	var it ValueIter // one per task, not per group: &it escapes into the call
 	for i := 0; i < n; {
-		// Find the group's end. Grouping comparators are a string contract
-		// (secondary sort); the default is exact key equality on bytes. The
-		// group-leader string ki is materialized at most once per group and
-		// shared between the comparator probes and the string Reduce call;
-		// probe strings are reused across bytes-equal consecutive records.
+		// Find the group's end: exact key equality on bytes, unless a
+		// Grouping comparator is set. Comparators are a string contract
+		// (secondary sort), so the group leader is materialized once per
+		// group and probe strings are reused across bytes-equal consecutive
+		// records.
 		j := i + 1
-		var ki string
-		if job.Grouping != nil || !stream {
-			ki = string(merged.key(i))
-		}
-		if job.Grouping != nil {
+		if job.Grouping == nil {
+			j = merged.groupEnd(i)
+		} else {
+			leader := string(merged.key(i))
 			var probeB []byte
 			var probe string
 			for j < n {
@@ -902,31 +828,15 @@ func reduceMerged(job Job, merged Segment, pc phaseClock, bufs *taskBufs) (Segme
 					probe = string(kj)
 					probeB = kj
 				}
-				if !job.Grouping(probe, ki) {
+				if !job.Grouping(probe, leader) {
 					break
 				}
 				j++
 			}
-		} else {
-			k0 := merged.key(i)
-			for j < n && bytes.Equal(merged.key(j), k0) {
-				j++
-			}
 		}
 		c.ReduceInputGroups++
-		var err error
-		if stream {
-			it := ValueIter{seg: merged, i: i, j: j, n: j - i}
-			err = sr.ReduceStream(merged.key(i), &it, emitB)
-		} else {
-			values := (*valp)[:0]
-			for k := i; k < j; k++ {
-				values = append(values, string(merged.val(k)))
-			}
-			*valp = values
-			err = job.Reducer.Reduce(ki, values, emitS)
-		}
-		if err != nil {
+		it = ValueIter{seg: merged, i: i, j: j, n: j - i}
+		if err := job.Reducer.ReduceStream(merged.key(i), &it, emit); err != nil {
 			return Segment{}, c, fmt.Errorf("mapreduce: %s: reduce: %w", job.Config.Name, err)
 		}
 		i = j

@@ -507,6 +507,11 @@ func TestJobValidation(t *testing.T) {
 	if _, err := e.Run(wordCountJob(DefaultConfig("missing")), "nope"); err == nil {
 		t.Error("missing input accepted")
 	}
+	// A store-less engine is legal for RunFileContext only.
+	_, err := NewEngine(nil).Run(wordCountJob(DefaultConfig("storeless")), "input")
+	if err == nil || err.Error() != "mapreduce: storeless: engine has no store" {
+		t.Errorf("store-backed run on a nil-store engine: err = %v", err)
+	}
 	bad := DefaultConfig("")
 	if err := bad.Validate(); err == nil {
 		t.Error("nameless config accepted")
@@ -617,14 +622,14 @@ func TestHashPartitionerInRangeAndDeterministic(t *testing.T) {
 	p := HashPartitioner()
 	f := func(key string, nRaw uint8) bool {
 		n := int(nRaw%16) + 1
-		a := p.Partition(key, n)
-		b := p.Partition(key, n)
+		a := p.PartitionBytes([]byte(key), n)
+		b := p.PartitionBytes([]byte(key), n)
 		return a == b && a >= 0 && a < n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if got := p.Partition("anything", 1); got != 0 {
+	if got := p.PartitionBytes([]byte("anything"), 1); got != 0 {
 		t.Errorf("single partition = %d, want 0", got)
 	}
 }
@@ -638,14 +643,14 @@ func TestRangePartitionerBoundaries(t *testing.T) {
 		{"a", 0}, {"f", 0}, {"g", 1}, {"o", 1}, {"p", 2}, {"z", 2},
 	}
 	for _, tc := range tests {
-		if got := p.Partition(tc.key, 3); got != tc.want {
-			t.Errorf("Partition(%q) = %d, want %d", tc.key, got, tc.want)
+		if got := p.PartitionBytes([]byte(tc.key), 3); got != tc.want {
+			t.Errorf("PartitionBytes(%q) = %d, want %d", tc.key, got, tc.want)
 		}
 	}
-	if got := p.Partition("zzz", 2); got != 1 {
+	if got := p.PartitionBytes([]byte("zzz"), 2); got != 1 {
 		t.Errorf("clamped partition = %d, want 1", got)
 	}
-	if got := RangePartitioner(nil).Partition("x", 5); got != 0 {
+	if got := RangePartitioner(nil).PartitionBytes([]byte("x"), 5); got != 0 {
 		t.Errorf("no-cuts partition = %d, want 0", got)
 	}
 }

@@ -492,38 +492,22 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 	}
 
 	var sinkErr error
-	emitB := ByteEmitter(func(k, v []byte) {
+	emit := ByteEmitter(func(k, v []byte) {
 		c.ReduceOutputRecords++
 		c.ReduceOutputBytes += units.Bytes(len(k) + len(v) + recordOverhead)
 		if sinkErr == nil {
 			sinkErr = sink(k, v)
 		}
 	})
-	emitS := Emitter(func(k, v string) {
-		c.ReduceOutputRecords++
-		c.ReduceOutputBytes += units.Bytes(len(k) + len(v) + recordOverhead)
-		if sinkErr == nil {
-			sinkErr = sink([]byte(k), []byte(v))
-		}
-	})
-
-	sr, stream := job.Reducer.(StreamReducer)
-	var valp *[]string
-	if !stream {
-		valp = valuesPool.Get().(*[]string)
-		defer func() {
-			*valp = (*valp)[:0]
-			valuesPool.Put(valp)
-		}()
-	}
 
 	var (
 		group   arena  // the open group's records
-		leader  string // group-leader key, materialized when the API needs it
+		leader  string // group-leader key, materialized for the Grouping comparator only
 		leaderB []byte // group-leader key bytes (stable copy)
 		inGroup bool
 		probe   string // Grouping probe, reused across bytes-equal keys
 		probeB  []byte
+		it      ValueIter // one per task, not per group: &it escapes into the call
 	)
 	flush := func() error {
 		gseg := group.seg()
@@ -532,18 +516,8 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 			return nil
 		}
 		c.ReduceInputGroups++
-		var err error
-		if stream {
-			it := ValueIter{seg: gseg, i: 0, j: n, n: n}
-			err = sr.ReduceStream(gseg.key(0), &it, emitB)
-		} else {
-			values := (*valp)[:0]
-			for k := 0; k < n; k++ {
-				values = append(values, string(gseg.val(k)))
-			}
-			*valp = values
-			err = job.Reducer.Reduce(leader, values, emitS)
-		}
+		it = ValueIter{seg: gseg, i: 0, j: n, n: n}
+		err := job.Reducer.ReduceStream(gseg.key(0), &it, emit)
 		group.reset()
 		if err != nil {
 			return fmt.Errorf("mapreduce: %s: reduce: %w", job.Config.Name, err)
@@ -576,7 +550,7 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 				return c, err
 			}
 			leaderB = append(leaderB[:0], k...)
-			if job.Grouping != nil || !stream {
+			if job.Grouping != nil {
 				leader = string(k)
 			}
 			inGroup = true

@@ -54,7 +54,7 @@ func materialized(t *testing.T, res *Result) []byte {
 }
 
 // TestOutOfCoreParity is the out-of-core acceptance gate in miniature: for
-// wordcount (combiner, string API) and sort (ByteMapper + passthrough
+// wordcount (combiner, string API) and sort (identity mapper + passthrough
 // reducer), a run whose spills overflow a tiny memory budget onto disk
 // must produce byte-identical output to the serial unbounded in-memory run
 // at any parallelism, with identical counters up to the spill-file and
@@ -116,8 +116,7 @@ func TestOutOfCoreParity(t *testing.T) {
 						got.Counters.SpillFileBytesWritten, got.Counters.SpillFileBytesRead)
 				}
 
-				// Byte parity, both through the string API and the streaming
-				// writer.
+				// Byte parity, both as []KV and through the streaming writer.
 				if !reflect.DeepEqual(got.Output(), want.Output()) {
 					t.Fatal("out-of-core output differs from in-memory output")
 				}
@@ -506,12 +505,10 @@ func TestConsolidateFailureLeavesNothing(t *testing.T) {
 // offsetMapper emits (line, byte-offset) — any windowing or base-offset
 // slip in the file-backed read path shifts its output, so parity against
 // the store-backed engine pins absolute offset semantics exactly.
-type offsetMapper struct{}
-
-func (offsetMapper) Map(key, value string, emit Emitter) error {
+var offsetMapper = MapperFunc(func(key, value string, emit Emitter) error {
 	emit(value, key) // the string API renders the offset as the record key
 	return nil
-}
+})
 
 // TestRunFileWindowedParity runs the same job over the same bytes through
 // the in-memory store engine and through RunFileContext's windowed disk reader,
@@ -531,7 +528,7 @@ func TestRunFileWindowedParity(t *testing.T) {
 		t.Run(fmt.Sprintf("block-%d", bs), func(t *testing.T) {
 			cfg := DefaultConfig("runfile-parity")
 			cfg.NumReducers = 3
-			job := Job{Config: cfg, Mapper: offsetMapper{}, Reducer: IdentityReducer()}
+			job := Job{Config: cfg, Mapper: offsetMapper, Reducer: IdentityReducer()}
 
 			e := newEngine(t, bs, input)
 			want, err := e.Run(job, "input")

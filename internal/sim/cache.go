@@ -76,16 +76,10 @@ const (
 	outcomeCoalesced
 )
 
-// do returns the memoized result for key, computing it with fn on the
-// first request. Concurrent requests for the same key share one fn call.
-func (c *resultCache) do(key []byte, fn func() (Report, error)) (Report, error) {
-	rep, _, err := c.doCtx(context.Background(), key, fn)
-	return rep, err
-}
-
-// doCtx is do with cancellation: a waiter whose ctx expires abandons the
-// in-flight computation (which completes for other waiters), and an entry
-// whose computation itself failed with a context error is evicted, so one
+// doCtx returns the memoized result for key, computing it with fn on the
+// first request. Concurrent requests for the same key share one fn call. A
+// waiter whose ctx expires abandons the in-flight computation (which
+// completes for other waiters), and an entry whose computation itself failed with a context error is evicted, so one
 // cancelled run cannot poison the process-wide cache with a cancellation
 // error. A coalesced waiter whose own ctx is still live when the computing
 // goroutine is cancelled does not inherit that foreign cancellation: the

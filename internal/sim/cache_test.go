@@ -127,7 +127,7 @@ func TestSingleFlightCoalescesDuplicates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		reports[0], _ = c.do([]byte("cell"), func() (Report, error) {
+		reports[0], _, _ = c.doCtx(context.Background(), []byte("cell"), func() (Report, error) {
 			calls.Add(1)
 			close(running)
 			<-gate
@@ -142,7 +142,7 @@ func TestSingleFlightCoalescesDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[i], _ = c.do([]byte("cell"), func() (Report, error) {
+			reports[i], _, _ = c.doCtx(context.Background(), []byte("cell"), func() (Report, error) {
 				calls.Add(1)
 				return Report{Workload: "follower"}, nil
 			})

@@ -39,18 +39,9 @@ func CountItems(input []byte) map[string]int {
 // supplied range-partitioner cuts (computed by a master-side sampler)
 // instead of sampling the input locally.
 func BuildTeraSortWithCuts(cfg mapreduce.Config, cuts []string) mapreduce.Job {
-	mapper := mapreduce.MapperFunc(func(_, line string, emit mapreduce.Emitter) error {
-		key := teraKey(line)
-		value := ""
-		if len(key) < len(line) {
-			value = line[len(key)+1:]
-		}
-		emit(key, value)
-		return nil
-	})
 	return mapreduce.Job{
 		Config:      cfg,
-		Mapper:      mapper,
+		Mapper:      teraMapper{},
 		Reducer:     mapreduce.IdentityReducer(),
 		Partitioner: mapreduce.RangePartitioner(cuts),
 	}

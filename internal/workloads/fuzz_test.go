@@ -15,6 +15,7 @@ func FuzzFPTreeMine(f *testing.F) {
 	f.Add("x\nx\nx\n", uint8(3))
 	f.Add("", uint8(1))
 	f.Add("a a a\nb b\n", uint8(1))
+	f.Add("b,c b c x\n", uint8(0)) // {b,c x} and {b c x} are distinct itemsets
 	f.Fuzz(func(t *testing.T, text string, supRaw uint8) {
 		minSupport := int(supRaw%4) + 1
 		var txs [][]string
@@ -56,12 +57,16 @@ func FuzzFPTreeMine(f *testing.F) {
 			return n
 		}
 
+		// Itemsets are identified by their space-joined items: items come
+		// from strings.Fields, so unlike Pattern.Key's comma a space cannot
+		// occur inside one.
 		seen := map[string]bool{}
 		for _, p := range patterns {
-			if seen[p.Key()] {
+			id := strings.Join(p.Items, " ")
+			if seen[id] {
 				t.Fatalf("pattern %q mined twice", p.Key())
 			}
-			seen[p.Key()] = true
+			seen[id] = true
 			if p.Support < minSupport {
 				t.Fatalf("pattern %q support %d below threshold %d", p.Key(), p.Support, minSupport)
 			}

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"regexp"
-	"strings"
 
 	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
@@ -37,19 +36,9 @@ func (*Grep) Generate(size units.Bytes, seed int64) []byte {
 // Spec returns the calibrated resource profile.
 func (*Grep) Spec() Spec { return grepSpec() }
 
-// grepMapper emits (word, 1) for words matching the pattern; the byte
-// path scans fields and matches in place (regexp.Match on bytes is
-// MatchString on the equivalent string).
+// grepMapper emits (word, 1) for words matching the pattern, scanning
+// fields and matching in place.
 type grepMapper struct{ re *regexp.Regexp }
-
-func (m grepMapper) Map(_, line string, emit mapreduce.Emitter) error {
-	for _, w := range strings.Fields(line) {
-		if m.re.MatchString(w) {
-			emit(w, "1")
-		}
-	}
-	return nil
-}
 
 func (m grepMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error {
 	forEachField(line, func(w []byte) {

@@ -39,19 +39,8 @@ func teraKey(line string) string {
 	return line
 }
 
-// teraMapper splits records into (key, payload) at the tab; the byte path
-// does the split in place.
+// teraMapper splits records into (key, payload) at the tab, in place.
 type teraMapper struct{}
-
-func (teraMapper) Map(_, line string, emit mapreduce.Emitter) error {
-	key := teraKey(line)
-	value := ""
-	if len(key) < len(line) {
-		value = line[len(key)+1:]
-	}
-	emit(key, value)
-	return nil
-}
 
 func (teraMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error {
 	if i := bytes.IndexByte(line, '\t'); i >= 0 {
@@ -63,17 +52,10 @@ func (teraMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error
 }
 
 // Build samples the input for quantile cuts and assembles the sort job.
-// Mapper, reducer and partitioner all implement the engine's byte fast
-// paths.
 func (*TeraSort) Build(cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
 	cuts, err := sampleCuts(input, cfg.NumReducers, teraKey)
 	if err != nil {
 		return mapreduce.Job{}, err
 	}
-	return mapreduce.Job{
-		Config:      cfg,
-		Mapper:      teraMapper{},
-		Reducer:     mapreduce.IdentityReducer(),
-		Partitioner: mapreduce.RangePartitioner(cuts),
-	}, nil
+	return BuildTeraSortWithCuts(cfg, cuts), nil
 }

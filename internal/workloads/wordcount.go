@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -31,8 +30,8 @@ func (*WordCount) Generate(size units.Bytes, seed int64) []byte {
 // Spec returns the calibrated resource profile.
 func (*WordCount) Spec() Spec { return wordCountSpec() }
 
-// asciiSpace mirrors strings.Fields' ASCII space table; forEachField must
-// split exactly where strings.Fields does.
+// asciiSpace mirrors strings.Fields' ASCII space table; forEachField
+// splits exactly where strings.Fields does.
 var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
 
 // forEachField calls fn for each whitespace-separated field of line,
@@ -82,38 +81,18 @@ func forEachField(line []byte, fn func(word []byte)) {
 
 var one = []byte("1")
 
-// wcMapper tokenizes lines and emits (word, 1); the byte path scans fields
-// in place, so a map task allocates nothing per token.
+// wcMapper tokenizes lines and emits (word, 1), scanning fields in place,
+// so a map task allocates nothing per token.
 type wcMapper struct{}
-
-func (wcMapper) Map(_, line string, emit mapreduce.Emitter) error {
-	for _, w := range strings.Fields(line) {
-		emit(w, "1")
-	}
-	return nil
-}
 
 func (wcMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error {
 	forEachField(line, func(w []byte) { emit(w, one) })
 	return nil
 }
 
-// sumRed adds up integer counts; it serves as both combiner and reducer.
-// The stream path parses and formats counts without per-value strings.
+// sumRed adds up integer counts; it serves as both combiner and reducer,
+// parsing and formatting counts without per-value strings.
 type sumRed struct{}
-
-func (sumRed) Reduce(key string, values []string, emit mapreduce.Emitter) error {
-	total := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		total += n
-	}
-	emit(key, strconv.Itoa(total))
-	return nil
-}
 
 func (sumRed) ReduceStream(key []byte, values *mapreduce.ValueIter, emit mapreduce.ByteEmitter) error {
 	total := 0
@@ -134,8 +113,8 @@ func (sumRed) ReduceStream(key []byte, values *mapreduce.ValueIter, emit mapredu
 }
 
 // byteAtoi parses an integer from bytes. Canonical small integers parse
-// allocation-free; anything else falls back to strconv.Atoi so values,
-// errors and edge-case semantics match the string path exactly.
+// allocation-free; anything else falls back to strconv.Atoi, which defines
+// the values, errors and edge-case semantics.
 func byteAtoi(b []byte) (int, error) {
 	// Up to 18 chars of sign+digits always fits int64, no overflow check.
 	if n := len(b); n > 0 && n <= 18 {
@@ -168,8 +147,7 @@ func byteAtoi(b []byte) (int, error) {
 func sumReducer() mapreduce.Reducer { return sumRed{} }
 
 // Build assembles the word-count job: tokenize, emit (word, 1), combine and
-// reduce by summation. Mapper, combiner and reducer all implement the
-// engine's byte fast paths.
+// reduce by summation.
 func (*WordCount) Build(cfg mapreduce.Config, _ []byte) (mapreduce.Job, error) {
 	return mapreduce.Job{
 		Config:   cfg,

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,6 +17,23 @@ import (
 func runWorkload(t *testing.T, w Workload, size units.Bytes, blockSize units.Bytes, reducers int) (*mapreduce.Result, []byte) {
 	t.Helper()
 	input := w.Generate(size, 42)
+	job, err := w.Build(testConfig(w.Name(), reducers), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runJob(t, job, input, blockSize), input
+}
+
+func testConfig(name string, reducers int) mapreduce.Config {
+	cfg := mapreduce.DefaultConfig(name)
+	cfg.NumReducers = reducers
+	cfg.Parallelism = 4
+	return cfg
+}
+
+// runJob runs job over input stored in blockSize blocks.
+func runJob(t *testing.T, job mapreduce.Job, input []byte, blockSize units.Bytes) *mapreduce.Result {
+	t.Helper()
 	store, err := hdfs.NewStore(hdfs.Config{BlockSize: blockSize, Replication: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -23,18 +41,11 @@ func runWorkload(t *testing.T, w Workload, size units.Bytes, blockSize units.Byt
 	if _, err := store.Write("input", input); err != nil {
 		t.Fatal(err)
 	}
-	cfg := mapreduce.DefaultConfig(w.Name())
-	cfg.NumReducers = reducers
-	cfg.Parallelism = 4
-	job, err := w.Build(cfg, input)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := mapreduce.NewEngine(store).Run(job, "input")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, input
+	return res
 }
 
 func TestAllRegistry(t *testing.T) {
@@ -182,6 +193,24 @@ func TestTeraSortGlobalOrderAndPayloadPreserved(t *testing.T) {
 		if gotKeys[i] != wantKeys[i] {
 			t.Fatalf("key[%d] = %q, want %q", i, gotKeys[i], wantKeys[i])
 		}
+	}
+}
+
+// TestTeraSortBuildersAgree: the job hadoopd and bench/ assemble from
+// master-side cuts is the job Build assembles — same partitions, same
+// counters.
+func TestTeraSortBuildersAgree(t *testing.T) {
+	want, input := runWorkload(t, NewTeraSort(), 32*units.KB, 8*units.KB, 4)
+	cuts, err := SampleCuts(input, 4, TeraKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runJob(t, BuildTeraSortWithCuts(testConfig("terasort", 4), cuts), input, 8*units.KB)
+	if !reflect.DeepEqual(got.Output(), want.Output()) {
+		t.Error("BuildTeraSortWithCuts output differs from Build's")
+	}
+	if got.Counters != want.Counters {
+		t.Errorf("counters differ:\ncuts  %+v\nbuild %+v", got.Counters, want.Counters)
 	}
 }
 
