@@ -135,11 +135,12 @@ kill "$worker_pid" "$master_pid"
 wait "$worker_pid" "$master_pid" 2>/dev/null || true
 worker_pid='' master_pid=''
 
-# Benchmark smoke: every engine, shuffle-merge, and telemetry benchmark
-# must run one iteration cleanly (catches benchmarks broken by engine
-# refactors without paying for a full measurement); BenchmarkNoopObserver
-# additionally pins the no-observer phase path in the test suite above.
-go test -run '^$' -bench 'BenchmarkEngine|BenchmarkShuffleMerge|BenchmarkSortedOutput|BenchmarkNoopObserver' -benchtime 1x ./internal/mapreduce/ .
+# Benchmark smoke: every engine, map-side sort, shuffle-merge, and
+# telemetry benchmark must run one iteration cleanly (catches benchmarks
+# broken by engine refactors without paying for a full measurement);
+# BenchmarkNoopObserver additionally pins the no-observer phase path in the
+# test suite above.
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSpillSort|BenchmarkShuffleMerge|BenchmarkSortedOutput|BenchmarkNoopObserver' -benchtime 1x ./internal/mapreduce/ .
 
 # Contended-shuffle smoke: the sharded-collector stress case (many small
 # map tasks fanning into 32 partitions) must complete at both 1 and 4
@@ -162,15 +163,17 @@ go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapReru
 # failure is easy to attribute.
 go test -race -run 'FuzzStringVsArenaParity' .
 
-# Output-path parity suite, spotlighted the same way: the passthrough
-# identity reduce, the collector's arrival-order property, the merge-based
-# SortedOutput and the Result gob wire round-trip.
-go test -race -run 'TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
+# Output-path parity suite, spotlighted the same way: the map-side sort
+# against its stable-sort oracle, the passthrough identity reduce, the
+# collector's arrival-order property, the merge-based SortedOutput and the
+# Result gob wire round-trip.
+go test -race -run 'TestSortMetaMatchesStableSort|TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
 
 # Fuzz lane: everything above runs only the fuzz targets' seed corpora;
 # here each target mutates for ten seconds (go test -fuzz takes one target
 # and one package per run).
 go test -run '^$' -fuzz '^FuzzStringVsArenaParity$' -fuzztime 10s .
+go test -run '^$' -fuzz '^FuzzSortMeta$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzSplitRecords$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzSplitInput$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzStreamingShuffleParity$' -fuzztime 10s ./internal/mapreduce/

@@ -230,7 +230,11 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if err := PrepareAux(&desc, input); err != nil {
 		return nil, err
 	}
-	if _, err := m.registry.Build(desc); err != nil {
+	job, err := m.registry.Build(desc)
+	if err == nil {
+		err = job.Validate() // the config carries client-supplied numbers
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidJob, err)
 	}
 	chunks := mapreduce.SplitInput(input, blockSize)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/rpc"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +187,11 @@ func TestSubmitSentinels(t *testing.T) {
 	}
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "grep", NumReducers: 1}, []byte("x\n"), 8); !errors.Is(err, ErrInvalidJob) {
 		t.Errorf("grep without its pattern: %v, want wrapped ErrInvalidJob", err)
+	}
+	// A sort buffer the arena's uint32 record offsets cannot cover is refused
+	// here, not discovered as corrupt records on a worker.
+	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1, SortBuffer: 1 << 32}, []byte("x y"), 8); !errors.Is(err, ErrInvalidJob) || !strings.Contains(err.Error(), "32-bit record offsets") {
+		t.Errorf("4 GiB sort buffer: %v, want wrapped ErrInvalidJob naming the offset width", err)
 	}
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, nil, 8); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("empty input: %v, want wrapped ErrEmptyInput", err)

@@ -11,6 +11,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 
 	"heterohadoop/internal/units"
 )
@@ -223,6 +224,9 @@ func (c Config) Validate() error {
 	}
 	if c.SortBuffer <= 0 {
 		return fmt.Errorf("mapreduce: %s: sort buffer must be positive", c.Name)
+	}
+	if c.SortBuffer > math.MaxUint32 {
+		return fmt.Errorf("mapreduce: %s: sort buffer of %d bytes is beyond the 4 GiB the arena's 32-bit record offsets reach", c.Name, int64(c.SortBuffer))
 	}
 	if c.MergeFactor < 2 {
 		return fmt.Errorf("mapreduce: %s: merge factor must be >= 2", c.Name)

@@ -10,11 +10,11 @@ import (
 // Hadoop's MapOutputBuffer (the structure behind io.sort.mb): records live
 // key-then-value in one contiguous byte buffer, and per-record metadata —
 // offset plus key/value lengths — lives in a parallel slice. Sorting a run
-// reorders only the 12-byte metadata entries, comparing key bytes in
-// place; no per-record KV object, string header or interface value is ever
-// allocated on the hot path. Go compares strings byte-wise, so ordering by
-// bytes.Compare over key bytes is exactly the ordering the legacy
-// []KV path produced with sorted[i].Key < sorted[j].Key.
+// (sortbuf.go) reorders only the 12-byte metadata entries, reading key
+// bytes in place; no per-record KV object, string header or interface
+// value is ever allocated on the hot path. Go compares strings byte-wise,
+// so ordering by bytes.Compare over key bytes is exactly the ordering the
+// legacy []KV path produced with sorted[i].Key < sorted[j].Key.
 
 // recordOverhead is the per-record framing charge Hadoop adds in its
 // buffers (key/value lengths and partition metadata); KV.Bytes and the
@@ -23,8 +23,8 @@ const recordOverhead = 8
 
 // recMeta locates one record inside a segment's data buffer: the key
 // starts at off, the value immediately follows it. Offsets are uint32, so
-// a single arena is bounded at 4 GiB — far above the sort-buffer sizes
-// that force a spill long before.
+// a single arena is bounded at 4 GiB; Config.Validate refuses a sort
+// buffer that would let one grow past that before it spills.
 type recMeta struct {
 	off    uint32
 	keyLen uint32

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 
 	"heterohadoop/internal/hdfs"
@@ -56,8 +55,10 @@ func (e *Engine) RunContext(ctx context.Context, job Job, input string) (*Result
 	if file.Size() == 0 {
 		return nil, fmt.Errorf("mapreduce: %s: input %s is empty", job.Config.Name, input)
 	}
-	data, err := io.ReadAll(file.Reader())
-	if err != nil {
+	// The size is known, so read into one exact buffer: io.ReadAll's
+	// doubling leaves about five times the input behind as garbage per job.
+	data := make([]byte, file.Size())
+	if _, err := io.ReadFull(file.Reader(), data); err != nil {
 		return nil, fmt.Errorf("mapreduce: %s: reading %s: %w", job.Config.Name, input, err)
 	}
 	jobClock.EmitIO(obs.PhaseRead, tRead, int64(len(data)), 0)
@@ -131,17 +132,19 @@ func (in inputSource) window(split splitRange, pc phaseClock, bufs *taskBufs) ([
 }
 
 // taskBufs is one task slot's persistent working memory: the emit/sort
-// arena, combiner scratch, partition-id scratch and input-window buffer.
+// arena, the sort's grouping scratch, combiner scratch, partition-id
+// scratch and input-window buffer.
 // Slots hand these from task to task for the lifetime of a run, so a
 // parallel wave holds exactly `par` of each — unlike sync.Pool, whose
 // entries the GC clears mid-run exactly when allocation pressure is
 // highest, which made parallel runs regrow multi-hundred-MB emit arenas
 // once per task.
 type taskBufs struct {
-	emit    arena   // map-side sort buffer; reduce-side output arena
-	scratch arena   // combiner output scratch
-	partIds []int32 // spill partition-id scratch
-	win     []byte  // input window (file-backed inputs)
+	emit    arena       // map-side sort buffer; reduce-side output arena
+	sort    sortScratch // sortMeta's table, groups and scatter buffer
+	scratch arena       // combiner output scratch
+	partIds []int32     // spill partition-id scratch
+	win     []byte      // input window (file-backed inputs)
 }
 
 // bufsPool backs the task-granular entry points (ExecuteMapSplit and
@@ -657,18 +660,16 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 
 // spill sorts the buffered records, applies the combiner if configured,
 // and partitions the result. It returns the per-partition sorted runs, the
-// record count and byte size actually spilled. The sort reorders only the
-// metadata entries, comparing key bytes in place — the record payload
-// never moves (Hadoop's MapOutputBuffer sorts its kvmeta the same way).
+// record count and byte size actually spilled. The sort (sortMeta) groups
+// the records by key through a hash table, orders the distinct keys, and
+// writes each key's records out in emit order, which is the stable sort by
+// key; it reorders only the metadata entries — the record payload never
+// moves (Hadoop's MapOutputBuffer sorts its kvmeta the same way).
 // All partitions share one exactly-sized output buffer, laid out partition
 // by partition, so a spill costs two allocations regardless of fan-out.
 func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *taskBufs) ([]Segment, int, units.Bytes, error) {
 	tSort := pc.Start()
-	data, meta := buf.data, buf.meta
-	sort.SliceStable(meta, func(i, j int) bool {
-		a, b := meta[i], meta[j]
-		return bytes.Compare(data[a.off:a.off+a.keyLen], data[b.off:b.off+b.keyLen]) < 0
-	})
+	sortMeta(buf.data, buf.meta, &bufs.sort)
 	pc.Emit(obs.PhaseSort, tSort)
 
 	tSpill := pc.Start()
@@ -678,7 +679,7 @@ func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *ta
 		scratch := &bufs.scratch
 		scratch.reset()
 		defer scratch.reset()
-		if err := combineInto(job, working, scratch, c); err != nil {
+		if err := combineInto(job, working, scratch, c, &bufs.sort); err != nil {
 			return nil, 0, 0, err
 		}
 		working = scratch.seg()
@@ -739,7 +740,7 @@ func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *ta
 
 // combineInto runs the combiner over key groups of a sorted run, writing
 // its output into the scratch arena.
-func combineInto(job Job, sorted Segment, out *arena, c *Counters) error {
+func combineInto(job Job, sorted Segment, out *arena, c *Counters, sc *sortScratch) error {
 	emit := ByteEmitter(out.appendBytes)
 	var it ValueIter // one per run, not per group: &it escapes into the call
 	for i, n := 0, sorted.Len(); i < n; {
@@ -753,14 +754,12 @@ func combineInto(job Job, sorted Segment, out *arena, c *Counters) error {
 		c.CombineOutputRecords += int64(len(out.meta) - before)
 		i = j
 	}
-	// Combiner output for identical keys stays sorted because groups are
-	// visited in key order; re-sort defensively in case the combiner
-	// rewrote keys.
-	data, meta := out.data, out.meta
-	sort.SliceStable(meta, func(i, j int) bool {
-		a, b := meta[i], meta[j]
-		return bytes.Compare(data[a.off:a.off+a.keyLen], data[b.off:b.off+b.keyLen]) < 0
-	})
+	// Groups are visited in key order, so a combiner that emits under the
+	// key it was given leaves the output sorted. One that rewrote keys may
+	// not have: sort it then, stably in emission order.
+	if !segmentSorted(out.seg()) {
+		sortMeta(out.data, out.meta, sc)
+	}
 	return nil
 }
 

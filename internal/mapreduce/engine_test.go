@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -355,6 +357,42 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	}
 }
 
+// TestCombinerRewritingKeysStillSpillsSorted pins the one case where the
+// combiner's output is not already in key order: a combiner that emits
+// under other keys than the one it was given. The spill must still come
+// out sorted, records that ended up under one key in the order the
+// combiner emitted them.
+func TestCombinerRewritingKeysStillSpillsSorted(t *testing.T) {
+	rename := map[string]string{"a": "z", "b": "y", "c": "y"}
+	job := Job{
+		Config: DefaultConfig("rewriting-combiner"),
+		Mapper: MapperFunc(func(_, line string, emit Emitter) error {
+			for i, w := range strings.Fields(line) {
+				emit(w, strconv.Itoa(i))
+			}
+			return nil
+		}),
+		Combiner: ReducerFunc(func(key string, values []string, emit Emitter) error {
+			emit(rename[key], key+":"+strings.Join(values, ","))
+			emit("m", key)
+			return nil
+		}),
+		Reducer: IdentityReducer(),
+	}
+	segs, c, err := ExecuteMapSplit(job, []byte("c a b a c b\n"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The combiner sees a, b, c in that order and emits z, m, y, m, y, m.
+	want := []KV{{"m", "a"}, {"m", "b"}, {"m", "c"}, {"y", "b:2,5"}, {"y", "c:0,4"}, {"z", "a:1,3"}}
+	if got := segs[0].KVs(); !slices.Equal(got, want) {
+		t.Errorf("spill output = %v, want %v", got, want)
+	}
+	if c.CombineInputRecords != 6 || c.CombineOutputRecords != 6 || c.SpilledRecords != 6 {
+		t.Errorf("combine in/out, spilled = %d/%d, %d, want 6/6, 6", c.CombineInputRecords, c.CombineOutputRecords, c.SpilledRecords)
+	}
+}
+
 // TestMapOnlyJob runs a map-only job through the one executor, serial and
 // parallel: no reduce wave, one output partition per map task in task
 // order, identical counters at any parallelism.
@@ -525,6 +563,16 @@ func TestJobValidation(t *testing.T) {
 	bad.SortBuffer = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero sort buffer accepted")
+	}
+	// Record offsets in the arena are uint32: the largest buffer that cannot
+	// wrap them is accepted, one byte more is refused by name.
+	bad.SortBuffer = math.MaxUint32
+	if err := bad.Validate(); err != nil {
+		t.Errorf("sort buffer of 4 GiB - 1 refused: %v", err)
+	}
+	bad.SortBuffer = 1 << 32
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "32-bit record offsets") {
+		t.Errorf("4 GiB sort buffer: err = %v, want a refusal naming the arena offset width", err)
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // result.go is the public face of a finished job. Since the output path
@@ -213,7 +214,7 @@ func (r *Result) SortedOutput() []KV {
 	for _, p := range parts {
 		out = append(out, p.KVs()...)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortStableFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
