@@ -11,6 +11,7 @@ package heterohadoop_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"hash/fnv"
 	"reflect"
@@ -34,7 +35,7 @@ func runParityJob(tb testing.TB, job mapreduce.Job, input []byte) (*mapreduce.Re
 	if _, err := store.Write("in", input); err != nil {
 		tb.Fatal(err)
 	}
-	return mapreduce.NewEngine(store).Run(job, "in")
+	return mapreduce.NewEngine(store).RunContext(context.Background(), job, "in")
 }
 
 // parityConfig forces the interesting machinery: several reducers, a sort

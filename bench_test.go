@@ -7,6 +7,7 @@ package heterohadoop_test
 // cmd/experiments for the plain-text tables.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -44,7 +45,7 @@ func benchArtefact(b *testing.B, id string) {
 			var rows int
 			for i := 0; i < b.N; i++ {
 				sim.ResetCache()
-				tbl, err := g.Run()
+				tbl, err := g.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -97,7 +98,7 @@ func BenchmarkFullEvaluation(b *testing.B) {
 					sim.ResetCache()
 				}
 				for _, g := range expt.All() {
-					if _, err := g.Run(); err != nil {
+					if _, err := g.Run(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -146,7 +147,7 @@ func benchEngine(b *testing.B, name string, size units.Bytes) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := mapreduce.NewEngine(store).Run(job, "in"); err != nil {
+				if _, err := mapreduce.NewEngine(store).RunContext(context.Background(), job, "in"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,7 +170,7 @@ func BenchmarkSimulatorSingleRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.NewCluster(sim.AtomNode(8)), sim.JobSpec{
+		if _, err := sim.Run(context.Background(), sim.NewCluster(sim.AtomNode(8)), sim.JobSpec{
 			Name: "terasort", Spec: w.Spec(), DataPerNode: 10 * units.GB,
 			BlockSize: 256 * units.MB, Frequency: 1.6 * units.GHz,
 		}); err != nil {
@@ -209,7 +210,7 @@ func BenchmarkAblationCombinerOff(b *testing.B) {
 				if !combiner {
 					job.Combiner = nil
 				}
-				res, err := mapreduce.NewEngine(store).Run(job, "in")
+				res, err := mapreduce.NewEngine(store).RunContext(context.Background(), job, "in")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -231,7 +232,7 @@ func BenchmarkAblationSortBuffer(b *testing.B) {
 		b.Run(fmt.Sprintf("buffer-%v", buf), func(b *testing.B) {
 			var tm float64
 			for i := 0; i < b.N; i++ {
-				r, err := sim.Run(sim.NewCluster(sim.AtomNode(8)), sim.JobSpec{
+				r, err := sim.Run(context.Background(), sim.NewCluster(sim.AtomNode(8)), sim.JobSpec{
 					Name: "wordcount", Spec: w.Spec(), DataPerNode: units.GB,
 					BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz, SortBuffer: buf,
 				})
@@ -265,7 +266,7 @@ func BenchmarkAblationLatencyHiding(b *testing.B) {
 			}
 			var tm float64
 			for i := 0; i < b.N; i++ {
-				r, err := sim.Run(sim.NewCluster(node), sim.JobSpec{
+				r, err := sim.Run(context.Background(), sim.NewCluster(node), sim.JobSpec{
 					Name: "sort", Spec: w.Spec(), DataPerNode: units.GB,
 					BlockSize: 256 * units.MB, Frequency: 1.8 * units.GHz,
 				})
@@ -294,7 +295,7 @@ func BenchmarkAblationLocality(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var tm float64
 			for i := 0; i < b.N; i++ {
-				r, err := sim.Run(sim.NewCluster(sim.AtomNode(8)), sim.JobSpec{
+				r, err := sim.Run(context.Background(), sim.NewCluster(sim.AtomNode(8)), sim.JobSpec{
 					Name: "sort", Spec: w.Spec(), DataPerNode: 10 * units.GB,
 					BlockSize: 256 * units.MB, Frequency: 1.8 * units.GHz,
 					NonLocalFraction: nl,

@@ -6,6 +6,9 @@
 # concurrent by default, so -race is part of the gate, not an optional
 # extra), then the determinism gates, the build and tests of the bench/
 # module (the only harness numbers come from; nothing else compiles it),
+# the reachability check (reach_test.go, behind the reach build tag: every
+# non-test declaration under internal/ is reachable from a cmd/, examples/
+# or bench/ main or stands on its keep-list with a reason),
 # and two observability smokes: an artefact trace must validate strictly
 # (tracer -check), and a live master+worker pair must serve /metrics,
 # /jobs, /tasks and pprof while a real job runs. Nothing here generates an
@@ -48,6 +51,12 @@ go test -count=1 -run 'TestEngineAllocsPerRecord' ./internal/mapreduce/
 # files.
 go -C bench vet ./...
 go -C bench test -count=1 ./...
+
+# Surface gate: type-checks both modules from source and fails, printing the
+# names sorted by file, when a declaration under internal/ is reachable only
+# from tests and is not on the keep-list, or when a keep-list entry has gone
+# stale. Tagged so the plain test runs above do not pay for the type-check.
+go test -tags reach -count=1 -run TestInternalSurfaceReachable .
 
 # Observability smoke: regenerate one artefact with a streaming trace and
 # validate the emitted JSONL strictly (decodes line by line, spans balance,

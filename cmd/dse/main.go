@@ -31,7 +31,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	results, err := dse.ExploreCtx(ctx, dse.DefaultSpace(), dse.PaperMix(),
+	results, err := dse.Explore(ctx, dse.DefaultSpace(), dse.PaperMix(),
 		units.Bytes(*blockMB)*units.MB, units.Hertz(*freqGHz)*units.GHz, *cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

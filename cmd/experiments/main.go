@@ -112,8 +112,8 @@ func main() {
 	if ob.Enabled() {
 		ob.Progress("artefacts", 0, len(gens))
 	}
-	tables, err := pool.MapCtx(ctx, *parallel, len(gens), func(i int) (expt.Table, error) {
-		tbl, err := gens[i].RunCtx(ctx)
+	tables, err := pool.Map(ctx, *parallel, len(gens), func(i int) (expt.Table, error) {
+		tbl, err := gens[i].Run(ctx)
 		if err != nil {
 			return expt.Table{}, fmt.Errorf("%s: %v", gens[i].ID, err)
 		}

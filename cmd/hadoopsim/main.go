@@ -20,7 +20,6 @@ import (
 
 	"heterohadoop/internal/core"
 	"heterohadoop/internal/cpu"
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 	"heterohadoop/internal/sim"
 	"heterohadoop/internal/units"
@@ -73,7 +72,7 @@ func main() {
 		if *platform == "xeon" {
 			kind = cpu.Big
 		}
-		adv, err := core.AdviseDVFS(w, data, core.Platform{Kind: kind, Cores: *cores, Frequency: f}, block, 1.10)
+		adv, err := core.AdviseDVFS(ctx, w, data, core.Platform{Kind: kind, Cores: *cores, Frequency: f}, block, 1.10)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -85,7 +84,7 @@ func main() {
 	}
 
 	if *compare {
-		cmp, err := core.CompareCtx(ctx, w, data, block, f)
+		cmp, err := core.Compare(ctx, w, data, block, f)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -108,7 +107,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown platform %q\n", *platform)
 		os.Exit(2)
 	}
-	r, err := core.CharacterizeCtx(ctx, core.Config{
+	r, err := core.Characterize(ctx, core.Config{
 		Workload:    w,
 		DataPerNode: data,
 		BlockSize:   block,
@@ -122,7 +121,7 @@ func main() {
 		r.Workload, r.Sim.Core, *cores, f, data, block)
 	fmt.Printf("  map tasks: %d (%d waves, %d spills/task), map IPC %.2f\n",
 		r.Sim.MapTasks, r.Sim.Waves, r.Sim.SpillsPerTask, r.Sim.MapIPC)
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range sim.Phases() {
 		st := r.Sim.Phases[ph]
 		if st.Time == 0 {
 			continue
@@ -137,7 +136,7 @@ func main() {
 		if kind == cpu.Big {
 			node = sim.XeonNode(*cores)
 		}
-		dr, err := sim.DESRun(sim.NewCluster(node), sim.JobSpec{
+		dr, err := sim.DESRun(ctx, sim.NewCluster(node), sim.JobSpec{
 			Name: w.Name(), Spec: w.Spec(), DataPerNode: data, BlockSize: block,
 			Frequency: f, Reducers: *cores,
 		}, sim.DESOptions{Seed: 1, Jitter: *jitter})
@@ -146,7 +145,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\ntask-level DES refinement (jitter %.0f%%): map %.1fs, total %.1fs\n",
-			100**jitter, float64(dr.Phases[mapreduce.PhaseMap].Time), float64(dr.Total.Time))
+			100**jitter, float64(dr.Phases[sim.PhaseMap].Time), float64(dr.Total.Time))
 	}
 
 	if *real {

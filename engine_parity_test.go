@@ -8,6 +8,7 @@ package heterohadoop_test
 // internal/mapreduce.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -36,7 +37,7 @@ func runWorkload(t *testing.T, w workloads.Workload, input []byte, parallelism i
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.NewEngine(store).Run(job, "in")
+	res, err := mapreduce.NewEngine(store).RunContext(context.Background(), job, "in")
 	if err != nil {
 		t.Fatal(err)
 	}

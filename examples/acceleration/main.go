@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fpga := accel.PCIeGen3x8()
 	fmt.Printf("accelerator: %s (%v link, %v active)\n\n", fpga.Name, fpga.LinkBandwidth, fpga.ActivePower)
 
@@ -30,11 +32,11 @@ func main() {
 			Name: name, Spec: w.Spec(), DataPerNode: data,
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		}
-		atomBefore, err := sim.Run(sim.NewCluster(sim.AtomNode(8)), job)
+		atomBefore, err := sim.Run(ctx, sim.NewCluster(sim.AtomNode(8)), job)
 		if err != nil {
 			log.Fatal(err)
 		}
-		xeonBefore, err := sim.Run(sim.NewCluster(sim.XeonNode(8)), job)
+		xeonBefore, err := sim.Run(ctx, sim.NewCluster(sim.XeonNode(8)), job)
 		if err != nil {
 			log.Fatal(err)
 		}

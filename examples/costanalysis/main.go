@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	for _, name := range []string{"wordcount", "sort", "terasort"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -22,14 +24,14 @@ func main() {
 		}
 		fmt.Printf("%s (class %v), 1 GB/node @1.8 GHz, normalized to Xeon x8:\n", name, w.Class())
 
-		ref, err := sched.Evaluate(w, cpu.Big, 8, units.GB, 1.8*units.GHz)
+		ref, err := sched.Evaluate(ctx, w, cpu.Big, 8, units.GB, 1.8*units.GHz)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-8s %8s %8s %8s %8s\n", "config", "EDP", "ED2P", "EDAP", "ED2AP")
 		for _, kind := range []cpu.Kind{cpu.Little, cpu.Big} {
 			for _, m := range sched.CoreCounts {
-				s, err := sched.Evaluate(w, kind, m, units.GB, 1.8*units.GHz)
+				s, err := sched.Evaluate(ctx, w, kind, m, units.GB, 1.8*units.GHz)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -87,10 +87,11 @@ func (*InvertedIndex) Spec() workloads.Spec {
 var _ workloads.Workload = (*InvertedIndex)(nil)
 
 func main() {
+	ctx := context.Background()
 	ii := &InvertedIndex{}
 
 	// 1. Real run: index 32 KB of documents.
-	res, err := core.RunRealParallel(context.Background(), ii, 32*units.KB, 8*units.KB, 2, 0, 7)
+	res, err := core.RunRealParallel(ctx, ii, 32*units.KB, 8*units.KB, 2, 0, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func main() {
 		len(out), out[0].Key, firstN(out[0].Value, 30))
 
 	// 2. Characterize big vs little at 1 GB/node.
-	cmp, err := core.Compare(ii, units.GB, 256*units.MB, 1.8*units.GHz)
+	cmp, err := core.Compare(ctx, ii, units.GB, 256*units.MB, 1.8*units.GHz)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	jobs := []workloads.Workload{
 		workloads.NewNaiveBayes(), // compute-bound
 		workloads.NewSort(),       // I/O-bound
@@ -40,7 +42,7 @@ func main() {
 		{Workload: workloads.NewNaiveBayes(), Arrival: 30, Data: 10 * units.GB},
 		{Workload: workloads.NewGrep("ou"), Arrival: 40, Data: units.GB},
 	}
-	outcomes, err := sched.CompareStrategies(pool, stream, sched.MinEDP, 1.8*units.GHz)
+	outcomes, err := sched.CompareStrategies(ctx, pool, stream, sched.MinEDP, 1.8*units.GHz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func main() {
 		{workloads.NewTeraSort(), sched.MinED2AP, units.GB},
 	} {
 		policy := sched.Policy(tc.w.Class(), tc.goal)
-		opt, sample, err := sched.Optimal(tc.w, tc.goal, tc.data, 1.8*units.GHz)
+		opt, sample, err := sched.Optimal(ctx, tc.w, tc.goal, tc.data, 1.8*units.GHz)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	little := sim.NewCluster(sim.AtomNode(8))
 	big := sim.NewCluster(sim.XeonNode(8))
 
@@ -31,15 +33,15 @@ func main() {
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		}
 
-		homoL, err := sim.Run(little, job)
+		homoL, err := sim.Run(ctx, little, job)
 		if err != nil {
 			log.Fatal(err)
 		}
-		homoB, err := sim.Run(big, job)
+		homoB, err := sim.Run(ctx, big, job)
 		if err != nil {
 			log.Fatal(err)
 		}
-		split, err := sim.RunPhaseSplit(little, big, job)
+		split, err := sim.RunPhaseSplit(ctx, little, big, job)
 		if err != nil {
 			log.Fatal(err)
 		}

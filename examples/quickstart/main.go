@@ -14,11 +14,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	wc := workloads.NewWordCount()
 
 	// 1. Execute the real job over 64 KB of generated Zipf text split into
 	//    16 KB HDFS blocks (4 map tasks), with 2 reducers.
-	res, err := core.RunRealParallel(context.Background(), wc, 64*units.KB, 16*units.KB, 2, 0, 42)
+	res, err := core.RunRealParallel(ctx, wc, 64*units.KB, 16*units.KB, 2, 0, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func main() {
 
 	// 2. Characterize the same workload at paper scale (1 GB/node) on both
 	//    server models.
-	cmp, err := core.Compare(wc, units.GB, 256*units.MB, 1.8*units.GHz)
+	cmp, err := core.Compare(ctx, wc, units.GB, 256*units.MB, 1.8*units.GHz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func main() {
 		cmp.TimeRatio, cmp.EDPWinner, cmp.EDPRatio)
 
 	// 3. Tune the HDFS block size for the little core.
-	best, curve, err := core.TuneBlockSize(wc, units.GB, core.Atom())
+	best, curve, err := core.TuneBlockSize(ctx, wc, units.GB, core.Atom())
 	if err != nil {
 		log.Fatal(err)
 	}

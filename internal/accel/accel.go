@@ -15,7 +15,6 @@ package accel
 import (
 	"fmt"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/sim"
 	"heterohadoop/internal/units"
 )
@@ -107,7 +106,7 @@ func Apply(r sim.Report, input units.Bytes, fpga FPGA, off Offload) (Result, err
 	if err := off.Validate(); err != nil {
 		return Result{}, err
 	}
-	mapStat := r.Phases[mapreduce.PhaseMap]
+	mapStat := r.Phases[sim.PhaseMap]
 	if mapStat.Time <= 0 {
 		return Result{}, fmt.Errorf("accel: report has no map phase")
 	}

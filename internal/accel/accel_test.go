@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"context"
 	"testing"
 
 	"heterohadoop/internal/sim"
@@ -18,7 +19,7 @@ func report(t *testing.T, node sim.Node, name string, f units.Hertz, block units
 	if name == "naivebayes" || name == "fpgrowth" {
 		data = 10 * units.GB
 	}
-	r, err := sim.Run(sim.NewCluster(node), sim.JobSpec{
+	r, err := sim.Run(context.Background(), sim.NewCluster(node), sim.JobSpec{
 		Name: name, Spec: w.Spec(), DataPerNode: data, BlockSize: block, Frequency: f,
 	})
 	if err != nil {

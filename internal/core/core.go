@@ -15,7 +15,6 @@ import (
 	"heterohadoop/internal/hdfs"
 	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/metrics"
-	"heterohadoop/internal/sched"
 	"heterohadoop/internal/sim"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
@@ -35,10 +34,6 @@ type Platform struct {
 // Atom returns the little-core platform at full core count and nominal
 // frequency.
 func Atom() Platform { return Platform{Kind: cpu.Little, Cores: 8, Frequency: 1.8 * units.GHz} }
-
-// Xeon returns the big-core platform at full core count and nominal
-// frequency.
-func Xeon() Platform { return Platform{Kind: cpu.Big, Cores: 8, Frequency: 1.8 * units.GHz} }
 
 // node materializes the platform's simulator node.
 func (p Platform) node() sim.Node {
@@ -71,21 +66,15 @@ type Report struct {
 	Sample metrics.Sample
 }
 
-// Characterize simulates the workload on the platform at paper scale. It
-// is CharacterizeCtx with a background context.
-func Characterize(cfg Config) (Report, error) {
-	return CharacterizeCtx(context.Background(), cfg)
-}
-
-// CharacterizeCtx is Characterize with cancellation and observability: the
+// Characterize simulates the workload on the platform at paper scale. The
 // simulation runs under the context's observer (sim.run spans, per-phase
 // gauges) and aborts early if the context is cancelled.
-func CharacterizeCtx(ctx context.Context, cfg Config) (Report, error) {
+func Characterize(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Workload == nil {
 		return Report{}, fmt.Errorf("core: no workload")
 	}
 	node := cfg.Platform.node()
-	r, err := sim.RunCtx(ctx, sim.NewCluster(node), sim.JobSpec{
+	r, err := sim.Run(ctx, sim.NewCluster(node), sim.JobSpec{
 		Name:        cfg.Workload.Name(),
 		Spec:        cfg.Workload.Spec(),
 		DataPerNode: cfg.DataPerNode,
@@ -122,20 +111,14 @@ type Comparison struct {
 }
 
 // Compare characterizes the workload on both platforms at the given knobs
-// and derives the paper's verdicts. It is CompareCtx with a background
-// context.
-func Compare(w workloads.Workload, data, block units.Bytes, f units.Hertz) (Comparison, error) {
-	return CompareCtx(context.Background(), w, data, block, f)
-}
-
-// CompareCtx is Compare with cancellation and observability.
-func CompareCtx(ctx context.Context, w workloads.Workload, data, block units.Bytes, f units.Hertz) (Comparison, error) {
-	little, err := CharacterizeCtx(ctx, Config{Workload: w, DataPerNode: data, BlockSize: block,
+// and derives the paper's verdicts.
+func Compare(ctx context.Context, w workloads.Workload, data, block units.Bytes, f units.Hertz) (Comparison, error) {
+	little, err := Characterize(ctx, Config{Workload: w, DataPerNode: data, BlockSize: block,
 		Platform: Platform{Kind: cpu.Little, Cores: 8, Frequency: f}})
 	if err != nil {
 		return Comparison{}, err
 	}
-	big, err := CharacterizeCtx(ctx, Config{Workload: w, DataPerNode: data, BlockSize: block,
+	big, err := Characterize(ctx, Config{Workload: w, DataPerNode: data, BlockSize: block,
 		Platform: Platform{Kind: cpu.Big, Cores: 8, Frequency: f}})
 	if err != nil {
 		return Comparison{}, err
@@ -173,12 +156,12 @@ func phaseEDPRatio(little, big sim.PhaseStat) float64 {
 
 // TuneBlockSize sweeps the paper's block sizes and returns the one
 // minimizing EDP on the platform, with the full EDP curve.
-func TuneBlockSize(w workloads.Workload, data units.Bytes, p Platform) (units.Bytes, map[units.Bytes]float64, error) {
+func TuneBlockSize(ctx context.Context, w workloads.Workload, data units.Bytes, p Platform) (units.Bytes, map[units.Bytes]float64, error) {
 	curve := make(map[units.Bytes]float64, 5)
 	var best units.Bytes
 	bestScore := -1.0
 	for _, bs := range []units.Bytes{32 * units.MB, 64 * units.MB, 128 * units.MB, 256 * units.MB, 512 * units.MB} {
-		r, err := Characterize(Config{Workload: w, DataPerNode: data, BlockSize: bs, Platform: p})
+		r, err := Characterize(ctx, Config{Workload: w, DataPerNode: data, BlockSize: bs, Platform: p})
 		if err != nil {
 			return 0, nil, err
 		}
@@ -189,34 +172,6 @@ func TuneBlockSize(w workloads.Workload, data units.Bytes, p Platform) (units.By
 		}
 	}
 	return best, curve, nil
-}
-
-// MinimalCores returns the smallest core count whose EDP is within the
-// given slack factor (e.g. 1.2 = 20%) of the platform's best EDP across
-// core counts — the paper's "the reliance on a large number of little cores
-// can be reduced significantly by fine-tuning".
-func MinimalCores(w workloads.Workload, kind cpu.Kind, data units.Bytes, f units.Hertz, slack float64) (int, error) {
-	if slack < 1 {
-		return 0, fmt.Errorf("core: slack must be >= 1, got %v", slack)
-	}
-	scores := make(map[int]float64, len(sched.CoreCounts))
-	best := -1.0
-	for _, m := range sched.CoreCounts {
-		s, err := sched.Evaluate(w, kind, m, data, f)
-		if err != nil {
-			return 0, err
-		}
-		scores[m] = s.EDP()
-		if best < 0 || s.EDP() < best {
-			best = s.EDP()
-		}
-	}
-	for _, m := range sched.CoreCounts {
-		if scores[m] <= best*slack {
-			return m, nil
-		}
-	}
-	return sched.CoreCounts[len(sched.CoreCounts)-1], nil
 }
 
 // RunRealParallel executes the workload for real on the MapReduce engine

@@ -11,7 +11,7 @@ import (
 
 func TestCharacterizeBasics(t *testing.T) {
 	w, _ := workloads.ByName("wordcount")
-	r, err := Characterize(Config{
+	r, err := Characterize(context.Background(), Config{
 		Workload: w, DataPerNode: units.GB, BlockSize: 256 * units.MB, Platform: Atom(),
 	})
 	if err != nil {
@@ -26,23 +26,20 @@ func TestCharacterizeBasics(t *testing.T) {
 	if r.Sample.Area != 160 {
 		t.Errorf("Atom area = %v, want 160", r.Sample.Area)
 	}
-	if _, err := Characterize(Config{}); err == nil {
+	if _, err := Characterize(context.Background(), Config{}); err == nil {
 		t.Error("nil workload accepted")
 	}
 }
 
 func TestPlatformConstructors(t *testing.T) {
-	if Atom().Kind != cpu.Little || Xeon().Kind != cpu.Big {
-		t.Error("platform kinds wrong")
-	}
-	if Atom().Cores != 8 || Xeon().Frequency != 1.8*units.GHz {
-		t.Error("platform defaults wrong")
+	if p := Atom(); p.Kind != cpu.Little || p.Cores != 8 || p.Frequency != 1.8*units.GHz {
+		t.Errorf("Atom() = %+v, want 8 little cores at 1.8 GHz", p)
 	}
 }
 
 func TestCompareVerdicts(t *testing.T) {
 	wc, _ := workloads.ByName("wordcount")
-	cmp, err := Compare(wc, units.GB, 512*units.MB, 1.8*units.GHz)
+	cmp, err := Compare(context.Background(), wc, units.GB, 512*units.MB, 1.8*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +54,7 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 
 	st, _ := workloads.ByName("sort")
-	cmp, err = Compare(st, units.GB, 512*units.MB, 1.8*units.GHz)
+	cmp, err = Compare(context.Background(), st, units.GB, 512*units.MB, 1.8*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +63,7 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 
 	nb, _ := workloads.ByName("naivebayes")
-	cmp, err = Compare(nb, 10*units.GB, 512*units.MB, 1.8*units.GHz)
+	cmp, err = Compare(context.Background(), nb, 10*units.GB, 512*units.MB, 1.8*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +74,7 @@ func TestCompareVerdicts(t *testing.T) {
 
 func TestTuneBlockSizeInterior(t *testing.T) {
 	wc, _ := workloads.ByName("wordcount")
-	best, curve, err := TuneBlockSize(wc, units.GB, Atom())
+	best, curve, err := TuneBlockSize(context.Background(), wc, units.GB, Atom())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,28 +88,6 @@ func TestTuneBlockSizeInterior(t *testing.T) {
 		if v < curve[best] {
 			t.Errorf("curve[%v]=%v below reported best %v", bs, v, curve[best])
 		}
-	}
-}
-
-func TestMinimalCores(t *testing.T) {
-	nb, _ := workloads.ByName("naivebayes")
-	m, err := MinimalCores(nb, cpu.Little, 10*units.GB, 1.8*units.GHz, 1.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m < 2 || m > 8 {
-		t.Fatalf("MinimalCores = %d out of range", m)
-	}
-	// Loose slack admits fewer cores than tight slack.
-	tight, err := MinimalCores(nb, cpu.Little, 10*units.GB, 1.8*units.GHz, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m > tight {
-		t.Errorf("loose slack chose more cores (%d) than tight (%d)", m, tight)
-	}
-	if _, err := MinimalCores(nb, cpu.Little, 10*units.GB, 1.8*units.GHz, 0.5); err == nil {
-		t.Error("slack < 1 accepted")
 	}
 }
 
@@ -140,7 +115,7 @@ func TestRunRealEndToEnd(t *testing.T) {
 func TestAdviseDVFS(t *testing.T) {
 	wc, _ := workloads.ByName("wordcount")
 	// Baseline: Hadoop's default 64 MB block at nominal frequency.
-	adv, err := AdviseDVFS(wc, units.GB, Atom(), 64*units.MB, 1.10)
+	adv, err := AdviseDVFS(context.Background(), wc, units.GB, Atom(), 64*units.MB, 1.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +129,14 @@ func TestAdviseDVFS(t *testing.T) {
 		t.Errorf("advice %v violates the 10%% budget over baseline %v", adv.Time, adv.Baseline)
 	}
 	// A zero-slack budget still admits nominal frequency.
-	tight, err := AdviseDVFS(wc, units.GB, Atom(), 64*units.MB, 1.0)
+	tight, err := AdviseDVFS(context.Background(), wc, units.GB, Atom(), 64*units.MB, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tight.Time > tight.Baseline {
 		t.Errorf("1.0-budget advice slower than baseline")
 	}
-	if _, err := AdviseDVFS(wc, units.GB, Atom(), 64*units.MB, 0.5); err == nil {
+	if _, err := AdviseDVFS(context.Background(), wc, units.GB, Atom(), 64*units.MB, 0.5); err == nil {
 		t.Error("budget < 1 accepted")
 	}
 }

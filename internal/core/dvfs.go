@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"heterohadoop/internal/units"
@@ -37,13 +38,13 @@ var paperBlockSizes = []units.Bytes{
 // nominal-frequency run at the baseline block size, and reports the energy
 // saved. It returns an error if even nominal frequency cannot meet the
 // budget (impossible for budgets >= 1).
-func AdviseDVFS(w workloads.Workload, data units.Bytes, p Platform, baselineBlock units.Bytes, budget float64) (DVFSAdvice, error) {
+func AdviseDVFS(ctx context.Context, w workloads.Workload, data units.Bytes, p Platform, baselineBlock units.Bytes, budget float64) (DVFSAdvice, error) {
 	if budget < 1 {
 		return DVFSAdvice{}, fmt.Errorf("core: slowdown budget must be >= 1, got %v", budget)
 	}
 	nominal := p
 	nominal.Frequency = 1.8 * units.GHz
-	base, err := Characterize(Config{Workload: w, DataPerNode: data, BlockSize: baselineBlock, Platform: nominal})
+	base, err := Characterize(ctx, Config{Workload: w, DataPerNode: data, BlockSize: baselineBlock, Platform: nominal})
 	if err != nil {
 		return DVFSAdvice{}, err
 	}
@@ -57,7 +58,7 @@ func AdviseDVFS(w workloads.Workload, data units.Bytes, p Platform, baselineBloc
 		var bestTime units.Seconds
 		var bestEnergy units.Joules
 		for _, bs := range paperBlockSizes {
-			r, err := Characterize(Config{Workload: w, DataPerNode: data, BlockSize: bs, Platform: plat})
+			r, err := Characterize(ctx, Config{Workload: w, DataPerNode: data, BlockSize: bs, Platform: plat})
 			if err != nil {
 				return DVFSAdvice{}, err
 			}

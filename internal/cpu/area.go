@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"heterohadoop/internal/cache"
 	"heterohadoop/internal/units"
 )
 
@@ -86,12 +85,4 @@ func EstimateArea(c Core) AreaBreakdown {
 		UncoreArea: units.SquareMM(uncore),
 		Total:      units.SquareMM(cores + outerCache + uncore),
 	}
-}
-
-// hierarchyLevelSize is a tiny helper kept for symmetry with tests.
-func hierarchyLevelSize(h cache.Hierarchy, i int) units.Bytes {
-	if i < 0 || i >= len(h.Levels) {
-		return 0
-	}
-	return h.Levels[i].Size
 }

@@ -50,13 +50,3 @@ func TestAreaScalesWithStructure(t *testing.T) {
 		t.Error("SoC uncore not larger than server uncore base")
 	}
 }
-
-func TestHierarchyLevelSizeHelper(t *testing.T) {
-	h := AtomC2758().Hierarchy
-	if got := hierarchyLevelSize(h, 0); got != 24*units.KB {
-		t.Errorf("level 0 = %v", got)
-	}
-	if got := hierarchyLevelSize(h, 99); got != 0 {
-		t.Errorf("out of range = %v, want 0", got)
-	}
-}

@@ -167,8 +167,8 @@ func TestDistributedWordCountMatchesLocal(t *testing.T) {
 	if want := res.Counters.MapTasks + res.Counters.ReduceTasks; total < want {
 		t.Errorf("workers ran %d tasks, want >= %d", total, want)
 	}
-	if got := m.SortedWorkerIDs(); len(got) != 3 {
-		t.Errorf("master saw %d workers, want 3", len(got))
+	if got := m.Stats().Workers; got != 3 {
+		t.Errorf("master saw %d workers, want 3", got)
 	}
 }
 

@@ -49,14 +49,14 @@ func TestPerJobKnobOverrides(t *testing.T) {
 		TaskTimeout: -time.Second, SpecFraction: 1.5, ReduceSlowstart: -1,
 	}, 1024, [][]byte{[]byte("a\n")}, def, now)
 	if js.taskTimeout != def.taskTimeout || js.specFraction != def.specFraction ||
-		js.reduceSlowstart != def.reduceSlowstart || js.priority != 0 {
+		js.reduceSlowstart != defaultReduceSlowstart || js.priority != 0 {
 		t.Errorf("invalid overrides not defaulted: timeout=%v spec=%v slowstart=%v prio=%d",
 			js.taskTimeout, js.specFraction, js.reduceSlowstart, js.priority)
 	}
 }
 
 func TestJobHandleAsyncLifecycle(t *testing.T) {
-	m := startMaster(t, WithMaxQueuedJobs(2))
+	m := startMaster(t)
 	ctx := context.Background()
 	input := workloads.GenerateText(4*units.KB, 3)
 
@@ -85,9 +85,12 @@ func TestJobHandleAsyncLifecycle(t *testing.T) {
 		t.Errorf("Jobs() = %+v, want the one submitted job", jobs)
 	}
 
-	// Admission control: the queue cap counts every live job.
-	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, input, 1024); err != nil {
-		t.Fatal(err)
+	// Admission control: the queue cap counts every live job, so with no
+	// workers draining them the master fills at maxQueuedJobs submissions.
+	for i := 1; i < maxQueuedJobs; i++ {
+		if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, []byte("a\n"), 1024); err != nil {
+			t.Fatalf("submission %d below the queue cap: %v", i+1, err)
+		}
 	}
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, input, 1024); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("submit over the queue cap: %v, want wrapped ErrQueueFull", err)

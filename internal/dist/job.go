@@ -112,7 +112,7 @@ func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chu
 		redsLeft:        desc.NumReducers,
 		taskTimeout:     def.taskTimeout,
 		specFraction:    def.specFraction,
-		reduceSlowstart: def.reduceSlowstart,
+		reduceSlowstart: defaultReduceSlowstart,
 		priority:        desc.Priority,
 		submittedAt:     now,
 		doneCh:          make(chan struct{}),

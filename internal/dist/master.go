@@ -63,12 +63,12 @@ type Master struct {
 }
 
 // StartMaster starts a master listening on addr ("127.0.0.1:0" for an
-// ephemeral port), configured by functional options: WithTaskTimeout,
-// WithSpeculativeFraction and WithReduceSlowstart set the default per-job
-// scheduling knobs (a JobDescriptor can override them), WithMaxConcurrentJobs
-// and WithMaxQueuedJobs bound the scheduler, WithWorkerTimeout sets the
-// liveness window behind worker eviction, WithSnapshotPath enables crash
-// recovery, and WithObserver attaches telemetry.
+// ephemeral port), configured by functional options: WithTaskTimeout and
+// WithSpeculativeFraction set the default per-job scheduling knobs (a
+// JobDescriptor can override them), WithMaxConcurrentJobs bounds the
+// scheduler, WithWorkerTimeout sets the liveness window behind worker
+// eviction, WithSnapshotPath enables crash recovery, and WithObserver
+// attaches telemetry.
 //
 // When the snapshot path names an existing snapshot, the master restores it
 // before accepting connections and resumes the jobs it holds.
@@ -247,7 +247,7 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if m.closed {
 		return nil, ErrMasterClosed
 	}
-	if len(m.jobs) >= m.defaults.maxQueuedJobs {
+	if len(m.jobs) >= maxQueuedJobs {
 		return nil, ErrQueueFull
 	}
 	m.jobSeq++
@@ -830,11 +830,4 @@ func (r *masterRPC) Submit(args SubmitArgs, reply *mapreduce.Result) error {
 	}
 	*reply = *res
 	return nil
-}
-
-// SortedWorkerIDs returns the known worker ids (testing/observability).
-func (m *Master) SortedWorkerIDs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.workers.ids()
 }

@@ -21,41 +21,46 @@ var (
 	// ErrInvalidJob marks a job descriptor that fails validation.
 	ErrInvalidJob = errors.New("dist: invalid job")
 	// ErrQueueFull marks a submission rejected by admission control: the
-	// master already holds WithMaxQueuedJobs jobs.
+	// master already holds maxQueuedJobs jobs, running plus queued.
 	ErrQueueFull = errors.New("dist: job queue full")
 	// ErrJobCancelled marks a job aborted through JobHandle.Cancel.
 	ErrJobCancelled = errors.New("dist: job cancelled")
-	// ErrUnknownJob marks a lookup for a job ID the master has never seen.
-	ErrUnknownJob = errors.New("dist: unknown job")
 )
+
+// maxQueuedJobs caps the total jobs the master holds (running plus queued);
+// Submit beyond it fails with ErrQueueFull.
+const maxQueuedJobs = 64
+
+// defaultReduceSlowstart is the fraction of a job's map tasks that must have
+// completed before its reduce tasks become eligible for dispatch while the
+// map wave is still running — Hadoop's mapreduce.job.reduce.slowstart.
+// completedmaps. JobDescriptor.ReduceSlowstart overrides it per job; 1
+// restores the strict barrier.
+const defaultReduceSlowstart = 0.5
 
 // config carries the tunables behind the functional options. Master and
 // worker read the fields they care about and ignore the rest, so the
 // option names are shared (WithObserver works on both).
 type config struct {
-	taskTimeout     time.Duration
-	specFraction    float64
-	reduceSlowstart float64
-	pollInterval    time.Duration
-	observer        obs.Observer
-	maxActiveJobs   int
-	maxQueuedJobs   int
-	workerTimeout   time.Duration
-	snapshotPath    string
-	spillDir        string
-	coreClass       string
+	taskTimeout   time.Duration
+	specFraction  float64
+	pollInterval  time.Duration
+	observer      obs.Observer
+	maxActiveJobs int
+	workerTimeout time.Duration
+	snapshotPath  string
+	spillDir      string
+	coreClass     string
 }
 
 func defaultConfig() config {
 	return config{
-		taskTimeout:     5 * time.Second,
-		specFraction:    0.5,
-		reduceSlowstart: 0.5,
-		pollInterval:    10 * time.Millisecond,
-		observer:        obs.Nop,
-		maxActiveJobs:   4,
-		maxQueuedJobs:   64,
-		workerTimeout:   30 * time.Second,
+		taskTimeout:   5 * time.Second,
+		specFraction:  0.5,
+		pollInterval:  10 * time.Millisecond,
+		observer:      obs.Nop,
+		maxActiveJobs: 4,
+		workerTimeout: 30 * time.Second,
 	}
 }
 
@@ -81,19 +86,6 @@ func WithSpeculativeFraction(f float64) Option {
 	return func(c *config) {
 		if f > 0 && f <= 1 {
 			c.specFraction = f
-		}
-	}
-}
-
-// WithReduceSlowstart sets the fraction of map tasks that must have
-// completed before reduce tasks become eligible for dispatch while the map
-// wave is still running — Hadoop's mapreduce.job.reduce.slowstart.
-// completedmaps. 1 restores the strict barrier (reduces only after every
-// map); values outside (0, 1] keep the default (0.5).
-func WithReduceSlowstart(f float64) Option {
-	return func(c *config) {
-		if f > 0 && f <= 1 {
-			c.reduceSlowstart = f
 		}
 	}
 }
@@ -127,17 +119,6 @@ func WithMaxConcurrentJobs(n int) Option {
 	return func(c *config) {
 		if n >= 1 {
 			c.maxActiveJobs = n
-		}
-	}
-}
-
-// WithMaxQueuedJobs caps the total jobs the master holds (running plus
-// queued); Submit beyond it fails with ErrQueueFull. Values below 1 keep
-// the default (64).
-func WithMaxQueuedJobs(n int) Option {
-	return func(c *config) {
-		if n >= 1 {
-			c.maxQueuedJobs = n
 		}
 	}
 }

@@ -50,7 +50,7 @@ type JobDescriptor struct {
 	// TaskTimeout (0 = master default).
 	SpecFraction float64
 	// ReduceSlowstart is the completed-map fraction gating early reduce
-	// dispatch (0 = master default).
+	// dispatch (0 = the default, 0.5; 1 = strict barrier).
 	ReduceSlowstart float64
 }
 

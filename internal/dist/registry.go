@@ -154,27 +154,6 @@ func (t *workerTable) silent(window time.Duration, now time.Time) []*workerInfo 
 	return out
 }
 
-// live counts workers not currently evicted.
-func (t *workerTable) live() int {
-	n := 0
-	for _, w := range t.workers {
-		if !w.Evicted {
-			n++
-		}
-	}
-	return n
-}
-
-// ids returns every known worker ID, sorted, evicted included.
-func (t *workerTable) ids() []string {
-	out := make([]string, 0, len(t.workers))
-	for id := range t.workers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PrepareAux computes the master-side auxiliary data a workload needs
 // before its descriptor can be shipped: sampled range cuts for the sorts,
 // the f-list for FP-Growth, patterns for grep. It mutates the descriptor.

@@ -19,7 +19,7 @@ import (
 func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 3)
 	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
-	m := startMaster(t, WithReduceSlowstart(0.5))
+	m := startMaster(t)
 	tester := connectWorker(t, m, "tester")
 	client := tester.client
 	h, err := m.Submit(context.Background(), desc, input, 2*1024)
@@ -154,13 +154,13 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 }
 
 // TestReduceSlowstartOneRestoresBarrier checks the strict-barrier opt-out:
-// with slowstart 1.0 no reduce may be dispatched until every map is done,
-// yet the job still completes.
+// a job submitted with slowstart 1.0 gets no reduce dispatched until every
+// map is done, yet still completes.
 func TestReduceSlowstartOneRestoresBarrier(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 9)
-	m := startMaster(t, WithReduceSlowstart(1.0))
+	m := startMaster(t)
 	startWorker(t, m, "w0")
-	res := submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 2*1024)
+	res := submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2, ReduceSlowstart: 1.0}, input, 2*1024)
 	if res.Counters.ReduceTasks != 2 {
 		t.Errorf("ReduceTasks = %d, want 2", res.Counters.ReduceTasks)
 	}

@@ -4,8 +4,8 @@ package dist
 // ships in FetchPartReply.Data (worker to reducer) and ReduceDone.Output
 // (reducer to master): every record shape must round-trip exactly (including
 // the zero-record blob a worker stores for an empty partition as a coverage
-// marker), header-only SegmentStats must agree with the decoded segment, and
-// corrupt blobs must be rejected rather than mis-framed. BenchmarkSegmentEncode measures the format
+// marker), the segment's accounting bytes must equal the sum of its records'
+// KV.Bytes, and corrupt blobs must be rejected rather than mis-framed. BenchmarkSegmentEncode measures the format
 // against the gob []KV encoding it replaced.
 
 import (
@@ -43,22 +43,12 @@ func TestSegmentWireRoundTrip(t *testing.T) {
 				t.Fatalf("EncodedSize = %d, encoded blob is %d bytes", got, len(blob))
 			}
 
-			nrecs, acct, err := mapreduce.SegmentStats(blob)
-			if err != nil {
-				t.Fatalf("SegmentStats: %v", err)
-			}
-			if nrecs != len(tc.kvs) {
-				t.Fatalf("SegmentStats nrecs = %d, want %d", nrecs, len(tc.kvs))
-			}
-			if acct != seg.Bytes() {
-				t.Fatalf("SegmentStats bytes = %d, Segment.Bytes = %d", acct, seg.Bytes())
-			}
 			var kvBytes units.Bytes
 			for _, kv := range tc.kvs {
 				kvBytes += kv.Bytes()
 			}
-			if acct != kvBytes {
-				t.Fatalf("SegmentStats bytes = %d, sum of KV.Bytes = %d", acct, kvBytes)
+			if seg.Bytes() != kvBytes {
+				t.Fatalf("Segment.Bytes = %d, sum of KV.Bytes = %d", seg.Bytes(), kvBytes)
 			}
 
 			dec, err := mapreduce.DecodeSegment(blob)
@@ -83,16 +73,12 @@ func TestSegmentWireRoundTrip(t *testing.T) {
 }
 
 // TestSegmentWireEmptyPartitionMarker pins the coverage-marker contract:
-// an empty partition's blob is exactly the 8-byte header, decodes to the
-// zero segment, and reports zero accounting bytes.
+// an empty partition's blob is exactly the 8-byte header and decodes to the
+// zero segment.
 func TestSegmentWireEmptyPartitionMarker(t *testing.T) {
 	blob := mapreduce.EncodeSegment(mapreduce.Segment{})
 	if len(blob) != 8 {
 		t.Fatalf("empty segment encodes to %d bytes, want the 8-byte header", len(blob))
-	}
-	nrecs, acct, err := mapreduce.SegmentStats(blob)
-	if err != nil || nrecs != 0 || acct != 0 {
-		t.Fatalf("SegmentStats(empty) = (%d, %d, %v), want (0, 0, nil)", nrecs, acct, err)
 	}
 	seg, err := mapreduce.DecodeSegment(blob)
 	if err != nil || seg.Len() != 0 {
@@ -120,11 +106,6 @@ func TestSegmentWireRejectsCorruptBlobs(t *testing.T) {
 	for name, blob := range corrupt {
 		if _, err := mapreduce.DecodeSegment(blob); err == nil {
 			t.Errorf("%s: DecodeSegment accepted a corrupt blob", name)
-		}
-		if name != "length mismatch" { // stats reads the header only
-			if _, _, err := mapreduce.SegmentStats(blob); err == nil {
-				t.Errorf("%s: SegmentStats accepted a corrupt blob", name)
-			}
 		}
 	}
 }

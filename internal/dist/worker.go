@@ -355,9 +355,6 @@ func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 // Registry exposes the worker-side job registry for custom registrations.
 func (w *Worker) Registry() *Registry { return w.registry }
 
-// ShuffleAddr returns the worker's shuffle-serve address.
-func (w *Worker) ShuffleAddr() string { return w.shuffleAddr }
-
 // TasksRun reports how many task attempts this worker completed.
 func (w *Worker) TasksRun() int {
 	w.mu.Lock()

@@ -129,7 +129,7 @@ func PaperMix() Mix {
 	return mix
 }
 
-// ExploreCtx scores every candidate on the mix at the given knobs and marks
+// Explore scores every candidate on the mix at the given knobs and marks
 // the Pareto frontier. Results are sorted by EDP ascending. The flattened
 // (candidate x mix entry) grid runs across the worker pool, and each
 // simulation goes through the result cache; the per-candidate totals are
@@ -137,7 +137,7 @@ func PaperMix() Mix {
 // pool width. The context flows through the worker pool into every cached
 // simulation, so a cancelled context stops the sweep within one cell and an
 // Observer carried by ctx sees per-cell sim.run spans and cache counters.
-func ExploreCtx(ctx context.Context, space []Candidate, mix Mix, block units.Bytes, f units.Hertz, cores int) ([]Result, error) {
+func Explore(ctx context.Context, space []Candidate, mix Mix, block units.Bytes, f units.Hertz, cores int) ([]Result, error) {
 	if len(space) == 0 {
 		return nil, fmt.Errorf("dse: empty candidate space")
 	}
@@ -149,11 +149,11 @@ func ExploreCtx(ctx context.Context, space []Candidate, mix Mix, block units.Byt
 			return nil, fmt.Errorf("dse: %s: %d cores out of range", cand.Name, cores)
 		}
 	}
-	reports, err := pool.MapCtx(ctx, pool.DefaultWidth(), len(space)*len(mix), func(k int) (sim.Report, error) {
+	reports, err := pool.Map(ctx, pool.DefaultWidth(), len(space)*len(mix), func(k int) (sim.Report, error) {
 		cand := space[k/len(mix)]
 		entry := mix[k%len(mix)]
 		node := sim.Node{Core: cand.Core, Power: cand.Power, Disk: defaultDisk(), ActiveCores: cores}
-		r, err := sim.RunCachedCtx(ctx, sim.NewCluster(node), sim.JobSpec{
+		r, err := sim.RunCached(ctx, sim.NewCluster(node), sim.JobSpec{
 			Name:        entry.Workload.Name(),
 			Spec:        entry.Workload.Spec(),
 			DataPerNode: entry.Data,

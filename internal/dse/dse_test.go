@@ -10,7 +10,7 @@ import (
 
 func explore(t *testing.T) []Result {
 	t.Helper()
-	rs, err := ExploreCtx(context.Background(), DefaultSpace(), PaperMix(), 256*units.MB, 1.8*units.GHz, 8)
+	rs, err := Explore(context.Background(), DefaultSpace(), PaperMix(), 256*units.MB, 1.8*units.GHz, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +112,13 @@ func TestParetoSemantics(t *testing.T) {
 }
 
 func TestExploreValidation(t *testing.T) {
-	if _, err := ExploreCtx(context.Background(), nil, PaperMix(), 256*units.MB, 1.8*units.GHz, 8); err == nil {
+	if _, err := Explore(context.Background(), nil, PaperMix(), 256*units.MB, 1.8*units.GHz, 8); err == nil {
 		t.Error("empty space accepted")
 	}
-	if _, err := ExploreCtx(context.Background(), DefaultSpace(), nil, 256*units.MB, 1.8*units.GHz, 8); err == nil {
+	if _, err := Explore(context.Background(), DefaultSpace(), nil, 256*units.MB, 1.8*units.GHz, 8); err == nil {
 		t.Error("empty mix accepted")
 	}
-	if _, err := ExploreCtx(context.Background(), DefaultSpace(), PaperMix(), 256*units.MB, 1.8*units.GHz, 99); err == nil {
+	if _, err := Explore(context.Background(), DefaultSpace(), PaperMix(), 256*units.MB, 1.8*units.GHz, 99); err == nil {
 		t.Error("out-of-range core count accepted")
 	}
 }

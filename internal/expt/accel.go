@@ -15,11 +15,11 @@ import (
 // workload at the given knobs.
 func accelRatio(ctx context.Context, w workloads.Workload, blockMB int, fGHz, acceleration float64) (float64, error) {
 	data := paperDataSize(w.Name())
-	aB, err := runCtx(ctx, w, sim.AtomNode(8), data, blockMB, fGHz)
+	aB, err := run(ctx, w, sim.AtomNode(8), data, blockMB, fGHz)
 	if err != nil {
 		return 0, err
 	}
-	xB, err := runCtx(ctx, w, sim.XeonNode(8), data, blockMB, fGHz)
+	xB, err := run(ctx, w, sim.XeonNode(8), data, blockMB, fGHz)
 	if err != nil {
 		return 0, err
 	}
@@ -49,7 +49,7 @@ func accelTable(ctx context.Context, id, title, param string, values []string, e
 		}
 		return h
 	}()...)
-	ratios, err := pool.MapCtx(ctx, Parallelism(), len(values)*len(all), func(k int) (float64, error) {
+	ratios, err := pool.Map(ctx, Parallelism(), len(values)*len(all), func(k int) (float64, error) {
 		return eval(all[k%len(all)], k/len(all))
 	})
 	if err != nil {
@@ -69,8 +69,8 @@ func accelTable(ctx context.Context, id, title, param string, values []string, e
 // fig14Accelerations is the paper's swept mapper acceleration range.
 var fig14Accelerations = []float64{1, 2, 5, 10, 20, 40, 60, 80, 100}
 
-// Fig14Ctx sweeps the mapper acceleration rate at 512 MB / 1.8 GHz.
-func Fig14Ctx(ctx context.Context) (Table, error) {
+// Fig14 sweeps the mapper acceleration rate at 512 MB / 1.8 GHz.
+func Fig14(ctx context.Context) (Table, error) {
 	var labels []string
 	for _, k := range fig14Accelerations {
 		labels = append(labels, fmt.Sprintf("%gx", k))
@@ -83,8 +83,8 @@ func Fig14Ctx(ctx context.Context) (Table, error) {
 		})
 }
 
-// Fig15Ctx sweeps frequency at a fixed 30x acceleration.
-func Fig15Ctx(ctx context.Context) (Table, error) {
+// Fig15 sweeps frequency at a fixed 30x acceleration.
+func Fig15(ctx context.Context) (Table, error) {
 	var labels []string
 	for _, f := range paperFrequencies {
 		labels = append(labels, f1(f)+"GHz")
@@ -97,8 +97,8 @@ func Fig15Ctx(ctx context.Context) (Table, error) {
 		})
 }
 
-// Fig16Ctx sweeps HDFS block size at a fixed 30x acceleration.
-func Fig16Ctx(ctx context.Context) (Table, error) {
+// Fig16 sweeps HDFS block size at a fixed 30x acceleration.
+func Fig16(ctx context.Context) (Table, error) {
 	var labels []string
 	for _, bs := range microBlockSizes {
 		labels = append(labels, fmt.Sprintf("%dMB", bs))

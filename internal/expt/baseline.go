@@ -12,9 +12,9 @@ import (
 	"heterohadoop/internal/workloads"
 )
 
-// Table1Ctx echoes the paper's architectural parameters (Table 1) from the
+// Table1 echoes the paper's architectural parameters (Table 1) from the
 // shipped core models.
-func Table1Ctx(_ context.Context) (Table, error) {
+func Table1(_ context.Context) (Table, error) {
 	atom, xeon := cpu.AtomC2758(), cpu.XeonE52420()
 	row := func(name string, a, x string) []string { return []string{name, a, x} }
 	cacheRow := func(core cpu.Core, i int) string {
@@ -40,8 +40,8 @@ func Table1Ctx(_ context.Context) (Table, error) {
 	}, nil
 }
 
-// Table2Ctx lists the studied applications (Table 2).
-func Table2Ctx(_ context.Context) (Table, error) {
+// Table2 lists the studied applications (Table 2).
+func Table2(_ context.Context) (Table, error) {
 	rows := [][]string{}
 	for _, w := range workloads.MicroBenchmarks() {
 		rows = append(rows, []string{"Hadoop micro-benchmark", w.Name(), shortName(w.Name()), w.Class().String()})
@@ -61,9 +61,9 @@ func Table2Ctx(_ context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig1Ctx reproduces the IPC comparison: suite-average IPC of SPEC, PARSEC
+// Fig1 reproduces the IPC comparison: suite-average IPC of SPEC, PARSEC
 // and Hadoop on both cores at 1.8 GHz.
-func Fig1Ctx(ctx context.Context) (Table, error) {
+func Fig1(ctx context.Context) (Table, error) {
 	if err := ctx.Err(); err != nil {
 		return Table{}, fmt.Errorf("expt: fig1: cancelled: %w", err)
 	}
@@ -127,9 +127,9 @@ func Fig1Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig2Ctx reproduces the EDxP ratio comparison between suites: Atom-to-Xeon
+// Fig2 reproduces the EDxP ratio comparison between suites: Atom-to-Xeon
 // EDP, ED2P and ED3P ratios for SPEC, PARSEC and the Hadoop average.
-func Fig2Ctx(ctx context.Context) (Table, error) {
+func Fig2(ctx context.Context) (Table, error) {
 	f := 1.8 * units.GHz
 	ratioRow := func(label string, edp, ed2p, ed3p float64) []string {
 		return []string{label, f2(edp), f2(ed2p), f2(ed3p)}
@@ -156,11 +156,11 @@ func Fig2Ctx(ctx context.Context) (Table, error) {
 	// Hadoop average over the six workloads at the paper configuration.
 	var sumEDP, sumED2P, sumED3P float64
 	for _, w := range workloads.All() {
-		a, err := runCtx(ctx, w, sim.AtomNode(8), paperDataSize(w.Name()), 512, 1.8)
+		a, err := run(ctx, w, sim.AtomNode(8), paperDataSize(w.Name()), 512, 1.8)
 		if err != nil {
 			return Table{}, err
 		}
-		x, err := runCtx(ctx, w, sim.XeonNode(8), paperDataSize(w.Name()), 512, 1.8)
+		x, err := run(ctx, w, sim.XeonNode(8), paperDataSize(w.Name()), 512, 1.8)
 		if err != nil {
 			return Table{}, err
 		}

@@ -33,8 +33,8 @@ func costSamples(ctx context.Context, w workloads.Workload) (map[string]metrics.
 			cells = append(cells, costCell{kind, fmt.Sprintf("%s%d", label, m), m})
 		}
 	}
-	samples, err := pool.MapCtx(ctx, Parallelism(), len(cells), func(i int) (metrics.Sample, error) {
-		return sched.EvaluateCtx(ctx, w, cells[i].kind, cells[i].cores, data, 1.8*units.GHz)
+	samples, err := pool.Map(ctx, Parallelism(), len(cells), func(i int) (metrics.Sample, error) {
+		return sched.Evaluate(ctx, w, cells[i].kind, cells[i].cores, data, 1.8*units.GHz)
 	})
 	if err != nil {
 		return nil, err
@@ -50,14 +50,14 @@ func costSamples(ctx context.Context, w workloads.Workload) (map[string]metrics.
 // returned in workloads.All() order.
 func allCostSamples(ctx context.Context) ([]map[string]metrics.Sample, error) {
 	all := workloads.All()
-	return pool.MapCtx(ctx, Parallelism(), len(all), func(i int) (map[string]metrics.Sample, error) {
+	return pool.Map(ctx, Parallelism(), len(all), func(i int) (map[string]metrics.Sample, error) {
 		return costSamples(ctx, all[i])
 	})
 }
 
-// Table3Ctx reproduces the operational and capital cost table: EDP, ED2P,
+// Table3 reproduces the operational and capital cost table: EDP, ED2P,
 // EDAP and ED2AP for 2/4/6/8 cores (mappers = cores) on both platforms.
-func Table3Ctx(ctx context.Context) (Table, error) {
+func Table3(ctx context.Context) (Table, error) {
 	header := []string{"Metric", "Workload", "Atom-M2", "Atom-M4", "Atom-M6", "Atom-M8", "Xeon-M2", "Xeon-M4", "Xeon-M6", "Xeon-M8"}
 	metricsList := []struct {
 		name  string
@@ -92,9 +92,9 @@ func Table3Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig17Ctx reproduces the spider-graph data: the four cost metrics for every
+// Fig17 reproduces the spider-graph data: the four cost metrics for every
 // (platform, core count), normalized to the 8-Xeon-core configuration.
-func Fig17Ctx(ctx context.Context) (Table, error) {
+func Fig17(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Config", "EDP", "ED2P", "EDAP", "ED2AP"}
 	bySample, err := allCostSamples(ctx)
 	if err != nil {
@@ -123,16 +123,16 @@ func Fig17Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// SchedulingCaseCtx reproduces the §3.5 case study: the policy decision and
+// SchedulingCase reproduces the §3.5 case study: the policy decision and
 // the exhaustive-search optimum for each workload under each goal.
-func SchedulingCaseCtx(ctx context.Context) (Table, error) {
+func SchedulingCase(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Class", "Goal", "Policy", "Optimal", "Optimal score"}
 	all := workloads.All()
 	goals := []sched.Goal{sched.MinEDP, sched.MinED2P, sched.MinEDAP, sched.MinED2AP}
-	rows, err := mapRowsCtx(ctx, len(all)*len(goals), func(k int) ([]string, error) {
+	rows, err := mapRows(ctx, len(all)*len(goals), func(k int) ([]string, error) {
 		w, goal := all[k/len(goals)], goals[k%len(goals)]
 		policy := sched.Policy(w.Class(), goal)
-		opt, sample, err := sched.OptimalCtx(ctx, w, goal, paperDataSize(w.Name()), 1.8*units.GHz)
+		opt, sample, err := sched.Optimal(ctx, w, goal, paperDataSize(w.Name()), 1.8*units.GHz)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ package expt
 // evaluation is served almost entirely from the simulator result cache.
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -19,12 +20,12 @@ func TestPoolWidthDeterminism(t *testing.T) {
 	defer restoreExecState(t)()
 	for _, g := range All() {
 		SetParallelism(1)
-		serial, err := g.Run()
+		serial, err := g.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s serial: %v", g.ID, err)
 		}
 		SetParallelism(runtime.NumCPU())
-		parallel, err := g.Run()
+		parallel, err := g.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s parallel: %v", g.ID, err)
 		}
@@ -44,7 +45,7 @@ func TestSecondPassServedFromCache(t *testing.T) {
 	sim.ResetCache()
 	runAll := func() {
 		for _, g := range All() {
-			if _, err := g.Run(); err != nil {
+			if _, err := g.Run(context.Background()); err != nil {
 				t.Fatalf("%s: %v", g.ID, err)
 			}
 		}

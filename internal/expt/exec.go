@@ -52,19 +52,19 @@ type simCell struct {
 	fGHz    float64
 }
 
-// runCellsCtx evaluates the grid across the pool and returns reports in
+// runCells evaluates the grid across the pool and returns reports in
 // cell order. The context flows into every cell, so cancellation stops
 // the sweep within one simulation and the carried observer sees each
 // cell's sim.run span and cache counters.
-func runCellsCtx(ctx context.Context, cells []simCell) ([]sim.Report, error) {
-	return pool.MapCtx(ctx, Parallelism(), len(cells), func(i int) (sim.Report, error) {
+func runCells(ctx context.Context, cells []simCell) ([]sim.Report, error) {
+	return pool.Map(ctx, Parallelism(), len(cells), func(i int) (sim.Report, error) {
 		c := cells[i]
-		return runCtx(ctx, c.w, c.node, c.data, c.blockMB, c.fGHz)
+		return run(ctx, c.w, c.node, c.data, c.blockMB, c.fGHz)
 	})
 }
 
-// mapRowsCtx builds one row per index across the pool, preserving row
+// mapRows builds one row per index across the pool, preserving row
 // order.
-func mapRowsCtx(ctx context.Context, n int, fn func(i int) ([]string, error)) ([][]string, error) {
-	return pool.MapCtx(ctx, Parallelism(), n, fn)
+func mapRows(ctx context.Context, n int, fn func(i int) ([]string, error)) ([][]string, error) {
+	return pool.Map(ctx, Parallelism(), n, fn)
 }

@@ -74,22 +74,18 @@ func (t Table) Fprint(w io.Writer) error {
 	return err
 }
 
-// Generator produces one artefact: RunCtx with cancellation and
-// observability, Run with neither.
+// Generator produces one artefact.
 type Generator struct {
 	ID   string
 	Name string
 	fn   func(context.Context) (Table, error)
 }
 
-// Run produces the artefact with a background context and no observer.
-func (g Generator) Run() (Table, error) { return g.RunCtx(context.Background()) }
-
-// RunCtx produces the artefact. A cancelled context aborts between (and,
+// Run produces the artefact. A cancelled context aborts between (and,
 // through the sweep executor, within) simulations with an error wrapping
 // ctx.Err(). An Observer carried by ctx receives an "expt.artefact" span
 // with the artefact id, plus everything the layers below emit.
-func (g Generator) RunCtx(ctx context.Context) (Table, error) {
+func (g Generator) Run(ctx context.Context) (Table, error) {
 	if g.fn == nil {
 		return Table{}, fmt.Errorf("expt: generator %q has no implementation", g.ID)
 	}
@@ -105,59 +101,34 @@ func (g Generator) RunCtx(ctx context.Context) (Table, error) {
 	return g.fn(ctx)
 }
 
-// RunAllCtx regenerates every artefact in the paper's order, stopping at
-// the first failure. Cancellation aborts the evaluation within one
-// simulation cell; an Observer carried by ctx receives an "artefacts"
-// progress event after each artefact completes (plus the per-artefact
-// spans from RunCtx).
-func RunAllCtx(ctx context.Context) ([]Table, error) {
-	gens := All()
-	ob := obs.FromContext(ctx)
-	if ob.Enabled() {
-		ob.Progress("artefacts", 0, len(gens))
-	}
-	out := make([]Table, 0, len(gens))
-	for i, g := range gens {
-		tbl, err := g.RunCtx(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("expt: %s: %w", g.ID, err)
-		}
-		out = append(out, tbl)
-		if ob.Enabled() {
-			ob.Progress("artefacts", i+1, len(gens))
-		}
-	}
-	return out, nil
-}
-
 // All returns every artefact generator in the paper's order.
 func All() []Generator {
 	return []Generator{
-		{"table1", "Architectural parameters", Table1Ctx},
-		{"table2", "Studied applications", Table2Ctx},
-		{"fig1", "IPC of SPEC, PARSEC and Hadoop on little and big cores", Fig1Ctx},
-		{"fig2", "EDP/ED2P/ED3P ratios per suite", Fig2Ctx},
-		{"fig3", "Execution time of micro-benchmarks vs block size and frequency", Fig3Ctx},
-		{"fig4", "Execution time of real-world applications vs block size and frequency", Fig4Ctx},
-		{"fig5", "EDP of real-world applications vs frequency", Fig5Ctx},
-		{"fig6", "EDP of micro-benchmarks vs frequency", Fig6Ctx},
-		{"fig7", "Map/Reduce phase EDP of micro-benchmarks", Fig7Ctx},
-		{"fig8", "Map/Reduce phase EDP of real-world applications", Fig8Ctx},
-		{"fig9", "Xeon:Atom EDP ratio vs block size", Fig9Ctx},
-		{"fig10", "Execution time breakdown vs data size (micro)", Fig10Ctx},
-		{"fig11", "Execution time breakdown vs data size (real-world)", Fig11Ctx},
-		{"fig12", "EDP of entire applications vs data size", Fig12Ctx},
-		{"fig13", "Map/Reduce phase EDP vs data size", Fig13Ctx},
-		{"fig14", "Post-acceleration speedup ratio vs acceleration rate", Fig14Ctx},
-		{"fig15", "Post-acceleration speedup ratio vs frequency", Fig15Ctx},
-		{"fig16", "Post-acceleration speedup ratio vs block size", Fig16Ctx},
-		{"table3", "Operational and capital cost across core counts", Table3Ctx},
-		{"fig17", "Cost metrics normalized to 8 Xeon cores (spider-graph data)", Fig17Ctx},
-		{"sched", "Scheduling case study (paper §3.5)", SchedulingCaseCtx},
-		{"ext-dse", "Extension: design-space exploration", ExtDSECtx},
-		{"ext-phasesplit", "Extension: phase-split heterogeneous scheduling", ExtPhaseSplitCtx},
-		{"ext-dvfs", "Extension: per-phase DVFS governor", ExtPerPhaseDVFSCtx},
-		{"ext-power", "Extension: map-phase power breakdown by component", ExtPowerBreakdownCtx},
+		{"table1", "Architectural parameters", Table1},
+		{"table2", "Studied applications", Table2},
+		{"fig1", "IPC of SPEC, PARSEC and Hadoop on little and big cores", Fig1},
+		{"fig2", "EDP/ED2P/ED3P ratios per suite", Fig2},
+		{"fig3", "Execution time of micro-benchmarks vs block size and frequency", Fig3},
+		{"fig4", "Execution time of real-world applications vs block size and frequency", Fig4},
+		{"fig5", "EDP of real-world applications vs frequency", Fig5},
+		{"fig6", "EDP of micro-benchmarks vs frequency", Fig6},
+		{"fig7", "Map/Reduce phase EDP of micro-benchmarks", Fig7},
+		{"fig8", "Map/Reduce phase EDP of real-world applications", Fig8},
+		{"fig9", "Xeon:Atom EDP ratio vs block size", Fig9},
+		{"fig10", "Execution time breakdown vs data size (micro)", Fig10},
+		{"fig11", "Execution time breakdown vs data size (real-world)", Fig11},
+		{"fig12", "EDP of entire applications vs data size", Fig12},
+		{"fig13", "Map/Reduce phase EDP vs data size", Fig13},
+		{"fig14", "Post-acceleration speedup ratio vs acceleration rate", Fig14},
+		{"fig15", "Post-acceleration speedup ratio vs frequency", Fig15},
+		{"fig16", "Post-acceleration speedup ratio vs block size", Fig16},
+		{"table3", "Operational and capital cost across core counts", Table3},
+		{"fig17", "Cost metrics normalized to 8 Xeon cores (spider-graph data)", Fig17},
+		{"sched", "Scheduling case study (paper §3.5)", SchedulingCase},
+		{"ext-dse", "Extension: design-space exploration", ExtDSE},
+		{"ext-phasesplit", "Extension: phase-split heterogeneous scheduling", ExtPhaseSplit},
+		{"ext-dvfs", "Extension: per-phase DVFS governor", ExtPerPhaseDVFS},
+		{"ext-power", "Extension: map-phase power breakdown by component", ExtPowerBreakdown},
 	}
 }
 
@@ -218,11 +189,11 @@ func shortName(name string) string {
 	}
 }
 
-// runCtx simulates one configuration through the process-wide result
+// run simulates one configuration through the process-wide result
 // cache, so cells shared between artefacts are only ever computed once.
 // The context carries cancellation and the observer into the simulator.
-func runCtx(ctx context.Context, w workloads.Workload, node sim.Node, data units.Bytes, blockMB int, fGHz float64) (sim.Report, error) {
-	return sim.RunCachedCtx(ctx, sim.NewCluster(node), sim.JobSpec{
+func run(ctx context.Context, w workloads.Workload, node sim.Node, data units.Bytes, blockMB int, fGHz float64) (sim.Report, error) {
+	return sim.RunCached(ctx, sim.NewCluster(node), sim.JobSpec{
 		Name:        w.Name(),
 		Spec:        w.Spec(),
 		DataPerNode: data,

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func runGen(t *testing.T, id string) Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := g.Run()
+	tbl, err := g.Run(context.Background())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -425,7 +426,7 @@ func TestExtensionArtefacts(t *testing.T) {
 // covered by a dedicated assertion still must produce valid tables.
 func TestAllGeneratorsRun(t *testing.T) {
 	for _, g := range All() {
-		tbl, err := g.Run()
+		tbl, err := g.Run(context.Background())
 		if err != nil {
 			t.Errorf("%s: %v", g.ID, err)
 			continue

@@ -16,10 +16,10 @@ import (
 // heterogeneous scheduling, per-phase DVFS) with the same table machinery
 // as the reproduced figures.
 
-// ExtDSECtx scores the default candidate space on the paper mix and reports
+// ExtDSE scores the default candidate space on the paper mix and reports
 // the Pareto frontier.
-func ExtDSECtx(ctx context.Context) (Table, error) {
-	results, err := dse.ExploreCtx(ctx, dse.DefaultSpace(), dse.PaperMix(), 256*units.MB, 1.8*units.GHz, 8)
+func ExtDSE(ctx context.Context) (Table, error) {
+	results, err := dse.Explore(ctx, dse.DefaultSpace(), dse.PaperMix(), 256*units.MB, 1.8*units.GHz, 8)
 	if err != nil {
 		return Table{}, err
 	}
@@ -47,28 +47,28 @@ func ExtDSECtx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// ExtPhaseSplitCtx compares homogeneous deployments against the little-map/
+// ExtPhaseSplit compares homogeneous deployments against the little-map/
 // big-reduce split for every workload. Workload rows run on the pool; the
 // homogeneous runs coalesce with the split's per-side runs in the cache.
-func ExtPhaseSplitCtx(ctx context.Context) (Table, error) {
+func ExtPhaseSplit(ctx context.Context) (Table, error) {
 	little := sim.NewCluster(sim.AtomNode(8))
 	big := sim.NewCluster(sim.XeonNode(8))
 	all := workloads.All()
-	rows, err := mapRowsCtx(ctx, len(all), func(i int) ([]string, error) {
+	rows, err := mapRows(ctx, len(all), func(i int) ([]string, error) {
 		w := all[i]
 		job := sim.JobSpec{
 			Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		}
-		homoL, err := sim.RunCachedCtx(ctx, little, job)
+		homoL, err := sim.RunCached(ctx, little, job)
 		if err != nil {
 			return nil, err
 		}
-		homoB, err := sim.RunCachedCtx(ctx, big, job)
+		homoB, err := sim.RunCached(ctx, big, job)
 		if err != nil {
 			return nil, err
 		}
-		split, err := sim.RunPhaseSplit(little, big, job)
+		split, err := sim.RunPhaseSplit(ctx, little, big, job)
 		if err != nil {
 			return nil, err
 		}
@@ -92,22 +92,22 @@ func ExtPhaseSplitCtx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// ExtPerPhaseDVFSCtx reports the EDP-optimal per-phase DVFS assignment for
+// ExtPerPhaseDVFS reports the EDP-optimal per-phase DVFS assignment for
 // every workload on the little cluster.
-func ExtPerPhaseDVFSCtx(ctx context.Context) (Table, error) {
+func ExtPerPhaseDVFS(ctx context.Context) (Table, error) {
 	cluster := sim.NewCluster(sim.AtomNode(8))
 	all := workloads.All()
-	rows, err := mapRowsCtx(ctx, len(all), func(i int) ([]string, error) {
+	rows, err := mapRows(ctx, len(all), func(i int) ([]string, error) {
 		w := all[i]
 		job := sim.JobSpec{
 			Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		}
-		uniform, err := sim.RunPerPhaseDVFS(cluster, job, 1.8, 1.8)
+		uniform, err := sim.RunPerPhaseDVFS(ctx, cluster, job, 1.8, 1.8)
 		if err != nil {
 			return nil, err
 		}
-		best, err := sim.BestPerPhaseDVFS(cluster, job)
+		best, err := sim.BestPerPhaseDVFS(ctx, cluster, job)
 		if err != nil {
 			return nil, err
 		}
@@ -131,10 +131,10 @@ func ExtPerPhaseDVFSCtx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// ExtPowerBreakdownCtx decomposes each workload's map-phase dynamic power
+// ExtPowerBreakdown decomposes each workload's map-phase dynamic power
 // into components (cores, uncore, DRAM, disk) on both platforms — the
 // constituents the paper's wall meter aggregates.
-func ExtPowerBreakdownCtx(ctx context.Context) (Table, error) {
+func ExtPowerBreakdown(ctx context.Context) (Table, error) {
 	all := workloads.All()
 	plats := []struct {
 		label string
@@ -144,9 +144,9 @@ func ExtPowerBreakdownCtx(ctx context.Context) (Table, error) {
 		{"Atom", sim.AtomNode(8), power.AtomNode()},
 		{"Xeon", sim.XeonNode(8), power.XeonNode()},
 	}
-	rows, err := mapRowsCtx(ctx, len(all)*len(plats), func(k int) ([]string, error) {
+	rows, err := mapRows(ctx, len(all)*len(plats), func(k int) ([]string, error) {
 		w, p := all[k/len(plats)], plats[k%len(plats)]
-		r, err := sim.RunCachedCtx(ctx, sim.NewCluster(p.node), sim.JobSpec{
+		r, err := sim.RunCached(ctx, sim.NewCluster(p.node), sim.JobSpec{
 			Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		})

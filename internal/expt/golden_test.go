@@ -7,6 +7,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ func TestGoldenArtefacts(t *testing.T) {
 	for _, g := range All() {
 		g := g
 		t.Run(g.ID, func(t *testing.T) {
-			tbl, err := g.Run()
+			tbl, err := g.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"heterohadoop/internal/obs"
+	"heterohadoop/internal/sim"
 )
 
 // cancelOnSimWork is an observer that cancels its context the first time
@@ -36,19 +37,23 @@ func (c *cancelOnSimWork) Count(name string, delta int64) {
 	c.Observer.Count(name, delta)
 }
 
-func TestRunAllCtxCancelMidSweepAborts(t *testing.T) {
+func TestGeneratorCancelMidSweepAborts(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
+	g, err := ByID("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := &cancelOnSimWork{Observer: obs.NewCollector(), cancel: cancel}
 	ctx = obs.NewContext(ctx, tr)
 
-	tables, err := RunAllCtx(ctx)
+	tbl, err := g.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAllCtx after mid-sweep cancel: %v, want wrapped context.Canceled", err)
+		t.Fatalf("fig3 after mid-sweep cancel: %v, want wrapped context.Canceled", err)
 	}
-	if tables != nil {
-		t.Errorf("%d tables returned alongside cancellation", len(tables))
+	if len(tbl.Rows) != 0 {
+		t.Errorf("%d rows returned alongside cancellation", len(tbl.Rows))
 	}
 }
 
@@ -59,8 +64,8 @@ func TestGeneratorCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.RunCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled RunCtx: %v, want wrapped context.Canceled", err)
+	if _, err := g.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled Run: %v, want wrapped context.Canceled", err)
 	}
 }
 
@@ -71,7 +76,7 @@ func TestGeneratorEmitsArtefactSpan(t *testing.T) {
 	}
 	c := obs.NewCollector()
 	ctx := obs.NewContext(context.Background(), c)
-	if _, err := g.RunCtx(ctx); err != nil {
+	if _, err := g.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.SpanCount("expt.artefact"); n != 1 {
@@ -92,5 +97,32 @@ func TestByIDWrapsErrUnknownArtefact(t *testing.T) {
 	_, err := ByID("fig99")
 	if !errors.Is(err, ErrUnknownArtefact) {
 		t.Errorf("ByID(fig99): %v, want wrapped ErrUnknownArtefact", err)
+	}
+}
+
+// TestExtensionArtefactsCarryContext pins that ext-phasesplit and ext-dvfs
+// hand their context to every simulator call: the run's cache lookups are
+// counted on the context's observer, and a cancelled context stops them.
+func TestExtensionArtefactsCarryContext(t *testing.T) {
+	for _, id := range []string{"ext-phasesplit", "ext-dvfs"} {
+		t.Run(id, func(t *testing.T) {
+			g, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.ResetCache()
+			c := obs.NewCollector()
+			if _, err := g.Run(obs.NewContext(context.Background(), c)); err != nil {
+				t.Fatal(err)
+			}
+			if n := c.Counter("sim.cache.hits") + c.Counter("sim.cache.misses"); n == 0 {
+				t.Error("no sim.cache.* lookups attributed to the run")
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := g.Run(ctx); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled run: %v, want wrapped context.Canceled", err)
+			}
+		})
 	}
 }

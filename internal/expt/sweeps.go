@@ -49,7 +49,7 @@ func execTimeSweep(ctx context.Context, id, title string, ws []workloads.Workloa
 			}
 		}
 	}
-	reps, err := runCellsCtx(ctx, cells)
+	reps, err := runCells(ctx, cells)
 	if err != nil {
 		return Table{}, err
 	}
@@ -70,18 +70,18 @@ func execTimeSweep(ctx context.Context, id, title string, ws []workloads.Workloa
 	return Table{ID: id, Title: title, Header: header, Rows: rows}, nil
 }
 
-// Fig3Ctx sweeps the four micro-benchmarks at 1 GB/node over block size and
+// Fig3 sweeps the four micro-benchmarks at 1 GB/node over block size and
 // frequency on both clusters.
-func Fig3Ctx(ctx context.Context) (Table, error) {
+func Fig3(ctx context.Context) (Table, error) {
 	return execTimeSweep(ctx, "fig3",
 		"Execution time of Hadoop micro-benchmarks vs HDFS block size and frequency (1 GB/node)",
 		workloads.MicroBenchmarks(), microBlockSizes,
 		func(string) units.Bytes { return units.GB })
 }
 
-// Fig4Ctx sweeps the two real-world applications at 10 GB/node (block sizes
+// Fig4 sweeps the two real-world applications at 10 GB/node (block sizes
 // from 64 MB per the paper).
-func Fig4Ctx(ctx context.Context) (Table, error) {
+func Fig4(ctx context.Context) (Table, error) {
 	return execTimeSweep(ctx, "fig4",
 		"Execution time of real-world applications vs HDFS block size and frequency (10 GB/node)",
 		workloads.RealWorld(), realBlockSizes,
@@ -110,7 +110,7 @@ func edpVsFrequency(ctx context.Context, id, title string, ws []workloads.Worklo
 	for _, w := range ws {
 		cells = append(cells, simCell{w, sim.AtomNode(8), paperDataSize(w.Name()), 512, 1.2})
 	}
-	reps, err := runCellsCtx(ctx, cells)
+	reps, err := runCells(ctx, cells)
 	if err != nil {
 		return Table{}, err
 	}
@@ -133,15 +133,15 @@ func edpVsFrequency(ctx context.Context, id, title string, ws []workloads.Worklo
 	return Table{ID: id, Title: title, Header: header, Rows: rows}, nil
 }
 
-// Fig5Ctx gives whole-application EDP vs frequency for NB and FP.
-func Fig5Ctx(ctx context.Context) (Table, error) {
+// Fig5 gives whole-application EDP vs frequency for NB and FP.
+func Fig5(ctx context.Context) (Table, error) {
 	return edpVsFrequency(ctx, "fig5",
 		"EDP of real-world applications vs frequency (normalized to Atom @1.2GHz)",
 		workloads.RealWorld())
 }
 
-// Fig6Ctx gives whole-application EDP vs frequency for the micro-benchmarks.
-func Fig6Ctx(ctx context.Context) (Table, error) {
+// Fig6 gives whole-application EDP vs frequency for the micro-benchmarks.
+func Fig6(ctx context.Context) (Table, error) {
 	return edpVsFrequency(ctx, "fig6",
 		"EDP of micro-benchmarks vs frequency (normalized to Atom @1.2GHz)",
 		workloads.MicroBenchmarks())
@@ -166,7 +166,7 @@ func phaseEDP(ctx context.Context, id, title string, ws []workloads.Workload) (T
 	for _, w := range ws {
 		cells = append(cells, simCell{w, sim.AtomNode(8), paperDataSize(w.Name()), 512, 1.2})
 	}
-	reps, err := runCellsCtx(ctx, cells)
+	reps, err := runCells(ctx, cells)
 	if err != nil {
 		return Table{}, err
 	}
@@ -204,23 +204,23 @@ func phaseEDP(ctx context.Context, id, title string, ws []workloads.Workload) (T
 	return Table{ID: id, Title: title, Header: header, Rows: rows}, nil
 }
 
-// Fig7Ctx gives map/reduce phase EDP vs frequency for the micro-benchmarks.
-func Fig7Ctx(ctx context.Context) (Table, error) {
+// Fig7 gives map/reduce phase EDP vs frequency for the micro-benchmarks.
+func Fig7(ctx context.Context) (Table, error) {
 	return phaseEDP(ctx, "fig7",
 		"Map/Reduce phase EDP of micro-benchmarks vs frequency (normalized to Atom @1.2GHz)",
 		workloads.MicroBenchmarks())
 }
 
-// Fig8Ctx gives map/reduce phase EDP vs frequency for NB and FP.
-func Fig8Ctx(ctx context.Context) (Table, error) {
+// Fig8 gives map/reduce phase EDP vs frequency for NB and FP.
+func Fig8(ctx context.Context) (Table, error) {
 	return phaseEDP(ctx, "fig8",
 		"Map/Reduce phase EDP of real-world applications vs frequency (normalized to Atom @1.2GHz)",
 		workloads.RealWorld())
 }
 
-// Fig9Ctx gives the Xeon-to-Atom EDP ratio as a function of block size at
+// Fig9 gives the Xeon-to-Atom EDP ratio as a function of block size at
 // 1.8 GHz for all six workloads.
-func Fig9Ctx(ctx context.Context) (Table, error) {
+func Fig9(ctx context.Context) (Table, error) {
 	header := []string{"Block[MB]"}
 	for _, w := range workloads.All() {
 		header = append(header, shortName(w.Name()))
@@ -233,7 +233,7 @@ func Fig9Ctx(ctx context.Context) (Table, error) {
 				simCell{w, sim.XeonNode(8), paperDataSize(w.Name()), bs, 1.8})
 		}
 	}
-	reps, err := runCellsCtx(ctx, cells)
+	reps, err := runCells(ctx, cells)
 	if err != nil {
 		return Table{}, err
 	}
@@ -271,7 +271,7 @@ func dataSizeGrid(ctx context.Context, ws []workloads.Workload) ([]sim.Report, f
 			}
 		}
 	}
-	reps, err := runCellsCtx(ctx, cells)
+	reps, err := runCells(ctx, cells)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,8 +315,8 @@ func breakdownSweep(ctx context.Context, id, title string, ws []workloads.Worklo
 	}, nil
 }
 
-// Fig10Ctx gives the execution-time breakdown vs data size for WC and TS.
-func Fig10Ctx(ctx context.Context) (Table, error) {
+// Fig10 gives the execution-time breakdown vs data size for WC and TS.
+func Fig10(ctx context.Context) (Table, error) {
 	wc, _ := workloads.ByName("wordcount")
 	ts, _ := workloads.ByName("terasort")
 	return breakdownSweep(ctx, "fig10",
@@ -324,16 +324,16 @@ func Fig10Ctx(ctx context.Context) (Table, error) {
 		[]workloads.Workload{wc, ts})
 }
 
-// Fig11Ctx gives the execution-time breakdown vs data size for NB and FP.
-func Fig11Ctx(ctx context.Context) (Table, error) {
+// Fig11 gives the execution-time breakdown vs data size for NB and FP.
+func Fig11(ctx context.Context) (Table, error) {
 	return breakdownSweep(ctx, "fig11",
 		"Execution time and breakdown of real-world applications vs input size (512MB, 1.8GHz)",
 		workloads.RealWorld())
 }
 
-// Fig12Ctx gives whole-application EDP vs data size, normalized per workload
+// Fig12 gives whole-application EDP vs data size, normalized per workload
 // to Atom at 1 GB.
-func Fig12Ctx(ctx context.Context) (Table, error) {
+func Fig12(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Platform", "1GB", "10GB", "20GB"}
 	_, at, err := dataSizeGrid(ctx, workloads.All())
 	if err != nil {
@@ -362,10 +362,10 @@ func Fig12Ctx(ctx context.Context) (Table, error) {
 	}, nil
 }
 
-// Fig13Ctx gives map- and reduce-phase EDP vs data size, normalized per
+// Fig13 gives map- and reduce-phase EDP vs data size, normalized per
 // workload and phase to Atom at 1 GB. Both phase passes read the same cached
 // grid instead of re-simulating it.
-func Fig13Ctx(ctx context.Context) (Table, error) {
+func Fig13(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Platform", "Phase", "1GB", "10GB", "20GB"}
 	_, at, err := dataSizeGrid(ctx, workloads.All())
 	if err != nil {

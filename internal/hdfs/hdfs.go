@@ -7,29 +7,24 @@
 // The store is in-memory — the experiments are simulations, not a storage
 // product — but it preserves the structural behaviour that drives the
 // paper's results: the number of map tasks equals input size divided by
-// block size, blocks have per-request access overhead, and replication
-// multiplies write traffic.
+// block size, and blocks have per-request access overhead.
 package hdfs
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"heterohadoop/internal/units"
 )
 
-// DefaultBlockSize is Hadoop's classic 64 MB default, which the paper shows
-// is rarely optimal.
-const DefaultBlockSize = 64 * units.MB
-
 // Config configures a block store.
 type Config struct {
 	// BlockSize is the HDFS block size. The paper sweeps 32–512 MB.
 	BlockSize units.Bytes
-	// Replication is the block replication factor (Hadoop default 3).
+	// Replication is the block replication factor (Hadoop default 3). It
+	// is validated only: the in-memory store keeps one copy of each block.
 	Replication int
 }
 
@@ -58,9 +53,6 @@ type File struct {
 	Name string
 	// Blocks are the file's blocks in order.
 	Blocks []Block
-	// Placements, when the file was stored with WritePlaced, holds each
-	// block's rack-aware replica set (parallel to Blocks).
-	Placements []Placement
 	// size is the total byte count.
 	size units.Bytes
 }
@@ -86,9 +78,6 @@ type Store struct {
 	mu     sync.RWMutex
 	config Config
 	files  map[string]*File
-
-	bytesWritten units.Bytes // includes replication
-	bytesRead    units.Bytes
 }
 
 // NewStore creates a store with the given configuration.
@@ -98,9 +87,6 @@ func NewStore(config Config) (*Store, error) {
 	}
 	return &Store{config: config, files: make(map[string]*File)}, nil
 }
-
-// Config returns the store configuration.
-func (s *Store) Config() Config { return s.config }
 
 // Write stores data under name, splitting it into blocks. An existing file
 // of the same name is replaced.
@@ -122,99 +108,24 @@ func (s *Store) Write(name string, data []byte) (*File, error) {
 		f.Blocks = append(f.Blocks, Block{ID: id, Data: block})
 	}
 	s.files[name] = f
-	s.bytesWritten += units.Bytes(len(data)) * units.Bytes(s.config.Replication)
 	return f, nil
-}
-
-// WriteFrom stores the contents of r under name.
-func (s *Store) WriteFrom(name string, r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("hdfs: reading input for %s: %w", name, err)
-	}
-	return s.Write(name, data)
 }
 
 // Open returns the named file.
 func (s *Store) Open(name string) (*File, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	f, ok := s.files[name]
 	if !ok {
 		return nil, fmt.Errorf("hdfs: file %s not found", name)
 	}
-	s.bytesRead += f.size
 	return f, nil
-}
-
-// Delete removes the named file. Deleting a missing file is an error.
-func (s *Store) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.files[name]; !ok {
-		return fmt.Errorf("hdfs: file %s not found", name)
-	}
-	delete(s.files, name)
-	return nil
-}
-
-// List returns the stored file names in sorted order.
-func (s *Store) List() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.files))
-	for n := range s.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// BytesWritten returns total bytes written including replication copies.
-func (s *Store) BytesWritten() units.Bytes {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytesWritten
-}
-
-// BytesRead returns total bytes read.
-func (s *Store) BytesRead() units.Bytes {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytesRead
-}
-
-// Split describes one input split handed to a map task.
-type Split struct {
-	// File is the name of the input file.
-	File string
-	// Block is the block index within the file.
-	Block int
-	// Length is the split length in bytes.
-	Length units.Bytes
-}
-
-// Splits returns one split per block of the named file, the unit of map-task
-// scheduling: numMapTasks = inputSize / blockSize, the relation the paper
-// uses throughout §3.1.
-func (s *Store) Splits(name string) ([]Split, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, ok := s.files[name]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: file %s not found", name)
-	}
-	splits := make([]Split, len(f.Blocks))
-	for i, b := range f.Blocks {
-		splits[i] = Split{File: name, Block: b.ID, Length: units.Bytes(len(b.Data))}
-	}
-	return splits, nil
 }
 
 // ReadBlock returns the data of one block of the named file.
 func (s *Store) ReadBlock(name string, block int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	f, ok := s.files[name]
 	if !ok {
 		return nil, fmt.Errorf("hdfs: file %s not found", name)
@@ -222,6 +133,5 @@ func (s *Store) ReadBlock(name string, block int) ([]byte, error) {
 	if block < 0 || block >= len(f.Blocks) {
 		return nil, fmt.Errorf("hdfs: file %s has no block %d", name, block)
 	}
-	s.bytesRead += units.Bytes(len(f.Blocks[block].Data))
 	return f.Blocks[block].Data, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -82,22 +81,23 @@ func TestSplitsMatchBlockCount(t *testing.T) {
 	if _, err := s.Write("f", payload); err != nil {
 		t.Fatal(err)
 	}
-	splits, err := s.Splits("f")
+	f, err := s.Open("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(splits) != 4 {
-		t.Fatalf("got %d splits, want 4 (3MB+100B at 1MB blocks)", len(splits))
+	if f.NumBlocks() != 4 {
+		t.Fatalf("got %d blocks, want 4 (3MB+100B at 1MB blocks)", f.NumBlocks())
 	}
 	var total units.Bytes
-	for _, sp := range splits {
-		total += sp.Length
-		if sp.File != "f" {
-			t.Errorf("split file = %q", sp.File)
+	for i := range f.Blocks {
+		b, err := s.ReadBlock("f", i)
+		if err != nil {
+			t.Fatal(err)
 		}
+		total += units.Bytes(len(b))
 	}
 	if total != units.Bytes(len(payload)) {
-		t.Errorf("split lengths sum to %v, want %v", total, len(payload))
+		t.Errorf("block lengths sum to %v, want %v", total, len(payload))
 	}
 }
 
@@ -117,61 +117,6 @@ func TestNumMapTasksEqualsInputOverBlockSize(t *testing.T) {
 	}
 }
 
-func TestOpenDeleteList(t *testing.T) {
-	s := newTestStore(t, 16)
-	if _, err := s.Open("missing"); err == nil {
-		t.Error("Open on missing file succeeded")
-	}
-	if err := s.Delete("missing"); err == nil {
-		t.Error("Delete on missing file succeeded")
-	}
-	if _, err := s.Write("", []byte("x")); err == nil {
-		t.Error("empty name accepted")
-	}
-	s.Write("b", []byte("2"))
-	s.Write("a", []byte("1"))
-	if got := s.List(); !(len(got) == 2 && got[0] == "a" && got[1] == "b") {
-		t.Errorf("List = %v, want [a b]", got)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.List(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("List after delete = %v", got)
-	}
-}
-
-func TestWriteFrom(t *testing.T) {
-	s := newTestStore(t, 8)
-	f, err := s.WriteFrom("r", strings.NewReader("hello world, hdfs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Size() != 17 {
-		t.Errorf("size = %v, want 17", f.Size())
-	}
-}
-
-func TestTrafficAccounting(t *testing.T) {
-	s := newTestStore(t, 8)
-	s.Write("f", make([]byte, 100))
-	if got := s.BytesWritten(); got != 300 {
-		t.Errorf("BytesWritten = %v, want 300 (3x replication)", got)
-	}
-	if _, err := s.Open("f"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.BytesRead(); got != 100 {
-		t.Errorf("BytesRead = %v, want 100", got)
-	}
-	if _, err := s.ReadBlock("f", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.BytesRead(); got != 108 {
-		t.Errorf("BytesRead after block read = %v, want 108", got)
-	}
-}
-
 func TestReadBlockBounds(t *testing.T) {
 	s := newTestStore(t, 8)
 	s.Write("f", make([]byte, 20))
@@ -183,6 +128,12 @@ func TestReadBlockBounds(t *testing.T) {
 	}
 	if _, err := s.ReadBlock("nope", 0); err == nil {
 		t.Error("missing file accepted")
+	}
+	if _, err := s.Open("nope"); err == nil {
+		t.Error("Open on missing file succeeded")
+	}
+	if _, err := s.Write("", []byte("x")); err == nil {
+		t.Error("empty name accepted")
 	}
 	b, err := s.ReadBlock("f", 2)
 	if err != nil {
@@ -210,12 +161,10 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Splits(name); err != nil {
-					t.Error(err)
+				if b, err := s.ReadBlock(name, 2); err != nil || len(b) != 3000-2*int(units.KB) {
+					t.Errorf("ReadBlock = %d bytes, %v", len(b), err)
 					return
 				}
-				s.List()
-				s.BytesRead()
 			}
 		}(i)
 	}

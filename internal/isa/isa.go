@@ -75,35 +75,8 @@ func (m Mix) Validate() error {
 	return nil
 }
 
-// Normalized returns a copy of the mix rescaled to sum to exactly 1.
-// A zero mix normalizes to all-IntALU.
-func (m Mix) Normalized() Mix {
-	sum := 0.0
-	for _, f := range m {
-		sum += f
-	}
-	out := make(Mix, len(m))
-	if sum <= 0 {
-		out[IntALU] = 1
-		return out
-	}
-	for c, f := range m {
-		out[c] = f / sum
-	}
-	return out
-}
-
 // MemFraction returns the fraction of instructions that access memory.
 func (m Mix) MemFraction() float64 { return m[Load] + m[Store] }
-
-// Clone returns a deep copy of the mix.
-func (m Mix) Clone() Mix {
-	out := make(Mix, len(m))
-	for c, f := range m {
-		out[c] = f
-	}
-	return out
-}
 
 // String formats the mix deterministically in class order.
 func (m Mix) String() string {
@@ -206,34 +179,4 @@ func (p Profile) Validate() error {
 // given number of input bytes.
 func (p Profile) Instructions(input units.Bytes) float64 {
 	return p.InstructionsPerByte * float64(input)
-}
-
-// Blend returns a profile that is the instruction-weighted combination of p
-// and q, with weight w given to p (0 ≤ w ≤ 1). It is used to model phases
-// that interleave two behaviours, such as Grep's search+sort.
-func Blend(p, q Profile, w float64) Profile {
-	if w < 0 {
-		w = 0
-	}
-	if w > 1 {
-		w = 1
-	}
-	u := 1 - w
-	mix := make(Mix, numClasses)
-	for _, c := range Classes() {
-		mix[c] = w*p.Mix[c] + u*q.Mix[c]
-	}
-	return Profile{
-		Name:                p.Name + "+" + q.Name,
-		InstructionsPerByte: w*p.InstructionsPerByte + u*q.InstructionsPerByte,
-		Mix:                 mix.Normalized(),
-		Mem: MemBehavior{
-			WorkingSet:          units.Bytes(w*float64(p.Mem.WorkingSet) + u*float64(q.Mem.WorkingSet)),
-			Locality:            w*p.Mem.Locality + u*q.Mem.Locality,
-			CompulsoryMissRatio: w*p.Mem.CompulsoryMissRatio + u*q.Mem.CompulsoryMissRatio,
-			Dependence:          w*p.Mem.Dependence + u*q.Mem.Dependence,
-		},
-		BranchMispredictRate: w*p.BranchMispredictRate + u*q.BranchMispredictRate,
-		ILP:                  w*p.ILP + u*q.ILP,
-	}
 }

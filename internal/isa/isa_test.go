@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"heterohadoop/internal/units"
 )
@@ -57,30 +56,10 @@ func TestMixValidate(t *testing.T) {
 	}
 }
 
-func TestMixNormalized(t *testing.T) {
-	m := Mix{IntALU: 2, Load: 1, Branch: 1}
-	n := m.Normalized()
-	if err := n.Validate(); err != nil {
-		t.Fatalf("normalized mix invalid: %v", err)
-	}
-	if math.Abs(n[IntALU]-0.5) > 1e-12 {
-		t.Errorf("IntALU fraction = %v, want 0.5", n[IntALU])
-	}
-	zero := Mix{}
-	if got := zero.Normalized(); got[IntALU] != 1 {
-		t.Errorf("zero mix normalized to %v, want all-IntALU", got)
-	}
-}
-
-func TestMixMemFractionAndClone(t *testing.T) {
+func TestMixMemFraction(t *testing.T) {
 	m := validMix()
 	if got := m.MemFraction(); math.Abs(got-0.35) > 1e-12 {
 		t.Errorf("MemFraction = %v, want 0.35", got)
-	}
-	c := m.Clone()
-	c[Load] = 0.9
-	if m[Load] == 0.9 {
-		t.Error("Clone did not copy: mutation visible in original")
 	}
 }
 
@@ -141,53 +120,5 @@ func TestProfileInstructions(t *testing.T) {
 	p := validProfile()
 	if got := p.Instructions(100 * units.MB); got != 10*100*float64(units.MB) {
 		t.Errorf("Instructions = %v", got)
-	}
-}
-
-func TestBlendEndpoints(t *testing.T) {
-	p := validProfile()
-	q := validProfile()
-	q.Name = "test/other"
-	q.InstructionsPerByte = 30
-	q.ILP = 4
-
-	b1 := Blend(p, q, 1)
-	if math.Abs(b1.InstructionsPerByte-p.InstructionsPerByte) > 1e-12 {
-		t.Errorf("Blend(w=1) IPB = %v, want %v", b1.InstructionsPerByte, p.InstructionsPerByte)
-	}
-	b0 := Blend(p, q, 0)
-	if math.Abs(b0.InstructionsPerByte-q.InstructionsPerByte) > 1e-12 {
-		t.Errorf("Blend(w=0) IPB = %v, want %v", b0.InstructionsPerByte, q.InstructionsPerByte)
-	}
-	bh := Blend(p, q, 0.5)
-	if math.Abs(bh.InstructionsPerByte-20) > 1e-12 {
-		t.Errorf("Blend(w=0.5) IPB = %v, want 20", bh.InstructionsPerByte)
-	}
-	if err := bh.Mix.Validate(); err != nil {
-		t.Errorf("blended mix invalid: %v", err)
-	}
-	// Out-of-range weights clamp.
-	if got := Blend(p, q, 2).InstructionsPerByte; math.Abs(got-p.InstructionsPerByte) > 1e-12 {
-		t.Errorf("Blend(w=2) not clamped: %v", got)
-	}
-	if got := Blend(p, q, -1).InstructionsPerByte; math.Abs(got-q.InstructionsPerByte) > 1e-12 {
-		t.Errorf("Blend(w=-1) not clamped: %v", got)
-	}
-}
-
-func TestBlendPropertyValidMix(t *testing.T) {
-	p := validProfile()
-	q := validProfile()
-	q.Mix = Mix{IntALU: 0.2, Load: 0.5, Store: 0.2, Branch: 0.1}
-	f := func(wRaw float64) bool {
-		w := math.Mod(math.Abs(wRaw), 1)
-		if math.IsNaN(w) {
-			return true
-		}
-		b := Blend(p, q, w)
-		return b.Mix.Validate() == nil && b.ILP >= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -26,14 +26,10 @@ func NewEngine(store *hdfs.Store) *Engine {
 	return &Engine{store: store}
 }
 
-// Run executes the job over the named input file: one map task per HDFS
-// block, then a shuffle and the configured reduce tasks.
-func (e *Engine) Run(job Job, input string) (*Result, error) {
-	return e.RunContext(context.Background(), job, input)
-}
-
-// RunContext is Run with cancellation: a cancelled context aborts the job
-// between tasks and returns the context's error. On failure the partial
+// RunContext executes the job over the named input file: one map task per
+// HDFS block, then a shuffle and the configured reduce tasks. A cancelled
+// context aborts the job between tasks and returns the context's error; an
+// obs.Observer on the context receives the phase events. On failure the partial
 // Result carries the counters of the tasks that did complete (MapTasks
 // counts only finished map tasks), alongside the error.
 func (e *Engine) RunContext(ctx context.Context, job Job, input string) (*Result, error) {

@@ -70,7 +70,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 	e := newEngine(t, 32, "the quick brown fox\njumps over the lazy dog\nthe end\n")
 	cfg := DefaultConfig("wc")
 	cfg.NumReducers = 3
-	res, err := e.Run(wordCountJob(cfg), "input")
+	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSplitSemanticsIndependentOfBlockSize(t *testing.T) {
 		e := newEngine(t, bs, input)
 		cfg := DefaultConfig(fmt.Sprintf("wc-bs%d", bs))
 		cfg.NumReducers = 2
-		res, err := e.Run(wordCountJob(cfg), "input")
+		res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 		if err != nil {
 			t.Fatalf("block size %d: %v", bs, err)
 		}
@@ -212,7 +212,7 @@ func TestSortJobGlobalOrder(t *testing.T) {
 	cfg := DefaultConfig("sort")
 	cfg.NumReducers = 1
 	job := Job{Config: cfg, Mapper: IdentityMapper(), Reducer: IdentityReducer()}
-	res, err := e.Run(job, "input")
+	res, err := e.RunContext(context.Background(), job, "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRangePartitionerPreservesGlobalOrderAcrossReducers(t *testing.T) {
 	cfg := DefaultConfig("terasort-like")
 	cfg.NumReducers = 3
 	job := Job{Config: cfg, Mapper: IdentityMapper(), Reducer: IdentityReducer(), Partitioner: RangePartitioner(cuts)}
-	res, err := e.Run(job, "input")
+	res, err := e.RunContext(context.Background(), job, "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSpillsTriggeredBySmallSortBuffer(t *testing.T) {
 	cfg := DefaultConfig("wc-spilly")
 	cfg.SortBuffer = 512 // force many spills
 	cfg.NumReducers = 2
-	res, err := e.Run(wordCountJob(cfg), "input")
+	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSpillsTriggeredBySmallSortBuffer(t *testing.T) {
 func TestNoSpillWithLargeBuffer(t *testing.T) {
 	e := newEngine(t, units.MB, "a b c\nd e f\n")
 	cfg := DefaultConfig("wc-nospill")
-	res, err := e.Run(wordCountJob(cfg), "input")
+	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		if !withCombiner {
 			job.Combiner = nil
 		}
-		res, err := e.Run(job, "input")
+		res, err := e.RunContext(context.Background(), job, "input")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestMapOnlyJob(t *testing.T) {
 		cfg := DefaultConfig("grep-like")
 		cfg.NumReducers = 0
 		cfg.Parallelism = par
-		res, err := e.Run(Job{Config: cfg, Mapper: oMapper}, "input")
+		res, err := e.RunContext(context.Background(), Job{Config: cfg, Mapper: oMapper}, "input")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func TestParallelismMatchesSerialOutput(t *testing.T) {
 		cfg := DefaultConfig("wc-par")
 		cfg.NumReducers = 4
 		cfg.Parallelism = par
-		res, err := e.Run(wordCountJob(cfg), "input")
+		res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func TestFailureInjectionRetries(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := e.Run(wordCountJob(cfg), "input")
+	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestFailureExhaustsAttempts(t *testing.T) {
 	cfg.FailureInjector = func(task string, attempt int) error {
 		return errors.New("persistent fault")
 	}
-	if _, err := e.Run(wordCountJob(cfg), "input"); err == nil {
+	if _, err := e.RunContext(context.Background(), wordCountJob(cfg), "input"); err == nil {
 		t.Fatal("job succeeded despite persistent failures")
 	}
 }
@@ -514,7 +514,7 @@ func TestMapperErrorAborts(t *testing.T) {
 		Mapper:  MapperFunc(func(_, _ string, _ Emitter) error { return errors.New("map boom") }),
 		Reducer: IdentityReducer(),
 	}
-	if _, err := e.Run(job, "input"); err == nil || !strings.Contains(err.Error(), "map boom") {
+	if _, err := e.RunContext(context.Background(), job, "input"); err == nil || !strings.Contains(err.Error(), "map boom") {
 		t.Fatalf("err = %v, want map boom", err)
 	}
 }
@@ -527,26 +527,26 @@ func TestReducerErrorAborts(t *testing.T) {
 		Mapper:  IdentityMapper(),
 		Reducer: ReducerFunc(func(_ string, _ []string, _ Emitter) error { return errors.New("reduce boom") }),
 	}
-	if _, err := e.Run(job, "input"); err == nil || !strings.Contains(err.Error(), "reduce boom") {
+	if _, err := e.RunContext(context.Background(), job, "input"); err == nil || !strings.Contains(err.Error(), "reduce boom") {
 		t.Fatalf("err = %v, want reduce boom", err)
 	}
 }
 
 func TestJobValidation(t *testing.T) {
 	e := newEngine(t, 16, "x\n")
-	if _, err := e.Run(Job{Config: DefaultConfig("no-mapper"), Reducer: IdentityReducer()}, "input"); err == nil {
+	if _, err := e.RunContext(context.Background(), Job{Config: DefaultConfig("no-mapper"), Reducer: IdentityReducer()}, "input"); err == nil {
 		t.Error("job without mapper accepted")
 	}
 	cfg := DefaultConfig("no-reducer")
 	cfg.NumReducers = 2
-	if _, err := e.Run(Job{Config: cfg, Mapper: IdentityMapper()}, "input"); err == nil {
+	if _, err := e.RunContext(context.Background(), Job{Config: cfg, Mapper: IdentityMapper()}, "input"); err == nil {
 		t.Error("reducers configured without a reducer accepted")
 	}
-	if _, err := e.Run(wordCountJob(DefaultConfig("missing")), "nope"); err == nil {
+	if _, err := e.RunContext(context.Background(), wordCountJob(DefaultConfig("missing")), "nope"); err == nil {
 		t.Error("missing input accepted")
 	}
 	// A store-less engine is legal for RunFileContext only.
-	_, err := NewEngine(nil).Run(wordCountJob(DefaultConfig("storeless")), "input")
+	_, err := NewEngine(nil).RunContext(context.Background(), wordCountJob(DefaultConfig("storeless")), "input")
 	if err == nil || err.Error() != "mapreduce: storeless: engine has no store" {
 		t.Errorf("store-backed run on a nil-store engine: err = %v", err)
 	}
@@ -586,7 +586,7 @@ func TestBadPartitionerRejected(t *testing.T) {
 		Reducer:     IdentityReducer(),
 		Partitioner: PartitionerFunc(func(string, int) int { return 99 }),
 	}
-	if _, err := e.Run(job, "input"); err == nil {
+	if _, err := e.RunContext(context.Background(), job, "input"); err == nil {
 		t.Error("out-of-range partition accepted")
 	}
 }
@@ -731,91 +731,6 @@ func TestCountersSnapshotAndRatios(t *testing.T) {
 	}
 }
 
-func TestPhaseString(t *testing.T) {
-	want := map[Phase]string{
-		PhaseSetup: "setup", PhaseMap: "map", PhaseShuffle: "shuffle",
-		PhaseSort: "sort", PhaseReduce: "reduce", PhaseCleanup: "cleanup",
-	}
-	for p, s := range want {
-		if p.String() != s {
-			t.Errorf("Phase(%d).String() = %q, want %q", int(p), p.String(), s)
-		}
-	}
-	if got := len(Phases()); got != 6 {
-		t.Errorf("Phases() = %d entries, want 6", got)
-	}
-	if !strings.Contains(Phase(42).String(), "42") {
-		t.Error("unknown phase string")
-	}
-}
-
-func TestPipelineTwoStages(t *testing.T) {
-	// Stage 1: word count. Stage 2: invert to (count, word) and sort by
-	// count via the shuffle.
-	e := newEngine(t, 64, "b b b a a c\na b\n")
-	count := func(input []byte) (Job, error) {
-		cfg := DefaultConfig("count")
-		cfg.NumReducers = 2
-		return wordCountJob(cfg), nil
-	}
-	invert := func(input []byte) (Job, error) {
-		if len(input) == 0 {
-			return Job{}, errors.New("stage 2 received no input")
-		}
-		cfg := DefaultConfig("invert")
-		cfg.NumReducers = 1
-		mapper := MapperFunc(func(_, line string, emit Emitter) error {
-			var word string
-			var n int
-			if _, err := fmt.Sscanf(line, "%s %d", &word, &n); err != nil {
-				return fmt.Errorf("bad line %q: %w", line, err)
-			}
-			emit(fmt.Sprintf("%06d", n), word)
-			return nil
-		})
-		return Job{Config: cfg, Mapper: mapper, Reducer: IdentityReducer()}, nil
-	}
-	res, err := e.RunPipeline([]Stage{{Name: "count", Build: count}, {Name: "invert", Build: invert}}, "input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.StageCounters) != 2 {
-		t.Fatalf("got %d stage counters", len(res.StageCounters))
-	}
-	out := res.Final.Output()[0]
-	if len(out) != 3 {
-		t.Fatalf("final output has %d records, want 3 words", len(out))
-	}
-	// Sorted ascending by count: c(1), a(3), b(4).
-	wantWords := []string{"c", "a", "b"}
-	for i, kv := range out {
-		if kv.Value != wantWords[i] {
-			t.Errorf("rank %d = %q, want %q", i, kv.Value, wantWords[i])
-		}
-	}
-}
-
-func TestPipelineErrors(t *testing.T) {
-	e := newEngine(t, 64, "x\n")
-	if _, err := e.RunPipeline(nil, "input"); err == nil {
-		t.Error("empty pipeline accepted")
-	}
-	if _, err := e.RunPipeline([]Stage{{Name: "nil"}}, "input"); err == nil {
-		t.Error("nil builder accepted")
-	}
-	if _, err := e.RunPipeline([]Stage{{Name: "s", Build: func([]byte) (Job, error) {
-		return Job{}, errors.New("build boom")
-	}}}, "input"); err == nil {
-		t.Error("builder error swallowed")
-	}
-	if _, err := e.RunPipeline([]Stage{{Name: "s", Build: func([]byte) (Job, error) {
-		cfg := DefaultConfig("ok")
-		return wordCountJob(cfg), nil
-	}}}, "missing"); err == nil {
-		t.Error("missing input accepted")
-	}
-}
-
 func TestMaterializeOutput(t *testing.T) {
 	res := ResultFromKVs([][]KV{
 		{{Key: "a", Value: "1"}},
@@ -849,7 +764,7 @@ func TestSecondarySortGrouping(t *testing.T) {
 		}),
 		Grouping: func(a, b string) bool { return user(a) == user(b) },
 	}
-	res, err := e.Run(job, "input")
+	res, err := e.RunContext(context.Background(), job, "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -862,30 +777,6 @@ func TestSecondarySortGrouping(t *testing.T) {
 	}
 	if res.Counters.ReduceInputGroups != 2 {
 		t.Errorf("%d reduce groups, want 2", res.Counters.ReduceInputGroups)
-	}
-}
-
-func TestRunToStore(t *testing.T) {
-	e := newEngine(t, 32, "b a\na c\n")
-	cfg := DefaultConfig("wc-store")
-	res, f, err := e.RunToStore(wordCountJob(cfg), "input", "output")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.ReduceOutputRecords != 3 {
-		t.Errorf("%d output records", res.Counters.ReduceOutputRecords)
-	}
-	if f.Name != "output" || f.Size() == 0 {
-		t.Errorf("stored file %q size %v", f.Name, f.Size())
-	}
-	// The stored output is consumable by a follow-up job.
-	job2 := Job{Config: DefaultConfig("identity"), Mapper: IdentityMapper(), Reducer: IdentityReducer()}
-	res2, err := e.Run(job2, "output")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.SortedOutput()) != 3 {
-		t.Errorf("follow-up read %d records", len(res2.SortedOutput()))
 	}
 }
 

@@ -1,6 +1,7 @@
 package mapreduce_test
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,9 +11,9 @@ import (
 	"heterohadoop/internal/units"
 )
 
-// ExampleEngine_Run runs a complete word-count job: the input is split into
+// ExampleEngine_RunContext runs a complete word-count job: the input is split into
 // HDFS blocks (one map task each), combined, shuffled and reduced.
-func ExampleEngine_Run() {
+func ExampleEngine_RunContext() {
 	store, _ := hdfs.NewStore(hdfs.Config{BlockSize: 16, Replication: 1})
 	store.Write("input", []byte("to be or not to be\nthat is the question\n"))
 
@@ -36,7 +37,7 @@ func ExampleEngine_Run() {
 		Combiner: sum,
 		Reducer:  sum,
 	}
-	res, _ := mapreduce.NewEngine(store).Run(job, "input")
+	res, _ := mapreduce.NewEngine(store).RunContext(context.Background(), job, "input")
 	for _, kv := range res.SortedOutput()[:3] {
 		fmt.Printf("%s=%s\n", kv.Key, kv.Value)
 	}

@@ -79,7 +79,7 @@ func TestOutOfCoreParity(t *testing.T) {
 		run := func(t *testing.T, cfg Config) *Result {
 			t.Helper()
 			e := newEngine(t, 8*units.KB, input) // ~19 map tasks
-			res, err := e.Run(mkJob(cfg), "input")
+			res, err := e.RunContext(context.Background(), mkJob(cfg), "input")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestOutOfCoreLargeBudgetStaysResident(t *testing.T) {
 	cfg.NumReducers = 2
 	cfg.SpillDir = t.TempDir()
 	cfg.SpillMemory = units.GB
-	res, err := e.Run(wordCountJob(cfg), "input")
+	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestMultiPassExternalMergeParity(t *testing.T) {
 			run := func(cfg Config) *Result {
 				t.Helper()
 				e := newEngine(t, 8*units.KB, input) // ~14 map tasks
-				res, err := e.Run(wordCountJob(cfg), "input")
+				res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -531,7 +531,7 @@ func TestRunFileWindowedParity(t *testing.T) {
 			job := Job{Config: cfg, Mapper: offsetMapper, Reducer: IdentityReducer()}
 
 			e := newEngine(t, bs, input)
-			want, err := e.Run(job, "input")
+			want, err := e.RunContext(context.Background(), job, "input")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -562,7 +562,7 @@ func TestRunFileOutOfCore(t *testing.T) {
 	cfg := DefaultConfig("runfile-ooc")
 	cfg.NumReducers = 4
 	e := newEngine(t, 8*units.KB, input)
-	want, err := e.Run(wordCountJob(cfg), "input")
+	want, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 	if err != nil {
 		t.Fatal(err)
 	}

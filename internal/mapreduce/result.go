@@ -122,6 +122,32 @@ func (r *Result) PartitionSeg(p int) (Segment, error) {
 	return seg, nil
 }
 
+// MaterializeOutput renders a result as the "key<TAB>value" lines a
+// follow-up job consumes, partitions concatenated in order. It walks the
+// result's flat segments directly — no per-record string is materialized —
+// and pre-sizes the buffer from the segments' O(1) byte accounting.
+func MaterializeOutput(res *Result) []byte {
+	size := 0
+	for p := 0; p < res.NumPartitions(); p++ {
+		seg := res.Partition(p)
+		// Payload plus worst-case two separator bytes per record.
+		size += len(seg.data) + 2*seg.Len()
+	}
+	buf := make([]byte, 0, size)
+	for p := 0; p < res.NumPartitions(); p++ {
+		seg := res.Partition(p)
+		for i := 0; i < seg.Len(); i++ {
+			buf = append(buf, seg.key(i)...)
+			if v := seg.val(i); len(v) > 0 {
+				buf = append(buf, '\t')
+				buf = append(buf, v...)
+			}
+			buf = append(buf, '\n')
+		}
+	}
+	return buf
+}
+
 // MaterializeOutputTo renders the result as "key<TAB>value" lines (the tab
 // omitted for empty values), partitions in order, streaming file-backed
 // partitions frame by frame — the bounded-memory way to consume an

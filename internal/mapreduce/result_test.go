@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
@@ -147,7 +148,7 @@ func TestPassthroughReduceParity(t *testing.T) {
 				if mode == "spilldir" {
 					cfg.SpillDir = t.TempDir()
 				}
-				res, err := e.Run(identityJob(cfg, red), "input")
+				res, err := e.RunContext(context.Background(), identityJob(cfg, red), "input")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +184,7 @@ func TestPassthroughDisabledUnderGrouping(t *testing.T) {
 		Reducer:  IdentityReducer(),
 		Grouping: func(a, b string) bool { return a[0] == b[0] },
 	}
-	res, err := e.Run(job, "input")
+	res, err := e.RunContext(context.Background(), job, "input")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func BenchmarkContendedShuffle(b *testing.B) {
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(job, "input")
+		res, err := e.RunContext(context.Background(), job, "input")
 		if err != nil {
 			b.Fatal(err)
 		}

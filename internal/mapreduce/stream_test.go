@@ -78,7 +78,7 @@ func TestParallelMatchesSerialConcurrentPublication(t *testing.T) {
 		cfg := DefaultConfig("wc-pub")
 		cfg.NumReducers = 16 // some partitions stay empty
 		cfg.Parallelism = par
-		res, err := e.Run(wordCountJob(cfg), "input")
+		res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func FuzzStreamingShuffleParity(f *testing.F) {
 			cfg.Parallelism = par
 			cfg.SpillDir = spillDir
 			cfg.SpillMemory = 1 // with a SpillDir: everything goes to disk
-			res, err := e.Run(wordCountJob(cfg), "input")
+			res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 			if err != nil {
 				t.Fatal(err)
 			}

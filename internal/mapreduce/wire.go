@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"encoding/binary"
 	"fmt"
-
-	"heterohadoop/internal/units"
 )
 
 // wire.go is the binary wire format for shuffle segments. The distributed
@@ -81,20 +79,4 @@ func DecodeSegment(buf []byte) (Segment, error) {
 	}
 	payload := buf[segHeaderSize+8*n:]
 	return Segment{data: payload[:payloadLen:payloadLen], meta: meta}, nil
-}
-
-// SegmentStats reads a wire-form segment's record count and accounting
-// bytes (the sum of KV.Bytes over its records) from the header alone —
-// O(1), no decode — so a forwarder can do shuffle accounting without ever
-// parsing the payload.
-func SegmentStats(buf []byte) (nrecs int, bytes units.Bytes, err error) {
-	if len(buf) < segHeaderSize {
-		return 0, 0, fmt.Errorf("mapreduce: segment blob too short: %d bytes", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf[0:4]))
-	payloadLen := int(binary.LittleEndian.Uint32(buf[4:8]))
-	if want := segHeaderSize + 8*n + payloadLen; len(buf) != want {
-		return 0, 0, fmt.Errorf("mapreduce: segment blob is %d bytes, header says %d", len(buf), want)
-	}
-	return n, units.Bytes(payloadLen + recordOverhead*n), nil
 }

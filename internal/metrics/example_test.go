@@ -17,15 +17,3 @@ func ExampleSample() {
 	// ED2P  200000 J·s²
 	// EDAP  1600000 J·s·mm²
 }
-
-// ExampleNormalize mirrors the paper's "normalized to 8 Xeon cores"
-// presentation.
-func ExampleNormalize() {
-	edps := []float64{42000, 36000, 24000}
-	for _, v := range metrics.Normalize(edps, edps[0]) {
-		fmt.Printf("%.2f ", v)
-	}
-	fmt.Println()
-	// Output:
-	// 1.00 0.86 0.57
-}

@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"heterohadoop/internal/units"
@@ -20,20 +19,6 @@ type Sample struct {
 	Delay units.Seconds
 	// Area is the chip area of the platform (for the EDAP family).
 	Area units.SquareMM
-}
-
-// Validate checks the sample.
-func (s Sample) Validate() error {
-	if s.Energy < 0 {
-		return fmt.Errorf("metrics: negative energy %v", s.Energy)
-	}
-	if s.Delay < 0 {
-		return fmt.Errorf("metrics: negative delay %v", s.Delay)
-	}
-	if s.Area < 0 {
-		return fmt.Errorf("metrics: negative area %v", s.Area)
-	}
-	return nil
 }
 
 // EDxP returns Energy · Delayˣ (J·sˣ). X = 1 is the classic EDP; higher X
@@ -70,50 +55,4 @@ func Ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// Speedup returns tBase/tNew (how many times faster tNew is than tBase).
-func Speedup(tBase, tNew units.Seconds) float64 {
-	return Ratio(float64(tBase), float64(tNew))
-}
-
-// Normalize divides every value by the reference, the convention used in
-// Figs 5-8 and 17 ("normalized to Atom at 1.2 GHz" / "normalized to 8 Xeon
-// cores"). A zero reference yields zeros.
-func Normalize(values []float64, reference float64) []float64 {
-	out := make([]float64, len(values))
-	if reference == 0 {
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / reference
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of positive values; non-positive
-// entries are skipped. An empty input yields 0.
-func GeoMean(values []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range values {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// ArgMin returns the index of the smallest value, or -1 for empty input.
-func ArgMin(values []float64) int {
-	best, idx := math.Inf(1), -1
-	for i, v := range values {
-		if v < best {
-			best, idx = v, i
-		}
-	}
-	return idx
 }

@@ -30,17 +30,6 @@ func TestEDPFamily(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := (Sample{Energy: 1, Delay: 1, Area: 1}).Validate(); err != nil {
-		t.Errorf("valid sample rejected: %v", err)
-	}
-	for _, s := range []Sample{{Energy: -1}, {Delay: -1}, {Area: -1}} {
-		if err := s.Validate(); err == nil {
-			t.Errorf("invalid sample accepted: %+v", s)
-		}
-	}
-}
-
 func TestHigherXRewardsSpeed(t *testing.T) {
 	// A platform 2x faster at 3x the energy loses on EDP but wins on ED3P:
 	// the paper's observation that performance constraints favour big cores.
@@ -54,51 +43,12 @@ func TestHigherXRewardsSpeed(t *testing.T) {
 	}
 }
 
-func TestRatioAndSpeedup(t *testing.T) {
+func TestRatio(t *testing.T) {
 	if got := Ratio(10, 4); got != 2.5 {
 		t.Errorf("Ratio = %v", got)
 	}
 	if got := Ratio(10, 0); got != 0 {
 		t.Errorf("Ratio by zero = %v, want 0", got)
-	}
-	if got := Speedup(units.Seconds(30), units.Seconds(10)); got != 3 {
-		t.Errorf("Speedup = %v, want 3", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 8}, 4)
-	want := []float64{0.5, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	for _, v := range Normalize([]float64{1, 2}, 0) {
-		if v != 0 {
-			t.Error("zero-reference normalize should zero out")
-		}
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{4, 0, -2}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean skipping non-positive = %v, want 4", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("empty GeoMean = %v, want 0", got)
-	}
-}
-
-func TestArgMin(t *testing.T) {
-	if got := ArgMin([]float64{3, 1, 2}); got != 1 {
-		t.Errorf("ArgMin = %d, want 1", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("empty ArgMin = %d, want -1", got)
 	}
 }
 

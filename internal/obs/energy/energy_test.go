@@ -157,19 +157,3 @@ func TestClassifyStampsClass(t *testing.T) {
 		t.Error("Classify with no class did not pass the observer through")
 	}
 }
-
-func TestMeterAccumulatesAndResets(t *testing.T) {
-	p := Big()
-	m := NewMeter(p)
-	ev := busyEvent()
-	m.TaskPhase(ev)
-	m.TaskPhase(ev)
-	want := 2 * p.PhaseJoules(ev)
-	if got := m.Joules(); got != want {
-		t.Errorf("meter joules = %v, want %v", got, want)
-	}
-	m.Reset()
-	if got := m.Joules(); got != 0 {
-		t.Errorf("meter joules after reset = %v, want 0", got)
-	}
-}

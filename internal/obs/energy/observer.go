@@ -1,11 +1,6 @@
 package energy
 
-import (
-	"sync"
-	"time"
-
-	"heterohadoop/internal/obs"
-)
+import "heterohadoop/internal/obs"
 
 // Classify wraps an observer so every phase event it sees carries the
 // node's core class — the stamp that makes traces self-describing for
@@ -33,59 +28,4 @@ func (c *classifier) TaskPhase(ev obs.PhaseEvent) {
 		ev.Task.Class = c.class
 	}
 	obs.EmitPhase(c.Observer, ev)
-}
-
-// Meter is a standalone phase observer that integrates a Profile over every
-// phase event it sees — a per-run joule counter. Safe for concurrent
-// emission.
-type Meter struct {
-	profile *Profile
-
-	mu         sync.Mutex
-	joules     float64
-	start, end time.Time
-}
-
-// NewMeter returns a meter estimating with the given profile.
-func NewMeter(p *Profile) *Meter { return &Meter{profile: p} }
-
-// Enabled always reports true: a meter wants every phase event.
-func (m *Meter) Enabled() bool { return true }
-
-// SpanStart, SpanEnd, Count, Gauge and Progress are no-ops: the meter only
-// consumes phase events.
-func (m *Meter) SpanStart(string, []obs.Attr) obs.SpanID { return 0 }
-func (m *Meter) SpanEnd(obs.SpanID)                      {}
-func (m *Meter) Count(string, int64)                     {}
-func (m *Meter) Gauge(string, float64)                   {}
-func (m *Meter) Progress(string, int, int)               {}
-
-// TaskPhase folds one phase interval into the running joule total and the
-// wall-clock envelope.
-func (m *Meter) TaskPhase(ev obs.PhaseEvent) {
-	j := m.profile.PhaseJoules(ev)
-	end := ev.Start.Add(ev.Duration)
-	m.mu.Lock()
-	m.joules += j
-	if m.start.IsZero() || ev.Start.Before(m.start) {
-		m.start = ev.Start
-	}
-	if end.After(m.end) {
-		m.end = end
-	}
-	m.mu.Unlock()
-}
-
-// Joules returns the accumulated energy estimate.
-func (m *Meter) Joules() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.joules
-}
-
-// Reset zeroes the meter for the next run.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.joules, m.start, m.end = 0, time.Time{}, time.Time{}
-	m.mu.Unlock()
 }

@@ -60,39 +60,6 @@ func (h Histogram) Total() int64 {
 	return n
 }
 
-// Quantile returns an upper bound on the q-quantile (0 <= q <= 1) from the
-// bucket boundaries, or 0 for an empty histogram. The overflow bucket
-// reports the largest finite bound — a floor, clearly pessimistic.
-func (h Histogram) Quantile(q float64) time.Duration {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen int64
-	for i, c := range h.Counts {
-		seen += c
-		if seen > rank {
-			if b, ok := HistBound(i); ok {
-				return b
-			}
-			b, _ := HistBound(HistBuckets - 2)
-			return b
-		}
-	}
-	b, _ := HistBound(HistBuckets - 2)
-	return b
-}
-
 // observe folds one duration in; called under the Collector's lock.
 func (h *Histogram) observe(d time.Duration) {
 	h.Counts[histBucket(d)]++

@@ -2,7 +2,7 @@
 // contract (spans, monotonic counters, gauges, progress events) that the
 // simulator, the sweep executor, the worker pool and the distributed
 // master/worker all emit into, plus the context plumbing that carries an
-// Observer through the ...Ctx run APIs.
+// Observer through the ctx-first run APIs.
 //
 // The paper this repository reproduces is, at heart, a measurement study —
 // per-phase execution time and power traces sampled on live clusters — and
@@ -39,11 +39,6 @@ func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr {
 	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
-}
-
-// Float builds a float attribute.
-func Float(key string, value float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(value, 'g', -1, 64)}
 }
 
 // SpanID identifies one span issued by an Observer; ids are only meaningful

@@ -56,10 +56,6 @@ type Tick struct {
 // clock was read).
 func (t Tick) IsZero() bool { return t.wall.IsZero() }
 
-// Wall returns the wall-clock time the tick was taken (zero on the inert
-// clock).
-func (t Tick) Wall() time.Time { return t.wall }
-
 // newTick samples the wall clock, process CPU time and cumulative heap
 // allocation. Only called on enabled clocks.
 func newTick() Tick {

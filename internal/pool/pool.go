@@ -4,9 +4,8 @@
 // callers that assemble rows from them produce byte-identical output at
 // any width — the property the artefact golden files pin down.
 //
-// MapCtx is the context-aware entry point: a cancelled context stops the
-// pool from handing out new indices, and the call returns an error wrapping
-// the context's error. Map delegates to it with context.Background().
+// A cancelled context stops Map from handing out new indices, and the call
+// returns an error wrapping the context's error.
 package pool
 
 import (
@@ -21,9 +20,9 @@ import (
 // width: one worker per schedulable CPU.
 func DefaultWidth() int { return runtime.GOMAXPROCS(0) }
 
-// MapCtx evaluates fn(i) for every i in [0, n) on up to width goroutines
+// Map evaluates fn(i) for every i in [0, n) on up to width goroutines
 // and returns the results in index order. A non-positive width means
-// DefaultWidth; width 1 runs inline with no goroutines. On failure MapCtx
+// DefaultWidth; width 1 runs inline with no goroutines. On failure Map
 // stops handing out new indices and returns the error of the lowest
 // failing index among those evaluated, with a nil slice.
 //
@@ -31,7 +30,7 @@ func DefaultWidth() int { return runtime.GOMAXPROCS(0) }
 // fn(i) starts (in-flight calls finish) and the returned error wraps
 // ctx.Err(), so callers can errors.Is it against context.Canceled or
 // context.DeadlineExceeded.
-func MapCtx[T any](ctx context.Context, width, n int, fn func(int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, width, n int, fn func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -100,9 +99,4 @@ func MapCtx[T any](ctx context.Context, width, n int, fn func(int) (T, error)) (
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// Map is MapCtx without cancellation.
-func Map[T any](width, n int, fn func(int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), width, n, fn)
 }

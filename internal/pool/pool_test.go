@@ -11,7 +11,7 @@ import (
 func TestMapPreservesOrderAtEveryWidth(t *testing.T) {
 	const n = 100
 	for _, width := range []int{1, 2, 3, 16, 0, n + 5} {
-		out, err := Map(width, n, func(i int) (int, error) { return i * i, nil })
+		out, err := Map(context.Background(), width, n, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
@@ -27,7 +27,7 @@ func TestMapPreservesOrderAtEveryWidth(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, 0, func(i int) (int, error) { return 0, nil })
+	out, err := Map(context.Background(), 4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Errorf("empty map: got (%v, %v), want (nil, nil)", out, err)
 	}
@@ -36,7 +36,7 @@ func TestMapEmpty(t *testing.T) {
 func TestMapPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, width := range []int{1, 4} {
-		out, err := Map(width, 50, func(i int) (int, error) {
+		out, err := Map(context.Background(), width, 50, func(i int) (int, error) {
 			if i == 7 {
 				return 0, fmt.Errorf("index %d: %w", i, boom)
 			}
@@ -53,7 +53,7 @@ func TestMapPropagatesError(t *testing.T) {
 
 func TestMapStopsHandingOutWorkAfterError(t *testing.T) {
 	var calls atomic.Int64
-	_, err := Map(2, 10_000, func(i int) (int, error) {
+	_, err := Map(context.Background(), 2, 10_000, func(i int) (int, error) {
 		calls.Add(1)
 		return 0, errors.New("immediate failure")
 	})
@@ -71,7 +71,7 @@ func TestMapCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	out, err := MapCtx(ctx, 4, 100, func(i int) (int, error) {
+	out, err := Map(ctx, 4, 100, func(i int) (int, error) {
 		calls.Add(1)
 		return i, nil
 	})
@@ -90,7 +90,7 @@ func TestMapCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	_, err := MapCtx(ctx, 2, 10_000, func(i int) (int, error) {
+	_, err := Map(ctx, 2, 10_000, func(i int) (int, error) {
 		if calls.Add(1) == 3 {
 			cancel()
 		}
@@ -115,7 +115,7 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		out, err = Map(width, width, func(i int) (int, error) {
+		out, err = Map(context.Background(), width, width, func(i int) (int, error) {
 			arrived <- struct{}{}
 			<-release // holds every worker until all have arrived
 			return i, nil

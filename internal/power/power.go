@@ -154,11 +154,6 @@ func (m Model) Dynamic(d Draw) units.Watts {
 	return units.Watts(cores + uncore + dram + disk)
 }
 
-// Wall returns the absolute wall power for a load (idle plus dynamic).
-func (m Model) Wall(d Draw) units.Watts {
-	return m.IdleSystem + m.Dynamic(d)
-}
-
 // AtomNode returns the power model of the little-core microserver.
 // Calibration: Atom C2758 has a 20 W TDP for 8 cores; measured node dynamic
 // power for Hadoop runs lands in the 8–15 W range, giving the ~6–7× node
@@ -210,9 +205,6 @@ type Breakdown struct {
 	DRAM   units.Watts
 	Disk   units.Watts
 }
-
-// Total sums the components.
-func (b Breakdown) Total() units.Watts { return b.Cores + b.Uncore + b.DRAM + b.Disk }
 
 // DynamicBreakdown returns the per-component dynamic power for a load; the
 // components sum to Dynamic(d).

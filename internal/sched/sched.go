@@ -113,16 +113,10 @@ func Policy(class workloads.Class, goal Goal) Decision {
 }
 
 // Evaluate simulates the workload on the given core class and count and
-// returns the cost-metric sample (energy, delay, chip area). It is
-// EvaluateCtx with a background context.
-func Evaluate(w workloads.Workload, kind cpu.Kind, cores int, data units.Bytes, f units.Hertz) (metrics.Sample, error) {
-	return EvaluateCtx(context.Background(), w, kind, cores, data, f)
-}
-
-// EvaluateCtx is Evaluate with cancellation and observability: the context
+// returns the cost-metric sample (energy, delay, chip area). The context
 // flows into the cached simulator run, so an Observer carried by it sees
 // the cache counters and sim.run spans, and cancellation aborts the cell.
-func EvaluateCtx(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores int, data units.Bytes, f units.Hertz) (metrics.Sample, error) {
+func Evaluate(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores int, data units.Bytes, f units.Hertz) (metrics.Sample, error) {
 	node := sim.AtomNode(cores)
 	if kind == cpu.Big {
 		node = sim.XeonNode(cores)
@@ -138,7 +132,7 @@ func EvaluateCtx(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores
 	if block < units.MB {
 		block = units.MB
 	}
-	r, err := sim.RunCachedCtx(ctx, sim.NewCluster(node), sim.JobSpec{
+	r, err := sim.RunCached(ctx, sim.NewCluster(node), sim.JobSpec{
 		Name:        w.Name(),
 		Spec:        w.Spec(),
 		DataPerNode: data,
@@ -162,20 +156,14 @@ func EvaluateCtx(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores
 }
 
 // Optimal exhaustively searches both core classes and all core counts for
-// the allocation minimizing the goal, using the simulator. It is
-// OptimalCtx with a background context.
-func Optimal(w workloads.Workload, goal Goal, data units.Bytes, f units.Hertz) (Decision, metrics.Sample, error) {
-	return OptimalCtx(context.Background(), w, goal, data, f)
-}
-
-// OptimalCtx is Optimal with cancellation: a cancelled context stops the
-// search with an error wrapping ctx.Err().
+// the allocation minimizing the goal, using the simulator. A cancelled
+// context stops the search with an error wrapping ctx.Err().
 //
 // The cells of the class × core-count grid are independent simulator runs,
 // so they are evaluated concurrently; the argmin scan afterwards walks the
 // results in grid order, which keeps the tie-break (first strictly smaller
 // score wins) identical to the old sequential loop.
-func OptimalCtx(ctx context.Context, w workloads.Workload, goal Goal, data units.Bytes, f units.Hertz) (Decision, metrics.Sample, error) {
+func Optimal(ctx context.Context, w workloads.Workload, goal Goal, data units.Bytes, f units.Hertz) (Decision, metrics.Sample, error) {
 	type cell struct {
 		kind  cpu.Kind
 		cores int
@@ -186,8 +174,8 @@ func OptimalCtx(ctx context.Context, w workloads.Workload, goal Goal, data units
 			cells = append(cells, cell{kind: kind, cores: m})
 		}
 	}
-	samples, err := pool.MapCtx(ctx, 0, len(cells), func(i int) (metrics.Sample, error) {
-		return EvaluateCtx(ctx, w, cells[i].kind, cells[i].cores, data, f)
+	samples, err := pool.Map(ctx, 0, len(cells), func(i int) (metrics.Sample, error) {
+		return Evaluate(ctx, w, cells[i].kind, cells[i].cores, data, f)
 	})
 	if err != nil {
 		return Decision{}, metrics.Sample{}, err

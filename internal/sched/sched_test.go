@@ -65,7 +65,7 @@ func TestOptimalAgreesWithPolicyOnPlatformClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Policy(w.Class(), tc.goal)
-		got, _, err := Optimal(w, tc.goal, tc.data, f)
+		got, _, err := Optimal(context.Background(), w, tc.goal, tc.data, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestTwoBigCoresBeatEightLittleOnED2AP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xeon2, err := Evaluate(w, cpu.Big, 2, units.GB, 1.8*units.GHz)
+		xeon2, err := Evaluate(context.Background(), w, cpu.Big, 2, units.GB, 1.8*units.GHz)
 		if err != nil {
 			t.Fatal(err)
 		}
-		atom8, err := Evaluate(w, cpu.Little, 8, units.GB, 1.8*units.GHz)
+		atom8, err := Evaluate(context.Background(), w, cpu.Little, 8, units.GB, 1.8*units.GHz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestMoreAtomCoresReduceEDPForCompute(t *testing.T) {
 	w, _ := workloads.ByName("naivebayes")
 	prev := -1.0
 	for _, m := range CoreCounts {
-		s, err := Evaluate(w, cpu.Little, m, 10*units.GB, 1.8*units.GHz)
+		s, err := Evaluate(context.Background(), w, cpu.Little, m, 10*units.GB, 1.8*units.GHz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestOptimalCtxParallelDeterministic(t *testing.T) {
 	)
 	for _, kind := range []cpu.Kind{cpu.Little, cpu.Big} {
 		for _, m := range CoreCounts {
-			s, err := Evaluate(w, kind, m, data, f)
+			s, err := Evaluate(context.Background(), w, kind, m, data, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestOptimalCtxParallelDeterministic(t *testing.T) {
 		}
 	}
 	for run := 0; run < 3; run++ {
-		got, sample, err := Optimal(w, goal, data, f)
+		got, sample, err := Optimal(context.Background(), w, goal, data, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestOptimalCtxParallelDeterministic(t *testing.T) {
 func TestOptimalCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := OptimalCtx(ctx, workloads.NewWordCount(), MinEDP, units.GB, 1.8*units.GHz)
+	_, _, err := Optimal(ctx, workloads.NewWordCount(), MinEDP, units.GB, 1.8*units.GHz)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: %v, want wrapped context.Canceled", err)
 	}

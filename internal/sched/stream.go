@@ -1,11 +1,11 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"heterohadoop/internal/cpu"
-	"heterohadoop/internal/metrics"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -83,7 +83,7 @@ type StreamJobOutcome struct {
 // preferred platform has enough free cores; allocations shrink to what is
 // available (minimum two cores). Durations and energies come from the
 // cluster simulator via Evaluate.
-func SimulateStream(pool Pool, jobs []StreamJob, strategy Strategy, goal Goal, f units.Hertz) (StreamOutcome, error) {
+func SimulateStream(ctx context.Context, pool Pool, jobs []StreamJob, strategy Strategy, goal Goal, f units.Hertz) (StreamOutcome, error) {
 	if len(jobs) == 0 {
 		return StreamOutcome{}, fmt.Errorf("sched: empty job stream")
 	}
@@ -123,7 +123,7 @@ func SimulateStream(pool Pool, jobs []StreamJob, strategy Strategy, goal Goal, f
 	out := StreamOutcome{Strategy: strategy}
 	var totalWait units.Seconds
 	for _, job := range ordered {
-		d, err := decide(job.Workload, strategy, goal, job.Data, f)
+		d, err := decide(ctx, job.Workload, strategy, goal, job.Data, f)
 		if err != nil {
 			return StreamOutcome{}, err
 		}
@@ -145,7 +145,7 @@ func SimulateStream(pool Pool, jobs []StreamJob, strategy Strategy, goal Goal, f
 			}
 			start = rel
 		}
-		sample, err := Evaluate(job.Workload, d.Kind, d.Cores, job.Data, f)
+		sample, err := Evaluate(ctx, job.Workload, d.Kind, d.Cores, job.Data, f)
 		if err != nil {
 			return StreamOutcome{}, err
 		}
@@ -167,7 +167,7 @@ func SimulateStream(pool Pool, jobs []StreamJob, strategy Strategy, goal Goal, f
 }
 
 // decide maps a strategy to a placement decision for one job.
-func decide(w workloads.Workload, strategy Strategy, goal Goal, data units.Bytes, f units.Hertz) (Decision, error) {
+func decide(ctx context.Context, w workloads.Workload, strategy Strategy, goal Goal, data units.Bytes, f units.Hertz) (Decision, error) {
 	switch strategy {
 	case PolicyStrategy:
 		return Policy(w.Class(), goal), nil
@@ -176,7 +176,7 @@ func decide(w workloads.Workload, strategy Strategy, goal Goal, data units.Bytes
 	case LittleOnlyStrategy:
 		return Decision{Kind: cpu.Little, Cores: 8, Rationale: "little-only baseline"}, nil
 	case OptimalStrategy:
-		d, _, err := Optimal(w, goal, data, f)
+		d, _, err := Optimal(ctx, w, goal, data, f)
 		return d, err
 	default:
 		return Decision{}, fmt.Errorf("sched: unknown strategy %v", strategy)
@@ -184,20 +184,15 @@ func decide(w workloads.Workload, strategy Strategy, goal Goal, data units.Bytes
 }
 
 // CompareStrategies runs the stream under every strategy and returns the
-// outcomes keyed by strategy, plus a helper metric sample per strategy.
-func CompareStrategies(pool Pool, jobs []StreamJob, goal Goal, f units.Hertz) (map[Strategy]StreamOutcome, error) {
+// outcomes keyed by strategy.
+func CompareStrategies(ctx context.Context, pool Pool, jobs []StreamJob, goal Goal, f units.Hertz) (map[Strategy]StreamOutcome, error) {
 	out := make(map[Strategy]StreamOutcome, 4)
 	for _, s := range []Strategy{PolicyStrategy, BigOnlyStrategy, LittleOnlyStrategy, OptimalStrategy} {
-		o, err := SimulateStream(pool, jobs, s, goal, f)
+		o, err := SimulateStream(ctx, pool, jobs, s, goal, f)
 		if err != nil {
 			return nil, fmt.Errorf("sched: strategy %v: %w", s, err)
 		}
 		out[s] = o
 	}
 	return out, nil
-}
-
-// Sample converts a stream outcome into the cost-metric form (area unused).
-func (o StreamOutcome) Sample() metrics.Sample {
-	return metrics.Sample{Energy: o.TotalEnergy, Delay: o.Makespan}
 }

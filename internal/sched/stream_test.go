@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"heterohadoop/internal/cpu"
@@ -32,7 +33,7 @@ func testStream(t *testing.T) []StreamJob {
 
 func TestSimulateStreamStructure(t *testing.T) {
 	pool := Pool{BigCores: 8, LittleCores: 16}
-	out, err := SimulateStream(pool, testStream(t), PolicyStrategy, MinEDP, 1.8*units.GHz)
+	out, err := SimulateStream(context.Background(), pool, testStream(t), PolicyStrategy, MinEDP, 1.8*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestStreamQueueingWaits(t *testing.T) {
 		{Workload: nb, Arrival: 0, Data: 10 * units.GB},
 		{Workload: wc, Arrival: 1, Data: units.GB},
 	}
-	out, err := SimulateStream(pool, jobs, PolicyStrategy, MinEDP, 1.8*units.GHz)
+	out, err := SimulateStream(context.Background(), pool, jobs, PolicyStrategy, MinEDP, 1.8*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestStreamQueueingWaits(t *testing.T) {
 
 func TestCompareStrategiesOrdering(t *testing.T) {
 	pool := Pool{BigCores: 8, LittleCores: 16}
-	outcomes, err := CompareStrategies(pool, testStream(t), MinEDP, 1.8*units.GHz)
+	outcomes, err := CompareStrategies(context.Background(), pool, testStream(t), MinEDP, 1.8*units.GHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,8 @@ func TestCompareStrategiesOrdering(t *testing.T) {
 		if o.Strategy != s {
 			t.Errorf("outcome strategy mismatch for %v", s)
 		}
-		if o.Sample().EDP() != o.EDP {
-			t.Errorf("%v: sample EDP mismatch", s)
+		if want := float64(o.TotalEnergy) * float64(o.Makespan); o.EDP != want {
+			t.Errorf("%v: EDP = %v, want energy x makespan = %v", s, o.EDP, want)
 		}
 	}
 }
@@ -144,13 +145,13 @@ func TestStrategyStrings(t *testing.T) {
 }
 
 func TestSimulateStreamErrors(t *testing.T) {
-	if _, err := SimulateStream(Pool{BigCores: 8, LittleCores: 8}, nil, PolicyStrategy, MinEDP, 1.8*units.GHz); err == nil {
+	if _, err := SimulateStream(context.Background(), Pool{BigCores: 8, LittleCores: 8}, nil, PolicyStrategy, MinEDP, 1.8*units.GHz); err == nil {
 		t.Error("empty stream accepted")
 	}
 	wc, _ := workloads.ByName("wordcount")
 	jobs := []StreamJob{{Workload: wc, Arrival: 0, Data: units.GB}}
 	// No little capacity at all: the compute-bound policy placement fails.
-	if _, err := SimulateStream(Pool{BigCores: 8, LittleCores: 0}, jobs, PolicyStrategy, MinEDP, 1.8*units.GHz); err == nil {
+	if _, err := SimulateStream(context.Background(), Pool{BigCores: 8, LittleCores: 0}, jobs, PolicyStrategy, MinEDP, 1.8*units.GHz); err == nil {
 		t.Error("zero-capacity platform accepted")
 	}
 }

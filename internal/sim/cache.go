@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 )
 
@@ -66,7 +65,7 @@ func newResultCache() *resultCache {
 	return &resultCache{entries: make(map[string]*cacheEntry)}
 }
 
-// cacheOutcome classifies how one lookup was served; RunCachedCtx turns
+// cacheOutcome classifies how one lookup was served; RunCached turns
 // it into the matching observer counter.
 type cacheOutcome int
 
@@ -76,7 +75,7 @@ const (
 	outcomeCoalesced
 )
 
-// doCtx returns the memoized result for key, computing it with fn on the
+// do returns the memoized result for key, computing it with fn on the
 // first request. Concurrent requests for the same key share one fn call. A
 // waiter whose ctx expires abandons the in-flight computation (which
 // completes for other waiters), and an entry whose computation itself failed with a context error is evicted, so one
@@ -87,7 +86,7 @@ const (
 // (joining a fresh computation or running fn itself). The key is taken as
 // bytes so the hot path — a hit — does a map lookup through string(key)
 // without allocating; only a miss copies the key into the map.
-func (c *resultCache) doCtx(ctx context.Context, key []byte, fn func() (Report, error)) (Report, cacheOutcome, error) {
+func (c *resultCache) do(ctx context.Context, key []byte, fn func() (Report, error)) (Report, cacheOutcome, error) {
 	c.mu.Lock()
 	for {
 		e, ok := c.entries[string(key)]
@@ -169,7 +168,7 @@ func (r Report) clone() Report {
 	if r.Phases == nil {
 		return r
 	}
-	phases := make(map[mapreduce.Phase]PhaseStat, len(r.Phases))
+	phases := make(map[Phase]PhaseStat, len(r.Phases))
 	for ph, st := range r.Phases {
 		phases[ph] = st
 	}
@@ -183,18 +182,13 @@ var defaultCache = newResultCache()
 // RunCached is Run behind the process-wide result cache: the first request
 // for a cell simulates it, duplicates — sequential or concurrent — are
 // served from memory. Defaults are applied before keying, so a JobSpec
-// with explicit Hadoop defaults and one relying on zero values coalesce.
-func RunCached(cluster Cluster, job JobSpec) (Report, error) {
-	return RunCachedCtx(context.Background(), cluster, job)
-}
-
-// RunCachedCtx is RunCtx behind the process-wide result cache. An Observer
-// carried by ctx receives sim.cache.hits / sim.cache.misses /
+// with explicit Hadoop defaults and one relying on zero values coalesce. An
+// Observer carried by ctx receives sim.cache.hits / sim.cache.misses /
 // sim.cache.coalesced counters per lookup; cancellation aborts the lookup
 // (including a coalesced wait on another goroutine's computation) with an
 // error wrapping ctx.Err(), and a computation that itself ends in a
 // context error is not memoized.
-func RunCachedCtx(ctx context.Context, cluster Cluster, job JobSpec) (Report, error) {
+func RunCached(ctx context.Context, cluster Cluster, job JobSpec) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, fmt.Errorf("sim: %s: cancelled: %w", job.Name, err)
 	}
@@ -203,8 +197,8 @@ func RunCachedCtx(ctx context.Context, cluster Cluster, job JobSpec) (Report, er
 	k.b = k.b[:0]
 	k.cluster(cluster)
 	k.job(job)
-	rep, outcome, err := defaultCache.doCtx(ctx, k.b, func() (Report, error) {
-		return RunCtx(ctx, cluster, job)
+	rep, outcome, err := defaultCache.do(ctx, k.b, func() (Report, error) {
+		return Run(ctx, cluster, job)
 	})
 	keyPool.Put(k)
 	if ob := obs.FromContext(ctx); ob.Enabled() {

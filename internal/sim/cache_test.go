@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -35,18 +34,18 @@ func TestRunCachedMemoizes(t *testing.T) {
 	defer ResetCache()
 	cluster, job := testJob(t)
 
-	r1, err := RunCached(cluster, job)
+	r1, err := RunCached(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunCached(cluster, job)
+	r2, err := RunCached(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("cached report differs from the computed one")
 	}
-	direct, err := Run(cluster, job)
+	direct, err := Run(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestRunCachedCanonicalizesDefaults(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
 	cluster, job := testJob(t)
-	if _, err := RunCached(cluster, job); err != nil {
+	if _, err := RunCached(context.Background(), cluster, job); err != nil {
 		t.Fatal(err)
 	}
 	// Spelling out Hadoop's defaults must land on the same cache cell.
@@ -78,7 +77,7 @@ func TestRunCachedCanonicalizesDefaults(t *testing.T) {
 	explicit.SortBuffer = 100 * units.MB
 	explicit.MergeFactor = 10
 	explicit.Reducers = cluster.Node.ActiveCores
-	if _, err := RunCached(cluster, explicit); err != nil {
+	if _, err := RunCached(context.Background(), cluster, explicit); err != nil {
 		t.Fatal(err)
 	}
 	if s := Stats(); s.Misses != 1 || s.Hits != 1 {
@@ -87,7 +86,7 @@ func TestRunCachedCanonicalizesDefaults(t *testing.T) {
 	// A genuinely different knob must not.
 	other := job
 	other.Frequency = 1.2 * units.GHz
-	if _, err := RunCached(cluster, other); err != nil {
+	if _, err := RunCached(context.Background(), cluster, other); err != nil {
 		t.Fatal(err)
 	}
 	if s := Stats(); s.Misses != 2 {
@@ -99,16 +98,16 @@ func TestRunCachedReturnsIndependentReports(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
 	cluster, job := testJob(t)
-	r1, err := RunCached(cluster, job)
+	r1, err := RunCached(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Phases[mapreduce.PhaseMap] = PhaseStat{Time: 12345}
-	r2, err := RunCached(cluster, job)
+	r1.Phases[PhaseMap] = PhaseStat{Time: 12345}
+	r2, err := RunCached(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Phases[mapreduce.PhaseMap].Time == 12345 {
+	if r2.Phases[PhaseMap].Time == 12345 {
 		t.Error("mutating a returned report leaked into the cache")
 	}
 }
@@ -127,7 +126,7 @@ func TestSingleFlightCoalescesDuplicates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		reports[0], _, _ = c.doCtx(context.Background(), []byte("cell"), func() (Report, error) {
+		reports[0], _, _ = c.do(context.Background(), []byte("cell"), func() (Report, error) {
 			calls.Add(1)
 			close(running)
 			<-gate
@@ -142,7 +141,7 @@ func TestSingleFlightCoalescesDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[i], _, _ = c.doCtx(context.Background(), []byte("cell"), func() (Report, error) {
+			reports[i], _, _ = c.do(context.Background(), []byte("cell"), func() (Report, error) {
 				calls.Add(1)
 				return Report{Workload: "follower"}, nil
 			})
@@ -183,7 +182,7 @@ func TestCacheWaiterSurvivesForeignCancellation(t *testing.T) {
 
 	firstErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.doCtx(ctx1, key, func() (Report, error) {
+		_, _, err := c.do(ctx1, key, func() (Report, error) {
 			close(started)
 			<-release
 			return Report{}, fmt.Errorf("sim: cell aborted: %w", ctx1.Err())
@@ -200,7 +199,7 @@ func TestCacheWaiterSurvivesForeignCancellation(t *testing.T) {
 	}
 	second := make(chan outcome, 1)
 	go func() {
-		rep, _, err := c.doCtx(context.Background(), key, func() (Report, error) {
+		rep, _, err := c.do(context.Background(), key, func() (Report, error) {
 			return Report{Workload: "retry"}, nil
 		})
 		second <- outcome{rep, err}

@@ -4,16 +4,16 @@ package sim
 // model constants can be tuned, and asserts the shape targets from DESIGN.md.
 
 import (
+	"context"
 	"testing"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
 
 func mustRun(t *testing.T, node Node, w workloads.Workload, data units.Bytes, block units.Bytes, f units.Hertz) Report {
 	t.Helper()
-	r, err := Run(NewCluster(node), JobSpec{
+	r, err := Run(context.Background(), NewCluster(node), JobSpec{
 		Name:        w.Name(),
 		Spec:        w.Spec(),
 		DataPerNode: data,
@@ -107,7 +107,7 @@ func TestPhaseBreakdownSane(t *testing.T) {
 		t.Errorf("MapTasks = %d, want 8 (1GB/128MB)", r.MapTasks)
 	}
 	var sum units.Seconds
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		st := r.Phases[ph]
 		if st.Time < 0 || st.Energy < 0 {
 			t.Errorf("phase %v negative stats: %+v", ph, st)

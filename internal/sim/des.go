@@ -2,10 +2,10 @@ package sim
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math/rand"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 )
 
@@ -49,11 +49,11 @@ func (h *slotHeap) Pop() interface{} {
 // phases are taken from the algebraic run unchanged. DESRun exists to
 // validate the wave approximation (the tests require agreement) and to
 // study straggler tails.
-func DESRun(cluster Cluster, job JobSpec, opts DESOptions) (Report, error) {
+func DESRun(ctx context.Context, cluster Cluster, job JobSpec, opts DESOptions) (Report, error) {
 	if err := opts.Validate(); err != nil {
 		return Report{}, err
 	}
-	base, err := Run(cluster, job)
+	base, err := Run(ctx, cluster, job)
 	if err != nil {
 		return Report{}, err
 	}
@@ -111,7 +111,7 @@ func DESRun(cluster Cluster, job JobSpec, opts DESOptions) (Report, error) {
 
 	// Replace the algebraic map phase with the DES one, keeping the same
 	// power draw (the workload character is unchanged).
-	mapStat := base.Phases[mapreduce.PhaseMap]
+	mapStat := base.Phases[PhaseMap]
 	ratio := 1.0
 	if mapStat.Time > 0 {
 		ratio = float64(makespan) / float64(mapStat.Time)
@@ -123,9 +123,9 @@ func DESRun(cluster Cluster, job JobSpec, opts DESOptions) (Report, error) {
 		CPUTime:  cpuSum,
 		IOTime:   ioSum,
 	}
-	base.Phases[mapreduce.PhaseMap] = newMap
+	base.Phases[PhaseMap] = newMap
 	totalStat := PhaseStat{}
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		totalStat = totalStat.addSerial(base.Phases[ph])
 	}
 	base.Total = totalStat

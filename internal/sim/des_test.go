@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -37,16 +37,16 @@ func TestDESValidatesWaveModel(t *testing.T) {
 	for _, tc := range cases {
 		job := desJob(t, tc.name, tc.data, tc.block)
 		cluster := NewCluster(AtomNode(8))
-		alg, err := Run(cluster, job)
+		alg, err := Run(context.Background(), cluster, job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		des, err := DESRun(cluster, job, DESOptions{})
+		des, err := DESRun(context.Background(), cluster, job, DESOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		am := alg.Phases[mapreduce.PhaseMap].Time
-		dm := des.Phases[mapreduce.PhaseMap].Time
+		am := alg.Phases[PhaseMap].Time
+		dm := des.Phases[PhaseMap].Time
 		ratio := float64(dm) / float64(am)
 		if ratio < 0.75 || ratio > 1.25 {
 			t.Errorf("%s %v/%v: DES map %v vs wave %v (ratio %.2f) outside 25%%",
@@ -61,18 +61,18 @@ func TestDESValidatesWaveModel(t *testing.T) {
 func TestDESJitterLengthensTail(t *testing.T) {
 	job := desJob(t, "wordcount", 10*units.GB, 256*units.MB)
 	cluster := NewCluster(AtomNode(8))
-	base, err := DESRun(cluster, job, DESOptions{})
+	base, err := DESRun(context.Background(), cluster, job, DESOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := 0.0
 	var first, second units.Seconds
 	for seed := int64(0); seed < 8; seed++ {
-		r, err := DESRun(cluster, job, DESOptions{Seed: seed, Jitter: 0.25})
+		r, err := DESRun(context.Background(), cluster, job, DESOptions{Seed: seed, Jitter: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += float64(r.Phases[mapreduce.PhaseMap].Time)
+		sum += float64(r.Phases[PhaseMap].Time)
 		if seed == 0 {
 			first = r.Total.Time
 		}
@@ -81,14 +81,14 @@ func TestDESJitterLengthensTail(t *testing.T) {
 		}
 	}
 	mean := sum / 8
-	if mean <= float64(base.Phases[mapreduce.PhaseMap].Time)*0.98 {
-		t.Errorf("jittered mean map time %.1f below no-jitter %.1f", mean, float64(base.Phases[mapreduce.PhaseMap].Time))
+	if mean <= float64(base.Phases[PhaseMap].Time)*0.98 {
+		t.Errorf("jittered mean map time %.1f below no-jitter %.1f", mean, float64(base.Phases[PhaseMap].Time))
 	}
 	if first == second {
 		t.Error("different seeds produced identical makespans")
 	}
 	// Determinism per seed.
-	again, err := DESRun(cluster, job, DESOptions{Seed: 0, Jitter: 0.25})
+	again, err := DESRun(context.Background(), cluster, job, DESOptions{Seed: 0, Jitter: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestDESJitterLengthensTail(t *testing.T) {
 func TestDESTotalsConsistent(t *testing.T) {
 	job := desJob(t, "terasort", units.GB, 128*units.MB)
 	cluster := NewCluster(XeonNode(8))
-	r, err := DESRun(cluster, job, DESOptions{Seed: 3, Jitter: 0.1})
+	r, err := DESRun(context.Background(), cluster, job, DESOptions{Seed: 3, Jitter: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sumT units.Seconds
 	var sumE units.Joules
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		sumT += r.Phases[ph].Time
 		sumE += r.Phases[ph].Energy
 	}
@@ -121,10 +121,10 @@ func TestDESTotalsConsistent(t *testing.T) {
 
 func TestDESOptionsValidate(t *testing.T) {
 	job := desJob(t, "wordcount", units.GB, 256*units.MB)
-	if _, err := DESRun(NewCluster(AtomNode(8)), job, DESOptions{Jitter: 1.5}); err == nil {
+	if _, err := DESRun(context.Background(), NewCluster(AtomNode(8)), job, DESOptions{Jitter: 1.5}); err == nil {
 		t.Error("jitter >= 1 accepted")
 	}
-	if _, err := DESRun(NewCluster(AtomNode(8)), job, DESOptions{Jitter: -0.1}); err == nil {
+	if _, err := DESRun(context.Background(), NewCluster(AtomNode(8)), job, DESOptions{Jitter: -0.1}); err == nil {
 		t.Error("negative jitter accepted")
 	}
 }

@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 )
 
@@ -17,7 +17,7 @@ type PerPhaseDVFSReport struct {
 	MapFrequency    float64
 	ReduceFrequency float64
 	// Phases and Total follow the usual report conventions.
-	Phases map[mapreduce.Phase]PhaseStat
+	Phases map[Phase]PhaseStat
 	Total  PhaseStat
 }
 
@@ -30,29 +30,29 @@ func (r PerPhaseDVFSReport) EDP() float64 {
 // and the shuffle/sort/reduce pipeline (and cleanup) at reduceF on the same
 // cluster. DVFS transitions are effectively free at MapReduce phase
 // granularity (microseconds against seconds).
-func RunPerPhaseDVFS(cluster Cluster, job JobSpec, mapF, reduceF float64) (PerPhaseDVFSReport, error) {
+func RunPerPhaseDVFS(ctx context.Context, cluster Cluster, job JobSpec, mapF, reduceF float64) (PerPhaseDVFSReport, error) {
 	mapJob := job
 	mapJob.Frequency = ghz(mapF)
-	mapRep, err := RunCached(cluster, mapJob)
+	mapRep, err := RunCached(ctx, cluster, mapJob)
 	if err != nil {
 		return PerPhaseDVFSReport{}, fmt.Errorf("sim: per-phase DVFS map side: %w", err)
 	}
 	redJob := job
 	redJob.Frequency = ghz(reduceF)
-	redRep, err := RunCached(cluster, redJob)
+	redRep, err := RunCached(ctx, cluster, redJob)
 	if err != nil {
 		return PerPhaseDVFSReport{}, fmt.Errorf("sim: per-phase DVFS reduce side: %w", err)
 	}
-	phases := map[mapreduce.Phase]PhaseStat{
-		mapreduce.PhaseSetup:   mapRep.Phases[mapreduce.PhaseSetup],
-		mapreduce.PhaseMap:     mapRep.Phases[mapreduce.PhaseMap],
-		mapreduce.PhaseShuffle: redRep.Phases[mapreduce.PhaseShuffle],
-		mapreduce.PhaseSort:    redRep.Phases[mapreduce.PhaseSort],
-		mapreduce.PhaseReduce:  redRep.Phases[mapreduce.PhaseReduce],
-		mapreduce.PhaseCleanup: redRep.Phases[mapreduce.PhaseCleanup],
+	phases := map[Phase]PhaseStat{
+		PhaseSetup:   mapRep.Phases[PhaseSetup],
+		PhaseMap:     mapRep.Phases[PhaseMap],
+		PhaseShuffle: redRep.Phases[PhaseShuffle],
+		PhaseSort:    redRep.Phases[PhaseSort],
+		PhaseReduce:  redRep.Phases[PhaseReduce],
+		PhaseCleanup: redRep.Phases[PhaseCleanup],
 	}
 	total := PhaseStat{}
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		total = total.addSerial(phases[ph])
 	}
 	return PerPhaseDVFSReport{
@@ -65,13 +65,13 @@ func RunPerPhaseDVFS(cluster Cluster, job JobSpec, mapF, reduceF float64) (PerPh
 
 // BestPerPhaseDVFS sweeps all (mapF, reduceF) combinations over the paper's
 // DVFS points and returns the EDP-optimal assignment.
-func BestPerPhaseDVFS(cluster Cluster, job JobSpec) (PerPhaseDVFSReport, error) {
+func BestPerPhaseDVFS(ctx context.Context, cluster Cluster, job JobSpec) (PerPhaseDVFSReport, error) {
 	points := []float64{1.2, 1.4, 1.6, 1.8}
 	var best PerPhaseDVFSReport
 	bestScore := -1.0
 	for _, mf := range points {
 		for _, rf := range points {
-			r, err := RunPerPhaseDVFS(cluster, job, mf, rf)
+			r, err := RunPerPhaseDVFS(ctx, cluster, job, mf, rf)
 			if err != nil {
 				return PerPhaseDVFSReport{}, err
 			}

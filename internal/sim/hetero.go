@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 )
 
@@ -18,7 +18,7 @@ type PhaseSplitReport struct {
 	ReduceOn string
 	// Phases carries each phase's stats, taken from the platform that
 	// executed it (setup on the map platform, cleanup on the reduce one).
-	Phases map[mapreduce.Phase]PhaseStat
+	Phases map[Phase]PhaseStat
 	// Total aggregates all phases plus the cross-platform handoff.
 	Total PhaseStat
 	// Handoff is the extra transfer cost of moving the shuffle across the
@@ -30,23 +30,23 @@ type PhaseSplitReport struct {
 // shuffle/sort/reduce phases on reduceCluster. The intermediate data
 // crosses the network between the two platforms, which costs an extra
 // serialized transfer at the slower of the two clusters' link speeds.
-func RunPhaseSplit(mapCluster, reduceCluster Cluster, job JobSpec) (PhaseSplitReport, error) {
-	mapRep, err := RunCached(mapCluster, job)
+func RunPhaseSplit(ctx context.Context, mapCluster, reduceCluster Cluster, job JobSpec) (PhaseSplitReport, error) {
+	mapRep, err := RunCached(ctx, mapCluster, job)
 	if err != nil {
 		return PhaseSplitReport{}, fmt.Errorf("sim: phase-split map side: %w", err)
 	}
-	redRep, err := RunCached(reduceCluster, job)
+	redRep, err := RunCached(ctx, reduceCluster, job)
 	if err != nil {
 		return PhaseSplitReport{}, fmt.Errorf("sim: phase-split reduce side: %w", err)
 	}
 
-	phases := map[mapreduce.Phase]PhaseStat{
-		mapreduce.PhaseSetup:   mapRep.Phases[mapreduce.PhaseSetup],
-		mapreduce.PhaseMap:     mapRep.Phases[mapreduce.PhaseMap],
-		mapreduce.PhaseShuffle: redRep.Phases[mapreduce.PhaseShuffle],
-		mapreduce.PhaseSort:    redRep.Phases[mapreduce.PhaseSort],
-		mapreduce.PhaseReduce:  redRep.Phases[mapreduce.PhaseReduce],
-		mapreduce.PhaseCleanup: redRep.Phases[mapreduce.PhaseCleanup],
+	phases := map[Phase]PhaseStat{
+		PhaseSetup:   mapRep.Phases[PhaseSetup],
+		PhaseMap:     mapRep.Phases[PhaseMap],
+		PhaseShuffle: redRep.Phases[PhaseShuffle],
+		PhaseSort:    redRep.Phases[PhaseSort],
+		PhaseReduce:  redRep.Phases[PhaseReduce],
+		PhaseCleanup: redRep.Phases[PhaseCleanup],
 	}
 
 	// Cross-platform handoff: the full shuffle volume crosses the wire
@@ -62,15 +62,15 @@ func RunPhaseSplit(mapCluster, reduceCluster Cluster, job JobSpec) (PhaseSplitRe
 		t := units.Seconds(float64(shuffleBytes) / float64(link))
 		// Transfer power: the sending map platform's shuffle draw plus the
 		// receiving side's; approximate with both phases' average powers.
-		p := mapRep.Phases[mapreduce.PhaseShuffle].AvgPower + redRep.Phases[mapreduce.PhaseShuffle].AvgPower
+		p := mapRep.Phases[PhaseShuffle].AvgPower + redRep.Phases[PhaseShuffle].AvgPower
 		if p == 0 {
-			p = mapRep.Phases[mapreduce.PhaseMap].AvgPower * 0.3
+			p = mapRep.Phases[PhaseMap].AvgPower * 0.3
 		}
 		handoff = PhaseStat{Time: t, Energy: units.Energy(p, t), AvgPower: p, IOTime: t}
 	}
 
 	total := handoff
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		total = total.addSerial(phases[ph])
 	}
 	return PhaseSplitReport{

@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -26,7 +26,7 @@ func phaseSplitJob(t *testing.T, name string) JobSpec {
 
 func TestPhaseSplitStructure(t *testing.T) {
 	job := phaseSplitJob(t, "naivebayes")
-	r, err := RunPhaseSplit(NewCluster(AtomNode(8)), NewCluster(XeonNode(8)), job)
+	r, err := RunPhaseSplit(context.Background(), NewCluster(AtomNode(8)), NewCluster(XeonNode(8)), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPhaseSplitStructure(t *testing.T) {
 	}
 	var sumT units.Seconds
 	var sumE units.Joules
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		sumT += r.Phases[ph].Time
 		sumE += r.Phases[ph].Energy
 	}
@@ -61,11 +61,11 @@ func TestPhaseSplitStructure(t *testing.T) {
 func TestPhaseSplitMatchesPhaseVerdicts(t *testing.T) {
 	job := phaseSplitJob(t, "naivebayes")
 	little, big := NewCluster(AtomNode(8)), NewCluster(XeonNode(8))
-	littleMap, err := RunPhaseSplit(little, big, job)
+	littleMap, err := RunPhaseSplit(context.Background(), little, big, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigMap, err := RunPhaseSplit(big, little, job)
+	bigMap, err := RunPhaseSplit(context.Background(), big, little, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +82,15 @@ func TestPhaseSplitMatchesPhaseVerdicts(t *testing.T) {
 func TestPhaseSplitBounds(t *testing.T) {
 	job := phaseSplitJob(t, "naivebayes")
 	little, big := NewCluster(AtomNode(8)), NewCluster(XeonNode(8))
-	split, err := RunPhaseSplit(little, big, job)
+	split, err := RunPhaseSplit(context.Background(), little, big, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	homoL, err := Run(little, job)
+	homoL, err := Run(context.Background(), little, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	homoB, err := Run(big, job)
+	homoB, err := Run(context.Background(), big, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestPhaseSplitBounds(t *testing.T) {
 	// phase matches the big platform's.
 	lm, _ := homoL.MapReduceOnly()
 	_, br := homoB.MapReduceOnly()
-	if split.Phases[mapreduce.PhaseMap] != lm {
+	if split.Phases[PhaseMap] != lm {
 		t.Error("split map phase does not match the little platform's")
 	}
-	if split.Phases[mapreduce.PhaseReduce] != br {
+	if split.Phases[PhaseReduce] != br {
 		t.Error("split reduce phase does not match the big platform's")
 	}
 	// Sanity bound: the split time never exceeds the slow platform's time
@@ -118,7 +118,7 @@ func TestPhaseSplitNoShuffleNoHandoff(t *testing.T) {
 	spec.ShuffleRatio = 0
 	job := JobSpec{Name: "noshuffle", Spec: spec, DataPerNode: units.GB,
 		BlockSize: 256 * units.MB, Frequency: 1.8 * units.GHz}
-	r, err := RunPhaseSplit(NewCluster(AtomNode(8)), NewCluster(XeonNode(8)), job)
+	r, err := RunPhaseSplit(context.Background(), NewCluster(AtomNode(8)), NewCluster(XeonNode(8)), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +131,10 @@ func TestPhaseSplitPropagatesErrors(t *testing.T) {
 	job := phaseSplitJob(t, "wordcount")
 	bad := NewCluster(AtomNode(8))
 	bad.Nodes = 0
-	if _, err := RunPhaseSplit(bad, NewCluster(XeonNode(8)), job); err == nil {
+	if _, err := RunPhaseSplit(context.Background(), bad, NewCluster(XeonNode(8)), job); err == nil {
 		t.Error("invalid map cluster accepted")
 	}
-	if _, err := RunPhaseSplit(NewCluster(XeonNode(8)), bad, job); err == nil {
+	if _, err := RunPhaseSplit(context.Background(), NewCluster(XeonNode(8)), bad, job); err == nil {
 		t.Error("invalid reduce cluster accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/power"
 )
 
@@ -14,7 +13,7 @@ import (
 // the report's dynamic energy (tested).
 func ObserveMeter(node Node, r Report) *power.Meter {
 	m := power.NewMeter(node.Power.IdleSystem)
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		st := r.Phases[ph]
 		if st.Time <= 0 {
 			continue

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 	"heterohadoop/internal/units"
 )
@@ -27,7 +26,7 @@ func TestValidateWrapsSentinels(t *testing.T) {
 
 	offGrid := job
 	offGrid.Frequency = 2.5 * units.GHz
-	if _, err := Run(cluster, offGrid); !errors.Is(err, ErrUnsupportedFrequency) {
+	if _, err := Run(context.Background(), cluster, offGrid); !errors.Is(err, ErrUnsupportedFrequency) {
 		t.Errorf("2.5GHz run: %v, want wrapped ErrUnsupportedFrequency", err)
 	}
 }
@@ -37,7 +36,7 @@ func TestRunCtxEmitsSpanAndGauges(t *testing.T) {
 	c := obs.NewCollector()
 	ctx := obs.NewContext(context.Background(), c)
 
-	rep, err := RunCtx(ctx, cluster, job)
+	rep, err := Run(ctx, cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +44,12 @@ func TestRunCtxEmitsSpanAndGauges(t *testing.T) {
 		t.Errorf("sim.run span count %d, want 1", n)
 	}
 	snap := c.Snapshot()
-	name := "sim.phase." + mapreduce.PhaseMap.String() + ".seconds"
+	name := "sim.phase." + PhaseMap.String() + ".seconds"
 	got, ok := snap.Gauges[name]
 	if !ok {
 		t.Fatalf("gauge %s missing; gauges: %v", name, snap.Gauges)
 	}
-	if want := float64(rep.Phases[mapreduce.PhaseMap].Time); got != want {
+	if want := float64(rep.Phases[PhaseMap].Time); got != want {
 		t.Errorf("gauge %s = %v, want %v", name, got, want)
 	}
 }
@@ -62,12 +61,12 @@ func TestRunCachedCtxCancelledIsNotMemoized(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunCachedCtx(ctx, cluster, job); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled RunCachedCtx: %v, want wrapped context.Canceled", err)
+	if _, err := RunCached(ctx, cluster, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunCached: %v, want wrapped context.Canceled", err)
 	}
 	// The aborted lookup must not poison the cache: a fresh context computes
 	// the report as a plain miss.
-	if _, err := RunCached(cluster, job); err != nil {
+	if _, err := RunCached(context.Background(), cluster, job); err != nil {
 		t.Fatalf("RunCached after cancelled attempt: %v", err)
 	}
 	if s := Stats(); s.Entries != 1 || s.InFlight != 0 {
@@ -82,10 +81,10 @@ func TestRunCachedCtxEmitsCacheCounters(t *testing.T) {
 	c := obs.NewCollector()
 	ctx := obs.NewContext(context.Background(), c)
 
-	if _, err := RunCachedCtx(ctx, cluster, job); err != nil {
+	if _, err := RunCached(ctx, cluster, job); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCachedCtx(ctx, cluster, job); err != nil {
+	if _, err := RunCached(ctx, cluster, job); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Counter("sim.cache.misses"); n != 1 {

@@ -24,7 +24,6 @@ import (
 	"heterohadoop/internal/cpu"
 	"heterohadoop/internal/hdfs"
 	"heterohadoop/internal/isa"
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 	"heterohadoop/internal/power"
 	"heterohadoop/internal/units"
@@ -226,7 +225,7 @@ type Report struct {
 	Core      string
 	Frequency units.Hertz
 	// Phases maps each MapReduce phase to its stats.
-	Phases map[mapreduce.Phase]PhaseStat
+	Phases map[Phase]PhaseStat
 	// Total aggregates all phases.
 	Total PhaseStat
 	// MapTasks, Waves and SpillsPerTask describe the map-phase structure.
@@ -243,8 +242,8 @@ type Report struct {
 // cleanup), matching the paper's execution-time breakdown category.
 func (r Report) Others() PhaseStat {
 	out := PhaseStat{}
-	for _, ph := range mapreduce.Phases() {
-		if ph == mapreduce.PhaseMap || ph == mapreduce.PhaseReduce {
+	for _, ph := range Phases() {
+		if ph == PhaseMap || ph == PhaseReduce {
 			continue
 		}
 		out = out.addSerial(r.Phases[ph])
@@ -254,7 +253,7 @@ func (r Report) Others() PhaseStat {
 
 // MapReduceOnly returns map-phase and reduce-phase stats.
 func (r Report) MapReduceOnly() (PhaseStat, PhaseStat) {
-	return r.Phases[mapreduce.PhaseMap], r.Phases[mapreduce.PhaseReduce]
+	return r.Phases[PhaseMap], r.Phases[PhaseReduce]
 }
 
 // Fixed scheduling constants of the engine model.
@@ -354,18 +353,11 @@ func diskDiscount(data units.Bytes) float64 {
 }
 
 // Run simulates the job on the cluster and reports per-phase time and
-// energy for one node. It is RunCtx with a background context and no
-// observer.
-func Run(cluster Cluster, job JobSpec) (Report, error) {
-	return RunCtx(context.Background(), cluster, job)
-}
-
-// RunCtx simulates the job on the cluster and reports per-phase time and
 // energy for one node. A cancelled context aborts before the model runs
 // with an error wrapping ctx.Err(); an Observer carried by the context
 // (obs.NewContext) receives a "sim.run" span plus per-phase duration
 // gauges. With no observer the instrumentation is allocation-free.
-func RunCtx(ctx context.Context, cluster Cluster, job JobSpec) (Report, error) {
+func Run(ctx context.Context, cluster Cluster, job JobSpec) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, fmt.Errorf("sim: %s: cancelled: %w", job.Name, err)
 	}
@@ -382,14 +374,14 @@ func RunCtx(ctx context.Context, cluster Cluster, job JobSpec) (Report, error) {
 		return Report{}, err
 	}
 	if ob.Enabled() {
-		for _, ph := range mapreduce.Phases() {
+		for _, ph := range Phases() {
 			ob.Gauge("sim.phase."+ph.String()+".seconds", float64(rep.Phases[ph].Time))
 		}
 	}
 	return rep, nil
 }
 
-// simulate is the analytic model itself, shared by Run and RunCtx.
+// simulate is the analytic model itself.
 func simulate(cluster Cluster, job JobSpec) (Report, error) {
 	if err := cluster.Validate(); err != nil {
 		return Report{}, err
@@ -534,39 +526,39 @@ func simulate(cluster Cluster, job JobSpec) (Report, error) {
 	setupTime := setupOv + units.Seconds(float64(setupPerTask)*float64(mapTasks)*ovScale)
 
 	// ---- Energy per phase.
-	phases := map[mapreduce.Phase]PhaseStat{
-		mapreduce.PhaseSetup: phaseStat(node, f, setupTime, power.Draw{
+	phases := map[Phase]PhaseStat{
+		PhaseSetup: phaseStat(node, f, setupTime, power.Draw{
 			ActiveCores: 1, Activity: 0.2, MemPressure: 0.1, DiskPressure: 0.05, F: f,
 		}, 0, 0),
-		mapreduce.PhaseMap: phaseStat(node, f, mapTime, power.Draw{
+		PhaseMap: phaseStat(node, f, mapTime, power.Draw{
 			ActiveCores:  cores,
 			Activity:     clamp01(float64(mapCPUTime) / math.Max(1e-12, float64(mapTime))),
 			MemPressure:  clamp01(mapTiming.MemStallFraction * 2),
 			DiskPressure: clamp01(float64(mapIOTime) / math.Max(1e-12, float64(mapTime))),
 			F:            f,
 		}, mapCPUTime, mapIOTime),
-		mapreduce.PhaseShuffle: phaseStat(node, f, shuffleTime, power.Draw{
+		PhaseShuffle: phaseStat(node, f, shuffleTime, power.Draw{
 			ActiveCores: cores, Activity: 0.15, MemPressure: 0.3, DiskPressure: 0.8, F: f,
 		}, 0, shuffleTime),
-		mapreduce.PhaseSort: phaseStat(node, f, sortTime, power.Draw{
+		PhaseSort: phaseStat(node, f, sortTime, power.Draw{
 			ActiveCores: cores,
 			Activity:    clamp01(0.25 + float64(sortCPU)/math.Max(1e-12, float64(sortTime))),
 			MemPressure: 0.5, DiskPressure: clamp01(float64(sortIO) / math.Max(1e-12, float64(sortTime))), F: f,
 		}, sortCPU, sortIO),
-		mapreduce.PhaseReduce: phaseStat(node, f, reduceTime, power.Draw{
+		PhaseReduce: phaseStat(node, f, reduceTime, power.Draw{
 			ActiveCores:  minInt(cores, job.Reducers),
 			Activity:     clamp01(float64(reduceCPU) / math.Max(1e-12, float64(reduceTime))),
 			MemPressure:  clamp01(reduceTiming.MemStallFraction * 2),
 			DiskPressure: clamp01(float64(reduceIO) / math.Max(1e-12, float64(reduceTime))),
 			F:            f,
 		}, reduceCPU, reduceIO),
-		mapreduce.PhaseCleanup: phaseStat(node, f, cleanupOv, power.Draw{
+		PhaseCleanup: phaseStat(node, f, cleanupOv, power.Draw{
 			ActiveCores: 1, Activity: 0.15, MemPressure: 0.05, DiskPressure: 0.2, F: f,
 		}, 0, 0),
 	}
 
 	total := PhaseStat{}
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		total = total.addSerial(phases[ph])
 	}
 

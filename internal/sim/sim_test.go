@@ -4,11 +4,12 @@ package sim
 // the simulator, plus structural invariants and validation behaviour.
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -314,7 +315,7 @@ func TestMapTaskStructure(t *testing.T) {
 // TestSpillsTrackSortBuffer checks the spill count against io.sort.mb.
 func TestSpillsTrackSortBuffer(t *testing.T) {
 	w, _ := workloads.ByName("sort") // output ratio ~1.07
-	r, err := Run(NewCluster(XeonNode(8)), JobSpec{
+	r, err := Run(context.Background(), NewCluster(XeonNode(8)), JobSpec{
 		Name: "sort", Spec: w.Spec(), DataPerNode: units.GB,
 		BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		SortBuffer: 100 * units.MB,
@@ -326,7 +327,7 @@ func TestSpillsTrackSortBuffer(t *testing.T) {
 	if r.SpillsPerTask != 6 {
 		t.Errorf("SpillsPerTask = %d, want 6", r.SpillsPerTask)
 	}
-	r2, err := Run(NewCluster(XeonNode(8)), JobSpec{
+	r2, err := Run(context.Background(), NewCluster(XeonNode(8)), JobSpec{
 		Name: "sort", Spec: w.Spec(), DataPerNode: units.GB,
 		BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		SortBuffer: units.GB,
@@ -354,7 +355,7 @@ func TestMoreCoresFasterButCostlier(t *testing.T) {
 			t.Errorf("time did not fall at %d cores", m)
 		}
 		prevT = float64(r.Total.Time)
-		if p := float64(r.Phases[mapreduce.PhaseMap].AvgPower); p <= prevP {
+		if p := float64(r.Phases[PhaseMap].AvgPower); p <= prevP {
 			t.Errorf("map power did not rise at %d cores", m)
 		} else {
 			prevP = p
@@ -370,37 +371,37 @@ func TestValidationErrors(t *testing.T) {
 
 	bad := good
 	bad.Name = ""
-	if _, err := Run(cluster, bad); err == nil {
+	if _, err := Run(context.Background(), cluster, bad); err == nil {
 		t.Error("nameless job accepted")
 	}
 	bad = good
 	bad.DataPerNode = 0
-	if _, err := Run(cluster, bad); err == nil {
+	if _, err := Run(context.Background(), cluster, bad); err == nil {
 		t.Error("zero data accepted")
 	}
 	bad = good
 	bad.BlockSize = 0
-	if _, err := Run(cluster, bad); err == nil {
+	if _, err := Run(context.Background(), cluster, bad); err == nil {
 		t.Error("zero block size accepted")
 	}
 	bad = good
 	bad.Frequency = 2.4 * units.GHz
-	if _, err := Run(cluster, bad); err == nil {
+	if _, err := Run(context.Background(), cluster, bad); err == nil {
 		t.Error("unsupported frequency accepted")
 	}
 	badCluster := cluster
 	badCluster.Nodes = 0
-	if _, err := Run(badCluster, good); err == nil {
+	if _, err := Run(context.Background(), badCluster, good); err == nil {
 		t.Error("empty cluster accepted")
 	}
 	badCluster = cluster
 	badCluster.Node.ActiveCores = 99
-	if _, err := Run(badCluster, good); err == nil {
+	if _, err := Run(context.Background(), badCluster, good); err == nil {
 		t.Error("too many active cores accepted")
 	}
 	badCluster = cluster
 	badCluster.Network = 0
-	if _, err := Run(badCluster, good); err == nil {
+	if _, err := Run(context.Background(), badCluster, good); err == nil {
 		t.Error("zero network accepted")
 	}
 }
@@ -418,7 +419,7 @@ func TestReportInvariantsProperty(t *testing.T) {
 		if coreSel%2 == 0 {
 			node = XeonNode(cores)
 		}
-		r, err := Run(NewCluster(node), JobSpec{
+		r, err := Run(context.Background(), NewCluster(node), JobSpec{
 			Name:        w.Name(),
 			Spec:        w.Spec(),
 			DataPerNode: units.Bytes(int(gbSel)%20+1) * units.GB,
@@ -430,7 +431,7 @@ func TestReportInvariantsProperty(t *testing.T) {
 		}
 		var sumT units.Seconds
 		var sumE units.Joules
-		for _, ph := range mapreduce.Phases() {
+		for _, ph := range Phases() {
 			st := r.Phases[ph]
 			if st.Time < 0 || st.Energy < 0 {
 				return false
@@ -496,7 +497,7 @@ func TestTaskFailuresExtendMapPhase(t *testing.T) {
 	for _, rate := range []float64{0, 0.1, 0.3, 0.6} {
 		job := base
 		job.TaskFailureRate = rate
-		r, err := Run(NewCluster(AtomNode(8)), job)
+		r, err := Run(context.Background(), NewCluster(AtomNode(8)), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,11 +508,11 @@ func TestTaskFailuresExtendMapPhase(t *testing.T) {
 	}
 	bad := base
 	bad.TaskFailureRate = 1.0
-	if _, err := Run(NewCluster(AtomNode(8)), bad); err == nil {
+	if _, err := Run(context.Background(), NewCluster(AtomNode(8)), bad); err == nil {
 		t.Error("failure rate 1.0 accepted")
 	}
 	bad.TaskFailureRate = -0.1
-	if _, err := Run(NewCluster(AtomNode(8)), bad); err == nil {
+	if _, err := Run(context.Background(), NewCluster(AtomNode(8)), bad); err == nil {
 		t.Error("negative failure rate accepted")
 	}
 }
@@ -554,7 +555,7 @@ func TestNonLocalTasksCostMore(t *testing.T) {
 	for _, nl := range []float64{0, 0.5, 1.0} {
 		job := base
 		job.NonLocalFraction = nl
-		r, err := Run(NewCluster(AtomNode(8)), job)
+		r, err := Run(context.Background(), NewCluster(AtomNode(8)), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +566,7 @@ func TestNonLocalTasksCostMore(t *testing.T) {
 	}
 	bad := base
 	bad.NonLocalFraction = 1.5
-	if _, err := Run(NewCluster(AtomNode(8)), bad); err == nil {
+	if _, err := Run(context.Background(), NewCluster(AtomNode(8)), bad); err == nil {
 		t.Error("non-local fraction > 1 accepted")
 	}
 }
@@ -579,32 +580,32 @@ func TestPerPhaseDVFS(t *testing.T) {
 	job := JobSpec{Name: "nb", Spec: w.Spec(), DataPerNode: 10 * units.GB,
 		BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz}
 
-	r, err := RunPerPhaseDVFS(cluster, job, 1.8, 1.2)
+	r, err := RunPerPhaseDVFS(context.Background(), cluster, job, 1.8, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sumT units.Seconds
-	for _, ph := range mapreduce.Phases() {
+	for _, ph := range Phases() {
 		sumT += r.Phases[ph].Time
 	}
 	if d := float64(sumT - r.Total.Time); d > 1e-9 || d < -1e-9 {
 		t.Errorf("phase times %v != total %v", sumT, r.Total.Time)
 	}
 	// The map phase must match a uniform 1.8 GHz run's map phase.
-	uni18, err := Run(cluster, job)
+	uni18, err := Run(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Phases[mapreduce.PhaseMap] != uni18.Phases[mapreduce.PhaseMap] {
+	if r.Phases[PhaseMap] != uni18.Phases[PhaseMap] {
 		t.Error("map phase does not match the 1.8 GHz run")
 	}
 
-	best, err := BestPerPhaseDVFS(cluster, job)
+	best, err := BestPerPhaseDVFS(context.Background(), cluster, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fg := range []float64{1.2, 1.4, 1.6, 1.8} {
-		uni, err := RunPerPhaseDVFS(cluster, job, fg, fg)
+		uni, err := RunPerPhaseDVFS(context.Background(), cluster, job, fg, fg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,7 +622,7 @@ func TestSlowstartOverlapHidesShuffle(t *testing.T) {
 	w, _ := workloads.ByName("terasort")
 	base := JobSpec{Name: "ts", Spec: w.Spec(), DataPerNode: 10 * units.GB,
 		BlockSize: 256 * units.MB, Frequency: 1.8 * units.GHz}
-	r0, err := Run(NewCluster(AtomNode(8)), base)
+	r0, err := Run(context.Background(), NewCluster(AtomNode(8)), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +630,7 @@ func TestSlowstartOverlapHidesShuffle(t *testing.T) {
 	for _, ov := range []float64{0.3, 0.6, 1.0} {
 		job := base
 		job.SlowstartOverlap = ov
-		r, err := Run(NewCluster(AtomNode(8)), job)
+		r, err := Run(context.Background(), NewCluster(AtomNode(8)), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -637,14 +638,32 @@ func TestSlowstartOverlapHidesShuffle(t *testing.T) {
 			t.Errorf("overlap %v did not shorten the job (%v >= %v)", ov, r.Total.Time, prev)
 		}
 		saved := r0.Total.Time - r.Total.Time
-		if saved > r0.Phases[mapreduce.PhaseShuffle].Time+1e-9 {
-			t.Errorf("overlap %v saved %v, more than the whole shuffle %v", ov, saved, r0.Phases[mapreduce.PhaseShuffle].Time)
+		if saved > r0.Phases[PhaseShuffle].Time+1e-9 {
+			t.Errorf("overlap %v saved %v, more than the whole shuffle %v", ov, saved, r0.Phases[PhaseShuffle].Time)
 		}
 		prev = r.Total.Time
 	}
 	bad := base
 	bad.SlowstartOverlap = 1.5
-	if _, err := Run(NewCluster(AtomNode(8)), bad); err == nil {
+	if _, err := Run(context.Background(), NewCluster(AtomNode(8)), bad); err == nil {
 		t.Error("overlap > 1 accepted")
+	}
+}
+
+func TestPhaseString(t *testing.T) {
+	want := map[Phase]string{
+		PhaseSetup: "setup", PhaseMap: "map", PhaseShuffle: "shuffle",
+		PhaseSort: "sort", PhaseReduce: "reduce", PhaseCleanup: "cleanup",
+	}
+	for p, s := range want {
+		if p.String() != s {
+			t.Errorf("Phase(%d).String() = %q, want %q", int(p), p.String(), s)
+		}
+	}
+	if got := len(Phases()); got != 6 {
+		t.Errorf("Phases() = %d entries, want 6", got)
+	}
+	if !strings.Contains(Phase(42).String(), "42") {
+		t.Error("unknown phase string")
 	}
 }

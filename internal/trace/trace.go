@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 
 	"heterohadoop/internal/hdfs"
@@ -69,7 +70,7 @@ func (o *Options) setDefaults() {
 
 // Measure generates input for the workload, runs it for real on the engine
 // and returns the observed dataflow profile.
-func Measure(w workloads.Workload, opts Options) (Measurement, error) {
+func Measure(ctx context.Context, w workloads.Workload, opts Options) (Measurement, error) {
 	opts.setDefaults()
 	input := w.Generate(opts.Size, opts.Seed)
 	store, err := hdfs.NewStore(hdfs.Config{BlockSize: opts.BlockSize, Replication: 1})
@@ -89,7 +90,7 @@ func Measure(w workloads.Workload, opts Options) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	res, err := mapreduce.NewEngine(store).Run(job, "trace-input")
+	res, err := mapreduce.NewEngine(store).RunContext(ctx, job, "trace-input")
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"heterohadoop/internal/units"
@@ -9,7 +10,7 @@ import (
 
 func TestMeasureAllWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
-		m, err := Measure(w, Options{})
+		m, err := Measure(context.Background(), w, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
@@ -32,7 +33,7 @@ func TestMeasureAllWorkloads(t *testing.T) {
 // re-calibrated.
 func TestSpecsMatchMeasurements(t *testing.T) {
 	for _, w := range workloads.All() {
-		m, err := Measure(w, Options{Size: 128 * units.KB, BlockSize: 32 * units.KB})
+		m, err := Measure(context.Background(), w, Options{Size: 128 * units.KB, BlockSize: 32 * units.KB})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
@@ -43,7 +44,7 @@ func TestSpecsMatchMeasurements(t *testing.T) {
 }
 
 func TestMeasureDefaultsApplied(t *testing.T) {
-	m, err := Measure(workloads.NewWordCount(), Options{})
+	m, err := Measure(context.Background(), workloads.NewWordCount(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestMeasureDefaultsApplied(t *testing.T) {
 }
 
 func TestSmallSortBufferRaisesSpills(t *testing.T) {
-	base, err := Measure(workloads.NewWordCount(), Options{})
+	base, err := Measure(context.Background(), workloads.NewWordCount(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilly, err := Measure(workloads.NewWordCount(), Options{SortBuffer: 2 * units.KB})
+	spilly, err := Measure(context.Background(), workloads.NewWordCount(), Options{SortBuffer: 2 * units.KB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestCheckSpecToleranceLogic(t *testing.T) {
 
 func TestMeasurementStable(t *testing.T) {
 	// Same seed and options: identical dataflow.
-	a, err := Measure(workloads.NewTeraSort(), Options{Seed: 5})
+	a, err := Measure(context.Background(), workloads.NewTeraSort(), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(workloads.NewTeraSort(), Options{Seed: 5})
+	b, err := Measure(context.Background(), workloads.NewTeraSort(), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestMeasurementStable(t *testing.T) {
 // draft a spec from the measurement, and get something valid that the
 // simulator accepts and that mirrors the traced dataflow.
 func TestDraftSpec(t *testing.T) {
-	m, err := Measure(workloads.NewWordCount(), Options{Size: 128 * units.KB, BlockSize: 32 * units.KB})
+	m, err := Measure(context.Background(), workloads.NewWordCount(), Options{Size: 128 * units.KB, BlockSize: 32 * units.KB})
 	if err != nil {
 		t.Fatal(err)
 	}

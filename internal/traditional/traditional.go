@@ -1,11 +1,10 @@
 // Package traditional provides the non-Hadoop baselines of the paper's
 // Figs 1-2: suite-average profiles standing in for SPEC CPU2006 (single-
 // threaded CPU/memory stress) and PARSEC 2.1 (parallel shared-memory
-// kernels), plus small real compute kernels used to sanity-check the
-// profiles' character. The paper only uses suite averages (IPC and EDxP
-// ratios), which is what these profiles are calibrated to reproduce in
-// shape: traditional code achieves much higher IPC than Hadoop on both
-// cores, and the big core's advantage is larger on traditional code.
+// kernels). The paper only uses suite averages (IPC and EDxP ratios),
+// which is what these profiles are calibrated to reproduce in shape:
+// traditional code achieves much higher IPC than Hadoop on both cores, and
+// the big core's advantage is larger on traditional code.
 package traditional
 
 import (

@@ -1,7 +1,6 @@
 package traditional
 
 import (
-	"math"
 	"testing"
 
 	"heterohadoop/internal/cpu"
@@ -101,53 +100,5 @@ func TestMeasureRejectsBadFrequency(t *testing.T) {
 func TestSuiteString(t *testing.T) {
 	if SPEC.String() != "spec2006" || PARSEC.String() != "parsec2.1" {
 		t.Error("suite names wrong")
-	}
-}
-
-func TestMatMulCorrectness(t *testing.T) {
-	// 2x2 hand-checked: a = [[0.5,1.5],[2.5,3.5]], b = [[-1.5,-0.5],[0.5,1.5]].
-	got, err := MatMul(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// c00 = 0.5*-1.5 + 1.5*0.5 = 0; c11 = 2.5*-0.5 + 3.5*1.5 = 4; trace = 4.
-	if math.Abs(got-4) > 1e-12 {
-		t.Errorf("MatMul(2) trace = %v, want 4", got)
-	}
-	if _, err := MatMul(0); err == nil {
-		t.Error("zero size accepted")
-	}
-}
-
-func TestMatMulDeterministic(t *testing.T) {
-	a, _ := MatMul(40)
-	b, _ := MatMul(40)
-	if a != b {
-		t.Error("MatMul not deterministic")
-	}
-}
-
-func TestKMeansStep(t *testing.T) {
-	moved, err := KMeansStep(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved <= 0 || math.IsNaN(moved) {
-		t.Errorf("centroid displacement = %v, want positive", moved)
-	}
-	if _, err := KMeansStep(-1); err == nil {
-		t.Error("negative size accepted")
-	}
-}
-
-func TestKernelsRegistry(t *testing.T) {
-	ks := Kernels()
-	if len(ks) != 2 {
-		t.Fatalf("got %d kernels, want 2", len(ks))
-	}
-	for _, k := range ks {
-		if _, err := k.Run(16); err != nil {
-			t.Errorf("%s failed: %v", k.Name, err)
-		}
 	}
 }

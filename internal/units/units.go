@@ -4,10 +4,7 @@
 // compile time (a Joule never silently becomes a Watt).
 package units
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Bytes is a data size in bytes.
 type Bytes int64
@@ -22,9 +19,6 @@ const (
 
 // MegaBytes returns the size in binary megabytes.
 func (b Bytes) MegaBytes() float64 { return float64(b) / float64(MB) }
-
-// GigaBytes returns the size in binary gigabytes.
-func (b Bytes) GigaBytes() float64 { return float64(b) / float64(GB) }
 
 // String formats the size with a binary-prefix unit.
 func (b Bytes) String() string {
@@ -45,11 +39,8 @@ func (b Bytes) String() string {
 // Hertz is a clock frequency in cycles per second.
 type Hertz float64
 
-// Common frequency units.
-const (
-	MHz Hertz = 1e6
-	GHz Hertz = 1e9
-)
+// GHz is the frequency unit the DVFS points are given in.
+const GHz Hertz = 1e9
 
 // GigaHertz returns the frequency in GHz.
 func (h Hertz) GigaHertz() float64 { return float64(h) / float64(GHz) }
@@ -58,11 +49,8 @@ func (h Hertz) GigaHertz() float64 { return float64(h) / float64(GHz) }
 func (h Hertz) String() string { return fmt.Sprintf("%.1fGHz", h.GigaHertz()) }
 
 // Seconds is a duration in seconds. A plain float keeps the discrete-event
-// arithmetic simple; convert to time.Duration only at presentation edges.
+// arithmetic simple.
 type Seconds float64
-
-// Duration converts to a time.Duration (truncated to nanoseconds).
-func (s Seconds) Duration() time.Duration { return time.Duration(float64(s) * float64(time.Second)) }
 
 // String formats the duration in seconds.
 func (s Seconds) String() string { return fmt.Sprintf("%.3fs", float64(s)) }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"regexp"
 
 	"heterohadoop/internal/mapreduce"
@@ -51,7 +50,7 @@ func (m grepMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) err
 
 // Build assembles the search job: match words against the pattern, emit
 // (match, 1), sum with combiner and reducer. (Hadoop's grep example chains
-// a second tiny job to sort matches by frequency; SortByFrequency builds it.)
+// a second tiny job that sorts matches by frequency; it is not built here.)
 func (g *Grep) Build(cfg mapreduce.Config, _ []byte) (mapreduce.Job, error) {
 	return mapreduce.Job{
 		Config:   cfg,
@@ -59,23 +58,4 @@ func (g *Grep) Build(cfg mapreduce.Config, _ []byte) (mapreduce.Job, error) {
 		Combiner: sumReducer(),
 		Reducer:  sumReducer(),
 	}, nil
-}
-
-// SortByFrequency builds grep's second stage: invert (word, count) records
-// into zero-padded (count, word) keys so the shuffle sorts by frequency.
-func (g *Grep) SortByFrequency(cfg mapreduce.Config) mapreduce.Job {
-	mapper := mapreduce.MapperFunc(func(_, line string, emit mapreduce.Emitter) error {
-		var word string
-		var count int
-		if _, err := fmt.Sscanf(line, "%s %d", &word, &count); err != nil {
-			return fmt.Errorf("grep: malformed count line %q: %w", line, err)
-		}
-		emit(fmt.Sprintf("%012d", count), word)
-		return nil
-	})
-	return mapreduce.Job{
-		Config:  cfg,
-		Mapper:  mapper,
-		Reducer: mapreduce.IdentityReducer(),
-	}
 }

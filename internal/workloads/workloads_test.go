@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sort"
 	"strconv"
@@ -41,7 +42,7 @@ func runJob(t *testing.T, job mapreduce.Job, input []byte, blockSize units.Bytes
 	if _, err := store.Write("input", input); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.NewEngine(store).Run(job, "input")
+	res, err := mapreduce.NewEngine(store).RunContext(context.Background(), job, "input")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,39 +245,6 @@ func TestGrepFindsAllMatches(t *testing.T) {
 	}
 }
 
-func TestGrepSortByFrequencyStage(t *testing.T) {
-	g := NewGrep("ou")
-	res, _ := runWorkload(t, g, 8*units.KB, 2*units.KB, 1)
-	// Feed stage-1 output into stage 2.
-	var sb strings.Builder
-	for _, p := range res.Output() {
-		for _, kv := range p {
-			sb.WriteString(kv.Key + " " + kv.Value + "\n")
-		}
-	}
-	store, err := hdfs.NewStore(hdfs.Config{BlockSize: 4 * units.KB, Replication: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Write("stage1", []byte(sb.String())); err != nil {
-		t.Fatal(err)
-	}
-	cfg := mapreduce.DefaultConfig("grep-sort")
-	res2, err := mapreduce.NewEngine(store).Run(g.SortByFrequency(cfg), "stage1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res2.Output()[0]
-	if len(out) == 0 {
-		t.Fatal("empty frequency-sorted output")
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Key < out[i-1].Key {
-			t.Fatalf("frequency order violated at %d", i)
-		}
-	}
-}
-
 func TestNaiveBayesModelLearns(t *testing.T) {
 	nb := NewNaiveBayes()
 	res, _ := runWorkload(t, nb, 64*units.KB, 16*units.KB, 3)
@@ -395,7 +363,7 @@ func TestDistributedFPGrowthMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.NewEngine(store).Run(job, "tx")
+	res, err := mapreduce.NewEngine(store).RunContext(context.Background(), job, "tx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,143 +454,5 @@ func TestSampleCutsErrors(t *testing.T) {
 	}
 	if cuts[0] != "c" {
 		t.Errorf("median cut = %q, want c", cuts[0])
-	}
-}
-
-// TestGrepFullPipeline chains grep's two jobs (search, then sort matches by
-// frequency) through the engine's pipeline support and checks the final
-// frequency order against a direct count.
-func TestGrepFullPipeline(t *testing.T) {
-	g := NewGrep("ou")
-	input := g.Generate(16*units.KB, 3)
-	store, err := hdfs.NewStore(hdfs.Config{BlockSize: 4 * units.KB, Replication: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Write("in", input); err != nil {
-		t.Fatal(err)
-	}
-	stages := []mapreduce.Stage{
-		{Name: "search", Build: func(in []byte) (mapreduce.Job, error) {
-			cfg := mapreduce.DefaultConfig("grep-search")
-			cfg.NumReducers = 2
-			return g.Build(cfg, in)
-		}},
-		{Name: "freqsort", Build: func([]byte) (mapreduce.Job, error) {
-			return g.SortByFrequency(mapreduce.DefaultConfig("grep-sort")), nil
-		}},
-	}
-	res, err := mapreduce.NewEngine(store).RunPipeline(stages, "in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Final.Output()[0]
-	if len(out) == 0 {
-		t.Fatal("empty pipeline output")
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Key < out[i-1].Key {
-			t.Fatalf("frequency order violated at %d", i)
-		}
-	}
-	// The most frequent match must be the word with the highest direct count.
-	counts := map[string]int{}
-	for _, w := range strings.Fields(string(input)) {
-		if strings.Contains(w, "ou") {
-			counts[w]++
-		}
-	}
-	bestWord, bestCount := "", 0
-	for w, n := range counts {
-		if n > bestCount {
-			bestWord, bestCount = w, n
-		}
-	}
-	if got := out[len(out)-1].Value; got != bestWord {
-		t.Errorf("top match = %q, want %q (count %d)", got, bestWord, bestCount)
-	}
-}
-
-func TestGenerateTextWithOptions(t *testing.T) {
-	// Bigger vocabularies produce more distinct words; higher skew fewer.
-	distinct := func(opts TextOptions) int {
-		data, err := GenerateTextWith(64*units.KB, 9, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[string]bool{}
-		for _, w := range strings.Fields(string(data)) {
-			seen[w] = true
-		}
-		return len(seen)
-	}
-	small := DefaultTextOptions()
-	big := DefaultTextOptions()
-	big.Vocabulary = 5000
-	if d1, d2 := distinct(small), distinct(big); d2 <= d1 {
-		t.Errorf("5000-word vocabulary produced %d distinct vs %d for default", d2, d1)
-	}
-	flat := DefaultTextOptions()
-	flat.Vocabulary = 5000
-	flat.ZipfS = 1.01
-	steep := flat
-	steep.ZipfS = 3.0
-	if df, ds := distinct(flat), distinct(steep); ds >= df {
-		t.Errorf("steeper skew produced %d distinct vs %d for flat", ds, df)
-	}
-	// Option validation.
-	bad := DefaultTextOptions()
-	bad.Vocabulary = 0
-	if _, err := GenerateTextWith(units.KB, 1, bad); err == nil {
-		t.Error("zero vocabulary accepted")
-	}
-	bad = DefaultTextOptions()
-	bad.ZipfS = 1.0
-	if _, err := GenerateTextWith(units.KB, 1, bad); err == nil {
-		t.Error("Zipf exponent 1.0 accepted")
-	}
-	bad = DefaultTextOptions()
-	bad.MaxWords = bad.MinWords - 1
-	if _, err := GenerateTextWith(units.KB, 1, bad); err == nil {
-		t.Error("inverted sentence bounds accepted")
-	}
-}
-
-func TestGenerateTransactionsWithOptions(t *testing.T) {
-	opts := DefaultTransactionOptions()
-	opts.Patterns = [][]int{{7, 8, 9}}
-	opts.PatternProbability = 0.9
-	opts.MaxNoise = 0
-	data, err := GenerateTransactionsWith(4*units.KB, 21, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the pattern at 90% and no noise, {7,8,9} must dominate.
-	var txs [][]string
-	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-		txs = append(txs, strings.Fields(line))
-	}
-	pats := MineTransactions(txs, len(txs)/2)
-	keys := map[string]bool{}
-	for _, p := range pats {
-		keys[p.Key()] = true
-	}
-	if !keys["i007,i008,i009"] {
-		t.Errorf("dominant pattern not mined; got %d patterns", len(pats))
-	}
-	bad := DefaultTransactionOptions()
-	bad.Patterns = [][]int{{999}}
-	if _, err := GenerateTransactionsWith(units.KB, 1, bad); err == nil {
-		t.Error("out-of-universe pattern item accepted")
-	}
-	bad = DefaultTransactionOptions()
-	bad.PatternProbability = 1.5
-	if _, err := GenerateTransactionsWith(units.KB, 1, bad); err == nil {
-		t.Error("probability > 1 accepted")
-	}
-	bad = DefaultTransactionOptions()
-	bad.Items = 1
-	if _, err := GenerateTransactionsWith(units.KB, 1, bad); err == nil {
-		t.Error("single-item universe accepted")
 	}
 }
