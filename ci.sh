@@ -173,10 +173,12 @@ go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapReru
 go test -race -run 'FuzzStringVsArenaParity' .
 
 # Output-path parity suite, spotlighted the same way: the map-side sort
-# against its stable-sort oracle, the passthrough identity reduce, the
-# collector's arrival-order property, the merge-based SortedOutput and the
-# Result gob wire round-trip.
-go test -race -run 'TestSortMetaMatchesStableSort|TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
+# against its stable-sort oracle, the one merge against its own oracle and
+# its aliasing contract over resident, single-frame and readahead-ring runs,
+# the passthrough identity reduce, the reduce-side spill-read accounting,
+# the collector's arrival-order property, the merge-based SortedOutput and
+# the Result gob wire round-trip.
+go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
 
 # Fuzz lane: everything above runs only the fuzz targets' seed corpora;
 # here each target mutates for ten seconds (go test -fuzz takes one target

@@ -230,9 +230,12 @@ func TestHadoopsimTraceReplay(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^run ` + wl + ` \(epoch 0\): energy \S+ J, edp \S+ J·s over `).MatchString(out) {
 			t.Errorf("%s as %s: no per-run energy line:\n%s", wl, class, out)
 		}
+		// Every paper bucket is priced. Shuffle alone may price at zero: these
+		// map tasks spill once, so there is no map-side merge, and the
+		// reduce-side merge rides the reduce interval (DESIGN §13).
 		for _, bucket := range []string{"map", "sort", "shuffle", "reduce"} {
 			m := regexp.MustCompile(`(?m)^  energy ` + bucket + ` +(\S+) J`).FindStringSubmatch(out)
-			if m == nil || m[1] == "0.000000" {
+			if m == nil || (m[1] == "0.000000" && bucket != "shuffle") {
 				t.Errorf("%s as %s: no joules attributed to %s:\n%s", wl, class, bucket, out)
 			}
 		}

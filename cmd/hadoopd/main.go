@@ -203,7 +203,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		if _, err := w.Write(mapreduce.MaterializeOutput(&res)); err != nil {
+		if err := res.MaterializeOutputTo(w); err != nil {
 			fatal(err)
 		}
 	default:

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/rpc"
@@ -70,13 +71,20 @@ func startWorker(t *testing.T, m *Master, id string, opts ...Option) *Worker {
 	return w
 }
 
-// startCluster brings up a master and n looping workers on loopback.
+// startCluster brings up a master and n looping workers on loopback, and
+// returns once the master has seen all of them: a worker registers with its
+// first GetTask, which a fast job could otherwise finish ahead of.
 func startCluster(t *testing.T, n int, opts ...Option) (*Master, []*Worker) {
 	t.Helper()
 	m := startMaster(t, opts...)
 	workers := make([]*Worker, n)
 	for i := range workers {
 		workers[i] = startWorker(t, m, "worker-"+strconv.Itoa(i))
+	}
+	for deadline := time.Now().Add(jobDeadline); m.Stats().Workers < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("master saw %d of %d workers after %v: %+v", m.Stats().Workers, n, jobDeadline, m.Stats())
+		}
 	}
 	return m, workers
 }
@@ -109,6 +117,16 @@ func submitWait(t *testing.T, m *Master, desc JobDescriptor, input []byte, block
 		t.Fatal(err)
 	}
 	return waitJob(t, h, jobDeadline)
+}
+
+// outputBytes renders a result's output lines, partitions in order.
+func outputBytes(t *testing.T, res *mapreduce.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.MaterializeOutputTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func outputCounts(t *testing.T, res *mapreduce.Result) map[string]int {

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -361,7 +360,7 @@ func TestChaosMultiTenantRecovery(t *testing.T) {
 		ms := startMaster(t, WithTaskTimeout(10*time.Second))
 		ws := startWorker(t, ms, "serial")
 		for i, cj := range jobs {
-			serial[i] = mapreduce.MaterializeOutput(submitWait(t, ms, cj.desc, cj.input, 4*1024))
+			serial[i] = outputBytes(t, submitWait(t, ms, cj.desc, cj.input, 4*1024))
 		}
 		ws.Close()
 		ms.Close()
@@ -416,7 +415,7 @@ func TestChaosMultiTenantRecovery(t *testing.T) {
 			}
 			h = h2
 		}
-		if got := mapreduce.MaterializeOutput(waitJob(t, h, 120*time.Second)); !bytes.Equal(got, serial[i]) {
+		if got := outputBytes(t, waitJob(t, h, 120*time.Second)); !bytes.Equal(got, serial[i]) {
 			t.Errorf("job %s output differs from the serial run (%d vs %d bytes)",
 				h.ID(), len(got), len(serial[i]))
 		}

@@ -157,6 +157,12 @@ func (a *arena) appendBytes(key, value []byte) {
 	a.meta = append(a.meta, recMeta{off: off, keyLen: uint32(len(key)), valLen: uint32(len(value))})
 }
 
+// sink is appendBytes in the shape the merge and the reduce loop emit into.
+func (a *arena) sink(key, value []byte) error {
+	a.appendBytes(key, value)
+	return nil
+}
+
 // reset empties the arena, keeping its capacity.
 func (a *arena) reset() {
 	a.data = a.data[:0]

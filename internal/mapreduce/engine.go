@@ -136,7 +136,7 @@ func (in inputSource) window(split splitRange, pc phaseClock, bufs *taskBufs) ([
 // highest, which made parallel runs regrow multi-hundred-MB emit arenas
 // once per task.
 type taskBufs struct {
-	emit    arena       // map-side sort buffer; reduce-side output arena
+	emit    arena       // map-side sort buffer
 	sort    sortScratch // sortMeta's table, groups and scatter buffer
 	scratch arena       // combiner output scratch
 	partIds []int32     // spill partition-id scratch
@@ -371,7 +371,7 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 		return &Result{Counters: total}, err
 	}
 	if mapOnly {
-		return newResultRuns(mapOut, total), nil
+		return &Result{Counters: total, parts: mapOut}, nil
 	}
 
 	// ---- Reduce wave: one task per partition, over its runs in task order.
@@ -379,7 +379,7 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 	output := make([]partRun, nparts)
 	redErr := make([]error, nparts)
 	redCounters := make([]Counters, nparts)
-	ctxErr = wave(ctx, slots, nparts, func(p int, bufs *taskBufs) {
+	ctxErr = wave(ctx, slots, nparts, func(p int, _ *taskBufs) {
 		taskID := fmt.Sprintf("%s/reduce-%d", name, p)
 		runs, folds, err := sh.partition(p)
 		if err != nil {
@@ -390,13 +390,7 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 			if js != nil {
 				return reduceToFile(job, js.outPath(p), runs, pcs[p])
 			}
-			segs := make([]Segment, 0, len(runs))
-			for _, r := range runs {
-				if r.seg.Len() > 0 {
-					segs = append(segs, r.seg)
-				}
-			}
-			seg, tc, err := runReduceTask(job, segs, pcs[p], bufs)
+			seg, tc, err := reduceToSegment(job, runs, pcs[p])
 			return memRun(seg), tc, err
 		})
 		if err != nil {
@@ -410,7 +404,7 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 	if err := finish(redCounters, redErr, ctxErr); err != nil {
 		return &Result{Counters: total}, err
 	}
-	return newResultRuns(output, total), nil
+	return &Result{Counters: total, parts: output}, nil
 }
 
 // reduceToFile streams one partition's reduce output into a
@@ -614,28 +608,20 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 	passes := mergePasses(len(spills), job.Config.MergeFactor)
 	c.MergePasses += passes
 	c.MergeBytes += c.SpilledBytes * units.Bytes(passes)
-	anyDisk := false
-	for _, sp := range spills {
-		anyDisk = anyDisk || sp[0].isDisk()
-	}
-	if !anyDisk {
-		out := make([]partRun, nparts)
-		for p := range out {
-			segs := make([]Segment, 0, len(spills))
-			for _, sp := range spills {
-				if sp[p].seg.Len() > 0 {
-					segs = append(segs, sp[p].seg)
-				}
-			}
-			out[p] = memRun(mergeSegs(segs))
+	// One merge, two sinks. A task whose spills all stayed resident merges
+	// them into exactly sized arenas, one per partition.
+	if c.SpillFilesWritten == 0 {
+		out, err := mergeToSegments(spills)
+		if err != nil {
+			return nil, c, fmt.Errorf("mapreduce: %s: merge output: %w", job.Config.Name, err)
 		}
 		pc.Emit(obs.PhaseMergeFetch, tMerge)
 		return out, c, nil
 	}
-	// External merge: consolidate to at most MergeFactor spills in real
-	// rounds, then stream every remaining spill's partition runs — resident
-	// and on-disk alike, in spill order, so the stable merge is
-	// byte-identical to the in-memory path — into one output file.
+	// Once a spill went to a file the sink is one more file: consolidate to
+	// at most MergeFactor spills in real rounds, then stream every remaining
+	// spill's partition runs — resident and on-disk alike, in spill order, so
+	// the output is byte-identical to the arena sink's — into it.
 	spills, _, _, err = consolidate(spills, job.Config.MergeFactor, js.mapInterPrefix(task), true, pc, obs.PhaseMergeFetch, &c)
 	if err != nil {
 		return nil, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, err)
@@ -757,86 +743,6 @@ func combineInto(job Job, sorted Segment, out *arena, c *Counters, sc *sortScrat
 		sortMeta(out.data, out.meta, sc)
 	}
 	return nil
-}
-
-// runReduceTask merges the sorted shuffle segments for one partition and
-// applies the reducer per key group.
-func runReduceTask(job Job, segments []Segment, pc phaseClock, bufs *taskBufs) (Segment, Counters, error) {
-	tMerge := pc.Start()
-	merged := mergeSegs(segments)
-	pc.Emit(obs.PhaseMergeFetch, tMerge)
-	return reduceMerged(job, merged, pc, bufs)
-}
-
-// reduceMerged applies the reducer per key group over one partition's fully
-// merged record stream, emitting into the slot's flat arena — no per-record
-// KV or string is allocated; the returned segment costs two allocations
-// regardless of record count.
-//
-// Identity reducers that declare themselves via PassthroughReducer skip the
-// group loop entirely when no Grouping comparator is installed: their
-// output IS the merged input, returned as-is with zero copies (mergeSegs
-// always hands back a freshly built segment, so ownership transfer is
-// safe). Counters match the group loop exactly — groups are counted with
-// one adjacent-equality scan.
-func reduceMerged(job Job, merged Segment, pc phaseClock, bufs *taskBufs) (Segment, Counters, error) {
-	var c Counters
-	n := merged.Len()
-	c.ReduceInputRecords = int64(n)
-	tReduce := pc.Start()
-	defer func() { pc.Emit(obs.PhaseReduce, tReduce) }()
-
-	if pr, ok := job.Reducer.(PassthroughReducer); ok && pr.Passthrough() && job.Grouping == nil {
-		for i := 0; i < n; i = merged.groupEnd(i) {
-			c.ReduceInputGroups++
-		}
-		c.ReduceOutputRecords = int64(n)
-		c.ReduceOutputBytes = merged.Bytes()
-		return merged, c, nil
-	}
-
-	out := &bufs.emit
-	out.reset()
-	defer out.reset()
-	emit := ByteEmitter(func(k, v []byte) {
-		out.appendBytes(k, v)
-		c.ReduceOutputRecords++
-		c.ReduceOutputBytes += units.Bytes(len(k) + len(v) + recordOverhead)
-	})
-	var it ValueIter // one per task, not per group: &it escapes into the call
-	for i := 0; i < n; {
-		// Find the group's end: exact key equality on bytes, unless a
-		// Grouping comparator is set. Comparators are a string contract
-		// (secondary sort), so the group leader is materialized once per
-		// group and probe strings are reused across bytes-equal consecutive
-		// records.
-		j := i + 1
-		if job.Grouping == nil {
-			j = merged.groupEnd(i)
-		} else {
-			leader := string(merged.key(i))
-			var probeB []byte
-			var probe string
-			for j < n {
-				kj := merged.key(j)
-				if probeB == nil || !bytes.Equal(kj, probeB) {
-					probe = string(kj)
-					probeB = kj
-				}
-				if !job.Grouping(probe, leader) {
-					break
-				}
-				j++
-			}
-		}
-		c.ReduceInputGroups++
-		it = ValueIter{seg: merged, i: i, j: j, n: j - i}
-		if err := job.Reducer.ReduceStream(merged.key(i), &it, emit); err != nil {
-			return Segment{}, c, fmt.Errorf("mapreduce: %s: reduce: %w", job.Config.Name, err)
-		}
-		i = j
-	}
-	return out.seg().clone(), c, nil
 }
 
 // mergePasses returns the number of multi-pass merge rounds Hadoop performs

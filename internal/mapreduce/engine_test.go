@@ -419,8 +419,8 @@ func TestMapOnlyJob(t *testing.T) {
 			t.Errorf("par %d: map-only job ran %d reduce tasks, shuffled %d segments",
 				par, res.Counters.ReduceTasks, res.Counters.ShuffleSegments)
 		}
-		if res.NumPartitions() != res.Counters.MapTasks {
-			t.Errorf("par %d: %d output partitions for %d map tasks", par, res.NumPartitions(), res.Counters.MapTasks)
+		if len(res.parts) != res.Counters.MapTasks {
+			t.Errorf("par %d: %d output partitions for %d map tasks", par, len(res.parts), res.Counters.MapTasks)
 		}
 		var words []string
 		for _, p := range res.Output() {
@@ -611,61 +611,6 @@ func kvSegs(runs [][]KV) []Segment {
 	return segs
 }
 
-func TestMergeSegs(t *testing.T) {
-	segs := [][]KV{
-		{{Key: "a"}, {Key: "c"}, {Key: "e"}},
-		{{Key: "b"}, {Key: "c"}, {Key: "f"}},
-		{},
-		{{Key: "a"}},
-	}
-	out := mergeSegs(kvSegs(segs)).KVs()
-	if len(out) != 7 {
-		t.Fatalf("merged %d records, want 7", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Key < out[i-1].Key {
-			t.Fatalf("not sorted at %d: %v", i, out)
-		}
-	}
-	if mergeSegs(nil).Len() != 0 {
-		t.Error("empty merge should be empty")
-	}
-	single := mergeSegs(kvSegs([][]KV{{{Key: "z"}}})).KVs()
-	if len(single) != 1 || single[0].Key != "z" {
-		t.Errorf("single-segment merge = %v", single)
-	}
-}
-
-func TestMergeSegsProperty(t *testing.T) {
-	f := func(seed int64, nsegs uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nsegs%6) + 1
-		segs := make([][]KV, n)
-		total := 0
-		for i := range segs {
-			m := rng.Intn(20)
-			total += m
-			for j := 0; j < m; j++ {
-				segs[i] = append(segs[i], KV{Key: fmt.Sprintf("%04d", rng.Intn(100))})
-			}
-			sort.SliceStable(segs[i], func(a, b int) bool { return segs[i][a].Key < segs[i][b].Key })
-		}
-		out := mergeSegs(kvSegs(segs)).KVs()
-		if len(out) != total {
-			return false
-		}
-		for i := 1; i < len(out); i++ {
-			if out[i].Key < out[i-1].Key {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHashPartitionerInRangeAndDeterministic(t *testing.T) {
 	p := HashPartitioner()
 	f := func(key string, nRaw uint8) bool {
@@ -736,7 +681,7 @@ func TestMaterializeOutput(t *testing.T) {
 		{{Key: "a", Value: "1"}},
 		{{Key: "b", Value: ""}, {Key: "c", Value: "3"}},
 	}, Counters{})
-	got := string(MaterializeOutput(res))
+	got := string(materialized(t, res))
 	want := "a\t1\nb\nc\t3\n"
 	if got != want {
 		t.Errorf("materialized = %q, want %q", got, want)

@@ -9,18 +9,22 @@ import (
 	"heterohadoop/internal/units"
 )
 
-// extmerge.go is the out-of-core counterpart of merge.go: a streaming
-// k-way merge over sorted runs that live either in memory (arena Segments)
-// or on disk (segment-file partitions), reading disk runs one frame at a
-// time instead of materializing them. The loser tree mirrors merge.go's —
-// alive before exhausted, then key bytes, then slot — so feeding runs in
-// the same order the in-memory path would merge them yields byte-identical
-// output: stable merging is associative over adjacent runs, frames are
-// contiguous chunks of a sorted run, and slot order preserves the original
-// record order among equal keys.
+// extmerge.go is the engine's one k-way merge: a streaming stable merge
+// over sorted runs that live either in memory (arena Segments) or on disk
+// (segment-file partitions, read one frame at a time, never materialized).
+// One loser tree orders the runs' cursors — alive before exhausted, then key
+// bytes (bytes.Compare is Go's string ordering), then slot — so merging runs
+// in map-task order reproduces Hadoop's stable shuffle order exactly, and the
+// output is the same bytes wherever a run sits: stable merging is associative
+// over adjacent runs, frames are contiguous chunks of a sorted run, and slot
+// order preserves the original record order among equal keys. All tree state
+// is flat int32 indices over a value slice of cursors; there is no pool,
+// because a merge's allocations are its cursors, sized by its fan-in.
 
 // partRun is one sorted run of one partition: an in-memory segment when
-// file is nil, otherwise partition part of an on-disk segment file.
+// file is nil, otherwise partition part of an on-disk segment file. Where
+// the bytes live is this type's business: consumers open a frameSource and
+// see the same record stream either way.
 type partRun struct {
 	seg  Segment
 	file *SegmentFile
@@ -30,10 +34,20 @@ type partRun struct {
 // memRun wraps an in-memory segment.
 func memRun(seg Segment) partRun { return partRun{seg: seg} }
 
+// memRuns wraps resident segments as runs, in slot order.
+func memRuns(segs []Segment) []partRun {
+	runs := make([]partRun, len(segs))
+	for i, s := range segs {
+		runs[i] = memRun(s)
+	}
+	return runs
+}
+
 // diskRun wraps one partition of a segment file.
 func diskRun(f *SegmentFile, part int) partRun { return partRun{file: f, part: part} }
 
-// isDisk reports whether the run lives on disk.
+// isDisk reports whether the run lives on disk — for the policies that
+// budget resident bytes or bound open files, never for reading records.
 func (r partRun) isDisk() bool { return r.file != nil }
 
 // recs returns the run's record count without touching record data.
@@ -53,63 +67,51 @@ func (r partRun) accountBytes() units.Bytes {
 	return r.seg.Bytes()
 }
 
-// materialize loads the run into one in-memory segment. For disk runs it
-// returns the stored bytes read alongside, for spill-read accounting.
-func (r partRun) materialize() (Segment, int64, error) {
-	if r.file == nil {
-		return r.seg, 0, nil
+// open returns the run's frames in order: a resident run is one frame, its
+// segment; a file run is read back frame by frame.
+func (r partRun) open() (frameSource, error) {
+	if r.file != nil {
+		return r.file.openFrameSource(r.part)
 	}
-	src, err := r.file.openFrameSource(r.part)
-	if err != nil {
-		return Segment{}, 0, err
-	}
-	defer src.close()
-	var a arena
-	pm := &r.file.parts[r.part]
-	a.grow(int(pm.rawPayload), int(pm.recs))
-	for {
-		seg, err := src.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Segment{}, src.storedBytesRead(), err
-		}
-		for i, n := 0, seg.Len(); i < n; i++ {
-			a.appendBytes(seg.key(i), seg.val(i))
-		}
-	}
-	return a.seg(), src.storedBytesRead(), nil
+	return &residentSource{seg: r.seg}, nil
 }
 
-// runCursor walks one run record by record. Disk runs resident one
-// decompressed frame at a time; key/val slices of a disk cursor are
-// invalidated when advance crosses a frame boundary.
-type runCursor struct {
-	cur  Segment
-	i    int
-	src  frameSource // nil for in-memory runs
+// residentSource is a resident run's frameSource: its segment, once.
+type residentSource struct {
+	seg  Segment
 	done bool
 }
 
-// openRunCursor positions a cursor at the run's first record. Disk runs get
-// the readahead-pipelined frame source when they span multiple frames, so
-// frame k+1's read, CRC check and inflate overlap the merge draining frame
-// k.
-func openRunCursor(r partRun) (*runCursor, error) {
-	if r.file == nil {
-		return &runCursor{cur: r.seg, done: r.seg.Len() == 0}, nil
+func (s *residentSource) next() (Segment, error) {
+	if s.done {
+		return Segment{}, io.EOF
 	}
-	src, err := r.file.openFrameSource(r.part)
-	if err != nil {
-		return nil, err
+	s.done = true
+	return s.seg, nil
+}
+func (s *residentSource) storedBytesRead() int64 { return 0 }
+func (s *residentSource) close() error           { return nil }
+
+// materialize returns the run as one in-memory segment. A file run is read
+// into an exactly sized arena on first use and stays resident from then on.
+func (r *partRun) materialize() (Segment, error) {
+	if r.file != nil {
+		seg, err := mergeToSegment([]partRun{*r})
+		if err != nil {
+			return Segment{}, err
+		}
+		*r = memRun(seg)
 	}
-	c := &runCursor{src: src}
-	if err := c.refill(); err != nil {
-		src.close()
-		return nil, err
-	}
-	return c, nil
+	return r.seg, nil
+}
+
+// runCursor walks one run record by record, one frame resident at a time;
+// key/val slices are invalidated when advance crosses a frame boundary.
+type runCursor struct {
+	cur  Segment
+	i    int
+	src  frameSource
+	done bool
 }
 
 // refill loads the next non-empty frame, marking the cursor done at EOF.
@@ -135,49 +137,64 @@ func (c *runCursor) refill() error {
 func (c *runCursor) key() []byte { return c.cur.key(c.i) }
 func (c *runCursor) val() []byte { return c.cur.val(c.i) }
 
-// advance moves to the next record, refilling from the next frame for disk
-// cursors.
+// advance moves to the next record, refilling from the next frame at the
+// end of the current one.
 func (c *runCursor) advance() error {
 	c.i++
 	if c.i < c.cur.Len() {
 		return nil
 	}
-	if c.src == nil {
-		c.done = true
-		return nil
-	}
 	return c.refill()
 }
 
-// close releases a disk cursor's frame source (and its file handle).
-func (c *runCursor) close() {
-	if c.src != nil {
-		c.src.close()
-	}
-}
-
-// cursorTree is merge.go's loser tree generalized from resident segments
-// to run cursors; see loserTree for the tournament mechanics.
-type cursorTree struct {
-	k    int
+// mergeStream is a pull iterator over the stable k-way merge of a set of
+// runs: a loser tree (tournament tree) over their cursors. node[0] holds the
+// current overall winner; node[1..k-1] hold the losers of the internal
+// matches. Leaf s conceptually sits at position s+k, so its first match is
+// node[(s+k)/2]. Exhausted cursors compare as +infinity.
+//
+// The key/val slices next returns alias the winner's resident frame and stay
+// valid until the following next call: the winner is advanced — which may
+// recycle its frame — at the start of that call, not at the end of this one,
+// so no record is copied on its way through the merge.
+type mergeStream struct {
+	curs []runCursor
 	node []int32
-	curs []*runCursor
+	held bool // the winner's current record was handed out by the last next
 }
 
-func newCursorTree(curs []*runCursor) *cursorTree {
-	t := &cursorTree{k: len(curs), curs: curs, node: make([]int32, len(curs))}
-	for i := range t.node {
-		t.node[i] = -1
+// openMergeStream builds the merge over the runs' non-empty cursors in
+// slot order. Callers must close the stream.
+func openMergeStream(runs []partRun) (*mergeStream, error) {
+	m := &mergeStream{curs: make([]runCursor, 0, len(runs))}
+	for _, r := range runs {
+		if r.recs() == 0 {
+			continue
+		}
+		src, err := r.open()
+		if err == nil {
+			m.curs = append(m.curs, runCursor{src: src})
+			err = m.curs[len(m.curs)-1].refill()
+		}
+		if err != nil {
+			m.close()
+			return nil, err
+		}
 	}
-	for s := t.k - 1; s >= 0; s-- {
-		t.seed(int32(s))
+	m.node = make([]int32, len(m.curs))
+	for i := range m.node {
+		m.node[i] = -1
 	}
-	return t
+	for s := len(m.curs) - 1; s >= 0; s-- {
+		m.seed(int32(s))
+	}
+	return m, nil
 }
 
-// less orders cursors: alive before exhausted, then key bytes, then slot.
-func (t *cursorTree) less(a, b int32) bool {
-	ca, cb := t.curs[a], t.curs[b]
+// less orders cursors: alive before exhausted, then key bytes, then slot
+// (stability across runs).
+func (m *mergeStream) less(a, b int32) bool {
+	ca, cb := &m.curs[a], &m.curs[b]
 	if ca.done {
 		return false
 	}
@@ -190,117 +207,75 @@ func (t *cursorTree) less(a, b int32) bool {
 	return a < b
 }
 
-func (t *cursorTree) seed(s int32) {
+// seed plays leaf s into the partially built tree: it parks at the first
+// empty match slot on the way up, leaving losers behind; exactly one seed
+// reaches the root and becomes the initial winner.
+func (m *mergeStream) seed(s int32) {
 	w := s
-	for j := (int(s) + t.k) / 2; j > 0; j /= 2 {
-		if t.node[j] == -1 {
-			t.node[j] = w
+	for j := (int(s) + len(m.curs)) / 2; j > 0; j /= 2 {
+		if m.node[j] == -1 {
+			m.node[j] = w
 			return
 		}
-		if t.less(t.node[j], w) {
-			t.node[j], w = w, t.node[j]
+		if m.less(m.node[j], w) {
+			m.node[j], w = w, m.node[j]
 		}
 	}
-	t.node[0] = w
+	m.node[0] = w
 }
 
 // fix replays cursor w's matches up the tree after it advanced.
-func (t *cursorTree) fix(w int32) {
-	for j := (int(w) + t.k) / 2; j > 0; j /= 2 {
-		if t.less(t.node[j], w) {
-			t.node[j], w = w, t.node[j]
+func (m *mergeStream) fix(w int32) {
+	for j := (int(w) + len(m.curs)) / 2; j > 0; j /= 2 {
+		if m.less(m.node[j], w) {
+			m.node[j], w = w, m.node[j]
 		}
 	}
-	t.node[0] = w
-}
-
-// mergeStream is a pull iterator over the stable k-way merge of a set of
-// runs. The key/val slices it returns are valid until the following next
-// call (disk-backed records are copied through scratch before their source
-// frame can be refilled).
-type mergeStream struct {
-	curs []*runCursor
-	tree *cursorTree // nil when 0 or 1 live cursors
-	kbuf []byte
-	vbuf []byte
-}
-
-// openMergeStream builds the merge over the runs' non-empty cursors in
-// slot order. Callers must close the stream.
-func openMergeStream(runs []partRun) (*mergeStream, error) {
-	m := &mergeStream{}
-	for _, r := range runs {
-		if r.recs() == 0 {
-			continue
-		}
-		c, err := openRunCursor(r)
-		if err != nil {
-			m.close()
-			return nil, err
-		}
-		m.curs = append(m.curs, c)
-	}
-	if len(m.curs) >= 2 {
-		m.tree = newCursorTree(m.curs)
-	}
-	return m, nil
+	m.node[0] = w
 }
 
 // next returns the next merged record, or io.EOF when the merge is
 // exhausted.
 func (m *mergeStream) next() (k, v []byte, err error) {
-	var w *runCursor
-	var wi int32
-	switch {
-	case m.tree != nil:
-		wi = m.tree.node[0]
-		w = m.curs[wi]
-	case len(m.curs) == 1:
-		w = m.curs[0]
-	default:
+	if len(m.curs) == 0 {
 		return nil, nil, io.EOF
 	}
-	if w.done {
+	if m.held {
+		w := m.node[0]
+		if err := m.curs[w].advance(); err != nil {
+			return nil, nil, err
+		}
+		m.fix(w)
+	}
+	c := &m.curs[m.node[0]]
+	m.held = !c.done
+	if c.done {
 		return nil, nil, io.EOF
 	}
-	k, v = w.key(), w.val()
-	if w.src != nil {
-		// Advancing may refill the frame scratch these alias.
-		m.kbuf = append(m.kbuf[:0], k...)
-		m.vbuf = append(m.vbuf[:0], v...)
-		k, v = m.kbuf, m.vbuf
-	}
-	if err := w.advance(); err != nil {
-		return nil, nil, err
-	}
-	if m.tree != nil {
-		m.tree.fix(wi)
-	}
-	return k, v, nil
+	return c.key(), c.val(), nil
 }
 
-// diskBytesRead sums the stored bytes the stream's disk cursors consumed.
+// diskBytesRead sums the stored bytes the stream's cursors consumed from
+// segment files.
 func (m *mergeStream) diskBytesRead() int64 {
 	var n int64
-	for _, c := range m.curs {
-		if c.src != nil {
-			n += c.src.storedBytesRead()
-		}
+	for i := range m.curs {
+		n += m.curs[i].src.storedBytesRead()
 	}
 	return n
 }
 
-// close releases every cursor's file handle.
+// close releases every cursor's frame source (and its file handle).
 func (m *mergeStream) close() {
-	for _, c := range m.curs {
-		c.close()
+	for i := range m.curs {
+		m.curs[i].src.close()
 	}
 }
 
 // mergeRunsTo streams the stable merge of runs into emit, record by
-// record, and returns the stored disk bytes read — the external-merge
-// workhorse behind map-side spill consolidation and collector pressure
-// folds.
+// record, and returns the stored disk bytes read — the one merge behind the
+// map-side final merge, spill consolidation, collector pressure folds and
+// SortedOutput.
 func mergeRunsTo(runs []partRun, emit func(k, v []byte) error) (int64, error) {
 	ms, err := openMergeStream(runs)
 	if err != nil {
@@ -321,6 +296,47 @@ func mergeRunsTo(runs []partRun, emit func(k, v []byte) error) (int64, error) {
 	}
 }
 
+// arenaFor returns an empty arena sized exactly for the runs' records, from
+// their O(1) accounting — the in-memory sink of a merge or a reduce.
+func arenaFor(runs []partRun) *arena {
+	var payload, recs int64
+	for _, r := range runs {
+		recs += r.recs()
+		payload += int64(r.accountBytes()) - recordOverhead*r.recs()
+	}
+	a := new(arena)
+	a.grow(int(payload), int(recs))
+	return a
+}
+
+// mergeToSegment is mergeRunsTo with the in-memory sink: the stable merge of
+// runs as one freshly allocated, exactly sized segment (Hadoop's merge
+// re-writes spill data the same way; the copy is what MergeBytes accounts).
+func mergeToSegment(runs []partRun) (Segment, error) {
+	out := arenaFor(runs)
+	_, err := mergeRunsTo(runs, out.sink)
+	return out.seg(), err
+}
+
+// mergeToSegments is mergeToFile with the in-memory sink: the stable merge of
+// runs (laid out [run][partition], merged in slot order) as one resident run
+// per partition.
+func mergeToSegments(runs [][]partRun) ([]partRun, error) {
+	out := make([]partRun, len(runs[0]))
+	col := make([]partRun, len(runs))
+	for p := range out {
+		for i, r := range runs {
+			col[i] = r[p]
+		}
+		seg, err := mergeToSegment(col)
+		if err != nil {
+			return nil, err
+		}
+		out[p] = memRun(seg)
+	}
+	return out, nil
+}
+
 // fileRuns returns one disk run per partition of sf.
 func fileRuns(sf *SegmentFile) []partRun {
 	runs := make([]partRun, sf.NumPartitions())
@@ -331,36 +347,27 @@ func fileRuns(sf *SegmentFile) []partRun {
 }
 
 // mergeToFile writes the stable merge of runs, partition by partition, into
-// one new segment file at path — the one "merge these runs into a file"
-// routine behind map-side spill consolidation, collector pressure folds and
-// reduce-side merge rounds. runs[i][p] is sorted run i's partition p; every
-// run carries the same partition count and runs are merged in slot order.
-// A partition whose only non-empty run is resident is framed straight from
-// its segment (no merge). The file and the stored disk bytes the merge read
-// are charged to c's spill-file counters; the read bytes are also returned
-// for phase I/O attribution. On error the partial file is removed.
+// one new segment file at path — the merge's file sink, behind the map-side
+// final merge, spill consolidation, collector pressure folds and reduce-side
+// merge rounds. runs[i][p] is sorted run i's partition p; every run carries
+// the same partition count and runs are merged in slot order. The file and
+// the stored disk bytes the merge read are charged to c's spill-file
+// counters; the read bytes are also returned for phase I/O attribution. On
+// error the partial file is removed.
 func mergeToFile(path string, runs [][]partRun, c *Counters) (*SegmentFile, int64, error) {
 	w, err := newSpillWriter(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	var read int64
-	col := make([]partRun, 0, len(runs))
+	col := make([]partRun, len(runs))
 	for p := range runs[0] {
-		col = col[:0]
-		for _, r := range runs {
-			if r[p].recs() > 0 {
-				col = append(col, r[p])
-			}
+		for i, r := range runs {
+			col[i] = r[p]
 		}
 		w.beginPartition()
-		if len(col) == 1 && !col[0].isDisk() {
-			err = w.appendSegment(col[0].seg)
-		} else {
-			var n int64
-			n, err = mergeRunsTo(col, w.append)
-			read += n
-		}
+		n, err := mergeRunsTo(col, w.append)
+		read += n
 		if err == nil {
 			err = w.endPartition()
 		}
@@ -441,29 +448,57 @@ func consolidate(runs [][]partRun, factor int, prefix string, ownInputs bool, pc
 	return runs, made, rounds, nil
 }
 
-// reduceStreamed is reduceMerged over a streaming merge: it applies the
-// reducer per key group as records flow out of the k-way merge, never
-// materializing the merged partition, and hands output records to sink.
-// Counter semantics are identical to reduceMerged (same group counting,
-// same output accounting); spill-file reads are additionally accounted in
-// SpillFileBytesRead and cursor opening is emitted as a spill-read phase.
-func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc phaseClock) (Counters, error) {
-	var c Counters
-	tOpen := pc.Start()
+// reduceToSegment is the in-memory reduce task body: the one reduce loop
+// with an arena as its sink. The arena is sized for the task's input, which
+// is exact for a passthrough reduce — its output is its input, so that case
+// costs one copy per record and nothing else; any other reducer's output is
+// trimmed to its own size at the end.
+func reduceToSegment(job Job, runs []partRun, pc phaseClock) (Segment, Counters, error) {
+	out := arenaFor(runs)
+	c, err := reduceStreamed(job, runs, out.sink, pc)
+	if err != nil {
+		return Segment{}, c, err
+	}
+	seg := out.seg()
+	if len(seg.data) < cap(seg.data) || len(seg.meta) < cap(seg.meta) {
+		seg = seg.clone()
+	}
+	return seg, c, nil
+}
+
+// reduceStreamed is the engine's one reduce loop: it applies the reducer per
+// key group as records flow out of the k-way merge, never materializing the
+// merged partition, and hands output records to sink — an arena in memory
+// (reduceToSegment), a spill writer under SpillDir (reduceToFile). No
+// per-record KV or string is allocated. The merge is folded into the reduce
+// phase interval; when the runs include segment files, opening their cursors
+// (each reads its first frame) is emitted as a spill-read interval ahead of
+// it and every stored byte read is accounted in SpillFileBytesRead.
+//
+// Identity reducers that declare themselves via PassthroughReducer skip the
+// group machinery when no Grouping comparator is installed: each merged
+// record goes straight to the sink. Counters match the group loop exactly —
+// groups are counted by adjacent key equality.
+func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc phaseClock) (c Counters, err error) {
+	tReduce := pc.Start()
 	ms, err := openMergeStream(runs)
 	if err != nil {
 		return c, fmt.Errorf("mapreduce: %s: reduce: opening spill runs: %w", job.Config.Name, err)
 	}
-	defer func() { c.SpillFileBytesRead += units.Bytes(ms.diskBytesRead()) }()
-	defer ms.close()
 	openRead := ms.diskBytesRead()
-	pc.EmitIO(obs.PhaseSpillRead, tOpen, openRead, 0)
-
-	// The deferred reduce emit runs before ms.close (defers unwind LIFO),
-	// so diskBytesRead is still valid; the reduce phase is credited with
-	// the disk bytes the merge pulled after cursor opening.
-	tReduce := pc.Start()
-	defer func() { pc.EmitIO(obs.PhaseReduce, tReduce, ms.diskBytesRead()-openRead, 0) }()
+	if openRead > 0 {
+		pc.EmitIO(obs.PhaseSpillRead, tReduce, openRead, 0)
+		tReduce = pc.Start()
+	}
+	// The reduce phase is credited with the disk bytes the merge pulled after
+	// cursor opening; the counter takes them all. c is the named result, so
+	// the accounting lands in what the caller receives on every return path.
+	defer func() {
+		read := ms.diskBytesRead()
+		ms.close()
+		c.SpillFileBytesRead += units.Bytes(read)
+		pc.EmitIO(obs.PhaseReduce, tReduce, read-openRead, 0)
+	}()
 
 	if pr, ok := job.Reducer.(PassthroughReducer); ok && pr.Passthrough() && job.Grouping == nil {
 		var prev []byte

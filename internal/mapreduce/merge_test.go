@@ -1,0 +1,198 @@
+package mapreduce
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+	"testing/quick"
+	"unsafe"
+)
+
+// stableMergeOracle is the reference every merge test holds the engine's one
+// merge to, and shares no code with it: concatenate the runs in slot order,
+// then stable-sort by key.
+func stableMergeOracle(runs []Segment) []KV {
+	var out []KV
+	for _, r := range runs {
+		out = append(out, r.KVs()...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+func TestMergeSegs(t *testing.T) {
+	segs := kvSegs([][]KV{
+		{{Key: "a", Value: "0.0"}, {Key: "c", Value: "0.1"}, {Key: "e", Value: "0.2"}},
+		{{Key: "b", Value: "1.0"}, {Key: "c", Value: "1.1"}, {Key: "f", Value: "1.2"}},
+		{},
+		{{Key: "a", Value: "3.0"}},
+	})
+	if got, want := drainRuns(t, memRuns(segs)), stableMergeOracle(segs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge = %v, want %v", got, want)
+	}
+	if got := drainRuns(t, nil); len(got) != 0 {
+		t.Errorf("empty merge = %v", got)
+	}
+	// The in-memory sink hands back a fresh, exactly sized copy even of a
+	// single run: the caller owns it.
+	one := kvSegs([][]KV{{{Key: "z", Value: "v"}}})
+	single, err := mergeToSegment(memRuns(one))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(single.KVs(), one[0].KVs()) || &single.data[0] == &one[0].data[0] {
+		t.Errorf("single-run merge = %v (aliases its input: %v)", single.KVs(), &single.data[0] == &one[0].data[0])
+	}
+	if len(single.data) != cap(single.data) || len(single.meta) != cap(single.meta) {
+		t.Errorf("merged segment not exactly sized: data %d/%d, meta %d/%d",
+			len(single.data), cap(single.data), len(single.meta), cap(single.meta))
+	}
+}
+
+func TestMergeSegsProperty(t *testing.T) {
+	f := func(seed int64, nsegs uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		runs := make([][]KV, int(nsegs%6)+1)
+		for i := range runs {
+			for j, m := 0, rng.Intn(20); j < m; j++ {
+				runs[i] = append(runs[i], KV{Key: fmt.Sprintf("%04d", rng.Intn(100)), Value: fmt.Sprintf("%d.%d", i, j)})
+			}
+			sortKVs(runs[i])
+		}
+		segs := kvSegs(runs)
+		got, want := drainRuns(t, memRuns(segs)), stableMergeOracle(segs)
+		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// aliasingRun builds a sorted run of n records whose key+value payload is
+// exactly recBytes each. Keys repeat within the run (two records per key)
+// and across runs (every run draws from the same key range); each value
+// carries its run and index and a fill byte derived from them, so a slice
+// left pointing at recycled frame memory reads back as a different record.
+func aliasingRun(run, n, recBytes int) Segment {
+	kvs := make([]KV, n)
+	for i := range kvs {
+		key := fmt.Sprintf("k%07d", i/2)
+		val := fmt.Appendf(nil, "r%d.%d:", run, i)
+		fill := bytes.Repeat([]byte{byte('a' + (run*7+i)%26)}, recBytes-len(key)-len(val))
+		kvs[i] = KV{Key: key, Value: string(append(val, fill...))}
+	}
+	return SegmentFromKVs(kvs)
+}
+
+// TestMergeStreamAliasing pins the contract the merge's lazy advance rests
+// on: the key/value slices next returns alias the winner's resident frame —
+// no scratch copy — and stay intact until the following next call, for
+// resident runs, single-frame file runs and multi-frame file runs read
+// through the readahead ring (whose goroutine refills freed slots while the
+// consumer holds its record), with duplicate keys across runs and records
+// that end exactly on frame boundaries. Every record is compared only after
+// being held — and the scheduler yielded — right up to the next call, and
+// the sequence must equal the oracle's.
+func TestMergeStreamAliasing(t *testing.T) {
+	const aligned = spillFrameRaw / 16 // 16 records fill a frame to the byte
+	segs := []Segment{
+		aliasingRun(0, 40, 100),        // resident
+		aliasingRun(1, 12, 4096),       // one frame on disk
+		aliasingRun(2, 80, aligned),    // five frames, records end on every frame boundary
+		aliasingRun(3, 9, 300),         // resident
+		aliasingRun(4, 30, 150_000),    // five frames, unaligned
+		aliasingRun(5, 16, aligned),    // exactly one full frame
+		aliasingRun(6, 33, aligned+24), // frames of 16 records, ragged tail
+	}
+	onDisk := map[int]int{1: 1, 2: 5, 4: 5, 5: 1, 6: 3} // run -> frames
+	sf, err := WriteSegmentsFile(filepath.Join(t.TempDir(), "runs.seg"), segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := memRuns(segs)
+	for r, frames := range onDisk {
+		if got := sf.Frames(r); got != frames {
+			t.Fatalf("run %d spans %d frames, want %d — test shape is off", r, got, frames)
+		}
+		runs[r] = diskRun(sf, r)
+	}
+	want := stableMergeOracle(segs)
+
+	ms, err := openMergeStream(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.close()
+	n := 0
+	for {
+		k, v, err := ms.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Key and value are one frame's adjacent bytes, not two scratch copies.
+		if unsafe.Add(unsafe.Pointer(unsafe.SliceData(k)), len(k)) != unsafe.Pointer(unsafe.SliceData(v)) {
+			t.Fatalf("record %d: value does not follow its key in memory — copied out of its frame", n)
+		}
+		// Let the readahead goroutines run while the record is held.
+		runtime.Gosched()
+		if n >= len(want) {
+			t.Fatalf("merge yields more than the oracle's %d records", len(want))
+		}
+		if string(k) != want[n].Key || string(v) != want[n].Value {
+			t.Fatalf("record %d after being held: (%q, %.16q…), want (%q, %.16q…)", n, k, v, want[n].Key, want[n].Value)
+		}
+		n++
+	}
+	if n != len(want) {
+		t.Fatalf("merge yields %d records, oracle %d", n, len(want))
+	}
+	var stored int64
+	for r := range onDisk {
+		for _, fi := range sf.parts[r].frames {
+			stored += int64(fi.storedLen)
+		}
+	}
+	if got := ms.diskBytesRead(); got != stored {
+		t.Errorf("diskBytesRead = %d, want the %d stored bytes of the file runs", got, stored)
+	}
+}
+
+// BenchmarkShuffleMerge measures the engine's k-way merge — the loser tree
+// over pre-sorted resident runs, into the in-memory sink — at the fan-ins the
+// shuffle produces. Compare runs with benchstat over
+// `go test -bench ShuffleMerge -count N`.
+func BenchmarkShuffleMerge(b *testing.B) {
+	const perSegment = 2048
+	for _, k := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("segments-%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			segs := make([]Segment, k)
+			for s := range segs {
+				recs := make([]KV, perSegment)
+				for i := range recs {
+					recs[i] = KV{Key: fmt.Sprintf("key-%06d", rng.Intn(perSegment*4)), Value: "1"}
+				}
+				sortKVs(recs)
+				segs[s] = SegmentFromKVs(recs)
+			}
+			runs := memRuns(segs)
+			b.SetBytes(int64(k * perSegment * 12))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := mergeToSegment(runs)
+				if err != nil || got.Len() != k*perSegment {
+					b.Fatalf("merged %d records (err %v), want %d", got.Len(), err, k*perSegment)
+				}
+			}
+		})
+	}
+}

@@ -237,7 +237,7 @@ func TestCollectorPressureSpill(t *testing.T) {
 				nonEmpty = append(nonEmpty, s)
 			}
 		}
-		want := mergeSegs(nonEmpty).KVs()
+		want := stableMergeOracle(nonEmpty)
 
 		cfg := DefaultConfig("col-pressure")
 		cfg.SpillDir = t.TempDir()
@@ -372,7 +372,7 @@ func consolidateCase(t *testing.T, dir string, n, nparts int, mixed bool) ([][]p
 	}
 	want := make([][]KV, nparts)
 	for p := range want {
-		want[p] = mergeSegs(byPart[p]).KVs()
+		want[p] = stableMergeOracle(byPart[p])
 	}
 	return runs, want
 }
@@ -381,7 +381,7 @@ func consolidateCase(t *testing.T, dir string, n, nparts int, mixed bool) ([][]p
 // directly, in both shapes the engine uses it (one partition for reduce
 // runs, several for map spills): the round count must follow mergePasses
 // (whose last pass is the caller's final merge), the final merge over the
-// returned runs must equal mergeSegs over the original runs in order, the
+// returned runs must equal the oracle merge of the original runs in order, the
 // input slice must come back untouched (a retried attempt replays it), and
 // the only files left are the inputs and the returned last-round
 // intermediates.
@@ -427,7 +427,7 @@ func TestConsolidateRounds(t *testing.T) {
 					col[i] = r[p]
 				}
 				if got := drainRuns(t, col); len(got) != len(want[p]) || (len(got) > 0 && !reflect.DeepEqual(got, want[p])) {
-					t.Fatalf("partition %d: consolidated merge diverges from mergeSegs\ngot  %v\nwant %v", p, got, want[p])
+					t.Fatalf("partition %d: consolidated merge diverges from the oracle\ngot  %v\nwant %v", p, got, want[p])
 				}
 			}
 			// What is on disk: the inputs (unless owned, then only those
@@ -580,5 +580,32 @@ func TestRunFileOutOfCore(t *testing.T) {
 	}
 	if gb, wb := materialized(t, got), materialized(t, want); !bytes.Equal(gb, wb) {
 		t.Fatal("bounded file-backed output differs from in-memory store run")
+	}
+}
+
+// TestReduceSideSpillReadsCounted pins the reduce half of the spill-read
+// accounting. The job is shaped so the reducers' final merges are the only
+// readers of spill files: every map task spills once, straight to a file
+// (no map-side merge re-reads it), and the file runs per reducer stay within
+// MergeFactor (no consolidation round). Every stored byte the map wave wrote
+// is then read exactly once, by the reduce loop's merge.
+func TestReduceSideSpillReadsCounted(t *testing.T) {
+	e := newEngine(t, 8*units.KB, oocInput(1000)) // ~5 map tasks
+	cfg := DefaultConfig("ooc-reduce-reads")
+	cfg.NumReducers = 3
+	cfg.SpillDir = t.TempDir()
+	cfg.SpillMemory = 1 // every spill goes to a file
+	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	c := res.Counters
+	if c.Spills != c.MapTasks || c.SpillFilesWritten != c.MapTasks || c.MergePasses != 0 || c.ReduceMergePasses != 0 {
+		t.Fatalf("test shape is off — want one file spill per map task and no merge rounds: %+v", c)
+	}
+	if c.SpillFileBytesWritten == 0 || c.SpillFileBytesRead != c.SpillFileBytesWritten {
+		t.Fatalf("SpillFileBytesRead = %d, want the %d stored bytes of the runs the reducers opened",
+			c.SpillFileBytesRead, c.SpillFileBytesWritten)
 	}
 }

@@ -39,27 +39,11 @@ type Result struct {
 	closed    bool
 }
 
-// newResult wraps per-partition resident segments and counters,
-// package-internal.
-func newResult(parts []Segment, c Counters) *Result {
-	runs := make([]partRun, len(parts))
-	for i, p := range parts {
-		runs[i] = memRun(p)
-	}
-	return newResultRuns(runs, c)
-}
-
-// newResultRuns wraps per-partition runs (resident or file-backed) and
-// counters, package-internal.
-func newResultRuns(runs []partRun, c Counters) *Result {
-	return &Result{Counters: c, parts: runs}
-}
-
 // NewResult builds a Result from per-partition flat segments — the
 // constructor distributed runtimes use after decoding wire-form reduce
 // outputs. The segments are retained, not copied.
 func NewResult(partitions []Segment, c Counters) *Result {
-	return newResult(partitions, c)
+	return &Result{Counters: c, parts: memRuns(partitions)}
 }
 
 // ResultFromKVs builds a Result from string records, one slice per
@@ -70,11 +54,8 @@ func ResultFromKVs(output [][]KV, c Counters) *Result {
 	for i, p := range output {
 		parts[i] = SegmentFromKVs(p)
 	}
-	return newResult(parts, c)
+	return NewResult(parts, c)
 }
-
-// NumPartitions returns the number of output partitions.
-func (r *Result) NumPartitions() int { return len(r.parts) }
 
 // OutOfCore reports whether the result's partitions are backed by spill
 // files on disk rather than resident memory.
@@ -110,42 +91,7 @@ func (r *Result) Partition(p int) Segment {
 // PartitionSeg is Partition with the read error surfaced instead of
 // panicking.
 func (r *Result) PartitionSeg(p int) (Segment, error) {
-	run := r.parts[p]
-	if !run.isDisk() {
-		return run.seg, nil
-	}
-	seg, _, err := run.materialize()
-	if err != nil {
-		return Segment{}, err
-	}
-	r.parts[p] = memRun(seg) // cache the materialization
-	return seg, nil
-}
-
-// MaterializeOutput renders a result as the "key<TAB>value" lines a
-// follow-up job consumes, partitions concatenated in order. It walks the
-// result's flat segments directly — no per-record string is materialized —
-// and pre-sizes the buffer from the segments' O(1) byte accounting.
-func MaterializeOutput(res *Result) []byte {
-	size := 0
-	for p := 0; p < res.NumPartitions(); p++ {
-		seg := res.Partition(p)
-		// Payload plus worst-case two separator bytes per record.
-		size += len(seg.data) + 2*seg.Len()
-	}
-	buf := make([]byte, 0, size)
-	for p := 0; p < res.NumPartitions(); p++ {
-		seg := res.Partition(p)
-		for i := 0; i < seg.Len(); i++ {
-			buf = append(buf, seg.key(i)...)
-			if v := seg.val(i); len(v) > 0 {
-				buf = append(buf, '\t')
-				buf = append(buf, v...)
-			}
-			buf = append(buf, '\n')
-		}
-	}
-	return buf
+	return r.parts[p].materialize()
 }
 
 // MaterializeOutputTo renders the result as "key<TAB>value" lines (the tab
@@ -154,13 +100,8 @@ func MaterializeOutput(res *Result) []byte {
 // out-of-core result.
 func (r *Result) MaterializeOutputTo(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<18)
-	for p := range r.parts {
-		run := r.parts[p]
-		if !run.isDisk() {
-			writeSegLines(bw, run.seg)
-			continue
-		}
-		src, err := run.file.openFrameSource(run.part)
+	for _, run := range r.parts {
+		src, err := run.open()
 		if err != nil {
 			return err
 		}
@@ -195,7 +136,7 @@ func writeSegLines(bw *bufio.Writer, seg Segment) {
 // Output materializes the job output as string records, one sorted slice
 // per reduce partition (per map task for map-only jobs). Each call builds
 // fresh slices; callers that only need bytes should use Partition or
-// MaterializeOutput instead.
+// MaterializeOutputTo instead.
 func (r *Result) Output() [][]KV {
 	if r.parts == nil {
 		return nil
@@ -209,8 +150,8 @@ func (r *Result) Output() [][]KV {
 
 // SortedOutput returns all output records globally sorted by key — a
 // convenience for assertions and small outputs. Partitions are already
-// sorted for the studied workloads, so the common case is a k-way merge on
-// the pooled loser tree (O(n log k) byte comparisons); a partition whose
+// sorted for the studied workloads, so the common case is the engine's k-way
+// merge over them (O(n log k) byte comparisons); a partition whose
 // reducer emitted out-of-order keys falls back to a global stable sort,
 // preserving the legacy concatenate-then-sort semantics exactly.
 func (r *Result) SortedOutput() []KV {
@@ -226,15 +167,13 @@ func (r *Result) SortedOutput() []KV {
 		}
 	}
 	if sorted {
-		segs := make([]Segment, 0, len(parts))
-		for _, p := range parts {
-			if p.Len() > 0 {
-				segs = append(segs, p)
-			}
-		}
-		// Stable merge with ties broken by segment slot = partition order,
+		// Stable merge with ties broken by run slot = partition order,
 		// exactly what a stable sort over the concatenation produces.
-		return mergeSegs(segs).KVs()
+		merged, err := mergeToSegment(r.parts)
+		if err != nil {
+			panic(fmt.Sprintf("mapreduce: merging result partitions: %v", err))
+		}
+		return merged.KVs()
 	}
 	var out []KV
 	for _, p := range parts {

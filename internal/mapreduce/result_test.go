@@ -126,12 +126,12 @@ func nonPassthroughIdentity() Reducer {
 	})
 }
 
-// TestPassthroughReduceParity pins the zero-copy identity-reduce fast path
-// against the ordinary reduce loop: records and counters must be identical
-// whether or not the reducer carries the PassthroughReducer marker, both in
-// memory (reduceMerged) and under SpillDir (reduceStreamed; the default
-// spill budget keeps every run resident, so no pressure fold perturbs the
-// counters).
+// TestPassthroughReduceParity pins the identity-reduce fast path against
+// the ordinary group loop: records and counters must be identical whether or
+// not the reducer carries the PassthroughReducer marker, both with the arena
+// sink (in memory) and with the spill-writer sink (under SpillDir; the
+// default spill budget keeps every run resident, so no pressure fold
+// perturbs the counters).
 func TestPassthroughReduceParity(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 300; i++ {

@@ -601,11 +601,11 @@ func (r *frameReader) next() (Segment, error) {
 // Close releases the cursor's file handle.
 func (r *frameReader) Close() error { return r.fh.Close() }
 
-// frameSource is sequential access to one partition's decoded frames,
-// implemented by the plain frameReader and by the readahead reader that
-// validates and inflates frame k+1 while the consumer drains frame k.
-// Segments returned by next alias source-owned scratch and are invalidated
-// by the following next call.
+// frameSource is sequential access to one run's decoded frames, implemented
+// by the plain frameReader, by the readahead reader that validates and
+// inflates frame k+1 while the consumer drains frame k, and by a resident
+// run's one-frame residentSource (extmerge.go). Segments returned by next may
+// alias source-owned scratch and are invalidated by the following next call.
 type frameSource interface {
 	next() (Segment, error)
 	storedBytesRead() int64

@@ -42,7 +42,8 @@ func sortKVs(kvs []KV) {
 // frame cursor.
 func readPartAll(t *testing.T, sf *SegmentFile, p int) []KV {
 	t.Helper()
-	seg, _, err := diskRun(sf, p).materialize()
+	run := diskRun(sf, p)
+	seg, err := run.materialize()
 	if err != nil {
 		t.Fatalf("materialize partition %d: %v", p, err)
 	}

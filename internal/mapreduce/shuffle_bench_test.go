@@ -41,8 +41,8 @@ func BenchmarkContendedShuffle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.NumPartitions() != cfg.NumReducers {
-			b.Fatalf("got %d partitions, want %d", res.NumPartitions(), cfg.NumReducers)
+		if len(res.parts) != cfg.NumReducers {
+			b.Fatalf("got %d partitions, want %d", len(res.parts), cfg.NumReducers)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func TestCollectorArrivalOrderProperty(t *testing.T) {
 				nonEmpty = append(nonEmpty, s)
 			}
 		}
-		want := mergeSegs(nonEmpty).KVs()
+		want := stableMergeOracle(nonEmpty)
 
 		var js *jobSpill
 		if pressure {
@@ -277,12 +277,18 @@ func TestShuffleDegeneratePartitions(t *testing.T) {
 // FuzzStreamingShuffleParity fuzzes the determinism claim: for arbitrary
 // input bytes, block sizes and reducer counts — including counts far above
 // the key count, so most partitions are empty — the parallel run and the
-// out-of-core run must match the serial in-memory run exactly.
+// out-of-core runs must match the serial in-memory run exactly. Out of core
+// it runs twice: with a one-byte budget (every run a file) and with a budget
+// a few spills wide, so merges see resident and file runs side by side.
 func FuzzStreamingShuffleParity(f *testing.F) {
 	f.Add([]byte("a b c\nb c d\nc d e\n"), uint8(8), uint8(4))
 	f.Add([]byte("lone\n"), uint8(2), uint8(31)) // 31 reducers, 1 key: empty partitions
 	f.Add([]byte("x x x x x x x x\n"), uint8(1), uint8(16))
 	f.Add([]byte(""), uint8(4), uint8(3))
+	// The aliasing test's shape in miniature: the same few keys in every
+	// split and every spill, so each merge has key ties across resident and
+	// file runs.
+	f.Add(bytes.Repeat([]byte("k1 k2 k1 k3 k2 k1 k4 k1\nk2 k1 k5 k1 k3\n"), 12), uint8(40), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, bsRaw, nredRaw uint8) {
 		data = bytes.ReplaceAll(data, []byte{0}, []byte{'\n'})
 		if len(data) == 0 {
@@ -290,7 +296,7 @@ func FuzzStreamingShuffleParity(f *testing.F) {
 		}
 		bs := int(bsRaw%64) + 1
 		nred := int(nredRaw%32) + 1
-		run := func(par int, spillDir string) *Result {
+		run := func(par int, spillDir string, budget units.Bytes) *Result {
 			t.Helper()
 			e := newEngine(t, units.Bytes(bs), string(data))
 			cfg := DefaultConfig("wc-fuzz")
@@ -298,25 +304,27 @@ func FuzzStreamingShuffleParity(f *testing.F) {
 			cfg.SortBuffer = 64 // tiny buffer: spills on most inputs
 			cfg.Parallelism = par
 			cfg.SpillDir = spillDir
-			cfg.SpillMemory = 1 // with a SpillDir: everything goes to disk
+			cfg.SpillMemory = budget
 			res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		want := run(1, "")
-		got := run(4, "")
+		want := run(1, "", 0)
+		got := run(4, "", 0)
 		if !reflect.DeepEqual(got.Output(), want.Output()) {
 			t.Fatalf("parallel/serial divergence: bs=%d nred=%d input=%q", bs, nred, data)
 		}
 		if got.Counters != want.Counters || want.Counters.ReduceMergePasses != 0 {
 			t.Fatalf("parallel/serial counters diverge: bs=%d nred=%d input=%q\nparallel %+v\nserial   %+v", bs, nred, data, got.Counters, want.Counters)
 		}
-		ooc := run(4, t.TempDir())
-		defer ooc.Close()
-		if !reflect.DeepEqual(ooc.Output(), want.Output()) {
-			t.Fatalf("out-of-core/in-memory divergence: bs=%d nred=%d input=%q", bs, nred, data)
+		for _, budget := range []units.Bytes{1, 256} { // all on disk; mixed
+			ooc := run(4, t.TempDir(), budget)
+			defer ooc.Close()
+			if !reflect.DeepEqual(ooc.Output(), want.Output()) {
+				t.Fatalf("out-of-core/in-memory divergence: budget=%d bs=%d nred=%d input=%q", budget, bs, nred, data)
+			}
 		}
 	})
 }

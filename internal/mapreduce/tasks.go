@@ -51,9 +51,9 @@ func ExecuteReduceSeg(job Job, segments []Segment) (Segment, Counters, error) {
 	return ExecuteReduceSegObs(job, segments, obs.TaskRef{}, nil)
 }
 
-// ExecuteReduceSegObs is ExecuteReduceSeg with task-phase telemetry: phase
-// intervals (merge-fetch, reduce) are attributed to ref and emitted on o.
-// A nil or disabled observer costs nothing.
+// ExecuteReduceSegObs is ExecuteReduceSeg with task-phase telemetry: the
+// reduce interval (the merge is folded into it) is attributed to ref and
+// emitted on o. A nil or disabled observer costs nothing.
 func ExecuteReduceSegObs(job Job, segments []Segment, ref obs.TaskRef, o obs.Observer) (Segment, Counters, error) {
 	if err := job.Validate(); err != nil {
 		return Segment{}, Counters{}, err
@@ -61,15 +61,7 @@ func ExecuteReduceSegObs(job Job, segments []Segment, ref obs.TaskRef, o obs.Obs
 	if job.Reducer == nil {
 		return Segment{}, Counters{}, fmt.Errorf("mapreduce: %s: no reducer", job.Config.Name)
 	}
-	nonEmpty := make([]Segment, 0, len(segments))
-	for _, s := range segments {
-		if s.Len() > 0 {
-			nonEmpty = append(nonEmpty, s)
-		}
-	}
-	bufs := bufsPool.Get().(*taskBufs)
-	defer bufsPool.Put(bufs)
-	return runReduceTask(job, nonEmpty, newPhaseClock(o, ref), bufs)
+	return reduceToSegment(job, memRuns(segments), newPhaseClock(o, ref))
 }
 
 // SplitInput cuts data into record-aligned chunks of roughly blockSize

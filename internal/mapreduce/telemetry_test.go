@@ -3,6 +3,8 @@ package mapreduce
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -46,40 +48,67 @@ func TestNoopPhasePathZeroAlloc(t *testing.T) {
 }
 
 // TestPhaseEventsCoverEngineTaxonomy runs a job with a collecting observer
-// and checks every engine-emitted phase shows up with sane attribution.
+// and checks every engine-emitted phase shows up with sane attribution, and
+// that nothing else does. A reduce task is one reduce interval with the merge
+// folded in, wherever its runs live; spill-read (opening file cursors) and
+// spill-write (consolidation rounds, pressure folds) appear only when the run
+// really went to disk. A map task's multi-spill merge is merge-fetch.
 func TestPhaseEventsCoverEngineTaxonomy(t *testing.T) {
-	col := obs.NewCollector()
-	ctx := obs.NewContext(context.Background(), col)
-	e := newEngine(t, 64, string(telemetryInput()))
-	cfg := DefaultConfig("telemetry")
-	cfg.NumReducers = 2
-	cfg.SortBuffer = units.Bytes(256) // force mid-task spills so sort/spill/merge all fire
-	if _, err := e.RunContext(ctx, wordCountJob(cfg), "input"); err != nil {
-		t.Fatal(err)
-	}
-	snap := col.Snapshot()
-	for _, key := range []string{
+	always := []string{
 		obs.PhaseKey(obs.KindJob, obs.PhaseRead),
 		obs.PhaseKey(obs.KindMap, obs.PhaseMap),
 		obs.PhaseKey(obs.KindMap, obs.PhaseSort),
 		obs.PhaseKey(obs.KindMap, obs.PhaseSpill),
-		obs.PhaseKey(obs.KindReduce, obs.PhaseMergeFetch),
+		obs.PhaseKey(obs.KindMap, obs.PhaseMergeFetch),
 		obs.PhaseKey(obs.KindReduce, obs.PhaseReduce),
-	} {
-		sum, ok := snap.Spans[key]
-		if !ok {
-			t.Errorf("no phase aggregate for %s; have %v", key, spanKeys(snap))
-			continue
-		}
-		if sum.Count <= 0 || sum.Total < 0 {
-			t.Errorf("%s: degenerate summary %+v", key, sum)
-		}
-		hist, ok := snap.Hists[key]
-		if !ok {
-			t.Errorf("no histogram for %s", key)
-		} else if hist.Total() != sum.Count {
-			t.Errorf("%s: histogram total %d != span count %d", key, hist.Total(), sum.Count)
-		}
+	}
+	disk := []string{
+		obs.PhaseKey(obs.KindMap, obs.PhaseSpillWrite),
+		obs.PhaseKey(obs.KindReduce, obs.PhaseSpillRead),
+		obs.PhaseKey(obs.KindReduce, obs.PhaseSpillWrite),
+	}
+	for _, spilled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spilldir-%v", spilled), func(t *testing.T) {
+			col := obs.NewCollector()
+			ctx := obs.NewContext(context.Background(), col)
+			e := newEngine(t, 256, string(telemetryInput()))
+			cfg := DefaultConfig("telemetry")
+			cfg.NumReducers = 2
+			cfg.SortBuffer = units.Bytes(256) // several spills per map task: sort, spill and the map-side merge all fire
+			want := always
+			if spilled {
+				cfg.SpillDir = t.TempDir()
+				cfg.SpillMemory = 1 // every spill goes to a file
+				cfg.MergeFactor = 2 // more file runs per reducer than may be open: consolidation rounds
+				want = append(want[:len(want):len(want)], disk...)
+			}
+			res, err := e.RunContext(ctx, wordCountJob(cfg), "input")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			snap := col.Snapshot()
+			for _, key := range want {
+				sum, ok := snap.Spans[key]
+				if !ok {
+					t.Errorf("no phase aggregate for %s; have %v", key, spanKeys(snap))
+					continue
+				}
+				if sum.Count <= 0 || sum.Total < 0 {
+					t.Errorf("%s: degenerate summary %+v", key, sum)
+				}
+				hist, ok := snap.Hists[key]
+				if !ok {
+					t.Errorf("no histogram for %s", key)
+				} else if hist.Total() != sum.Count {
+					t.Errorf("%s: histogram total %d != span count %d", key, hist.Total(), sum.Count)
+				}
+			}
+			if got := spanKeys(snap); len(got) != len(want) {
+				sort.Strings(got)
+				t.Errorf("engine emitted phases %v, want exactly %v", got, want)
+			}
+		})
 	}
 }
 
