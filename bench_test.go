@@ -7,8 +7,12 @@ package heterohadoop_test
 // cmd/experiments for the plain-text tables.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -161,6 +165,81 @@ func BenchmarkEngineGrep(b *testing.B)       { benchEngine(b, "grep", 256*units.
 func BenchmarkEngineTeraSort(b *testing.B)   { benchEngine(b, "terasort", 256*units.KB) }
 func BenchmarkEngineNaiveBayes(b *testing.B) { benchEngine(b, "naivebayes", 128*units.KB) }
 func BenchmarkEngineFPGrowth(b *testing.B)   { benchEngine(b, "fpgrowth", 32*units.KB) }
+
+// BenchmarkEngineTeraSortOOC is the out-of-core path as bench/'s
+// terasort-ooc workload drives it, in a form the standard profilers attach
+// to: 64 MB of TeraGen streamed to a file, RunFileContext over 4 MB splits
+// with a spill dir and sort buffer = spill memory = half a split (so every map
+// task spills to files and each reducer sees 16 disk runs against MergeFactor
+// 10), the output streamed out of its segment files. To see where
+// out-of-core time or memory goes:
+//
+//	go test -run '^$' -bench BenchmarkEngineTeraSortOOC -cpuprofile cpu.out .
+//	go test -run '^$' -bench BenchmarkEngineTeraSortOOC -memprofile mem.out .
+func BenchmarkEngineTeraSortOOC(b *testing.B) {
+	const size, block = 64 * units.MB, 4 * units.MB
+	dir := b.TempDir()
+	path := filepath.Join(dir, "input")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, err = workloads.StreamTo(f, workloads.NewTeraSort().Generate, size, 42, units.MB)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The input is never resident, so the range cuts come from its first split.
+	head := make([]byte, block)
+	if f, err = os.Open(path); err != nil {
+		b.Fatal(err)
+	}
+	_, err = io.ReadFull(f, head)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mapreduce.DefaultConfig("terasort-ooc")
+	cfg.NumReducers = 4
+	cfg.SortBuffer = block / 2
+	cfg.SpillMemory = block / 2
+	cfg.SpillDir = filepath.Join(dir, "spill")
+	cuts, err := workloads.SampleCuts(head[:bytes.LastIndexByte(head, '\n')+1], cfg.NumReducers, workloads.TeraKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := workloads.BuildTeraSortWithCuts(cfg, cuts)
+
+	b.ReportAllocs()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := mapreduce.NewEngine(nil).RunFileContext(context.Background(), job, path, block)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out countingWriter
+		if err := res.MaterializeOutputTo(&out); err != nil {
+			b.Fatal(err)
+		}
+		if err := res.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if out < countingWriter(size) || res.Counters.SpillFilesWritten == 0 || res.Counters.ReduceMergePasses == 0 {
+			b.Fatalf("not the out-of-core shape: %d output bytes, counters %+v", out, res.Counters)
+		}
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter int64
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
+}
 
 // BenchmarkSimulatorSingleRun measures one cluster simulation, the unit of
 // work behind every figure.

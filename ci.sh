@@ -12,11 +12,19 @@
 # and two observability smokes: an artefact trace must validate strictly
 # (tracer -check), and a live master+worker pair must serve /metrics,
 # /jobs, /tasks and pprof while a real job runs. Nothing here generates an
-# input larger than 8 MB.
+# input larger than 8 MB, except the one 64 MB iteration of
+# BenchmarkEngineTeraSortOOC in the benchmark smoke.
 set -eux
 
 # Formatting drift gate: gofmt must be a no-op over the whole tree.
 test -z "$(gofmt -l .)"
+
+# Codec gate: spill files hold raw frames. The engine's non-test code imports
+# nothing under compress/ — a codec on this path comes back as its own
+# measured change, not as an import. (Spelled with test -z, like the gofmt
+# gate: set -e does not act on a command negated with !.)
+# shellcheck disable=SC2046
+test -z "$(grep -l '"compress/' $(ls internal/mapreduce/*.go | grep -v _test.go))"
 
 go vet ./...
 go build ./...
@@ -36,11 +44,11 @@ go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/mapreduce/ .
 # in seconds with a state, never at the package timeout.
 go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/dist/
 
-# Allocation fence for the flat-arena record path: a whole job allocates at
-# most a fixed fraction of its map output records. Its own lane because the
-# test skips itself under the race detector, which is all the lanes above
-# run with.
-go test -count=1 -run 'TestEngineAllocsPerRecord' ./internal/mapreduce/
+# Allocation fences: in memory a whole job allocates at most a fixed
+# fraction of its map output records; out of core a spilled job allocates at
+# most three times its input in bytes. Their own lane because the tests skip
+# themselves under the race detector, which is all the lanes above run with.
+go test -count=1 -run 'TestEngineAllocsPerRecord|TestOutOfCoreAllocBytes' ./internal/mapreduce/
 
 # Benchmark-module gate: bench/ is its own Go module, so the build and the
 # race gate above never compile it — an internal/ rename could break the
@@ -174,11 +182,14 @@ go test -race -run 'FuzzStringVsArenaParity' .
 
 # Output-path parity suite, spotlighted the same way: the map-side sort
 # against its stable-sort oracle, the one merge against its own oracle and
-# its aliasing contract over resident, single-frame and readahead-ring runs,
-# the passthrough identity reduce, the reduce-side spill-read accounting,
-# the collector's arrival-order property, the merge-based SortedOutput and
-# the Result gob wire round-trip.
-go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
+# its aliasing contract over resident, single-frame and multi-frame runs,
+# recycled frame scratch held across a churning pool, the one frame reader,
+# the raw-frame file format (unknown codec, writer cap, ReadFrame
+# ownership), the forced-hops consolidation table and hop count, the
+# passthrough identity reduce, the reduce-side spill-read accounting, the
+# collector's arrival-order property, the merge-based SortedOutput and the
+# Result gob wire round-trip.
+go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestRecycledFrameLifetime|TestFrameReader|TestSegmentFileRoundTrip|TestUnknownCodecIsCorrupt|TestSpillWriterFrameCap|TestReadFrameCallerOwns|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestOutOfCoreHopCount|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
 
 # Fuzz lane: everything above runs only the fuzz targets' seed corpora;
 # here each target mutates for ten seconds (go test -fuzz takes one target

@@ -144,10 +144,11 @@ func WithSnapshotPath(path string) Option {
 }
 
 // WithSpillDir gives a worker an out-of-core map-output store: completed
-// map output is written to a compressed, checksummed segment file under a
-// per-worker temp directory inside dir instead of staying resident, and
-// reducers pull it frame by frame (FetchPartArgs.Frame). The worker's resident shuffle state drops from the full map
-// output to one frame per in-flight fetch. A spill file that fails
+// map output is written to a checksummed segment file (raw frames, CRC-32
+// each) under a per-worker temp directory inside dir instead of staying
+// resident, and reducers pull it frame by frame (FetchPartArgs.Frame). The
+// worker's resident shuffle state drops from the full map output to one
+// frame per in-flight fetch. A spill file that fails
 // validation on read is answered as segment loss, so the master re-executes
 // the owning map — the same recovery path as a dead worker. Empty keeps the
 // in-memory store.

@@ -179,8 +179,8 @@ type Config struct {
 	// serial run.
 	Parallelism int
 	// SpillDir, when non-empty, enables the out-of-core path: spills that
-	// overflow SpillMemory are written as compressed, checksummed segment
-	// files under a per-run temp directory inside SpillDir, merged with a
+	// overflow SpillMemory are written as checksummed segment files (raw
+	// frames, CRC-32 each) under a per-run temp directory inside SpillDir, merged with a
 	// streaming external k-way merge, and reduce outputs are disk-backed
 	// (release them with Result.Close). Empty keeps every segment in
 	// memory. Map-only jobs ignore it (their outputs must outlive the

@@ -40,9 +40,9 @@ type Counters struct {
 	// out-of-core path (map spills, collector pressure folds, worker
 	// shuffle files); zero for in-memory runs.
 	SpillFilesWritten int
-	// SpillFileBytesWritten is the stored (compressed) size of those
-	// files — the actual disk traffic, as opposed to SpilledBytes'
-	// accounting size.
+	// SpillFileBytesWritten is the stored size of those files' frames
+	// (raw wire bytes; nothing is compressed) — the actual disk traffic, as
+	// opposed to SpilledBytes' accounting size.
 	SpillFileBytesWritten units.Bytes
 	// SpillFileBytesRead is the stored bytes read back from segment files
 	// by external merges and streaming reduces.

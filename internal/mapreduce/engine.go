@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -129,7 +130,8 @@ func (in inputSource) window(split splitRange, pc phaseClock, bufs *taskBufs) ([
 
 // taskBufs is one task slot's persistent working memory: the emit/sort
 // arena, the sort's grouping scratch, combiner scratch, partition-id
-// scratch and input-window buffer.
+// scratch, the partition layout of a spill bound for a file, and the
+// input-window buffer.
 // Slots hand these from task to task for the lifetime of a run, so a
 // parallel wave holds exactly `par` of each — unlike sync.Pool, whose
 // entries the GC clears mid-run exactly when allocation pressure is
@@ -140,6 +142,7 @@ type taskBufs struct {
 	sort    sortScratch // sortMeta's table, groups and scatter buffer
 	scratch arena       // combiner output scratch
 	partIds []int32     // spill partition-id scratch
+	parts   arena       // partitioned output of a spill that goes straight to a file
 	win     []byte      // input window (file-backed inputs)
 }
 
@@ -506,7 +509,7 @@ type splitRange struct {
 //
 // With a spill context, spills stay resident only while their cumulative
 // accounting size fits js.budget; past that, each spill is written to its
-// own compressed segment file (spill-write phase), and the final merge
+// own segment file (spill-write phase), and the final merge
 // externally streams all spills into one on-disk output file per task
 // (merge-fetch phase) — identical records, same MergePasses/MergeBytes
 // accounting, bounded memory. The phase clock receives disjoint
@@ -529,14 +532,20 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 		if len(buf.meta) == 0 {
 			return nil
 		}
-		parts, n, b, err := spill(job, buf, nparts, &c, pc, bufs)
+		// room is how much more spilled output may stay resident; a spill
+		// larger than that is written out below before anything else runs.
+		room := units.Bytes(math.MaxInt64)
+		if js != nil {
+			room = js.budget - memBytes
+		}
+		parts, n, b, err := spill(job, buf, nparts, &c, pc, bufs, room)
 		if err != nil {
 			return err
 		}
 		c.Spills++
 		c.SpilledRecords += int64(n)
 		c.SpilledBytes += b
-		if js != nil && memBytes+b > js.budget {
+		if b > room {
 			tW := pc.Start()
 			sf, werr := WriteSegmentsFile(js.mapSpillPath(task, len(spills)), parts)
 			if werr != nil {
@@ -648,8 +657,12 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 // key; it reorders only the metadata entries — the record payload never
 // moves (Hadoop's MapOutputBuffer sorts its kvmeta the same way).
 // All partitions share one exactly-sized output buffer, laid out partition
-// by partition, so a spill costs two allocations regardless of fan-out.
-func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *taskBufs) ([]Segment, int, units.Bytes, error) {
+// by partition, so a spill costs two allocations regardless of fan-out — or
+// none: a spill of more than room bytes cannot stay resident, the caller
+// writes it to a file before the slot does anything else, so its layout
+// lives in the slot's scratch and the returned segments are valid only until
+// the slot's next spill.
+func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *taskBufs, room units.Bytes) ([]Segment, int, units.Bytes, error) {
 	tSort := pc.Start()
 	sortMeta(buf.data, buf.meta, &bufs.sort)
 	pc.Emit(obs.PhaseSort, tSort)
@@ -684,10 +697,17 @@ func spill(job Job, buf *arena, nparts int, c *Counters, pc phaseClock, bufs *ta
 	}
 	spilledBytes := working.Bytes()
 
-	// Lay the partitions out back to back in one fresh buffer (it outlives
-	// the task: the shuffle hands it to a reducer).
-	outData := make([]byte, len(working.data))
-	outMeta := make([]recMeta, n)
+	// Lay the partitions out back to back in one buffer: fresh when the spill
+	// stays resident (it outlives the task: the shuffle hands it to a reducer).
+	var outData []byte
+	var outMeta []recMeta
+	if spilledBytes > room {
+		bufs.parts.reset()
+		bufs.parts.grow(len(working.data), n)
+		outData, outMeta = bufs.parts.data[:len(working.data)], bufs.parts.meta[:n]
+	} else {
+		outData, outMeta = make([]byte, len(working.data)), make([]recMeta, n)
+	}
 	dataBase := make([]int, nparts)
 	metaBase := make([]int, nparts)
 	for p, acc, accM := 0, 0, 0; p < nparts; p++ {

@@ -71,7 +71,7 @@ func (r partRun) accountBytes() units.Bytes {
 // segment; a file run is read back frame by frame.
 func (r partRun) open() (frameSource, error) {
 	if r.file != nil {
-		return r.file.openFrameSource(r.part)
+		return r.file.openPart(r.part)
 	}
 	return &residentSource{seg: r.seg}, nil
 }
@@ -389,15 +389,24 @@ func mergeToFile(path string, runs [][]partRun, c *Counters) (*SegmentFile, int6
 
 // consolidate bounds the fan-in of a final external merge (Hadoop's
 // io.sort.factor discipline): while more than factor runs are pending,
-// adjacent groups of up to factor runs are merged into intermediate segment
-// files named <prefix>r<round>-g<group>.seg — deterministic and truncating,
-// so a retried attempt rewrites the same files. Groups are contiguous in
-// slot order and stable merging is associative over adjacent runs, so the
-// final merge over the returned runs is byte-identical to a one-shot merge
-// over the input. Runs are laid out as in mergeToFile (one partition for
-// reduce-side runs, the job's partition count for map spills); a run is
-// resident in every partition or one file's partitions. A trailing singleton
-// group passes its run through unmerged.
+// adjacent groups of runs are merged into intermediate segment files named
+// <prefix>r<round>-g<group>.seg — deterministic and truncating, so a retried
+// attempt rewrites the same files. A round rewrites only what the fan-in
+// forces (the idea of Hadoop's getPassFactor, under this engine's adjacency
+// constraint): with excess = len(runs) − factor runs too many, groups are cut
+// leftmost first, each of min(factor, excess+1) runs — a group of g runs
+// retires g−1 of the excess — and once the excess is gone every run to the
+// right passes through untouched, the same partRun over the same file. So 16
+// runs against factor 10 rewrite 7 and leave 9 alone, where whole groups of
+// factor would rewrite all 16 to save six open cursors; the round count is
+// still mergePasses(n, factor)−1, because a round that cannot reach factor
+// (n > factor²) is all full groups. Groups are contiguous in slot order and
+// stable merging is associative over adjacent runs, so the final merge over
+// the returned runs is byte-identical to a one-shot merge over the input.
+// Runs are laid out as in mergeToFile (one partition for reduce-side runs,
+// the job's partition count for map spills); a run is resident in every
+// partition or one file's partitions. A trailing singleton group passes its
+// run through unmerged.
 //
 // The input slice is never mutated (a retried reduce attempt replays it).
 // Consumed files are removed as each group lands: always the intermediates
@@ -410,16 +419,18 @@ func mergeToFile(path string, runs [][]partRun, c *Counters) (*SegmentFile, int6
 func consolidate(runs [][]partRun, factor int, prefix string, ownInputs bool, pc phaseClock, phase obs.Phase, c *Counters) (out [][]partRun, made []*SegmentFile, rounds int, err error) {
 	live := make(map[*SegmentFile]bool) // intermediates created and not yet consumed
 	for ; len(runs) > factor; rounds++ {
-		next := make([][]partRun, 0, (len(runs)+factor-1)/factor)
+		next := make([][]partRun, 0, len(runs))
 		var roundRead, roundWritten int64
 		t := pc.Start()
-		for lo := 0; lo < len(runs); lo += factor {
-			hi := min(lo+factor, len(runs))
+		excess := len(runs) - factor
+		for lo, group := 0, 0; lo < len(runs); group++ {
+			hi := min(lo+min(factor, excess+1), len(runs))
 			if hi-lo == 1 {
-				next = append(next, runs[lo])
-				continue
+				next = append(next, runs[lo:]...)
+				break
 			}
-			sf, read, err := mergeToFile(fmt.Sprintf("%sr%d-g%d.seg", prefix, rounds, lo/factor), runs[lo:hi], c)
+			excess -= hi - lo - 1
+			sf, read, err := mergeToFile(fmt.Sprintf("%sr%d-g%d.seg", prefix, rounds, group), runs[lo:hi], c)
 			if err != nil {
 				for f := range live {
 					f.Remove()
@@ -436,6 +447,7 @@ func consolidate(runs [][]partRun, factor int, prefix string, ownInputs bool, pc
 			}
 			live[sf] = true
 			next = append(next, fileRuns(sf))
+			lo = hi
 		}
 		pc.EmitIO(phase, t, roundRead, roundWritten)
 		runs = next

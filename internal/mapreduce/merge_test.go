@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -93,12 +94,11 @@ func aliasingRun(run, n, recBytes int) Segment {
 // TestMergeStreamAliasing pins the contract the merge's lazy advance rests
 // on: the key/value slices next returns alias the winner's resident frame —
 // no scratch copy — and stay intact until the following next call, for
-// resident runs, single-frame file runs and multi-frame file runs read
-// through the readahead ring (whose goroutine refills freed slots while the
-// consumer holds its record), with duplicate keys across runs and records
-// that end exactly on frame boundaries. Every record is compared only after
-// being held — and the scheduler yielded — right up to the next call, and
-// the sequence must equal the oracle's.
+// resident runs, single-frame file runs and multi-frame file runs (whose
+// cursor reads the next frame over the one it just served), with duplicate
+// keys across runs and records that end exactly on frame boundaries. Every
+// record is compared only after being held — and the scheduler yielded —
+// right up to the next call, and the sequence must equal the oracle's.
 func TestMergeStreamAliasing(t *testing.T) {
 	const aligned = spillFrameRaw / 16 // 16 records fill a frame to the byte
 	segs := []Segment{
@@ -142,7 +142,7 @@ func TestMergeStreamAliasing(t *testing.T) {
 		if unsafe.Add(unsafe.Pointer(unsafe.SliceData(k)), len(k)) != unsafe.Pointer(unsafe.SliceData(v)) {
 			t.Fatalf("record %d: value does not follow its key in memory — copied out of its frame", n)
 		}
-		// Let the readahead goroutines run while the record is held.
+		// Let anything else that might touch the frame run while it is held.
 		runtime.Gosched()
 		if n >= len(want) {
 			t.Fatalf("merge yields more than the oracle's %d records", len(want))
@@ -164,6 +164,81 @@ func TestMergeStreamAliasing(t *testing.T) {
 	if got := ms.diskBytesRead(); got != stored {
 		t.Errorf("diskBytesRead = %d, want the %d stored bytes of the file runs", got, stored)
 	}
+}
+
+// TestRecycledFrameLifetime pins the lifetime rule frame recycling rests on:
+// a cursor's scratch goes back to the pool only at close, never while a
+// consumer can still alias it. Mergers run k-way merges over multi-frame disk
+// runs, comparing every (k, v) against the oracle only after holding it — the
+// scheduler yielded — until just before the following next, while churners
+// open cursors on the same files, read one frame and close early, so the pool
+// is forever handing just-released scratch to someone who overwrites it. A
+// buffer returned early reads back as another frame's records here, and as a
+// data race under -race.
+func TestRecycledFrameLifetime(t *testing.T) {
+	const mergers, churners, fanIn = 2, 2, 3
+	segs := make([]Segment, fanIn)
+	for r := range segs {
+		segs[r] = aliasingRun(r, 26, 100_000) // three frames each
+	}
+	sf, err := WriteSegmentsFile(filepath.Join(t.TempDir(), "runs.seg"), segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf.Frames(0) < 3 {
+		t.Fatalf("runs span %d frames, want multi-frame — test shape is off", sf.Frames(0))
+	}
+	runs := fileRuns(sf)
+	want := stableMergeOracle(segs)
+
+	var merging, churning sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < churners; g++ {
+		churning.Add(1)
+		go func(g int) {
+			defer churning.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				fr, err := sf.openPart((g + i) % fanIn)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := fr.next(); err != nil {
+					t.Error(err)
+				}
+				fr.close()
+			}
+		}(g)
+	}
+	for g := 0; g < mergers; g++ {
+		merging.Add(1)
+		go func() {
+			defer merging.Done()
+			for pass := 0; pass < 2; pass++ {
+				n := 0
+				_, err := mergeRunsTo(runs, func(k, v []byte) error {
+					runtime.Gosched() // hold the record while the churners run
+					if n >= len(want) || string(k) != want[n].Key || string(v) != want[n].Value {
+						return fmt.Errorf("record %d after being held: (%q, %.16q…) is not the oracle's", n, k, v)
+					}
+					n++
+					return nil
+				})
+				if err != nil || n != len(want) {
+					t.Errorf("merge pass %d: %d of %d records, err %v", pass, n, len(want), err)
+					return
+				}
+			}
+		}()
+	}
+	merging.Wait()
+	close(stop)
+	churning.Wait()
 }
 
 // BenchmarkShuffleMerge measures the engine's k-way merge — the loser tree

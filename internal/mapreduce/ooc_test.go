@@ -384,7 +384,10 @@ func consolidateCase(t *testing.T, dir string, n, nparts int, mixed bool) ([][]p
 // returned runs must equal the oracle merge of the original runs in order, the
 // input slice must come back untouched (a retried attempt replays it), and
 // the only files left are the inputs and the returned last-round
-// intermediates.
+// intermediates. The grouping rows pin the forced-hops rule: the last round
+// cuts ⌈excess/(f−1)⌉ groups off the left, rewriting excess + that many of
+// its input runs, and every run to their right comes back as the very same
+// partRun — same file, same segment — never copied.
 func TestConsolidateRounds(t *testing.T) {
 	for _, tc := range []struct {
 		n, factor, nparts int
@@ -397,6 +400,20 @@ func TestConsolidateRounds(t *testing.T) {
 		{n: 7, factor: 3, nparts: 3, mixed: true},
 		{n: 8, factor: 2, nparts: 3, own: true},
 		{n: 2, factor: 3, nparts: 2}, // within fan-in: no rounds, no files
+		// Grouping table: one run over the fan-in, the bench's 16–17-run shape,
+		// one short of two full groups, exactly two, a full square, and the
+		// smallest factor over several rounds.
+		{n: 11, factor: 10, nparts: 1},
+		{n: 11, factor: 10, nparts: 2, mixed: true, own: true},
+		{n: 17, factor: 10, nparts: 1, own: true},
+		{n: 17, factor: 10, nparts: 3, mixed: true},
+		{n: 19, factor: 10, nparts: 1, mixed: true},
+		{n: 19, factor: 10, nparts: 2, own: true},
+		{n: 20, factor: 10, nparts: 1},
+		{n: 20, factor: 10, nparts: 2, mixed: true, own: true},
+		{n: 100, factor: 10, nparts: 1, mixed: true},
+		{n: 100, factor: 10, nparts: 1, own: true},
+		{n: 9, factor: 2, nparts: 1, mixed: true, own: true},
 	} {
 		t.Run(fmt.Sprintf("n%d-f%d-p%d-mixed%v-own%v", tc.n, tc.factor, tc.nparts, tc.mixed, tc.own), func(t *testing.T) {
 			dir := t.TempDir()
@@ -417,6 +434,56 @@ func TestConsolidateRounds(t *testing.T) {
 			}
 			if !reflect.DeepEqual(runs, orig) {
 				t.Fatal("consolidate mutated its input slice")
+			}
+			if rounds > 0 {
+				// Rounds ahead of the last are whole groups of factor (their
+				// input cannot reach factor in one round); the last one has
+				// lastN runs coming in and must stop at exactly factor.
+				lastN := tc.n
+				for lastN > tc.factor*tc.factor {
+					lastN = (lastN + tc.factor - 1) / tc.factor
+				}
+				excess := lastN - tc.factor
+				wantGroups := (excess + tc.factor - 2) / (tc.factor - 1)
+				lastRound := func(r []partRun) bool {
+					return r[0].isDisk() && strings.HasPrefix(filepath.Base(r[0].file.Path()), fmt.Sprintf("x-r%d-", rounds-1))
+				}
+				groups := 0
+				for _, r := range out {
+					if lastRound(r) {
+						groups++
+					}
+				}
+				if groups != wantGroups || len(out) != tc.factor {
+					t.Fatalf("last round: %d runs in, %d merged groups and %d runs out, want %d groups and %d runs",
+						lastN, groups, len(out), wantGroups, tc.factor)
+				}
+				if rewritten := lastN - (len(out) - groups); rewritten != excess+wantGroups {
+					t.Fatalf("last round rewrote %d of its %d input runs, want excess %d + %d groups", rewritten, lastN, excess, wantGroups)
+				}
+				// The merged groups lead; what follows them was never touched.
+				untouched := out[groups:]
+				for i, r := range untouched {
+					if lastRound(r) {
+						t.Fatalf("run %d of the output is a last-round group right of an untouched run", groups+i)
+					}
+					if rounds > 1 {
+						continue // its inputs were earlier rounds' files, not orig
+					}
+					in := orig[tc.n-len(untouched)+i]
+					for p := range r {
+						same := r[p].file == in[p].file && r[p].part == in[p].part && r[p].seg.Len() == in[p].seg.Len()
+						if same && r[p].seg.Len() > 0 {
+							same = &r[p].seg.data[0] == &in[p].seg.data[0]
+						}
+						if !same {
+							t.Fatalf("untouched run %d partition %d came back as a different partRun", groups+i, p)
+						}
+					}
+				}
+				if rounds == 1 && c.SpillFilesWritten != groups {
+					t.Fatalf("SpillFilesWritten = %d, want one file per merged group (%d)", c.SpillFilesWritten, groups)
+				}
 			}
 			if (c.SpillFilesWritten == 0) != (rounds == 0) || c.ReduceMergePasses != 0 {
 				t.Fatalf("counters after %d rounds: %+v", rounds, c)

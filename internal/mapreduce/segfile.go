@@ -2,14 +2,13 @@ package mapreduce
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 
 	"heterohadoop/internal/units"
 )
@@ -17,34 +16,40 @@ import (
 // segfile.go is the on-disk form of spilled segments: the out-of-core
 // counterpart of the in-memory arena Segment. A segment file holds one or
 // more partitions, each a sorted run of records chunked into independently
-// compressed, CRC-checksummed frames whose raw content is exactly the
-// wire.go segment encoding — so a frame read back from disk decodes with
+// CRC-checksummed frames whose content is exactly the wire.go segment
+// encoding, stored verbatim — so a frame read back from disk decodes with
 // the same DecodeSegment the shuffle wire path uses, and any contiguous
 // frame sequence of a partition is itself a valid sorted run (frames chunk
-// the record stream, never split a record).
+// the record stream, never split a record). Frames are not compressed: spill
+// files live on page-cache-backed temp dirs and die within the job, and a
+// codec on this path cost two thirds of an out-of-core job's CPU to save
+// bytes nobody was short of (DESIGN.md §13).
 //
 // Layout, little-endian throughout:
 //
-//	frame bytes            stored (possibly compressed) frames, partition
-//	                       by partition in frame order
+//	frame bytes            stored frames, partition by partition in frame
+//	                       order
 //	index                  u32 nparts, then per partition:
 //	                         u32 nframes, u64 recs, u64 rawPayload
 //	                         nframes × (u64 off, u32 storedLen, u32 rawLen,
 //	                                    u32 crc32(stored), u8 codec)
+//	                       codec is always 0 (raw, storedLen == rawLen); the
+//	                       byte stays so a codec can come back as a measured
+//	                       change without a format version
 //	trailer (28 bytes)     u64 indexOff, u32 indexLen, u32 crc32(index),
 //	                       u32 version, u32 magic "GSHH"
 //
 // The index and trailer sit at the end so the writer streams frames
 // sequentially without knowing partition shapes upfront. Readers validate
-// the trailer magic/version, the index CRC, and every frame's CRC before
-// decompressing; all failure modes surface as ErrSegmentCorrupt or
+// the trailer magic/version, the index CRC, and every frame's codec and CRC
+// before decoding; all failure modes surface as ErrSegmentCorrupt or
 // ErrSegmentTruncated, never a panic — a serving worker maps them to a
 // failed fetch so the master re-runs the owning map.
 
 // Typed failure classes for on-disk segment files, matchable with
 // errors.Is. Truncated means the file ends before the bytes the trailer or
 // index promised; corrupt means the bytes are there but fail validation
-// (bad magic, CRC mismatch, codec/decode errors, implausible lengths).
+// (bad magic, CRC mismatch, unknown codec, decode errors, implausible lengths).
 var (
 	ErrSegmentCorrupt   = errors.New("segment file corrupt")
 	ErrSegmentTruncated = errors.New("segment file truncated")
@@ -57,17 +62,17 @@ const (
 	segPartMetaLen = 20 // per-partition index header size
 	segFrameMeta   = 21 // per-frame index entry size (u64 + 3×u32 + u8)
 
-	codecRaw   = 0 // frame stored verbatim
-	codecFlate = 1 // frame stored DEFLATE-compressed (flate.BestSpeed)
+	codecRaw = 0 // frame stored verbatim; the only codec
 
-	// spillFrameRaw is the target raw (uncompressed) frame size. Frames
-	// bound both the writer's buffering and a reader cursor's resident
-	// memory, and are the unit of the dist shuffle's offset cursor.
+	// spillFrameRaw is the target frame payload size. Frames bound both the
+	// writer's buffering and a reader cursor's resident memory, and are the
+	// unit of the dist shuffle's offset cursor.
 	spillFrameRaw = 1 << 20
 
 	// maxFrameStored caps a single frame's stored and raw lengths so a
 	// corrupt index cannot make a reader allocate unbounded memory before
-	// CRC validation catches it.
+	// CRC validation catches it. The writer refuses to produce a frame the
+	// reader would refuse (one record this large is the only way to get one).
 	maxFrameStored = 1 << 28
 )
 
@@ -118,75 +123,47 @@ func (f *SegmentFile) PartitionBytes(p int) units.Bytes {
 	return units.Bytes(pm.rawPayload + recordOverhead*pm.recs)
 }
 
-// StoredBytes returns the total on-disk frame payload (compressed bytes),
-// the quantity spill-write counters account.
+// StoredBytes returns the total on-disk frame bytes, the quantity
+// spill-write counters account.
 func (f *SegmentFile) StoredBytes() units.Bytes { return units.Bytes(f.storedBytes) }
 
 // Remove deletes the file from disk. The handle must not be read after.
 func (f *SegmentFile) Remove() error { return os.Remove(f.path) }
 
-// ReadFrame returns partition p's frame i as a freshly allocated,
-// CRC-verified, decompressed wire-format segment blob (decodable with
-// DecodeSegment) — the dist worker's random-access path for serving one
-// shuffle frame per fetch.
+// ReadFrame returns partition p's frame i as a CRC-verified wire-format
+// segment blob (decodable with DecodeSegment) — the dist worker's
+// random-access path for serving one shuffle frame per fetch. The blob is
+// freshly allocated and the caller owns it: nothing else aliases it, so it
+// may be cached, mutated or handed on.
 func (f *SegmentFile) ReadFrame(p, i int) ([]byte, error) {
 	fh, err := os.Open(f.path)
 	if err != nil {
 		return nil, err
 	}
 	defer fh.Close()
-	raw, err := readFrame(fh, f.parts[p].frames[i], nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out, nil
+	return readFrame(fh, f.parts[p].frames[i], nil)
 }
 
-// readFrame reads and validates one stored frame, returning the raw wire
-// bytes. storedBuf and rawBuf are reusable scratch (grown as needed); the
-// result aliases one of them, valid until the next call with the same
+// readFrame reads and validates one stored frame, returning its wire bytes.
+// buf is reusable scratch (a fresh buffer is allocated when it is too
+// small); the result aliases it, valid until the next call with the same
 // scratch.
-func readFrame(fh *os.File, fi frameInfo, storedBuf, rawBuf []byte) ([]byte, error) {
-	stored := storedBuf
-	if cap(stored) < int(fi.storedLen) {
-		stored = make([]byte, fi.storedLen)
+func readFrame(fh *os.File, fi frameInfo, buf []byte) ([]byte, error) {
+	if fi.codec != codecRaw || fi.rawLen != fi.storedLen {
+		return nil, fmt.Errorf("%w: frame at offset %d: codec %d, stored %d bytes, raw %d — only raw frames exist",
+			ErrSegmentCorrupt, fi.off, fi.codec, fi.storedLen, fi.rawLen)
 	}
-	stored = stored[:fi.storedLen]
-	if _, err := fh.ReadAt(stored, fi.off); err != nil {
+	if cap(buf) < int(fi.storedLen) {
+		buf = make([]byte, fi.storedLen)
+	}
+	buf = buf[:fi.storedLen]
+	if _, err := fh.ReadAt(buf, fi.off); err != nil {
 		return nil, fmt.Errorf("%w: frame at offset %d: %v", ErrSegmentTruncated, fi.off, err)
 	}
-	if crc := crc32.ChecksumIEEE(stored); crc != fi.crc {
+	if crc := crc32.ChecksumIEEE(buf); crc != fi.crc {
 		return nil, fmt.Errorf("%w: frame at offset %d: crc %08x, want %08x", ErrSegmentCorrupt, fi.off, crc, fi.crc)
 	}
-	switch fi.codec {
-	case codecRaw:
-		if int(fi.rawLen) != len(stored) {
-			return nil, fmt.Errorf("%w: raw frame at offset %d: stored %d bytes, index says %d",
-				ErrSegmentCorrupt, fi.off, len(stored), fi.rawLen)
-		}
-		return stored, nil
-	case codecFlate:
-		raw := rawBuf
-		if cap(raw) < int(fi.rawLen) {
-			raw = make([]byte, fi.rawLen)
-		}
-		raw = raw[:fi.rawLen]
-		fr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(fr, raw); err != nil {
-			return nil, fmt.Errorf("%w: frame at offset %d: inflate: %v", ErrSegmentCorrupt, fi.off, err)
-		}
-		// One extra read distinguishes "exactly rawLen" from "more".
-		var one [1]byte
-		if n, _ := fr.Read(one[:]); n != 0 {
-			return nil, fmt.Errorf("%w: frame at offset %d: inflates past index rawLen %d",
-				ErrSegmentCorrupt, fi.off, fi.rawLen)
-		}
-		return raw, nil
-	default:
-		return nil, fmt.Errorf("%w: frame at offset %d: unknown codec %d", ErrSegmentCorrupt, fi.off, fi.codec)
-	}
+	return buf, nil
 }
 
 // OpenSegmentFile validates the trailer and index of the file at path and
@@ -294,9 +271,47 @@ func (f *SegmentFile) parseIndex(index []byte, indexOff int64) error {
 	return nil
 }
 
+// frameScratch is the frame-sized working memory of one spill writer or one
+// disk cursor. A writer accumulates the open frame's records in the arena and
+// encodes the frame's header and record lengths into hdr; a cursor reads a
+// stored frame into the arena's data and decodes its record metadata into the
+// arena's meta. A job opens dozens of writers and hundreds of cursors, each
+// for a handful of frames, so the scratch is recycled through framePool:
+// taken on open, handed back on finish, abort or Close — after which nothing
+// may alias it (segments from a cursor's next are valid only until the
+// following next, and never past Close).
+type frameScratch struct {
+	arena
+	hdr []byte
+}
+
+var framePool = sync.Pool{New: func() interface{} { return new(frameScratch) }}
+
+// recycleScratch hands *s back to the pool and clears the holder's pointer,
+// so a second finish, abort or Close finds nothing to hand back: a scratch
+// pooled twice would serve two owners at once.
+func recycleScratch(s **frameScratch) {
+	if *s != nil {
+		(*s).reset()
+		framePool.Put(*s)
+		*s = nil
+	}
+}
+
+// room makes the data buffer hold n bytes. When it has to allocate it takes a
+// whole frame's worth at least (the target plus slack for the record that
+// crosses it and the length table), so pooled scratch is one size: whoever
+// gets it next, writer or cursor, small partition or full frames, does not
+// grow it again.
+func (s *frameScratch) room(n int) {
+	if cap(s.data) < n {
+		s.data = make([]byte, 0, max(n, spillFrameRaw+spillFrameRaw/8))
+	}
+}
+
 // spillWriter streams records into a new segment file: frames are
-// accumulated in an arena, compressed and flushed at spillFrameRaw, and
-// the index is written behind them at finish. Usage:
+// accumulated in an arena and written at spillFrameRaw, and the index is
+// written behind them at finish. Usage:
 //
 //	w, _ := newSpillWriter(path)
 //	for each partition { w.beginPartition(); ...append/appendSegment...; w.endPartition() }
@@ -312,10 +327,8 @@ type spillWriter struct {
 	parts []segPartMeta
 	open  bool // a partition is begun and not ended
 
-	frame arena        // records of the frame being accumulated
-	enc   []byte       // wire-encode scratch
-	comp  bytes.Buffer // compressed-frame scratch
-	fw    *flate.Writer
+	frameCap int           // maxFrameStored; tests lower it
+	buf      *frameScratch // open frame's records + header scratch; nil once recycled
 }
 
 // newSpillWriter creates the file (truncating any previous content at the
@@ -325,7 +338,8 @@ func newSpillWriter(path string) (*spillWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &spillWriter{path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16)}, nil
+	return &spillWriter{path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16),
+		frameCap: maxFrameStored, buf: framePool.Get().(*frameScratch)}, nil
 }
 
 // beginPartition starts the next partition.
@@ -335,40 +349,37 @@ func (w *spillWriter) beginPartition() {
 }
 
 // append adds one record to the open partition, flushing a frame when the
-// accumulated raw payload reaches the frame target. The caller keeps
-// ownership of key and value.
+// accumulated payload reaches the frame target. The caller keeps ownership
+// of key and value.
 func (w *spillWriter) append(key, value []byte) error {
-	w.frame.appendBytes(key, value)
-	if len(w.frame.data) >= spillFrameRaw {
+	if len(w.buf.data) == 0 {
+		w.buf.room(len(key) + len(value))
+	}
+	w.buf.appendBytes(key, value)
+	if len(w.buf.data) >= spillFrameRaw {
 		return w.flushFrame()
 	}
 	return nil
 }
 
 // appendSegment writes a whole in-memory sorted run into the open
-// partition, slicing it into target-sized frames encoded straight from the
+// partition, slicing it into target-sized frames written straight from the
 // source segment (no intermediate record copy). Callers must append whole
 // runs in sorted order relative to other appends to the same partition.
 func (w *spillWriter) appendSegment(s Segment) error {
 	// Drain any partial frame first so frame boundaries stay record-aligned
 	// and in record order.
-	if w.frame.seg().Len() > 0 {
-		if err := w.flushFrame(); err != nil {
-			return err
-		}
+	if err := w.flushFrame(); err != nil {
+		return err
 	}
 	for i, n := 0, s.Len(); i < n; {
 		j, payload := i, 0
-		for j < n && (payload == 0 || payload < spillFrameRaw) {
+		for j < n && payload < spillFrameRaw {
 			m := s.meta[j]
 			payload += int(m.keyLen + m.valLen)
 			j++
 		}
-		w.enc = appendWireRange(w.enc[:0], s, i, j)
-		pm := &w.parts[len(w.parts)-1]
-		pm.recs += int64(j - i)
-		pm.rawPayload += int64(payload)
-		if err := w.writeFrame(w.enc); err != nil {
+		if err := w.writeFrame(s, i, j); err != nil {
 			return err
 		}
 		i = j
@@ -379,61 +390,65 @@ func (w *spillWriter) appendSegment(s Segment) error {
 // endPartition flushes the open partition's trailing partial frame.
 func (w *spillWriter) endPartition() error {
 	w.open = false
-	if w.frame.seg().Len() == 0 {
-		w.frame.reset()
-		return nil
-	}
 	return w.flushFrame()
 }
 
-// flushFrame encodes, compresses and writes the accumulated frame arena.
+// flushFrame writes the accumulated frame arena, if it holds any record.
 func (w *spillWriter) flushFrame() error {
-	s := w.frame.seg()
-	w.enc = s.AppendEncoded(w.enc[:0])
-	pm := &w.parts[len(w.parts)-1]
-	pm.recs += int64(s.Len())
-	pm.rawPayload += int64(len(s.data))
-	w.frame.reset()
-	return w.writeFrame(w.enc)
+	if len(w.buf.meta) == 0 {
+		return nil
+	}
+	err := w.writeFrame(w.buf.seg(), 0, len(w.buf.meta))
+	w.buf.reset()
+	return err
 }
 
-// writeFrame compresses raw (keeping it verbatim when DEFLATE does not
-// shrink it), checksums the stored form, writes it and records the index
-// entry.
-func (w *spillWriter) writeFrame(raw []byte) error {
-	stored, codec := raw, uint8(codecRaw)
-	w.comp.Reset()
-	if w.fw == nil {
-		fw, err := flate.NewWriter(&w.comp, flate.BestSpeed)
-		if err != nil {
+// writeFrame writes records [i, j) of s as one frame of the open partition
+// — the segment wire form of that range, verbatim — and records its index
+// entry. Only the header and the record lengths are encoded into scratch; the
+// payload goes out straight from s, in as few writes as its records are
+// contiguous in s.data (one, for every segment the engine builds), with the
+// frame CRC carried across the pieces.
+func (w *spillWriter) writeFrame(s Segment, i, j int) error {
+	hdr := append(w.buf.hdr[:0], make([]byte, segHeaderSize)...)
+	payload := 0
+	for _, m := range s.meta[i:j] {
+		hdr = binary.LittleEndian.AppendUint32(hdr, m.keyLen)
+		hdr = binary.LittleEndian.AppendUint32(hdr, m.valLen)
+		payload += int(m.keyLen + m.valLen)
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(j-i))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(payload))
+	w.buf.hdr = hdr
+	size := len(hdr) + payload
+	if size > w.frameCap {
+		largest := uint32(0) // frames close at the 1 MB target, so one record did this
+		for _, m := range s.meta[i:j] {
+			largest = max(largest, m.keyLen+m.valLen)
+		}
+		return fmt.Errorf("mapreduce: segment file %s: a %d-byte record makes a %d-byte frame, over the %d-byte frame cap",
+			w.path, largest, size, w.frameCap)
+	}
+	crc := crc32.ChecksumIEEE(hdr)
+	if _, err := w.bw.Write(hdr); err != nil {
+		return err
+	}
+	for k := i; k < j; {
+		lo := s.meta[k].off
+		hi := lo
+		for ; k < j && s.meta[k].off == hi; k++ {
+			hi += s.meta[k].keyLen + s.meta[k].valLen
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, s.data[lo:hi])
+		if _, err := w.bw.Write(s.data[lo:hi]); err != nil {
 			return err
 		}
-		w.fw = fw
-	} else {
-		w.fw.Reset(&w.comp)
 	}
-	if _, err := w.fw.Write(raw); err != nil {
-		return err
-	}
-	if err := w.fw.Close(); err != nil {
-		return err
-	}
-	if w.comp.Len() < len(raw) {
-		stored, codec = w.comp.Bytes(), codecFlate
-	}
-	fi := frameInfo{
-		off:       w.off,
-		storedLen: uint32(len(stored)),
-		rawLen:    uint32(len(raw)),
-		crc:       crc32.ChecksumIEEE(stored),
-		codec:     codec,
-	}
-	if _, err := w.bw.Write(stored); err != nil {
-		return err
-	}
-	w.off += int64(len(stored))
 	pm := &w.parts[len(w.parts)-1]
-	pm.frames = append(pm.frames, fi)
+	pm.recs += int64(j - i)
+	pm.rawPayload += int64(payload)
+	pm.frames = append(pm.frames, frameInfo{off: w.off, storedLen: uint32(size), rawLen: uint32(size), crc: crc, codec: codecRaw})
+	w.off += int64(size)
 	return nil
 }
 
@@ -445,23 +460,20 @@ func (w *spillWriter) finish() (*SegmentFile, error) {
 			return nil, err
 		}
 	}
+	recycleScratch(&w.buf)
 	var idx []byte
-	var u4 [4]byte
-	var u8 [8]byte
-	put32 := func(v uint32) { binary.LittleEndian.PutUint32(u4[:], v); idx = append(idx, u4[:]...) }
-	put64 := func(v uint64) { binary.LittleEndian.PutUint64(u8[:], v); idx = append(idx, u8[:]...) }
-	put32(uint32(len(w.parts)))
+	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(w.parts)))
 	stored := int64(0)
 	for i := range w.parts {
 		pm := &w.parts[i]
-		put32(uint32(len(pm.frames)))
-		put64(uint64(pm.recs))
-		put64(uint64(pm.rawPayload))
+		idx = binary.LittleEndian.AppendUint32(idx, uint32(len(pm.frames)))
+		idx = binary.LittleEndian.AppendUint64(idx, uint64(pm.recs))
+		idx = binary.LittleEndian.AppendUint64(idx, uint64(pm.rawPayload))
 		for _, fi := range pm.frames {
-			put64(uint64(fi.off))
-			put32(fi.storedLen)
-			put32(fi.rawLen)
-			put32(fi.crc)
+			idx = binary.LittleEndian.AppendUint64(idx, uint64(fi.off))
+			idx = binary.LittleEndian.AppendUint32(idx, fi.storedLen)
+			idx = binary.LittleEndian.AppendUint32(idx, fi.rawLen)
+			idx = binary.LittleEndian.AppendUint32(idx, fi.crc)
 			idx = append(idx, fi.codec)
 			stored += int64(fi.storedLen)
 		}
@@ -489,36 +501,9 @@ func (w *spillWriter) finish() (*SegmentFile, error) {
 
 // abort closes and removes the partial file; for error paths.
 func (w *spillWriter) abort() {
+	recycleScratch(&w.buf)
 	w.f.Close()
 	os.Remove(w.path)
-}
-
-// appendWireRange appends records [i, j) of s in segment wire form — the
-// range-restricted AppendEncoded, used to frame a large run without
-// copying it through an intermediate arena.
-func appendWireRange(dst []byte, s Segment, i, j int) []byte {
-	var u [4]byte
-	payload := 0
-	for k := i; k < j; k++ {
-		m := s.meta[k]
-		payload += int(m.keyLen + m.valLen)
-	}
-	binary.LittleEndian.PutUint32(u[:], uint32(j-i))
-	dst = append(dst, u[:]...)
-	binary.LittleEndian.PutUint32(u[:], uint32(payload))
-	dst = append(dst, u[:]...)
-	for k := i; k < j; k++ {
-		m := s.meta[k]
-		binary.LittleEndian.PutUint32(u[:], m.keyLen)
-		dst = append(dst, u[:]...)
-		binary.LittleEndian.PutUint32(u[:], m.valLen)
-		dst = append(dst, u[:]...)
-	}
-	for k := i; k < j; k++ {
-		dst = append(dst, s.key(k)...)
-		dst = append(dst, s.val(k)...)
-	}
-	return dst
 }
 
 // WriteSegmentsFile writes one in-memory segment per partition to a new
@@ -548,216 +533,69 @@ func WriteSegmentsFile(path string, parts []Segment) (*SegmentFile, error) {
 	return sf, nil
 }
 
-// frameReader is a sequential cursor over one partition's frames: it loads
-// one decompressed frame at a time into reused scratch. Segments returned
-// by next alias that scratch and are invalidated by the following call.
-type frameReader struct {
-	fh        *os.File
-	sf        *SegmentFile
-	part      int
-	i         int // next frame index
-	stored    []byte
-	raw       []byte
-	bytesRead int64 // stored bytes consumed, for spill-read accounting
-}
-
-// openPart returns a cursor over partition p. The cursor owns its file
-// handle; callers must Close it.
-func (f *SegmentFile) openPart(p int) (*frameReader, error) {
-	fh, err := os.Open(f.path)
-	if err != nil {
-		return nil, err
-	}
-	return &frameReader{fh: fh, sf: f, part: p}, nil
-}
-
-// next returns the next frame as a decoded Segment, or io.EOF after the
-// last frame. The segment aliases the reader's scratch.
-func (r *frameReader) next() (Segment, error) {
-	frames := r.sf.parts[r.part].frames
-	if r.i >= len(frames) {
-		return Segment{}, io.EOF
-	}
-	fi := frames[r.i]
-	r.i++
-	if cap(r.stored) < int(fi.storedLen) {
-		r.stored = make([]byte, fi.storedLen)
-	}
-	if cap(r.raw) < int(fi.rawLen) {
-		r.raw = make([]byte, fi.rawLen)
-	}
-	raw, err := readFrame(r.fh, fi, r.stored[:0], r.raw[:0])
-	if err != nil {
-		return Segment{}, err
-	}
-	r.bytesRead += int64(fi.storedLen)
-	seg, err := DecodeSegment(raw)
-	if err != nil {
-		return Segment{}, fmt.Errorf("%w: frame at offset %d: %v", ErrSegmentCorrupt, fi.off, err)
-	}
-	return seg, nil
-}
-
-// Close releases the cursor's file handle.
-func (r *frameReader) Close() error { return r.fh.Close() }
-
 // frameSource is sequential access to one run's decoded frames, implemented
-// by the plain frameReader, by the readahead reader that validates and
-// inflates frame k+1 while the consumer drains frame k, and by a resident
-// run's one-frame residentSource (extmerge.go). Segments returned by next may
-// alias source-owned scratch and are invalidated by the following next call.
+// by frameReader for a run on disk and by a resident run's one-frame
+// residentSource (extmerge.go). Segments returned by next may alias
+// source-owned scratch: they are invalidated by the following next call and
+// by close.
 type frameSource interface {
 	next() (Segment, error)
 	storedBytesRead() int64
 	close() error
 }
 
-func (r *frameReader) storedBytesRead() int64 { return r.bytesRead }
-func (r *frameReader) close() error           { return r.Close() }
-
-// openFrameSource returns the best frame source for partition p: the
-// readahead-pipelined reader when the partition has at least two frames to
-// overlap, the plain sequential reader otherwise (a single-frame run has
-// nothing to pipeline, so it skips the goroutine).
-func (f *SegmentFile) openFrameSource(p int) (frameSource, error) {
-	if len(f.parts[p].frames) >= 2 {
-		return f.openReadahead(p)
-	}
-	return f.openPart(p)
+// frameReader is the one cursor over a partition on disk: it loads one frame
+// at a time — ReadAt, CRC, decode — into recycled scratch. Nothing overlaps
+// the read with the consumer: there is nothing to inflate, and the kernel
+// already reads ahead on sequential ReadAt.
+type frameReader struct {
+	fh        *os.File
+	frames    []frameInfo
+	i         int           // next frame index
+	buf       *frameScratch // current frame's bytes and metadata; nil once closed
+	bytesRead int64         // stored bytes consumed, for spill-read accounting
 }
 
-// readaheadSlots is the pipelined reader's scratch-ring depth: one frame
-// held by the consumer, one in the hand-off channel, one being read and
-// inflated — so the reader keeps at most three decompressed frames
-// resident, a bounded constant the SpillMemory accounting tolerates the
-// same way it tolerates the single-frame scratch of the plain reader.
-const readaheadSlots = 3
-
-// readaheadFrame is one decoded frame handed from the readahead goroutine
-// to its consumer. read carries the cumulative stored bytes through this
-// frame so the consumer's accounting counts only frames actually consumed,
-// matching the sequential reader's semantics exactly.
-type readaheadFrame struct {
-	seg  Segment
-	slot int
-	read int64
-	err  error
-}
-
-// readaheadReader is the pipelined frameSource: a goroutine reads,
-// CRC-validates, inflates and decodes frames into a fixed ring of scratch
-// slots and hands them over a one-deep channel, overlapping the next
-// frame's disk read and decompression with the consumer's merge work.
-type readaheadReader struct {
-	fh     *os.File
-	frames chan readaheadFrame
-	free   chan int
-	stop   chan struct{}
-	done   chan struct{}
-
-	cur      int   // slot the consumer currently holds, -1 when none
-	consumed int64 // stored bytes of frames delivered to the consumer
-	stopped  bool
-}
-
-// openReadahead starts a pipelined reader over partition p.
-func (f *SegmentFile) openReadahead(p int) (*readaheadReader, error) {
+// openPart returns a cursor over partition p. The cursor owns its file
+// handle and its scratch; callers must close it.
+func (f *SegmentFile) openPart(p int) (*frameReader, error) {
 	fh, err := os.Open(f.path)
 	if err != nil {
 		return nil, err
 	}
-	r := &readaheadReader{
-		fh:     fh,
-		frames: make(chan readaheadFrame, 1),
-		free:   make(chan int, readaheadSlots),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		cur:    -1,
-	}
-	for i := 0; i < readaheadSlots; i++ {
-		r.free <- i
-	}
-	go r.run(f, p)
-	return r, nil
+	return &frameReader{fh: fh, frames: f.parts[p].frames, buf: framePool.Get().(*frameScratch)}, nil
 }
 
-// run is the readahead goroutine: it claims a free scratch slot, loads the
-// next frame into it and hands it over, until the partition is exhausted,
-// an error occurs (sent to the consumer, then the channel closes) or the
-// consumer closes the reader.
-func (r *readaheadReader) run(sf *SegmentFile, part int) {
-	defer close(r.done)
-	defer close(r.frames)
-	var slots [readaheadSlots]struct{ stored, raw []byte }
-	var read int64
-	for _, fi := range sf.parts[part].frames {
-		var slot int
-		select {
-		case slot = <-r.free:
-		case <-r.stop:
-			return
-		}
-		s := &slots[slot]
-		if cap(s.stored) < int(fi.storedLen) {
-			s.stored = make([]byte, fi.storedLen)
-		}
-		if cap(s.raw) < int(fi.rawLen) {
-			s.raw = make([]byte, fi.rawLen)
-		}
-		raw, err := readFrame(r.fh, fi, s.stored[:0], s.raw[:0])
-		var seg Segment
-		if err == nil {
-			read += int64(fi.storedLen)
-			seg, err = DecodeSegment(raw)
-			if err != nil {
-				err = fmt.Errorf("%w: frame at offset %d: %v", ErrSegmentCorrupt, fi.off, err)
-			}
-		}
-		select {
-		case r.frames <- readaheadFrame{seg: seg, slot: slot, read: read, err: err}:
-		case <-r.stop:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// next returns the next decoded frame, or io.EOF after the last one. The
-// segment aliases ring scratch owned by the frame's slot; the slot is not
-// recycled until the following next call, so the segment stays valid
-// exactly as long as the sequential reader's would.
-func (r *readaheadReader) next() (Segment, error) {
-	if r.cur >= 0 {
-		r.free <- r.cur
-		r.cur = -1
-	}
-	f, ok := <-r.frames
-	if !ok {
+// next returns the next frame as a decoded Segment, or io.EOF after the
+// last frame. The segment aliases the reader's scratch.
+func (r *frameReader) next() (Segment, error) {
+	if r.i >= len(r.frames) {
 		return Segment{}, io.EOF
 	}
-	if f.err != nil {
-		return Segment{}, f.err
+	fi := r.frames[r.i]
+	r.i++
+	r.buf.room(int(fi.storedLen))
+	raw, err := readFrame(r.fh, fi, r.buf.data)
+	if err != nil {
+		return Segment{}, err
 	}
-	r.cur = f.slot
-	r.consumed = f.read
-	return f.seg, nil
+	r.bytesRead += int64(fi.storedLen)
+	seg, err := decodeSegment(raw, r.buf.meta)
+	if err != nil {
+		return Segment{}, fmt.Errorf("%w: frame at offset %d: %v", ErrSegmentCorrupt, fi.off, err)
+	}
+	if seg.meta != nil {
+		r.buf.meta = seg.meta
+	}
+	return seg, nil
 }
 
-func (r *readaheadReader) storedBytesRead() int64 { return r.consumed }
+func (r *frameReader) storedBytesRead() int64 { return r.bytesRead }
+func (r *frameReader) close() error           { return r.Close() }
 
-// close stops the readahead goroutine, waits for it to exit and releases
-// the file handle. Safe to call more than once.
-func (r *readaheadReader) close() error {
-	if !r.stopped {
-		r.stopped = true
-		close(r.stop)
-		// Drain the hand-off channel so a goroutine blocked on send observes
-		// the stop and exits; the loop ends when it closes the channel.
-		for range r.frames {
-		}
-		<-r.done
-	}
+// Close hands the scratch back to the pool — once, however often it is
+// called — and releases the file handle.
+func (r *frameReader) Close() error {
+	recycleScratch(&r.buf)
 	return r.fh.Close()
 }

@@ -2,14 +2,17 @@ package mapreduce
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -99,6 +102,7 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 				t.Errorf("multi-frame case produced %d frames, want >= 2", sf.Frames(0))
 			}
 			// Random-access frame reads decode with the plain wire decoder.
+			var rawBytes int
 			for p := range tc.parts {
 				var rebuilt []KV
 				for i := 0; i < sf.Frames(p); i++ {
@@ -106,6 +110,7 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ReadFrame(%d,%d): %v", p, i, err)
 					}
+					rawBytes += len(blob)
 					seg, err := DecodeSegment(blob)
 					if err != nil {
 						t.Fatalf("DecodeSegment of frame (%d,%d): %v", p, i, err)
@@ -116,7 +121,138 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 					t.Errorf("partition %d: frame-by-frame read diverges", p)
 				}
 			}
+			// Frames are stored verbatim, compressible ones included.
+			if got := int(sf.StoredBytes()); got != rawBytes {
+				t.Errorf("StoredBytes = %d, want the %d raw bytes of the frames", got, rawBytes)
+			}
 		})
+	}
+}
+
+// TestReadFrameCallerOwns pins ReadFrame's ownership contract: the blob is
+// the caller's alone, so scribbling over one result changes neither a later
+// read of the same frame nor a blob handed out before.
+func TestReadFrameCallerOwns(t *testing.T) {
+	sf, err := WriteSegmentsFile(filepath.Join(t.TempDir(), "own.seg"), []Segment{segKVs(t, 500, 41, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sf.ReadFrame(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := append([]byte(nil), first...)
+	second, err := sf.ReadFrame(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range second {
+		second[i] ^= 0xff
+	}
+	third, err := sf.ReadFrame(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, pristine) || !bytes.Equal(third, pristine) {
+		t.Fatal("mutating one ReadFrame result reached another read of the same frame")
+	}
+}
+
+// TestSpillWriterFrameCap pins that the writer refuses a frame its own reader
+// would reject as implausible: with the cap lowered (the real one is 256 MB),
+// one oversized record fails the write, naming the record, on both writer
+// paths — instead of producing a file OpenSegmentFile calls corrupt.
+func TestSpillWriterFrameCap(t *testing.T) {
+	big := SegmentFromKVs([]KV{{Key: "k", Value: string(make([]byte, 4096))}})
+	for name, write := range map[string]func(*spillWriter) error{
+		"append":        func(w *spillWriter) error { return w.append(big.key(0), big.val(0)) },
+		"appendSegment": func(w *spillWriter) error { return w.appendSegment(big) },
+	} {
+		path := filepath.Join(t.TempDir(), "cap.seg")
+		w, err := newSpillWriter(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.frameCap = 1024
+		w.beginPartition()
+		if err := w.append([]byte("small"), []byte("fits")); err != nil {
+			t.Fatalf("%s: record under the cap: %v", name, err)
+		}
+		err = write(w)
+		if err == nil {
+			err = w.endPartition() // a lone oversized record flushes here
+		}
+		if err == nil || !strings.Contains(err.Error(), "4097-byte record") {
+			t.Fatalf("%s: writing a 4097-byte record under a 1024-byte frame cap: err = %v, want one naming the record", name, err)
+		}
+		w.abort()
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: abort left the partial file behind (%v)", name, err)
+		}
+	}
+}
+
+// resealIndex returns content with the trailer's index CRC recomputed over
+// the index bytes as they now are, so an edit to the index gets past the
+// checksum and reaches the checks behind it. Content too short or with an
+// index range outside the file comes back unchanged.
+func resealIndex(content []byte) []byte {
+	if len(content) < segTrailerLen {
+		return content
+	}
+	tr := content[len(content)-segTrailerLen:]
+	off, n := binary.LittleEndian.Uint64(tr[0:8]), uint64(binary.LittleEndian.Uint32(tr[8:12]))
+	if off > uint64(len(content)) || off+n > uint64(len(content)-segTrailerLen) {
+		return content
+	}
+	binary.LittleEndian.PutUint32(tr[12:16], crc32.ChecksumIEEE(content[off:off+n]))
+	return content
+}
+
+// codecByteOff is the file offset of the codec byte in the index entry of
+// partition 0's first frame.
+func codecByteOff(content []byte) int {
+	indexOff := int(binary.LittleEndian.Uint64(content[len(content)-segTrailerLen:]))
+	return indexOff + 4 + segPartMetaLen + segFrameMeta - 1
+}
+
+// TestUnknownCodecIsCorrupt handcrafts what a stale or foreign writer would
+// leave: a frame whose index entry, under a valid index CRC, names a codec
+// other than raw. There is no inflate path to send it down; both the cursor
+// and the random-access read must call it corrupt, and neither may panic.
+func TestUnknownCodecIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	// One record of noise: no codec ever shrank it, so it was raw on disk
+	// under every version of the writer and the edit below is the only lie.
+	noise := make([]byte, 2048)
+	rand.New(rand.NewSource(51)).Read(noise)
+	sf, err := WriteSegmentsFile(filepath.Join(dir, "good.seg"), []Segment{SegmentFromKVs([]KV{{Key: string(noise[:16]), Value: string(noise[16:])}})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content, err := os.ReadFile(sf.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	content[codecByteOff(content)] = 1
+	path := filepath.Join(dir, "codec1.seg")
+	if err := os.WriteFile(path, resealIndex(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := OpenSegmentFile(path)
+	if err != nil {
+		t.Fatalf("the index itself is well formed: %v", err)
+	}
+	fr, err := bad.openPart(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.close()
+	if _, err := fr.next(); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("cursor over a codec-1 frame: err = %v, want errors.Is ErrSegmentCorrupt", err)
+	}
+	if _, err := bad.ReadFrame(0, 0); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("ReadFrame of a codec-1 frame: err = %v, want errors.Is ErrSegmentCorrupt", err)
 	}
 }
 
@@ -192,15 +328,31 @@ func openAndDrain(t *testing.T, dir string, content []byte) error {
 	return nil
 }
 
-// TestReadaheadReaderParity pins the pipelined frame source against the
-// sequential reader: identical records and identical stored-byte
-// accounting across multi-frame, single-frame, empty and incompressible
-// partitions — and openFrameSource must pick the pipelined reader exactly
-// when a partition has two or more frames to overlap.
-func TestReadaheadReaderParity(t *testing.T) {
-	dir := t.TempDir()
-	sf, err := WriteSegmentsFile(filepath.Join(dir, "ra.seg"),
-		[]Segment{segKVs(t, 40000, 31, false), segKVs(t, 10, 32, false), {}, segKVs(t, 20000, 33, true)})
+// drainFrames reads src to EOF, copying every record out (segments alias
+// reader scratch), and returns the records with the stored bytes consumed.
+func drainFrames(t *testing.T, src frameSource) ([]KV, int64) {
+	t.Helper()
+	var kvs []KV
+	for {
+		seg, err := src.next()
+		if err == io.EOF {
+			return kvs, src.storedBytesRead()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kvs = append(kvs, seg.KVs()...)
+	}
+}
+
+// TestFrameReaderParity pins the one disk cursor against the segments the
+// file was written from: identical records, and stored-byte accounting equal
+// to the index's stored lengths, across multi-frame, single-frame, empty and
+// incompressible partitions — and a second cursor, opened once the first was
+// closed and so handed the first one's recycled scratch, reads the same.
+func TestFrameReaderParity(t *testing.T) {
+	parts := []Segment{segKVs(t, 40000, 31, false), segKVs(t, 10, 32, false), {}, segKVs(t, 20000, 33, true)}
+	sf, err := WriteSegmentsFile(filepath.Join(t.TempDir(), "fr.seg"), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,90 +360,77 @@ func TestReadaheadReaderParity(t *testing.T) {
 		t.Fatalf("test shape broken: partitions 0 and 3 must be multi-frame, got %d and %d frames",
 			sf.Frames(0), sf.Frames(3))
 	}
-	drain := func(src frameSource) ([]KV, int64) {
-		t.Helper()
-		var kvs []KV
-		for {
-			seg, err := src.next()
-			if err == io.EOF {
-				break
-			}
+	for pass := 0; pass < 2; pass++ {
+		for p, want := range parts {
+			fr, err := sf.openPart(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kvs = append(kvs, seg.KVs()...) // copy out: the segment aliases ring scratch
-		}
-		return kvs, src.storedBytesRead()
-	}
-	for p := 0; p < sf.NumPartitions(); p++ {
-		fr, err := sf.openPart(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantRead := drain(fr)
-		fr.close()
-		ra, err := sf.openReadahead(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotRead := drain(ra)
-		if err := ra.close(); err != nil {
-			t.Fatalf("partition %d: close: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("partition %d: readahead records diverge from sequential reader", p)
-		}
-		if gotRead != wantRead {
-			t.Fatalf("partition %d: storedBytesRead = %d via readahead, %d sequential", p, gotRead, wantRead)
+			got, gotRead := drainFrames(t, fr)
+			if err := fr.close(); err != nil {
+				t.Fatalf("partition %d: close: %v", p, err)
+			}
+			if len(got) != want.Len() || (len(got) > 0 && !reflect.DeepEqual(got, want.KVs())) {
+				t.Fatalf("pass %d partition %d: frame reader's records diverge from the written segment", pass, p)
+			}
+			var stored int64
+			for _, fi := range sf.parts[p].frames {
+				stored += int64(fi.storedLen)
+			}
+			if gotRead != stored {
+				t.Fatalf("pass %d partition %d: storedBytesRead = %d, index says %d", pass, p, gotRead, stored)
+			}
 		}
 	}
-	multi, err := sf.openFrameSource(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := multi.(*readaheadReader); !ok {
-		t.Errorf("openFrameSource picked %T for a multi-frame partition, want readahead", multi)
-	}
-	multi.close()
-	single, err := sf.openFrameSource(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := single.(*frameReader); !ok {
-		t.Errorf("openFrameSource picked %T for a single-frame partition, want plain reader", single)
-	}
-	single.close()
 }
 
-// TestReadaheadEarlyClose pins shutdown: closing the pipelined reader
-// mid-stream — or before reading anything, with the producer blocked on
-// the hand-off channel — must join the goroutine without deadlocking.
-func TestReadaheadEarlyClose(t *testing.T) {
+// TestFrameReaderEarlyClose pins shutdown: closing the cursor mid-run — or
+// before reading anything — releases its file descriptor, and a second close
+// must not hand its scratch to the pool twice (two later cursors would share
+// one buffer).
+func TestFrameReaderEarlyClose(t *testing.T) {
 	sf, err := WriteSegmentsFile(filepath.Join(t.TempDir(), "early.seg"),
 		[]Segment{segKVs(t, 40000, 34, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, reads := range []int{0, 1} {
-		ra, err := sf.openReadahead(0)
+		fr, err := sf.openPart(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < reads; i++ {
-			if _, err := ra.next(); err != nil {
+			if _, err := fr.next(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := ra.close(); err != nil {
+		if err := fr.close(); err != nil {
 			t.Fatalf("close after %d reads: %v", reads, err)
 		}
+		if _, err := fr.fh.Stat(); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("close after %d reads left the descriptor open (Stat: %v)", reads, err)
+		}
+		fr.close() // the descriptor is gone; the scratch must not be pooled again
+		a, err := sf.openPart(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sf.openPart(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.buf == b.buf {
+			t.Fatalf("two open cursors share one scratch after a double close")
+		}
+		a.close()
+		b.close()
 	}
 }
 
-// TestReadaheadCorruptionTyped pins error delivery through the pipeline: a
-// corrupt frame must surface as the same typed sentinel the sequential
-// reader raises, exactly once, with the source exhausted afterwards.
-func TestReadaheadCorruptionTyped(t *testing.T) {
+// TestFrameReaderCorruptionTyped pins error delivery mid-run: the frames
+// ahead of a corrupt one read cleanly, the corrupt one surfaces as the typed
+// sentinel, and closing afterwards is clean.
+func TestFrameReaderCorruptionTyped(t *testing.T) {
 	dir := t.TempDir()
 	sf, err := WriteSegmentsFile(filepath.Join(dir, "good.seg"),
 		[]Segment{segKVs(t, 40000, 35, false)})
@@ -302,8 +441,6 @@ func TestReadaheadCorruptionTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the second frame: the first decodes cleanly, so the error
-	// crosses the hand-off channel behind good data.
 	badPath := filepath.Join(dir, "bad.seg")
 	if err := os.WriteFile(badPath, corruptAt(good, int(sf.parts[0].frames[1].off)+2), 0o644); err != nil {
 		t.Fatal(err)
@@ -312,25 +449,17 @@ func TestReadaheadCorruptionTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := bf.openReadahead(0)
+	fr, err := bf.openPart(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var raErr error
-	for {
-		_, err := ra.next()
-		if err != nil {
-			raErr = err
-			break
-		}
+	if _, err := fr.next(); err != nil {
+		t.Fatalf("frame ahead of the corrupt one: %v", err)
 	}
-	if !errors.Is(raErr, ErrSegmentCorrupt) {
-		t.Fatalf("readahead error = %v, want errors.Is ErrSegmentCorrupt", raErr)
+	if _, err := fr.next(); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("corrupt frame error = %v, want errors.Is ErrSegmentCorrupt", err)
 	}
-	if _, err := ra.next(); err != io.EOF {
-		t.Fatalf("next after error = %v, want io.EOF (source exhausted)", err)
-	}
-	if err := ra.close(); err != nil {
+	if err := fr.close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -396,9 +525,11 @@ func TestSegmentFileCorruptionTyped(t *testing.T) {
 }
 
 // FuzzSegmentFileReader fuzzes the on-disk reader with byte flips and
-// truncations of a valid file (plus arbitrary leading garbage): the reader
-// must either succeed with plausible data or fail with one of the two
-// typed sentinels — it must never panic and never return an untyped error.
+// truncations of a valid file (plus arbitrary leading garbage), optionally
+// resealing the index CRC afterwards so flips inside the index reach its
+// bounds checks and the per-frame codec check: the reader must either succeed
+// with plausible data or fail with one of the two typed sentinels — it must
+// never panic and never return an untyped error.
 func FuzzSegmentFileReader(f *testing.F) {
 	dir := f.TempDir()
 	sf, err := WriteSegmentsFile(filepath.Join(dir, "seed.seg"),
@@ -410,17 +541,21 @@ func FuzzSegmentFileReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(0, byte(0), uint16(0))
-	f.Add(10, byte(0x80), uint16(100))
-	f.Add(len(valid)-1, byte(0xff), uint16(0))
-	f.Add(len(valid)-segTrailerLen, byte(1), uint16(0))
-	f.Fuzz(func(t *testing.T, pos int, flip byte, truncate uint16) {
+	f.Add(0, byte(0), uint16(0), false)
+	f.Add(10, byte(0x80), uint16(100), false)
+	f.Add(len(valid)-1, byte(0xff), uint16(0), false)
+	f.Add(len(valid)-segTrailerLen, byte(1), uint16(0), false)
+	f.Add(codecByteOff(valid), byte(1), uint16(0), true) // TestUnknownCodecIsCorrupt's file
+	f.Fuzz(func(t *testing.T, pos int, flip byte, truncate uint16, reseal bool) {
 		content := append([]byte(nil), valid...)
 		if len(content) > 0 {
 			content[((pos%len(content))+len(content))%len(content)] ^= flip
 		}
 		if int(truncate) > 0 && int(truncate) < len(content) {
 			content = content[:len(content)-int(truncate)]
+		}
+		if reseal {
+			content = resealIndex(content)
 		}
 		err := openAndDrain(t, t.TempDir(), content)
 		if err != nil && !errors.Is(err, ErrSegmentCorrupt) && !errors.Is(err, ErrSegmentTruncated) {

@@ -51,7 +51,12 @@ func EncodeSegment(s Segment) []byte {
 // DecodeSegment parses a wire-form segment. The returned segment's record
 // payload aliases buf — no copy — so buf must stay immutable for the
 // segment's lifetime; only the metadata slice is allocated.
-func DecodeSegment(buf []byte) (Segment, error) {
+func DecodeSegment(buf []byte) (Segment, error) { return decodeSegment(buf, nil) }
+
+// decodeSegment is DecodeSegment building the metadata in scratch's backing
+// array when it is large enough (a disk cursor decodes frame after frame into
+// the same one).
+func decodeSegment(buf []byte, scratch []recMeta) (Segment, error) {
 	if len(buf) < segHeaderSize {
 		return Segment{}, fmt.Errorf("mapreduce: segment blob too short: %d bytes", len(buf))
 	}
@@ -65,7 +70,11 @@ func DecodeSegment(buf []byte) (Segment, error) {
 	if n == 0 {
 		return Segment{}, nil
 	}
-	meta := make([]recMeta, n)
+	meta := scratch
+	if cap(meta) < n {
+		meta = make([]recMeta, n)
+	}
+	meta = meta[:n]
 	off := uint32(0)
 	lens := buf[segHeaderSize:]
 	for i := 0; i < n; i++ {
