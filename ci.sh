@@ -26,6 +26,11 @@ test -z "$(gofmt -l .)"
 # shellcheck disable=SC2046
 test -z "$(grep -l '"compress/' $(ls internal/mapreduce/*.go | grep -v _test.go))"
 
+# Snapshot gate: the master's snapshot names a job's bytes (its data file
+# and the extents in it) instead of carrying them, so snapshot.go touches
+# neither the splits nor the buffered reduce outputs.
+test -z "$(grep -nE 'SplitData|redOutputs' internal/dist/snapshot.go)"
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -158,6 +163,7 @@ worker_pid='' master_pid=''
 # BenchmarkNoopObserver additionally pins the no-observer phase path in the
 # test suite above.
 go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSpillSort|BenchmarkShuffleMerge|BenchmarkSortedOutput|BenchmarkNoopObserver' -benchtime 1x ./internal/mapreduce/ .
+go test -run '^$' -bench 'BenchmarkSnapshotWrite' -benchtime 1x ./internal/dist/
 
 # Contended-shuffle smoke: the sharded-collector stress case (many small
 # map tasks fanning into 32 partitions) must complete at both 1 and 4
@@ -168,10 +174,13 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # Chaos lane: the multi-tenant fault path spotlighted under -race — eight
 # concurrent jobs on three workers with one worker killed mid-run and a
 # master restart from its snapshot, plus the lost-shuffle, eviction and
-# snapshot-resume regressions. These run inside the blanket race gate too;
+# snapshot-resume regressions and the per-job data files beside the
+# snapshot (a finished reducer restored from its file, torn append
+# included; the orphan sweep; nothing left behind; a snapshot whose size
+# does not follow the input). These run inside the blanket race gate too;
 # -count=2 here shakes out scheduling-order flakes and makes a chaos
 # failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six

@@ -49,7 +49,7 @@ func main() {
 		specFrac = flag.Float64("spec-fraction", 0.5, "speculative-execution age fraction of the timeout (role=master)")
 		maxJobs  = flag.Int("max-jobs", 4, "concurrent running job cap (role=master)")
 		workerTO = flag.Duration("worker-timeout", 30*time.Second, "silent-worker eviction window (role=master)")
-		snapshot = flag.String("snapshot", "", "persist master state to this file and resume from it on start (role=master)")
+		snapshot = flag.String("snapshot", "", "persist master state to this file and resume from it on start; per-job data files (FILE.job-*) live beside it (role=master)")
 		poll     = flag.Duration("poll", 10*time.Millisecond, "idle poll interval (role=worker)")
 		spillDir = flag.String("spill-dir", "", "serve map output from checksummed spill files under this directory instead of memory (role=worker)")
 		trace    = flag.String("trace", "", "stream a JSONL observability trace to this file (master/worker)")

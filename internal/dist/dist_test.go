@@ -447,3 +447,41 @@ func TestReportFailureRequeuesImmediately(t *testing.T) {
 		t.Error("failure report did not requeue anything")
 	}
 }
+
+// TestRetiredRingByteBudget pins the retired ring's two bounds: small
+// results stay for all maxRetired jobs, while large ones age out, oldest
+// first, once they pin more than maxRetiredBytes of output — a failed or
+// cancelled job (no result) pins nothing.
+func TestRetiredRingByteBudget(t *testing.T) {
+	retire := func(ring []*jobState, id string, out units.Bytes) []*jobState {
+		js := &jobState{id: id}
+		if out > 0 {
+			js.result = &mapreduce.Result{Counters: mapreduce.Counters{ReduceOutputBytes: out}}
+		}
+		return trimRetired(append(ring, js))
+	}
+	var ring []*jobState
+	for i := 0; i < 2*maxRetired; i++ {
+		ring = retire(ring, "small-"+strconv.Itoa(i), 64*units.KB)
+	}
+	if len(ring) != maxRetired || ring[0].id != "small-"+strconv.Itoa(maxRetired) {
+		t.Fatalf("ring of small results holds %d jobs from %s, want the newest %d", len(ring), ring[0].id, maxRetired)
+	}
+	ring = nil
+	for i := 0; i < 8; i++ {
+		ring = retire(ring, "large-"+strconv.Itoa(i), maxRetiredBytes/4)
+		ring = retire(ring, "cancelled-"+strconv.Itoa(i), 0)
+	}
+	var pinned units.Bytes
+	large := 0
+	for _, js := range ring {
+		if js.result != nil {
+			pinned += js.result.Counters.ReduceOutputBytes
+			large++
+		}
+	}
+	if pinned > maxRetiredBytes || large != 4 || ring[len(ring)-1].id != "cancelled-7" {
+		t.Errorf("ring pins %v in %d large results (newest %s), want at most %v in 4, newest kept",
+			pinned, large, ring[len(ring)-1].id, maxRetiredBytes)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"net/rpc"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -265,62 +264,6 @@ func TestSnapshotRestartResumesJob(t *testing.T) {
 	}
 	// The restored master accepts new work alongside the resumed job.
 	submitWait(t, m2, desc, workloads.GenerateText(4*units.KB, 31), 2*1024)
-}
-
-// TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
-// written by the version-1 layout (inline segment payloads in the
-// publication log) must fail StartMaster instead of resuming jobs whose
-// segments the current layout cannot hold.
-func TestSnapshotVersionMismatchRejected(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "master.snap")
-	v1 := snapshot{Version: 1, Epoch: 1, JobSeq: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
-	if err := writeSnapshot(snap, &v1); err != nil {
-		t.Fatal(err)
-	}
-	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
-	if err == nil {
-		m.Close()
-		t.Fatal("StartMaster resumed a version-1 snapshot")
-	}
-	if want := "snapshot version 1, want 2"; !strings.Contains(err.Error(), want) {
-		t.Errorf("StartMaster error %q, want it to name %q", err, want)
-	}
-}
-
-// TestSnapshotBlobsRoundTrip pins the file layout: map splits and reduce
-// outputs travel as their own gob messages after the snapshot value, and
-// come back in their slots — a finished reducer's output intact, an
-// unfinished one's empty (restoreLocked reads "done" off exactly that).
-func TestSnapshotBlobsRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "master.snap")
-	in := snapshot{Version: snapshotVersion, Epoch: 2, JobSeq: 2, Jobs: []snapJob{
-		{ID: "job-1", Epoch: 1, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 3},
-			MapTasks:   []snapTask{{Done: true, Owner: "w", split: []byte("one")}, {split: []byte("two")}},
-			PartSegs:   make([][]TaggedSegment, 3),
-			redOutputs: [][]byte{nil, []byte("out"), nil}},
-		{ID: "job-2", Epoch: 2, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 1},
-			MapTasks: []snapTask{{split: []byte("three")}}, PartSegs: make([][]TaggedSegment, 1),
-			redOutputs: [][]byte{nil}},
-	}}
-	if err := writeSnapshot(path, &in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := loadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := in.blobs(), out.blobs()
-	if len(got) != len(want) {
-		t.Fatalf("loaded %d blobs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(*got[i], *want[i]) {
-			t.Errorf("blob %d = %q, want %q", i, *got[i], *want[i])
-		}
-	}
-	if ts := out.Jobs[0].MapTasks[0]; !ts.Done || ts.Owner != "w" || len(out.Jobs[0].PartSegs) != 3 {
-		t.Errorf("snapshot value did not survive: %+v, %d partitions", ts, len(out.Jobs[0].PartSegs))
-	}
 }
 
 // chaosJob is one of the concurrent jobs in the chaos scenario.

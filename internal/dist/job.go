@@ -9,6 +9,7 @@ package dist
 // closed (the channel close is the happens-before edge).
 
 import (
+	"os"
 	"time"
 
 	"heterohadoop/internal/mapreduce"
@@ -73,6 +74,13 @@ type jobState struct {
 	// blob, decoded once when the job completes.
 	redOutputs [][]byte
 	redsLeft   int
+
+	// data is the job's data file when snapshots are on (nil otherwise):
+	// the input at [0, inputLen), then each reduce output appended at
+	// dataEnd as it arrives; outExt locates each output, zero until then.
+	data              *os.File
+	inputLen, dataEnd int64
+	outExt            []extent
 
 	counters      mapreduce.Counters
 	reassigned    int
@@ -146,6 +154,7 @@ func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chu
 		}, readyAt: now}
 	}
 	js.redOutputs = make([][]byte, desc.NumReducers)
+	js.outExt = make([]extent, desc.NumReducers)
 	return js
 }
 
@@ -193,6 +202,7 @@ func (js *jobState) clearTables() {
 	js.partSegs = nil
 	js.redTasks = nil
 	js.redOutputs = nil
+	js.outExt = nil
 }
 
 // invalidateMap re-enqueues a completed map task whose shuffle output is

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -15,8 +17,13 @@ import (
 )
 
 // maxRetired bounds how many terminal jobs the master keeps for Handle and
-// JobStatus lookups (and how much history a snapshot carries).
-const maxRetired = 32
+// JobStatus lookups (and how much history a snapshot carries), and
+// maxRetiredBytes the reduce output their results pin: a few large results
+// age out before many small ones do.
+const (
+	maxRetired      = 32
+	maxRetiredBytes = 64 * units.MB
+)
 
 // Master is the job coordinator. It is multi-tenant: Submit returns a
 // JobHandle immediately, admitted jobs run concurrently under a
@@ -101,9 +108,14 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 		}
 		if snap != nil {
 			m.mu.Lock()
-			m.restoreLocked(snap)
+			err = m.restoreLocked(snap)
 			m.mu.Unlock()
 		}
+		if err != nil {
+			m.Close() // releases the data files restored so far
+			return nil, err
+		}
+		m.sweepDataFiles()
 	}
 	if err := m.server.RegisterName("Master", &masterRPC{m: m}); err != nil {
 		ln.Close()
@@ -120,12 +132,17 @@ func (m *Master) Addr() string { return m.listener.Addr().String() }
 // Close stops accepting connections and the liveness janitor; subsequent
 // submissions fail with ErrMasterClosed. In-flight jobs are left as they
 // stand — with WithSnapshotPath a new StartMaster at the same path resumes
-// them.
+// them, their data files included; a closed master persists nothing more.
 func (m *Master) Close() error {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
 		close(m.janitorStop)
+		for _, js := range m.order {
+			if js.data != nil {
+				js.data.Close()
+			}
+		}
 	}
 	m.mu.Unlock()
 	return m.listener.Close()
@@ -217,7 +234,8 @@ func (m *Master) Stats() Stats {
 // workers pick its tasks up alongside every other running job's. Wait on
 // the handle for the result; ctx only bounds the admission itself (a
 // cancelled ctx before admission fails the call — it is not attached to
-// the job).
+// the job). With snapshots on, a job whose input cannot be written to its
+// data file is refused: the master could not resume it.
 func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, blockSize int) (*JobHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: submit cancelled: %w", err)
@@ -241,18 +259,27 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if len(chunks) == 0 {
 		return nil, ErrEmptyInput
 	}
+	var data *os.File
+	if m.snapPath != "" {
+		if data, err = createDataFile(m.snapPath, input); err != nil {
+			return nil, fmt.Errorf("dist: submit: persist input: %w", err)
+		}
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
+		removeDataFile(data)
 		return nil, ErrMasterClosed
 	}
 	if len(m.jobs) >= maxQueuedJobs {
+		removeDataFile(data)
 		return nil, ErrQueueFull
 	}
 	m.jobSeq++
 	m.epoch++
 	js := newJobState(fmt.Sprintf("job-%d", m.jobSeq), m.epoch, desc, blockSize, chunks, m.defaults, time.Now())
+	js.data, js.inputLen, js.dataEnd = data, int64(len(input)), int64(len(input))
 	m.jobs[js.id] = js
 	m.byEpoch[js.epoch] = js
 	m.order = append(m.order, js)
@@ -282,8 +309,6 @@ func (m *Master) abortJob(js *jobState, cause error) {
 	js.state = JobCancelled
 	js.err = fmt.Errorf("dist: job %s aborted: %w", js.desc.Workload, cause)
 	m.retireLocked(js)
-	m.promoteLocked()
-	m.saveSnapshotLocked()
 }
 
 // finalizeLocked completes a job whose last reduce just landed: decode the
@@ -312,14 +337,14 @@ func (m *Master) finalizeLocked(js *jobState) {
 		js.result = res
 	}
 	m.retireLocked(js)
-	m.promoteLocked()
-	m.saveSnapshotLocked()
 }
 
 // retireLocked removes a terminal job from the active tables, records its
-// final status, frees its task tables and wakes its waiters. The jobState
-// itself is kept on a bounded ring so handles stay answerable. Called under
-// m.mu with js.state already terminal and result/err set.
+// final status, frees its task tables, wakes its waiters, admits queued
+// work and persists — and only once a snapshot without the job is on disk
+// deletes the job's data file. The jobState itself is kept on a bounded
+// ring so handles stay answerable. Called under m.mu with js.state already
+// terminal and result/err set.
 func (m *Master) retireLocked(js *jobState) {
 	js.phase = ""
 	js.finishedAt = time.Now()
@@ -337,13 +362,36 @@ func (m *Master) retireLocked(js *jobState) {
 			break
 		}
 	}
-	m.retired = append(m.retired, js)
-	if len(m.retired) > maxRetired {
-		m.retired = m.retired[1:]
-	}
+	m.retired = trimRetired(append(m.retired, js))
 	js.clearTables()
 	js.span.End()
 	close(js.doneCh)
+	m.promoteLocked()
+	if m.saveSnapshotLocked() {
+		removeDataFile(js.data)
+	} else if js.data != nil {
+		js.data.Close()
+	}
+	js.data = nil
+}
+
+// trimRetired drops the oldest jobs from the retired ring while it holds
+// more than maxRetired of them or their results pin more than
+// maxRetiredBytes of output.
+func trimRetired(ring []*jobState) []*jobState {
+	var pinned units.Bytes
+	for _, js := range ring {
+		if js.result != nil {
+			pinned += js.result.Counters.ReduceOutputBytes
+		}
+	}
+	for len(ring) > maxRetired || pinned > maxRetiredBytes {
+		if ring[0].result != nil {
+			pinned -= ring[0].result.Counters.ReduceOutputBytes
+		}
+		ring = slices.Delete(ring, 0, 1) // zeroes the vacated slot
+	}
+	return ring
 }
 
 // promoteLocked admits queued jobs into the running set up to the
@@ -631,9 +679,11 @@ func (m *Master) completeReduce(res *ReduceDone) {
 	if m.ob.Enabled() {
 		m.ob.Progress("dist.reduce/"+js.id, len(js.redTasks)-js.redsLeft, len(js.redTasks))
 	}
+	// The last output is never persisted: the job retires right here.
 	if js.redsLeft == 0 {
 		m.finalizeLocked(js)
 	} else {
+		m.persistOutputLocked(js, res.Partition, res.Output)
 		m.saveSnapshotLocked()
 	}
 }

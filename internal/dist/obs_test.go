@@ -76,18 +76,25 @@ func TestCancelReturnsMasterToIdle(t *testing.T) {
 // task, so tests can hold an in-flight assignment without running it.
 func stealMapTask(t *testing.T, client *rpc.Client, workerID string) Task {
 	t.Helper()
+	return stealTask(t, client, workerID, TaskMap)
+}
+
+// stealTask polls GetTask as workerID until the master hands out a task of
+// the given kind.
+func stealTask(t *testing.T, client *rpc.Client, workerID string, kind string) Task {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		var task Task
 		if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: workerID}, &task); err != nil {
 			t.Fatal(err)
 		}
-		if task.Kind == TaskMap {
+		if task.Kind == kind {
 			return task
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("never received a map task")
+	t.Fatalf("never received a %s task", kind)
 	return Task{}
 }
 

@@ -138,7 +138,9 @@ func WithWorkerTimeout(d time.Duration) Option {
 // WithSnapshotPath makes the master persist a versioned state snapshot
 // (jobs, task tables, worker registry) to path on every mutation, and
 // StartMaster resume from an existing snapshot at that path — a restarted
-// master picks its in-flight jobs back up. Empty keeps snapshots off.
+// master picks its in-flight jobs back up. Each job's input and finished
+// outputs live in a data file beside it (path.job-*) until the job
+// retires. Empty keeps snapshots off.
 func WithSnapshotPath(path string) Option {
 	return func(c *config) { c.snapshotPath = path }
 }

@@ -1,0 +1,318 @@
+package dist
+
+// snapshot_test.go covers the snapshot layout and the per-job data files
+// beside it: the version gate, the value + extents round trip, a restart
+// that serves a finished reducer's output from the data file (torn append
+// included), the orphan sweep and the missing/short file errors, the empty
+// directory a closed cluster leaves, and a snapshot whose size follows the
+// task table rather than the input.
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"heterohadoop/internal/units"
+	"heterohadoop/internal/workloads"
+)
+
+// dataFiles lists the job data files beside the snapshot at snap.
+func dataFiles(t testing.TB, snap string) []string {
+	t.Helper()
+	files, err := filepath.Glob(snap + ".job-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// dirNames lists dir's entries by name, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
+// written by the version-2 layout (splits and outputs inside the snapshot
+// file) must fail StartMaster instead of resuming jobs with no data file.
+func TestSnapshotVersionMismatchRejected(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	v2 := snapshot{Version: 2, Epoch: 1, JobSeq: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
+	if err := writeSnapshot(snap, &v2); err != nil {
+		t.Fatal(err)
+	}
+	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+	if err == nil {
+		m.Close()
+		t.Fatal("StartMaster resumed a version-2 snapshot")
+	}
+	if want := "snapshot version 2, want 3"; !strings.Contains(err.Error(), want) {
+		t.Errorf("StartMaster error %q, want it to name %q", err, want)
+	}
+}
+
+// TestSnapshotBlobsRoundTrip pins the version-3 layout: the snapshot value
+// names the data file and the extents in it, and reading the file back at
+// those extents returns the input and the finished reducer's output — an
+// unfinished reducer's extent stays empty (restoreLocked reads "done" off
+// exactly that), and a torn append past the last extent is not an error.
+func TestSnapshotBlobsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "master.snap")
+	input, out := []byte("one\ntwo\n"), []byte("out")
+	data := filepath.Join(dir, "master.snap.job-1")
+	if err := os.WriteFile(data, append(append(append([]byte(nil), input...), out...), "torn"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outs := []extent{{}, {Off: int64(len(input)), Len: int64(len(out))}, {}}
+	in := snapshot{Version: snapshotVersion, Epoch: 1, JobSeq: 1, Jobs: []snapJob{
+		{ID: "job-1", Epoch: 1, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 3},
+			DataFile: filepath.Base(data), InputLen: int64(len(input)), Outputs: outs,
+			MapTasks: []snapTask{{Done: true, Owner: "w"}}, PartSegs: make([][]TaggedSegment, 3)},
+	}}
+	if err := writeSnapshot(path, &in); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj := snap.Jobs[0]
+	if sj.DataFile != filepath.Base(data) || sj.InputLen != int64(len(input)) || fmt.Sprint(sj.Outputs) != fmt.Sprint(outs) {
+		t.Errorf("snapshot value = file %q input %d outputs %v, want %q %d %v",
+			sj.DataFile, sj.InputLen, sj.Outputs, filepath.Base(data), len(input), outs)
+	}
+	if ts := sj.MapTasks[0]; !ts.Done || ts.Owner != "w" || len(sj.PartSegs) != 3 {
+		t.Errorf("task table did not survive: %+v, %d partitions", ts, len(sj.PartSegs))
+	}
+	f, buf, err := readDataFile(dir, &sj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e := sj.Outputs[1]
+	if !bytes.Equal(buf[:sj.InputLen], input) || !bytes.Equal(buf[e.Off:e.Off+e.Len], out) {
+		t.Errorf("data file read back %q, want input %q then output %q", buf, input, out)
+	}
+}
+
+// TestSnapshotRestartResumesFinishedReducer closes a master with one of
+// two reducers done: the restarted master must read that output back from
+// the job's data file — only the other reducer runs again — and the result
+// must be byte-identical to an uninterrupted run, also when garbage (a
+// torn append) follows the last recorded extent.
+func TestSnapshotRestartResumesFinishedReducer(t *testing.T) {
+	input := workloads.GenerateText(8*units.KB, 37)
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2, ReduceSlowstart: 1.0}
+	ref := startMaster(t)
+	startWorker(t, ref, "reference")
+	want := outputBytes(t, submitWait(t, ref, desc, input, 2*1024))
+
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
+			snap := filepath.Join(t.TempDir(), "master.snap")
+			m1 := startMaster(t, WithSnapshotPath(snap))
+			h1, err := m1.Submit(context.Background(), desc, input, 2*1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clerk := connectWorker(t, m1, "clerk")
+			driveMaps(t, h1, clerk)
+			if err := clerk.runReduceStreaming(context.Background(), stealTask(t, clerk.client, clerk.ID, TaskReduce)); err != nil {
+				t.Fatal(err)
+			}
+			if st := h1.Status(); st.ReducesDone != 1 {
+				t.Fatalf("pre-restart status = %+v, want 1 reducer done", st)
+			}
+			m1.Close()
+			files := dataFiles(t, snap)
+			if len(files) != 1 {
+				t.Fatalf("data files beside the snapshot: %v, want one", files)
+			}
+			if torn {
+				f, err := os.OpenFile(files[0], os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.WriteString("a torn append that no extent names")
+				f.Close()
+			}
+
+			m2 := startMaster(t, WithSnapshotPath(snap))
+			st, ok := m2.JobStatus(h1.ID())
+			if !ok || st.MapsDone != st.MapsTotal || st.ReducesDone != 1 {
+				t.Fatalf("restored status = %+v (found %v), want every map and 1 reducer done", st, ok)
+			}
+			h2, _ := m2.Handle(h1.ID())
+			resumer := startWorker(t, m2, "resumer")
+			if got := outputBytes(t, waitJob(t, h2, jobDeadline)); !bytes.Equal(got, want) {
+				t.Errorf("resumed output differs from the uninterrupted run (%d vs %d bytes)", len(got), len(want))
+			}
+			if n := resumer.TasksRun(); n != 1 {
+				t.Errorf("resumer ran %d tasks, want 1 (the finished reducer comes from the data file)", n)
+			}
+			// Wait returns inside the retiring critical section; the unlink
+			// follows its snapshot write under the same lock.
+			m2.mu.Lock()
+			m2.mu.Unlock()
+			if files := dataFiles(t, snap); len(files) != 0 {
+				t.Errorf("retired job left its data file: %v", files)
+			}
+		})
+	}
+}
+
+// TestSnapshotOrphanSweep: StartMaster removes the data files its
+// snapshot does not name (and nothing else), and refuses — naming job and
+// file — a snapshot whose data file is missing or short.
+func TestSnapshotOrphanSweep(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "master.snap")
+	m1 := startMaster(t, WithSnapshotPath(snap))
+	h, err := m1.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2},
+		workloads.GenerateText(8*units.KB, 41), 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Close()
+	named := dataFiles(t, snap)
+	if len(named) != 1 {
+		t.Fatalf("data files of one in-flight job: %v", named)
+	}
+	orphan := snap + ".job-orphan"
+	other := filepath.Join(dir, "unrelated.job-1")
+	for _, p := range []string{orphan, other} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m2 := startMaster(t, WithSnapshotPath(snap))
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphan survived StartMaster: %v", err)
+	}
+	for _, p := range []string{named[0], other} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("StartMaster removed %s: %v", p, err)
+		}
+	}
+	m2.Close()
+
+	for _, c := range []struct {
+		name   string
+		damage func(string) error
+		want   string
+	}{
+		{"short", func(p string) error { return os.Truncate(p, 100) }, "shorter than"},
+		{"missing", os.Remove, "no such file"},
+	} {
+		if err := c.damage(named[0]); err != nil {
+			t.Fatal(err)
+		}
+		m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+		if err == nil {
+			m.Close()
+			t.Fatalf("%s data file: StartMaster resumed the job", c.name)
+		}
+		for _, want := range []string{h.ID(), named[0], c.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s data file: StartMaster error %q does not name %q", c.name, err, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotLeavesOnlyItsFile runs jobs to completion and cancels one on
+// a snapshotting master: once the master is closed, the snapshot is the
+// only file in its directory.
+func TestSnapshotLeavesOnlyItsFile(t *testing.T) {
+	dir := t.TempDir()
+	m := startMaster(t, WithSnapshotPath(filepath.Join(dir, "master.snap")))
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2},
+		workloads.GenerateText(8*units.KB, 43), 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Cancel()
+	startWorker(t, m, "w")
+	for i := 0; i < 3; i++ {
+		submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2},
+			workloads.GenerateText(8*units.KB, int64(44+i)), 2*1024)
+	}
+	submitWait(t, m, JobDescriptor{Workload: "terasort", NumReducers: 3},
+		workloads.GenerateTeraRecords(16*units.KB, 47), 4*1024)
+	m.Close()
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != "master.snap" {
+		t.Errorf("directory after Close holds %v, want only master.snap", got)
+	}
+}
+
+// snapshotWithJob starts a snapshotting master holding one in-flight
+// wordcount job of n bytes in 16 map tasks, and returns it with the
+// snapshot path.
+func snapshotWithJob(t testing.TB, n units.Bytes) (*Master, string) {
+	t.Helper()
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	input := workloads.GenerateText(n, 49)
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, (len(input)+15)/16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Status(); st.MapsTotal != 16 {
+		t.Fatalf("%v job has %d map tasks, want 16", n, st.MapsTotal)
+	}
+	return m, snap
+}
+
+// TestSnapshotSizeIndependentOfInput: with one job in flight, the snapshot
+// is the same size whether the job's input is 64 KB or 4 MB — it names the
+// input's bytes instead of carrying them.
+func TestSnapshotSizeIndependentOfInput(t *testing.T) {
+	size := func(n units.Bytes) int64 {
+		_, snap := snapshotWithJob(t, n)
+		fi, err := os.Stat(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	small, large := size(64*units.KB), size(4*units.MB)
+	if d := large - small; d < -1024 || d > 1024 {
+		t.Errorf("snapshot is %d bytes with a 64 KB job and %d with a 4 MB one, want within 1 KB", small, large)
+	}
+}
+
+// BenchmarkSnapshotWrite times one snapshot write with a 16-map job in
+// flight; B/op must not grow with the job's input.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	for _, n := range []units.Bytes{units.MB, 16 * units.MB} {
+		b.Run(fmt.Sprintf("input=%dMB", n/units.MB), func(b *testing.B) {
+			m, _ := snapshotWithJob(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.mu.Lock()
+				m.saveSnapshotLocked()
+				m.mu.Unlock()
+			}
+		})
+	}
+}

@@ -84,66 +84,10 @@ type storedOutput struct {
 type shuffleStore struct {
 	mu      sync.Mutex
 	byEpoch map[uint64]map[int]storedOutput
-
-	// Frame readahead for disk-backed serving: after frame k of a
-	// partition is served, frame k+1 is read and CRC-validated in the
-	// background, so a reducer's cursor walking the partition finds its
-	// next fetch already resident — the disk read overlaps the network
-	// round trip instead of sitting on it. Small FIFO-bounded keyed
-	// cache (at most shufflePrefetchCap ~1 MB frames); misses fall
-	// through to ReadFrame, and read failures are never cached (the
-	// serving path must observe corruption itself and answer as loss).
-	pmu      sync.Mutex
-	prefetch map[frameKey][]byte
-	porder   []frameKey
 }
-
-// frameKey identifies one served disk frame in the readahead cache.
-type frameKey struct {
-	epoch  uint64
-	mapSeq int
-	part   int
-	frame  int
-}
-
-// shufflePrefetchCap bounds the readahead cache's entry count.
-const shufflePrefetchCap = 16
 
 func newShuffleStore() *shuffleStore {
 	return &shuffleStore{byEpoch: make(map[uint64]map[int]storedOutput)}
-}
-
-// cacheTake removes and returns a prefetched frame. Frames are consumed at
-// most once — a cursor fetches each frame exactly once, so leaving entries
-// behind would only delay eviction.
-func (s *shuffleStore) cacheTake(k frameKey) ([]byte, bool) {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	b, ok := s.prefetch[k]
-	if ok {
-		delete(s.prefetch, k)
-	}
-	return b, ok
-}
-
-// cachePut inserts a prefetched frame, evicting oldest-inserted entries
-// past the cap. Stale order entries (already consumed) are skipped.
-func (s *shuffleStore) cachePut(k frameKey, b []byte) {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	if s.prefetch == nil {
-		s.prefetch = make(map[frameKey][]byte)
-	}
-	if _, dup := s.prefetch[k]; dup {
-		return
-	}
-	for len(s.prefetch) >= shufflePrefetchCap && len(s.porder) > 0 {
-		old := s.porder[0]
-		s.porder = s.porder[1:]
-		delete(s.prefetch, old)
-	}
-	s.prefetch[k] = b
-	s.porder = append(s.porder, k)
 }
 
 func (s *shuffleStore) put(epoch uint64, mapSeq int, parts [][]byte) {
@@ -205,32 +149,11 @@ func (s *shuffleStore) getFrame(epoch uint64, mapSeq, part, frame int) (data []b
 	if frame < 0 || frame >= nframes {
 		return nil, false, false
 	}
-	blob, hit := s.cacheTake(frameKey{epoch, mapSeq, part, frame})
-	if !hit {
-		var err error
-		blob, err = sf.ReadFrame(part, frame)
-		if err != nil {
-			// Corrupt or truncated on disk: answer as loss so the master
-			// re-executes the owning map instead of the reducer stalling.
-			return nil, false, false
-		}
-	}
-	if next := frame + 1; next < nframes {
-		// Prefetch the cursor's next fetch: its disk read and CRC check
-		// overlap the round trip serving this frame. Racing prefetches of
-		// the same frame dedup in cachePut; a file concurrently removed by
-		// re-execution or prune just fails the read and caches nothing.
-		nk := frameKey{epoch, mapSeq, part, next}
-		s.pmu.Lock()
-		_, have := s.prefetch[nk]
-		s.pmu.Unlock()
-		if !have {
-			go func() {
-				if b, err := sf.ReadFrame(part, next); err == nil {
-					s.cachePut(nk, b)
-				}
-			}()
-		}
+	blob, err := sf.ReadFrame(part, frame)
+	if err != nil {
+		// Corrupt or truncated on disk: answer as loss so the master
+		// re-executes the owning map instead of the reducer stalling.
+		return nil, false, false
 	}
 	return blob, frame+1 < nframes, true
 }
@@ -256,15 +179,6 @@ func (s *shuffleStore) prune(active []uint64) {
 		}
 		delete(s.byEpoch, e)
 	}
-	// Drop prefetched frames of pruned epochs; the cache is bounded anyway,
-	// but there is no reason to keep dead jobs' bytes until eviction.
-	s.pmu.Lock()
-	for k := range s.prefetch {
-		if !keep[k.epoch] {
-			delete(s.prefetch, k)
-		}
-	}
-	s.pmu.Unlock()
 }
 
 // shuffleRPC is the worker's shuffle server facade ("Shuffle" service).
