@@ -31,6 +31,11 @@ test -z "$(grep -l '"compress/' $(ls internal/mapreduce/*.go | grep -v _test.go)
 # neither the splits nor the buffered reduce outputs.
 test -z "$(grep -nE 'SplitData|redOutputs' internal/dist/snapshot.go)"
 
+# Knob gate: scheduling is the master's alone and a failed engine task fails
+# its job, so the per-job overrides, the engine retry loop and the task
+# fields that restated the descriptor stay deleted outside tests.
+test -z "$(grep -rnE 'ReduceSlowstart|SpecFraction|MaxAttempts|TaskRetries|NParts' --include='*.go' internal cmd examples | grep -v _test.go)"
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -177,10 +182,11 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # snapshot-resume regressions and the per-job data files beside the
 # snapshot (a finished reducer restored from its file, torn append
 # included; the orphan sweep; nothing left behind; a snapshot whose size
-# does not follow the input). These run inside the blanket race gate too;
+# does not follow the input; a job restored queued under a lower cap; a
+# snapshot carrying fields since deleted). These run inside the blanket race gate too;
 # -count=2 here shakes out scheduling-order flakes and makes a chaos
 # failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six

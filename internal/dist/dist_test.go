@@ -247,7 +247,7 @@ func TestDistributedFPGrowthMatchesLocalMiner(t *testing.T) {
 // submitted afterwards runs instead of waiting on a master with no workers.
 func TestIdleWorkersSurviveUntilSubmission(t *testing.T) {
 	m, workers := startCluster(t, 2)
-	time.Sleep(10 * workers[0].PollInterval)
+	time.Sleep(100 * time.Millisecond) // ten default poll intervals
 	if st := m.Stats(); st.Workers != 2 {
 		t.Fatalf("%d workers polled the idle master, want 2", st.Workers)
 	}

@@ -1,11 +1,10 @@
 package dist
 
 // fault_test.go covers the multi-tenant master's failure machinery: the
-// async JobHandle lifecycle, per-job knob resolution, lost-shuffle map
-// re-execution, silent-worker eviction, snapshot restart, and the chaos
-// scenario the acceptance criteria name — concurrent jobs surviving a
-// worker kill and a master restart with output byte-identical to a serial
-// run.
+// async JobHandle lifecycle, lost-shuffle map re-execution, silent-worker
+// eviction, snapshot restart, and the chaos scenario the acceptance
+// criteria name — concurrent jobs surviving a worker kill and a master
+// restart with output byte-identical to a serial run.
 
 import (
 	"bytes"
@@ -20,38 +19,6 @@ import (
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
-
-func TestPerJobKnobOverrides(t *testing.T) {
-	def := defaultConfig()
-	now := time.Now()
-	js := newJobState("job-1", 1, JobDescriptor{
-		Workload: "wordcount", NumReducers: 2,
-		TaskTimeout: time.Second, SpecFraction: 0.9, ReduceSlowstart: 0.25, Priority: 7,
-	}, 1024, [][]byte{[]byte("a\n")}, def, now)
-	if js.taskTimeout != time.Second {
-		t.Errorf("taskTimeout = %v, want 1s", js.taskTimeout)
-	}
-	if js.specFraction != 0.9 {
-		t.Errorf("specFraction = %v, want 0.9", js.specFraction)
-	}
-	if js.reduceSlowstart != 0.25 {
-		t.Errorf("reduceSlowstart = %v, want 0.25", js.reduceSlowstart)
-	}
-	if js.priority != 7 {
-		t.Errorf("priority = %d, want 7", js.priority)
-	}
-
-	// Out-of-range overrides fall back to the master defaults.
-	js = newJobState("job-2", 2, JobDescriptor{
-		Workload: "wordcount", NumReducers: 2,
-		TaskTimeout: -time.Second, SpecFraction: 1.5, ReduceSlowstart: -1,
-	}, 1024, [][]byte{[]byte("a\n")}, def, now)
-	if js.taskTimeout != def.taskTimeout || js.specFraction != def.specFraction ||
-		js.reduceSlowstart != defaultReduceSlowstart || js.priority != 0 {
-		t.Errorf("invalid overrides not defaulted: timeout=%v spec=%v slowstart=%v prio=%d",
-			js.taskTimeout, js.specFraction, js.reduceSlowstart, js.priority)
-	}
-}
 
 func TestJobHandleAsyncLifecycle(t *testing.T) {
 	m := startMaster(t)
@@ -152,14 +119,12 @@ func driveMaps(t *testing.T, h *JobHandle, w *Worker) int {
 // consumed under the same MapSeq.
 func TestLostShuffleMapRerun(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 21)
-	// Slowstart 1.0 keeps reduces undispatched until the doomed worker has
-	// finished every map, so the loss is discovered by fetch, not masked by
-	// the map wave; the long timeout keeps the timeout path out of it.
-	desc := JobDescriptor{
-		Workload: "wordcount", NumReducers: 1,
-		TaskTimeout: time.Minute, ReduceSlowstart: 1.0,
-	}
-	m := startMaster(t)
+	// driveMaps polls for one map at a time and nextTask offers maps first,
+	// so no reduce is dispatched until the doomed worker has finished every
+	// map: the loss is discovered by fetch, not masked by the map wave. The
+	// long timeout keeps the timeout path out of it.
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 1}
+	m := startMaster(t, WithTaskTimeout(time.Minute))
 	h, err := m.Submit(context.Background(), desc, input, 2*1024)
 	if err != nil {
 		t.Fatal(err)
@@ -276,13 +241,13 @@ func chaosJobs() []chaosJob {
 	jobs := make([]chaosJob, 0, 8)
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, chaosJob{
-			desc:  JobDescriptor{Workload: "wordcount", NumReducers: 2, Priority: i % 3},
+			desc:  JobDescriptor{Workload: "wordcount", NumReducers: 2},
 			input: workloads.GenerateText(64*units.KB, int64(100+i)),
 		})
 	}
 	for i := 0; i < 2; i++ {
 		jobs = append(jobs, chaosJob{
-			desc:  JobDescriptor{Workload: "terasort", NumReducers: 3, TaskTimeout: 3 * time.Second},
+			desc:  JobDescriptor{Workload: "terasort", NumReducers: 3},
 			input: workloads.GenerateTeraRecords(32*units.KB, int64(200+i)),
 		})
 	}

@@ -1,9 +1,8 @@
 package dist
 
 // job.go holds the per-job state the multi-tenant master keeps one of per
-// submitted job: the task tables, the streaming-shuffle publication log,
-// the per-job scheduling knobs (descriptor overrides falling back to
-// master defaults) and the completion latch the JobHandle waits on. All
+// submitted job: the task tables, the streaming-shuffle publication log
+// and the completion latch the JobHandle waits on. All
 // fields are guarded by the master's mutex except result/err, which are
 // written exactly once before doneCh is closed and only read after it is
 // closed (the channel close is the happens-before edge).
@@ -58,7 +57,6 @@ type jobState struct {
 	blockSize int
 
 	state string // Job* constants
-	phase string // "map" | "reduce" while running, "" otherwise
 
 	mapTasks []*taskState
 	// partSegs is the streaming shuffle publication log: per partition,
@@ -88,13 +86,6 @@ type jobState struct {
 	earlyReduces  int
 	recoveredMaps int
 
-	// Effective scheduling knobs: descriptor overrides, else master
-	// defaults, resolved once at submission.
-	taskTimeout     time.Duration
-	specFraction    float64
-	reduceSlowstart float64
-	priority        int
-
 	submittedAt time.Time
 	finishedAt  time.Time
 
@@ -109,36 +100,22 @@ type jobState struct {
 
 // newJobState builds a queued job from its split input. The caller
 // assigns id and epoch and registers the state in the master's tables.
-func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chunks [][]byte, def config, now time.Time) *jobState {
+func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chunks [][]byte, now time.Time) *jobState {
 	js := &jobState{
-		id:              id,
-		epoch:           epoch,
-		desc:            desc,
-		blockSize:       blockSize,
-		state:           JobQueued,
-		mapsLeft:        len(chunks),
-		redsLeft:        desc.NumReducers,
-		taskTimeout:     def.taskTimeout,
-		specFraction:    def.specFraction,
-		reduceSlowstart: defaultReduceSlowstart,
-		priority:        desc.Priority,
-		submittedAt:     now,
-		doneCh:          make(chan struct{}),
-	}
-	if desc.TaskTimeout > 0 {
-		js.taskTimeout = desc.TaskTimeout
-	}
-	if desc.SpecFraction > 0 && desc.SpecFraction <= 1 {
-		js.specFraction = desc.SpecFraction
-	}
-	if desc.ReduceSlowstart > 0 && desc.ReduceSlowstart <= 1 {
-		js.reduceSlowstart = desc.ReduceSlowstart
+		id:          id,
+		epoch:       epoch,
+		desc:        desc,
+		blockSize:   blockSize,
+		state:       JobQueued,
+		mapsLeft:    len(chunks),
+		redsLeft:    desc.NumReducers,
+		submittedAt: now,
+		doneCh:      make(chan struct{}),
 	}
 	js.mapTasks = make([]*taskState, len(chunks))
 	for i, c := range chunks {
 		js.mapTasks[i] = &taskState{task: Task{
-			Kind: TaskMap, JobID: id, Epoch: epoch, Seq: i, Job: desc,
-			NParts: desc.NumReducers, SplitData: c,
+			Kind: TaskMap, Epoch: epoch, Seq: i, Job: desc, SplitData: c,
 		}, readyAt: now}
 	}
 	js.partSegs = make([][]TaggedSegment, desc.NumReducers)
@@ -149,8 +126,7 @@ func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chu
 	js.redTasks = make([]*taskState, desc.NumReducers)
 	for p := 0; p < desc.NumReducers; p++ {
 		js.redTasks[p] = &taskState{task: Task{
-			Kind: TaskReduce, JobID: id, Epoch: epoch, Seq: p, Job: desc,
-			NParts: desc.NumReducers, Partition: p,
+			Kind: TaskReduce, Epoch: epoch, Seq: p, Job: desc,
 		}, readyAt: now}
 	}
 	js.redOutputs = make([][]byte, desc.NumReducers)
@@ -163,18 +139,27 @@ func (js *jobState) finished() bool {
 	return js.state == JobDone || js.state == JobFailed || js.state == JobCancelled
 }
 
-// reduceEligible reports whether reduce tasks may be dispatched: always in
-// the reduce phase, and during the map phase once the slowstart fraction
-// of maps has completed. Called under the master's mutex.
+// phase is the job's scheduler phase, derived from its state and map
+// progress: "map" while a running job has maps left (a lost segment puts
+// one back), "reduce" once none are, "" when queued or terminal. Called
+// under the master's mutex.
+func (js *jobState) phase() string {
+	switch {
+	case js.state != JobRunning:
+		return ""
+	case js.mapsLeft > 0:
+		return "map"
+	default:
+		return "reduce"
+	}
+}
+
+// reduceEligible reports whether a running job's reduce tasks may be
+// dispatched: once the slowstart fraction of its maps has completed, which
+// the reduce phase always satisfies. Called under the master's mutex.
 func (js *jobState) reduceEligible() bool {
-	if js.phase == "reduce" {
-		return true
-	}
-	if js.phase != "map" || len(js.mapTasks) == 0 {
-		return false
-	}
 	done := len(js.mapTasks) - js.mapsLeft
-	return float64(done) >= js.reduceSlowstart*float64(len(js.mapTasks))
+	return float64(done) >= reduceSlowstart*float64(len(js.mapTasks))
 }
 
 // runningTasks counts in-flight assignments — the fair scheduler's load
@@ -218,8 +203,5 @@ func (js *jobState) invalidateMap(ts *taskState, now time.Time) bool {
 	ts.readyAt = now
 	js.mapsLeft++
 	js.recoveredMaps++
-	if js.phase == "reduce" {
-		js.phase = "map"
-	}
 	return true
 }

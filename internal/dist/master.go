@@ -35,8 +35,7 @@ type Master struct {
 	registry *Registry
 	listener net.Listener
 	server   *rpc.Server
-	// defaults are the master-level scheduling knobs; a JobDescriptor's
-	// own knobs override them per job at submission.
+	// defaults are the scheduling knobs every job on this master shares.
 	defaults config
 	ob       obs.Observer
 	snapPath string
@@ -71,8 +70,8 @@ type Master struct {
 
 // StartMaster starts a master listening on addr ("127.0.0.1:0" for an
 // ephemeral port), configured by functional options: WithTaskTimeout and
-// WithSpeculativeFraction set the default per-job scheduling knobs (a
-// JobDescriptor can override them), WithMaxConcurrentJobs bounds the
+// WithSpeculativeFraction set the reissue and speculation ages of every
+// job's tasks, WithMaxConcurrentJobs bounds the
 // scheduler, WithWorkerTimeout sets the liveness window behind worker
 // eviction, WithSnapshotPath enables crash recovery, and WithObserver
 // attaches telemetry.
@@ -278,7 +277,7 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	}
 	m.jobSeq++
 	m.epoch++
-	js := newJobState(fmt.Sprintf("job-%d", m.jobSeq), m.epoch, desc, blockSize, chunks, m.defaults, time.Now())
+	js := newJobState(fmt.Sprintf("job-%d", m.jobSeq), m.epoch, desc, blockSize, chunks, time.Now())
 	js.data, js.inputLen, js.dataEnd = data, int64(len(input)), int64(len(input))
 	m.jobs[js.id] = js
 	m.byEpoch[js.epoch] = js
@@ -346,7 +345,6 @@ func (m *Master) finalizeLocked(js *jobState) {
 // ring so handles stay answerable. Called under m.mu with js.state already
 // terminal and result/err set.
 func (m *Master) retireLocked(js *jobState) {
-	js.phase = ""
 	js.finishedAt = time.Now()
 	final := m.jobStatusLocked(js)
 	js.final = &final
@@ -412,9 +410,6 @@ func (m *Master) promoteLocked() {
 			continue
 		}
 		js.state = JobRunning
-		if js.phase == "" {
-			js.phase = "map"
-		}
 		running++
 		if m.ob.Enabled() {
 			m.ob.Progress("dist.map/"+js.id, len(js.mapTasks)-js.mapsLeft, len(js.mapTasks))
@@ -439,9 +434,9 @@ func (m *Master) Handle(id string) (*JobHandle, bool) {
 	return nil, false
 }
 
-// scheduleOrderLocked returns the running jobs in dispatch order: higher
-// priority first, then fewest in-flight tasks (fair sharing), then
-// submission order. Called under m.mu.
+// scheduleOrderLocked returns the running jobs in dispatch order: fewest
+// in-flight tasks first (fair sharing), then submission order. Called under
+// m.mu.
 func (m *Master) scheduleOrderLocked() []*jobState {
 	run := make([]*jobState, 0, len(m.order))
 	load := make(map[*jobState]int, len(m.order))
@@ -453,9 +448,6 @@ func (m *Master) scheduleOrderLocked() []*jobState {
 	}
 	sort.SliceStable(run, func(i, j int) bool {
 		a, b := run[i], run[j]
-		if a.priority != b.priority {
-			return a.priority > b.priority
-		}
 		if load[a] != load[b] {
 			return load[a] < load[b]
 		}
@@ -484,8 +476,8 @@ func (m *Master) activeEpochsLocked() []uint64 {
 // Map tasks take priority across every job (they unblock shuffles); once a
 // job passes its slowstart fraction of completed maps its reduce tasks
 // become eligible too, so reducers stream segments while the tail of the
-// map wave is still running. Jobs are visited in fair/priority order, so
-// one wide job cannot starve the rest.
+// map wave is still running. Jobs are visited in fair order, so one wide
+// job cannot starve the rest.
 func (m *Master) nextTask(workerID string) Task {
 	now := time.Now()
 	order := m.scheduleOrderLocked()
@@ -499,7 +491,7 @@ func (m *Master) nextTask(workerID string) Task {
 			continue
 		}
 		if task, ok := m.assignFrom(js, js.redTasks, workerID, now); ok {
-			if js.phase == "map" {
+			if js.mapsLeft > 0 {
 				js.earlyReduces++
 				m.earlyReduces++
 				m.ob.Count("dist.tasks.early_reduce", 1)
@@ -509,11 +501,10 @@ func (m *Master) nextTask(workerID string) Task {
 	}
 	// Nothing pending anywhere: speculate on the oldest aging straggler
 	// owned by someone else (first result wins; duplicates are discarded).
-	// Each job's own timeout knobs decide what "aging" means for its tasks.
+	specAge := time.Duration(float64(m.defaults.taskTimeout) * m.defaults.specFraction)
 	var oldest *taskState
 	var oldestJob *jobState
 	for _, js := range order {
-		specAge := time.Duration(float64(js.taskTimeout) * js.specFraction)
 		pools := [][]*taskState{js.mapTasks}
 		if js.reduceEligible() {
 			pools = append(pools, js.redTasks)
@@ -574,7 +565,7 @@ func (m *Master) assignFrom(js *jobState, pool []*taskState, workerID string, no
 		if ts.done {
 			continue
 		}
-		if ts.assigned && now.Sub(ts.assignedAt) < js.taskTimeout {
+		if ts.assigned && now.Sub(ts.assignedAt) < m.defaults.taskTimeout {
 			continue
 		}
 		if ts.assigned {
@@ -622,9 +613,6 @@ func (m *Master) completeMap(res *MapDone) {
 	if m.ob.Enabled() {
 		m.ob.Progress("dist.map/"+js.id, len(js.mapTasks)-js.mapsLeft, len(js.mapTasks))
 	}
-	if js.mapsLeft == 0 && js.phase == "map" {
-		js.phase = "reduce"
-	}
 	m.saveSnapshotLocked()
 }
 
@@ -668,12 +656,11 @@ func (m *Master) fetchSegments(args *FetchSegmentsArgs, reply *FetchSegmentsRepl
 func (m *Master) completeReduce(res *ReduceDone) {
 	js := m.byEpoch[res.Epoch]
 	if js == nil || js.redTasks == nil ||
-		res.Seq < 0 || res.Seq >= len(js.redTasks) || js.redTasks[res.Seq].done ||
-		res.Partition < 0 || res.Partition >= len(js.redOutputs) {
+		res.Seq < 0 || res.Seq >= len(js.redTasks) || js.redTasks[res.Seq].done {
 		return
 	}
 	js.redTasks[res.Seq].done = true
-	js.redOutputs[res.Partition] = res.Output
+	js.redOutputs[res.Seq] = res.Output
 	js.counters.Add(res.Counters)
 	js.redsLeft--
 	if m.ob.Enabled() {
@@ -683,7 +670,7 @@ func (m *Master) completeReduce(res *ReduceDone) {
 	if js.redsLeft == 0 {
 		m.finalizeLocked(js)
 	} else {
-		m.persistOutputLocked(js, res.Partition, res.Output)
+		m.persistOutputLocked(js, res.Seq, res.Output)
 		m.saveSnapshotLocked()
 	}
 }

@@ -31,12 +31,11 @@ var (
 // Submit beyond it fails with ErrQueueFull.
 const maxQueuedJobs = 64
 
-// defaultReduceSlowstart is the fraction of a job's map tasks that must have
+// reduceSlowstart is the fraction of a job's map tasks that must have
 // completed before its reduce tasks become eligible for dispatch while the
 // map wave is still running — Hadoop's mapreduce.job.reduce.slowstart.
-// completedmaps. JobDescriptor.ReduceSlowstart overrides it per job; 1
-// restores the strict barrier.
-const defaultReduceSlowstart = 0.5
+// completedmaps, at its usual cluster setting.
+const reduceSlowstart = 0.5
 
 // config carries the tunables behind the functional options. Master and
 // worker read the fields they care about and ignore the rest, so the

@@ -14,17 +14,11 @@
 // lets a restarted master resume in-flight jobs.
 package dist
 
-import (
-	"time"
-
-	"heterohadoop/internal/mapreduce"
-)
+import "heterohadoop/internal/mapreduce"
 
 // JobDescriptor names a job and carries everything a worker needs to
-// reconstruct it locally, plus the per-job scheduling knobs. The knobs
-// default to the master's values (WithTaskTimeout and friends) when zero,
-// so a slow batch job and a latency-sensitive job can coexist on one
-// master with different timeouts.
+// reconstruct it locally. Scheduling is the master's alone (WithTaskTimeout
+// and friends): every job on a master shares its timeouts and slowstart.
 type JobDescriptor struct {
 	// Workload is the registered job-factory name (e.g. "wordcount").
 	Workload string
@@ -38,20 +32,6 @@ type JobDescriptor struct {
 	// Aux is workload-specific auxiliary data (e.g. FP-Growth's f-list or
 	// grep's pattern), encoded by the job factory's conventions.
 	Aux []byte
-
-	// Priority orders jobs in the scheduler: higher-priority jobs are
-	// offered tasks first. Jobs of equal priority share capacity fairly
-	// (fewest running tasks first). Zero is the default priority.
-	Priority int
-	// TaskTimeout bounds how long one of this job's tasks may stay
-	// assigned without completion before reissue (0 = master default).
-	TaskTimeout time.Duration
-	// SpecFraction is the speculative-execution age as a fraction of
-	// TaskTimeout (0 = master default).
-	SpecFraction float64
-	// ReduceSlowstart is the completed-map fraction gating early reduce
-	// dispatch (0 = the default, 0.5; 1 = strict barrier).
-	ReduceSlowstart float64
 }
 
 // Task kinds.
@@ -65,9 +45,6 @@ const (
 type Task struct {
 	// Kind is one of the Task* constants.
 	Kind string
-	// JobID names the job the task belongs to (observability; the epoch is
-	// the authoritative routing key).
-	JobID string
 	// Epoch is the master's job generation the task belongs to — unique
 	// per submitted job, even across a snapshot restart. Workers echo it
 	// in completion and failure reports so results from a job that has
@@ -75,19 +52,17 @@ type Task struct {
 	// recorded against the wrong job, and the master routes reports from
 	// concurrent jobs by it.
 	Epoch uint64
-	// Seq identifies the task attempt's slot in the master's tables.
-	Seq int
-	// Job describes how to build the job.
-	Job JobDescriptor
-	// NParts is the partition count map output must be split into.
-	NParts int
-	// SplitData is the record-aligned input chunk (map tasks).
-	SplitData []byte
-	// Partition is the reduce partition index (reduce tasks). Reduce tasks
+	// Seq identifies the task's slot in the master's tables: the split
+	// index of a map task, the partition of a reduce task. Reduce tasks
 	// carry no shuffle data: the worker streams its partition's segment
 	// references from the master with Master.FetchSegments while the map
 	// wave is still running.
-	Partition int
+	Seq int
+	// Job describes how to build the job; map output is split into
+	// Job.NumReducers partitions.
+	Job JobDescriptor
+	// SplitData is the record-aligned input chunk (map tasks).
+	SplitData []byte
 	// ActiveEpochs lists the epochs of every job currently queued or
 	// running, piggybacked on TaskWait replies so the worker can prune
 	// stored map output belonging to finished jobs.
@@ -215,16 +190,16 @@ type FetchSegmentsReply struct {
 	Stale    bool
 }
 
-// ReduceDone reports a completed reduce task. Epoch is copied from the
-// Task. Output is the partition's sorted output as one wire-encoded
-// segment blob; the master decodes it once, at job completion.
+// ReduceDone reports a completed reduce task. Epoch and Seq (the
+// partition) are copied from the Task. Output is the partition's sorted
+// output as one wire-encoded segment blob; the master decodes it once, at
+// job completion.
 type ReduceDone struct {
-	WorkerID  string
-	Epoch     uint64
-	Seq       int
-	Partition int
-	Output    []byte
-	Counters  mapreduce.Counters
+	WorkerID string
+	Epoch    uint64
+	Seq      int
+	Output   []byte
+	Counters mapreduce.Counters
 }
 
 // Ack is the empty reply for one-way calls.

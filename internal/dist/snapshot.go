@@ -13,6 +13,12 @@ package dist
 // outputs back at their extents (bytes past the last are a torn append),
 // keeps done maps done while their workers serve them, and clears every
 // assignment; segments lost with dead workers recover through loss reports.
+//
+// Deleting a field does not bump snapshotVersion: gob skips stream fields
+// the destination type lacks. A version-3 file that still carries the
+// descriptor's old per-job scheduling knobs, a stored job phase or the
+// engine's old retry counter therefore resumes unchanged; the phase is
+// derived from the restored task table.
 
 import (
 	"encoding/gob"
@@ -50,7 +56,6 @@ type snapJob struct {
 	Desc          JobDescriptor
 	BlockSize     int
 	State         string
-	Phase         string
 	DataFile      string   // base name, beside the snapshot
 	InputLen      int64    // the input is the file's [0, InputLen)
 	Outputs       []extent // one per reducer, Len 0 until it is done
@@ -87,8 +92,7 @@ func (m *Master) saveSnapshotLocked() bool {
 	snap := snapshot{Version: snapshotVersion, Epoch: m.epoch, JobSeq: m.jobSeq}
 	for _, js := range m.order {
 		sj := snapJob{
-			ID: js.id, Epoch: js.epoch, Desc: js.desc, BlockSize: js.blockSize,
-			State: js.state, Phase: js.phase,
+			ID: js.id, Epoch: js.epoch, Desc: js.desc, BlockSize: js.blockSize, State: js.state,
 			DataFile: filepath.Base(js.data.Name()), InputLen: js.inputLen, Outputs: js.outExt,
 			PartSegs: js.partSegs, Counters: js.counters, Reassigned: js.reassigned,
 			Speculative: js.speculative, EarlyReduces: js.earlyReduces,
@@ -237,9 +241,8 @@ func (m *Master) restoreLocked(snap *snapshot) error {
 			f.Close()
 			return fmt.Errorf("dist: snapshot job %s: data file %s does not match its task table", sj.ID, f.Name())
 		}
-		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, chunks, m.defaults, sj.SubmittedAt)
+		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, chunks, sj.SubmittedAt)
 		js.data, js.inputLen, js.dataEnd = f, sj.InputLen, sj.InputLen
-		js.phase = sj.Phase
 		js.state = JobQueued // promoteLocked re-admits up to the cap
 		js.partSegs = sj.PartSegs
 		js.counters = sj.Counters

@@ -10,13 +10,16 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -117,7 +120,7 @@ func TestSnapshotBlobsRoundTrip(t *testing.T) {
 // torn append) follows the last recorded extent.
 func TestSnapshotRestartResumesFinishedReducer(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 37)
-	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2, ReduceSlowstart: 1.0}
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
 	ref := startMaster(t)
 	startWorker(t, ref, "reference")
 	want := outputBytes(t, submitWait(t, ref, desc, input, 2*1024))
@@ -173,6 +176,141 @@ func TestSnapshotRestartResumesFinishedReducer(t *testing.T) {
 				t.Errorf("retired job left its data file: %v", files)
 			}
 		})
+	}
+}
+
+// TestSnapshotRestoredQueuedJobHasNoPhase restarts a snapshotting master
+// with two running jobs under a lower concurrent-job cap: the job that
+// comes back queued must report no phase, as a queued job does, and both
+// must still finish byte-identical to a plain run once a worker arrives.
+func TestSnapshotRestoredQueuedJobHasNoPhase(t *testing.T) {
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
+	inputs := [][]byte{workloads.GenerateText(8*units.KB, 51), workloads.GenerateText(8*units.KB, 52)}
+	ref := startMaster(t)
+	startWorker(t, ref, "reference")
+	var want [][]byte
+	for _, in := range inputs {
+		want = append(want, outputBytes(t, submitWait(t, ref, desc, in, 2*1024)))
+	}
+
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	m1 := startMaster(t, WithSnapshotPath(snap), WithMaxConcurrentJobs(2))
+	var ids []string
+	for _, in := range inputs {
+		h, err := m1.Submit(context.Background(), desc, in, 2*1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := h.Status(); st.State != JobRunning || st.Phase != "map" {
+			t.Fatalf("submitted job %s: state %q phase %q, want running in map", h.ID(), st.State, st.Phase)
+		}
+		ids = append(ids, h.ID())
+	}
+	m1.Close()
+
+	m2 := startMaster(t, WithSnapshotPath(snap), WithMaxConcurrentJobs(1))
+	for i, want := range []JobStatus{{State: JobRunning, Phase: "map"}, {State: JobQueued, Phase: ""}} {
+		if st, _ := m2.JobStatus(ids[i]); st.State != want.State || st.Phase != want.Phase {
+			t.Errorf("restored job %s: state %q phase %q, want %q phase %q", ids[i], st.State, st.Phase, want.State, want.Phase)
+		}
+	}
+	startWorker(t, m2, "resumer")
+	for i, id := range ids {
+		h, _ := m2.Handle(id)
+		if got := outputBytes(t, waitJob(t, h, jobDeadline)); !bytes.Equal(got, want[i]) {
+			t.Errorf("job %s output differs from the plain run (%d vs %d bytes)", id, len(got), len(want[i]))
+		}
+	}
+}
+
+// TestSnapshotDeletedFieldsStillLoad writes a version-3 snapshot the way a
+// master did while the descriptor carried per-job scheduling knobs, the job
+// its phase, JobStatus Running and Priority, and Counters TaskRetries. gob
+// skips the fields the current types lack, so StartMaster must resume the
+// job — its phase derived from the task table, not the stale stored one —
+// to the same output as a plain run.
+func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
+	type oldDesc struct {
+		Workload        string
+		NumReducers     int
+		Priority        int
+		TaskTimeout     time.Duration
+		SpecFraction    float64
+		ReduceSlowstart float64
+	}
+	type oldCounters struct{ MapTasks, TaskRetries int }
+	type oldJob struct {
+		ID          string
+		Epoch       uint64
+		Desc        oldDesc
+		BlockSize   int
+		State       string
+		Phase       string
+		DataFile    string
+		InputLen    int64
+		Outputs     []extent
+		MapTasks    []snapTask
+		PartSegs    [][]TaggedSegment
+		Counters    oldCounters
+		SubmittedAt time.Time
+	}
+	type oldStatus struct {
+		ID, State, Phase string
+		Running          bool
+		Priority         int
+	}
+	type oldSnapshot struct {
+		Version       int
+		Epoch, JobSeq uint64
+		Jobs          []oldJob
+		History       []oldStatus
+	}
+
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
+	input := workloads.GenerateText(8*units.KB, 53)
+	ref := startMaster(t)
+	startWorker(t, ref, "reference")
+	want := outputBytes(t, submitWait(t, ref, desc, input, 2*1024))
+
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "master.snap")
+	if err := os.WriteFile(snap+".job-2", input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := oldSnapshot{Version: 3, Epoch: 2, JobSeq: 2,
+		Jobs: []oldJob{{
+			ID: "job-2", Epoch: 2, BlockSize: 2 * 1024, State: JobRunning, Phase: "reduce",
+			Desc: oldDesc{Workload: desc.Workload, NumReducers: desc.NumReducers,
+				Priority: 3, TaskTimeout: time.Nanosecond, SpecFraction: 0.01, ReduceSlowstart: 1},
+			DataFile: filepath.Base(snap) + ".job-2", InputLen: int64(len(input)),
+			Outputs:  make([]extent, desc.NumReducers),
+			MapTasks: make([]snapTask, len(mapreduce.SplitInput(input, 2*1024))),
+			PartSegs: make([][]TaggedSegment, desc.NumReducers),
+			Counters: oldCounters{TaskRetries: 2},
+		}},
+		History: []oldStatus{{ID: "job-1", State: JobDone, Priority: 3}},
+	}
+	f, err := os.Create(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	m := startMaster(t, WithSnapshotPath(snap))
+	if st, ok := m.JobStatus("job-1"); !ok || st.State != JobDone {
+		t.Errorf("history entry job-1 = %+v (found %v), want done", st, ok)
+	}
+	st, ok := m.JobStatus("job-2")
+	if !ok || st.State != JobRunning || st.Phase != "map" || st.MapsDone != 0 {
+		t.Fatalf("restored job-2 = %+v (found %v), want running in map with no map done", st, ok)
+	}
+	h, _ := m.Handle("job-2")
+	startWorker(t, m, "resumer")
+	if got := outputBytes(t, waitJob(t, h, jobDeadline)); !bytes.Equal(got, want) {
+		t.Errorf("resumed output differs from the plain run (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

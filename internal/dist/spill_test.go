@@ -169,11 +169,8 @@ func TestSpillDirShuffleEndToEnd(t *testing.T) {
 // and the master re-executes the maps, exactly the dead-worker path.
 func TestSpillFileCorruptionRerun(t *testing.T) {
 	input := workloads.GenerateText(8*units.KB, 43)
-	desc := JobDescriptor{
-		Workload: "wordcount", NumReducers: 1,
-		TaskTimeout: time.Minute, ReduceSlowstart: 1.0,
-	}
-	m := startMaster(t)
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 1}
+	m := startMaster(t, WithTaskTimeout(time.Minute))
 
 	// The corruptible worker: its polling loop never starts — the test
 	// drives its map execution directly so every spill file exists before

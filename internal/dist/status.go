@@ -14,8 +14,6 @@ type JobStatus struct {
 	ID string `json:"id"`
 	// State is one of the Job* lifecycle constants.
 	State string `json:"state"`
-	// Running is State == JobRunning (kept for dashboard compatibility).
-	Running bool `json:"running"`
 	// Epoch is the job generation — the report-routing key; it
 	// distinguishes jobs with the same workload name.
 	Epoch uint64 `json:"epoch"`
@@ -24,8 +22,6 @@ type JobStatus struct {
 	// Phase is the job's scheduler phase: "map" or "reduce" while running,
 	// "" when queued or terminal.
 	Phase string `json:"phase"`
-	// Priority is the job's scheduling priority (higher dispatches first).
-	Priority int `json:"priority"`
 	// MapsDone / MapsTotal and ReducesDone / ReducesTotal are task-level
 	// progress.
 	MapsDone     int `json:"maps_done"`
@@ -68,11 +64,9 @@ func (m *Master) jobStatusLocked(js *jobState) JobStatus {
 	st := JobStatus{
 		ID:            js.id,
 		State:         js.state,
-		Running:       js.state == JobRunning,
 		Epoch:         js.epoch,
 		Workload:      js.desc.Workload,
-		Phase:         js.phase,
-		Priority:      js.priority,
+		Phase:         js.phase(),
 		MapsTotal:     len(js.mapTasks),
 		ReducesTotal:  len(js.redTasks),
 		Reassigned:    js.reassigned,
@@ -90,17 +84,13 @@ func (m *Master) jobStatusLocked(js *jobState) JobStatus {
 }
 
 // JobStatus returns one job's summary by ID: active jobs live, terminal
-// jobs from the retained ring or the snapshot-restored history.
+// jobs from the history (which holds every retired job's final status, the
+// snapshot-restored ones included).
 func (m *Master) JobStatus(id string) (JobStatus, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if js, ok := m.jobs[id]; ok {
 		return m.jobStatusLocked(js), true
-	}
-	for i := len(m.retired) - 1; i >= 0; i-- {
-		if m.retired[i].id == id {
-			return *m.retired[i].final, true
-		}
 	}
 	for i := len(m.history) - 1; i >= 0; i-- {
 		if m.history[i].ID == id {

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"testing"
+	"time"
 
 	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/units"
@@ -78,7 +79,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	// The stream so far: published segments, but not Complete.
 	var r1 FetchSegmentsReply
 	if err := client.Call("Master.FetchSegments", FetchSegmentsArgs{
-		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Partition,
+		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Seq,
 	}, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	// be told Stale, not fed the current job's data.
 	var stale FetchSegmentsReply
 	if err := client.Call("Master.FetchSegments", FetchSegmentsArgs{
-		WorkerID: "ghost", Epoch: red.Epoch + 1, Partition: red.Partition,
+		WorkerID: "ghost", Epoch: red.Epoch + 1, Partition: red.Seq,
 	}, &stale); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	}
 	var r2 FetchSegmentsReply
 	if err := client.Call("Master.FetchSegments", FetchSegmentsArgs{
-		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Partition, Cursor: r1.Cursor,
+		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Seq, Cursor: r1.Cursor,
 	}, &r2); err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +122,10 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 			t.Fatalf("segment tagged with MapSeq %d outside the wave", s.MapSeq)
 		}
 		if seen[s.MapSeq] {
-			t.Fatalf("map %d published twice to partition %d", s.MapSeq, red.Partition)
+			t.Fatalf("map %d published twice to partition %d", s.MapSeq, red.Seq)
 		}
 		seen[s.MapSeq] = true
-		frames, err := tester.fetchServed(s, red.Epoch, red.Partition)
+		frames, err := tester.fetchServed(s, red.Epoch, red.Seq)
 		if err != nil {
 			t.Fatalf("map %d published an unfetchable segment: %v", s.MapSeq, err)
 		}
@@ -144,7 +145,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	h.Cancel()
 	var r3 FetchSegmentsReply
 	if err := client.Call("Master.FetchSegments", FetchSegmentsArgs{
-		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Partition, Cursor: r2.Cursor,
+		WorkerID: "tester", Epoch: red.Epoch, Partition: red.Seq, Cursor: r2.Cursor,
 	}, &r3); err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +154,44 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	}
 }
 
-// TestReduceSlowstartOneRestoresBarrier checks the strict-barrier opt-out:
-// a job submitted with slowstart 1.0 gets no reduce dispatched until every
-// map is done, yet still completes.
-func TestReduceSlowstartOneRestoresBarrier(t *testing.T) {
-	input := workloads.GenerateText(8*units.KB, 9)
-	m := startMaster(t)
-	startWorker(t, m, "w0")
-	res := submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2, ReduceSlowstart: 1.0}, input, 2*1024)
-	if res.Counters.ReduceTasks != 2 {
-		t.Errorf("ReduceTasks = %d, want 2", res.Counters.ReduceTasks)
+// TestFairScheduleOrder pins the dispatch order across running jobs: the
+// job with fewer in-flight tasks is served first, and a tie goes to the job
+// submitted first. Nothing polls but the test, which takes map tasks
+// through the GetTask RPC and identifies each one's job by its epoch.
+func TestFairScheduleOrder(t *testing.T) {
+	m := startMaster(t, WithTaskTimeout(time.Minute))
+	w := connectWorker(t, m, "tester")
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 1}
+	var epochs [2]uint64
+	for i := range epochs {
+		h, err := m.Submit(context.Background(), desc, workloads.GenerateText(8*units.KB, int64(60+i)), 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := h.Status(); st.MapsTotal < 4 {
+			t.Fatalf("job %s has %d maps, want >= 4", h.ID(), st.MapsTotal)
+		}
+		epochs[i] = h.Status().Epoch
 	}
-	if st := m.Stats(); st.EarlyReduces != 0 {
-		t.Errorf("EarlyReduces = %d with slowstart 1.0, want 0", st.EarlyReduces)
+	first, second := epochs[0], epochs[1]
+	// steal takes the next map task and checks its job; load is the two
+	// jobs' in-flight counts before the poll, first:second.
+	steal := func(want uint64, load string) Task {
+		t.Helper()
+		task := stealMapTask(t, w.client, w.ID)
+		if task.Epoch != want {
+			t.Fatalf("with %s in flight: got a task of epoch %d, want %d", load, task.Epoch, want)
+		}
+		return task
 	}
+	steal(first, "0:0")
+	steal(second, "1:0")
+	steal(first, "1:1")
+	done := steal(second, "2:1")
+	// Completing one of the later job's tasks leaves it fewer in flight.
+	if err := w.runMap(done); err != nil {
+		t.Fatal(err)
+	}
+	steal(second, "2:1")
+	steal(first, "2:2")
 }

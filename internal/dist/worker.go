@@ -25,8 +25,8 @@ import (
 type Worker struct {
 	// ID identifies the worker in the master's tables.
 	ID string
-	// PollInterval is the idle poll spacing (the heartbeat period).
-	PollInterval time.Duration
+	// pollInterval is the idle poll spacing (the heartbeat period).
+	pollInterval time.Duration
 
 	registry *Registry
 	client   *rpc.Client
@@ -214,7 +214,7 @@ func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 	}
 	w := &Worker{
 		ID:           id,
-		PollInterval: cfg.pollInterval,
+		pollInterval: cfg.pollInterval,
 		registry:     NewRegistry(),
 		client:       rpc.NewClient(conn),
 		ob:           cfg.observer,
@@ -400,7 +400,7 @@ func (w *Worker) takeBgErr() error {
 
 // idle sleeps one poll interval, waking early on cancellation.
 func (w *Worker) idle(ctx context.Context) error {
-	timer := time.NewTimer(w.PollInterval)
+	timer := time.NewTimer(w.pollInterval)
 	defer timer.Stop()
 	select {
 	case <-ctx.Done():
@@ -452,7 +452,7 @@ func (w *Worker) runMap(task Task) error {
 	}
 	ref := w.taskRef(task)
 	pc := obs.NewPhaseClock(w.ob, ref)
-	segs, counters, err := mapreduce.ExecuteMapSplitObs(job, task.SplitData, task.NParts, ref, w.ob)
+	segs, counters, err := mapreduce.ExecuteMapSplitObs(job, task.SplitData, task.Job.NumReducers, ref, w.ob)
 	if err != nil {
 		w.reportFailure(task, err)
 		return fmt.Errorf("dist: worker %s map %d: %w", w.ID, task.Seq, err)
@@ -635,7 +635,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		}
 		var reply FetchSegmentsReply
 		err := w.client.Call("Master.FetchSegments", FetchSegmentsArgs{
-			WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Partition, Cursor: cursor,
+			WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Seq, Cursor: cursor,
 		}, &reply)
 		if err != nil {
 			if w.isStopped() {
@@ -664,7 +664,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 			if _, ok := blobs[seq]; ok {
 				continue
 			}
-			frames, err := w.fetchServed(s, task.Epoch, task.Partition)
+			frames, err := w.fetchServed(s, task.Epoch, task.Seq)
 			if err != nil {
 				lost[s.Owner] = append(lost[s.Owner], seq)
 				continue
@@ -674,7 +674,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		for owner, seqs := range lost {
 			sort.Ints(seqs)
 			err := w.client.Call("Master.ReportLostSegments", SegmentsLost{
-				WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Partition,
+				WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Seq,
 				MapSeqs: seqs, Owner: owner,
 			}, &Ack{})
 			if err != nil {
@@ -689,7 +689,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		}
 		if len(reply.Segments) == 0 {
 			// Nothing new: wait a heartbeat for more maps to finish.
-			timer := time.NewTimer(w.PollInterval)
+			timer := time.NewTimer(w.pollInterval)
 			select {
 			case <-ctx.Done():
 				timer.Stop()
@@ -741,7 +741,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 	blob := mapreduce.EncodeSegment(out)
 	pc.EmitIO(obs.PhaseWrite, tWrite, 0, int64(len(blob)))
 	return w.client.Call("Master.CompleteReduce", ReduceDone{
-		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq, Partition: task.Partition,
+		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
 		Output: blob, Counters: counters,
 	}, &Ack{})
 }

@@ -162,7 +162,9 @@ func bytesLessString(b []byte, s string) bool {
 	return len(b) < len(s)
 }
 
-// Config configures a job run.
+// Config configures a job run. The engine runs each task once: a task
+// error fails the run. Re-execution is the distributed runtime's job
+// (internal/dist reissues tasks on timeout, failure report or lost output).
 type Config struct {
 	// Name identifies the job in errors and reports.
 	Name string
@@ -192,12 +194,10 @@ type Config struct {
 	// SortBuffer. Zero defaults to SortBuffer. Ignored unless SpillDir is
 	// set.
 	SpillMemory units.Bytes
-	// MaxAttempts is how many times a failed task is retried before the
-	// job aborts. Zero means 1 attempt (no retries).
-	MaxAttempts int
-	// FailureInjector, if set, is consulted before each task attempt and
-	// may return an error to simulate a task failure. Used by tests.
-	FailureInjector func(task string, attempt int) error
+
+	// beforeTask, if set, is called once before each task body runs, with
+	// the task's ID ("<name>/map-3"). Tests use it to cancel mid-run.
+	beforeTask func(task string)
 }
 
 // DefaultConfig returns a configuration with Hadoop-flavoured defaults:
@@ -210,7 +210,6 @@ func DefaultConfig(name string) Config {
 		SortBuffer:  100 * units.MB,
 		MergeFactor: 10,
 		Parallelism: 0, // auto: runtime.GOMAXPROCS
-		MaxAttempts: 1,
 	}
 }
 
@@ -236,9 +235,6 @@ func (c Config) Validate() error {
 	}
 	if c.SpillMemory < 0 {
 		return fmt.Errorf("mapreduce: %s: negative spill memory", c.Name)
-	}
-	if c.MaxAttempts < 0 {
-		return fmt.Errorf("mapreduce: %s: negative max attempts", c.Name)
 	}
 	return nil
 }

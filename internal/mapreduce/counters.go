@@ -52,8 +52,6 @@ type Counters struct {
 	ReduceInputRecords  int64
 	ReduceOutputRecords int64
 	ReduceOutputBytes   units.Bytes
-
-	TaskRetries int
 }
 
 // Add merges o into c. The caller is responsible for synchronization.
@@ -81,7 +79,6 @@ func (c *Counters) Add(o Counters) {
 	c.ReduceInputRecords += o.ReduceInputRecords
 	c.ReduceOutputRecords += o.ReduceOutputRecords
 	c.ReduceOutputBytes += o.ReduceOutputBytes
-	c.TaskRetries += o.TaskRetries
 }
 
 // MapOutputRatio returns map output bytes per map input byte — the data
@@ -105,13 +102,12 @@ func (c Counters) CombinerReduction() float64 {
 // String summarizes the counters.
 func (c Counters) String() string {
 	return fmt.Sprintf(
-		"counters{maps=%d reduces=%d in=%v/%d out=%v/%d spills=%d shuffle=%v reduceMerges=%d spillFiles=%d/%v/%v groups=%d reduceOut=%v/%d retries=%d}",
+		"counters{maps=%d reduces=%d in=%v/%d out=%v/%d spills=%d shuffle=%v reduceMerges=%d spillFiles=%d/%v/%v groups=%d reduceOut=%v/%d}",
 		c.MapTasks, c.ReduceTasks,
 		c.MapInputBytes, c.MapInputRecords,
 		c.MapOutputBytes, c.MapOutputRecords,
 		c.Spills, c.ShuffleBytes,
 		c.ReduceMergePasses,
 		c.SpillFilesWritten, c.SpillFileBytesWritten, c.SpillFileBytesRead,
-		c.ReduceInputGroups, c.ReduceOutputBytes, c.ReduceOutputRecords,
-		c.TaskRetries)
+		c.ReduceInputGroups, c.ReduceOutputBytes, c.ReduceOutputRecords)
 }

@@ -345,11 +345,12 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 			mapErr[i] = fmt.Errorf("mapreduce: %s: %s: %w", name, taskID, err)
 			return
 		}
-		out, tc, err := runWithRetry(job, taskID, func() ([]partRun, Counters, error) {
-			return runMapTask(job, win, base, splits[i], nparts, pc, bufs, js, i)
-		})
+		if job.Config.beforeTask != nil {
+			job.Config.beforeTask(taskID)
+		}
+		out, tc, err := runMapTask(job, win, base, splits[i], nparts, pc, bufs, js, i)
 		if err != nil {
-			mapErr[i] = err
+			mapErr[i] = fmt.Errorf("mapreduce: %s: %w", taskID, err)
 			return
 		}
 		tc.MapTasks = 1 // counts finished map tasks only
@@ -389,18 +390,21 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 			redErr[p] = fmt.Errorf("mapreduce: %s: %w", taskID, err)
 			return
 		}
-		out, tc, err := runWithRetry(job, taskID, func() (partRun, Counters, error) {
-			if js != nil {
-				return reduceToFile(job, js.outPath(p), runs, pcs[p])
-			}
-			seg, tc, err := reduceToSegment(job, runs, pcs[p])
-			return memRun(seg), tc, err
-		})
+		if job.Config.beforeTask != nil {
+			job.Config.beforeTask(taskID)
+		}
+		var tc Counters
+		if js != nil {
+			output[p], tc, err = reduceToFile(job, js.outPath(p), runs, pcs[p])
+		} else {
+			var seg Segment
+			seg, tc, err = reduceToSegment(job, runs, pcs[p])
+			output[p] = memRun(seg)
+		}
 		if err != nil {
-			redErr[p] = err
+			redErr[p] = fmt.Errorf("mapreduce: %s: %w", taskID, err)
 			return
 		}
-		output[p] = out
 		tc.Add(folds)
 		redCounters[p] = tc
 	})
@@ -415,9 +419,7 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 // body. When more disk runs are pending than MergeFactor allows open at
 // once, intermediate disk-to-disk merge rounds consolidate them first, so
 // the final merge's open-file count and loser-tree width stay bounded; each
-// round counts as one ReduceMergePass. A retried attempt recreates every
-// file from scratch — the intermediate paths are deterministic and
-// truncating.
+// round counts as one ReduceMergePass.
 func reduceToFile(job Job, path string, runs []partRun, pc phaseClock) (partRun, Counters, error) {
 	var c Counters
 	disk := 0
@@ -465,35 +467,6 @@ func reduceToFile(job Job, path string, runs []partRun, pc phaseClock) (partRun,
 		return partRun{}, c, fmt.Errorf("mapreduce: %s: reduce output: %w", job.Config.Name, err)
 	}
 	return diskRun(sf, 0), c, nil
-}
-
-// runWithRetry executes a task body, consulting the failure injector and
-// retrying up to MaxAttempts.
-func runWithRetry[T any](job Job, taskID string, body func() (T, Counters, error)) (T, Counters, error) {
-	attempts := job.Config.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	retries := 0
-	for attempt := 1; ; attempt++ {
-		var injected error
-		if job.Config.FailureInjector != nil {
-			injected = job.Config.FailureInjector(taskID, attempt)
-		}
-		if injected == nil {
-			out, tc, err := body()
-			if err == nil {
-				tc.TaskRetries += retries
-				return out, tc, nil
-			}
-			injected = err
-		}
-		if attempt >= attempts {
-			var zero T
-			return zero, Counters{}, fmt.Errorf("mapreduce: task %s failed after %d attempts: %w", taskID, attempt, injected)
-		}
-		retries++
-	}
 }
 
 // splitRange is one map task's byte range [start, end) within the input.

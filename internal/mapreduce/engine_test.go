@@ -470,42 +470,6 @@ func TestParallelismMatchesSerialOutput(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionRetries(t *testing.T) {
-	e := newEngine(t, 16, "hello world\nhello again\n")
-	cfg := DefaultConfig("wc-flaky")
-	cfg.MaxAttempts = 3
-	failed := map[string]bool{}
-	cfg.FailureInjector = func(task string, attempt int) error {
-		if strings.Contains(task, "map-0") && !failed[task] {
-			failed[task] = true
-			return errors.New("injected fault")
-		}
-		return nil
-	}
-	res, err := e.RunContext(context.Background(), wordCountJob(cfg), "input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.TaskRetries == 0 {
-		t.Error("no retries recorded despite injected failure")
-	}
-	if got := outputMap(t, res)["hello"]; got != "2" {
-		t.Errorf("count[hello] = %q after retry, want 2", got)
-	}
-}
-
-func TestFailureExhaustsAttempts(t *testing.T) {
-	e := newEngine(t, 16, "hello world\n")
-	cfg := DefaultConfig("wc-doomed")
-	cfg.MaxAttempts = 2
-	cfg.FailureInjector = func(task string, attempt int) error {
-		return errors.New("persistent fault")
-	}
-	if _, err := e.RunContext(context.Background(), wordCountJob(cfg), "input"); err == nil {
-		t.Fatal("job succeeded despite persistent failures")
-	}
-}
-
 func TestMapperErrorAborts(t *testing.T) {
 	e := newEngine(t, 16, "x\n")
 	cfg := DefaultConfig("bad-map")
@@ -733,15 +697,14 @@ func TestRunContextCancellation(t *testing.T) {
 	e := newEngine(t, 64, sb.String())
 	cfg := DefaultConfig("wc-cancel")
 	cfg.Parallelism = 1
-	// Cancel from inside the third map task via the failure injector hook.
+	// Cancel from inside the third map task via the before-task hook.
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	cfg.FailureInjector = func(task string, attempt int) error {
+	cfg.beforeTask = func(string) {
 		calls++
 		if calls == 3 {
 			cancel()
 		}
-		return nil
 	}
 	_, err := e.RunContext(ctx, wordCountJob(cfg), "input")
 	if err == nil {

@@ -390,8 +390,7 @@ func mergeToFile(path string, runs [][]partRun, c *Counters) (*SegmentFile, int6
 // consolidate bounds the fan-in of a final external merge (Hadoop's
 // io.sort.factor discipline): while more than factor runs are pending,
 // adjacent groups of runs are merged into intermediate segment files named
-// <prefix>r<round>-g<group>.seg — deterministic and truncating, so a retried
-// attempt rewrites the same files. A round rewrites only what the fan-in
+// <prefix>r<round>-g<group>.seg. A round rewrites only what the fan-in
 // forces (the idea of Hadoop's getPassFactor, under this engine's adjacency
 // constraint): with excess = len(runs) − factor runs too many, groups are cut
 // leftmost first, each of min(factor, excess+1) runs — a group of g runs
@@ -408,7 +407,7 @@ func mergeToFile(path string, runs [][]partRun, c *Counters) (*SegmentFile, int6
 // partition or one file's partitions. A trailing singleton group passes its
 // run through unmerged.
 //
-// The input slice is never mutated (a retried reduce attempt replays it).
+// The input slice is never mutated.
 // Consumed files are removed as each group lands: always the intermediates
 // of earlier rounds, and the input's own disk runs only when ownInputs is
 // set (a map task owns its spills; a reduce task's inputs belong to the

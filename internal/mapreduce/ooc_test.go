@@ -193,12 +193,11 @@ func TestOutOfCoreCancellationCleanup(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	cfg.FailureInjector = func(task string, attempt int) error {
+	cfg.beforeTask = func(string) {
 		calls++
 		if calls == 4 { // a few map tasks have spilled to disk by now
 			cancel()
 		}
-		return nil
 	}
 	_, err := e.RunContext(ctx, wordCountJob(cfg), "input")
 	if !errors.Is(err, context.Canceled) {
@@ -382,7 +381,7 @@ func consolidateCase(t *testing.T, dir string, n, nparts int, mixed bool) ([][]p
 // runs, several for map spills): the round count must follow mergePasses
 // (whose last pass is the caller's final merge), the final merge over the
 // returned runs must equal the oracle merge of the original runs in order, the
-// input slice must come back untouched (a retried attempt replays it), and
+// input slice must come back untouched, and
 // the only files left are the inputs and the returned last-round
 // intermediates. The grouping rows pin the forced-hops rule: the last round
 // cuts ⌈excess/(f−1)⌉ groups off the left, rewriting excess + that many of

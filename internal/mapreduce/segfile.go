@@ -331,8 +331,8 @@ type spillWriter struct {
 	buf      *frameScratch // open frame's records + header scratch; nil once recycled
 }
 
-// newSpillWriter creates the file (truncating any previous content at the
-// same path — re-run attempts overwrite their predecessor).
+// newSpillWriter creates the file, truncating any previous content at the
+// same path.
 func newSpillWriter(path string) (*spillWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {

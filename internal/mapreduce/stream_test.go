@@ -32,16 +32,15 @@ func TestPartialResultCountsOnlyCompletedMaps(t *testing.T) {
 			cfg.Parallelism = 1
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// Cancel from inside the third map attempt: tasks 0 and 1 complete,
+			// Cancel from inside the third map task: tasks 0 and 1 complete,
 			// task 2 completes too (cancellation is checked between dispatches),
 			// and no further task starts.
 			calls := 0
-			cfg.FailureInjector = func(task string, attempt int) error {
+			cfg.beforeTask = func(string) {
 				calls++
 				if calls == 3 {
 					cancel()
 				}
-				return nil
 			}
 			res, err := e.RunContext(ctx, wordCountJob(cfg), "input")
 			if !errors.Is(err, context.Canceled) {
@@ -192,7 +191,7 @@ func TestCollectorArrivalOrderProperty(t *testing.T) {
 		if !folded && len(want) > 0 {
 			t.Fatalf("trial %d: pressure trial folded nothing to disk", trial)
 		}
-		// A retried reduce attempt replays the same run list.
+		// Draining does not consume the gathered runs.
 		if got2 := drainRuns(t, runs); !reflect.DeepEqual(got2, got) {
 			t.Fatalf("trial %d: second drain of the gathered runs diverges", trial)
 		}

@@ -79,11 +79,11 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 
 func TestStatusEndpoints(t *testing.T) {
 	type job struct {
-		Running bool   `json:"running"`
-		Phase   string `json:"phase"`
+		State string `json:"state"`
+		Phase string `json:"phase"`
 	}
 	srv := httptest.NewServer(New(obs.NewCollector(),
-		WithJobStatus(func() any { return job{Running: true, Phase: "map"} }),
+		WithJobStatus(func() any { return job{State: "running", Phase: "map"} }),
 		WithTaskStatus(func(jobID string) any {
 			if jobID != "" {
 				return []string{jobID + "/map-0"}
@@ -97,7 +97,7 @@ func TestStatusEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, srv.URL+"/jobs")), &j); err != nil {
 		t.Fatal(err)
 	}
-	if !j.Running || j.Phase != "map" {
+	if j.State != "running" || j.Phase != "map" {
 		t.Errorf("/jobs = %+v", j)
 	}
 	var tasks []string
