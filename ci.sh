@@ -2,7 +2,7 @@
 # ci.sh — the repository's continuous-integration gate.
 #
 # Runs the static checks, a full build, and the test suite under the race
-# detector (the sweep executor, result cache and observer fan-out are
+# detector (the engine's task slots and the dist master and workers are
 # concurrent by default, so -race is part of the gate, not an optional
 # extra), then the determinism gates, the build and tests of the bench/
 # module (the only harness numbers come from; nothing else compiles it),
@@ -35,6 +35,11 @@ test -z "$(grep -nE 'SplitData|redOutputs' internal/dist/snapshot.go)"
 # its job, so the per-job overrides, the engine retry loop and the task
 # fields that restated the descriptor stay deleted outside tests.
 test -z "$(grep -rnE 'ReduceSlowstart|SpecFraction|MaxAttempts|TaskRetries|NParts' --include='*.go' internal cmd examples | grep -v _test.go)"
+
+# Model gate: the calibrated model runs the full evaluation in milliseconds
+# as plain serial calls, so the sweep pool, the result cache and the width
+# knob that tuned them stay deleted outside tests.
+test -z "$(grep -rnE 'internal/pool|RunCached|SetParallelism|ResetCache' --include='*.go' internal cmd examples *.go | grep -v _test.go)"
 
 go vet ./...
 go build ./...

@@ -6,15 +6,13 @@
 //	experiments                      # regenerate everything, in the paper's order
 //	experiments -list                # list artefact ids
 //	experiments -only fig3,table3
-//	experiments -parallel 1          # serial sweeps (default: one worker per CPU)
 //	experiments -format csv -outdir results/   # one CSV per artefact
-//	experiments -v                   # report simulator cache statistics on stderr
+//	experiments -v                   # report span and counter summaries on stderr
 //	experiments -trace run.jsonl     # stream a JSONL span/counter trace
 //	experiments -progress            # live artefact progress on stderr
 //
-// Interrupting the run (SIGINT/SIGTERM) cancels the evaluation: the sweep
-// executor stops within one simulation cell and the partial trace is
-// flushed.
+// Interrupting the run (SIGINT/SIGTERM) cancels the evaluation at the next
+// simulation and the partial trace is flushed.
 package main
 
 import (
@@ -25,16 +23,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"heterohadoop/internal/expt"
 	"heterohadoop/internal/obs"
-	"heterohadoop/internal/pool"
-	"heterohadoop/internal/sim"
 )
 
 func main() {
@@ -43,8 +37,7 @@ func main() {
 	format := flag.String("format", "text", "output format: text|csv|md")
 	outdir := flag.String("outdir", "", "write one file per artefact into this directory (default stdout)")
 	chart := flag.String("chart", "", "render this column as an ASCII bar chart instead of a table")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker-pool width for sweeps and artefact generation (1 = serial)")
-	verbose := flag.Bool("v", false, "print simulator cache statistics and span summaries to stderr")
+	verbose := flag.Bool("v", false, "print span and counter summaries to stderr")
 	trace := flag.String("trace", "", "stream a JSONL observability trace to this file")
 	progress := flag.Bool("progress", false, "print artefact completion progress to stderr")
 	flag.Parse()
@@ -63,10 +56,6 @@ func main() {
 	}
 	if *format != "text" && *format != "csv" && *format != "md" {
 		fmt.Fprintf(os.Stderr, "unknown format %q (text|csv|md)\n", *format)
-		os.Exit(2)
-	}
-	if *parallel < 1 {
-		fmt.Fprintf(os.Stderr, "-parallel must be >= 1, got %d\n", *parallel)
 		os.Exit(2)
 	}
 	if *outdir != "" {
@@ -105,39 +94,18 @@ func main() {
 	ob := obs.Tee(parts...)
 	ctx = obs.NewContext(ctx, ob)
 
-	// Sweep grids and artefact generation share the pool width; tables are
-	// produced concurrently but rendered serially in the paper's order.
-	expt.SetParallelism(*parallel)
-	var done atomic.Int64
-	if ob.Enabled() {
-		ob.Progress("artefacts", 0, len(gens))
-	}
-	tables, err := pool.Map(ctx, *parallel, len(gens), func(i int) (expt.Table, error) {
-		tbl, err := gens[i].Run(ctx)
-		if err != nil {
-			return expt.Table{}, fmt.Errorf("%s: %v", gens[i].ID, err)
-		}
-		if ob.Enabled() {
-			ob.Progress("artefacts", int(done.Add(1)), len(gens))
-		}
-		return tbl, nil
-	})
+	tables, err := generate(ctx, ob, gens)
 	// Flush whatever was traced, even on failure or interrupt (os.Exit
 	// below would skip a defer).
-	flushTrace := func() {
-		if tw == nil {
-			return
-		}
-		if err := tw.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	if tw != nil {
+		if cerr := tw.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, cerr)
 		}
 	}
 	if err != nil {
-		flushTrace()
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	flushTrace()
 	for _, tbl := range tables {
 		if err := render(tbl, *format, *outdir, *chart); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -145,14 +113,31 @@ func main() {
 		}
 	}
 	if *verbose {
-		s := sim.Stats()
-		fmt.Fprintf(os.Stderr,
-			"sim cache: %d hits, %d misses, %d coalesced, %d in flight, %d entries, %.1f%% hit rate\n",
-			s.Hits, s.Misses, s.Coalesced, s.InFlight, s.Entries, 100*s.HitRate())
 		if err := collector.WriteSummary(os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}
+}
+
+// generate runs the generators in order, reporting progress, and stops at
+// the first failure. Every table is generated before any is rendered, so a
+// failure prints nothing to stdout.
+func generate(ctx context.Context, ob obs.Observer, gens []expt.Generator) ([]expt.Table, error) {
+	if ob.Enabled() {
+		ob.Progress("artefacts", 0, len(gens))
+	}
+	tables := make([]expt.Table, 0, len(gens))
+	for i, g := range gens {
+		tbl, err := g.Run(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", g.ID, err)
+		}
+		tables = append(tables, tbl)
+		if ob.Enabled() {
+			ob.Progress("artefacts", i+1, len(gens))
+		}
+	}
+	return tables, nil
 }
 
 // selectGenerators resolves -only to an ordered generator list, rejecting

@@ -46,9 +46,8 @@ type Master struct {
 	// failure reports route to the right job (byEpoch) and reports from a
 	// cancelled or finished job find no entry instead of being recorded
 	// against a live one. It is persisted, so epochs stay unique across a
-	// snapshot restart. jobSeq numbers job IDs the same way.
-	epoch  uint64
-	jobSeq uint64
+	// snapshot restart. Job IDs are "job-<epoch>".
+	epoch uint64
 
 	jobs    map[string]*jobState // queued + running, by ID
 	byEpoch map[uint64]*jobState // queued + running, by epoch (report routing)
@@ -275,9 +274,8 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 		removeDataFile(data)
 		return nil, ErrQueueFull
 	}
-	m.jobSeq++
 	m.epoch++
-	js := newJobState(fmt.Sprintf("job-%d", m.jobSeq), m.epoch, desc, blockSize, chunks, time.Now())
+	js := newJobState(fmt.Sprintf("job-%d", m.epoch), m.epoch, desc, blockSize, chunks, time.Now())
 	js.data, js.inputLen, js.dataEnd = data, int64(len(input)), int64(len(input))
 	m.jobs[js.id] = js
 	m.byEpoch[js.epoch] = js

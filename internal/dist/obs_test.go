@@ -238,6 +238,14 @@ func TestDistJobEmitsObserverEvents(t *testing.T) {
 	if p := snap.Progress["dist.reduce/job-1"]; p.Done != p.Total || p.Total != res.Counters.ReduceTasks {
 		t.Errorf("dist.reduce/job-1 progress %+v, want %d/%d", p, res.Counters.ReduceTasks, res.Counters.ReduceTasks)
 	}
+	// The map task's served-output encode is its spill layout: it belongs in
+	// the paper's sort bucket, not the reduce bucket PhaseWrite maps to.
+	if _, ok := snap.Spans[obs.PhaseKey(obs.KindMap, obs.PhaseWrite)]; ok {
+		t.Errorf("map-side work charged as %s", obs.PhaseKey(obs.KindMap, obs.PhaseWrite))
+	}
+	if _, ok := snap.Spans[obs.PhaseKey(obs.KindMap, obs.PhaseSpill)]; !ok {
+		t.Errorf("no %s span recorded", obs.PhaseKey(obs.KindMap, obs.PhaseSpill))
+	}
 }
 
 func TestReportFailureSurfacesRPCErrors(t *testing.T) {

@@ -73,7 +73,6 @@ type snapJob struct {
 type snapshot struct {
 	Version int
 	Epoch   uint64
-	JobSeq  uint64
 	Jobs    []snapJob
 	History []JobStatus
 	Workers []workerInfo
@@ -89,7 +88,7 @@ func (m *Master) saveSnapshotLocked() bool {
 	if m.snapPath == "" || m.closed {
 		return false
 	}
-	snap := snapshot{Version: snapshotVersion, Epoch: m.epoch, JobSeq: m.jobSeq}
+	snap := snapshot{Version: snapshotVersion, Epoch: m.epoch}
 	for _, js := range m.order {
 		sj := snapJob{
 			ID: js.id, Epoch: js.epoch, Desc: js.desc, BlockSize: js.blockSize, State: js.state,
@@ -222,7 +221,6 @@ func readDataFile(dir string, sj *snapJob) (*os.File, []byte, error) {
 // outputs resume as done.
 func (m *Master) restoreLocked(snap *snapshot) error {
 	m.epoch = snap.Epoch
-	m.jobSeq = snap.JobSeq
 	m.history = append(m.history, snap.History...)
 	now := time.Now()
 	for _, w := range snap.Workers {

@@ -54,7 +54,7 @@ func dirNames(t *testing.T, dir string) []string {
 // file) must fail StartMaster instead of resuming jobs with no data file.
 func TestSnapshotVersionMismatchRejected(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "master.snap")
-	v2 := snapshot{Version: 2, Epoch: 1, JobSeq: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
+	v2 := snapshot{Version: 2, Epoch: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
 	if err := writeSnapshot(snap, &v2); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSnapshotBlobsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	outs := []extent{{}, {Off: int64(len(input)), Len: int64(len(out))}, {}}
-	in := snapshot{Version: snapshotVersion, Epoch: 1, JobSeq: 1, Jobs: []snapJob{
+	in := snapshot{Version: snapshotVersion, Epoch: 1, Jobs: []snapJob{
 		{ID: "job-1", Epoch: 1, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 3},
 			DataFile: filepath.Base(data), InputLen: int64(len(input)), Outputs: outs,
 			MapTasks: []snapTask{{Done: true, Owner: "w"}}, PartSegs: make([][]TaggedSegment, 3)},
@@ -225,10 +225,11 @@ func TestSnapshotRestoredQueuedJobHasNoPhase(t *testing.T) {
 
 // TestSnapshotDeletedFieldsStillLoad writes a version-3 snapshot the way a
 // master did while the descriptor carried per-job scheduling knobs, the job
-// its phase, JobStatus Running and Priority, and Counters TaskRetries. gob
-// skips the fields the current types lack, so StartMaster must resume the
-// job — its phase derived from the task table, not the stale stored one —
-// to the same output as a plain run.
+// its phase, JobStatus Running and Priority, Counters TaskRetries, and the
+// snapshot a job-ID counter beside the epoch. gob skips the fields the
+// current types lack, so StartMaster must resume the job — its phase
+// derived from the task table, not the stale stored one — to the same
+// output as a plain run, and number the next submission from the epoch.
 func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
 	type oldDesc struct {
 		Workload        string
@@ -311,6 +312,16 @@ func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
 	startWorker(t, m, "resumer")
 	if got := outputBytes(t, waitJob(t, h, jobDeadline)); !bytes.Equal(got, want) {
 		t.Errorf("resumed output differs from the plain run (%d vs %d bytes)", len(got), len(want))
+	}
+	next, err := m.Submit(context.Background(), desc, input, 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID() != "job-3" {
+		t.Errorf("submission after restore got ID %s, want job-3", next.ID())
+	}
+	if got := outputBytes(t, waitJob(t, next, jobDeadline)); !bytes.Equal(got, want) {
+		t.Errorf("post-restore job output differs from the plain run (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -486,7 +486,9 @@ func (w *Worker) runMap(task Task) error {
 		}
 	} else {
 		// Encode every partition — empties included, as 8-byte coverage
-		// markers — and keep the blobs for reducers to pull.
+		// markers — and keep the blobs for reducers to pull. This is the map
+		// task's final spill layout, so it is charged as spill (the paper's
+		// sort bucket), like the segment file above.
 		tWrite := pc.Start()
 		parts := make([][]byte, len(segs))
 		var encoded int64
@@ -497,7 +499,7 @@ func (w *Worker) runMap(task Task) error {
 				stats = append(stats, PartStat{Part: p, Recs: seg.Len(), Bytes: int64(seg.Bytes())})
 			}
 		}
-		pc.EmitIO(obs.PhaseWrite, tWrite, 0, encoded)
+		pc.EmitIO(obs.PhaseSpill, tWrite, 0, encoded)
 		w.store.put(task.Epoch, task.Seq, parts)
 	}
 	return w.client.Call("Master.CompleteMap", MapDone{

@@ -15,7 +15,6 @@ import (
 	"heterohadoop/internal/cache"
 	"heterohadoop/internal/cpu"
 	"heterohadoop/internal/hdfs"
-	"heterohadoop/internal/pool"
 	"heterohadoop/internal/power"
 	"heterohadoop/internal/sim"
 	"heterohadoop/internal/units"
@@ -130,13 +129,9 @@ func PaperMix() Mix {
 }
 
 // Explore scores every candidate on the mix at the given knobs and marks
-// the Pareto frontier. Results are sorted by EDP ascending. The flattened
-// (candidate x mix entry) grid runs across the worker pool, and each
-// simulation goes through the result cache; the per-candidate totals are
-// accumulated serially in mix order, so results are identical at any
-// pool width. The context flows through the worker pool into every cached
-// simulation, so a cancelled context stops the sweep within one cell and an
-// Observer carried by ctx sees per-cell sim.run spans and cache counters.
+// the Pareto frontier. Results are sorted by EDP ascending. The context
+// flows into every simulation, so a cancelled context stops the sweep at
+// the next cell and an Observer carried by ctx sees per-cell sim.run spans.
 func Explore(ctx context.Context, space []Candidate, mix Mix, block units.Bytes, f units.Hertz, cores int) ([]Result, error) {
 	if len(space) == 0 {
 		return nil, fmt.Errorf("dse: empty candidate space")
@@ -149,31 +144,22 @@ func Explore(ctx context.Context, space []Candidate, mix Mix, block units.Bytes,
 			return nil, fmt.Errorf("dse: %s: %d cores out of range", cand.Name, cores)
 		}
 	}
-	reports, err := pool.Map(ctx, pool.DefaultWidth(), len(space)*len(mix), func(k int) (sim.Report, error) {
-		cand := space[k/len(mix)]
-		entry := mix[k%len(mix)]
-		node := sim.Node{Core: cand.Core, Power: cand.Power, Disk: defaultDisk(), ActiveCores: cores}
-		r, err := sim.RunCached(ctx, sim.NewCluster(node), sim.JobSpec{
-			Name:        entry.Workload.Name(),
-			Spec:        entry.Workload.Spec(),
-			DataPerNode: entry.Data,
-			BlockSize:   block,
-			Frequency:   f,
-		})
-		if err != nil {
-			return sim.Report{}, fmt.Errorf("dse: %s on %s: %w", entry.Workload.Name(), cand.Name, err)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	results := make([]Result, 0, len(space))
-	for ci, cand := range space {
+	for _, cand := range space {
+		node := sim.Node{Core: cand.Core, Power: cand.Power, Disk: defaultDisk(), ActiveCores: cores}
 		var delay units.Seconds
 		var energy units.Joules
-		for mi, entry := range mix {
-			r := reports[ci*len(mix)+mi]
+		for _, entry := range mix {
+			r, err := sim.Run(ctx, sim.NewCluster(node), sim.JobSpec{
+				Name:        entry.Workload.Name(),
+				Spec:        entry.Workload.Spec(),
+				DataPerNode: entry.Data,
+				BlockSize:   block,
+				Frequency:   f,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("dse: %s on %s: %w", entry.Workload.Name(), cand.Name, err)
+			}
 			delay += units.Seconds(float64(r.Total.Time) * entry.Weight)
 			energy += units.Joules(float64(r.Total.Energy) * entry.Weight)
 		}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"heterohadoop/internal/accel"
-	"heterohadoop/internal/pool"
 	"heterohadoop/internal/sim"
-	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
 
@@ -36,30 +34,23 @@ func accelRatio(ctx context.Context, w workloads.Workload, blockMB int, fGHz, ac
 	return accel.SpeedupRatio(aB, xB, aA, xA), nil
 }
 
-// accelTable builds a table of Eq. 1 ratios over a swept parameter. The
-// (value, workload) grid is flattened onto the worker pool; each ratio's
-// four simulator runs go through the result cache, so the 512 MB / 1.8 GHz
-// cells shared between Figs 14-16 are computed once.
-func accelTable(ctx context.Context, id, title, param string, values []string, eval func(w workloads.Workload, i int) (float64, error)) (Table, error) {
+// accelTable builds a table of Eq. 1 ratios over a swept parameter: one
+// row per value, one column per workload.
+func accelTable(id, title, param string, values []string, eval func(w workloads.Workload, i int) (float64, error)) (Table, error) {
 	all := workloads.All()
-	header := append([]string{param}, func() []string {
-		var h []string
-		for _, w := range all {
-			h = append(h, shortName(w.Name()))
-		}
-		return h
-	}()...)
-	ratios, err := pool.Map(ctx, Parallelism(), len(values)*len(all), func(k int) (float64, error) {
-		return eval(all[k%len(all)], k/len(all))
-	})
-	if err != nil {
-		return Table{}, err
+	header := []string{param}
+	for _, w := range all {
+		header = append(header, shortName(w.Name()))
 	}
 	var rows [][]string
 	for i, v := range values {
 		row := []string{v}
-		for wi := range all {
-			row = append(row, f2(ratios[i*len(all)+wi]))
+		for _, w := range all {
+			r, err := eval(w, i)
+			if err != nil {
+				return Table{}, err
+			}
+			row = append(row, f2(r))
 		}
 		rows = append(rows, row)
 	}
@@ -75,7 +66,7 @@ func Fig14(ctx context.Context) (Table, error) {
 	for _, k := range fig14Accelerations {
 		labels = append(labels, fmt.Sprintf("%gx", k))
 	}
-	return accelTable(ctx, "fig14",
+	return accelTable("fig14",
 		"Speedup of Atom vs Xeon after acceleration relative to before (Eq. 1) vs mapper acceleration",
 		"Accel", labels,
 		func(w workloads.Workload, i int) (float64, error) {
@@ -89,7 +80,7 @@ func Fig15(ctx context.Context) (Table, error) {
 	for _, f := range paperFrequencies {
 		labels = append(labels, f1(f)+"GHz")
 	}
-	return accelTable(ctx, "fig15",
+	return accelTable("fig15",
 		"Post-acceleration speedup ratio (Eq. 1) vs frequency (30x acceleration, 512MB)",
 		"Freq", labels,
 		func(w workloads.Workload, i int) (float64, error) {
@@ -103,7 +94,7 @@ func Fig16(ctx context.Context) (Table, error) {
 	for _, bs := range microBlockSizes {
 		labels = append(labels, fmt.Sprintf("%dMB", bs))
 	}
-	return accelTable(ctx, "fig16",
+	return accelTable("fig16",
 		"Post-acceleration speedup ratio (Eq. 1) vs HDFS block size (30x acceleration, 1.8GHz)",
 		"Block", labels,
 		func(w workloads.Workload, i int) (float64, error) {
@@ -117,5 +108,3 @@ func Fig16(ctx context.Context) (Table, error) {
 			return accelRatio(ctx, w, bs, 1.8, 30)
 		})
 }
-
-var _ = units.GB // keep units imported for symmetry with sibling files

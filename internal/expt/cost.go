@@ -6,53 +6,44 @@ import (
 
 	"heterohadoop/internal/cpu"
 	"heterohadoop/internal/metrics"
-	"heterohadoop/internal/pool"
 	"heterohadoop/internal/sched"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
 
 // costSamples evaluates all (platform, core count) cells of Table 3 for one
-// workload, fanning the cell grid out across the pool. The underlying
-// simulations are cached, so Table 3, Fig 17 and the scheduling search all
-// share one evaluation per cell.
+// workload, keyed "A2".."A8" (Atom) and "X2".."X8" (Xeon).
 func costSamples(ctx context.Context, w workloads.Workload) (map[string]metrics.Sample, error) {
 	data := paperDataSize(w.Name())
-	type costCell struct {
-		kind  cpu.Kind
-		key   string
-		cores int
-	}
-	var cells []costCell
+	out := make(map[string]metrics.Sample, 2*len(sched.CoreCounts))
 	for _, kind := range []cpu.Kind{cpu.Little, cpu.Big} {
 		label := "A"
 		if kind == cpu.Big {
 			label = "X"
 		}
 		for _, m := range sched.CoreCounts {
-			cells = append(cells, costCell{kind, fmt.Sprintf("%s%d", label, m), m})
+			s, err := sched.Evaluate(ctx, w, kind, m, data, 1.8*units.GHz)
+			if err != nil {
+				return nil, err
+			}
+			out[fmt.Sprintf("%s%d", label, m)] = s
 		}
-	}
-	samples, err := pool.Map(ctx, Parallelism(), len(cells), func(i int) (metrics.Sample, error) {
-		return sched.Evaluate(ctx, w, cells[i].kind, cells[i].cores, data, 1.8*units.GHz)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]metrics.Sample, len(cells))
-	for i, c := range cells {
-		out[c.key] = samples[i]
 	}
 	return out, nil
 }
 
-// allCostSamples evaluates costSamples for every workload concurrently,
-// returned in workloads.All() order.
+// allCostSamples evaluates costSamples for every workload, returned in
+// workloads.All() order.
 func allCostSamples(ctx context.Context) ([]map[string]metrics.Sample, error) {
-	all := workloads.All()
-	return pool.Map(ctx, Parallelism(), len(all), func(i int) (map[string]metrics.Sample, error) {
-		return costSamples(ctx, all[i])
-	})
+	var out []map[string]metrics.Sample
+	for _, w := range workloads.All() {
+		s, err := costSamples(ctx, w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // Table3 reproduces the operational and capital cost table: EDP, ED2P,
@@ -127,30 +118,27 @@ func Fig17(ctx context.Context) (Table, error) {
 // the exhaustive-search optimum for each workload under each goal.
 func SchedulingCase(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Class", "Goal", "Policy", "Optimal", "Optimal score"}
-	all := workloads.All()
-	goals := []sched.Goal{sched.MinEDP, sched.MinED2P, sched.MinEDAP, sched.MinED2AP}
-	rows, err := mapRows(ctx, len(all)*len(goals), func(k int) ([]string, error) {
-		w, goal := all[k/len(goals)], goals[k%len(goals)]
-		policy := sched.Policy(w.Class(), goal)
-		opt, sample, err := sched.Optimal(ctx, w, goal, paperDataSize(w.Name()), 1.8*units.GHz)
-		if err != nil {
-			return nil, err
+	var rows [][]string
+	for _, w := range workloads.All() {
+		for _, goal := range []sched.Goal{sched.MinEDP, sched.MinED2P, sched.MinEDAP, sched.MinED2AP} {
+			policy := sched.Policy(w.Class(), goal)
+			opt, sample, err := sched.Optimal(ctx, w, goal, paperDataSize(w.Name()), 1.8*units.GHz)
+			if err != nil {
+				return Table{}, err
+			}
+			score := map[sched.Goal]func() float64{
+				sched.MinEDP:   sample.EDP,
+				sched.MinED2P:  sample.ED2P,
+				sched.MinEDAP:  sample.EDAP,
+				sched.MinED2AP: sample.ED2AP,
+			}[goal]()
+			rows = append(rows, []string{
+				shortName(w.Name()), w.Class().String(), goal.String(),
+				fmt.Sprintf("%v/%d", policy.Kind, policy.Cores),
+				fmt.Sprintf("%v/%d", opt.Kind, opt.Cores),
+				sci(score),
+			})
 		}
-		score := map[sched.Goal]func() float64{
-			sched.MinEDP:   sample.EDP,
-			sched.MinED2P:  sample.ED2P,
-			sched.MinEDAP:  sample.EDAP,
-			sched.MinED2AP: sample.ED2AP,
-		}[goal]()
-		return []string{
-			shortName(w.Name()), w.Class().String(), goal.String(),
-			fmt.Sprintf("%v/%d", policy.Kind, policy.Cores),
-			fmt.Sprintf("%v/%d", opt.Kind, opt.Cores),
-			sci(score),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
 	}
 	return Table{
 		ID:     "sched",

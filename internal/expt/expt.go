@@ -81,9 +81,9 @@ type Generator struct {
 	fn   func(context.Context) (Table, error)
 }
 
-// Run produces the artefact. A cancelled context aborts between (and,
-// through the sweep executor, within) simulations with an error wrapping
-// ctx.Err(). An Observer carried by ctx receives an "expt.artefact" span
+// Run produces the artefact. A cancelled context aborts at the next
+// simulation with an error wrapping ctx.Err(). An Observer carried by ctx
+// receives an "expt.artefact" span
 // with the artefact id, plus everything the layers below emit.
 func (g Generator) Run(ctx context.Context) (Table, error) {
 	if g.fn == nil {
@@ -189,11 +189,10 @@ func shortName(name string) string {
 	}
 }
 
-// run simulates one configuration through the process-wide result
-// cache, so cells shared between artefacts are only ever computed once.
-// The context carries cancellation and the observer into the simulator.
+// run simulates one configuration. The context carries cancellation and
+// the observer into the simulator.
 func run(ctx context.Context, w workloads.Workload, node sim.Node, data units.Bytes, blockMB int, fGHz float64) (sim.Report, error) {
-	return sim.RunCached(ctx, sim.NewCluster(node), sim.JobSpec{
+	return sim.Run(ctx, sim.NewCluster(node), sim.JobSpec{
 		Name:        w.Name(),
 		Spec:        w.Spec(),
 		DataPerNode: data,

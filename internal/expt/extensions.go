@@ -48,40 +48,35 @@ func ExtDSE(ctx context.Context) (Table, error) {
 }
 
 // ExtPhaseSplit compares homogeneous deployments against the little-map/
-// big-reduce split for every workload. Workload rows run on the pool; the
-// homogeneous runs coalesce with the split's per-side runs in the cache.
+// big-reduce split for every workload.
 func ExtPhaseSplit(ctx context.Context) (Table, error) {
 	little := sim.NewCluster(sim.AtomNode(8))
 	big := sim.NewCluster(sim.XeonNode(8))
-	all := workloads.All()
-	rows, err := mapRows(ctx, len(all), func(i int) ([]string, error) {
-		w := all[i]
+	var rows [][]string
+	for _, w := range workloads.All() {
 		job := sim.JobSpec{
 			Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		}
-		homoL, err := sim.RunCached(ctx, little, job)
+		homoL, err := sim.Run(ctx, little, job)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
-		homoB, err := sim.RunCached(ctx, big, job)
+		homoB, err := sim.Run(ctx, big, job)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		split, err := sim.RunPhaseSplit(ctx, little, big, job)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
-		return []string{
+		rows = append(rows, []string{
 			shortName(w.Name()),
 			f1(float64(homoL.Total.Time)), sci(edpOf(homoL.Total)),
 			f1(float64(homoB.Total.Time)), sci(edpOf(homoB.Total)),
 			f1(float64(split.Total.Time)), sci(split.EDP()),
 			f1(float64(split.Handoff.Time)),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
+		})
 	}
 	return Table{
 		ID:    "ext-phasesplit",
@@ -96,32 +91,28 @@ func ExtPhaseSplit(ctx context.Context) (Table, error) {
 // every workload on the little cluster.
 func ExtPerPhaseDVFS(ctx context.Context) (Table, error) {
 	cluster := sim.NewCluster(sim.AtomNode(8))
-	all := workloads.All()
-	rows, err := mapRows(ctx, len(all), func(i int) ([]string, error) {
-		w := all[i]
+	var rows [][]string
+	for _, w := range workloads.All() {
 		job := sim.JobSpec{
 			Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
 			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
 		}
 		uniform, err := sim.RunPerPhaseDVFS(ctx, cluster, job, 1.8, 1.8)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		best, err := sim.BestPerPhaseDVFS(ctx, cluster, job)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		saving := 1 - best.EDP()/uniform.EDP()
-		return []string{
+		rows = append(rows, []string{
 			shortName(w.Name()),
 			fmt.Sprintf("%.1f/%.1f", best.MapFrequency, best.ReduceFrequency),
 			sci(uniform.EDP()),
 			sci(best.EDP()),
 			fmt.Sprintf("%.1f%%", 100*saving),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
+		})
 	}
 	return Table{
 		ID:     "ext-dvfs",
@@ -135,7 +126,6 @@ func ExtPerPhaseDVFS(ctx context.Context) (Table, error) {
 // into components (cores, uncore, DRAM, disk) on both platforms — the
 // constituents the paper's wall meter aggregates.
 func ExtPowerBreakdown(ctx context.Context) (Table, error) {
-	all := workloads.All()
 	plats := []struct {
 		label string
 		node  sim.Node
@@ -144,26 +134,25 @@ func ExtPowerBreakdown(ctx context.Context) (Table, error) {
 		{"Atom", sim.AtomNode(8), power.AtomNode()},
 		{"Xeon", sim.XeonNode(8), power.XeonNode()},
 	}
-	rows, err := mapRows(ctx, len(all)*len(plats), func(k int) ([]string, error) {
-		w, p := all[k/len(plats)], plats[k%len(plats)]
-		r, err := sim.RunCached(ctx, sim.NewCluster(p.node), sim.JobSpec{
-			Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
-			BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
-		})
-		if err != nil {
-			return nil, err
+	var rows [][]string
+	for _, w := range workloads.All() {
+		for _, p := range plats {
+			r, err := sim.Run(ctx, sim.NewCluster(p.node), sim.JobSpec{
+				Name: w.Name(), Spec: w.Spec(), DataPerNode: paperDataSize(w.Name()),
+				BlockSize: 512 * units.MB, Frequency: 1.8 * units.GHz,
+			})
+			if err != nil {
+				return Table{}, err
+			}
+			m, _ := r.MapReduceOnly()
+			b := p.model.DynamicBreakdown(m.Draw)
+			rows = append(rows, []string{
+				shortName(w.Name()), p.label,
+				f1(float64(m.AvgPower)),
+				f1(float64(b.Cores)), f1(float64(b.Uncore)),
+				f1(float64(b.DRAM)), f1(float64(b.Disk)),
+			})
 		}
-		m, _ := r.MapReduceOnly()
-		b := p.model.DynamicBreakdown(m.Draw)
-		return []string{
-			shortName(w.Name()), p.label,
-			f1(float64(m.AvgPower)),
-			f1(float64(b.Cores)), f1(float64(b.Uncore)),
-			f1(float64(b.DRAM)), f1(float64(b.Disk)),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
 	}
 	return Table{
 		ID:     "ext-power",

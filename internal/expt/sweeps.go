@@ -31,9 +31,31 @@ func atomFirst() []platform {
 	}
 }
 
+// simCell is one simulator evaluation in a sweep grid.
+type simCell struct {
+	w       workloads.Workload
+	node    sim.Node
+	data    units.Bytes
+	blockMB int
+	fGHz    float64
+}
+
+// runCells simulates the grid in order and returns one report per cell,
+// stopping at the first error. A cancelled context fails the next cell.
+func runCells(ctx context.Context, cells []simCell) ([]sim.Report, error) {
+	reps := make([]sim.Report, len(cells))
+	for i, c := range cells {
+		r, err := run(ctx, c.w, c.node, c.data, c.blockMB, c.fGHz)
+		if err != nil {
+			return nil, err
+		}
+		reps[i] = r
+	}
+	return reps, nil
+}
+
 // execTimeSweep builds the Fig 3/4 style table: execution time for every
-// (platform, frequency, block size) cell. The cell grid runs on the pool;
-// rows are assembled serially in grid order.
+// (platform, frequency, block size) cell, with rows in grid order.
 func execTimeSweep(ctx context.Context, id, title string, ws []workloads.Workload, blockSizes []int, data func(string) units.Bytes) (Table, error) {
 	header := []string{"Platform", "Freq[GHz]", "Block[MB]"}
 	for _, w := range ws {
@@ -91,8 +113,7 @@ func Fig4(ctx context.Context) (Table, error) {
 // edpVsFrequency builds the Fig 5/6 style table: whole-application EDP per
 // (platform, frequency), normalized per workload to Atom at 1.2 GHz with
 // the 512 MB block, exactly as the paper normalizes. The normalization
-// reference cells are appended to the grid; the cache coalesces them with
-// their grid duplicates, so they cost nothing extra.
+// reference cells are appended to the grid.
 func edpVsFrequency(ctx context.Context, id, title string, ws []workloads.Workload) (Table, error) {
 	header := []string{"Platform", "Freq[GHz]"}
 	for _, w := range ws {
@@ -260,9 +281,9 @@ func Fig9(ctx context.Context) (Table, error) {
 var dataSizes = []units.Bytes{units.GB, 10 * units.GB, 20 * units.GB}
 
 // dataSizeGrid enumerates the Fig 10-13 cell grid (workload x platform x
-// data size at 512 MB / 1.8 GHz) and runs it on the pool. The returned
-// index function addresses a report by its loop coordinates.
-func dataSizeGrid(ctx context.Context, ws []workloads.Workload) ([]sim.Report, func(wi, pi, si int) sim.Report, error) {
+// data size at 512 MB / 1.8 GHz) and runs it. The returned index function
+// addresses a report by its loop coordinates.
+func dataSizeGrid(ctx context.Context, ws []workloads.Workload) (func(wi, pi, si int) sim.Report, error) {
 	var cells []simCell
 	for _, w := range ws {
 		for _, p := range atomFirst() {
@@ -273,19 +294,18 @@ func dataSizeGrid(ctx context.Context, ws []workloads.Workload) ([]sim.Report, f
 	}
 	reps, err := runCells(ctx, cells)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stride := len(atomFirst()) * len(dataSizes)
-	at := func(wi, pi, si int) sim.Report {
+	return func(wi, pi, si int) sim.Report {
 		return reps[wi*stride+pi*len(dataSizes)+si]
-	}
-	return reps, at, nil
+	}, nil
 }
 
 // breakdownSweep builds the Fig 10/11 style table: per-phase execution time
 // share plus the total, per (workload, platform, data size).
 func breakdownSweep(ctx context.Context, id, title string, ws []workloads.Workload) (Table, error) {
-	_, at, err := dataSizeGrid(ctx, ws)
+	at, err := dataSizeGrid(ctx, ws)
 	if err != nil {
 		return Table{}, err
 	}
@@ -335,7 +355,7 @@ func Fig11(ctx context.Context) (Table, error) {
 // to Atom at 1 GB.
 func Fig12(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Platform", "1GB", "10GB", "20GB"}
-	_, at, err := dataSizeGrid(ctx, workloads.All())
+	at, err := dataSizeGrid(ctx, workloads.All())
 	if err != nil {
 		return Table{}, err
 	}
@@ -363,11 +383,11 @@ func Fig12(ctx context.Context) (Table, error) {
 }
 
 // Fig13 gives map- and reduce-phase EDP vs data size, normalized per
-// workload and phase to Atom at 1 GB. Both phase passes read the same cached
-// grid instead of re-simulating it.
+// workload and phase to Atom at 1 GB. Both phase passes read the same grid
+// instead of re-simulating it.
 func Fig13(ctx context.Context) (Table, error) {
 	header := []string{"Workload", "Platform", "Phase", "1GB", "10GB", "20GB"}
-	_, at, err := dataSizeGrid(ctx, workloads.All())
+	at, err := dataSizeGrid(ctx, workloads.All())
 	if err != nil {
 		return Table{}, err
 	}

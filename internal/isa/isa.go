@@ -28,11 +28,6 @@ const (
 	numClasses
 )
 
-// Classes lists all instruction classes in declaration order.
-func Classes() []Class {
-	return []Class{IntALU, FPALU, Load, Store, Branch}
-}
-
 // String returns the conventional short name of the class.
 func (c Class) String() string {
 	switch c {

@@ -1,6 +1,6 @@
 // Package obs is the observability spine of the runtime: a small Observer
 // contract (spans, monotonic counters, gauges, progress events) that the
-// simulator, the sweep executor, the worker pool and the distributed
+// simulator, the artefact generators, the engine and the distributed
 // master/worker all emit into, plus the context plumbing that carries an
 // Observer through the ctx-first run APIs.
 //
@@ -46,8 +46,8 @@ func Int(key string, value int64) Attr {
 type SpanID uint64
 
 // Observer receives runtime telemetry. Implementations must be safe for
-// concurrent use: the sweep executor and the distributed runtime emit from
-// many goroutines at once.
+// concurrent use: the engine's task slots and the distributed runtime emit
+// from many goroutines at once.
 //
 // Enabled is the fast-path gate: when it reports false, callers skip
 // attribute construction entirely, which is what keeps the no-op path

@@ -11,7 +11,6 @@ import (
 
 	"heterohadoop/internal/cpu"
 	"heterohadoop/internal/metrics"
-	"heterohadoop/internal/pool"
 	"heterohadoop/internal/sim"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
@@ -114,8 +113,8 @@ func Policy(class workloads.Class, goal Goal) Decision {
 
 // Evaluate simulates the workload on the given core class and count and
 // returns the cost-metric sample (energy, delay, chip area). The context
-// flows into the cached simulator run, so an Observer carried by it sees
-// the cache counters and sim.run spans, and cancellation aborts the cell.
+// flows into the simulator run, so an Observer carried by it sees the
+// sim.run span, and cancellation aborts the cell.
 func Evaluate(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores int, data units.Bytes, f units.Hertz) (metrics.Sample, error) {
 	node := sim.AtomNode(cores)
 	if kind == cpu.Big {
@@ -132,7 +131,7 @@ func Evaluate(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores in
 	if block < units.MB {
 		block = units.MB
 	}
-	r, err := sim.RunCached(ctx, sim.NewCluster(node), sim.JobSpec{
+	r, err := sim.Run(ctx, sim.NewCluster(node), sim.JobSpec{
 		Name:        w.Name(),
 		Spec:        w.Spec(),
 		DataPerNode: data,
@@ -157,39 +156,25 @@ func Evaluate(ctx context.Context, w workloads.Workload, kind cpu.Kind, cores in
 
 // Optimal exhaustively searches both core classes and all core counts for
 // the allocation minimizing the goal, using the simulator. A cancelled
-// context stops the search with an error wrapping ctx.Err().
-//
-// The cells of the class × core-count grid are independent simulator runs,
-// so they are evaluated concurrently; the argmin scan afterwards walks the
-// results in grid order, which keeps the tie-break (first strictly smaller
-// score wins) identical to the old sequential loop.
+// context stops the search with an error wrapping ctx.Err(). Ties go to
+// the first cell in (Little, Big) × CoreCounts order.
 func Optimal(ctx context.Context, w workloads.Workload, goal Goal, data units.Bytes, f units.Hertz) (Decision, metrics.Sample, error) {
-	type cell struct {
-		kind  cpu.Kind
-		cores int
-	}
-	cells := make([]cell, 0, 2*len(CoreCounts))
-	for _, kind := range []cpu.Kind{cpu.Little, cpu.Big} {
-		for _, m := range CoreCounts {
-			cells = append(cells, cell{kind: kind, cores: m})
-		}
-	}
-	samples, err := pool.Map(ctx, 0, len(cells), func(i int) (metrics.Sample, error) {
-		return Evaluate(ctx, w, cells[i].kind, cells[i].cores, data, f)
-	})
-	if err != nil {
-		return Decision{}, metrics.Sample{}, err
-	}
 	var (
 		best       Decision
 		bestSample metrics.Sample
 		bestScore  = -1.0
 	)
-	for i, s := range samples {
-		if score := goal.score(s); bestScore < 0 || score < bestScore {
-			bestScore = score
-			bestSample = s
-			best = Decision{Kind: cells[i].kind, Cores: cells[i].cores, Rationale: fmt.Sprintf("exhaustive argmin of %v", goal)}
+	for _, kind := range []cpu.Kind{cpu.Little, cpu.Big} {
+		for _, m := range CoreCounts {
+			s, err := Evaluate(ctx, w, kind, m, data, f)
+			if err != nil {
+				return Decision{}, metrics.Sample{}, err
+			}
+			if score := goal.score(s); bestScore < 0 || score < bestScore {
+				bestScore = score
+				bestSample = s
+				best = Decision{Kind: kind, Cores: m, Rationale: fmt.Sprintf("exhaustive argmin of %v", goal)}
+			}
 		}
 	}
 	return best, bestSample, nil

@@ -154,11 +154,10 @@ func TestAllocateExhaustedPool(t *testing.T) {
 	}
 }
 
-// TestOptimalCtxParallelDeterministic pins the parallel exhaustive search
-// to the old sequential loop: identical decision and sample on repeated
-// runs, and identical to a hand-rolled sequential argmin over the same
-// grid (same first-strictly-smaller tie-break).
-func TestOptimalCtxParallelDeterministic(t *testing.T) {
+// TestOptimalCtxDeterministic pins the exhaustive search to a hand-rolled
+// sequential argmin over the same grid (same first-strictly-smaller
+// tie-break): identical decision and score.
+func TestOptimalCtxDeterministic(t *testing.T) {
 	w := workloads.NewTeraSort()
 	goal := MinEDAP
 	data := units.GB
@@ -180,18 +179,15 @@ func TestOptimalCtxParallelDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for run := 0; run < 3; run++ {
-		got, sample, err := Optimal(context.Background(), w, goal, data, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Kind != want.Kind || got.Cores != want.Cores {
-			t.Fatalf("run %d: parallel argmin %v/%d, sequential reference %v/%d",
-				run, got.Kind, got.Cores, want.Kind, want.Cores)
-		}
-		if goal.score(sample) != wantScore {
-			t.Fatalf("run %d: score %v, want %v", run, goal.score(sample), wantScore)
-		}
+	got, sample, err := Optimal(context.Background(), w, goal, data, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind != want.Kind || got.Cores != want.Cores {
+		t.Fatalf("argmin %v/%d, sequential reference %v/%d", got.Kind, got.Cores, want.Kind, want.Cores)
+	}
+	if goal.score(sample) != wantScore {
+		t.Fatalf("score %v, want %v", goal.score(sample), wantScore)
 	}
 }
 

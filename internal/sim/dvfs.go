@@ -33,13 +33,13 @@ func (r PerPhaseDVFSReport) EDP() float64 {
 func RunPerPhaseDVFS(ctx context.Context, cluster Cluster, job JobSpec, mapF, reduceF float64) (PerPhaseDVFSReport, error) {
 	mapJob := job
 	mapJob.Frequency = ghz(mapF)
-	mapRep, err := RunCached(ctx, cluster, mapJob)
+	mapRep, err := Run(ctx, cluster, mapJob)
 	if err != nil {
 		return PerPhaseDVFSReport{}, fmt.Errorf("sim: per-phase DVFS map side: %w", err)
 	}
 	redJob := job
 	redJob.Frequency = ghz(reduceF)
-	redRep, err := RunCached(ctx, cluster, redJob)
+	redRep, err := Run(ctx, cluster, redJob)
 	if err != nil {
 		return PerPhaseDVFSReport{}, fmt.Errorf("sim: per-phase DVFS reduce side: %w", err)
 	}

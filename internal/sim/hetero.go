@@ -31,11 +31,11 @@ type PhaseSplitReport struct {
 // crosses the network between the two platforms, which costs an extra
 // serialized transfer at the slower of the two clusters' link speeds.
 func RunPhaseSplit(ctx context.Context, mapCluster, reduceCluster Cluster, job JobSpec) (PhaseSplitReport, error) {
-	mapRep, err := RunCached(ctx, mapCluster, job)
+	mapRep, err := Run(ctx, mapCluster, job)
 	if err != nil {
 		return PhaseSplitReport{}, fmt.Errorf("sim: phase-split map side: %w", err)
 	}
-	redRep, err := RunCached(ctx, reduceCluster, job)
+	redRep, err := Run(ctx, reduceCluster, job)
 	if err != nil {
 		return PhaseSplitReport{}, fmt.Errorf("sim: phase-split reduce side: %w", err)
 	}

@@ -7,7 +7,23 @@ import (
 
 	"heterohadoop/internal/obs"
 	"heterohadoop/internal/units"
+	"heterohadoop/internal/workloads"
 )
+
+func testJob(t testing.TB) (Cluster, JobSpec) {
+	t.Helper()
+	w, err := workloads.ByName("wordcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCluster(AtomNode(8)), JobSpec{
+		Name:        "wordcount",
+		Spec:        w.Spec(),
+		DataPerNode: units.GB,
+		BlockSize:   256 * units.MB,
+		Frequency:   1.8 * units.GHz,
+	}
+}
 
 func TestValidateWrapsSentinels(t *testing.T) {
 	cluster, job := testJob(t)
@@ -54,43 +70,11 @@ func TestRunCtxEmitsSpanAndGauges(t *testing.T) {
 	}
 }
 
-func TestRunCachedCtxCancelledIsNotMemoized(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+func TestRunCtxCancelled(t *testing.T) {
 	cluster, job := testJob(t)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunCached(ctx, cluster, job); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled RunCached: %v, want wrapped context.Canceled", err)
-	}
-	// The aborted lookup must not poison the cache: a fresh context computes
-	// the report as a plain miss.
-	if _, err := RunCached(context.Background(), cluster, job); err != nil {
-		t.Fatalf("RunCached after cancelled attempt: %v", err)
-	}
-	if s := Stats(); s.Entries != 1 || s.InFlight != 0 {
-		t.Errorf("stats after recovery: %+v, want 1 entry and 0 in flight", s)
-	}
-}
-
-func TestRunCachedCtxEmitsCacheCounters(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	cluster, job := testJob(t)
-	c := obs.NewCollector()
-	ctx := obs.NewContext(context.Background(), c)
-
-	if _, err := RunCached(ctx, cluster, job); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunCached(ctx, cluster, job); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.Counter("sim.cache.misses"); n != 1 {
-		t.Errorf("sim.cache.misses = %d, want 1", n)
-	}
-	if n := c.Counter("sim.cache.hits"); n != 1 {
-		t.Errorf("sim.cache.hits = %d, want 1", n)
+	if _, err := Run(ctx, cluster, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run: %v, want wrapped context.Canceled", err)
 	}
 }

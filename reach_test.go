@@ -50,7 +50,6 @@ var keepList = map[string]string{
 	"mapreduce.SegmentFromKVs":   "oracle: builds segments from literal pairs for merge and wire tests",
 	"mapreduce.ResultFromKVs":    "oracle: builds results from literal pairs for SortedOutput tests",
 	"mapreduce.PartitionerFunc":  "oracle: string adapter FuzzStringVsArenaParity holds equal to the byte contract",
-	"sim.cacheKey":               "oracle: allocating reference the hashed cache key is tested against",
 
 	// Accessors tests observe state through.
 	"mapreduce.Result.Output":              "accessor: materialised output pairs, what parity tests compare",
@@ -63,7 +62,6 @@ var keepList = map[string]string{
 	"obs.Collector.SpanCount":              "accessor: reads span totals back in telemetry tests",
 	"obs.Tick.IsZero":                      "accessor: tells tests the inert phase clock read no wall time",
 	"obs/timeline.Trace.Run":               "accessor: looks a replayed run up by name",
-	"sim.ResetCache":                       "accessor: empties the result cache so a test or benchmark measures a cold run",
 
 	// The documented dist client API (DESIGN §11, README "Cluster mode").
 	"dist.JobHandle.ID":     "client API: job id of a submission",
@@ -75,7 +73,7 @@ var keepList = map[string]string{
 	"dist.Worker.Registry":  "client API: register custom workloads on a worker",
 
 	// Deferred to its own change.
-	"trace": "ROADMAP item 4 absorbs internal/trace into the phase-closure artefact or deletes it",
+	"trace": "ROADMAP item 3 absorbs internal/trace into the phase-closure artefact or deletes it",
 }
 
 // implicitMethods are the standard-library interface methods (fmt, error,
