@@ -6,7 +6,7 @@ package heterohadoop_test
 // identical to the same job written natively against the engine's byte
 // contracts. The fuzz target drives an adversarial echo job (empty keys and
 // values, multi-KB keys, non-UTF8 bytes, duplicate keys spanning spill
-// segments, secondary-sort grouping) through both forms, and every job —
+// segments) through both forms, and every job —
 // the six workloads included — serially and at Parallelism 4.
 
 import (
@@ -108,14 +108,6 @@ func echoJobStrings(cfg mapreduce.Config) mapreduce.Job {
 	}
 }
 
-// groupOnFirstByte is the secondary-sort comparator of fuzz mode 7.
-func groupOnFirstByte(a, b string) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return len(a) == len(b)
-	}
-	return a[0] == b[0]
-}
-
 // compareRuns fails if two runs of what should be the same job differ in
 // any observable: error behaviour, per-partition output, globally sorted
 // output, or any counter.
@@ -142,12 +134,11 @@ func compareRuns(t *testing.T, what string, got *mapreduce.Result, gotErr error,
 }
 
 // FuzzStringVsArenaParity fuzzes the equivalence contract itself. Modes
-// 0-5 are the six studied workloads, 6 the adversarial echo job, 7 the echo
-// job with a secondary-sort grouping. The seed corpus covers each workload
-// plus the record shapes the arena must not mangle: empty keys, empty
-// values, multi-kilobyte keys larger than the sort buffer's spill granule,
-// invalid UTF-8, and duplicate-key runs long enough to span several spill
-// segments.
+// 0-5 are the six studied workloads, 6 the adversarial echo job. The seed
+// corpus covers each workload plus the record shapes the arena must not
+// mangle: empty keys, empty values, multi-kilobyte keys larger than the sort
+// buffer's spill granule, invalid UTF-8, and duplicate-key runs long enough
+// to span several spill segments.
 func FuzzStringVsArenaParity(f *testing.F) {
 	for mode := uint8(0); mode < 6; mode++ {
 		f.Add(mode, workloads.All()[mode].Generate(4*units.KB, 21))
@@ -156,12 +147,12 @@ func FuzzStringVsArenaParity(f *testing.F) {
 	f.Add(uint8(6), []byte(strings.Repeat("K", 8192)+":v\nsmall:1\n"))      // multi-KB key
 	f.Add(uint8(6), []byte("\xff\xfe\x80:val\nkey:\xc3\x28\n\x00:\x00\n"))  // non-UTF8 bytes
 	f.Add(uint8(6), []byte(strings.Repeat("dup:x\n", 600)))                 // duplicates spanning segments
-	f.Add(uint8(7), []byte("a1:x\na2:y\nb1:z\na3:w\n"))                     // grouped keys
-	f.Add(uint8(7), []byte(strings.Repeat("g", 4096)+":v\n:empty\ng0:q\n")) // grouping with edge keys
+	f.Add(uint8(6), []byte("a1:x\na2:y\nb1:z\na3:w\n"))                     // keys sharing a prefix
+	f.Add(uint8(6), []byte(strings.Repeat("g", 4096)+":v\n:empty\ng0:q\n")) // multi-KB and prefix keys
 	f.Add(uint8(6), []byte("a:1\nb:2\n!boom\nc:3\n"))                       // mapper error mid-input
 
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
-		mode %= 8
+		mode %= 7
 		if len(data) == 0 {
 			return
 		}
@@ -183,11 +174,7 @@ func FuzzStringVsArenaParity(f *testing.F) {
 			}
 		} else {
 			job = echoJob(cfg)
-			strs := echoJobStrings(cfg)
-			if mode == 7 {
-				job.Grouping, strs.Grouping = groupOnFirstByte, groupOnFirstByte
-			}
-			want, wantErr := runParityJob(t, strs, data)
+			want, wantErr := runParityJob(t, echoJobStrings(cfg), data)
 			got, gotErr := runParityJob(t, job, data)
 			compareRuns(t, "native vs string API", got, gotErr, want, wantErr)
 		}

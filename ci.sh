@@ -41,6 +41,13 @@ test -z "$(grep -rnE 'ReduceSlowstart|SpecFraction|MaxAttempts|TaskRetries|NPart
 # knob that tuned them stay deleted outside tests.
 test -z "$(grep -rnE 'internal/pool|RunCached|SetParallelism|ResetCache' --include='*.go' internal cmd examples *.go | grep -v _test.go)"
 
+# Job-shape gate: every job maps, shuffles and reduces grouped by exact key,
+# the offline profiler's calibration contract lives in the workloads tests,
+# and a phase event's core class comes from the task's worker, so the
+# secondary-sort comparator, internal/trace and the class-stamping observer
+# wrapper stay deleted outside tests.
+test -z "$(grep -rnE 'GroupComparator|Grouping|internal/trace|energy\.Classify' --include='*.go' internal cmd examples | grep -v _test.go)"
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -209,7 +216,7 @@ go test -race -run 'FuzzStringVsArenaParity' .
 # passthrough identity reduce, the reduce-side spill-read accounting, the
 # collector's arrival-order property, the merge-based SortedOutput and the
 # Result gob wire round-trip.
-go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestRecycledFrameLifetime|TestFrameReader|TestSegmentFileRoundTrip|TestUnknownCodecIsCorrupt|TestSpillWriterFrameCap|TestReadFrameCallerOwns|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestPassthroughDisabledUnderGrouping|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestOutOfCoreHopCount|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
+go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestRecycledFrameLifetime|TestFrameReader|TestSegmentFileRoundTrip|TestUnknownCodecIsCorrupt|TestSpillWriterFrameCap|TestReadFrameCallerOwns|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestOutOfCoreHopCount|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
 
 # Fuzz lane: everything above runs only the fuzz targets' seed corpora;
 # here each target mutates for ten seconds (go test -fuzz takes one target

@@ -86,10 +86,11 @@ func main() {
 			ob = col
 		}
 	}
-	// -power-profile selects the node's power model: phase events get the
-	// class stamped on, the collector estimates joules per (job, phase,
-	// class) so /metrics exports hh_energy_joules and hh_edp, and the
-	// worker declares the class in every poll.
+	// -power-profile selects the node's power model: the collector
+	// estimates joules per (job, phase, class) so /metrics exports
+	// hh_energy_joules and hh_edp, and the worker declares the class in
+	// every poll, which stamps it on its phase events and on the master's
+	// schedule events for its tasks.
 	coreClass := ""
 	if *powerArg != "" {
 		prof, err := energy.Select(*powerArg)
@@ -100,7 +101,6 @@ func main() {
 		if col != nil {
 			col.SetEnergyModel(prof)
 		}
-		ob = energy.Classify(ob, coreClass)
 	}
 	flushTrace := func() {
 		if tw == nil {

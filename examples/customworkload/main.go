@@ -56,8 +56,10 @@ func (*InvertedIndex) Build(cfg mapreduce.Config, _ []byte) (mapreduce.Job, erro
 	return mapreduce.Job{Config: cfg, Mapper: mapper, Reducer: reducer}, nil
 }
 
-// Spec is the calibrated profile the simulator uses; a user would derive
-// these numbers with internal/trace the way the bundled workloads do.
+// Spec is the calibrated profile the simulator uses. A user would check its
+// dataflow ratios against an engine run, the way
+// TestSpecsMatchEngineDataflow in internal/workloads holds the bundled
+// workloads to theirs.
 func (*InvertedIndex) Spec() workloads.Spec {
 	return workloads.Spec{
 		MapProfile: isa.Profile{

@@ -534,7 +534,8 @@ func (m *Master) nextTask(workerID string) Task {
 }
 
 // emitSchedule reports one assignment's dispatch latency — ready-to-assigned
-// — as a schedule phase interval attributed to the assignee; called under
+// — as a schedule phase interval attributed to the assignee and its declared
+// core class (GetTask records the class before assigning); called under
 // m.mu. Reissues and speculative backups emit again with the new worker, so
 // every attempt's queueing delay is visible in the trace; for a queued job,
 // the admission wait counts too.
@@ -549,6 +550,7 @@ func (m *Master) emitSchedule(js *jobState, ts *taskState, workerID string, now 
 	obs.EmitPhase(m.ob, obs.PhaseEvent{
 		Task: obs.TaskRef{
 			Job: js.desc.Workload, Kind: kind, Index: ts.task.Seq, Worker: workerID, Epoch: ts.task.Epoch,
+			Class: m.workers.workers[workerID].Class,
 		},
 		Phase:    obs.PhaseSchedule,
 		Start:    ts.readyAt,

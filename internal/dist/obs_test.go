@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/rpc"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -195,11 +194,6 @@ func TestSubmitSentinels(t *testing.T) {
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "grep", NumReducers: 1}, []byte("x\n"), 8); !errors.Is(err, ErrInvalidJob) {
 		t.Errorf("grep without its pattern: %v, want wrapped ErrInvalidJob", err)
 	}
-	// A sort buffer the arena's uint32 record offsets cannot cover is refused
-	// here, not discovered as corrupt records on a worker.
-	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1, SortBuffer: 1 << 32}, []byte("x y"), 8); !errors.Is(err, ErrInvalidJob) || !strings.Contains(err.Error(), "32-bit record offsets") {
-		t.Errorf("4 GiB sort buffer: %v, want wrapped ErrInvalidJob naming the offset width", err)
-	}
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, nil, 8); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("empty input: %v, want wrapped ErrEmptyInput", err)
 	}
@@ -361,5 +355,50 @@ func TestSpeculativeAttemptsDistinguishableInTrace(t *testing.T) {
 	}
 	if len(epochs) != 1 {
 		t.Errorf("attempts of one job carry different epochs: %v", workers)
+	}
+}
+
+// TestPhaseEventsCarryAssigneeClass pins core-class attribution across the
+// cluster: with a big and a little worker and one trace shared by them and
+// the master, every phase event names one of the workers and carries that
+// worker's declared class — the master's schedule events for its tasks
+// included, since the energy split charges dispatch latency to the class
+// that ran the task.
+func TestPhaseEventsCarryAssigneeClass(t *testing.T) {
+	var buf bytes.Buffer
+	tw := obs.NewTraceWriter(&buf)
+	m := startMaster(t, WithObserver(tw))
+	classes := map[string]string{"w-big": "big", "w-little": "little"}
+	var stops []func()
+	for id, class := range classes {
+		w := connectWorker(t, m, id, WithObserver(tw), WithCoreClass(class))
+		stops = append(stops, runWorker(t, w))
+	}
+	input := workloads.GenerateText(16*units.KB, 11)
+	submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 1024)
+	for _, stop := range stops {
+		stop()
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[string]int{} // phase name -> events checked
+	dec := json.NewDecoder(&buf)
+	for {
+		var ev obs.TraceEvent
+		if err := dec.Decode(&ev); err != nil {
+			break
+		}
+		if ev.Type != "phase" {
+			continue
+		}
+		if want, ok := classes[ev.Worker]; !ok || ev.Class != want {
+			t.Errorf("%s %s event of worker %q has class %q, want %q", ev.TaskKind, ev.Name, ev.Worker, ev.Class, want)
+		}
+		seen[ev.Name]++
+	}
+	if seen[obs.PhaseSchedule.String()] == 0 || seen[obs.PhaseMap.String()] == 0 {
+		t.Fatalf("trace lacks schedule or map events: %v", seen)
 	}
 }

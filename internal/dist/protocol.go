@@ -24,8 +24,6 @@ type JobDescriptor struct {
 	Workload string
 	// NumReducers is the reduce-partition count.
 	NumReducers int
-	// SortBuffer is the map-side spill buffer in bytes (0 = default).
-	SortBuffer int64
 	// Cuts are range-partitioner cut keys (TeraSort/Sort), computed by the
 	// master's sampler.
 	Cuts []string

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"heterohadoop/internal/mapreduce"
-	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
 
@@ -92,9 +91,6 @@ func (r *Registry) Build(desc JobDescriptor) (mapreduce.Job, error) {
 func descConfig(desc JobDescriptor, name string) mapreduce.Config {
 	cfg := mapreduce.DefaultConfig(name)
 	cfg.NumReducers = desc.NumReducers
-	if desc.SortBuffer > 0 {
-		cfg.SortBuffer = units.Bytes(desc.SortBuffer)
-	}
 	return cfg
 }
 

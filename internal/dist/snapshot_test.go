@@ -224,16 +224,18 @@ func TestSnapshotRestoredQueuedJobHasNoPhase(t *testing.T) {
 }
 
 // TestSnapshotDeletedFieldsStillLoad writes a version-3 snapshot the way a
-// master did while the descriptor carried per-job scheduling knobs, the job
-// its phase, JobStatus Running and Priority, Counters TaskRetries, and the
-// snapshot a job-ID counter beside the epoch. gob skips the fields the
-// current types lack, so StartMaster must resume the job — its phase
-// derived from the task table, not the stale stored one — to the same
-// output as a plain run, and number the next submission from the epoch.
+// master did while the descriptor carried per-job scheduling knobs and a
+// sort buffer, the job its phase, JobStatus Running and Priority, Counters
+// TaskRetries, and the snapshot a job-ID counter beside the epoch. gob
+// skips the fields the current types lack, so StartMaster must resume the
+// job — its phase derived from the task table, not the stale stored one —
+// to the same output as a plain run, and number the next submission from
+// the epoch.
 func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
 	type oldDesc struct {
 		Workload        string
 		NumReducers     int
+		SortBuffer      int64
 		Priority        int
 		TaskTimeout     time.Duration
 		SpecFraction    float64
@@ -281,7 +283,7 @@ func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
 	old := oldSnapshot{Version: 3, Epoch: 2, JobSeq: 2,
 		Jobs: []oldJob{{
 			ID: "job-2", Epoch: 2, BlockSize: 2 * 1024, State: JobRunning, Phase: "reduce",
-			Desc: oldDesc{Workload: desc.Workload, NumReducers: desc.NumReducers,
+			Desc: oldDesc{Workload: desc.Workload, NumReducers: desc.NumReducers, SortBuffer: 64 << 10,
 				Priority: 3, TaskTimeout: time.Nanosecond, SpecFraction: 0.01, ReduceSlowstart: 1},
 			DataFile: filepath.Base(snap) + ".job-2", InputLen: int64(len(input)),
 			Outputs:  make([]extent, desc.NumReducers),

@@ -53,10 +53,9 @@ type Reducer interface {
 // PassthroughReducer marks a reducer as an identity pass-through: for every
 // key group it emits exactly its input records, unchanged and in order.
 // The engine detects the marker by type assertion and skips reduce-side
-// record processing entirely when no Grouping comparator is installed —
-// the partition's output IS its merged shuffle stream, zero copies
-// (terasort and sort, whose reducers are pass-throughs, pay no per-record
-// reduce cost at all). Passthrough must return a constant; implementations
+// record processing entirely — the partition's output IS its merged
+// shuffle stream, zero copies (terasort and sort, whose reducers are
+// pass-throughs, pay no per-record reduce cost at all). Passthrough must return a constant; implementations
 // returning false run the ordinary reduce loop.
 type PassthroughReducer interface {
 	Reducer
@@ -168,7 +167,7 @@ func bytesLessString(b []byte, s string) bool {
 type Config struct {
 	// Name identifies the job in errors and reports.
 	Name string
-	// NumReducers is the reduce-task count. Zero means a map-only job.
+	// NumReducers is the reduce-task count; every job has at least one.
 	NumReducers int
 	// SortBuffer is the map-side output buffer capacity before a spill is
 	// forced — Hadoop's io.sort.mb. The paper's large-block experiments
@@ -185,8 +184,7 @@ type Config struct {
 	// frames, CRC-32 each) under a per-run temp directory inside SpillDir, merged with a
 	// streaming external k-way merge, and reduce outputs are disk-backed
 	// (release them with Result.Close). Empty keeps every segment in
-	// memory. Map-only jobs ignore it (their outputs must outlive the
-	// run's spill directory).
+	// memory.
 	SpillDir string
 	// SpillMemory bounds how many spilled bytes a map task (and each reduce
 	// partition's shuffle collectors, together) may keep buffered in memory
@@ -218,8 +216,8 @@ func (c Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("mapreduce: job has no name")
 	}
-	if c.NumReducers < 0 {
-		return fmt.Errorf("mapreduce: %s: negative reducer count", c.Name)
+	if c.NumReducers < 1 {
+		return fmt.Errorf("mapreduce: %s: need at least one reducer", c.Name)
 	}
 	if c.SortBuffer <= 0 {
 		return fmt.Errorf("mapreduce: %s: sort buffer must be positive", c.Name)
@@ -239,22 +237,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// GroupComparator decides whether two intermediate keys belong to the same
-// reduce group. Hadoop's secondary-sort pattern uses composite keys
-// ("user#timestamp") sorted fully but grouped on a prefix, so the reducer
-// sees each user's values in timestamp order. Nil means exact key equality.
-type GroupComparator func(a, b string) bool
-
 // Job couples user code with a configuration.
 type Job struct {
 	Config      Config
 	Mapper      Mapper
 	Combiner    Reducer // optional
-	Reducer     Reducer // required unless NumReducers == 0
+	Reducer     Reducer
 	Partitioner Partitioner
-	// Grouping, when set, merges consecutive sorted keys into one reduce
-	// group (secondary sort). The reducer receives the group's first key.
-	Grouping GroupComparator
 }
 
 // Validate checks that the job is runnable.
@@ -265,8 +254,8 @@ func (j Job) Validate() error {
 	if j.Mapper == nil {
 		return fmt.Errorf("mapreduce: %s: no mapper", j.Config.Name)
 	}
-	if j.Config.NumReducers > 0 && j.Reducer == nil {
-		return fmt.Errorf("mapreduce: %s: %d reducers configured but no reducer", j.Config.Name, j.Config.NumReducers)
+	if j.Reducer == nil {
+		return fmt.Errorf("mapreduce: %s: no reducer", j.Config.Name)
 	}
 	return nil
 }

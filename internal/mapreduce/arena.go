@@ -181,7 +181,6 @@ func (a *arena) seg() Segment { return Segment{data: a.data, meta: a.meta} }
 type ValueIter struct {
 	seg  Segment
 	i, j int // remaining records: [i, j)
-	n    int // group size, fixed at construction
 }
 
 // Next returns the next value's bytes, or false when the group is
@@ -194,7 +193,3 @@ func (it *ValueIter) Next() ([]byte, bool) {
 	it.i++
 	return v, true
 }
-
-// Len returns the total number of values in the group, regardless of how
-// many have been consumed.
-func (it *ValueIter) Len() int { return it.n }

@@ -234,10 +234,8 @@ func (e *Engine) execute(ctx context.Context, o obs.Observer, job Job, in inputS
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	// Map-only jobs have no shuffle to spill; SpillDir is documented as
-	// ignored for them.
 	var js *jobSpill
-	if job.Config.NumReducers > 0 && job.Config.SpillDir != "" {
+	if job.Config.SpillDir != "" {
 		var err error
 		js, err = newJobSpill(job.Config)
 		if err != nil {
@@ -285,17 +283,11 @@ func wave(ctx context.Context, slots chan *taskBufs, n int, task func(i int, buf
 // run is the engine's one executor: a map wave publishing into the shuffle
 // sink, then a reduce wave over each partition's collected runs. Each task
 // writes only its own result slots; aggregation happens once after a wave
-// drains, so the hot path takes no locks. Map-only jobs (NumReducers 0) are
-// the same run with a sink that keeps each task's single run — no
-// collectors, no reduce wave. On failure the partial Result carries the
-// counters of the tasks that did complete.
+// drains, so the hot path takes no locks. On failure the partial Result
+// carries the counters of the tasks that did complete.
 func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange, par int, js *jobSpill) (*Result, error) {
 	name := job.Config.Name
 	nparts := job.Config.NumReducers
-	mapOnly := nparts == 0
-	if mapOnly {
-		nparts = 1
-	}
 	slots := make(chan *taskBufs, par)
 	for i := 0; i < par; i++ {
 		slots <- new(taskBufs)
@@ -319,20 +311,11 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 	}
 
 	// ---- Shuffle sink.
-	var (
-		mapOut []partRun // map-only: [task]run
-		sh     *shuffle
-		pcs    []phaseClock // reduce tasks' phase clocks
-	)
-	if mapOnly {
-		mapOut = make([]partRun, len(splits))
-	} else {
-		pcs = make([]phaseClock, nparts)
-		for p := range pcs {
-			pcs[p] = reduceTaskClock(o, job, p)
-		}
-		sh = newShuffle(job, pcs, len(splits), par, js)
+	pcs := make([]phaseClock, nparts) // reduce tasks' phase clocks
+	for p := range pcs {
+		pcs[p] = reduceTaskClock(o, job, p)
 	}
+	sh := newShuffle(job, pcs, len(splits), par, js)
 
 	// ---- Map wave: one task per split.
 	mapErr := make([]error, len(splits))
@@ -354,28 +337,19 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 			return
 		}
 		tc.MapTasks = 1 // counts finished map tasks only
-		if mapOnly {
-			mapOut[i] = out[0]
-		} else {
-			// Shuffle traffic is counted at publish time.
-			for _, r := range out {
-				if r.recs() > 0 {
-					tc.ShuffleSegments++
-					tc.ShuffleBytes += r.accountBytes()
-				}
+		// Shuffle traffic is counted at publish time.
+		for _, r := range out {
+			if r.recs() > 0 {
+				tc.ShuffleSegments++
+				tc.ShuffleBytes += r.accountBytes()
 			}
-			sh.publish(i, out)
 		}
+		sh.publish(i, out)
 		mapCounters[i] = tc
 	})
-	if sh != nil {
-		sh.wait()
-	}
+	sh.wait()
 	if err := finish(mapCounters, mapErr, ctxErr); err != nil {
 		return &Result{Counters: total}, err
-	}
-	if mapOnly {
-		return &Result{Counters: total, parts: mapOut}, nil
 	}
 
 	// ---- Reduce wave: one task per partition, over its runs in task order.
@@ -722,7 +696,7 @@ func combineInto(job Job, sorted Segment, out *arena, c *Counters, sc *sortScrat
 		j := sorted.groupEnd(i)
 		c.CombineInputRecords += int64(j - i)
 		before := len(out.meta)
-		it = ValueIter{seg: sorted, i: i, j: j, n: j - i}
+		it = ValueIter{seg: sorted, i: i, j: j}
 		if err := job.Combiner.ReduceStream(sorted.key(i), &it, emit); err != nil {
 			return fmt.Errorf("mapreduce: %s: combine: %w", job.Config.Name, err)
 		}

@@ -393,53 +393,6 @@ func TestCombinerRewritingKeysStillSpillsSorted(t *testing.T) {
 	}
 }
 
-// TestMapOnlyJob runs a map-only job through the one executor, serial and
-// parallel: no reduce wave, one output partition per map task in task
-// order, identical counters at any parallelism.
-func TestMapOnlyJob(t *testing.T) {
-	oMapper := MapperFunc(func(_, line string, emit Emitter) error {
-		for _, w := range strings.Fields(line) {
-			if strings.Contains(w, "o") {
-				emit(w, "")
-			}
-		}
-		return nil
-	})
-	var results []*Result
-	for _, par := range []int{1, 4} {
-		e := newEngine(t, 16, "one two\nthree four\nfive six\n")
-		cfg := DefaultConfig("grep-like")
-		cfg.NumReducers = 0
-		cfg.Parallelism = par
-		res, err := e.RunContext(context.Background(), Job{Config: cfg, Mapper: oMapper}, "input")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Counters.ReduceTasks != 0 || res.Counters.ShuffleSegments != 0 {
-			t.Errorf("par %d: map-only job ran %d reduce tasks, shuffled %d segments",
-				par, res.Counters.ReduceTasks, res.Counters.ShuffleSegments)
-		}
-		if len(res.parts) != res.Counters.MapTasks {
-			t.Errorf("par %d: %d output partitions for %d map tasks", par, len(res.parts), res.Counters.MapTasks)
-		}
-		var words []string
-		for _, p := range res.Output() {
-			for _, kv := range p {
-				words = append(words, kv.Key)
-			}
-		}
-		// Partitions come in task order; the first 16-byte split owns both
-		// matching lines and its run is key-sorted.
-		if got, want := strings.Join(words, ","), "four,one,two"; got != want {
-			t.Errorf("par %d: matched %v, want %v", par, got, want)
-		}
-		results = append(results, res)
-	}
-	if results[0].Counters != results[1].Counters {
-		t.Errorf("map-only counters differ by parallelism:\nserial   %+v\nparallel %+v", results[0].Counters, results[1].Counters)
-	}
-}
-
 func TestParallelismMatchesSerialOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var sb strings.Builder
@@ -517,6 +470,11 @@ func TestJobValidation(t *testing.T) {
 	bad := DefaultConfig("")
 	if err := bad.Validate(); err == nil {
 		t.Error("nameless config accepted")
+	}
+	bad = DefaultConfig("x")
+	bad.NumReducers = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("zero reducers accepted")
 	}
 	bad = DefaultConfig("x")
 	bad.MergeFactor = 1
@@ -649,43 +607,6 @@ func TestMaterializeOutput(t *testing.T) {
 	want := "a\t1\nb\nc\t3\n"
 	if got != want {
 		t.Errorf("materialized = %q, want %q", got, want)
-	}
-}
-
-// TestSecondarySortGrouping exercises Hadoop's secondary-sort pattern:
-// composite "user#seq" keys sorted fully, grouped on the user prefix, so
-// each reducer call sees one user's values in sequence order.
-func TestSecondarySortGrouping(t *testing.T) {
-	e := newEngine(t, 32, "u2#3 c\nu1#2 b\nu1#1 a\nu2#1 x\nu1#3 c\nu2#2 y\n")
-	cfg := DefaultConfig("sessionize")
-	cfg.NumReducers = 1
-	user := func(k string) string { return strings.SplitN(k, "#", 2)[0] }
-	job := Job{
-		Config: cfg,
-		Mapper: MapperFunc(func(_, line string, emit Emitter) error {
-			parts := strings.Fields(line)
-			emit(parts[0], parts[1])
-			return nil
-		}),
-		Reducer: ReducerFunc(func(key string, values []string, emit Emitter) error {
-			emit(user(key), strings.Join(values, ">"))
-			return nil
-		}),
-		Grouping: func(a, b string) bool { return user(a) == user(b) },
-	}
-	res, err := e.RunContext(context.Background(), job, "input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := outputMap(t, res)
-	if got["u1"] != "a>b>c" {
-		t.Errorf("u1 session = %q, want a>b>c (secondary sort order)", got["u1"])
-	}
-	if got["u2"] != "x>y>c" {
-		t.Errorf("u2 session = %q, want x>y>c", got["u2"])
-	}
-	if res.Counters.ReduceInputGroups != 2 {
-		t.Errorf("%d reduce groups, want 2", res.Counters.ReduceInputGroups)
 	}
 }
 

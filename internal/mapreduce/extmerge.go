@@ -487,9 +487,9 @@ func reduceToSegment(job Job, runs []partRun, pc phaseClock) (Segment, Counters,
 // it and every stored byte read is accounted in SpillFileBytesRead.
 //
 // Identity reducers that declare themselves via PassthroughReducer skip the
-// group machinery when no Grouping comparator is installed: each merged
-// record goes straight to the sink. Counters match the group loop exactly —
-// groups are counted by adjacent key equality.
+// group machinery: each merged record goes straight to the sink. Counters
+// match the group loop exactly — groups are counted by adjacent key
+// equality.
 func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc phaseClock) (c Counters, err error) {
 	tReduce := pc.Start()
 	ms, err := openMergeStream(runs)
@@ -511,7 +511,7 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 		pc.EmitIO(obs.PhaseReduce, tReduce, read-openRead, 0)
 	}()
 
-	if pr, ok := job.Reducer.(PassthroughReducer); ok && pr.Passthrough() && job.Grouping == nil {
+	if pr, ok := job.Reducer.(PassthroughReducer); ok && pr.Passthrough() {
 		var prev []byte
 		first := true
 		for {
@@ -548,11 +548,8 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 
 	var (
 		group   arena  // the open group's records
-		leader  string // group-leader key, materialized for the Grouping comparator only
 		leaderB []byte // group-leader key bytes (stable copy)
 		inGroup bool
-		probe   string // Grouping probe, reused across bytes-equal keys
-		probeB  []byte
 		it      ValueIter // one per task, not per group: &it escapes into the call
 	)
 	flush := func() error {
@@ -562,7 +559,7 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 			return nil
 		}
 		c.ReduceInputGroups++
-		it = ValueIter{seg: gseg, i: 0, j: n, n: n}
+		it = ValueIter{seg: gseg, i: 0, j: n}
 		err := job.Reducer.ReduceStream(gseg.key(0), &it, emit)
 		group.reset()
 		if err != nil {
@@ -579,26 +576,11 @@ func reduceStreamed(job Job, runs []partRun, sink func(k, v []byte) error, pc ph
 			return c, fmt.Errorf("mapreduce: %s: reduce: %w", job.Config.Name, err)
 		}
 		c.ReduceInputRecords++
-		same := false
-		if inGroup {
-			if job.Grouping != nil {
-				if probeB == nil || !bytes.Equal(k, probeB) {
-					probe = string(k)
-					probeB = append(probeB[:0], k...)
-				}
-				same = job.Grouping(probe, leader)
-			} else {
-				same = bytes.Equal(k, leaderB)
-			}
-		}
-		if !same {
+		if !inGroup || !bytes.Equal(k, leaderB) {
 			if err := flush(); err != nil {
 				return c, err
 			}
 			leaderB = append(leaderB[:0], k...)
-			if job.Grouping != nil {
-				leader = string(k)
-			}
 			inGroup = true
 		}
 		group.appendBytes(k, v)

@@ -19,10 +19,10 @@ import (
 // builds a KV on the hot path; the []KV world starts here, on demand.
 
 // Result is the outcome of a job run. Output records are held as flat
-// per-partition runs (one per reduce partition, or one per map task for
-// map-only jobs); Output and SortedOutput materialize string records on
-// demand, so jobs whose callers consume counters, segments or materialized
-// bytes never pay a per-record allocation.
+// per-partition runs (one per reduce partition); Output and SortedOutput
+// materialize string records on demand, so jobs whose callers consume
+// counters, segments or materialized bytes never pay a per-record
+// allocation.
 //
 // Out-of-core runs leave their reduce outputs on disk: stream them with
 // MaterializeOutputTo, or let Partition materialize (and cache) them. Call
@@ -134,7 +134,7 @@ func writeSegLines(bw *bufio.Writer, seg Segment) {
 }
 
 // Output materializes the job output as string records, one sorted slice
-// per reduce partition (per map task for map-only jobs). Each call builds
+// per reduce partition. Each call builds
 // fresh slices; callers that only need bytes should use Partition or
 // MaterializeOutputTo instead.
 func (r *Result) Output() [][]KV {

@@ -167,39 +167,6 @@ func TestPassthroughReduceParity(t *testing.T) {
 	}
 }
 
-// TestPassthroughDisabledUnderGrouping pins that a Grouping comparator
-// disqualifies the passthrough shortcut: group accounting must follow the
-// comparator, not raw key equality.
-func TestPassthroughDisabledUnderGrouping(t *testing.T) {
-	e := newEngine(t, 64, "a#1 x\na#2 y\nb#1 z\n")
-	cfg := DefaultConfig("group-pt")
-	cfg.NumReducers = 1
-	job := Job{
-		Config: cfg,
-		Mapper: MapperFunc(func(_, line string, emit Emitter) error {
-			f := strings.Fields(line)
-			emit(f[0], f[1])
-			return nil
-		}),
-		Reducer:  IdentityReducer(),
-		Grouping: func(a, b string) bool { return a[0] == b[0] },
-	}
-	res, err := e.RunContext(context.Background(), job, "input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two groups (a*, b*), but passthrough's raw-equality scan would count 3.
-	if got := res.Counters.ReduceInputGroups; got != 2 {
-		t.Errorf("ReduceInputGroups = %d, want 2 (grouping comparator must win)", got)
-	}
-	// The identity stream reducer emits the group's first key for every
-	// value, exactly what the non-passthrough loop produces.
-	want := []KV{{Key: "a#1", Value: "x"}, {Key: "a#1", Value: "y"}, {Key: "b#1", Value: "z"}}
-	if got := res.Output()[0]; !reflect.DeepEqual(got, want) {
-		t.Errorf("grouped identity output = %v, want %v", got, want)
-	}
-}
-
 // BenchmarkSortedOutput compares the merge-based SortedOutput against the
 // legacy concatenate-then-sort over pre-sorted partitions — the shape every
 // engine result has.

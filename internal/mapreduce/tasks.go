@@ -58,9 +58,6 @@ func ExecuteReduceSegObs(job Job, segments []Segment, ref obs.TaskRef, o obs.Obs
 	if err := job.Validate(); err != nil {
 		return Segment{}, Counters{}, err
 	}
-	if job.Reducer == nil {
-		return Segment{}, Counters{}, fmt.Errorf("mapreduce: %s: no reducer", job.Config.Name)
-	}
 	return reduceToSegment(job, memRuns(segments), newPhaseClock(o, ref))
 }
 

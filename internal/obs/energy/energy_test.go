@@ -124,36 +124,3 @@ func TestSelectAndLoad(t *testing.T) {
 		t.Error("Load of an invalid profile did not fail")
 	}
 }
-
-// classCapture records the classes of forwarded phase events.
-type classCapture struct {
-	classes []string
-}
-
-func (c *classCapture) Enabled() bool                           { return true }
-func (c *classCapture) SpanStart(string, []obs.Attr) obs.SpanID { return 0 }
-func (c *classCapture) SpanEnd(obs.SpanID)                      {}
-func (c *classCapture) Count(string, int64)                     {}
-func (c *classCapture) Gauge(string, float64)                   {}
-func (c *classCapture) Progress(string, int, int)               {}
-func (c *classCapture) TaskPhase(ev obs.PhaseEvent)             { c.classes = append(c.classes, ev.Task.Class) }
-
-func TestClassifyStampsClass(t *testing.T) {
-	cap := &classCapture{}
-	o := Classify(cap, "little")
-	obs.EmitPhase(o, obs.PhaseEvent{Task: obs.TaskRef{Job: "j"}})
-	obs.EmitPhase(o, obs.PhaseEvent{Task: obs.TaskRef{Job: "j", Class: "big"}})
-	if len(cap.classes) != 2 || cap.classes[0] != "little" || cap.classes[1] != "big" {
-		t.Errorf("forwarded classes = %v, want [little big]", cap.classes)
-	}
-
-	if got := Classify(nil, "little"); got != nil {
-		t.Error("Classify(nil) did not return nil")
-	}
-	if got := Classify(obs.Nop, "little"); got != obs.Nop {
-		t.Error("Classify of the disabled Nop observer did not pass it through")
-	}
-	if got := Classify(cap, ""); got != obs.Observer(cap) {
-		t.Error("Classify with no class did not pass the observer through")
-	}
-}

@@ -71,19 +71,20 @@ var keepList = map[string]string{
 	"dist.Master.JobStatus": "client API: status by id without a handle",
 	"dist.Master.Registry":  "client API: register custom workloads on a master",
 	"dist.Worker.Registry":  "client API: register custom workloads on a worker",
-
-	// Deferred to its own change.
-	"trace": "ROADMAP item 3 absorbs internal/trace into the phase-closure artefact or deletes it",
 }
 
 // implicitMethods are the standard-library interface methods (fmt, error,
-// sort, container/heap, encoding/gob, io) that are called without the
-// interface being declared in this tree.
+// encoding/gob, io) that are called without the interface being declared in
+// this tree.
 var implicitMethods = map[string]bool{
-	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
-	"Push": true, "Pop": true, "GobEncode": true, "GobDecode": true,
+	"String": true, "Error": true, "GobEncode": true, "GobDecode": true,
 	"Read": true, "Write": true, "Close": true,
 }
+
+// sortMethods are the sort and container/heap interface methods. They are
+// called implicitly only on a type that implements sort.Interface, so they
+// count as such only when the receiver declares Len, Less and Swap.
+var sortMethods = map[string]bool{"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true}
 
 const reachModule = "heterohadoop"
 
@@ -346,11 +347,22 @@ func usesIota(spec *ast.ValueSpec) bool {
 // interface (or net/rpc reflection) is live as soon as its receiver type
 // is; init is live when anything else in its package is.
 func reachLive(decls []*reachDecl, ifaceMethods map[string]bool, roots func(*reachDecl) bool) map[*reachDecl]bool {
-	typeDecls := map[string]*reachDecl{} // "pkg\x00Type" -> type decl
+	typeDecls := map[string]*reachDecl{}    // "pkg\x00Type" -> type decl
+	methods := map[string]map[string]bool{} // "pkg\x00Type" -> its method names
 	for _, d := range decls {
 		if d.recv == "" {
 			typeDecls[d.pkg+"\x00"+d.base] = d
+			continue
 		}
+		key := d.pkg + "\x00" + d.recv
+		if methods[key] == nil {
+			methods[key] = map[string]bool{}
+		}
+		methods[key][d.base] = true
+	}
+	sorter := func(key string) bool {
+		m := methods[key]
+		return m["Len"] && m["Less"] && m["Swap"]
 	}
 	live := map[*reachDecl]bool{}
 	livePkgs := map[string]bool{}
@@ -376,8 +388,9 @@ func reachLive(decls []*reachDecl, ifaceMethods map[string]bool, roots func(*rea
 			if live[d] {
 				continue
 			}
-			implicit := d.recv != "" && (ifaceMethods[d.base] || implicitMethods[d.base] || strings.HasSuffix(d.recv, "RPC")) &&
-				live[typeDecls[d.pkg+"\x00"+d.recv]]
+			key := d.pkg + "\x00" + d.recv
+			implicit := d.recv != "" && live[typeDecls[key]] &&
+				(ifaceMethods[d.base] || implicitMethods[d.base] || sortMethods[d.base] && sorter(key) || strings.HasSuffix(d.recv, "RPC"))
 			if implicit || (d.recv == "" && d.base == "init" && livePkgs[d.pkg]) {
 				mark(d)
 				changed = true
