@@ -48,6 +48,13 @@ test -z "$(grep -rnE 'internal/pool|RunCached|SetParallelism|ResetCache' --inclu
 # wrapper stay deleted outside tests.
 test -z "$(grep -rnE 'GroupComparator|Grouping|internal/trace|energy\.Classify' --include='*.go' internal cmd examples | grep -v _test.go)"
 
+# Data-plane gates: shuffle frames and reduce outputs are pulled from each
+# worker's raw byte endpoint, not carried in net/rpc messages, so the
+# Shuffle RPC service and its argument types stay deleted outside tests, and
+# ReduceDone names the endpoint instead of carrying an Output payload.
+test -z "$(grep -rnE 'FetchPartReply|FetchPartArgs|shuffleRPC|Shuffle\.Fetch' --include='*.go' internal cmd examples | grep -v _test.go)"
+test -z "$(sed -n '/^type ReduceDone struct/,/^}/p' internal/dist/protocol.go | grep -E '^[[:space:]]+Output[[:space:]]')"
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -190,15 +197,15 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 
 # Chaos lane: the multi-tenant fault path spotlighted under -race — eight
 # concurrent jobs on three workers with one worker killed mid-run and a
-# master restart from its snapshot, plus the lost-shuffle, eviction and
-# snapshot-resume regressions and the per-job data files beside the
+# master restart from its snapshot, plus the lost-shuffle, closed-worker,
+# eviction and snapshot-resume regressions and the per-job data files beside the
 # snapshot (a finished reducer restored from its file, torn append
 # included; the orphan sweep; nothing left behind; a snapshot whose size
 # does not follow the input; a job restored queued under a lower cap; a
 # snapshot carrying fields since deleted). These run inside the blanket race gate too;
 # -count=2 here shakes out scheduling-order flakes and makes a chaos
 # failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six
@@ -227,6 +234,8 @@ go test -run '^$' -fuzz '^FuzzSplitRecords$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzSplitInput$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzStreamingShuffleParity$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzSegmentFileReader$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzResultGobDecode$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzFPTreeMine$' -fuzztime 10s ./internal/workloads/
 go test -run '^$' -fuzz '^FuzzNaiveBayesModel$' -fuzztime 10s ./internal/workloads/
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/obs/timeline/

@@ -149,6 +149,33 @@ func TestLostShuffleMapRerun(t *testing.T) {
 	}
 }
 
+// TestClosedWorkerStopsServing pins Close's contract against a reducer that
+// already holds a connection to the closed worker: worker b fetches a
+// segment from worker a, a closes, and b's next fetch of the same segment
+// must fail — segment loss — instead of being served over the connection a
+// accepted before it closed.
+func TestClosedWorkerStopsServing(t *testing.T) {
+	m := startMaster(t, WithTaskTimeout(time.Minute))
+	if _, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1},
+		workloads.GenerateText(8*units.KB, 45), 2*1024); err != nil {
+		t.Fatal(err)
+	}
+	a := connectWorker(t, m, "a")
+	b := connectWorker(t, m, "b")
+	task := stealMapTask(t, a.client, a.ID)
+	if err := a.runMap(task); err != nil {
+		t.Fatal(err)
+	}
+	s := TaggedSegment{MapSeq: task.Seq, Addr: a.shuffleAddr, Owner: a.ID}
+	if _, err := b.fetchServed(s, task.Epoch, 0); err != nil {
+		t.Fatalf("fetch from the live worker: %v", err)
+	}
+	a.Close()
+	if _, err := b.fetchServed(s, task.Epoch, 0); err == nil {
+		t.Fatal("a closed worker still served its map output")
+	}
+}
+
 // TestWorkerEvictionRequeuesInFlight checks liveness-based recovery: a
 // worker that takes a task and then goes silent is evicted after the
 // worker timeout, its in-flight assignment requeued — well before the

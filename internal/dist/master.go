@@ -35,6 +35,8 @@ type Master struct {
 	registry *Registry
 	listener net.Listener
 	server   *rpc.Server
+	// peers pulls finished reduce outputs from the workers' byte endpoints.
+	peers *frameClient
 	// defaults are the scheduling knobs every job on this master shares.
 	defaults config
 	ob       obs.Observer
@@ -90,6 +92,7 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 		registry:    NewRegistry(),
 		listener:    ln,
 		server:      rpc.NewServer(),
+		peers:       newFrameClient(),
 		defaults:    cfg,
 		ob:          cfg.observer,
 		snapPath:    cfg.snapshotPath,
@@ -143,6 +146,7 @@ func (m *Master) Close() error {
 		}
 	}
 	m.mu.Unlock()
+	m.peers.close()
 	return m.listener.Close()
 }
 
@@ -651,16 +655,17 @@ func (m *Master) fetchSegments(args *FetchSegmentsArgs, reply *FetchSegmentsRepl
 	}
 }
 
-// completeReduce records a reduce result; duplicates and stale completions
-// ignored. The last reduce finalizes the job. Called under m.mu.
-func (m *Master) completeReduce(res *ReduceDone) {
+// completeReduce records a reduce result and its pulled output; duplicates
+// and stale completions ignored. The last reduce finalizes the job. Called
+// under m.mu.
+func (m *Master) completeReduce(res *ReduceDone, output []byte) {
 	js := m.byEpoch[res.Epoch]
 	if js == nil || js.redTasks == nil ||
 		res.Seq < 0 || res.Seq >= len(js.redTasks) || js.redTasks[res.Seq].done {
 		return
 	}
 	js.redTasks[res.Seq].done = true
-	js.redOutputs[res.Seq] = res.Output
+	js.redOutputs[res.Seq] = output
 	js.counters.Add(res.Counters)
 	js.redsLeft--
 	if m.ob.Enabled() {
@@ -670,7 +675,7 @@ func (m *Master) completeReduce(res *ReduceDone) {
 	if js.redsLeft == 0 {
 		m.finalizeLocked(js)
 	} else {
-		m.persistOutputLocked(js, res.Seq, res.Output)
+		m.persistOutputLocked(js, res.Seq, output)
 		m.saveSnapshotLocked()
 	}
 }
@@ -806,12 +811,24 @@ func (r *masterRPC) FetchSegments(args FetchSegmentsArgs, reply *FetchSegmentsRe
 	return nil
 }
 
-// CompleteReduce records a finished reduce task.
+// CompleteReduce records a finished reduce task. The output is pulled from
+// the reducer's byte endpoint before m.mu is taken, so the transfer never
+// holds up the control plane; the call stays the commit point, since the
+// worker holds the output until it returns. A completion naming no
+// endpoint, or whose output cannot be pulled, is refused; the task stays
+// assigned and the timeout path reissues it.
 func (r *masterRPC) CompleteReduce(res ReduceDone, _ *Ack) error {
+	if res.Addr == "" {
+		return fmt.Errorf("dist: reduce completion from %s (epoch %d seq %d) names no endpoint", res.WorkerID, res.Epoch, res.Seq)
+	}
+	_, output, _, err := r.m.peers.pull(res.Addr, res.Epoch, reduceKey(res.Seq), 0, 0)
+	if err != nil {
+		return fmt.Errorf("dist: reduce %d output from %s (epoch %d): %w", res.Seq, res.Addr, res.Epoch, err)
+	}
 	r.m.mu.Lock()
 	defer r.m.mu.Unlock()
 	r.m.workers.touch(res.WorkerID, "", time.Now())
-	r.m.completeReduce(&res)
+	r.m.completeReduce(&res, output)
 	return nil
 }
 

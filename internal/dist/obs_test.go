@@ -232,8 +232,8 @@ func TestDistJobEmitsObserverEvents(t *testing.T) {
 	if p := snap.Progress["dist.reduce/job-1"]; p.Done != p.Total || p.Total != res.Counters.ReduceTasks {
 		t.Errorf("dist.reduce/job-1 progress %+v, want %d/%d", p, res.Counters.ReduceTasks, res.Counters.ReduceTasks)
 	}
-	// The map task's served-output encode is its spill layout: it belongs in
-	// the paper's sort bucket, not the reduce bucket PhaseWrite maps to.
+	// A map task's output work is spill: it belongs in the paper's sort
+	// bucket, not the reduce bucket PhaseWrite maps to.
 	if _, ok := snap.Spans[obs.PhaseKey(obs.KindMap, obs.PhaseWrite)]; ok {
 		t.Errorf("map-side work charged as %s", obs.PhaseKey(obs.KindMap, obs.PhaseWrite))
 	}

@@ -147,7 +147,7 @@ func WithSnapshotPath(path string) Option {
 // WithSpillDir gives a worker an out-of-core map-output store: completed
 // map output is written to a checksummed segment file (raw frames, CRC-32
 // each) under a per-worker temp directory inside dir instead of staying
-// resident, and reducers pull it frame by frame (FetchPartArgs.Frame). The
+// resident, and reducers pull it frame by frame from the byte endpoint. The
 // worker's resident shuffle state drops from the full map output to one
 // frame per in-flight fetch. A spill file that fails
 // validation on read is answered as segment loss, so the master re-executes

@@ -1,6 +1,10 @@
 // Package dist is a distributed MapReduce runtime: a master coordinates
-// map and reduce tasks across workers over TCP (net/rpc), the way the
-// paper's 3-node Hadoop clusters run a JobTracker over slaves. Workers
+// map and reduce tasks across workers over TCP, the way the paper's 3-node
+// Hadoop clusters run a JobTracker over slaves. Control messages travel on
+// net/rpc; bulk bytes — shuffle frames to reducers, reduce outputs to the
+// master — are pulled in fixed binary frames from each worker's one raw
+// byte endpoint (endpoint.go), the way Hadoop moves shuffle data outside
+// its RPC layer. Workers
 // poll for tasks (the heartbeat), execute them with the engine's
 // task-granular entry points, and the master reassigns tasks whose workers
 // go silent — speculative re-execution included. Jobs are referenced by
@@ -81,8 +85,8 @@ type GetTaskArgs struct {
 
 // MapDone reports a completed map task. Epoch is copied from the Task.
 //
-// The output itself stays on the worker: Addr is the shuffle server
-// (Shuffle.Fetch) reducers pull it from, and PartStats carries the
+// The output itself stays on the worker: Addr is the byte endpoint
+// (endpoint.go) reducers pull it from, and PartStats carries the
 // per-partition accounting from the worker's own segment headers. If the
 // worker dies, the segments are gone and the master re-executes the map.
 type MapDone struct {
@@ -109,7 +113,7 @@ type PartStat struct {
 // tagged with the producing task's Seq so reducers can restore map-task
 // order — the order the engine's stable merge is defined over — no matter
 // the order segments were fetched in. The segment itself lives on the
-// producing worker; the reducer pulls it with Shuffle.Fetch at Addr.
+// producing worker; the reducer pulls it from the byte endpoint at Addr.
 //
 // When the producer is unreachable the reducer reports the loss
 // (Master.ReportLostSegments) and the master re-executes the map,
@@ -122,31 +126,6 @@ type TaggedSegment struct {
 	// Owner is the producing worker's ID, echoed in loss reports so a stale
 	// report cannot invalidate a re-executed map.
 	Owner string
-}
-
-// FetchPartArgs asks a worker's shuffle server for one map task's output
-// for one partition. Frame is the fetch cursor for disk-backed output
-// (WithSpillDir workers): the reducer pulls wire-encoded frames one at a
-// time, starting at 0, until More comes back false. In-memory stores
-// ignore it beyond treating any Frame > 0 as out of range.
-type FetchPartArgs struct {
-	Epoch     uint64
-	MapSeq    int
-	Partition int
-	Frame     int
-}
-
-// FetchPartReply carries the requested segment blob — the whole partition
-// for an in-memory store, one frame of it for a disk-backed store. More is
-// set when further frames follow (disk-backed, multi-frame partitions); the
-// fetcher increments Frame and calls again. OK is false when the worker no
-// longer holds the segment (pruned after job completion, it never ran the
-// map, or the spill file failed validation on read) — the fetcher treats
-// that as segment loss and the master re-executes the owning map.
-type FetchPartReply struct {
-	Data []byte
-	More bool
-	OK   bool
 }
 
 // SegmentsLost reports shuffle segments a reducer could not fetch from
@@ -189,14 +168,15 @@ type FetchSegmentsReply struct {
 }
 
 // ReduceDone reports a completed reduce task. Epoch and Seq (the
-// partition) are copied from the Task. Output is the partition's sorted
-// output as one wire-encoded segment blob; the master decodes it once, at
-// job completion.
+// partition) are copied from the Task. The output itself waits on the
+// worker: Addr is the byte endpoint the master pulls it from while the
+// call is in flight, as one wire-form segment it decodes at job completion.
+// A completion without one is rejected.
 type ReduceDone struct {
 	WorkerID string
 	Epoch    uint64
 	Seq      int
-	Output   []byte
+	Addr     string
 	Counters mapreduce.Counters
 }
 

@@ -2,15 +2,18 @@ package dist
 
 // spill_test.go covers the worker-served out-of-core shuffle
 // (WithSpillDir): map output stored as checksummed segment files, served to
-// reducers frame by frame through the Fetch cursor, pruned with its epoch,
+// reducers frame by frame through the endpoint's frame cursor, pruned with its epoch,
 // and — the recovery contract — a spill file that fails validation on read
 // is answered as segment loss, so the master re-executes the owning map.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,9 +24,25 @@ import (
 	"heterohadoop/internal/workloads"
 )
 
-// TestShuffleStoreFrameCursor exercises the disk-backed store directly: a
-// multi-frame partition must come back frame by frame, record-identical;
-// replacing an entry and pruning its epoch must remove the files.
+// serveFrame answers one request from store the way the byte endpoint does
+// and parses the reply back the way a puller does.
+func serveFrame(store *shuffleStore, epoch uint64, key, part, frame int) (mapreduce.Segment, bool, error) {
+	var buf bytes.Buffer
+	f, ok := store.getFrame(epoch, key, part, frame)
+	if err := writeReply(&buf, f, ok); err != nil {
+		return mapreduce.Segment{}, false, err
+	}
+	seg, _, more, err := readReply(&buf, maxFrameLen)
+	if err == nil && buf.Len() != 0 {
+		err = fmt.Errorf("%d bytes left after the reply", buf.Len())
+	}
+	return seg, more, err
+}
+
+// TestShuffleStoreFrameCursor exercises the store through the endpoint's
+// reply format: a disk-backed multi-frame partition must come back frame by
+// frame, record-identical, and a resident one as one frame; replacing an
+// entry and pruning its epoch must remove the files.
 func TestShuffleStoreFrameCursor(t *testing.T) {
 	dir := t.TempDir()
 	// ~2.5 MB of records in one partition: several 1 MB frames.
@@ -49,11 +68,7 @@ func TestShuffleStoreFrameCursor(t *testing.T) {
 	var got []mapreduce.KV
 	frames := 0
 	for frame := 0; ; frame++ {
-		blob, more, ok := store.getFrame(7, 0, 0, frame)
-		if !ok {
-			t.Fatalf("frame %d not served", frame)
-		}
-		s, err := mapreduce.DecodeSegment(blob)
+		s, more, err := serveFrame(store, 7, 0, 0, frame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", frame, err)
 		}
@@ -76,16 +91,27 @@ func TestShuffleStoreFrameCursor(t *testing.T) {
 	}
 
 	// Past-the-end frame, unknown map, empty partition.
-	if _, _, ok := store.getFrame(7, 0, 0, frames); ok {
-		t.Error("past-the-end frame served")
+	if _, _, err := serveFrame(store, 7, 0, 0, frames); !errors.Is(err, errNotServed) {
+		t.Errorf("past-the-end frame: %v, want errNotServed", err)
 	}
-	if _, _, ok := store.getFrame(7, 99, 0, 0); ok {
-		t.Error("unknown map seq served")
+	if _, _, err := serveFrame(store, 7, 99, 0, 0); !errors.Is(err, errNotServed) {
+		t.Errorf("unknown map seq: %v, want errNotServed", err)
 	}
-	if blob, more, ok := store.getFrame(7, 0, 1, 0); !ok || more {
-		t.Errorf("empty partition: ok=%v more=%v", ok, more)
-	} else if s, err := mapreduce.DecodeSegment(blob); err != nil || s.Len() != 0 {
-		t.Errorf("empty partition served %d records, err %v", s.Len(), err)
+	if s, more, err := serveFrame(store, 7, 0, 1, 0); err != nil || more || s.Len() != 0 {
+		t.Errorf("empty partition: %d records, more=%v, err %v", s.Len(), more, err)
+	}
+
+	// Resident output: the whole partition is one frame, written from the
+	// stored segment's header and arena bytes.
+	store.put(8, 0, []mapreduce.Segment{seg, {}})
+	if s, more, err := serveFrame(store, 8, 0, 0, 0); err != nil || more || !reflect.DeepEqual(s.KVs(), kvs) {
+		t.Errorf("resident partition: %d records, more=%v, err %v", s.Len(), more, err)
+	}
+	if _, _, err := serveFrame(store, 8, 0, 0, 1); !errors.Is(err, errNotServed) {
+		t.Errorf("resident frame 1: %v, want errNotServed", err)
+	}
+	if s, more, err := serveFrame(store, 8, 0, 1, 0); err != nil || more || s.Len() != 0 {
+		t.Errorf("resident empty partition: %d records, more=%v, err %v", s.Len(), more, err)
 	}
 
 	// A replacement entry releases the superseded file; pruning the epoch
@@ -102,8 +128,8 @@ func TestShuffleStoreFrameCursor(t *testing.T) {
 	if _, err := os.Stat(sf2.Path()); !os.IsNotExist(err) {
 		t.Error("pruned epoch's spill file not removed")
 	}
-	if _, _, ok := store.getFrame(7, 0, 0, 0); ok {
-		t.Error("pruned entry still served")
+	if _, _, err := serveFrame(store, 7, 0, 0, 0); !errors.Is(err, errNotServed) {
+		t.Errorf("pruned entry: %v, want errNotServed", err)
 	}
 }
 

@@ -1,15 +1,16 @@
 package dist
 
-// wire_test.go pins the binary segment wire format the distributed runtime
-// ships in FetchPartReply.Data (worker to reducer) and ReduceDone.Output
-// (reducer to master): every record shape must round-trip exactly (including
-// the zero-record blob a worker stores for an empty partition as a coverage
-// marker), the segment's accounting bytes must equal the sum of its records'
-// KV.Bytes, and corrupt blobs must be rejected rather than mis-framed. BenchmarkSegmentEncode measures the format
-// against the gob []KV encoding it replaced.
+// wire_test.go pins the binary segment wire format the byte endpoint's
+// replies carry (map output to reducers, reduce output to the master):
+// every record shape must round-trip exactly (including the zero-record
+// blob of an empty partition), the segment's accounting bytes must equal
+// the sum of its records' KV.Bytes, and corrupt blobs and replies must be
+// rejected rather than mis-framed. BenchmarkSegmentEncode measures the
+// format against the gob []KV encoding it replaced.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"reflect"
 	"strings"
@@ -93,10 +94,11 @@ func TestSegmentWireRejectsCorruptBlobs(t *testing.T) {
 		{Key: "alpha", Value: "1"}, {Key: "beta", Value: "2"},
 	}))
 	corrupt := map[string][]byte{
-		"truncated header":  good[:4],
-		"truncated meta":    good[:10],
-		"truncated payload": good[:len(good)-3],
-		"trailing garbage":  append(append([]byte(nil), good...), 0xEE),
+		"truncated header":        good[:4],
+		"truncated meta":          good[:10],
+		"truncated payload":       good[:len(good)-3],
+		"trailing garbage":        append(append([]byte(nil), good...), 0xEE),
+		"payload without records": {0, 0, 0, 0, 1, 0, 0, 0, 'x'},
 		"length mismatch": func() []byte {
 			b := append([]byte(nil), good...)
 			b[8]++ // first record's key length no longer sums to the payload length
@@ -108,6 +110,48 @@ func TestSegmentWireRejectsCorruptBlobs(t *testing.T) {
 			t.Errorf("%s: DecodeSegment accepted a corrupt blob", name)
 		}
 	}
+}
+
+// FuzzFrameReader treats a reply stream as untrusted input: arbitrary bytes
+// parse or fail with an error, never a panic or a hang, and a parsed frame
+// is a valid segment whose wire form is exactly the frame. A short frame, a
+// frame longer than the limit, and a frame whose segment header disagrees
+// with its length are errors.
+func FuzzFrameReader(f *testing.F) {
+	seg := mapreduce.SegmentFromKVs([]mapreduce.KV{{Key: "alpha", Value: "1"}, {Key: "beta", Value: "2"}})
+	for _, fr := range []storedFrame{{seg: seg}, {seg: seg, more: true}, {}, {blob: mapreduce.EncodeSegment(seg)}} {
+		var buf bytes.Buffer
+		if err := writeReply(&buf, fr, true); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(make([]byte, replyHeaderSize))
+	const limit = 1 << 16
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, blob, _, err := readReply(bytes.NewReader(data), limit)
+		if err != nil {
+			return
+		}
+		if len(blob) > limit || !bytes.Equal(mapreduce.EncodeSegment(got), blob) {
+			t.Fatalf("accepted a %d-byte frame that is not its segment's wire form", len(blob))
+		}
+		got.KVs()
+		n := replyHeaderSize + len(blob)
+		if _, _, _, err := readReply(bytes.NewReader(data[:n-1]), limit); err == nil {
+			t.Error("a short frame parses")
+		}
+		if len(blob) > 0 {
+			if _, _, _, err := readReply(bytes.NewReader(data[:n]), len(blob)-1); err == nil {
+				t.Error("a frame over the limit parses")
+			}
+		}
+		longer := append(append([]byte(nil), data[:n]...), 0)
+		binary.LittleEndian.PutUint32(longer[2:], uint32(len(blob)+1))
+		if _, _, _, err := readReply(bytes.NewReader(longer), limit); err == nil {
+			t.Error("a frame longer than its segment header says parses")
+		}
+	})
 }
 
 // benchKVs builds a realistic shuffle partition: wordcount records over

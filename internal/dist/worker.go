@@ -20,8 +20,9 @@ import (
 //
 // The worker serves its own map output (the way Hadoop map output stays on
 // the mapper's node): completed map segments stay in a local store and
-// reducers pull them from the worker's shuffle server directly, with only
-// address references passing through the master.
+// reducers pull them from the worker's byte endpoint directly, with only
+// address references passing through the master. A finished reduce's output
+// waits in the same store until the master has pulled it.
 type Worker struct {
 	// ID identifies the worker in the master's tables.
 	ID string
@@ -35,11 +36,12 @@ type Worker struct {
 	// phase event and reported in each poll, "" when undeclared.
 	class string
 
-	// Shuffle plane: the store holds this worker's map output and shuffleLn
-	// (at shuffleAddr) accepts reducers' Shuffle.Fetch calls.
-	shuffleLn   net.Listener
+	// Data plane: the store holds this worker's outputs, the endpoint (at
+	// shuffleAddr) serves them, and peers pulls other workers' map output.
+	endpoint    *endpoint
 	shuffleAddr string
 	store       *shuffleStore
+	peers       *frameClient
 	// spillDir is this worker's out-of-core map-output directory
 	// (WithSpillDir), "" for the in-memory store; removed on Close.
 	spillDir string
@@ -49,9 +51,6 @@ type Worker struct {
 
 	mu      sync.Mutex
 	stopped bool
-	// peers caches RPC clients to other workers' shuffle servers, dropped
-	// on call failure.
-	peers map[string]*rpc.Client
 	// tasksRun counts completed task attempts (observability/tests).
 	tasksRun int
 	// reportErrors counts failure/loss reports that themselves failed to
@@ -69,93 +68,122 @@ type Worker struct {
 	bgErr error
 }
 
-// storedOutput is one map task's stored output: either resident
-// per-partition encoded segment blobs (the default) or a disk-backed
-// segment file (WithSpillDir workers) served frame by frame.
+// storedOutput is one task's stored output: resident segments, one per
+// partition — a map task's output as the engine returned it, or a finished
+// reduce's output waiting for the master's pull — or a disk-backed segment
+// file (WithSpillDir workers) served frame by frame.
 type storedOutput struct {
-	parts [][]byte
-	file  *mapreduce.SegmentFile
+	segs []mapreduce.Segment
+	file *mapreduce.SegmentFile
 }
 
-// shuffleStore holds a worker's map output: epoch → map Seq →
-// stored output. It has its own lock because the shuffle server's fetch
+// storedFrame is one servable unit of a stored output: a resident segment,
+// or one wire-form frame read from a segment file (blob), with more
+// reporting whether the partition has frames after it.
+type storedFrame struct {
+	seg  mapreduce.Segment
+	blob []byte
+	more bool
+}
+
+// segment returns the frame as a segment; a disk frame is decoded, aliasing
+// its blob.
+func (f storedFrame) segment() (mapreduce.Segment, error) {
+	if f.blob == nil {
+		return f.seg, nil
+	}
+	return mapreduce.DecodeSegment(f.blob)
+}
+
+// shuffleStore holds a worker's stored outputs: epoch → key (a map Seq, or a
+// reduceKey) → output. It has its own lock because the endpoint's serving
 // goroutines race the polling loop; disk reads happen outside the lock
 // (SegmentFile handles are goroutine-safe).
 type shuffleStore struct {
 	mu      sync.Mutex
-	byEpoch map[uint64]map[int]storedOutput
+	byEpoch map[uint64]map[int]*storedOutput
 }
 
 func newShuffleStore() *shuffleStore {
-	return &shuffleStore{byEpoch: make(map[uint64]map[int]storedOutput)}
+	return &shuffleStore{byEpoch: make(map[uint64]map[int]*storedOutput)}
 }
 
-func (s *shuffleStore) put(epoch uint64, mapSeq int, parts [][]byte) {
-	s.set(epoch, mapSeq, storedOutput{parts: parts})
+func (s *shuffleStore) put(epoch uint64, key int, segs []mapreduce.Segment) *storedOutput {
+	return s.set(epoch, key, &storedOutput{segs: segs})
 }
 
 func (s *shuffleStore) putFile(epoch uint64, mapSeq int, sf *mapreduce.SegmentFile) {
-	s.set(epoch, mapSeq, storedOutput{file: sf})
+	s.set(epoch, mapSeq, &storedOutput{file: sf})
 }
 
-func (s *shuffleStore) set(epoch uint64, mapSeq int, out storedOutput) {
+func (s *shuffleStore) set(epoch uint64, key int, out *storedOutput) *storedOutput {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.byEpoch[epoch]
 	if e == nil {
-		e = make(map[int]storedOutput)
+		e = make(map[int]*storedOutput)
 		s.byEpoch[epoch] = e
 	}
 	// A re-executed attempt replaces the entry; release the superseded spill
 	// file (names are uniquified, so the new file is never the old path).
-	if old, ok := e[mapSeq]; ok && old.file != nil {
+	if old := e[key]; old != nil && old.file != nil {
 		old.file.Remove()
 	}
-	e[mapSeq] = out
+	e[key] = out
+	return out
 }
 
-// getFrame hands out one fetchable unit of a stored map output: the whole
-// partition blob for resident output (frame 0 only), or frame `frame` of
-// the partition for disk-backed output, with more reporting whether frames
-// remain. ok is false for anything this worker cannot serve — unknown
-// task, out-of-range partition or frame, or a spill file that fails
-// validation on read — which the fetcher treats as segment loss.
-func (s *shuffleStore) getFrame(epoch uint64, mapSeq, part, frame int) (data []byte, more, ok bool) {
+// drop removes the entry under key if it is still out: a later attempt may
+// have replaced it.
+func (s *shuffleStore) drop(epoch uint64, key int, out *storedOutput) {
 	s.mu.Lock()
-	out, ok := s.byEpoch[epoch][mapSeq]
+	defer s.mu.Unlock()
+	if e := s.byEpoch[epoch]; e[key] == out {
+		delete(e, key)
+	}
+}
+
+// getFrame hands out one servable unit of a stored output: the whole
+// partition for resident output (frame 0 only), or frame `frame` of the
+// partition for disk-backed output. ok is false for anything this worker
+// cannot serve — unknown task, out-of-range partition or frame, or a spill
+// file that fails validation on read — which the puller treats as loss.
+func (s *shuffleStore) getFrame(epoch uint64, key, part, frame int) (storedFrame, bool) {
+	s.mu.Lock()
+	out := s.byEpoch[epoch][key]
 	s.mu.Unlock()
-	if !ok {
-		return nil, false, false
+	if out == nil {
+		return storedFrame{}, false
 	}
 	if out.file == nil {
-		if part < 0 || part >= len(out.parts) || frame != 0 {
-			return nil, false, false
+		if part < 0 || part >= len(out.segs) || frame != 0 {
+			return storedFrame{}, false
 		}
-		return out.parts[part], false, true
+		return storedFrame{seg: out.segs[part]}, true
 	}
 	sf := out.file
 	if part < 0 || part >= sf.NumPartitions() {
-		return nil, false, false
+		return storedFrame{}, false
 	}
 	nframes := sf.Frames(part)
 	if nframes == 0 {
-		// An empty partition has no frames on disk; serve its coverage
-		// marker (defensive — the master only publishes non-empty segments).
+		// An empty partition has no frames on disk; serve the empty segment
+		// (defensive — the master only publishes non-empty segments).
 		if frame != 0 {
-			return nil, false, false
+			return storedFrame{}, false
 		}
-		return mapreduce.EncodeSegment(mapreduce.Segment{}), false, true
+		return storedFrame{}, true
 	}
 	if frame < 0 || frame >= nframes {
-		return nil, false, false
+		return storedFrame{}, false
 	}
 	blob, err := sf.ReadFrame(part, frame)
 	if err != nil {
 		// Corrupt or truncated on disk: answer as loss so the master
 		// re-executes the owning map instead of the reducer stalling.
-		return nil, false, false
+		return storedFrame{}, false
 	}
-	return blob, frame+1 < nframes, true
+	return storedFrame{blob: blob, more: frame+1 < nframes}, true
 }
 
 // prune drops stored output for every epoch not in the active set — the
@@ -179,20 +207,6 @@ func (s *shuffleStore) prune(active []uint64) {
 		}
 		delete(s.byEpoch, e)
 	}
-}
-
-// shuffleRPC is the worker's shuffle server facade ("Shuffle" service).
-type shuffleRPC struct {
-	w *Worker
-}
-
-// Fetch hands one stored map-output blob (or one frame of a disk-backed
-// one) to a pulling reducer. OK is false when this worker cannot serve it
-// (pruned, it never ran the map, or the spill file failed validation) —
-// the fetcher treats that as segment loss.
-func (r *shuffleRPC) Fetch(args FetchPartArgs, reply *FetchPartReply) error {
-	reply.Data, reply.More, reply.OK = r.w.store.getFrame(args.Epoch, args.MapSeq, args.Partition, args.Frame)
-	return nil
 }
 
 // ConnectWorker dials the master and returns a ready worker, configured by
@@ -220,7 +234,7 @@ func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 		ob:           cfg.observer,
 		class:        cfg.coreClass,
 		store:        newShuffleStore(),
-		peers:        make(map[string]*rpc.Client),
+		peers:        newFrameClient(),
 	}
 	// Serve on the interface that reaches the master — the same one
 	// reducers on other nodes dial back over.
@@ -232,25 +246,10 @@ func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
 		w.client.Close()
-		return nil, fmt.Errorf("dist: worker %s shuffle listen: %w", id, err)
+		return nil, fmt.Errorf("dist: worker %s endpoint listen: %w", id, err)
 	}
-	w.shuffleLn = ln
 	w.shuffleAddr = ln.Addr().String()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Shuffle", &shuffleRPC{w: w}); err != nil {
-		ln.Close()
-		w.client.Close()
-		return nil, err
-	}
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(c)
-		}
-	}()
+	w.endpoint = serveEndpoint(ln, w.store)
 	if cfg.spillDir != "" {
 		if err := os.MkdirAll(cfg.spillDir, 0o755); err != nil {
 			w.Close()
@@ -313,20 +312,15 @@ func (w *Worker) countReportError() {
 	w.ob.Count("dist.worker.report_errors", 1)
 }
 
-// Close tears down the connections — the master link, the shuffle server
-// and any peer links. Closing the shuffle server is what makes this
-// worker's served segments unreachable: reducers hit it, report the loss,
-// and the master re-executes the maps elsewhere.
+// Close tears down the connections — the master link, the byte endpoint
+// with every connection it accepted, and the pooled peer links. Closing the
+// endpoint is what makes this worker's served segments unreachable, to
+// reducers already connected too: they hit it, report the loss, and the
+// master re-executes the maps elsewhere.
 func (w *Worker) Close() error {
 	w.Stop()
-	w.mu.Lock()
-	peers := w.peers
-	w.peers = make(map[string]*rpc.Client)
-	w.mu.Unlock()
-	for _, c := range peers {
-		c.Close()
-	}
-	w.shuffleLn.Close()
+	w.peers.close()
+	w.endpoint.close()
 	if w.spillDir != "" {
 		// The spill files ARE this worker's served segments; removing them is
 		// part of what makes a closed worker's output unreachable.
@@ -485,22 +479,15 @@ func (w *Worker) runMap(task Task) error {
 			}
 		}
 	} else {
-		// Encode every partition — empties included, as 8-byte coverage
-		// markers — and keep the blobs for reducers to pull. This is the map
-		// task's final spill layout, so it is charged as spill (the paper's
-		// sort bucket), like the segment file above.
-		tWrite := pc.Start()
-		parts := make([][]byte, len(segs))
-		var encoded int64
+		// Keep the segments as the engine returned them — freshly allocated
+		// per task, never reused — and let the endpoint write each one's
+		// header and then its arena bytes: nothing is encoded here.
 		for p, seg := range segs {
-			parts[p] = mapreduce.EncodeSegment(seg)
-			encoded += int64(len(parts[p]))
 			if seg.Len() > 0 {
 				stats = append(stats, PartStat{Part: p, Recs: seg.Len(), Bytes: int64(seg.Bytes())})
 			}
 		}
-		pc.EmitIO(obs.PhaseSpill, tWrite, 0, encoded)
-		w.store.put(task.Epoch, task.Seq, parts)
+		w.store.put(task.Epoch, task.Seq, segs)
 	}
 	return w.client.Call("Master.CompleteMap", MapDone{
 		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
@@ -527,85 +514,40 @@ func (w *Worker) runReduceBg(ctx context.Context, task Task) {
 	}
 }
 
-// peer returns a cached (or fresh) client to another worker's shuffle
-// server.
-func (w *Worker) peer(addr string) (*rpc.Client, error) {
-	w.mu.Lock()
-	c := w.peers[addr]
-	w.mu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	c = rpc.NewClient(conn)
-	w.mu.Lock()
-	if old := w.peers[addr]; old != nil {
-		w.mu.Unlock()
-		c.Close()
-		return old, nil
-	}
-	w.peers[addr] = c
-	w.mu.Unlock()
-	return c, nil
-}
-
-// dropPeer discards a peer client after a call failure so the next fetch
-// redials instead of reusing a dead connection.
-func (w *Worker) dropPeer(addr string, c *rpc.Client) {
-	w.mu.Lock()
-	if w.peers[addr] == c {
-		delete(w.peers, addr)
-	}
-	w.mu.Unlock()
-	c.Close()
-}
-
 // fetchServed pulls one served segment from its producing worker (or this
 // worker's own store), looping the frame cursor until the producer reports
-// no more frames: one blob for in-memory producers, the partition's frames
-// in order for disk-backed ones. Any failure — dial, call, the producer no
-// longer holding the blob, or a frame failing spill-file validation — is
-// segment loss to the caller.
-func (w *Worker) fetchServed(s TaggedSegment, epoch uint64, partition int) ([][]byte, error) {
-	var frames [][]byte
+// no more frames: one segment for in-memory producers, the partition's
+// frames in order for disk-backed ones. Any failure — dial, read, the
+// producer no longer holding the segment, or a frame failing validation —
+// is segment loss to the caller.
+func (w *Worker) fetchServed(s TaggedSegment, epoch uint64, partition int) ([]mapreduce.Segment, error) {
+	var segs []mapreduce.Segment
 	for frame := 0; ; frame++ {
-		blob, more, err := w.fetchServedFrame(s, epoch, partition, frame)
+		seg, more, err := w.fetchServedFrame(s, epoch, partition, frame)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dist: worker %s: epoch %d map %d part %d frame %d from %s: %w",
+				w.ID, epoch, s.MapSeq, partition, frame, s.Addr, err)
 		}
-		frames = append(frames, blob)
+		segs = append(segs, seg)
 		if !more {
-			return frames, nil
+			return segs, nil
 		}
 	}
 }
 
-// fetchServedFrame pulls one frame of a served segment.
-func (w *Worker) fetchServedFrame(s TaggedSegment, epoch uint64, partition, frame int) ([]byte, bool, error) {
+// fetchServedFrame pulls one frame of a served segment. The own store hands
+// over its resident segment as it is.
+func (w *Worker) fetchServedFrame(s TaggedSegment, epoch uint64, partition, frame int) (mapreduce.Segment, bool, error) {
 	if s.Addr == w.shuffleAddr {
-		blob, more, ok := w.store.getFrame(epoch, s.MapSeq, partition, frame)
+		f, ok := w.store.getFrame(epoch, s.MapSeq, partition, frame)
 		if !ok {
-			return nil, false, fmt.Errorf("dist: worker %s: own store lacks epoch %d map %d frame %d", w.ID, epoch, s.MapSeq, frame)
+			return mapreduce.Segment{}, false, errNotServed
 		}
-		return blob, more, nil
+		seg, err := f.segment()
+		return seg, f.more, err
 	}
-	c, err := w.peer(s.Addr)
-	if err != nil {
-		return nil, false, err
-	}
-	var reply FetchPartReply
-	args := FetchPartArgs{Epoch: epoch, MapSeq: s.MapSeq, Partition: partition, Frame: frame}
-	if err := c.Call("Shuffle.Fetch", args, &reply); err != nil {
-		w.dropPeer(s.Addr, c)
-		return nil, false, err
-	}
-	if !reply.OK {
-		return nil, false, fmt.Errorf("dist: worker at %s cannot serve epoch %d map %d part %d frame %d", s.Addr, epoch, s.MapSeq, partition, frame)
-	}
-	return reply.Data, reply.More, nil
+	seg, _, more, err := w.peers.pull(s.Addr, epoch, s.MapSeq, partition, frame)
+	return seg, more, err
 }
 
 // runReduceStreaming fetches the task's partition segments from their
@@ -628,8 +570,8 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 	// segment loss — lands in the same merge-fetch bucket the in-process
 	// collector charges its merges to.
 	tFetch := pc.Start()
-	byMap := make(map[int]TaggedSegment) // latest publication per MapSeq
-	blobs := make(map[int][][]byte)      // resolved payload frames per MapSeq
+	byMap := make(map[int]TaggedSegment)             // latest publication per MapSeq
+	fetchedSegs := make(map[int][]mapreduce.Segment) // resolved frames per MapSeq
 	cursor := 0
 	for {
 		if w.isStopped() || ctx.Err() != nil {
@@ -652,7 +594,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 			// Latest-per-MapSeq: a replacement published by a re-executed
 			// map supersedes the lost original, payload included.
 			if _, ok := byMap[s.MapSeq]; ok {
-				delete(blobs, s.MapSeq)
+				delete(fetchedSegs, s.MapSeq)
 			}
 			byMap[s.MapSeq] = s
 		}
@@ -663,15 +605,15 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		// arrive under the same MapSeq.
 		lost := make(map[string][]int)
 		for seq, s := range byMap {
-			if _, ok := blobs[seq]; ok {
+			if _, ok := fetchedSegs[seq]; ok {
 				continue
 			}
-			frames, err := w.fetchServed(s, task.Epoch, task.Seq)
+			segs, err := w.fetchServed(s, task.Epoch, task.Seq)
 			if err != nil {
 				lost[s.Owner] = append(lost[s.Owner], seq)
 				continue
 			}
-			blobs[seq] = frames
+			fetchedSegs[seq] = segs
 		}
 		for owner, seqs := range lost {
 			sort.Ints(seqs)
@@ -686,7 +628,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 				delete(byMap, seq)
 			}
 		}
-		if reply.Complete && len(lost) == 0 && len(blobs) == len(byMap) {
+		if reply.Complete && len(lost) == 0 && len(fetchedSegs) == len(byMap) {
 			break
 		}
 		if len(reply.Segments) == 0 {
@@ -700,35 +642,25 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 			}
 		}
 	}
-	var fetched int64
-	for _, frames := range blobs {
-		for _, f := range frames {
-			fetched += int64(len(f))
-		}
-	}
-	pc.EmitIO(obs.PhaseMergeFetch, tFetch, fetched, 0)
 	// Restore map-task order — the order the engine's stable merge is
-	// defined over — regardless of fetch interleaving, then decode the
-	// blobs (zero-copy: the record payload aliases the received buffers).
-	// A disk-backed segment arrives as several frames — adjacent chunks of
-	// one sorted run — and feeding them to the stable merge as consecutive
-	// slots reproduces the whole-run merge byte for byte.
+	// defined over — regardless of fetch interleaving. A disk-backed segment
+	// arrives as several frames — adjacent chunks of one sorted run — and
+	// feeding them to the stable merge as consecutive slots reproduces the
+	// whole-run merge byte for byte.
 	seqs := make([]int, 0, len(byMap))
 	for seq := range byMap {
 		seqs = append(seqs, seq)
 	}
 	sort.Ints(seqs)
-	parts := make([]mapreduce.Segment, 0, len(seqs))
+	var parts []mapreduce.Segment
+	var fetched int64
 	for _, seq := range seqs {
-		for i, blob := range blobs[seq] {
-			seg, err := mapreduce.DecodeSegment(blob)
-			if err != nil {
-				w.reportFailure(task, err)
-				return fmt.Errorf("dist: worker %s reduce %d decode map-%d frame %d: %w", w.ID, task.Seq, seq, i, err)
-			}
+		for _, seg := range fetchedSegs[seq] {
 			parts = append(parts, seg)
+			fetched += int64(seg.EncodedSize())
 		}
 	}
+	pc.EmitIO(obs.PhaseMergeFetch, tFetch, fetched, 0)
 	out, counters, err := mapreduce.ExecuteReduceSegObs(job, parts, ref, w.ob)
 	if err != nil {
 		w.reportFailure(task, err)
@@ -737,13 +669,16 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 	w.mu.Lock()
 	w.tasksRun++
 	w.mu.Unlock()
+	// The output waits in the store while the master pulls it from the
+	// endpoint inside CompleteReduce; that call is the write phase.
+	key := reduceKey(task.Seq)
+	held := w.store.put(task.Epoch, key, []mapreduce.Segment{out})
+	defer w.store.drop(task.Epoch, key, held)
 	tWrite := pc.Start()
-	// The reducer's output is already a flat segment; encoding it is a
-	// header write plus one payload copy — no []KV round-trip.
-	blob := mapreduce.EncodeSegment(out)
-	pc.EmitIO(obs.PhaseWrite, tWrite, 0, int64(len(blob)))
-	return w.client.Call("Master.CompleteReduce", ReduceDone{
+	err = w.client.Call("Master.CompleteReduce", ReduceDone{
 		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
-		Output: blob, Counters: counters,
+		Addr: w.shuffleAddr, Counters: counters,
 	}, &Ack{})
+	pc.EmitIO(obs.PhaseWrite, tWrite, 0, int64(out.EncodedSize()))
+	return err
 }

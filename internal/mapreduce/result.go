@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -193,57 +194,96 @@ func segmentSorted(s Segment) bool {
 	return true
 }
 
-// wireResult is the gob envelope: counters ride gob, partitions ride the
-// binary segment wire format — the same blobs the shuffle ships — instead
-// of gob reflecting over every KV.
-type wireResult struct {
-	Counters Counters
-	Parts    [][]byte
-}
-
-// GobEncode implements gob.GobEncoder. Results cross process boundaries
-// (net/rpc job submission) with their partitions in the binary segment
-// wire format; the string records are never materialized in transit.
-// File-backed partitions are materialized for encoding.
+// GobEncode implements gob.GobEncoder. A result crosses a process boundary
+// (net/rpc job submission) as one exactly sized buffer, little-endian:
+//
+//	u32  counters length c
+//	c ×  gob-encoded Counters
+//	u32  partition count
+//	     each partition in the binary segment wire format
+//
+// so the string records are never materialized in transit and the payload
+// is copied once. File-backed partitions are materialized for encoding.
 func (r *Result) GobEncode() ([]byte, error) {
-	w := wireResult{Counters: r.Counters}
-	if r.parts != nil {
-		w.Parts = make([][]byte, len(r.parts))
-		for i := range r.parts {
-			p, err := r.PartitionSeg(i)
-			if err != nil {
-				return nil, err
-			}
-			w.Parts[i] = EncodeSegment(p)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+	var counters bytes.Buffer
+	if err := gob.NewEncoder(&counters).Encode(r.Counters); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	parts := make([]Segment, len(r.parts))
+	size := 4 + counters.Len() + 4
+	for i := range r.parts {
+		p, err := r.PartitionSeg(i)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = p
+		size += p.EncodedSize()
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(counters.Len()))
+	buf = append(buf, counters.Bytes()...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(parts)))
+	for _, p := range parts {
+		buf = p.AppendEncoded(buf)
+	}
+	return buf, nil
 }
 
-// GobDecode implements gob.GobDecoder, the inverse of GobEncode. Decoded
-// partitions alias the received blobs (zero-copy payloads).
+// GobDecode implements gob.GobDecoder, the inverse of GobEncode. gob keeps
+// ownership of data, so the partitions region is copied once and every
+// decoded partition aliases that copy. Truncation, trailing bytes and a
+// partition whose header disagrees with its length are errors.
 func (r *Result) GobDecode(data []byte) error {
-	var w wireResult
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	cn, rest, err := takeU32(data, "counters length")
+	if err != nil {
 		return err
 	}
-	r.Counters = w.Counters
-	r.parts = nil
-	r.spillRoot = ""
-	if w.Parts == nil {
-		return nil
+	if cn > len(rest) {
+		return fmt.Errorf("mapreduce: result counters claim %d bytes, %d remain", cn, len(rest))
 	}
-	r.parts = make([]partRun, len(w.Parts))
-	for i, blob := range w.Parts {
-		seg, err := DecodeSegment(blob)
+	var c Counters
+	if err := gob.NewDecoder(bytes.NewReader(rest[:cn])).Decode(&c); err != nil {
+		return fmt.Errorf("mapreduce: result counters: %w", err)
+	}
+	n, rest, err := takeU32(rest[cn:], "partition count")
+	if err != nil {
+		return err
+	}
+	if n > len(rest)/segHeaderSize {
+		return fmt.Errorf("mapreduce: result claims %d partitions in %d bytes", n, len(rest))
+	}
+	var parts []partRun
+	if n > 0 {
+		parts = make([]partRun, n)
+		rest = bytes.Clone(rest)
+	}
+	for i := range parts {
+		if len(rest) < segHeaderSize {
+			return fmt.Errorf("mapreduce: result partition %d: truncated header", i)
+		}
+		recs := int(binary.LittleEndian.Uint32(rest[0:4]))
+		size := segHeaderSize + 8*recs + int(binary.LittleEndian.Uint32(rest[4:8]))
+		if size > len(rest) {
+			return fmt.Errorf("mapreduce: result partition %d: header says %d bytes, %d remain", i, size, len(rest))
+		}
+		seg, err := DecodeSegment(rest[:size])
 		if err != nil {
 			return fmt.Errorf("mapreduce: result partition %d: %w", i, err)
 		}
-		r.parts[i] = memRun(seg)
+		parts[i] = memRun(seg)
+		rest = rest[size:]
 	}
+	if len(rest) != 0 {
+		return fmt.Errorf("mapreduce: result has %d trailing bytes", len(rest))
+	}
+	*r = Result{Counters: c, parts: parts}
 	return nil
+}
+
+// takeU32 splits a little-endian u32 (what names it, for the error) off buf.
+func takeU32(buf []byte, what string) (int, []byte, error) {
+	if len(buf) < 4 {
+		return 0, nil, fmt.Errorf("mapreduce: result truncated before its %s", what)
+	}
+	return int(binary.LittleEndian.Uint32(buf)), buf[4:], nil
 }

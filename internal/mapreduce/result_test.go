@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
@@ -72,13 +73,10 @@ func TestSortedOutputUnsortedPartitionFallback(t *testing.T) {
 	}
 }
 
-// TestResultGobRoundTrip pins the wire behavior of Result across net/rpc:
-// partitions travel in the binary segment format via GobEncode/GobDecode,
-// and the decoded result reproduces Output, SortedOutput and Counters
-// exactly — including nil-output results (failed runs ship counters only)
-// and empty partitions.
-func TestResultGobRoundTrip(t *testing.T) {
-	cases := map[string]*Result{
+// resultGobCases are the results the wire round trip is pinned on, and the
+// seeds of the decoder's fuzz target.
+func resultGobCases() map[string]*Result {
+	return map[string]*Result{
 		"regular": ResultFromKVs([][]KV{
 			{{Key: "a", Value: "1"}, {Key: "b", Value: ""}},
 			nil, // empty partition
@@ -86,7 +84,16 @@ func TestResultGobRoundTrip(t *testing.T) {
 		}, Counters{MapTasks: 3, ReduceTasks: 2, ReduceOutputRecords: 3}),
 		"counters-only": {Counters: Counters{MapTasks: 1}},
 	}
-	for name, res := range cases {
+}
+
+// TestResultGobRoundTrip pins the wire behavior of Result across net/rpc:
+// partitions travel in the binary segment format via GobEncode/GobDecode,
+// and the decoded result reproduces Output, SortedOutput and Counters
+// exactly — including nil-output results (failed runs ship counters only)
+// and empty partitions. The decoded result owns its bytes: overwriting the
+// buffer it was decoded from changes nothing.
+func TestResultGobRoundTrip(t *testing.T) {
+	for name, res := range resultGobCases() {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(res); err != nil {
@@ -105,8 +112,66 @@ func TestResultGobRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(back.SortedOutput(), res.SortedOutput()) {
 				t.Errorf("sorted output changed in transit")
 			}
+
+			blob, err := res.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var owned Result
+			if err := owned.GobDecode(blob); err != nil {
+				t.Fatal(err)
+			}
+			for i := range blob {
+				blob[i] = 0xAA
+			}
+			if !reflect.DeepEqual(owned.Output(), res.Output()) || owned.Counters != res.Counters {
+				t.Errorf("decoded result aliases the buffer it was decoded from")
+			}
 		})
 	}
+}
+
+// FuzzResultGobDecode treats the Result wire form as untrusted input:
+// arbitrary bytes decode or fail with an error, never a panic, and a result
+// that decodes can be read in full. Truncation, trailing bytes and a
+// partition count the bytes cannot hold are errors.
+func FuzzResultGobDecode(f *testing.F) {
+	for _, res := range resultGobCases() {
+		blob, err := res.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Result
+		if err := r.GobDecode(data); err == nil {
+			r.Output()
+		}
+		if len(data) < 8 {
+			return
+		}
+		for name, bad := range map[string][]byte{
+			"truncated": data[:len(data)-1],
+			"trailing":  append(append([]byte(nil), data...), 0),
+		} {
+			var full, cut Result
+			if full.GobDecode(data) == nil && cut.GobDecode(bad) == nil {
+				t.Errorf("%s input decodes alongside the input it was cut from", name)
+			}
+		}
+		// The partition count is the u32 after the counters blob.
+		cn := int(binary.LittleEndian.Uint32(data))
+		if cn > len(data)-8 {
+			return
+		}
+		over := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(over[4+cn:], uint32(len(data)))
+		var r2 Result
+		if r2.GobDecode(over) == nil {
+			t.Error("a partition count larger than the bytes can hold decodes")
+		}
+	})
 }
 
 // identityJob assembles a sort-shaped job: identity mapper keyed by line,

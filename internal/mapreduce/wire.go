@@ -28,19 +28,25 @@ func (s Segment) EncodedSize() int {
 // AppendEncoded appends the segment's wire form to dst and returns the
 // extended slice.
 func (s Segment) AppendEncoded(dst []byte) []byte {
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(len(s.meta)))
-	dst = append(dst, u[:]...)
-	binary.LittleEndian.PutUint32(u[:], uint32(len(s.data)))
-	dst = append(dst, u[:]...)
-	for _, m := range s.meta {
-		binary.LittleEndian.PutUint32(u[:], m.keyLen)
-		dst = append(dst, u[:]...)
-		binary.LittleEndian.PutUint32(u[:], m.valLen)
-		dst = append(dst, u[:]...)
-	}
-	return append(dst, s.data...)
+	return append(s.AppendHeader(dst), s.data...)
 }
+
+// AppendHeader appends the segment's wire form up to its payload — the
+// record count, the payload length and the length table — to dst. Writing
+// it and then Payload produces the wire form without copying the payload.
+func (s Segment) AppendHeader(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.meta)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.data)))
+	for _, m := range s.meta {
+		dst = binary.LittleEndian.AppendUint32(dst, m.keyLen)
+		dst = binary.LittleEndian.AppendUint32(dst, m.valLen)
+	}
+	return dst
+}
+
+// Payload returns the segment's record bytes, the tail of its wire form. It
+// aliases the segment and must not be modified.
+func (s Segment) Payload() []byte { return s.data }
 
 // EncodeSegment returns the segment's wire form as a fresh, exactly-sized
 // buffer.
@@ -68,6 +74,9 @@ func decodeSegment(buf []byte, scratch []recMeta) (Segment, error) {
 			len(buf), want, n, payloadLen)
 	}
 	if n == 0 {
+		if payloadLen != 0 {
+			return Segment{}, fmt.Errorf("mapreduce: segment has no records but %d payload bytes", payloadLen)
+		}
 		return Segment{}, nil
 	}
 	meta := scratch
@@ -75,15 +84,17 @@ func decodeSegment(buf []byte, scratch []recMeta) (Segment, error) {
 		meta = make([]recMeta, n)
 	}
 	meta = meta[:n]
-	off := uint32(0)
+	// The sum runs in int: record lengths that wrap a uint32 around must not
+	// add up to the header's payload length.
+	off := 0
 	lens := buf[segHeaderSize:]
 	for i := 0; i < n; i++ {
 		kl := binary.LittleEndian.Uint32(lens[8*i:])
 		vl := binary.LittleEndian.Uint32(lens[8*i+4:])
-		meta[i] = recMeta{off: off, keyLen: kl, valLen: vl}
-		off += kl + vl
+		meta[i] = recMeta{off: uint32(off), keyLen: kl, valLen: vl}
+		off += int(kl) + int(vl)
 	}
-	if int(off) != payloadLen {
+	if off != payloadLen {
 		return Segment{}, fmt.Errorf("mapreduce: segment record lengths sum to %d, header says %d payload", off, payloadLen)
 	}
 	payload := buf[segHeaderSize+8*n:]
