@@ -55,6 +55,14 @@ test -z "$(grep -rnE 'GroupComparator|Grouping|internal/trace|energy\.Classify' 
 test -z "$(grep -rnE 'FetchPartReply|FetchPartArgs|shuffleRPC|Shuffle\.Fetch' --include='*.go' internal cmd examples | grep -v _test.go)"
 test -z "$(sed -n '/^type ReduceDone struct/,/^}/p' internal/dist/protocol.go | grep -E '^[[:space:]]+Output[[:space:]]')"
 
+# Input-path gate: every map task, store-backed or file-backed, reads its
+# own split window through hdfs.ReadWindow, so the two-branch input source,
+# the exported Block type and Blocks field and the whole-file reader stay
+# deleted outside tests, and the engine never reads a whole input into one
+# buffer.
+test -z "$(grep -rnE 'inputSource|hdfs\.Block\b|type Block struct|\.Blocks\b|\*File\) Reader\(|\.Reader\(\)' --include='*.go' internal cmd examples | grep -v _test.go)"
+test -z "$(grep -nE 'ReadFull' internal/mapreduce/engine.go)"
+
 go vet ./...
 go build ./...
 go test -race ./...

@@ -179,6 +179,15 @@ func (js *jobState) runningTasks() int {
 	return n
 }
 
+// reduceDone records partition p's output as done: a reducer's completion,
+// or one read back from the data file on restore. Called under the
+// master's mutex.
+func (js *jobState) reduceDone(p int, output []byte) {
+	js.redTasks[p].done = true
+	js.redOutputs[p] = output
+	js.redsLeft--
+}
+
 // clearTables drops the finished (or aborted) job's task tables and
 // buffered outputs so split and shuffle data are not pinned in memory
 // after completion. Called under the master's mutex.

@@ -245,6 +245,9 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if desc.NumReducers < 1 {
 		return nil, fmt.Errorf("%w: need at least one reducer", ErrInvalidJob)
 	}
+	if blockSize < 1 {
+		return nil, fmt.Errorf("%w: block size must be positive, got %d", ErrInvalidJob, blockSize)
+	}
 	// Validate the descriptor builds locally before distributing, and
 	// prepare sampler/f-list auxiliary data.
 	if err := PrepareAux(&desc, input); err != nil {
@@ -664,10 +667,8 @@ func (m *Master) completeReduce(res *ReduceDone, output []byte) {
 		res.Seq < 0 || res.Seq >= len(js.redTasks) || js.redTasks[res.Seq].done {
 		return
 	}
-	js.redTasks[res.Seq].done = true
-	js.redOutputs[res.Seq] = output
+	js.reduceDone(res.Seq, output)
 	js.counters.Add(res.Counters)
-	js.redsLeft--
 	if m.ob.Enabled() {
 		m.ob.Progress("dist.reduce/"+js.id, len(js.redTasks)-js.redsLeft, len(js.redTasks))
 	}

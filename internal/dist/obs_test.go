@@ -188,6 +188,11 @@ func TestSubmitSentinels(t *testing.T) {
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 0}, []byte("x"), 8); !errors.Is(err, ErrInvalidJob) {
 		t.Errorf("zero reducers: %v, want wrapped ErrInvalidJob", err)
 	}
+	for _, bs := range []int{0, -1} {
+		if _, err := m.Submit(ctx, JobDescriptor{Workload: "wordcount", NumReducers: 1}, []byte("x y\n"), bs); !errors.Is(err, ErrInvalidJob) {
+			t.Errorf("block size %d: %v, want wrapped ErrInvalidJob", bs, err)
+		}
+	}
 	if _, err := m.Submit(ctx, JobDescriptor{Workload: "no-such", NumReducers: 1}, []byte("x"), 8); !errors.Is(err, ErrInvalidJob) {
 		t.Errorf("unknown workload: %v, want wrapped ErrInvalidJob", err)
 	}

@@ -258,8 +258,7 @@ func (m *Master) restoreLocked(snap *snapshot) error {
 		}
 		for p, e := range sj.Outputs {
 			if e.Len > 0 {
-				js.redTasks[p].done, js.redOutputs[p] = true, buf[e.Off:e.Off+e.Len]
-				js.redsLeft--
+				js.reduceDone(p, buf[e.Off:e.Off+e.Len])
 				js.outExt[p], js.dataEnd = e, max(js.dataEnd, e.Off+e.Len)
 			}
 		}

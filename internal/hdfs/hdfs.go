@@ -11,7 +11,6 @@
 package hdfs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -24,7 +23,7 @@ type Config struct {
 	// BlockSize is the HDFS block size. The paper sweeps 32–512 MB.
 	BlockSize units.Bytes
 	// Replication is the block replication factor (Hadoop default 3). It
-	// is validated only: the in-memory store keeps one copy of each block.
+	// is validated only: the in-memory store keeps one copy of each file.
 	Replication int
 }
 
@@ -39,38 +38,48 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Block is one stored block of a file.
-type Block struct {
-	// ID is the block's index within its file.
-	ID int
-	// Data is the block contents.
-	Data []byte
-}
-
-// File is a stored file: an ordered list of blocks.
+// File is a stored file. Its bytes are held once, block by block: a block
+// is its own allocation, so storing a large file never needs one free heap
+// span of the whole file's size, which a fragmented heap grows to find.
 type File struct {
 	// Name is the file's path-like identifier.
-	Name string
-	// Blocks are the file's blocks in order.
-	Blocks []Block
-	// size is the total byte count.
-	size units.Bytes
+	Name      string
+	blocks    [][]byte // blockSize bytes each; the last may be shorter
+	size      int64
+	blockSize int64
 }
 
 // Size returns the file's total size.
-func (f *File) Size() units.Bytes { return f.size }
+func (f *File) Size() units.Bytes { return units.Bytes(f.size) }
 
 // NumBlocks returns the block count — which is also the number of map tasks
 // a MapReduce job over this file will run.
-func (f *File) NumBlocks() int { return len(f.Blocks) }
+func (f *File) NumBlocks() int { return len(f.blocks) }
 
-// Reader returns a reader over the whole file contents.
-func (f *File) Reader() io.Reader {
-	readers := make([]io.Reader, len(f.Blocks))
-	for i := range f.Blocks {
-		readers[i] = bytes.NewReader(f.Blocks[i].Data)
+// ReadAt reads the file's bytes at off (io.ReaderAt), so a map task reads
+// its split window from a stored file as it does from a local one.
+func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("hdfs: %s: negative offset %d", f.Name, off)
 	}
-	return io.MultiReader(readers...)
+	n := 0
+	for n < len(p) && off < f.size {
+		k := copy(p[n:], f.blocks[off/f.blockSize][off%f.blockSize:])
+		n += k
+		off += int64(k)
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// numBlocks returns how many blockSize-sized blocks cover size bytes.
+func numBlocks(size int64, blockSize units.Bytes) int {
+	if blockSize <= 0 || size == 0 {
+		return 0
+	}
+	return int((size + int64(blockSize) - 1) / int64(blockSize))
 }
 
 // Store is an in-memory HDFS-like block store.
@@ -88,25 +97,20 @@ func NewStore(config Config) (*Store, error) {
 	return &Store{config: config, files: make(map[string]*File)}, nil
 }
 
-// Write stores data under name, splitting it into blocks. An existing file
-// of the same name is replaced.
+// Write stores a copy of data under name. An existing file of the same
+// name is replaced.
 func (s *Store) Write(name string, data []byte) (*File, error) {
 	if name == "" {
 		return nil, fmt.Errorf("hdfs: empty file name")
 	}
+	bs := int(s.config.BlockSize)
+	f := &File{Name: name, size: int64(len(data)), blockSize: int64(bs)}
+	f.blocks = make([][]byte, numBlocks(f.size, s.config.BlockSize))
+	for i := range f.blocks {
+		f.blocks[i] = append([]byte(nil), data[i*bs:min((i+1)*bs, len(data))]...)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bs := int(s.config.BlockSize)
-	f := &File{Name: name, size: units.Bytes(len(data))}
-	for off, id := 0, 0; off < len(data); off, id = off+bs, id+1 {
-		end := off + bs
-		if end > len(data) {
-			end = len(data)
-		}
-		block := make([]byte, end-off)
-		copy(block, data[off:end])
-		f.Blocks = append(f.Blocks, Block{ID: id, Data: block})
-	}
 	s.files[name] = f
 	return f, nil
 }
@@ -130,8 +134,8 @@ func (s *Store) ReadBlock(name string, block int) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdfs: file %s not found", name)
 	}
-	if block < 0 || block >= len(f.Blocks) {
+	if block < 0 || block >= len(f.blocks) {
 		return nil, fmt.Errorf("hdfs: file %s has no block %d", name, block)
 	}
-	return f.Blocks[block].Data, nil
+	return f.blocks[block], nil
 }

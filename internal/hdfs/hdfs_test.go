@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -45,32 +47,31 @@ func TestWriteSplitsIntoBlocks(t *testing.T) {
 	if f.NumBlocks() != 3 {
 		t.Fatalf("got %d blocks, want 3", f.NumBlocks())
 	}
-	if got := len(f.Blocks[2].Data); got != 5 {
-		t.Errorf("last block has %d bytes, want 5", got)
+	if b, err := s.ReadBlock("input", 2); err != nil || len(b) != 5 {
+		t.Errorf("last block = %d bytes, %v, want 5", len(b), err)
 	}
 	if f.Size() != 25 {
 		t.Errorf("size = %v, want 25", f.Size())
 	}
-	for i, b := range f.Blocks {
-		if b.ID != i {
-			t.Errorf("block %d has ID %d", i, b.ID)
+	var round []byte
+	for i := 0; i < f.NumBlocks(); i++ {
+		b, err := s.ReadBlock("input", i)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	round, err := io.ReadAll(f.Reader())
-	if err != nil {
-		t.Fatal(err)
+		round = append(round, b...)
 	}
 	if !bytes.Equal(round, data) {
-		t.Error("Reader round trip mismatch")
+		t.Error("ReadBlock round trip mismatch")
 	}
 }
 
 func TestWriteIsolatesCallerBuffer(t *testing.T) {
 	s := newTestStore(t, 4)
 	data := []byte("abcdefgh")
-	f, _ := s.Write("x", data)
+	s.Write("x", data)
 	data[0] = 'Z'
-	if f.Blocks[0].Data[0] != 'a' {
+	if b, _ := s.ReadBlock("x", 0); b[0] != 'a' {
 		t.Error("store aliases caller buffer")
 	}
 }
@@ -89,7 +90,7 @@ func TestSplitsMatchBlockCount(t *testing.T) {
 		t.Fatalf("got %d blocks, want 4 (3MB+100B at 1MB blocks)", f.NumBlocks())
 	}
 	var total units.Bytes
-	for i := range f.Blocks {
+	for i := 0; i < f.NumBlocks(); i++ {
 		b, err := s.ReadBlock("f", i)
 		if err != nil {
 			t.Fatal(err)
@@ -188,8 +189,12 @@ func TestSplitRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var total units.Bytes
-		for _, b := range file.Blocks {
-			total += units.Bytes(len(b.Data))
+		for i := 0; i < file.NumBlocks(); i++ {
+			b, err := s.ReadBlock("f", i)
+			if err != nil {
+				return false
+			}
+			total += units.Bytes(len(b))
 		}
 		return total == units.Bytes(size)
 	}
@@ -259,5 +264,48 @@ func TestLargerBlocksFewerSeeks(t *testing.T) {
 	tLarge := d.ReadTime(total, largeBlocks)
 	if tLarge >= tSmall {
 		t.Errorf("large blocks not faster: %v vs %v", tLarge, tSmall)
+	}
+}
+
+// TestReadWindowStoreMatchesLocal reads every split window of one input at
+// every block size from a stored File and from a LocalFile: both give the
+// split plus the line straddling its end, through the first newline at or
+// after end, or EOF.
+func TestReadWindowStoreMatchesLocal(t *testing.T) {
+	data := []byte("alpha\nbe\n\ngamma delta\nx\nlast line without newline")
+	s := newTestStore(t, 7)
+	f, err := s.Write("in", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "in")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lf, err := OpenLocal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	size := int64(len(data))
+	for bs := int64(1); bs <= size+1; bs++ {
+		for start := int64(0); start < size; start += bs {
+			e := min(start+bs, size)
+			if i := bytes.IndexByte(data[e:], '\n'); i >= 0 {
+				e += int64(i) + 1
+			} else {
+				e = size
+			}
+			got, err := ReadWindow(f, int64(f.Size()), start, start+bs, nil)
+			if err != nil || !bytes.Equal(got, data[start:e]) {
+				t.Fatalf("store window [%d,%d) = %q, %v, want %q", start, start+bs, got, err, data[start:e])
+			}
+			if got, err := lf.ReadWindow(start, start+bs, nil); err != nil || !bytes.Equal(got, data[start:e]) {
+				t.Fatalf("local window [%d,%d) = %q, %v, want %q", start, start+bs, got, err, data[start:e])
+			}
+		}
+	}
+	if n, err := f.ReadAt(make([]byte, 4), size-2); n != 2 || err != io.EOF {
+		t.Errorf("ReadAt across EOF = %d, %v, want 2, io.EOF", n, err)
 	}
 }

@@ -180,6 +180,8 @@ func TestOutOfCoreHopCount(t *testing.T) {
 // recycled, a spill bound for a file is laid out in slot scratch, and nothing
 // is inflated. A fresh buffer per writer and per cursor, which is what the
 // fence replaces, measured eleven times the input on the bench workload.
+// The job runs once from a local file and once from a store holding the
+// same bytes: both read each split's window into slot buffers.
 func TestOutOfCoreAllocBytes(t *testing.T) {
 	skipUnderRace(t)
 	input := workloads.NewTeraSort().Generate(16*units.MB, 3)
@@ -190,32 +192,53 @@ func TestOutOfCoreAllocBytes(t *testing.T) {
 	}
 	job, split := oocTeraSort(t, "ooc-alloc", input, filepath.Join(dir, "spill"))
 	job.Config.Parallelism = 2 // the allowance below is two slots' buffers
-	run := func() {
-		res, err := mapreduce.NewEngine(nil).RunFileContext(context.Background(), job, path, split)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Close()
-		if err := res.MaterializeOutputTo(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		if res.Counters.SpillFilesWritten == 0 || res.Counters.ReduceMergePasses == 0 {
-			t.Fatalf("test shape is off — want file spills and a consolidation round: %+v", res.Counters)
-		}
+	store, err := hdfs.NewStore(hdfs.Config{BlockSize: split, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run() // warm the frame pool, so the measured run sees steady state
-	// No collection during the measured run: a cycle empties the pool, and how
-	// many land inside one job is the machine's business, not the engine's.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	const allowance = 8 << 20
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%.2f x the input allocated (%d bytes for %d)", float64(alloc)/float64(len(input)), alloc, len(input))
-	if alloc > 3*uint64(len(input))+allowance {
-		t.Errorf("one spilled job over %d input bytes allocated %d bytes (%.2f x), want <= 3 x + %d",
-			len(input), alloc, float64(alloc)/float64(len(input)), allowance)
+	if _, err := store.Write("input", input); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*mapreduce.Result, error)
+	}{
+		{"file", func() (*mapreduce.Result, error) {
+			return mapreduce.NewEngine(nil).RunFileContext(context.Background(), job, path, split)
+		}},
+		{"store", func() (*mapreduce.Result, error) {
+			return mapreduce.NewEngine(store).RunContext(context.Background(), job, "input")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() {
+				res, err := tc.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer res.Close()
+				if err := res.MaterializeOutputTo(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				if res.Counters.SpillFilesWritten == 0 || res.Counters.ReduceMergePasses == 0 {
+					t.Fatalf("test shape is off — want file spills and a consolidation round: %+v", res.Counters)
+				}
+			}
+			run() // warm the frame pool, so the measured run sees steady state
+			// No collection during the measured run: a cycle empties the pool, and how
+			// many land inside one job is the machine's business, not the engine's.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			const allowance = 8 << 20
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%.2f x the input allocated (%d bytes for %d)", float64(alloc)/float64(len(input)), alloc, len(input))
+			if alloc > 3*uint64(len(input))+allowance {
+				t.Errorf("one spilled job over %d input bytes allocated %d bytes (%.2f x), want <= 3 x + %d",
+					len(input), alloc, float64(alloc)/float64(len(input)), allowance)
+			}
+		})
 	}
 }

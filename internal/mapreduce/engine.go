@@ -40,92 +40,59 @@ func (e *Engine) RunContext(ctx context.Context, job Job, input string) (*Result
 	if e.store == nil {
 		return nil, fmt.Errorf("mapreduce: %s: engine has no store", job.Config.Name)
 	}
-	// The observer rides the context (obs.NewContext); with none installed
-	// every phase emission below collapses to the zero-cost inert path.
-	o := obs.FromContext(ctx)
-	jobClock := newPhaseClock(o, obs.TaskRef{Job: job.Config.Name, Kind: obs.KindJob})
-	tRead := jobClock.Start()
 	file, err := e.store.Open(input)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, err)
 	}
-	if file.Size() == 0 {
-		return nil, fmt.Errorf("mapreduce: %s: input %s is empty", job.Config.Name, input)
+	// The first block is one block size long, or the whole file when it
+	// fits one block — which cuts the same single split.
+	blockSize := file.Size()
+	if file.NumBlocks() > 1 {
+		first, err := e.store.ReadBlock(input, 0)
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, err)
+		}
+		blockSize = units.Bytes(len(first))
 	}
-	// The size is known, so read into one exact buffer: io.ReadAll's
-	// doubling leaves about five times the input behind as garbage per job.
-	data := make([]byte, file.Size())
-	if _, err := io.ReadFull(file.Reader(), data); err != nil {
-		return nil, fmt.Errorf("mapreduce: %s: reading %s: %w", job.Config.Name, input, err)
-	}
-	jobClock.EmitIO(obs.PhaseRead, tRead, int64(len(data)), 0)
-	// One split per HDFS block; split boundaries follow block boundaries.
-	splits := make([]splitRange, file.NumBlocks())
-	off := 0
-	for i, b := range file.Blocks {
-		splits[i] = splitRange{start: off, end: off + len(b.Data)}
-		off += len(b.Data)
-	}
-	return e.execute(ctx, o, job, inputSource{data: data}, splits)
+	return e.runInput(ctx, job, input, file, int64(file.Size()), blockSize)
 }
 
 // RunFileContext executes the job over a local disk file instead of a
-// store entry, reading the input in split-sized windows — the out-of-core
-// input path for datasets that should never be resident whole. Splits are
-// blockSize-sized byte ranges of the file; each map task reads only its own
-// window (plus the straddling-record tail), so peak input residency is one
-// window per task slot. A non-positive blockSize defaults to 64 MB.
+// store entry — the out-of-core input path for datasets that should never
+// be resident whole. Splits are blockSize-sized byte ranges of the file,
+// as they are over a store. A non-positive blockSize defaults to 64 MB.
 func (e *Engine) RunFileContext(ctx context.Context, job Job, path string, blockSize units.Bytes) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	o := obs.FromContext(ctx)
-	lf, err := hdfs.OpenLocal(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, err)
 	}
-	defer lf.Close()
-	if lf.Size() == 0 {
-		return nil, fmt.Errorf("mapreduce: %s: input %s is empty", job.Config.Name, path)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, err)
 	}
 	if blockSize <= 0 {
 		blockSize = 64 * units.MB
 	}
-	splits := make([]splitRange, lf.NumBlocks(blockSize))
-	for i := range splits {
-		start := int64(i) * int64(blockSize)
-		end := start + int64(blockSize)
-		if end > lf.Size() {
-			end = lf.Size()
-		}
-		splits[i] = splitRange{start: int(start), end: int(end)}
-	}
-	return e.execute(ctx, o, job, inputSource{file: lf}, splits)
+	return e.runInput(ctx, job, path, f, st.Size(), blockSize)
 }
 
-// inputSource is where map tasks read their splits from: a resident byte
-// slice (store-backed runs) or a local file read in windows (RunFileContext).
-type inputSource struct {
-	data []byte
-	file *hdfs.LocalFile
-}
-
-// window returns the bytes split must see and the absolute offset of the
-// first returned byte. Resident inputs return the whole slice at base 0 —
-// free. File inputs read the split's window (plus the straddling-record
-// tail) into the task's reusable buffer, attributed as read phase.
-func (in inputSource) window(split splitRange, pc phaseClock, bufs *taskBufs) ([]byte, int, error) {
-	if in.file == nil {
-		return in.data, 0, nil
+// runInput is the one input path under RunContext and RunFileContext: it
+// cuts the size bytes of in into blockSize-sized byte-range splits, one map
+// task each, and runs the job. Every map task reads only its own split's
+// window (hdfs.ReadWindow).
+func (e *Engine) runInput(ctx context.Context, job Job, name string, in io.ReaderAt, size int64, blockSize units.Bytes) (*Result, error) {
+	if size == 0 {
+		return nil, fmt.Errorf("mapreduce: %s: input %s is empty", job.Config.Name, name)
 	}
-	t := pc.Start()
-	w, err := in.file.ReadWindow(int64(split.start), int64(split.end), bufs.win[:0])
-	if err != nil {
-		return nil, 0, err
+	var splits []splitRange
+	for start := int64(0); start < size; start += int64(blockSize) {
+		splits = append(splits, splitRange{start: int(start), end: int(min(start+int64(blockSize), size))})
 	}
-	bufs.win = w // keep the grown buffer for the slot's next task
-	pc.EmitIO(obs.PhaseRead, t, int64(len(w)), 0)
-	return w, split.start, nil
+	return e.execute(ctx, job, in, size, splits)
 }
 
 // taskBufs is one task slot's persistent working memory: the emit/sort
@@ -143,7 +110,7 @@ type taskBufs struct {
 	scratch arena       // combiner output scratch
 	partIds []int32     // spill partition-id scratch
 	parts   arena       // partitioned output of a spill that goes straight to a file
-	win     []byte      // input window (file-backed inputs)
+	win     []byte      // input window: the map task's split plus its straddling-record tail
 }
 
 // bufsPool backs the task-granular entry points (ExecuteMapSplit and
@@ -226,7 +193,7 @@ func sanitizeJobName(name string) string {
 // runs the job and cleans up spill state afterwards: interim spills are
 // always removed; reduce-output files transfer to the Result on success
 // (released by Result.Close) and are removed on failure.
-func (e *Engine) execute(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, job Job, in io.ReaderAt, size int64, splits []splitRange) (*Result, error) {
 	if job.Partitioner == nil {
 		job.Partitioner = HashPartitioner()
 	}
@@ -242,7 +209,9 @@ func (e *Engine) execute(ctx context.Context, o obs.Observer, job Job, in inputS
 			return nil, fmt.Errorf("mapreduce: %s: spill dir: %w", job.Config.Name, err)
 		}
 	}
-	res, err := e.run(ctx, o, job, in, splits, par, js)
+	// The observer rides the context (obs.NewContext); with none installed
+	// every phase emission collapses to the zero-cost inert path.
+	res, err := e.run(ctx, obs.FromContext(ctx), job, in, size, splits, par, js)
 	if js != nil {
 		os.RemoveAll(js.dir)
 		if err != nil || res == nil {
@@ -285,7 +254,7 @@ func wave(ctx context.Context, slots chan *taskBufs, n int, task func(i int, buf
 // writes only its own result slots; aggregation happens once after a wave
 // drains, so the hot path takes no locks. On failure the partial Result
 // carries the counters of the tasks that did complete.
-func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSource, splits []splitRange, par int, js *jobSpill) (*Result, error) {
+func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in io.ReaderAt, size int64, splits []splitRange, par int, js *jobSpill) (*Result, error) {
 	name := job.Config.Name
 	nparts := job.Config.NumReducers
 	slots := make(chan *taskBufs, par)
@@ -323,15 +292,19 @@ func (e *Engine) run(ctx context.Context, o obs.Observer, job Job, in inputSourc
 	ctxErr := wave(ctx, slots, len(splits), func(i int, bufs *taskBufs) {
 		taskID := fmt.Sprintf("%s/map-%d", name, i)
 		pc := mapTaskClock(o, job, i)
-		win, base, err := in.window(splits[i], pc, bufs)
+		split := splits[i]
+		tRead := pc.Start()
+		win, err := hdfs.ReadWindow(in, size, int64(split.start), int64(split.end), bufs.win[:0])
 		if err != nil {
 			mapErr[i] = fmt.Errorf("mapreduce: %s: %s: %w", name, taskID, err)
 			return
 		}
+		bufs.win = win // keep the grown buffer for the slot's next task
+		pc.EmitIO(obs.PhaseRead, tRead, int64(len(win)), 0)
 		if job.Config.beforeTask != nil {
 			job.Config.beforeTask(taskID)
 		}
-		out, tc, err := runMapTask(job, win, base, splits[i], nparts, pc, bufs, js, i)
+		out, tc, err := runMapTask(job, win, split.start, split, nparts, pc, bufs, js, i)
 		if err != nil {
 			mapErr[i] = fmt.Errorf("mapreduce: %s: %w", taskID, err)
 			return
@@ -738,7 +711,7 @@ func mergePasses(n, factor int) int {
 //
 // win holds the input bytes starting at absolute offset base and must
 // extend through the first newline at or after end, or to end-of-input
-// (hdfs.LocalFile.ReadWindow's contract); offsets passed to fn are
+// (hdfs.ReadWindow's contract); offsets passed to fn are
 // absolute. The line slice aliases win and is only valid during the call.
 // A non-nil error from fn stops the iteration and is returned.
 func forEachRecordWindow(win []byte, base, start, end int, fn func(offset int, line []byte) error) error {

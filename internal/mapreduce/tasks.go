@@ -62,10 +62,14 @@ func ExecuteReduceSegObs(job Job, segments []Segment, ref obs.TaskRef, o obs.Obs
 }
 
 // SplitInput cuts data into record-aligned chunks of roughly blockSize
-// bytes: every chunk starts at a record boundary and holds whole lines, so
-// chunks can be processed independently (the materialized form of the
-// engine's LineRecordReader split semantics, for shipping splits over the
-// wire).
+// bytes, for shipping splits over the wire: every chunk starts at a record
+// boundary and holds whole lines, so chunks can be processed independently.
+// A chunk runs blockSize bytes from its start, then on through the end of
+// the line holding its last byte; the next chunk starts there. So a line
+// that starts exactly at a cut opens the later chunk, where the engine's
+// LineRecordReader splits (forEachRecordWindow) give it to the earlier one.
+// A restored dist master re-splits with this function and checks the task
+// count against its snapshot, so the cut must not change.
 func SplitInput(data []byte, blockSize int) [][]byte {
 	if blockSize < 1 {
 		blockSize = 1

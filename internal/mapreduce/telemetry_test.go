@@ -55,7 +55,7 @@ func TestNoopPhasePathZeroAlloc(t *testing.T) {
 // really went to disk. A map task's multi-spill merge is merge-fetch.
 func TestPhaseEventsCoverEngineTaxonomy(t *testing.T) {
 	always := []string{
-		obs.PhaseKey(obs.KindJob, obs.PhaseRead),
+		obs.PhaseKey(obs.KindMap, obs.PhaseRead),
 		obs.PhaseKey(obs.KindMap, obs.PhaseMap),
 		obs.PhaseKey(obs.KindMap, obs.PhaseSort),
 		obs.PhaseKey(obs.KindMap, obs.PhaseSpill),

@@ -19,8 +19,9 @@ import "time"
 type TaskKind uint8
 
 const (
-	// KindJob marks job-level phases not attributable to one task (input
-	// read, output write of a whole run).
+	// KindJob marks job-level phases not attributable to one task. No
+	// runtime emits one today; it is the zero TaskRef's kind and the
+	// fallback for unknown kind names.
 	KindJob TaskKind = iota
 	// KindMap marks map-task phases.
 	KindMap
@@ -61,7 +62,8 @@ func ParseTaskKind(s string) (TaskKind, bool) {
 type Phase uint8
 
 const (
-	// PhaseRead is input ingestion (job-level HDFS read, split load).
+	// PhaseRead is a map task's read of its split window (the split plus
+	// the tail of the line straddling its end).
 	PhaseRead Phase = iota
 	// PhaseMap is mapper execution over the split's records.
 	PhaseMap

@@ -78,7 +78,7 @@ var keepList = map[string]string{
 // this tree.
 var implicitMethods = map[string]bool{
 	"String": true, "Error": true, "GobEncode": true, "GobDecode": true,
-	"Read": true, "Write": true, "Close": true,
+	"Read": true, "ReadAt": true, "Write": true, "Close": true,
 }
 
 // sortMethods are the sort and container/heap interface methods. They are
