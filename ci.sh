@@ -55,6 +55,11 @@ test -z "$(grep -rnE 'GroupComparator|Grouping|internal/trace|energy\.Classify' 
 test -z "$(grep -rnE 'FetchPartReply|FetchPartArgs|shuffleRPC|Shuffle\.Fetch' --include='*.go' internal cmd examples | grep -v _test.go)"
 test -z "$(sed -n '/^type ReduceDone struct/,/^}/p' internal/dist/protocol.go | grep -E '^[[:space:]]+Output[[:space:]]')"
 
+# Held-poll gate: the master holds an idle GetTask and an empty
+# FetchSegments until the next state change, so a worker has nothing left
+# to sleep on between calls.
+test -z "$(grep -nE 'time\.(NewTimer|After|Sleep)\(' internal/dist/worker.go)"
+
 # Input-path gate: every map task, store-backed or file-backed, reads its
 # own split window through hdfs.ReadWindow, so the two-branch input source,
 # the exported Block type and Blocks field and the whole-file reader stay
@@ -206,14 +211,16 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # Chaos lane: the multi-tenant fault path spotlighted under -race — eight
 # concurrent jobs on three workers with one worker killed mid-run and a
 # master restart from its snapshot, plus the lost-shuffle, closed-worker,
-# eviction and snapshot-resume regressions and the per-job data files beside the
+# eviction and snapshot-resume regressions, the held-call cases (jobs that
+# only wake-ups can move, a zero-wait poll, a slow-heartbeat worker that is
+# not evicted, a busy worker that still prunes) and the per-job data files beside the
 # snapshot (a finished reducer restored from its file, torn append
 # included; the orphan sweep; nothing left behind; a snapshot whose size
 # does not follow the input; a job restored queued under a lower cap; a
 # snapshot carrying fields since deleted). These run inside the blanket race gate too;
 # -count=2 here shakes out scheduling-order flakes and makes a chaos
 # failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six

@@ -50,7 +50,7 @@ func main() {
 		maxJobs  = flag.Int("max-jobs", 4, "concurrent running job cap (role=master)")
 		workerTO = flag.Duration("worker-timeout", 30*time.Second, "silent-worker eviction window (role=master)")
 		snapshot = flag.String("snapshot", "", "persist master state to this file and resume from it on start; per-job data files (FILE.job-*) live beside it (role=master)")
-		poll     = flag.Duration("poll", 10*time.Millisecond, "idle poll interval (role=worker)")
+		poll     = flag.Duration("poll", 10*time.Millisecond, "longest the master holds an idle poll or an empty fetch (role=worker)")
 		spillDir = flag.String("spill-dir", "", "serve map output from checksummed spill files under this directory instead of memory (role=worker)")
 		trace    = flag.String("trace", "", "stream a JSONL observability trace to this file (master/worker)")
 		httpAddr = flag.String("http", "", "serve the live plane (/metrics, /jobs, /tasks, pprof) on this address (master/worker)")

@@ -208,6 +208,22 @@ func TestWorkerEvictionRequeuesInFlight(t *testing.T) {
 	}
 }
 
+// TestSlowPollWorkerSurvivesIdle: a worker whose heartbeat is longer than
+// the master's worker timeout stays live through an idle stretch, because
+// the master holds its poll for at most half the timeout — it is never
+// silent long enough to be evicted, so its served map output is never
+// re-executed.
+func TestSlowPollWorkerSurvivesIdle(t *testing.T) {
+	m := startMaster(t, WithWorkerTimeout(150*time.Millisecond))
+	startWorker(t, m, "slow-poll", WithPollInterval(time.Second))
+	time.Sleep(500 * time.Millisecond)
+	input := workloads.GenerateText(16*units.KB, 59)
+	checkWordCount(t, submitWait(t, m, JobDescriptor{Workload: "wordcount", NumReducers: 2}, input, 4*1024), input)
+	if st := m.Stats(); st.Evicted != 0 || st.RecoveredMaps != 0 {
+		t.Errorf("idle slow-poll worker: %+v, want no evictions or recovered maps", st)
+	}
+}
+
 // TestSnapshotRestartResumesJob checks crash recovery through the
 // versioned snapshot: a master with an in-flight job — one map already
 // completed — is closed and a new master started on the same snapshot path

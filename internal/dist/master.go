@@ -58,6 +58,9 @@ type Master struct {
 	history []JobStatus          // terminal statuses, oldest first
 
 	workers *workerTable
+	// changed is the generation channel held calls wait on (holdLocked);
+	// wakeLocked closes and replaces it.
+	changed chan struct{}
 
 	// Master-lifetime totals (per-job counters die with the job).
 	reassigned    int
@@ -99,6 +102,7 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 		jobs:        make(map[string]*jobState),
 		byEpoch:     make(map[uint64]*jobState),
 		workers:     newWorkerTable(),
+		changed:     make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
 	if m.snapPath != "" {
@@ -187,6 +191,7 @@ func (m *Master) janitor() {
 				m.evictWorkerLocked(w.ID, now)
 			}
 			if len(silent) > 0 {
+				m.wakeLocked()
 				m.saveSnapshotLocked()
 			}
 			m.mu.Unlock()
@@ -296,6 +301,7 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 		m.ob.Progress("dist.map/"+js.id, 0, len(chunks))
 	}
 	m.promoteLocked()
+	m.wakeLocked()
 	m.saveSnapshotLocked()
 	return &JobHandle{m: m, js: js}, nil
 }
@@ -370,6 +376,7 @@ func (m *Master) retireLocked(js *jobState) {
 	js.span.End()
 	close(js.doneCh)
 	m.promoteLocked()
+	m.wakeLocked()
 	if m.saveSnapshotLocked() {
 		removeDataFile(js.data)
 	} else if js.data != nil {
@@ -462,8 +469,8 @@ func (m *Master) scheduleOrderLocked() []*jobState {
 }
 
 // activeEpochsLocked lists every queued or running job's epoch — the
-// piggyback on TaskWait that lets workers prune stored output of finished
-// jobs. Called under m.mu.
+// piggyback on every GetTask reply that lets workers prune stored output of
+// finished jobs. Called under m.mu.
 func (m *Master) activeEpochsLocked() []uint64 {
 	out := make([]uint64, 0, len(m.order))
 	for _, js := range m.order {
@@ -537,7 +544,33 @@ func (m *Master) nextTask(workerID string) Task {
 		m.emitSchedule(oldestJob, oldest, workerID, now)
 		return oldest.task
 	}
-	return Task{Kind: TaskWait, ActiveEpochs: m.activeEpochsLocked()}
+	return Task{Kind: TaskWait}
+}
+
+// wakeLocked wakes every held call to retry; called under m.mu by each
+// mutation that can create work or publish a segment.
+func (m *Master) wakeLocked() {
+	close(m.changed)
+	m.changed = make(chan struct{})
+}
+
+// holdLocked runs try under m.mu until it reports done, waiting unlocked
+// for the next wake between tries, for at most wait (capped at half the
+// worker timeout, so a held worker is never evicted). The channel is read in
+// the lock hold that ran try, so no wake is lost; the try at the deadline
+// sees time-driven transitions (reissue, speculation).
+func (m *Master) holdLocked(wait time.Duration, try func() bool) {
+	until := time.Now().Add(min(wait, m.defaults.workerTimeout/2))
+	for !try() && time.Now().Before(until) {
+		changed, timer := m.changed, time.NewTimer(time.Until(until))
+		m.mu.Unlock()
+		select {
+		case <-changed:
+		case <-timer.C:
+		}
+		timer.Stop()
+		m.mu.Lock()
+	}
 }
 
 // emitSchedule reports one assignment's dispatch latency — ready-to-assigned
@@ -620,6 +653,7 @@ func (m *Master) completeMap(res *MapDone) {
 	if m.ob.Enabled() {
 		m.ob.Progress("dist.map/"+js.id, len(js.mapTasks)-js.mapsLeft, len(js.mapTasks))
 	}
+	m.wakeLocked()
 	m.saveSnapshotLocked()
 }
 
@@ -677,6 +711,7 @@ func (m *Master) completeReduce(res *ReduceDone, output []byte) {
 		m.finalizeLocked(js)
 	} else {
 		m.persistOutputLocked(js, res.Seq, output)
+		m.wakeLocked()
 		m.saveSnapshotLocked()
 	}
 }
@@ -717,6 +752,7 @@ func (m *Master) reportLostSegments(args *SegmentsLost) {
 		}
 	}
 	if changed {
+		m.wakeLocked()
 		m.saveSnapshotLocked()
 	}
 }
@@ -771,9 +807,9 @@ type masterRPC struct {
 	m *Master
 }
 
-// GetTask hands the polling worker its next task (or wait). The
-// dist.rpc.get_task counter ticks on every poll — a strictly monotone
-// series the live /metrics smoke test leans on.
+// GetTask hands the polling worker its next task, held while there is none;
+// every reply carries the active epochs. dist.rpc.get_task ticks once per
+// call — a strictly monotone series the live /metrics smoke test leans on.
 func (r *masterRPC) GetTask(args GetTaskArgs, reply *Task) error {
 	r.m.mu.Lock()
 	defer r.m.mu.Unlock()
@@ -782,7 +818,11 @@ func (r *masterRPC) GetTask(args GetTaskArgs, reply *Task) error {
 	if args.Class != "" {
 		w.Class = args.Class
 	}
-	*reply = r.m.nextTask(args.WorkerID)
+	r.m.holdLocked(args.Wait, func() bool {
+		*reply = r.m.nextTask(args.WorkerID)
+		return reply.Kind != TaskWait
+	})
+	reply.ActiveEpochs = r.m.activeEpochsLocked()
 	return nil
 }
 
@@ -801,14 +841,18 @@ func (r *masterRPC) CompleteMap(res MapDone, _ *Ack) error {
 }
 
 // FetchSegments streams one partition's shuffle segments to the fetching
-// reducer, from its cursor forward. Workers call it in a loop until the
-// reply is Complete (map wave drained, every segment delivered) or Stale
-// (the job is gone; abandon the task).
+// reducer from its cursor forward, held while there is nothing new. Workers
+// call it in a loop until the reply is Complete (map wave drained, every
+// segment delivered) or Stale (the job is gone; abandon the task).
 func (r *masterRPC) FetchSegments(args FetchSegmentsArgs, reply *FetchSegmentsReply) error {
 	r.m.mu.Lock()
 	defer r.m.mu.Unlock()
 	r.m.workers.touch(args.WorkerID, "", time.Now())
-	r.m.fetchSegments(&args, reply)
+	r.m.holdLocked(args.Wait, func() bool {
+		*reply = FetchSegmentsReply{}
+		r.m.fetchSegments(&args, reply)
+		return len(reply.Segments) > 0 || reply.Complete || reply.Stale
+	})
 	return nil
 }
 
@@ -857,6 +901,7 @@ func (r *masterRPC) ReportFailure(f TaskFailed, _ *Ack) error {
 		js.reassigned++
 		r.m.reassigned++
 		r.m.ob.Count("dist.tasks.reassigned", 1)
+		r.m.wakeLocked()
 	}
 	return nil
 }

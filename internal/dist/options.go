@@ -89,8 +89,9 @@ func WithSpeculativeFraction(f float64) Option {
 	}
 }
 
-// WithPollInterval sets the worker's idle poll spacing (the heartbeat
-// period). Non-positive values keep the default (10ms).
+// WithPollInterval sets the worker's heartbeat: the longest the master
+// holds its idle poll or empty fetch (at most half the worker timeout).
+// Non-positive values keep the default (10ms).
 func WithPollInterval(d time.Duration) Option {
 	return func(c *config) {
 		if d > 0 {

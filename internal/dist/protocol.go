@@ -1,15 +1,15 @@
-// Package dist is a distributed MapReduce runtime: a master coordinates
-// map and reduce tasks across workers over TCP, the way the paper's 3-node
+// Package dist is a distributed MapReduce runtime: a master coordinates map
+// and reduce tasks across workers over TCP, the way the paper's 3-node
 // Hadoop clusters run a JobTracker over slaves. Control messages travel on
 // net/rpc; bulk bytes — shuffle frames to reducers, reduce outputs to the
-// master — are pulled in fixed binary frames from each worker's one raw
-// byte endpoint (endpoint.go), the way Hadoop moves shuffle data outside
-// its RPC layer. Workers
-// poll for tasks (the heartbeat), execute them with the engine's
-// task-granular entry points, and the master reassigns tasks whose workers
-// go silent — speculative re-execution included. Jobs are referenced by
-// registered workload names (shipping class names, not code), with
-// sampler/f-list auxiliary data computed master-side and sent alongside.
+// master — are pulled in fixed binary frames from each worker's one raw byte
+// endpoint (endpoint.go), the way Hadoop moves shuffle data outside its RPC
+// layer. Workers poll for tasks (the heartbeat, held by the master while
+// idle), execute them with the engine's task-granular entry points, and the
+// master reassigns tasks whose workers go silent — speculative re-execution
+// included. Jobs are referenced by registered workload names (shipping class
+// names, not code), with sampler/f-list auxiliary data computed master-side
+// and sent alongside.
 //
 // The master is multi-tenant: Submit is asynchronous and returns a
 // JobHandle, many jobs run concurrently under a fair/capacity scheduler,
@@ -18,7 +18,11 @@
 // lets a restarted master resume in-flight jobs.
 package dist
 
-import "heterohadoop/internal/mapreduce"
+import (
+	"time"
+
+	"heterohadoop/internal/mapreduce"
+)
 
 // JobDescriptor names a job and carries everything a worker needs to
 // reconstruct it locally. Scheduling is the master's alone (WithTaskTimeout
@@ -38,7 +42,7 @@ type JobDescriptor struct {
 
 // Task kinds.
 const (
-	TaskWait   = "wait"   // nothing pending; poll again
+	TaskWait   = "wait"   // nothing pending for the whole hold; poll again
 	TaskMap    = "map"    // run a map split
 	TaskReduce = "reduce" // run a reduce partition
 )
@@ -66,7 +70,7 @@ type Task struct {
 	// SplitData is the record-aligned input chunk (map tasks).
 	SplitData []byte
 	// ActiveEpochs lists the epochs of every job currently queued or
-	// running, piggybacked on TaskWait replies so the worker can prune
+	// running, piggybacked on every GetTask reply so the worker can prune
 	// stored map output belonging to finished jobs.
 	ActiveEpochs []uint64
 }
@@ -81,6 +85,8 @@ type GetTaskArgs struct {
 	// custom profile name; "" when undeclared). The master records it in
 	// the worker registry — the placement input for class-aware scheduling.
 	Class string
+	// Wait is the longest the master may hold the call; 0 answers at once.
+	Wait time.Duration
 }
 
 // MapDone reports a completed map task. Epoch is copied from the Task.
@@ -154,6 +160,7 @@ type FetchSegmentsArgs struct {
 	Epoch     uint64
 	Partition int
 	Cursor    int
+	Wait      time.Duration // as in GetTaskArgs, while nothing new is published
 }
 
 // FetchSegmentsReply carries the segments published since the cursor.

@@ -26,7 +26,7 @@ import (
 type Worker struct {
 	// ID identifies the worker in the master's tables.
 	ID string
-	// pollInterval is the idle poll spacing (the heartbeat period).
+	// pollInterval is the longest the master may hold an idle call.
 	pollInterval time.Duration
 
 	registry *Registry
@@ -187,8 +187,8 @@ func (s *shuffleStore) getFrame(epoch uint64, key, part, frame int) (storedFrame
 }
 
 // prune drops stored output for every epoch not in the active set — the
-// master piggybacks the set on TaskWait replies, so finished jobs' segments
-// (and their spill files) are released within a heartbeat.
+// master piggybacks the set on every GetTask reply, so finished jobs'
+// segments (and their spill files) are released by the next poll.
 func (s *shuffleStore) prune(active []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,10 +210,10 @@ func (s *shuffleStore) prune(active []uint64) {
 }
 
 // ConnectWorker dials the master and returns a ready worker, configured by
-// functional options: WithPollInterval sets the idle heartbeat period,
-// WithSpillDir moves served map output to disk, WithCoreClass declares the
-// node class and WithObserver attaches telemetry (dist.task spans,
-// failure-report counters).
+// functional options: WithPollInterval bounds how long the master holds an
+// idle call, WithSpillDir moves served map output to disk, WithCoreClass
+// declares the node class and WithObserver attaches telemetry (dist.task
+// spans, failure-report counters).
 func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 	if id == "" {
 		return nil, fmt.Errorf("dist: worker needs an id")
@@ -285,7 +285,7 @@ func (w *Worker) ReportErrors() int {
 	return w.reportErrors
 }
 
-// Stop makes the polling loop exit after the current task.
+// Stop makes the polling loop exit after the current task or held poll.
 func (w *Worker) Stop() {
 	w.mu.Lock()
 	w.stopped = true
@@ -335,35 +335,31 @@ func (w *Worker) isStopped() bool {
 	return w.stopped
 }
 
-// RunForeverCtx is the worker loop: it polls the master for tasks and
-// executes them, across jobs, treating an idle master as "wait", until Stop
-// is called (nil) or ctx is cancelled (an error wrapping ctx.Err()). Any
-// other return is the first hard error — task execution errors are hard:
-// the job cannot succeed with a broken factory.
+// RunForeverCtx is the worker loop: it polls the master for tasks (an idle
+// master holds each poll until there is work) and executes them, across
+// jobs, until Stop is called (nil) or ctx is cancelled (an error wrapping
+// ctx.Err(), at once). Any other return is the first hard error — task
+// execution errors are hard: the job cannot succeed with a broken factory.
 func (w *Worker) RunForeverCtx(ctx context.Context) error {
-	// Background reduces terminate on their own within a poll interval of
-	// any exit condition (stop, cancellation, closed connection, stale
-	// epoch); wait for them so no attempt outlives the loop.
+	// Background reduces end within a poll interval of Stop, and at once on
+	// cancellation, a closed connection or a stale epoch (the retire wakes
+	// their held fetch); wait for them so no attempt outlives the loop.
 	defer w.bg.Wait()
 	for !w.isStopped() {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dist: worker %s: cancelled: %w", w.ID, err)
 		}
 		var task Task
-		if err := w.client.Call("Master.GetTask", GetTaskArgs{WorkerID: w.ID, Addr: w.shuffleAddr, Class: w.class}, &task); err != nil {
-			if w.isStopped() {
-				break // Close raced with the poll: clean shutdown
+		if err := w.heldCall(ctx, "Master.GetTask", GetTaskArgs{WorkerID: w.ID, Addr: w.shuffleAddr, Class: w.class, Wait: w.pollInterval}, &task); err != nil {
+			if ctx.Err() != nil || w.isStopped() {
+				continue // cancelled, or Close raced with the poll: the loop checks report it
 			}
 			return fmt.Errorf("dist: worker %s poll: %w", w.ID, err)
 		}
+		w.store.prune(task.ActiveEpochs) // release finished jobs' output, busy or idle
 		switch task.Kind {
 		case TaskWait:
-			// The wait reply carries the active-epoch set: release stored
-			// map output of finished jobs before idling.
-			w.store.prune(task.ActiveEpochs)
-			if err := w.idle(ctx); err != nil {
-				return err
-			}
+			// The master held the poll as long as it would; ask again.
 		case TaskMap:
 			if err := w.runMap(task); err != nil {
 				if w.isStopped() {
@@ -392,15 +388,16 @@ func (w *Worker) takeBgErr() error {
 	return w.bgErr
 }
 
-// idle sleeps one poll interval, waking early on cancellation.
-func (w *Worker) idle(ctx context.Context) error {
-	timer := time.NewTimer(w.pollInterval)
-	defer timer.Stop()
+// heldCall makes an RPC the master may hold (GetTask, FetchSegments),
+// returning ctx's error at once on cancellation; the abandoned call then
+// completes into a reply nobody reads.
+func (w *Worker) heldCall(ctx context.Context, method string, args, reply any) error {
+	call := w.client.Go(method, args, reply, make(chan *rpc.Call, 1))
 	select {
 	case <-ctx.Done():
-		return fmt.Errorf("dist: worker %s: cancelled: %w", w.ID, ctx.Err())
-	case <-timer.C:
-		return nil
+		return ctx.Err()
+	case <-call.Done:
+		return call.Error
 	}
 }
 
@@ -578,11 +575,11 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 			return nil
 		}
 		var reply FetchSegmentsReply
-		err := w.client.Call("Master.FetchSegments", FetchSegmentsArgs{
-			WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Seq, Cursor: cursor,
+		err := w.heldCall(ctx, "Master.FetchSegments", FetchSegmentsArgs{
+			WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Seq, Cursor: cursor, Wait: w.pollInterval,
 		}, &reply)
 		if err != nil {
-			if w.isStopped() {
+			if w.isStopped() || ctx.Err() != nil {
 				return nil
 			}
 			return fmt.Errorf("dist: worker %s reduce %d fetch: %w", w.ID, task.Seq, err)
@@ -630,16 +627,6 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		}
 		if reply.Complete && len(lost) == 0 && len(fetchedSegs) == len(byMap) {
 			break
-		}
-		if len(reply.Segments) == 0 {
-			// Nothing new: wait a heartbeat for more maps to finish.
-			timer := time.NewTimer(w.pollInterval)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil
-			case <-timer.C:
-			}
 		}
 	}
 	// Restore map-task order — the order the engine's stable merge is
