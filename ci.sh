@@ -55,6 +55,14 @@ test -z "$(grep -rnE 'GroupComparator|Grouping|internal/trace|energy\.Classify' 
 test -z "$(grep -rnE 'FetchPartReply|FetchPartArgs|shuffleRPC|Shuffle\.Fetch' --include='*.go' internal cmd examples | grep -v _test.go)"
 test -z "$(sed -n '/^type ReduceDone struct/,/^}/p' internal/dist/protocol.go | grep -E '^[[:space:]]+Output[[:space:]]')"
 
+# Core-purity gate: every scheduling rule of the master lives in one
+# deterministic core (internal/dist/core.go, with the per-job tables of
+# job.go) that Master drives over RPC and the replay harness drives in
+# virtual time, so it imports no socket, file or lock package and never
+# reads a clock or sleeps: each transition takes the time as an argument.
+test -z "$(grep -nE '"(net|net/rpc|os|sync)"' internal/dist/core.go internal/dist/job.go)"
+test -z "$(grep -nE 'time\.(Now|NewTimer|NewTicker|Sleep)\(' internal/dist/core.go internal/dist/job.go)"
+
 # Held-poll gate: the master holds an idle GetTask and an empty
 # FetchSegments until the next state change, so a worker has nothing left
 # to sleep on between calls.
@@ -85,6 +93,13 @@ go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/mapreduce/ .
 # job waits under a deadline that prints the job's status, so a stall fails
 # in seconds with a state, never at the package timeout.
 go test -race -cpu 1,2,4 -count=3 -timeout 300s ./internal/dist/
+
+# Replay lane: the seeded harness drives the master's core through 10 000
+# interleavings of submits, polls, completions, failure and loss reports,
+# evictions, speculation, slowstart, cancels and snapshot restarts, checking
+# its invariants after every step. Without -race: the core has no
+# goroutines, and the race lanes above run a 500-seed slice of it.
+go test -count=1 -run TestReplay ./internal/dist/
 
 # Allocation fences: in memory a whole job allocates at most a fixed
 # fraction of its map output records; out of core a spilled job allocates at

@@ -9,6 +9,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"heterohadoop/internal/mapreduce"
 )
@@ -38,26 +39,18 @@ func (h *JobHandle) Done() <-chan struct{} { return h.js.doneCh }
 func (h *JobHandle) Wait(ctx context.Context) (*mapreduce.Result, error) {
 	select {
 	case <-h.js.doneCh:
-		return h.result()
+		// The close orders result/err; a job with an error has no result.
+		return h.js.result, h.js.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("dist: wait for job %s abandoned: %w", h.js.id, ctx.Err())
 	}
-}
-
-// result reads the terminal outcome; only call after doneCh is closed
-// (the close is the happens-before edge for result/err).
-func (h *JobHandle) result() (*mapreduce.Result, error) {
-	if h.js.err != nil {
-		return nil, h.js.err
-	}
-	return h.js.result, nil
 }
 
 // Status returns the job's point-in-time status snapshot.
 func (h *JobHandle) Status() JobStatus {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	return h.m.jobStatusLocked(h.js)
+	return h.m.core.jobStatus(h.js)
 }
 
 // Cancel aborts the job: undispatched tasks are dropped, workers polling
@@ -65,5 +58,7 @@ func (h *JobHandle) Status() JobStatus {
 // returns an error wrapping ErrJobCancelled. Cancelling a finished job is
 // a no-op.
 func (h *JobHandle) Cancel() {
-	h.m.abortJob(h.js, ErrJobCancelled)
+	h.m.mu.Lock()
+	defer h.m.mu.Unlock()
+	h.m.commitLocked(h.m.core.abort(h.js, ErrJobCancelled, time.Now()))
 }

@@ -1,14 +1,13 @@
 package dist
 
-// job.go holds the per-job state the multi-tenant master keeps one of per
-// submitted job: the task tables, the streaming-shuffle publication log
-// and the completion latch the JobHandle waits on. All
-// fields are guarded by the master's mutex except result/err, which are
-// written exactly once before doneCh is closed and only read after it is
-// closed (the channel close is the happens-before edge).
+// job.go holds the per-job state the master's core (core.go) keeps one of
+// per submitted job: the task tables, the streaming-shuffle publication log
+// and the completion latch the JobHandle waits on. All fields are guarded
+// by the master's mutex except result/err, which are written exactly once
+// before doneCh is closed and only read after it is closed (the channel
+// close is the happens-before edge).
 
 import (
-	"os"
 	"time"
 
 	"heterohadoop/internal/mapreduce"
@@ -41,11 +40,11 @@ type taskState struct {
 	// The segments die with it: the task must re-execute if the owner is
 	// evicted or a reducer reports the segments lost.
 	owner string
-	// readyAt is when the task became dispatchable (job admission, or
-	// re-enqueue after loss); the gap to the first assignment is the
-	// schedule phase. For reduce tasks it includes the slowstart gate by
-	// design — that wait is real dispatch latency the paper's shuffle
-	// accounting has to see.
+	// readyAt is when the task last became dispatchable (admission, a
+	// requeue, lease expiry, the speculation age, or loss); the gap to the
+	// next assignment is the schedule phase. For reduce tasks it includes
+	// the slowstart gate by design — that wait is real dispatch latency
+	// the paper's shuffle accounting has to see.
 	readyAt time.Time
 }
 
@@ -73,13 +72,6 @@ type jobState struct {
 	redOutputs [][]byte
 	redsLeft   int
 
-	// data is the job's data file when snapshots are on (nil otherwise):
-	// the input at [0, inputLen), then each reduce output appended at
-	// dataEnd as it arrives; outExt locates each output, zero until then.
-	data              *os.File
-	inputLen, dataEnd int64
-	outExt            []extent
-
 	counters      mapreduce.Counters
 	reassigned    int
 	speculative   int
@@ -87,14 +79,13 @@ type jobState struct {
 	recoveredMaps int
 
 	submittedAt time.Time
-	finishedAt  time.Time
 
 	doneCh chan struct{}
 	result *mapreduce.Result
 	err    error
 	span   obs.Span
 	// final is the status frozen at retirement, after which the live tables
-	// are gone; jobStatusLocked serves it for terminal jobs.
+	// are gone; the core's jobStatus serves it for terminal jobs.
 	final *JobStatus
 }
 
@@ -130,8 +121,21 @@ func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chu
 		}, readyAt: now}
 	}
 	js.redOutputs = make([][]byte, desc.NumReducers)
-	js.outExt = make([]extent, desc.NumReducers)
 	return js
+}
+
+// taskRef is the phase-event identity of one attempt of task on a worker
+// of the given core class: the worker's own phases and the master's
+// schedule interval carry the same one.
+func taskRef(task Task, worker, class string) obs.TaskRef {
+	kind := obs.KindMap
+	if task.Kind == TaskReduce {
+		kind = obs.KindReduce
+	}
+	return obs.TaskRef{
+		Job: task.Job.Workload, Kind: kind, Index: task.Seq, Worker: worker, Epoch: task.Epoch,
+		Class: class,
+	}
 }
 
 // finished reports a terminal state. Called under the master's mutex.
@@ -166,14 +170,11 @@ func (js *jobState) reduceEligible() bool {
 // measure. Called under the master's mutex.
 func (js *jobState) runningTasks() int {
 	n := 0
-	for _, ts := range js.mapTasks {
-		if ts.assigned && !ts.done {
-			n++
-		}
-	}
-	for _, ts := range js.redTasks {
-		if ts.assigned && !ts.done {
-			n++
+	for _, pool := range [][]*taskState{js.mapTasks, js.redTasks} {
+		for _, ts := range pool {
+			if ts.assigned && !ts.done {
+				n++
+			}
 		}
 	}
 	return n
@@ -196,21 +197,4 @@ func (js *jobState) clearTables() {
 	js.partSegs = nil
 	js.redTasks = nil
 	js.redOutputs = nil
-	js.outExt = nil
-}
-
-// invalidateMap re-enqueues a completed map task whose shuffle output is
-// gone (its serving worker died): the task re-executes and republishes.
-// Returns false when the task is not done. Called under the master's mutex.
-func (js *jobState) invalidateMap(ts *taskState, now time.Time) bool {
-	if !ts.done {
-		return false
-	}
-	ts.done = false
-	ts.assigned = false
-	ts.owner = ""
-	ts.readyAt = now
-	js.mapsLeft++
-	js.recoveredMaps++
-	return true
 }

@@ -41,11 +41,11 @@ func TestOptionsRejectInvalidValues(t *testing.T) {
 
 func TestStartMasterAppliesOptions(t *testing.T) {
 	m := startMaster(t, WithTaskTimeout(42*time.Second), WithSpeculativeFraction(0.75))
-	if m.defaults.taskTimeout != 42*time.Second {
-		t.Errorf("taskTimeout %v, want 42s", m.defaults.taskTimeout)
+	if m.core.cfg.taskTimeout != 42*time.Second {
+		t.Errorf("taskTimeout %v, want 42s", m.core.cfg.taskTimeout)
 	}
-	if m.defaults.specFraction != 0.75 {
-		t.Errorf("specFraction %v, want 0.75", m.defaults.specFraction)
+	if m.core.cfg.specFraction != 0.75 {
+		t.Errorf("specFraction %v, want 0.75", m.core.cfg.specFraction)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestAbortedJobTasksNotReissued(t *testing.T) {
 		t.Errorf("poll after abort returned %q, want %q", task.Kind, TaskWait)
 	}
 	m.mu.Lock()
-	leaked := len(m.jobs) != 0 || len(m.byEpoch) != 0 || len(m.order) != 0
-	for _, js := range m.retired {
+	leaked := len(m.core.jobs) != 0 || len(m.core.byEpoch) != 0 || len(m.core.order) != 0
+	for _, js := range m.core.retired {
 		if js.mapTasks != nil || js.redTasks != nil || js.partSegs != nil {
 			leaked = true
 		}

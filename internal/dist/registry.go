@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/workloads"
@@ -94,65 +93,11 @@ func descConfig(desc JobDescriptor, name string) mapreduce.Config {
 	return cfg
 }
 
-// workerInfo is one worker's liveness record in the master's table.
-type workerInfo struct {
-	// ID is the worker's self-declared identity.
-	ID string
-	// Addr is the worker's shuffle-serve address.
-	Addr string
-	// Class is the worker's declared core class ("" when undeclared); set
-	// from the poll that carries it, kept across touches that do not.
-	Class string
-	// LastSeen is the last poll/fetch/completion touch.
-	LastSeen time.Time
-	// Evicted marks a worker declared dead after missing the liveness
-	// window; a fresh poll resurrects it.
-	Evicted bool
-}
-
-// workerTable tracks worker liveness for the master: every RPC touch
-// refreshes LastSeen, and workers silent past the liveness window are
-// evicted (in-flight tasks requeued, served map output re-executed).
-// Callers hold the master's lock.
-type workerTable struct {
-	workers map[string]*workerInfo
-}
-
-func newWorkerTable() *workerTable {
-	return &workerTable{workers: make(map[string]*workerInfo)}
-}
-
-// touch refreshes (or creates) a worker's record. A previously evicted
-// worker that polls again rejoins as live.
-func (t *workerTable) touch(id, addr string, now time.Time) *workerInfo {
-	w := t.workers[id]
-	if w == nil {
-		w = &workerInfo{ID: id}
-		t.workers[id] = w
-	}
-	w.LastSeen = now
-	w.Evicted = false
-	if addr != "" {
-		w.Addr = addr
-	}
-	return w
-}
-
-// silent returns the live workers whose last touch is older than the
-// window — the eviction candidates.
-func (t *workerTable) silent(window time.Duration, now time.Time) []*workerInfo {
-	var out []*workerInfo
-	for _, w := range t.workers {
-		if !w.Evicted && now.Sub(w.LastSeen) > window {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // PrepareAux computes the master-side auxiliary data a workload needs
-// before its descriptor can be shipped: sampled range cuts for the sorts,
-// the f-list for FP-Growth, patterns for grep. It mutates the descriptor.
+// before its descriptor can be shipped: sampled range cuts for the sorts
+// and the f-list for FP-Growth. It mutates the descriptor. Grep needs
+// nothing here: its pattern is the caller's, set in desc.Aux (hadoopd's
+// -pattern does that).
 func PrepareAux(desc *JobDescriptor, input []byte) error {
 	switch desc.Workload {
 	case "sort":

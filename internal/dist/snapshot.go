@@ -1,6 +1,7 @@
 package dist
 
-// snapshot.go is the master's crash-recovery persistence. It writes every
+// snapshot.go is the master's crash-recovery persistence: the data files,
+// and the snapshot value the core builds (core.go) on disk. It writes every
 // bulk byte once: Submit writes a job's input to a data file of its own
 // beside the snapshot (<snapshot>.job-*), and each reduce output is appended
 // to it on arrival. The snapshot — one versioned gob value, replaced
@@ -78,40 +79,35 @@ type snapshot struct {
 	Workers []workerInfo
 }
 
+// dataFile is a job's data file: the input at [0, inputLen), then reduce
+// outputs appended at end as they arrive, at ext (zero until then).
+type dataFile struct {
+	f             *os.File
+	inputLen, end int64
+	ext           []extent
+}
+
 // saveSnapshotLocked persists the master state when snapshots are
-// enabled; called under m.mu after every mutation that must survive a
+// enabled; commitLocked calls it after every transition that must survive a
 // restart (submission, completion, invalidation, eviction, retirement).
 // Write errors are surfaced through the observer rather than failing the
-// mutation — a master that cannot persist keeps serving. A closed master
+// transition — a master that cannot persist keeps serving. A closed master
 // no longer writes: a successor may own the path. Reports a write.
 func (m *Master) saveSnapshotLocked() bool {
 	if m.snapPath == "" || m.closed {
 		return false
 	}
-	snap := snapshot{Version: snapshotVersion, Epoch: m.epoch}
-	for _, js := range m.order {
-		sj := snapJob{
-			ID: js.id, Epoch: js.epoch, Desc: js.desc, BlockSize: js.blockSize, State: js.state,
-			DataFile: filepath.Base(js.data.Name()), InputLen: js.inputLen, Outputs: js.outExt,
-			PartSegs: js.partSegs, Counters: js.counters, Reassigned: js.reassigned,
-			Speculative: js.speculative, EarlyReduces: js.earlyReduces,
-			RecoveredMaps: js.recoveredMaps, SubmittedAt: js.submittedAt,
-		}
-		sj.MapTasks = make([]snapTask, len(js.mapTasks))
-		for i, ts := range js.mapTasks {
-			sj.MapTasks[i] = snapTask{Done: ts.done, Owner: ts.owner}
-		}
-		snap.Jobs = append(snap.Jobs, sj)
-	}
-	snap.History = append([]JobStatus(nil), m.history...)
-	for _, w := range m.workers.workers {
-		snap.Workers = append(snap.Workers, *w)
+	snap := m.core.snapshot()
+	for i := range snap.Jobs {
+		sj := &snap.Jobs[i]
+		d := m.files[sj.Epoch]
+		sj.DataFile, sj.InputLen, sj.Outputs = filepath.Base(d.f.Name()), d.inputLen, d.ext
 	}
 	if err := writeSnapshot(m.snapPath, &snap); err != nil {
-		m.ob.Count("dist.snapshot.errors", 1)
+		m.core.ob.Count("dist.snapshot.errors", 1)
 		return false
 	}
-	m.ob.Count("dist.snapshot.writes", 1)
+	m.core.ob.Count("dist.snapshot.writes", 1)
 	return true
 }
 
@@ -176,20 +172,21 @@ func removeDataFile(f *os.File) {
 	}
 }
 
-// persistOutputLocked appends partition p's output to the job's data file
-// and records its extent. A failed write leaves the extent empty — a
-// restart re-runs that reducer — and counts as a snapshot error. Called
-// under m.mu.
-func (m *Master) persistOutputLocked(js *jobState, p int, out []byte) {
-	if js.data == nil || m.closed {
+// persistOutputLocked appends partition p's output to the data file of
+// the job at epoch and records its extent. A failed write leaves the extent
+// empty — a restart re-runs that reducer — and counts as a snapshot error.
+// Called under m.mu.
+func (m *Master) persistOutputLocked(epoch uint64, p int, out []byte) {
+	d := m.files[epoch]
+	if d == nil || m.closed {
 		return
 	}
-	if _, err := js.data.WriteAt(out, js.dataEnd); err != nil {
-		m.ob.Count("dist.snapshot.errors", 1)
+	if _, err := d.f.WriteAt(out, d.end); err != nil {
+		m.core.ob.Count("dist.snapshot.errors", 1)
 		return
 	}
-	js.outExt[p] = extent{Off: js.dataEnd, Len: int64(len(out))}
-	js.dataEnd += int64(len(out))
+	d.ext[p] = extent{Off: d.end, Len: int64(len(out))}
+	d.end += int64(len(out))
 }
 
 // readDataFile reads a restored job's data file back and opens it for
@@ -213,70 +210,31 @@ func readDataFile(dir string, sj *snapJob) (*os.File, []byte, error) {
 	return f, buf, nil
 }
 
-// restoreLocked rebuilds the master's job tables from a snapshot; called
-// from StartMaster before the RPC plane accepts connections. Every
-// restored assignment is cleared (the assignees are gone or must
-// re-poll), so the scheduler re-dispatches outstanding work; done maps
-// (their segments still referenced at their workers) and finished reduce
-// outputs resume as done.
+// restoreLocked reopens the snapshot's data files and restores the core
+// from both; called from StartMaster before the RPC plane accepts
+// connections.
 func (m *Master) restoreLocked(snap *snapshot) error {
-	m.epoch = snap.Epoch
-	m.history = append(m.history, snap.History...)
-	now := time.Now()
-	for _, w := range snap.Workers {
-		// Restored workers start evicted-but-known: a live one re-polls
-		// within its heartbeat and rejoins; a dead one never counts as
-		// live and its served segments recover through loss reports.
-		m.workers.workers[w.ID] = &workerInfo{ID: w.ID, Addr: w.Addr, LastSeen: now, Evicted: true}
-	}
-	for _, sj := range snap.Jobs {
-		f, buf, err := readDataFile(filepath.Dir(m.snapPath), &sj)
+	data := make([][]byte, len(snap.Jobs))
+	for i := range snap.Jobs {
+		sj := &snap.Jobs[i]
+		f, buf, err := readDataFile(filepath.Dir(m.snapPath), sj)
 		if err != nil {
 			return err
 		}
-		chunks := mapreduce.SplitInput(buf[:sj.InputLen], sj.BlockSize)
-		if len(chunks) != len(sj.MapTasks) || len(sj.Outputs) != sj.Desc.NumReducers {
-			f.Close()
-			return fmt.Errorf("dist: snapshot job %s: data file %s does not match its task table", sj.ID, f.Name())
-		}
-		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, chunks, sj.SubmittedAt)
-		js.data, js.inputLen, js.dataEnd = f, sj.InputLen, sj.InputLen
-		js.state = JobQueued // promoteLocked re-admits up to the cap
-		js.partSegs = sj.PartSegs
-		js.counters = sj.Counters
-		js.reassigned = sj.Reassigned
-		js.speculative = sj.Speculative
-		js.earlyReduces = sj.EarlyReduces
-		js.recoveredMaps = sj.RecoveredMaps
-		for i, st := range sj.MapTasks {
-			ts := js.mapTasks[i]
-			ts.done = st.Done
-			ts.owner = st.Owner
-			if st.Done {
-				js.mapsLeft--
-			}
-		}
-		for p, e := range sj.Outputs {
-			if e.Len > 0 {
-				js.reduceDone(p, buf[e.Off:e.Off+e.Len])
-				js.outExt[p], js.dataEnd = e, max(js.dataEnd, e.Off+e.Len)
-			}
-		}
-		m.jobs[js.id] = js
-		m.byEpoch[js.epoch] = js
-		m.order = append(m.order, js)
+		// Appends go past the whole file, a torn one included.
+		m.files[sj.Epoch] = &dataFile{f: f, inputLen: sj.InputLen, end: int64(len(buf)), ext: sj.Outputs}
+		data[i] = buf
 	}
-	m.promoteLocked()
-	return nil
+	return m.core.restore(snap, data, time.Now())
 }
 
 // sweepDataFiles removes every data file beside the snapshot that no
 // restored job names: orphans of a crash between a snapshot write and the
 // unlink it allowed, or of one in the middle of a Submit.
 func (m *Master) sweepDataFiles() {
-	named := make(map[string]bool, len(m.order))
-	for _, js := range m.order {
-		named[js.data.Name()] = true
+	named := make(map[string]bool, len(m.files))
+	for _, d := range m.files {
+		named[d.f.Name()] = true
 	}
 	dir, prefix := filepath.Dir(m.snapPath), filepath.Base(m.snapPath)+".job-"
 	entries, _ := os.ReadDir(dir)

@@ -55,49 +55,13 @@ type TaskStatus struct {
 	Done bool `json:"done"`
 }
 
-// jobStatusLocked summarizes one job; called under m.mu. Terminal jobs
-// serve the status frozen at retirement (their tables are freed).
-func (m *Master) jobStatusLocked(js *jobState) JobStatus {
-	if js.final != nil {
-		return *js.final
-	}
-	st := JobStatus{
-		ID:            js.id,
-		State:         js.state,
-		Epoch:         js.epoch,
-		Workload:      js.desc.Workload,
-		Phase:         js.phase(),
-		MapsTotal:     len(js.mapTasks),
-		ReducesTotal:  len(js.redTasks),
-		Reassigned:    js.reassigned,
-		Speculative:   js.speculative,
-		EarlyReduces:  js.earlyReduces,
-		RecoveredMaps: js.recoveredMaps,
-	}
-	if js.mapTasks != nil {
-		st.MapsDone = len(js.mapTasks) - js.mapsLeft
-	}
-	if js.redTasks != nil {
-		st.ReducesDone = len(js.redTasks) - js.redsLeft
-	}
-	return st
-}
-
 // JobStatus returns one job's summary by ID: active jobs live, terminal
 // jobs from the history (which holds every retired job's final status, the
 // snapshot-restored ones included).
 func (m *Master) JobStatus(id string) (JobStatus, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if js, ok := m.jobs[id]; ok {
-		return m.jobStatusLocked(js), true
-	}
-	for i := len(m.history) - 1; i >= 0; i-- {
-		if m.history[i].ID == id {
-			return m.history[i], true
-		}
-	}
-	return JobStatus{}, false
+	return m.core.statusByID(id)
 }
 
 // Jobs returns every known job's status: active jobs in submission order,
@@ -105,12 +69,7 @@ func (m *Master) JobStatus(id string) (JobStatus, bool) {
 func (m *Master) Jobs() []JobStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]JobStatus, 0, len(m.order)+len(m.history))
-	for _, js := range m.order {
-		out = append(out, m.jobStatusLocked(js))
-	}
-	out = append(out, m.history...)
-	return out
+	return m.core.statuses()
 }
 
 // TaskStatuses returns a snapshot of the task slots of active jobs — every
@@ -120,26 +79,5 @@ func (m *Master) Jobs() []JobStatus {
 func (m *Master) TaskStatuses(jobID string) []TaskStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := time.Now()
-	var out []TaskStatus
-	for _, js := range m.order {
-		if jobID != "" && js.id != jobID {
-			continue
-		}
-		appendPool := func(pool []*taskState, kind string) {
-			for _, ts := range pool {
-				st := TaskStatus{
-					Job: js.id, Kind: kind, Seq: ts.task.Seq, Assigned: ts.assigned, Done: ts.done,
-				}
-				if ts.assigned && !ts.done {
-					st.Assignee = ts.assignee
-					st.RunningForMS = now.Sub(ts.assignedAt).Milliseconds()
-				}
-				out = append(out, st)
-			}
-		}
-		appendPool(js.mapTasks, "map")
-		appendPool(js.redTasks, "reduce")
-	}
-	return out
+	return m.core.taskStatuses(jobID, time.Now())
 }

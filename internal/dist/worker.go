@@ -418,18 +418,6 @@ func (w *Worker) taskSpan(task Task) obs.Span {
 		obs.Int("epoch", int64(task.Epoch)))
 }
 
-// taskRef is the phase-event identity of one task attempt on this worker.
-func (w *Worker) taskRef(task Task) obs.TaskRef {
-	kind := obs.KindMap
-	if task.Kind == TaskReduce {
-		kind = obs.KindReduce
-	}
-	return obs.TaskRef{
-		Job: task.Job.Workload, Kind: kind, Index: task.Seq, Worker: w.ID, Epoch: task.Epoch,
-		Class: w.class,
-	}
-}
-
 // runMap executes one map task and keeps its output here — resident blobs,
 // or a segment file under WithSpillDir — reporting only addressable
 // references and per-partition accounting to the master.
@@ -441,7 +429,7 @@ func (w *Worker) runMap(task Task) error {
 		w.reportFailure(task, err)
 		return err
 	}
-	ref := w.taskRef(task)
+	ref := taskRef(task, w.ID, w.class)
 	pc := obs.NewPhaseClock(w.ob, ref)
 	segs, counters, err := mapreduce.ExecuteMapSplitObs(job, task.SplitData, task.Job.NumReducers, ref, w.ob)
 	if err != nil {
@@ -560,7 +548,7 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		w.reportFailure(task, err)
 		return err
 	}
-	ref := w.taskRef(task)
+	ref := taskRef(task, w.ID, w.class)
 	pc := obs.NewPhaseClock(w.ob, ref)
 	// The fetch loop is the distributed shuffle transport: time spent here —
 	// including waits for the tail of the map wave and re-fetches after
