@@ -51,9 +51,20 @@ test -z "$(grep -rnE 'GroupComparator|Grouping|internal/trace|energy\.Classify' 
 # Data-plane gates: shuffle frames and reduce outputs are pulled from each
 # worker's raw byte endpoint, not carried in net/rpc messages, so the
 # Shuffle RPC service and its argument types stay deleted outside tests, and
-# ReduceDone names the endpoint instead of carrying an Output payload.
+# a TaskReport names the beat's endpoint instead of carrying an Output
+# payload. The grep -q first keeps the sed range from matching nothing.
 test -z "$(grep -rnE 'FetchPartReply|FetchPartArgs|shuffleRPC|Shuffle\.Fetch' --include='*.go' internal cmd examples | grep -v _test.go)"
-test -z "$(sed -n '/^type ReduceDone struct/,/^}/p' internal/dist/protocol.go | grep -E '^[[:space:]]+Output[[:space:]]')"
+grep -q '^type TaskReport struct' internal/dist/protocol.go
+test -z "$(sed -n '/^type TaskReport struct/,/^}/p' internal/dist/protocol.go | grep -E '^[[:space:]]+Output[[:space:]]')"
+
+# Protocol gate: a worker has one control call, the held Heartbeat that
+# carries every report and returns the next task, so the per-report calls
+# and their message types stay deleted outside tests, and the master's RPC
+# facade declares exactly Heartbeat, FetchSegments and Submit.
+test -z "$(grep -rnwE 'GetTaskArgs|MapDone|ReduceDone|TaskFailed|Ack' --include='*.go' internal cmd examples | grep -v _test.go)"
+test -z "$(grep -rnE 'Master\.(GetTask|CompleteMap|CompleteReduce|ReportFailure|ReportLostSegments)\b' --include='*.go' internal cmd examples | grep -v _test.go)"
+# shellcheck disable=SC2046
+test "$(cat $(ls internal/dist/*.go | grep -v _test.go) | grep -cE '^func \([a-z]+ \*masterRPC\) ')" = 3
 
 # Core-purity gate: every scheduling rule of the master lives in one
 # deterministic core (internal/dist/core.go, with the per-job tables of
@@ -63,9 +74,9 @@ test -z "$(sed -n '/^type ReduceDone struct/,/^}/p' internal/dist/protocol.go | 
 test -z "$(grep -nE '"(net|net/rpc|os|sync)"' internal/dist/core.go internal/dist/job.go)"
 test -z "$(grep -nE 'time\.(Now|NewTimer|NewTicker|Sleep)\(' internal/dist/core.go internal/dist/job.go)"
 
-# Held-poll gate: the master holds an idle GetTask and an empty
-# FetchSegments until the next state change, so a worker has nothing left
-# to sleep on between calls.
+# Held-poll gate: the master holds a polling Heartbeat with no task and an
+# empty FetchSegments until the next state change, so a worker has nothing
+# left to sleep on between calls.
 test -z "$(grep -nE 'time\.(NewTimer|After|Sleep)\(' internal/dist/worker.go)"
 
 # Input-path gate: every map task, store-backed or file-backed, reads its
@@ -228,14 +239,16 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # master restart from its snapshot, plus the lost-shuffle, closed-worker,
 # eviction and snapshot-resume regressions, the held-call cases (jobs that
 # only wake-ups can move, a zero-wait poll, a slow-heartbeat worker that is
-# not evicted, a busy worker that still prunes) and the per-job data files beside the
-# snapshot (a finished reducer restored from its file, torn append
-# included; the orphan sweep; nothing left behind; a snapshot whose size
-# does not follow the input; a job restored queued under a lower cap; a
-# snapshot carrying fields since deleted). These run inside the blanket race gate too;
-# -count=2 here shakes out scheduling-order flakes and makes a chaos
-# failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs' ./internal/dist/
+# not evicted, a busy worker that still prunes), the heartbeat's guarantees
+# (reports committed before the poll is answered, a completion flushed when
+# the loop ends, only accepted reduce outputs pulled) and the per-job data
+# files beside the snapshot (a finished reducer restored from its file,
+# torn append included; the orphan sweep; nothing left behind; a snapshot
+# whose size does not follow the input; a job restored queued under a lower
+# cap; a snapshot carrying fields since deleted). These run inside the
+# blanket race gate too; -count=2 here shakes out scheduling-order flakes
+# and makes a chaos failure easy to attribute.
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six

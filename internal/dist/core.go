@@ -169,8 +169,8 @@ func (c *core) scheduleOrder() []*jobState {
 }
 
 // activeEpochs lists every queued or running job's epoch — the piggyback on
-// every GetTask reply that lets workers prune stored output of finished
-// jobs.
+// every polling beat's reply that lets workers prune stored output of
+// finished jobs.
 func (c *core) activeEpochs() []uint64 {
 	out := make([]uint64, 0, len(c.order))
 	for _, js := range c.order {
@@ -288,13 +288,13 @@ func (c *core) requeue(js *jobState, ts *taskState, readyAt time.Time) {
 	c.ob.Count("dist.tasks.reassigned", 1)
 }
 
-// completeMap records a map result and publishes references to the task's
-// non-empty segments — they stay on the worker at res.Addr — to the job's
-// streaming shuffle, where already-dispatched reducers pick them up on
-// their next fetch. The accounting comes from the worker's own segment
+// completeMap records worker's map result and publishes references to the
+// task's non-empty segments — they stay on the worker at addr — to the
+// job's streaming shuffle, where already-dispatched reducers pick them up
+// on their next fetch. The accounting comes from the worker's own segment
 // headers (PartStats). Duplicate completions (from reissued attempts) and
 // stale completions (the job is gone) are ignored.
-func (c *core) completeMap(res *MapDone, now time.Time) (wake, save bool) {
+func (c *core) completeMap(worker, addr string, res *TaskReport, now time.Time) (wake, save bool) {
 	js := c.byEpoch[res.Epoch]
 	if js == nil || res.Seq < 0 || res.Seq >= len(js.mapTasks) || js.mapTasks[res.Seq].done {
 		return false, false
@@ -302,14 +302,14 @@ func (c *core) completeMap(res *MapDone, now time.Time) (wake, save bool) {
 	ts := js.mapTasks[res.Seq]
 	ts.done = true
 	ts.assigned = false
-	ts.owner = res.WorkerID
+	ts.owner = worker
 	js.counters.Add(res.Counters)
 	for _, ps := range res.PartStats {
 		if ps.Part < 0 || ps.Part >= len(js.partSegs) || ps.Recs == 0 {
 			continue
 		}
 		js.partSegs[ps.Part] = append(js.partSegs[ps.Part], TaggedSegment{
-			MapSeq: res.Seq, Addr: res.Addr, Owner: res.WorkerID,
+			MapSeq: res.Seq, Addr: addr, Owner: worker,
 		})
 		js.counters.ShuffleSegments++
 		js.counters.ShuffleBytes += units.Bytes(ps.Bytes)
@@ -344,13 +344,21 @@ func (c *core) fetchSegments(args *FetchSegmentsArgs, reply *FetchSegmentsReply,
 	}
 }
 
+// acceptsReduce reports whether a completion of reduce seq of the job at
+// epoch would be recorded: the job is active and the partition not done.
+// The driver pulls only such outputs.
+func (c *core) acceptsReduce(epoch uint64, seq int) bool {
+	js := c.byEpoch[epoch]
+	return js != nil && seq >= 0 && seq < len(js.redTasks) && !js.redTasks[seq].done
+}
+
 // completeReduce records a reduce result and its pulled output; duplicates
 // and stale completions are ignored. The last reduce finalizes the job.
-func (c *core) completeReduce(res *ReduceDone, output []byte, now time.Time) (wake, save bool) {
-	js := c.byEpoch[res.Epoch]
-	if js == nil || res.Seq < 0 || res.Seq >= len(js.redTasks) || js.redTasks[res.Seq].done {
+func (c *core) completeReduce(res *TaskReport, output []byte, now time.Time) (wake, save bool) {
+	if !c.acceptsReduce(res.Epoch, res.Seq) {
 		return false, false
 	}
+	js := c.byEpoch[res.Epoch]
 	js.reduceDone(res.Seq, output)
 	js.counters.Add(res.Counters)
 	if c.ob.Enabled() {
@@ -365,7 +373,7 @@ func (c *core) completeReduce(res *ReduceDone, output []byte, now time.Time) (wa
 // reportFailure requeues a task whose worker hit an execution error, so the
 // next poll can hand it out again. Reports from anyone but the current
 // assignee, for a finished task or for a job that is gone are ignored.
-func (c *core) reportFailure(f *TaskFailed, now time.Time) (wake, save bool) {
+func (c *core) reportFailure(worker string, f *TaskReport, now time.Time) (wake, save bool) {
 	js := c.byEpoch[f.Epoch]
 	if js == nil {
 		return false, false
@@ -378,7 +386,7 @@ func (c *core) reportFailure(f *TaskFailed, now time.Time) (wake, save bool) {
 		return false, false
 	}
 	ts := pool[f.Seq]
-	if ts.done || !ts.assigned || ts.assignee != f.WorkerID {
+	if ts.done || !ts.assigned || ts.assignee != worker {
 		return false, false
 	}
 	c.requeue(js, ts, now)

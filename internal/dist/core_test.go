@@ -77,7 +77,7 @@ func admitLines(t *testing.T, c *core, maps, reds int, now time.Time) *jobState 
 	return js
 }
 
-// poll is one GetTask at now: the liveness touch, then a dispatch.
+// poll is one polling beat at now: the liveness touch, then a dispatch.
 func poll(c *core, worker string, now time.Time) Task {
 	c.touch(worker, worker+":addr", "", now)
 	return c.nextTask(worker, now)
@@ -98,14 +98,14 @@ func TestCoreScheduleStartsWhenTaskBecameReady(t *testing.T) {
 		{"failure", func(c *core, js *jobState) time.Time {
 			at := t0.Add(3 * time.Second)
 			c.touch("w1", "", "", at)
-			if wake, _ := c.reportFailure(&TaskFailed{WorkerID: "w1", Epoch: js.epoch, Kind: TaskMap}, at); !wake {
+			if wake, _ := c.reportFailure("w1", &TaskReport{Epoch: js.epoch, Kind: TaskMap}, at); !wake {
 				t.Fatal("failure report did not requeue the task")
 			}
 			return at
 		}},
 		{"eviction", func(c *core, js *jobState) time.Time {
 			at := t0.Add(3 * time.Second)
-			if _, save := c.reportLostSegments(&SegmentsLost{WorkerID: "w2", Epoch: js.epoch, Owner: "w1"}, at); !save {
+			if _, save := c.reportLostSegments(&SegmentsLost{Epoch: js.epoch, Owner: "w1"}, at); !save {
 				t.Fatal("loss report did not evict the assignee")
 			}
 			return at
@@ -158,7 +158,7 @@ func TestCoreSpeculation(t *testing.T) {
 		t.Errorf("speculative %d (job %d), reassigned %d; want 1, 1, 0", c.stats.Speculative, js.speculative, c.stats.Reassigned)
 	}
 	done := func(worker string) bool {
-		_, save := c.completeMap(&MapDone{WorkerID: worker, Epoch: js.epoch, Addr: worker + ":addr",
+		_, save := c.completeMap(worker, worker+":addr", &TaskReport{Epoch: js.epoch, Kind: TaskMap,
 			PartStats: []PartStat{{Part: 0, Recs: 1, Bytes: 8}}}, t0.Add(specAge))
 		return save
 	}
@@ -414,7 +414,7 @@ func (r *replay) randomStep() {
 		if a := r.pick(); a != nil {
 			r.drop(a)
 			r.c.touch(a.worker, "", "", r.now)
-			r.commit(r.c.reportFailure(&TaskFailed{WorkerID: a.worker, Epoch: a.task.Epoch, Kind: a.task.Kind, Seq: a.task.Seq}, r.now))
+			r.commit(r.c.reportFailure(a.worker, &TaskReport{Epoch: a.task.Epoch, Kind: a.task.Kind, Seq: a.task.Seq}, r.now))
 		}
 	case n < 26:
 		r.op = "lose segments"
@@ -475,7 +475,7 @@ func (r *replay) submit() {
 	r.commit(wake, save)
 }
 
-// poll is a GetTask try: with touch, a fresh call; without, the retry of a
+// poll is a polling beat's try: with touch, a fresh call; without, the retry of a
 // held call after a wake, by a worker that may have been evicted meanwhile.
 func (r *replay) poll(w string, touch bool) {
 	if touch {
@@ -531,11 +531,11 @@ func (r *replay) complete(a *attempt) {
 	if a.task.Kind == TaskMap {
 		r.drop(a)
 		wasDone := js != nil && js.mapTasks[seq].done
-		res := MapDone{WorkerID: a.worker, Epoch: epoch, Seq: seq, Addr: a.worker + ":addr"}
+		res := TaskReport{Epoch: epoch, Kind: TaskMap, Seq: seq}
 		for p := 0; p < a.task.Job.NumReducers; p++ {
 			res.PartStats = append(res.PartStats, PartStat{Part: p, Recs: r.rng.Intn(2), Bytes: 8})
 		}
-		wake, save := r.c.completeMap(&res, r.now)
+		wake, save := r.c.completeMap(a.worker, a.worker+":addr", &res, r.now)
 		if save && wasDone {
 			r.fatalf("map %d of epoch %d marked done again without an invalidation", seq, epoch)
 		}
@@ -556,7 +556,7 @@ func (r *replay) complete(a *attempt) {
 	out := mapreduce.EncodeSegment(mapreduce.SegmentFromKVs([]mapreduce.KV{
 		{Key: fmt.Sprintf("e%d/p%d", epoch, seq), Value: fmt.Sprintf("attempt %d", a.tag)},
 	}))
-	wake, save := r.c.completeReduce(&ReduceDone{WorkerID: a.worker, Epoch: epoch, Seq: seq, Addr: a.worker + ":addr"}, out, r.now)
+	wake, save := r.c.completeReduce(&TaskReport{Epoch: epoch, Kind: TaskReduce, Seq: seq}, out, r.now)
 	if save {
 		rj := r.jobByEpoch(epoch)
 		if _, ok := rj.accepted[seq]; ok {
@@ -591,7 +591,7 @@ func (r *replay) loseSegments() {
 	}
 	segs := js.partSegs[a.task.Seq]
 	s := segs[r.rng.Intn(len(segs))]
-	r.lost = &SegmentsLost{WorkerID: a.worker, Epoch: a.task.Epoch, Partition: a.task.Seq, MapSeqs: []int{s.MapSeq}, Owner: s.Owner}
+	r.lost = &SegmentsLost{Epoch: a.task.Epoch, Partition: a.task.Seq, MapSeqs: []int{s.MapSeq}, Owner: s.Owner}
 	r.c.touch(a.worker, "", "", r.now)
 	r.commit(r.c.reportLostSegments(r.lost, r.now))
 }

@@ -73,7 +73,7 @@ func startWorker(t *testing.T, m *Master, id string, opts ...Option) *Worker {
 
 // startCluster brings up a master and n looping workers on loopback, and
 // returns once the master has seen all of them: a worker registers with its
-// first GetTask, which a fast job could otherwise finish ahead of.
+// first polling beat, which a fast job could otherwise finish ahead of.
 func startCluster(t *testing.T, n int, opts ...Option) (*Master, []*Worker) {
 	t.Helper()
 	m := startMaster(t, opts...)

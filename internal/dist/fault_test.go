@@ -105,7 +105,7 @@ func driveMaps(t *testing.T, h *JobHandle, w *Worker) int {
 		if st := h.Status(); st.MapsDone == st.MapsTotal {
 			return ran
 		}
-		if err := w.runMap(stealMapTask(t, w.client, w.ID)); err != nil {
+		if err := runMapReported(w, stealMapTask(t, w.client, w.ID)); err != nil {
 			t.Fatal(err)
 		}
 		ran++
@@ -163,7 +163,7 @@ func TestClosedWorkerStopsServing(t *testing.T) {
 	a := connectWorker(t, m, "a")
 	b := connectWorker(t, m, "b")
 	task := stealMapTask(t, a.client, a.ID)
-	if err := a.runMap(task); err != nil {
+	if err := runMapReported(a, task); err != nil {
 		t.Fatal(err)
 	}
 	s := TaggedSegment{MapSeq: task.Seq, Addr: a.shuffleAddr, Owner: a.ID}
@@ -241,7 +241,7 @@ func TestSnapshotRestartResumesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	clerk := connectWorker(t, m1, "clerk")
-	if err := clerk.runMap(stealMapTask(t, clerk.client, clerk.ID)); err != nil {
+	if err := runMapReported(clerk, stealMapTask(t, clerk.client, clerk.ID)); err != nil {
 		t.Fatal(err)
 	}
 	if st := h1.Status(); st.MapsDone != 1 {

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"net/rpc"
 	"strconv"
 	"sync"
 	"testing"
@@ -123,7 +124,7 @@ func TestHeldFetchReceivesMapTail(t *testing.T) {
 	}
 	half := (len(maps) + 1) / 2
 	for _, task := range maps[:half] {
-		if err := tester.runMap(task); err != nil {
+		if err := runMapReported(tester, task); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,17 +137,24 @@ func TestHeldFetchReceivesMapTail(t *testing.T) {
 		}
 	}
 	// Most runs reach the held fetch by now; a run that has not still needs
-	// the tail's wakes for the reducer's held poll.
+	// the tail's wakes for the reducer's held poll. Each tail completion
+	// rides a polling beat, as in the worker loop, which the master then
+	// holds (nothing is left to hand out): only a commit made before the
+	// hold wakes the reducer in time.
 	time.Sleep(50 * time.Millisecond)
 	for _, task := range maps[half:] {
-		if err := tester.runMap(task); err != nil {
+		rep, err := tester.runMap(task)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tester.client.Go("Master.Heartbeat", Heartbeat{
+			WorkerID: tester.ID, Addr: tester.shuffleAddr, Poll: true, Wait: time.Minute, Reports: []TaskReport{rep},
+		}, &Task{}, make(chan *rpc.Call, 1))
 	}
 	checkWordCount(t, waitJob(t, h, jobDeadline), input)
 }
 
-// TestZeroWaitPollAnswersAtOnce: a GetTask with Wait 0 on an idle master
+// TestZeroWaitPollAnswersAtOnce: a polling beat with Wait 0 on an idle master
 // returns TaskWait without being held, while one that asks for a hold is
 // held for it.
 func TestZeroWaitPollAnswersAtOnce(t *testing.T) {
@@ -156,7 +164,7 @@ func TestZeroWaitPollAnswersAtOnce(t *testing.T) {
 		t.Helper()
 		start := time.Now()
 		var task Task
-		if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: "prober", Wait: wait}, &task); err != nil {
+		if err := client.Call("Master.Heartbeat", Heartbeat{WorkerID: "prober", Poll: true, Wait: wait}, &task); err != nil {
 			t.Fatal(err)
 		}
 		if task.Kind != TaskWait {
@@ -174,10 +182,10 @@ func TestZeroWaitPollAnswersAtOnce(t *testing.T) {
 }
 
 // TestBusyWorkerPrunesFinishedJobs: a worker that always gets a task still
-// releases a finished job's map output, because every GetTask reply carries
-// the active epochs. With a one-job cap, job B queues behind job A, so every
-// B task is dispatched after A retires; B's mapper parks its first record
-// until the test has looked at the worker's store.
+// releases a finished job's map output, because every polling beat's reply
+// carries the active epochs. With a one-job cap, job B queues behind job A,
+// so every B task is dispatched after A retires; B's mapper parks its first
+// record until the test has looked at the worker's store.
 func TestBusyWorkerPrunesFinishedJobs(t *testing.T) {
 	m := startMaster(t, WithMaxConcurrentJobs(1))
 	w := connectWorker(t, m, "busy")

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/rpc"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -302,50 +303,96 @@ func (m *Master) holdLocked(now time.Time, wait time.Duration, try func(now time
 	}
 }
 
-// call runs one worker call under m.mu at one clock read: a liveness touch,
-// then op, whose report is committed.
-func (m *Master) call(worker, addr, class string, op func(now time.Time) (wake, save bool)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := time.Now()
-	m.core.touch(worker, addr, class, now)
-	m.commitLocked(op(now))
-}
-
 // masterRPC is the RPC facade; it keeps the exported method set separate
 // from the Master's own API.
 type masterRPC struct {
 	m *Master
 }
 
-// GetTask hands the polling worker its next task, held while there is none;
-// every reply carries the active epochs. dist.rpc.get_task ticks once per
-// call — a strictly monotone series the live /metrics smoke test leans on.
-func (r *masterRPC) GetTask(args GetTaskArgs, reply *Task) error {
+// Heartbeat is a worker's one control call. Its reports are applied and
+// committed — waking held calls, writing the snapshot — before a poll is
+// answered, so a completion riding a polling beat can already unlock the
+// task that beat receives. A poll is held while there is no task, and its
+// reply carries the active epochs; dist.rpc.get_task ticks once per polling
+// beat, a strictly monotone series the live /metrics smoke test leans on.
+// A beat that reports a completion naming no endpoint, or a reduce output
+// that cannot be pulled, is refused whole: its tasks stay assigned and the
+// timeout path reissues them.
+func (r *masterRPC) Heartbeat(hb Heartbeat, reply *Task) error {
 	m := r.m
-	m.call(args.WorkerID, args.Addr, args.Class, func(now time.Time) (bool, bool) {
-		m.core.ob.Count("dist.rpc.get_task", 1)
-		m.holdLocked(now, args.Wait, func(now time.Time) bool {
-			*reply = m.core.nextTask(args.WorkerID, now)
-			return reply.Kind != TaskWait
-		})
-		reply.ActiveEpochs = m.core.activeEpochs()
-		return false, false
+	if hb.Addr == "" && slices.ContainsFunc(hb.Reports, func(rep TaskReport) bool { return rep.Failure == "" }) {
+		return fmt.Errorf("dist: heartbeat from %s reports a completion but names no endpoint", hb.WorkerID)
+	}
+	outputs, err := m.pullOutputs(&hb)
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	now := time.Now()
+	m.core.touch(hb.WorkerID, hb.Addr, hb.Class, now)
+	m.commitLocked(m.applyLocked(&hb, outputs, now))
+	if !hb.Poll {
+		return nil
+	}
+	m.core.ob.Count("dist.rpc.get_task", 1)
+	m.holdLocked(now, hb.Wait, func(now time.Time) bool {
+		*reply = m.core.nextTask(hb.WorkerID, now)
+		return reply.Kind != TaskWait
 	})
+	reply.ActiveEpochs = m.core.activeEpochs()
 	return nil
 }
 
-// CompleteMap records a finished map task. A completion that names no
-// shuffle address has no fetchable output and is refused; the task stays
-// assigned and the timeout path reissues it.
-func (r *masterRPC) CompleteMap(res MapDone, _ *Ack) error {
-	if res.Addr == "" {
-		return fmt.Errorf("dist: map completion from %s (epoch %d seq %d) names no shuffle address", res.WorkerID, res.Epoch, res.Seq)
+// pullOutputs pulls, by report index and before the beat takes m.mu, the
+// output of each reduce completion the core would accept, so neither a
+// transfer nor a duplicate's bytes hold up the control plane.
+func (m *Master) pullOutputs(hb *Heartbeat) (map[int][]byte, error) {
+	outputs := make(map[int][]byte)
+	for i, rep := range hb.Reports {
+		if rep.Kind != TaskReduce || rep.Failure != "" {
+			continue
+		}
+		m.mu.Lock()
+		accepts := m.core.acceptsReduce(rep.Epoch, rep.Seq)
+		m.mu.Unlock()
+		if !accepts {
+			continue
+		}
+		_, out, _, err := m.peers.pull(hb.Addr, rep.Epoch, reduceKey(rep.Seq), 0, 0)
+		if err != nil {
+			return nil, fmt.Errorf("dist: reduce %d output from %s (epoch %d): %w", rep.Seq, hb.Addr, rep.Epoch, err)
+		}
+		outputs[i] = out
 	}
-	r.m.call(res.WorkerID, res.Addr, "", func(now time.Time) (bool, bool) {
-		return r.m.core.completeMap(&res, now)
-	})
-	return nil
+	return outputs, nil
+}
+
+// applyLocked applies a beat's reports, then its loss reports, through the
+// core's transitions. A reduce completion counts only with a pulled output,
+// appended to the data file unless the job retired on it.
+func (m *Master) applyLocked(hb *Heartbeat, outputs map[int][]byte, now time.Time) (wake, save bool) {
+	for i := range hb.Reports {
+		rep := &hb.Reports[i]
+		var w, s bool
+		switch out, pulled := outputs[i]; {
+		case rep.Failure != "":
+			w, s = m.core.reportFailure(hb.WorkerID, rep, now)
+		case rep.Kind == TaskMap:
+			w, s = m.core.completeMap(hb.WorkerID, hb.Addr, rep, now)
+		case pulled:
+			w, s = m.core.completeReduce(rep, out, now)
+			if s && m.core.byEpoch[rep.Epoch] != nil {
+				m.persistOutputLocked(rep.Epoch, rep.Seq, out)
+			}
+		}
+		wake, save = wake || w, save || s
+	}
+	for i := range hb.Lost {
+		w, s := m.core.reportLostSegments(&hb.Lost[i], now)
+		wake, save = wake || w, save || s
+	}
+	return wake, save
 }
 
 // FetchSegments streams one partition's shuffle segments to the fetching
@@ -354,58 +401,14 @@ func (r *masterRPC) CompleteMap(res MapDone, _ *Ack) error {
 // segment delivered) or Stale (the job is gone; abandon the task).
 func (r *masterRPC) FetchSegments(args FetchSegmentsArgs, reply *FetchSegmentsReply) error {
 	m := r.m
-	m.call(args.WorkerID, "", "", func(now time.Time) (bool, bool) {
-		m.holdLocked(now, args.Wait, func(now time.Time) bool {
-			*reply = FetchSegmentsReply{}
-			m.core.fetchSegments(&args, reply, now)
-			return len(reply.Segments) > 0 || reply.Complete || reply.Stale
-		})
-		return false, false
-	})
-	return nil
-}
-
-// CompleteReduce records a finished reduce task. The output is pulled from
-// the reducer's byte endpoint before m.mu is taken, so the transfer never
-// holds up the control plane; the call stays the commit point, since the
-// worker holds the output until it returns. A completion naming no
-// endpoint, or whose output cannot be pulled, is refused; the task stays
-// assigned and the timeout path reissues it. The last output is never
-// persisted: the job retires right here.
-func (r *masterRPC) CompleteReduce(res ReduceDone, _ *Ack) error {
-	if res.Addr == "" {
-		return fmt.Errorf("dist: reduce completion from %s (epoch %d seq %d) names no endpoint", res.WorkerID, res.Epoch, res.Seq)
-	}
-	m := r.m
-	_, output, _, err := m.peers.pull(res.Addr, res.Epoch, reduceKey(res.Seq), 0, 0)
-	if err != nil {
-		return fmt.Errorf("dist: reduce %d output from %s (epoch %d): %w", res.Seq, res.Addr, res.Epoch, err)
-	}
-	m.call(res.WorkerID, "", "", func(now time.Time) (bool, bool) {
-		wake, save := m.core.completeReduce(&res, output, now)
-		if save && m.core.byEpoch[res.Epoch] != nil {
-			m.persistOutputLocked(res.Epoch, res.Seq, output)
-		}
-		return wake, save
-	})
-	return nil
-}
-
-// ReportFailure requeues a task whose worker hit an execution error: the
-// assignment is cleared so the next poll can hand it out again. Stale
-// reports (the job is gone) are ignored.
-func (r *masterRPC) ReportFailure(f TaskFailed, _ *Ack) error {
-	r.m.call(f.WorkerID, "", "", func(now time.Time) (bool, bool) {
-		return r.m.core.reportFailure(&f, now)
-	})
-	return nil
-}
-
-// ReportLostSegments records shuffle segments a reducer could not fetch:
-// the affected maps re-execute and the unreachable owner is evicted.
-func (r *masterRPC) ReportLostSegments(args SegmentsLost, _ *Ack) error {
-	r.m.call(args.WorkerID, "", "", func(now time.Time) (bool, bool) {
-		return r.m.core.reportLostSegments(&args, now)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	now := time.Now()
+	m.core.touch(args.WorkerID, "", "", now)
+	m.holdLocked(now, args.Wait, func(now time.Time) bool {
+		*reply = FetchSegmentsReply{}
+		m.core.fetchSegments(&args, reply, now)
+		return len(reply.Segments) > 0 || reply.Complete || reply.Stale
 	})
 	return nil
 }

@@ -71,21 +71,21 @@ func TestCancelReturnsMasterToIdle(t *testing.T) {
 	submitWait(t, m, desc, input, 2*1024)
 }
 
-// stealMapTask polls GetTask as workerID until the master hands out a map
-// task, so tests can hold an in-flight assignment without running it.
+// stealMapTask polls as workerID until the master hands out a map task, so
+// tests can hold an in-flight assignment without running it.
 func stealMapTask(t *testing.T, client *rpc.Client, workerID string) Task {
 	t.Helper()
 	return stealTask(t, client, workerID, TaskMap)
 }
 
-// stealTask polls GetTask as workerID until the master hands out a task of
-// the given kind.
+// stealTask polls as workerID until the master hands out a task of the
+// given kind.
 func stealTask(t *testing.T, client *rpc.Client, workerID string, kind string) Task {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		var task Task
-		if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: workerID}, &task); err != nil {
+		if err := client.Call("Master.Heartbeat", Heartbeat{WorkerID: workerID, Poll: true}, &task); err != nil {
 			t.Fatal(err)
 		}
 		if task.Kind == kind {
@@ -95,6 +95,17 @@ func stealTask(t *testing.T, client *rpc.Client, workerID string, kind string) T
 	}
 	t.Fatalf("never received a %s task", kind)
 	return Task{}
+}
+
+// runMapReported runs a map task on w — a worker whose loop is not running —
+// through the production map path and reports its completion at once, in a
+// beat that does not poll.
+func runMapReported(w *Worker, task Task) error {
+	rep, err := w.runMap(task)
+	if err != nil {
+		return err
+	}
+	return w.report([]TaskReport{rep}, nil)
 }
 
 // TestStaleCompletionRejectedAfterAbort reproduces the cross-job
@@ -125,7 +136,7 @@ func TestStaleCompletionRejectedAfterAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stale.runMap(staleTask); err != nil {
+	if err := runMapReported(stale, staleTask); err != nil {
 		t.Fatal(err)
 	}
 	if st := hB.Status(); st.MapsDone != 0 {
@@ -162,7 +173,7 @@ func TestAbortedJobTasksNotReissued(t *testing.T) {
 	// they were still in the pool; pollers must see TaskWait instead.
 	time.Sleep(60 * time.Millisecond)
 	var task Task
-	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: "late"}, &task); err != nil {
+	if err := client.Call("Master.Heartbeat", Heartbeat{WorkerID: "late", Poll: true}, &task); err != nil {
 		t.Fatal(err)
 	}
 	if task.Kind != TaskWait {
@@ -252,9 +263,9 @@ func TestReportFailureSurfacesRPCErrors(t *testing.T) {
 	c := obs.NewCollector()
 	w := connectWorker(t, m, "rf", WithObserver(c))
 
-	// Sever the connection, then fail a task: the failure report cannot
-	// reach the master, and that delivery error must be counted instead of
-	// dropped.
+	// Sever the connection, then fail a task and report a loss: neither
+	// beat can reach the master, and each delivery error must be counted
+	// once instead of dropped.
 	if err := w.client.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +275,10 @@ func TestReportFailureSurfacesRPCErrors(t *testing.T) {
 	}
 	if n := c.Counter("dist.worker.report_errors"); n != 1 {
 		t.Errorf("report_errors counter = %d, want 1", n)
+	}
+	w.reportBestEffort(nil, []SegmentsLost{{MapSeqs: []int{0}, Owner: "a"}, {MapSeqs: []int{1}, Owner: "b"}})
+	if n, m := w.ReportErrors(), c.Counter("dist.worker.report_errors"); n != 2 || m != 2 {
+		t.Errorf("after a lost loss beat: ReportErrors() = %d, counter = %d, want 2 and 2", n, m)
 	}
 }
 

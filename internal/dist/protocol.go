@@ -4,10 +4,12 @@
 // net/rpc; bulk bytes — shuffle frames to reducers, reduce outputs to the
 // master — are pulled in fixed binary frames from each worker's one raw byte
 // endpoint (endpoint.go), the way Hadoop moves shuffle data outside its RPC
-// layer. Workers poll for tasks (the heartbeat, held by the master while
-// idle), execute them with the engine's task-granular entry points, and the
-// master reassigns tasks whose workers go silent — speculative re-execution
-// included. Jobs are referenced by registered workload names (shipping class
+// layer. A worker has one control call, the Heartbeat, the way a Hadoop 1
+// TaskTracker has one heartbeat: each beat carries every task report since
+// the last one and, when it polls, returns the next task (held by the
+// master while there is none). Workers execute tasks with the engine's
+// task-granular entry points, and the master reassigns tasks whose workers
+// go silent — speculative re-execution included. Jobs are referenced by registered workload names (shipping class
 // names, not code), with sampler/f-list auxiliary data computed master-side
 // and sent alongside.
 //
@@ -70,45 +72,45 @@ type Task struct {
 	// SplitData is the record-aligned input chunk (map tasks).
 	SplitData []byte
 	// ActiveEpochs lists the epochs of every job currently queued or
-	// running, piggybacked on every GetTask reply so the worker can prune
-	// stored map output belonging to finished jobs.
+	// running, piggybacked on every polling beat's reply so the worker can
+	// prune stored map output belonging to finished jobs.
 	ActiveEpochs []uint64
 }
 
-// GetTaskArgs is the worker's poll request (the heartbeat).
-type GetTaskArgs struct {
+// Heartbeat is a worker's one control call: every task and segment-loss
+// report since its last beat and, when Poll is set, the request for its
+// next task, held up to Wait while there is none. A beat without Poll is
+// answered at once with an empty Task.
+type Heartbeat struct {
 	WorkerID string
-	// Addr is the worker's shuffle-serve address. The master records it so
-	// evictions can be attributed to served segments.
+	// Addr is the worker's byte endpoint, where its reported outputs wait.
 	Addr string
 	// Class is the worker's declared core class ("big", "little", or a
-	// custom profile name; "" when undeclared). The master records it in
-	// the worker registry — the placement input for class-aware scheduling.
-	Class string
-	// Wait is the longest the master may hold the call; 0 answers at once.
-	Wait time.Duration
+	// custom profile name; "" when undeclared), recorded in the worker
+	// registry — the placement input for class-aware scheduling.
+	Class   string
+	Poll    bool
+	Wait    time.Duration
+	Reports []TaskReport
+	Lost    []SegmentsLost // one entry per unreachable owner
 }
 
-// MapDone reports a completed map task. Epoch is copied from the Task.
-//
-// The output itself stays on the worker: Addr is the byte endpoint
-// (endpoint.go) reducers pull it from, and PartStats carries the
-// per-partition accounting from the worker's own segment headers. If the
-// worker dies, the segments are gone and the master re-executes the map.
-type MapDone struct {
-	WorkerID string
-	Epoch    uint64
-	Seq      int
-	// Addr is the producing worker's shuffle-serve address; a completion
-	// without one is rejected.
-	Addr string
-	// PartStats is the per-partition record/byte accounting (one entry per
-	// non-empty partition).
+// TaskReport is one task attempt's outcome, a failure when Failure is set;
+// Epoch, Kind and Seq are copied from the Task. A completion's output stays
+// at the beat's Addr: reducers pull a map's segments from there, the master
+// a reduce's output while the beat is in flight.
+type TaskReport struct {
+	Epoch   uint64
+	Kind    string
+	Seq     int
+	Failure string
+	// PartStats is a map completion's accounting, from the worker's own
+	// segment headers.
 	PartStats []PartStat
 	Counters  mapreduce.Counters
 }
 
-// PartStat is one non-empty partition's accounting in a MapDone.
+// PartStat is one non-empty partition's accounting in a map completion.
 type PartStat struct {
 	Part  int
 	Recs  int
@@ -122,7 +124,7 @@ type PartStat struct {
 // producing worker; the reducer pulls it from the byte endpoint at Addr.
 //
 // When the producer is unreachable the reducer reports the loss
-// (Master.ReportLostSegments) and the master re-executes the map,
+// (Heartbeat.Lost) and the master re-executes the map,
 // publishing a replacement entry with the same MapSeq — consumers keep the
 // latest entry per MapSeq.
 type TaggedSegment struct {
@@ -138,9 +140,7 @@ type TaggedSegment struct {
 // their producing worker, so the master can re-execute the lost maps
 // instead of letting the reduce wait forever.
 type SegmentsLost struct {
-	// WorkerID is the reporting reducer's worker.
-	WorkerID string
-	Epoch    uint64
+	Epoch uint64
 	// Partition is the partition whose fetch failed (diagnostic).
 	Partition int
 	// MapSeqs are the map tasks whose segments are unreachable.
@@ -160,7 +160,7 @@ type FetchSegmentsArgs struct {
 	Epoch     uint64
 	Partition int
 	Cursor    int
-	Wait      time.Duration // as in GetTaskArgs, while nothing new is published
+	Wait      time.Duration // as in Heartbeat, while nothing new is published
 }
 
 // FetchSegmentsReply carries the segments published since the cursor.
@@ -172,32 +172,6 @@ type FetchSegmentsReply struct {
 	Cursor   int
 	Complete bool
 	Stale    bool
-}
-
-// ReduceDone reports a completed reduce task. Epoch and Seq (the
-// partition) are copied from the Task. The output itself waits on the
-// worker: Addr is the byte endpoint the master pulls it from while the
-// call is in flight, as one wire-form segment it decodes at job completion.
-// A completion without one is rejected.
-type ReduceDone struct {
-	WorkerID string
-	Epoch    uint64
-	Seq      int
-	Addr     string
-	Counters mapreduce.Counters
-}
-
-// Ack is the empty reply for one-way calls.
-type Ack struct{}
-
-// TaskFailed reports a task attempt the worker could not complete, so the
-// master can requeue it immediately instead of waiting out the timeout.
-type TaskFailed struct {
-	WorkerID string
-	Epoch    uint64
-	Kind     string
-	Seq      int
-	Reason   string
 }
 
 // SubmitArgs is a remote job submission (cmd/hadoopd's client path).

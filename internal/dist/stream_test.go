@@ -37,23 +37,24 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 		t.Fatalf("stole %d map tasks, need >= 3 for a split wave", len(maps))
 	}
 	var idle Task
-	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: tester.ID}, &idle); err != nil {
+	if err := client.Call("Master.Heartbeat", Heartbeat{WorkerID: tester.ID, Poll: true}, &idle); err != nil {
 		t.Fatal(err)
 	}
 	if idle.Kind != TaskWait {
 		t.Fatalf("poll with every map in flight returned %q, want %q", idle.Kind, TaskWait)
 	}
 
-	// A completion that names no shuffle address is refused, not recorded.
-	if err := client.Call("Master.CompleteMap", MapDone{
-		WorkerID: tester.ID, Epoch: maps[0].Epoch, Seq: maps[0].Seq,
-	}, &Ack{}); err == nil || h.Status().MapsDone != 0 {
+	// A beat that carries a map completion but names no shuffle address is
+	// refused, not recorded.
+	if err := client.Call("Master.Heartbeat", Heartbeat{
+		WorkerID: tester.ID, Reports: []TaskReport{{Epoch: maps[0].Epoch, Kind: TaskMap, Seq: maps[0].Seq}},
+	}, &Task{}); err == nil || h.Status().MapsDone != 0 {
 		t.Fatalf("address-less completion: err %v, status %+v, want refused", err, h.Status())
 	}
 
 	complete := func(task Task) {
 		t.Helper()
-		if err := tester.runMap(task); err != nil {
+		if err := runMapReported(tester, task); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 	// Past slowstart with maps still outstanding: the next poll must hand
 	// out a reduce task.
 	var red Task
-	if err := client.Call("Master.GetTask", GetTaskArgs{WorkerID: tester.ID}, &red); err != nil {
+	if err := client.Call("Master.Heartbeat", Heartbeat{WorkerID: tester.ID, Poll: true}, &red); err != nil {
 		t.Fatal(err)
 	}
 	if red.Kind != TaskReduce {
@@ -152,7 +153,7 @@ func TestEarlyReduceDispatchAndStreamingFetch(t *testing.T) {
 // TestFairScheduleOrder pins the dispatch order across running jobs: the
 // job with fewer in-flight tasks is served first, and a tie goes to the job
 // submitted first. Nothing polls but the test, which takes map tasks
-// through the GetTask RPC and identifies each one's job by its epoch.
+// through polling beats and identifies each one's job by its epoch.
 func TestFairScheduleOrder(t *testing.T) {
 	m := startMaster(t, WithTaskTimeout(time.Minute))
 	w := connectWorker(t, m, "tester")
@@ -184,7 +185,7 @@ func TestFairScheduleOrder(t *testing.T) {
 	steal(first, "1:1")
 	done := steal(second, "2:1")
 	// Completing one of the later job's tasks leaves it fewer in flight.
-	if err := w.runMap(done); err != nil {
+	if err := runMapReported(w, done); err != nil {
 		t.Fatal(err)
 	}
 	steal(second, "2:1")

@@ -53,8 +53,8 @@ type Worker struct {
 	stopped bool
 	// tasksRun counts completed task attempts (observability/tests).
 	tasksRun int
-	// reportErrors counts failure/loss reports that themselves failed to
-	// reach the master over RPC.
+	// reportErrors counts beats carrying failure or loss reports, or a
+	// completion flushed as the loop ends, that failed to reach the master.
 	reportErrors int
 
 	// bg tracks in-flight streaming reduce attempts. Reduce tasks run in
@@ -187,8 +187,8 @@ func (s *shuffleStore) getFrame(epoch uint64, key, part, frame int) (storedFrame
 }
 
 // prune drops stored output for every epoch not in the active set — the
-// master piggybacks the set on every GetTask reply, so finished jobs'
-// segments (and their spill files) are released by the next poll.
+// master piggybacks the set on every polling beat's reply, so finished
+// jobs' segments (and their spill files) are released by the next poll.
 func (s *shuffleStore) prune(active []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,24 +292,28 @@ func (w *Worker) Stop() {
 	w.mu.Unlock()
 }
 
-// reportFailure tells the master to requeue a task this worker could not
-// run. Delivery is best-effort — the master's timeout path covers a lost
-// report — but a failed report is no longer dropped silently: it is
-// counted (ReportErrors) and surfaced through the observer.
-func (w *Worker) reportFailure(task Task, cause error) {
-	err := w.client.Call("Master.ReportFailure", TaskFailed{
-		WorkerID: w.ID, Epoch: task.Epoch, Kind: task.Kind, Seq: task.Seq, Reason: cause.Error(),
-	}, &Ack{})
-	if err != nil {
-		w.countReportError()
+// report sends reps and lost at once, in a beat that does not poll.
+func (w *Worker) report(reps []TaskReport, lost []SegmentsLost) error {
+	return w.client.Call("Master.Heartbeat", Heartbeat{WorkerID: w.ID, Addr: w.shuffleAddr, Class: w.class, Reports: reps, Lost: lost}, &Task{})
+}
+
+// reportBestEffort sends reports whose loss the master's timeout and
+// eviction paths cover; a beat that fails to reach the master is not
+// dropped silently but counted (ReportErrors) and surfaced through the
+// observer.
+func (w *Worker) reportBestEffort(reps []TaskReport, lost []SegmentsLost) {
+	if w.report(reps, lost) != nil {
+		w.mu.Lock()
+		w.reportErrors++
+		w.mu.Unlock()
+		w.ob.Count("dist.worker.report_errors", 1)
 	}
 }
 
-func (w *Worker) countReportError() {
-	w.mu.Lock()
-	w.reportErrors++
-	w.mu.Unlock()
-	w.ob.Count("dist.worker.report_errors", 1)
+// reportFailure tells the master to requeue a task this worker could not
+// run.
+func (w *Worker) reportFailure(task Task, cause error) {
+	w.reportBestEffort([]TaskReport{{Epoch: task.Epoch, Kind: task.Kind, Seq: task.Seq, Failure: cause.Error()}}, nil)
 }
 
 // Close tears down the connections — the master link, the byte endpoint
@@ -335,22 +339,24 @@ func (w *Worker) isStopped() bool {
 	return w.stopped
 }
 
-// RunForeverCtx is the worker loop: it polls the master for tasks (an idle
-// master holds each poll until there is work) and executes them, across
-// jobs, until Stop is called (nil) or ctx is cancelled (an error wrapping
-// ctx.Err(), at once). Any other return is the first hard error — task
-// execution errors are hard: the job cannot succeed with a broken factory.
+// RunForeverCtx is the worker loop: its polling beats, each carrying the
+// last map's completion, fetch tasks (an idle master holds a poll until
+// there is work) that it executes, across jobs, until Stop is called (nil)
+// or ctx is cancelled (an error wrapping ctx.Err(), at once). Any other
+// return is the first hard error — task execution errors are hard: the job
+// cannot succeed with a broken factory.
 func (w *Worker) RunForeverCtx(ctx context.Context) error {
 	// Background reduces end within a poll interval of Stop, and at once on
 	// cancellation, a closed connection or a stale epoch (the retire wakes
 	// their held fetch); wait for them so no attempt outlives the loop.
 	defer w.bg.Wait()
-	for !w.isStopped() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("dist: worker %s: cancelled: %w", w.ID, err)
-		}
+	var done []TaskReport // completions for the next polling beat
+	for !w.isStopped() && ctx.Err() == nil {
 		var task Task
-		if err := w.heldCall(ctx, "Master.GetTask", GetTaskArgs{WorkerID: w.ID, Addr: w.shuffleAddr, Class: w.class, Wait: w.pollInterval}, &task); err != nil {
+		poll := Heartbeat{WorkerID: w.ID, Addr: w.shuffleAddr, Class: w.class, Poll: true, Wait: w.pollInterval, Reports: done}
+		err := w.heldCall(ctx, "Master.Heartbeat", poll, &task)
+		done = nil // written to the connection: a beat whose reply is abandoned still lands
+		if err != nil {
 			if ctx.Err() != nil || w.isStopped() {
 				continue // cancelled, or Close raced with the poll: the loop checks report it
 			}
@@ -361,12 +367,14 @@ func (w *Worker) RunForeverCtx(ctx context.Context) error {
 		case TaskWait:
 			// The master held the poll as long as it would; ask again.
 		case TaskMap:
-			if err := w.runMap(task); err != nil {
+			rep, err := w.runMap(task)
+			if err != nil {
 				if w.isStopped() {
 					break
 				}
 				return err
 			}
+			done = append(done, rep)
 		case TaskReduce:
 			// Streamed in the background: the fetch loop may have to wait
 			// for the tail of the map wave, and this polling loop is what
@@ -376,6 +384,12 @@ func (w *Worker) RunForeverCtx(ctx context.Context) error {
 		default:
 			return fmt.Errorf("dist: worker %s: unknown task kind %q", w.ID, task.Kind)
 		}
+	}
+	if len(done) > 0 {
+		w.reportBestEffort(done, nil) // the loop ended with no poll left to carry it
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("dist: worker %s: cancelled: %w", w.ID, err)
 	}
 	w.bg.Wait()
 	return w.takeBgErr()
@@ -388,7 +402,7 @@ func (w *Worker) takeBgErr() error {
 	return w.bgErr
 }
 
-// heldCall makes an RPC the master may hold (GetTask, FetchSegments),
+// heldCall makes an RPC the master may hold (Heartbeat, FetchSegments),
 // returning ctx's error at once on cancellation; the abandoned call then
 // completes into a reply nobody reads.
 func (w *Worker) heldCall(ctx context.Context, method string, args, reply any) error {
@@ -419,22 +433,23 @@ func (w *Worker) taskSpan(task Task) obs.Span {
 }
 
 // runMap executes one map task and keeps its output here — resident blobs,
-// or a segment file under WithSpillDir — reporting only addressable
-// references and per-partition accounting to the master.
-func (w *Worker) runMap(task Task) error {
+// or a segment file under WithSpillDir — returning the completion for the
+// master: per-partition accounting, the segments addressed by this
+// worker's endpoint. A failure is reported at once.
+func (w *Worker) runMap(task Task) (TaskReport, error) {
 	sp := w.taskSpan(task)
 	defer sp.End()
 	job, err := w.registry.Build(task.Job)
 	if err != nil {
 		w.reportFailure(task, err)
-		return err
+		return TaskReport{}, err
 	}
 	ref := taskRef(task, w.ID, w.class)
 	pc := obs.NewPhaseClock(w.ob, ref)
 	segs, counters, err := mapreduce.ExecuteMapSplitObs(job, task.SplitData, task.Job.NumReducers, ref, w.ob)
 	if err != nil {
 		w.reportFailure(task, err)
-		return fmt.Errorf("dist: worker %s map %d: %w", w.ID, task.Seq, err)
+		return TaskReport{}, fmt.Errorf("dist: worker %s map %d: %w", w.ID, task.Seq, err)
 	}
 	w.mu.Lock()
 	w.tasksRun++
@@ -452,7 +467,7 @@ func (w *Worker) runMap(task Task) error {
 		sf, err := mapreduce.WriteSegmentsFile(path, segs)
 		if err != nil {
 			w.reportFailure(task, err)
-			return fmt.Errorf("dist: worker %s map %d spill: %w", w.ID, task.Seq, err)
+			return TaskReport{}, fmt.Errorf("dist: worker %s map %d spill: %w", w.ID, task.Seq, err)
 		}
 		pc.EmitIO(obs.PhaseSpillWrite, tSpill, 0, int64(sf.StoredBytes()))
 		counters.SpillFilesWritten++
@@ -474,10 +489,7 @@ func (w *Worker) runMap(task Task) error {
 		}
 		w.store.put(task.Epoch, task.Seq, segs)
 	}
-	return w.client.Call("Master.CompleteMap", MapDone{
-		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
-		Addr: w.shuffleAddr, PartStats: stats, Counters: counters,
-	}, &Ack{})
+	return TaskReport{Epoch: task.Epoch, Kind: TaskMap, Seq: task.Seq, PartStats: stats, Counters: counters}, nil
 }
 
 // runReduceBg runs one streaming reduce attempt in the background. A hard
@@ -538,7 +550,7 @@ func (w *Worker) fetchServedFrame(s TaggedSegment, epoch uint64, partition, fram
 // runReduceStreaming fetches the task's partition segments from their
 // producing workers as the map wave publishes them, then merges and reduces
 // once the shuffle is complete. Unreachable segments are reported to the
-// master (Master.ReportLostSegments) and the loop keeps streaming until the
+// master (one beat per fetch round) and the loop keeps streaming until the
 // re-executed maps republish them. A Stale reply or cancellation abandons
 // the attempt quietly (the job is gone, or the loop owner reports the
 // cancellation).
@@ -588,30 +600,28 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 		// is lost: report it (grouped per owner), drop the entry, and keep
 		// streaming — the master re-executes the maps and the replacements
 		// arrive under the same MapSeq.
-		lost := make(map[string][]int)
+		byOwner := make(map[string][]int)
 		for seq, s := range byMap {
 			if _, ok := fetchedSegs[seq]; ok {
 				continue
 			}
 			segs, err := w.fetchServed(s, task.Epoch, task.Seq)
 			if err != nil {
-				lost[s.Owner] = append(lost[s.Owner], seq)
+				byOwner[s.Owner] = append(byOwner[s.Owner], seq)
 				continue
 			}
 			fetchedSegs[seq] = segs
 		}
-		for owner, seqs := range lost {
+		var lost []SegmentsLost
+		for owner, seqs := range byOwner {
 			sort.Ints(seqs)
-			err := w.client.Call("Master.ReportLostSegments", SegmentsLost{
-				WorkerID: w.ID, Epoch: task.Epoch, Partition: task.Seq,
-				MapSeqs: seqs, Owner: owner,
-			}, &Ack{})
-			if err != nil {
-				w.countReportError()
-			}
+			lost = append(lost, SegmentsLost{Epoch: task.Epoch, Partition: task.Seq, MapSeqs: seqs, Owner: owner})
 			for _, seq := range seqs {
 				delete(byMap, seq)
 			}
+		}
+		if len(lost) > 0 {
+			w.reportBestEffort(nil, lost)
 		}
 		if reply.Complete && len(lost) == 0 && len(fetchedSegs) == len(byMap) {
 			break
@@ -645,15 +655,12 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 	w.tasksRun++
 	w.mu.Unlock()
 	// The output waits in the store while the master pulls it from the
-	// endpoint inside CompleteReduce; that call is the write phase.
+	// endpoint inside the beat that reports it; that beat is the write phase.
 	key := reduceKey(task.Seq)
 	held := w.store.put(task.Epoch, key, []mapreduce.Segment{out})
 	defer w.store.drop(task.Epoch, key, held)
 	tWrite := pc.Start()
-	err = w.client.Call("Master.CompleteReduce", ReduceDone{
-		WorkerID: w.ID, Epoch: task.Epoch, Seq: task.Seq,
-		Addr: w.shuffleAddr, Counters: counters,
-	}, &Ack{})
+	err = w.report([]TaskReport{{Epoch: task.Epoch, Kind: TaskReduce, Seq: task.Seq, Counters: counters}}, nil)
 	pc.EmitIO(obs.PhaseWrite, tWrite, 0, int64(out.EncodedSize()))
 	return err
 }
