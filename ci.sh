@@ -238,8 +238,9 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # concurrent jobs on three workers with one worker killed mid-run and a
 # master restart from its snapshot, plus the lost-shuffle, closed-worker,
 # eviction and snapshot-resume regressions, the held-call cases (jobs that
-# only wake-ups can move, a zero-wait poll, a slow-heartbeat worker that is
-# not evicted, a busy worker that still prunes), the heartbeat's guarantees
+# only wake-ups can move, a zero-wait poll, held calls released by Close, a
+# slow-heartbeat worker that is not evicted, a busy worker that still
+# prunes), the heartbeat's guarantees
 # (reports committed before the poll is answered, a completion flushed when
 # the loop ends, only accepted reduce outputs pulled) and the per-job data
 # files beside the snapshot (a finished reducer restored from its file,
@@ -248,7 +249,7 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # cap; a snapshot carrying fields since deleted). These run inside the
 # blanket race gate too; -count=2 here shakes out scheduling-order flakes
 # and makes a chaos failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six
@@ -273,6 +274,7 @@ go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamA
 # and one package per run).
 go test -run '^$' -fuzz '^FuzzStringVsArenaParity$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSortMeta$' -fuzztime 10s ./internal/mapreduce/
+go test -run '^$' -fuzz '^FuzzMergeStream$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzSplitRecords$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzSplitInput$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzStreamingShuffleParity$' -fuzztime 10s ./internal/mapreduce/

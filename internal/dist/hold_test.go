@@ -234,3 +234,45 @@ func TestBusyWorkerPrunesFinishedJobs(t *testing.T) {
 		t.Errorf("worker running job B still stores map output of finished job %s", hA.ID())
 	}
 }
+
+// TestCloseReleasesHeldCalls: closing the master answers a held polling beat
+// and a held fetch at once, instead of leaving them parked until their Wait
+// runs out — here a minute, which the hour-long worker timeout does not cap.
+func TestCloseReleasesHeldCalls(t *testing.T) {
+	m := startMaster(t, WithWorkerTimeout(time.Hour), WithTaskTimeout(time.Minute))
+	prober := connectWorker(t, m, "prober")
+	h, err := m.Submit(context.Background(), JobDescriptor{Workload: "wordcount", NumReducers: 1},
+		workloads.GenerateText(8*units.KB, 59), 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With every map taken and none done there is no task to hand out and
+	// no segment to fetch, so both calls below are held.
+	for i := 0; i < h.Status().MapsTotal; i++ {
+		stealMapTask(t, prober.client, prober.ID)
+	}
+	beat := prober.client.Go("Master.Heartbeat", Heartbeat{WorkerID: prober.ID, Poll: true, Wait: time.Minute},
+		&Task{}, make(chan *rpc.Call, 1))
+	fetch := prober.client.Go("Master.FetchSegments", FetchSegmentsArgs{WorkerID: prober.ID, Epoch: h.js.epoch, Wait: time.Minute},
+		&FetchSegmentsReply{}, make(chan *rpc.Call, 1))
+	time.Sleep(100 * time.Millisecond)
+	for _, c := range []*rpc.Call{beat, fetch} {
+		select {
+		case <-c.Done:
+			t.Fatalf("%s answered before Close (err %v), want it held", c.ServiceMethod, c.Error)
+		default:
+		}
+	}
+	m.Close()
+	deadline := time.Now().Add(time.Second)
+	for _, c := range []*rpc.Call{beat, fetch} {
+		select {
+		case <-c.Done:
+			if c.Error != nil {
+				t.Errorf("%s: %v", c.ServiceMethod, c.Error)
+			}
+		case <-time.After(time.Until(deadline)):
+			t.Errorf("%s still held 1s after Close", c.ServiceMethod)
+		}
+	}
+}

@@ -97,15 +97,17 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 // Addr returns the master's listen address for workers to dial.
 func (m *Master) Addr() string { return m.listener.Addr().String() }
 
-// Close stops accepting connections and the liveness janitor; subsequent
-// submissions fail with ErrMasterClosed. In-flight jobs are left as they
-// stand — with WithSnapshotPath a new StartMaster at the same path resumes
-// them, their data files included; a closed master persists nothing more.
+// Close stops accepting connections and the liveness janitor and releases
+// every held call; subsequent submissions fail with ErrMasterClosed.
+// In-flight jobs are left as they stand — with WithSnapshotPath a new
+// StartMaster at the same path resumes them, their data files included; a
+// closed master persists nothing more.
 func (m *Master) Close() error {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
 		close(m.janitorStop)
+		m.wakeLocked()
 		for _, d := range m.files {
 			d.f.Close()
 		}
@@ -276,7 +278,7 @@ func (m *Master) Handle(id string) (*JobHandle, bool) {
 
 // wakeLocked wakes every held call to retry; called under m.mu by
 // commitLocked when a transition can have created work or published a
-// segment.
+// segment, and by Close.
 func (m *Master) wakeLocked() {
 	close(m.changed)
 	m.changed = make(chan struct{})
@@ -287,10 +289,11 @@ func (m *Master) wakeLocked() {
 // worker timeout, so a held worker is never evicted), each try at a fresh
 // clock read. The channel is read in the lock hold that ran try, so no wake
 // is lost; the try at the deadline sees time-driven transitions (reissue,
-// speculation).
+// speculation). A closed master holds nothing: Close wakes every hold, and
+// the woken call answers after one more try.
 func (m *Master) holdLocked(now time.Time, wait time.Duration, try func(now time.Time) bool) {
 	until := now.Add(min(wait, m.core.cfg.workerTimeout/2))
-	for !try(now) && now.Before(until) {
+	for !try(now) && now.Before(until) && !m.closed {
 		changed, timer := m.changed, time.NewTimer(until.Sub(now))
 		m.mu.Unlock()
 		select {

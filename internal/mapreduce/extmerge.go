@@ -13,7 +13,8 @@ import (
 // over sorted runs that live either in memory (arena Segments) or on disk
 // (segment-file partitions, read one frame at a time, never materialized).
 // One loser tree orders the runs' cursors — alive before exhausted, then key
-// bytes (bytes.Compare is Go's string ordering), then slot — so merging runs
+// bytes (Go's string ordering: each cursor's cached 8-byte key prefix first,
+// bytes.Compare only on a prefix tie), then slot — so merging runs
 // in map-task order reproduces Hadoop's stable shuffle order exactly, and the
 // output is the same bytes wherever a run sits: stable merging is associative
 // over adjacent runs, frames are contiguous chunks of a sorted run, and slot
@@ -107,11 +108,26 @@ func (r *partRun) materialize() (Segment, error) {
 
 // runCursor walks one run record by record, one frame resident at a time;
 // key/val slices are invalidated when advance crosses a frame boundary.
+// Every move caches the current record's key and its keyPrefix, so the
+// merge compares two integers per match and touches key bytes only when
+// the prefixes tie.
 type runCursor struct {
 	cur  Segment
 	i    int
+	k    []byte // the current record's key
+	pfx  uint64 // keyPrefix(k)
 	src  frameSource
 	done bool
+}
+
+// load caches record i's key and prefix. The prefix reads through the
+// frame (keyPrefix masks what follows a short key); the cached key is capped
+// at its length, like Segment.key, so a consumer cannot append into the
+// value behind it.
+func (c *runCursor) load() {
+	m := c.cur.meta[c.i]
+	c.k = c.cur.data[m.off : m.off+m.keyLen : m.off+m.keyLen]
+	c.pfx = keyPrefix(c.cur.data[m.off : m.off+m.keyLen])
 }
 
 // refill loads the next non-empty frame, marking the cursor done at EOF.
@@ -120,7 +136,7 @@ func (c *runCursor) refill() error {
 		seg, err := c.src.next()
 		if err == io.EOF {
 			c.done = true
-			c.cur = Segment{}
+			c.cur, c.k = Segment{}, nil
 			return nil
 		}
 		if err != nil {
@@ -128,13 +144,13 @@ func (c *runCursor) refill() error {
 		}
 		if seg.Len() > 0 {
 			c.cur, c.i = seg, 0
+			c.load()
 			return nil
 		}
 	}
 }
 
-// key and val return the current record's bytes; only valid while !done.
-func (c *runCursor) key() []byte { return c.cur.key(c.i) }
+// val returns the current record's value bytes; only valid while !done.
 func (c *runCursor) val() []byte { return c.cur.val(c.i) }
 
 // advance moves to the next record, refilling from the next frame at the
@@ -142,6 +158,7 @@ func (c *runCursor) val() []byte { return c.cur.val(c.i) }
 func (c *runCursor) advance() error {
 	c.i++
 	if c.i < c.cur.Len() {
+		c.load()
 		return nil
 	}
 	return c.refill()
@@ -191,8 +208,10 @@ func openMergeStream(runs []partRun) (*mergeStream, error) {
 	return m, nil
 }
 
-// less orders cursors: alive before exhausted, then key bytes, then slot
-// (stability across runs).
+// less orders cursors: alive before exhausted, then key — the cached
+// prefixes first, bytes.Compare only when they tie, since an equal prefix
+// decides nothing ("a" and "a\x00" share one) — then slot (stability across
+// runs).
 func (m *mergeStream) less(a, b int32) bool {
 	ca, cb := &m.curs[a], &m.curs[b]
 	if ca.done {
@@ -201,7 +220,10 @@ func (m *mergeStream) less(a, b int32) bool {
 	if cb.done {
 		return true
 	}
-	if c := bytes.Compare(ca.key(), cb.key()); c != 0 {
+	if ca.pfx != cb.pfx {
+		return ca.pfx < cb.pfx
+	}
+	if c := bytes.Compare(ca.k, cb.k); c != 0 {
 		return c < 0
 	}
 	return a < b
@@ -252,7 +274,7 @@ func (m *mergeStream) next() (k, v []byte, err error) {
 	if c.done {
 		return nil, nil, io.EOF
 	}
-	return c.key(), c.val(), nil
+	return c.k, c.val(), nil
 }
 
 // diskBytesRead sums the stored bytes the stream's cursors consumed from

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,93 @@ func TestMergeSegsProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// mergeAlphabet is FuzzMergeStream's key alphabet: four symbols, with the
+// extremes 0x00 and 0xff, so short inputs already produce equal keys, keys
+// that tie on their zero-padded 8-byte prefix ("a", "a\x00", "a\x00\x00")
+// and keys that share eight bytes and differ after them.
+const mergeAlphabet = "\x00\x01a\xff"
+
+// mergeFuzzRec is one record of a FuzzMergeStream input: the run it joins
+// and its key, over mergeAlphabet.
+type mergeFuzzRec struct {
+	run int
+	key string
+}
+
+// mergeFuzzInput encodes records in FuzzMergeStream's input format: a
+// header byte (run count − 1 in the low three bits, modulo 6; which runs sit
+// on disk in the mixed layout in the high five), then per record a byte
+// holding its run (high nibble) and key length (low nibble), then one byte
+// per key symbol.
+func mergeFuzzInput(runs int, diskMask byte, recs ...mergeFuzzRec) []byte {
+	in := []byte{byte(runs-1) | diskMask<<3}
+	for _, r := range recs {
+		in = append(in, byte(r.run<<4|len(r.key)))
+		for i := 0; i < len(r.key); i++ {
+			in = append(in, byte(strings.IndexByte(mergeAlphabet, r.key[i])))
+		}
+	}
+	return in
+}
+
+// FuzzMergeStream decodes the input into 1–6 sorted runs of short keys (see
+// mergeFuzzInput; each run is stable-sorted, its values naming run and emit
+// index) and holds the one merge to stableMergeOracle with the runs
+// resident, as partitions of one segment file, and split between the two —
+// every tie the cached prefixes leave to bytes.Compare and the slot order
+// included.
+func FuzzMergeStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(mergeFuzzInput(3, 0b101,
+		mergeFuzzRec{0, "a\x00"}, mergeFuzzRec{1, "a"}, mergeFuzzRec{2, "a\x00\x00"}, mergeFuzzRec{1, "a\x00"},
+		mergeFuzzRec{0, "a"}, mergeFuzzRec{2, "a"}, mergeFuzzRec{0, "a\x00\x00"}))
+	f.Add(mergeFuzzInput(3, 0b010,
+		mergeFuzzRec{0, "\x00"}, mergeFuzzRec{0, "a"}, mergeFuzzRec{0, "\xff"}, mergeFuzzRec{1, "\x01"},
+		mergeFuzzRec{1, "\xff\x00"}, mergeFuzzRec{2, "\x00\x01"}, mergeFuzzRec{2, "aa"}))
+	f.Add(mergeFuzzInput(4, 0b0110,
+		mergeFuzzRec{0, ""}, mergeFuzzRec{1, ""}, mergeFuzzRec{2, "\x00"}, mergeFuzzRec{3, ""}, mergeFuzzRec{3, "\xff"}))
+	f.Add(mergeFuzzInput(6, 0b11001,
+		mergeFuzzRec{0, "aaaaaaaaa\xff"}, mergeFuzzRec{1, "aaaaaaaaa\x00"}, mergeFuzzRec{2, "aaaaaaaa"},
+		mergeFuzzRec{3, "aaaaaaaaa"}, mergeFuzzRec{4, "aaaaaaaaa\x01"}, mergeFuzzRec{5, "aaaaaaaa\x00"},
+		mergeFuzzRec{5, "aaaaaaaaa\x00"}, mergeFuzzRec{2, "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		kvs := make([][]KV, int(in[0]&7)%6+1)
+		diskMask := in[0] >> 3
+		for in = in[1:]; len(in) > 0; {
+			run, klen := int(in[0]>>4)%len(kvs), min(int(in[0]&0x0f), len(in)-1)
+			key := make([]byte, klen)
+			for i := range key {
+				key[i] = mergeAlphabet[in[1+i]&3]
+			}
+			in = in[1+klen:]
+			kvs[run] = append(kvs[run], KV{Key: string(key), Value: fmt.Sprintf("%d.%d", run, len(kvs[run]))})
+		}
+		for _, r := range kvs {
+			sortKVs(r)
+		}
+		segs := kvSegs(kvs)
+		want := stableMergeOracle(segs)
+		sf, err := WriteSegmentsFile(filepath.Join(t.TempDir(), "runs.seg"), segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed := memRuns(segs)
+		for r := range mixed {
+			if diskMask>>r&1 != 0 {
+				mixed[r] = diskRun(sf, r)
+			}
+		}
+		for name, runs := range map[string][]partRun{"resident": memRuns(segs), "file": fileRuns(sf), "mixed": mixed} {
+			if got := drainRuns(t, runs); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s runs merge to %q, oracle %q", name, got, want)
+			}
+		}
+	})
 }
 
 // aliasingRun builds a sorted run of n records whose key+value payload is
@@ -243,31 +331,57 @@ func TestRecycledFrameLifetime(t *testing.T) {
 
 // BenchmarkShuffleMerge measures the engine's k-way merge — the loser tree
 // over pre-sorted resident runs, into the in-memory sink — at the fan-ins the
-// shuffle produces. Compare runs with benchstat over
+// shuffle produces, on word-count-shaped keys that repeat within and across
+// runs, and on the TeraGen shape: all-distinct 10-byte A–Z keys with a
+// 90-byte value, at fan-in 16. Compare runs with benchstat over
 // `go test -bench ShuffleMerge -count N`.
 func BenchmarkShuffleMerge(b *testing.B) {
 	const perSegment = 2048
-	for _, k := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("segments-%d", k), func(b *testing.B) {
+	repeating := func(rng *rand.Rand) KV {
+		return KV{Key: fmt.Sprintf("key-%06d", rng.Intn(perSegment*4)), Value: "1"}
+	}
+	teraValue := string(bytes.Repeat([]byte("X"), 90))
+	tera := func(rng *rand.Rand) KV {
+		k := make([]byte, 10)
+		for i := range k {
+			k[i] = byte('A' + rng.Intn(26))
+		}
+		return KV{Key: string(k), Value: teraValue}
+	}
+	for _, shape := range []struct {
+		name string
+		k    int
+		rec  func(*rand.Rand) KV
+	}{
+		{"segments-4", 4, repeating},
+		{"segments-16", 16, repeating},
+		{"segments-64", 64, repeating},
+		{"distinct-10B/segments-16", 16, tera},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(42))
-			segs := make([]Segment, k)
+			segs := make([]Segment, shape.k)
+			var payload int64
 			for s := range segs {
 				recs := make([]KV, perSegment)
 				for i := range recs {
-					recs[i] = KV{Key: fmt.Sprintf("key-%06d", rng.Intn(perSegment*4)), Value: "1"}
+					recs[i] = shape.rec(rng)
+					payload += int64(len(recs[i].Key) + len(recs[i].Value))
 				}
 				sortKVs(recs)
 				segs[s] = SegmentFromKVs(recs)
 			}
 			runs := memRuns(segs)
-			b.SetBytes(int64(k * perSegment * 12))
+			n := shape.k * perSegment
+			b.SetBytes(payload)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				got, err := mergeToSegment(runs)
-				if err != nil || got.Len() != k*perSegment {
-					b.Fatalf("merged %d records (err %v), want %d", got.Len(), err, k*perSegment)
+				if err != nil || got.Len() != n {
+					b.Fatalf("merged %d records (err %v), want %d", got.Len(), err, n)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
 		})
 	}
 }

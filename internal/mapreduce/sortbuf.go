@@ -16,8 +16,12 @@ import (
 //     an open-addressing hash table. A new key opens a group; every record
 //     notes its group and is counted there.
 //  2. The groups — distinct keys, so there are no ties to break — are
-//     sorted with pdqsort, comparing a cached 8-byte big-endian key prefix
-//     and touching the arena only when two prefixes tie.
+//     sorted by an in-place MSD radix sort on their cached 8-byte
+//     big-endian key prefix, a byte per level from the top, skipping a
+//     level where they all share the byte. A bucket of at most radixCutoff
+//     groups is insertion-sorted, and one still larger once all eight bytes
+//     are used goes to pdqsort; either reaches the arena only between
+//     groups whose prefixes are equal.
 //  3. The sorted groups' counts, summed, give each group its range of the
 //     output, and a second pass over meta in emit order drops each record
 //     at the next free place of its group's range (a counting sort on the
@@ -27,12 +31,14 @@ import (
 // same key in emit order by (3): exactly the order a stable sort by key
 // produces, for any hash function. The hash only decides which slot a key
 // probes first, never where a record lands, so the per-process random
-// maphash seed cannot show in the output. The cost is O(n) hashing
-// plus O(d log d) comparisons for d distinct keys, where a comparison sort
-// over records pays O(n log n) arena dereferences — on word-count-shaped
-// output (d ≪ n) that is the whole difference between the engine and a Go
-// map; on all-distinct keys the prefix still keeps the sort out of the
-// arena.
+// maphash seed cannot show in the output. The cost is O(n) hashing plus,
+// for d distinct keys, a counting pass and a permutation pass over the
+// groups per radix level (about log₂₅₆ d levels before buckets are small)
+// and short insertion sorts, where a comparison sort over records pays
+// O(n log n) arena dereferences — on word-count-shaped output (d ≪ n) that
+// is the whole difference between the engine and a Go map; on all-distinct
+// keys, where d = n, the radix passes are what keeps the sort linear and
+// out of the arena.
 
 // keyGroup is one distinct key of the buffer being sorted.
 type keyGroup struct {
@@ -145,13 +151,7 @@ func sortMeta(data []byte, meta []recMeta, sc *sortScratch) {
 	sc.groups = groups
 
 	// Sort the distinct keys.
-	slices.SortFunc(groups, func(a, b keyGroup) int {
-		if a.prefix < b.prefix {
-			return -1
-		}
-		if a.prefix > b.prefix {
-			return 1
-		}
+	radixSortGroups(groups, 56, func(a, b keyGroup) int {
 		return bytes.Compare(key(a.head), key(b.head))
 	})
 
@@ -171,4 +171,71 @@ func sortMeta(data []byte, meta []recMeta, sc *sortScratch) {
 		pos[g]++
 	}
 	copy(meta, out)
+}
+
+// radixCutoff is the bucket size at and below which radixSortGroups hands a
+// bucket to insertion sort instead of splitting it on the next byte.
+const radixCutoff = 24
+
+// radixSortGroups orders distinct-key groups by key: an in-place MSD radix
+// sort on the cached prefix, on byte prefix>>shift at this level and the
+// bytes below it after. A level where every group lands in one bucket is
+// skipped. compare orders two groups by their whole keys and is called only
+// for groups whose prefixes are equal: inside the insertion sort of a bucket
+// of at most radixCutoff groups, and by the pdqsort of a bucket still larger
+// once all eight prefix bytes are spent, where every prefix is equal.
+func radixSortGroups(gs []keyGroup, shift int, compare func(a, b keyGroup) int) {
+	for len(gs) > radixCutoff && shift >= 0 {
+		sh := uint(shift)
+		var next, end [256]int
+		for _, g := range gs {
+			end[byte(g.prefix>>sh)]++
+		}
+		if end[byte(gs[0].prefix>>sh)] == len(gs) {
+			shift -= 8
+			continue
+		}
+		at := 0
+		for d, c := range end {
+			next[d] = at
+			at += c
+			end[d] = at
+		}
+		// American flag permutation: carry each misplaced group to the next
+		// free place of its bucket until the one that belongs here turns up.
+		for d := range next {
+			for next[d] < end[d] {
+				g := gs[next[d]]
+				for e := byte(g.prefix >> sh); int(e) != d; e = byte(g.prefix >> sh) {
+					gs[next[e]], g = g, gs[next[e]]
+					next[e]++
+				}
+				gs[next[d]] = g
+				next[d]++
+			}
+		}
+		lo := 0
+		for _, hi := range end {
+			if hi-lo > 1 {
+				radixSortGroups(gs[lo:hi], shift-8, compare)
+			}
+			lo = hi
+		}
+		return
+	}
+	if len(gs) > radixCutoff {
+		slices.SortFunc(gs, compare)
+		return
+	}
+	for i := 1; i < len(gs); i++ {
+		g, j := gs[i], i
+		for ; j > 0; j-- {
+			p := gs[j-1]
+			if g.prefix > p.prefix || g.prefix == p.prefix && compare(g, p) > 0 {
+				break
+			}
+			gs[j] = p
+		}
+		gs[j] = g
+	}
 }

@@ -72,6 +72,35 @@ func zipfKeys(rng *rand.Rand, n int) []string {
 	return keys
 }
 
+// keysOver returns n keys (repeats allowed): prefix, then between minLen and
+// maxLen further bytes drawn from alphabet.
+func keysOver(rng *rand.Rand, n int, prefix, alphabet string, minLen, maxLen int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		b := []byte(prefix)
+		for j, l := 0, minLen+rng.Intn(maxLen-minLen+1); j < l; j++ {
+			b = append(b, alphabet[rng.Intn(len(alphabet))])
+		}
+		keys[i] = string(b)
+	}
+	return keys
+}
+
+// bucketKeys returns, for each size, that many distinct keys under a top
+// byte of their own ('A', 'B', …), each emitted twice, shuffled — one
+// top-level radix bucket of exactly that many groups per size.
+func bucketKeys(rng *rand.Rand, sizes ...int) []string {
+	var keys []string
+	for b, size := range sizes {
+		for i := 0; i < size; i++ {
+			k := fmt.Sprintf("%c%02x%s", 'A'+b, i, teraKeys(rng, 1)[0][:3])
+			keys = append(keys, k, k)
+		}
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys
+}
+
 func TestSortMetaMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	long := strings.Repeat("k", 8<<10)
@@ -96,6 +125,16 @@ func TestSortMetaMatchesStableSort(t *testing.T) {
 		{"high bytes order unsigned", []string{"\x80aaaaaaa", "\x7faaaaaaa", "\xffaaaaaaa", "\x00aaaaaaa"}},
 		{"distinct tera keys", teraKeys(rng, 3000)},
 		{"zipf words", zipfKeys(rng, 8000)},
+		// The radix levels: a level every group shares is skipped, a bucket
+		// of at most radixCutoff groups is insertion-sorted, and one still
+		// larger after all eight prefix bytes is compared whole.
+		{"one top byte", append(keysOver(rng, 2000, "Q", "ABCDEFGHIJKLMNOPQRSTUVWXYZ", 9, 9), "Q", "Q\x00", "Q\x00\x00", "Q")},
+		{"one top byte but one group", append(keysOver(rng, 500, "Q", "ABCDEFGHIJKLMNOPQRSTUVWXYZ", 9, 9), "Z")},
+		{"equal in the first 8 bytes", append(keysOver(rng, 600, "ABCDEFGH", "\x00ab", 0, 4), "ABCDEFG", "ABCDEFGH\x00\x00", "ABCDEFGI")},
+		{"two symbols, every level", keysOver(rng, 20000, "", "\x00\xff", 9, 14)},
+		{"one bucket of radixCutoff groups", bucketKeys(rng, radixCutoff)},
+		{"one bucket of radixCutoff+1 groups", bucketKeys(rng, radixCutoff+1)},
+		{"buckets around the cutoff", bucketKeys(rng, radixCutoff-1, radixCutoff, radixCutoff+1, radixCutoff+2, 1, 0, 200)},
 	}
 	// One scratch for the whole table, then for buffers of shrinking and
 	// growing size: whatever a call leaves behind must not reach the next.

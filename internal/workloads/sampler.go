@@ -3,32 +3,38 @@ package workloads
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // sampleCuts implements TeraSort's input sampler: it samples input lines,
 // extracts their sort keys, and returns numReducers-1 quantile cut keys
 // that define the range partitioner ("a sorted list of N-1 sampled keys to
 // define the key range for each reduce", per the paper's TeraSort
-// description).
+// description). It takes every stride-th of the input's lines — the pieces
+// between newlines, a final unterminated or empty one included — skipping
+// empty ones, and converts only those it takes.
 func sampleCuts(input []byte, numReducers int, keyOf func(line string) string) ([]string, error) {
 	if numReducers <= 1 {
 		return nil, nil
 	}
 	const maxSamples = 10000
-	lines := bytes.Split(input, []byte{'\n'})
-	stride := len(lines)/maxSamples + 1
+	stride := (bytes.Count(input, []byte{'\n'})+1)/maxSamples + 1
 	var keys []string
-	for i := 0; i < len(lines); i += stride {
-		if len(lines[i]) == 0 {
-			continue
+	for i, rest := 0, input; rest != nil; i++ {
+		line := rest
+		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
+			line, rest = rest[:nl], rest[nl+1:]
+		} else {
+			rest = nil
 		}
-		keys = append(keys, keyOf(string(lines[i])))
+		if i%stride == 0 && len(line) > 0 {
+			keys = append(keys, keyOf(string(line)))
+		}
 	}
 	if len(keys) < numReducers {
 		return nil, fmt.Errorf("workloads: only %d sampled keys for %d reducers", len(keys), numReducers)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	cuts := make([]string, numReducers-1)
 	for i := 1; i < numReducers; i++ {
 		cuts[i-1] = keys[i*len(keys)/numReducers]
