@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/rpc"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -376,6 +377,45 @@ func TestRemoteSubmit(t *testing.T) {
 	}
 	if res2.Counters.MapTasks == 0 {
 		t.Error("second job ran no tasks")
+	}
+}
+
+// TestInvalidGrepPatternRejected: a grep pattern that does not compile is
+// an invalid job, both in process and over the RPC path cmd/hadoopd uses,
+// and the master goes on serving — the next job over the same connection
+// runs to the right answer.
+func TestInvalidGrepPatternRejected(t *testing.T) {
+	m := startMaster(t)
+	startWorker(t, m, "daemon")
+	input := workloads.GenerateText(16*units.KB, 3)
+	bad := JobDescriptor{Workload: "grep", NumReducers: 1, Aux: []byte("(")}
+
+	if _, err := m.Submit(context.Background(), bad, input, 4096); !errors.Is(err, ErrInvalidJob) {
+		t.Fatalf("in-process submit of an invalid pattern: %v, want wrapped ErrInvalidJob", err)
+	}
+	client, err := rpc.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	var res mapreduce.Result
+	err = client.Call("Master.Submit", SubmitArgs{Desc: bad, Input: input, BlockSize: 4096}, &res)
+	if _, ok := err.(rpc.ServerError); !ok || !strings.Contains(err.Error(), ErrInvalidJob.Error()) {
+		t.Fatalf("remote submit of an invalid pattern: %v, want a server error naming %q", err, ErrInvalidJob)
+	}
+
+	good := JobDescriptor{Workload: "grep", NumReducers: 1, Aux: []byte("ou")}
+	if err := client.Call("Master.Submit", SubmitArgs{Desc: good, Input: input, BlockSize: 4096}, &res); err != nil {
+		t.Fatalf("remote submit after the rejection: %v", err)
+	}
+	want := map[string]int{}
+	for _, w := range strings.Fields(string(input)) {
+		if strings.Contains(w, "ou") {
+			want[w]++
+		}
+	}
+	if got := outputCounts(t, &res); !reflect.DeepEqual(got, want) {
+		t.Errorf("grep after the rejection: %d distinct matches, want %d", len(got), len(want))
 	}
 }
 

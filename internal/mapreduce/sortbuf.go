@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 )
 
@@ -51,6 +52,7 @@ type keyGroup struct {
 // reused across spills and tasks.
 type sortScratch struct {
 	table  []int32    // open addressing: group number + 1, 0 = empty slot
+	size   int        // the table size the last sort ended at
 	gid    []int32    // per record: its group's number (first-emit order)
 	groups []keyGroup // indexed by group number until sorted
 	out    []recMeta  // scatter target
@@ -107,16 +109,18 @@ func sortMeta(data []byte, meta []recMeta, sc *sortScratch) {
 		return int(m.keyLen) == len(k) && (len(k) <= 8 || bytes.Equal(data[m.off:m.off+m.keyLen], k))
 	}
 
-	// Group. The table starts small and doubles at half load, so it and the
-	// group array follow the number of distinct keys, not of records. gid and
-	// out are sized by meta's capacity, so across a slot's tasks they are
-	// reallocated only as often as the sort buffer itself.
+	// Group. The table doubles at half load, so it and the group array
+	// follow the number of distinct keys, not of records. It starts at the
+	// size the last sort ended at, since a task's buffers tend to hold alike
+	// numbers of distinct keys: at least 1 024 slots, and no more than n keys
+	// can fill. gid and out are sized by meta's capacity, so across a slot's
+	// tasks they are reallocated only as often as the sort buffer itself.
 	if cap(sc.gid) < n {
 		sc.gid = make([]int32, cap(meta))
 		sc.out = make([]recMeta, cap(meta))
 	}
 	gid, groups := sc.gid[:n], sc.groups[:0]
-	size := 1 << 10
+	size := max(1<<10, min(sc.size, 1<<bits.Len(uint(2*n-1))))
 	table := sc.emptyTable(size)
 	for i := int32(0); i < int32(n); i++ {
 		k := key(i)
@@ -148,7 +152,7 @@ func sortMeta(data []byte, meta []recMeta, sc *sortScratch) {
 			}
 		}
 	}
-	sc.groups = groups
+	sc.groups, sc.size = groups, size
 
 	// Sort the distinct keys.
 	radixSortGroups(groups, 56, func(a, b keyGroup) int {

@@ -30,9 +30,53 @@ func (*WordCount) Generate(size units.Bytes, seed int64) []byte {
 // Spec returns the calibrated resource profile.
 func (*WordCount) Spec() Spec { return wordCountSpec() }
 
-// asciiSpace mirrors strings.Fields' ASCII space table; forEachField
-// splits exactly where strings.Fields does.
+// asciiSpace mirrors strings.Fields' ASCII space table. With
+// unicode.IsSpace for the rest it is the one separator test, strings.Fields'
+// own, that forEachField, fieldEnd and fieldStart share. Invalid UTF-8
+// decodes to U+FFFD, which is not a space, so it counts as a field byte.
 var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// fieldEnd returns the index of the first separator at or after i, or
+// len(line): the end of a field that runs through i.
+func fieldEnd(line []byte, i int) int {
+	for i < len(line) {
+		if c := line[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != 0 {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(line[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	return i
+}
+
+// fieldStart returns the start of a field that runs up to i: it walks back
+// rune by rune with utf8.DecodeLastRune to just past the previous
+// separator, or to 0. UTF-8 decodes the same runes backwards as forwards,
+// invalid bytes one at a time, so it splits where fieldEnd does.
+func fieldStart(line []byte, i int) int {
+	for i > 0 {
+		if c := line[i-1]; c < utf8.RuneSelf {
+			if asciiSpace[c] != 0 {
+				break
+			}
+			i--
+			continue
+		}
+		r, size := utf8.DecodeLastRune(line[:i])
+		if unicode.IsSpace(r) {
+			break
+		}
+		i -= size
+	}
+	return i
+}
 
 // forEachField calls fn for each whitespace-separated field of line,
 // splitting exactly as strings.Fields does (Unicode spaces included;

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -271,33 +272,45 @@ func TestTeraSortBuildersAgree(t *testing.T) {
 	}
 }
 
+// TestGrepFindsAllMatches runs grep through the engine for patterns that
+// take each of the mapper's paths — a bare literal, a literal the regexp
+// confirms (anchors, a wildcard, a repeat), no literal at all (case folding,
+// a class), and a literal holding a space — and holds every word's count to
+// the regexp run on each strings.Fields word.
 func TestGrepFindsAllMatches(t *testing.T) {
-	g := NewGrep("ou")
-	res, input := runWorkload(t, g, 16*units.KB, 4*units.KB, 2)
-	want := make(map[string]int)
-	for _, w := range strings.Fields(string(input)) {
-		if strings.Contains(w, "ou") {
-			want[w]++
-		}
-	}
-	got := make(map[string]int)
-	for _, p := range res.Output() {
-		for _, kv := range p {
-			n, _ := strconv.Atoi(kv.Value)
-			got[kv.Key] = n
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d matched words, want %d", len(got), len(want))
-	}
-	for w, n := range want {
-		if got[w] != n {
-			t.Errorf("match[%q] = %d, want %d", w, got[w], n)
-		}
-	}
-	// Output is far smaller than input: grep's tiny map-output ratio.
-	if res.Counters.MapOutputRatio() > 0.5 {
-		t.Errorf("grep map output ratio %.2f unexpectedly high", res.Counters.MapOutputRatio())
+	for _, pattern := range []string{"ou", "^ou$", "o.u", "(?i)OU", "ou+", "o u", "[a-z]+"} {
+		t.Run(pattern, func(t *testing.T) {
+			res, input := runWorkload(t, NewGrep(pattern), 16*units.KB, 4*units.KB, 2)
+			re, err := regexp.Compile(pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(map[string]int)
+			for _, w := range strings.Fields(string(input)) {
+				if re.MatchString(w) {
+					want[w]++
+				}
+			}
+			got := make(map[string]int)
+			for _, p := range res.Output() {
+				for _, kv := range p {
+					n, _ := strconv.Atoi(kv.Value)
+					got[kv.Key] = n
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d matched words, want %d", len(got), len(want))
+			}
+			for w, n := range want {
+				if got[w] != n {
+					t.Errorf("match[%q] = %d, want %d", w, got[w], n)
+				}
+			}
+			// Output is far smaller than input: grep's tiny map-output ratio.
+			if pattern == "ou" && res.Counters.MapOutputRatio() > 0.5 {
+				t.Errorf("grep map output ratio %.2f unexpectedly high", res.Counters.MapOutputRatio())
+			}
+		})
 	}
 }
 
