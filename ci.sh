@@ -246,11 +246,13 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # files beside the snapshot (a finished reducer restored from its file,
 # torn append included; the orphan sweep; nothing left behind; a snapshot
 # whose size does not follow the input; a job restored queued under a lower
-# cap; a snapshot carrying fields since deleted), and a grep pattern that
+# cap; a snapshot carrying fields since deleted; beats that do not wait for
+# the snapshot writer while Submit does; Close flushing it, then stopping
+# it), and a grep pattern that
 # does not compile, rejected in process and over RPC with the master still
 # serving. These run inside the blanket race gate too; -count=2 here shakes out scheduling-order flakes
 # and makes a chaos failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six

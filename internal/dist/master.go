@@ -36,6 +36,14 @@ type Master struct {
 	changed chan struct{}
 
 	janitorStop chan struct{}
+
+	// The snapshot writer (persist): commits counts the commits that asked
+	// for a write, saved is the last one a finished or failed write covered;
+	// commitCond wakes the writer, savedCond the Submits waiting on it.
+	commits, saved        uint64
+	commitCond, savedCond *sync.Cond
+	persisting            sync.WaitGroup
+	writeFile             func(path string, b []byte) error // tests replace it
 }
 
 // StartMaster starts a master listening on addr ("127.0.0.1:0" for an
@@ -67,7 +75,10 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 		files:       make(map[uint64]*dataFile),
 		changed:     make(chan struct{}),
 		janitorStop: make(chan struct{}),
+		writeFile:   writeSnapshotFile,
 	}
+	m.commitCond = sync.NewCond(&m.mu)
+	m.savedCond = sync.NewCond(&m.mu)
 	if m.snapPath != "" {
 		snap, err := loadSnapshot(m.snapPath)
 		if err != nil {
@@ -89,6 +100,12 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 		ln.Close()
 		return nil, err
 	}
+	// The writer starts after the last step that can fail, so a failed
+	// StartMaster leaves none behind; it writes nothing until a commit.
+	if m.snapPath != "" {
+		m.persisting.Add(1)
+		go m.persist()
+	}
 	go m.acceptLoop()
 	go m.janitor()
 	return m, nil
@@ -100,7 +117,9 @@ func (m *Master) Addr() string { return m.listener.Addr().String() }
 // Close stops accepting connections and the liveness janitor and releases
 // every held call; subsequent submissions fail with ErrMasterClosed.
 // In-flight jobs are left as they stand — with WithSnapshotPath a new
-// StartMaster at the same path resumes them, their data files included; a
+// StartMaster at the same path resumes them, their data files included.
+// Close returns once a snapshot covering the last commit is on disk, the
+// retired jobs' data files are gone and the snapshot writer has stopped; a
 // closed master persists nothing more.
 func (m *Master) Close() error {
 	m.mu.Lock()
@@ -108,10 +127,15 @@ func (m *Master) Close() error {
 		m.closed = true
 		close(m.janitorStop)
 		m.wakeLocked()
-		for _, d := range m.files {
-			d.f.Close()
-		}
+		m.commitCond.Signal()
 	}
+	m.mu.Unlock()
+	m.persisting.Wait()
+	m.mu.Lock()
+	for _, d := range m.files {
+		d.f.Close()
+	}
+	clear(m.files)
 	m.mu.Unlock()
 	m.peers.close()
 	return m.listener.Close()
@@ -149,27 +173,25 @@ func (m *Master) janitor() {
 	}
 }
 
-// commitLocked wakes held calls and writes the snapshot as a transition
-// reports, then releases the data file of each job it retired: deleted once
-// a snapshot without the job is on disk, only closed otherwise.
+// commitLocked wakes held calls and, with snapshots on, hands a transition
+// that must survive a restart to the snapshot writer: it counts the commit
+// and signals, never waiting for the write. A closed master commits
+// nothing more to disk.
 func (m *Master) commitLocked(wake, save bool) {
 	if wake {
 		m.wakeLocked()
 	}
-	if !save {
-		return
+	if save && m.snapPath != "" && !m.closed {
+		m.commits++
+		m.commitCond.Signal()
 	}
-	saved := m.saveSnapshotLocked()
-	for epoch, d := range m.files {
-		if m.core.byEpoch[epoch] != nil {
-			continue
-		}
-		if saved {
-			removeDataFile(d.f)
-		} else {
-			d.f.Close()
-		}
-		delete(m.files, epoch)
+}
+
+// waitSavedLocked waits, under m.mu, until a write covering commit seq has
+// finished or failed.
+func (m *Master) waitSavedLocked(seq uint64) {
+	for m.saved < seq {
+		m.savedCond.Wait()
 	}
 }
 
@@ -211,7 +233,10 @@ func (m *Master) Stats() Stats {
 // the handle for the result; ctx only bounds the admission itself (a
 // cancelled ctx before admission fails the call — it is not attached to
 // the job). With snapshots on, a job whose input cannot be written to its
-// data file is refused: the master could not resume it.
+// data file is refused: the master could not resume it. An admitted job is
+// acknowledged only once the snapshot write covering its admission has
+// finished (a failed one is counted in dist.snapshot.errors, and the job
+// still runs).
 func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, blockSize int) (*JobHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: submit cancelled: %w", err)
@@ -261,6 +286,7 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 		m.files[js.epoch] = &dataFile{f: data, inputLen: n, end: n, ext: make([]extent, desc.NumReducers)}
 	}
 	m.commitLocked(wake, save)
+	m.waitSavedLocked(m.commits)
 	return &JobHandle{m: m, js: js}, nil
 }
 
@@ -313,14 +339,14 @@ type masterRPC struct {
 }
 
 // Heartbeat is a worker's one control call. Its reports are applied and
-// committed — waking held calls, writing the snapshot — before a poll is
-// answered, so a completion riding a polling beat can already unlock the
-// task that beat receives. A poll is held while there is no task, and its
-// reply carries the active epochs; dist.rpc.get_task ticks once per polling
-// beat, a strictly monotone series the live /metrics smoke test leans on.
-// A beat that reports a completion naming no endpoint, or a reduce output
-// that cannot be pulled, is refused whole: its tasks stay assigned and the
-// timeout path reissues them.
+// committed — waking held calls, signalling the snapshot writer, never
+// waiting for it — before a poll is answered, so a completion riding a
+// polling beat can already unlock the task that beat receives. A poll is
+// held while there is no task, and its reply carries the active epochs;
+// dist.rpc.get_task ticks once per polling beat, a strictly monotone series
+// the live /metrics smoke test leans on. A beat that reports a completion
+// naming no endpoint, or a reduce output that cannot be pulled, is refused
+// whole: its tasks stay assigned and the timeout path reissues them.
 func (r *masterRPC) Heartbeat(hb Heartbeat, reply *Task) error {
 	m := r.m
 	if hb.Addr == "" && slices.ContainsFunc(hb.Reports, func(rep TaskReport) bool { return rep.Failure == "" }) {
@@ -417,7 +443,8 @@ func (r *masterRPC) FetchSegments(args FetchSegmentsArgs, reply *FetchSegmentsRe
 }
 
 // Submit accepts a remote job submission over RPC and blocks until the job
-// completes, returning the full result to the client.
+// completes, returning the full result to the client; like Master.Submit,
+// it admits the job only once the snapshot write covering it is done.
 func (r *masterRPC) Submit(args SubmitArgs, reply *mapreduce.Result) error {
 	ctx := context.Background()
 	h, err := r.m.Submit(ctx, args.Desc, args.Input, args.BlockSize)

@@ -136,9 +136,10 @@ func WithWorkerTimeout(d time.Duration) Option {
 }
 
 // WithSnapshotPath makes the master persist a versioned state snapshot
-// (jobs, task tables, worker registry) to path on every mutation, and
-// StartMaster resume from an existing snapshot at that path — a restarted
-// master picks its in-flight jobs back up. Each job's input and finished
+// (jobs, task tables, worker registry) to path after its mutations — from
+// a writer goroutine, before Submit returns — and StartMaster resume from
+// an existing snapshot at that path — a restarted master picks its
+// in-flight jobs back up. Each job's input and finished
 // outputs live in a data file beside it (path.job-*) until the job
 // retires. Empty keeps snapshots off.
 func WithSnapshotPath(path string) Option {

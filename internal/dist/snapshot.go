@@ -4,16 +4,20 @@ package dist
 // and the snapshot value the core builds (core.go) on disk. It writes every
 // bulk byte once: Submit writes a job's input to a data file of its own
 // beside the snapshot (<snapshot>.job-*), and each reduce output is appended
-// to it on arrival. The snapshot — one versioned gob value, replaced
-// atomically (temp file + rename) on every mutation — names those bytes by
-// extent beside each job's task table, shuffle publication log and
-// counters, so its size follows the task table, not the job. A retired
-// job's file goes only after a snapshot without the job is on disk: a crash
-// in between leaves an orphan, which StartMaster sweeps, never a dangling
-// name. A restart re-derives the splits from the input, reads finished
-// outputs back at their extents (bytes past the last are a torn append),
-// keeps done maps done while their workers serve them, and clears every
-// assignment; segments lost with dead workers recover through loss reports.
+// to it on arrival. The snapshot — one versioned gob value — names those
+// bytes by extent beside each job's task table, shuffle publication log and
+// counters, so its size follows the task table, not the job. One persister
+// goroutine replaces it (temp file + rename) off the master's lock; commits
+// that land during a write share the next one, and only Submit waits for
+// the write covering its admission, so a kill between a commit and the
+// next write loses the later transitions, which the restart redoes. A
+// retired job's file goes only after a snapshot without the job is on
+// disk: a crash in between leaves an orphan, which StartMaster sweeps,
+// never a dangling name. A restart re-derives the splits from the input,
+// reads finished outputs back at their extents (bytes past the last are a
+// torn append), keeps done maps done while their workers serve them, and
+// clears every assignment; segments lost with dead workers recover through
+// loss reports.
 //
 // Deleting a field does not bump snapshotVersion: gob skips stream fields
 // the destination type lacks. A version-3 file that still carries the
@@ -22,6 +26,7 @@ package dist
 // derived from the restored task table.
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"heterohadoop/internal/mapreduce"
+	"heterohadoop/internal/obs"
 )
 
 // snapshotVersion is bumped on any incompatible layout change; a loaded
@@ -87,39 +93,84 @@ type dataFile struct {
 	ext           []extent
 }
 
-// saveSnapshotLocked persists the master state when snapshots are
-// enabled; commitLocked calls it after every transition that must survive a
-// restart (submission, completion, invalidation, eviction, retirement).
-// Write errors are surfaced through the observer rather than failing the
-// transition — a master that cannot persist keeps serving. A closed master
-// no longer writes: a successor may own the path. Reports a write.
-func (m *Master) saveSnapshotLocked() bool {
-	if m.snapPath == "" || m.closed {
-		return false
+// persist is the master's one snapshot writer, started by StartMaster
+// with snapshots on and stopped by Close. Each round encodes the latest
+// state under m.mu, writes it off the lock, releases the retired jobs' data
+// files — deleted once the write succeeded, only closed otherwise — and
+// marks every commit it covered saved. A failed write is only counted: a
+// master that cannot persist keeps serving. Once the master is closed it
+// writes until the last commit is covered, then returns.
+func (m *Master) persist() {
+	defer m.persisting.Done()
+	ob := m.core.ob
+	var buf bytes.Buffer
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		for m.saved == m.commits && !m.closed {
+			m.commitCond.Wait()
+		}
+		if m.saved == m.commits {
+			return
+		}
+		seq, covered, write := m.commits, m.commits-m.saved, m.writeFile
+		retired, err := m.encodeSnapshotLocked(&buf)
+		m.mu.Unlock()
+		if err == nil {
+			span := obs.Start(ob, "dist.snapshot.write")
+			err = write(m.snapPath, buf.Bytes())
+			span.End()
+		}
+		if err != nil {
+			ob.Count("dist.snapshot.errors", 1)
+		} else {
+			ob.Count("dist.snapshot.writes", 1)
+		}
+		if covered > 1 {
+			ob.Count("dist.snapshot.coalesced", int64(covered-1))
+		}
+		for _, d := range retired {
+			if err == nil {
+				removeDataFile(d.f)
+			} else {
+				d.f.Close()
+			}
+		}
+		m.mu.Lock()
+		m.saved = seq
+		m.savedCond.Broadcast()
 	}
+}
+
+// encodeSnapshotLocked gob-encodes the master state into buf, so the write
+// shares no slice the core goes on mutating, and takes the data files of
+// the jobs retired since the last encode out of m.files.
+func (m *Master) encodeSnapshotLocked(buf *bytes.Buffer) (retired []*dataFile, err error) {
 	snap := m.core.snapshot()
 	for i := range snap.Jobs {
 		sj := &snap.Jobs[i]
 		d := m.files[sj.Epoch]
 		sj.DataFile, sj.InputLen, sj.Outputs = filepath.Base(d.f.Name()), d.inputLen, d.ext
 	}
-	if err := writeSnapshot(m.snapPath, &snap); err != nil {
-		m.core.ob.Count("dist.snapshot.errors", 1)
-		return false
+	for epoch, d := range m.files {
+		if m.core.byEpoch[epoch] == nil {
+			retired = append(retired, d)
+			delete(m.files, epoch)
+		}
 	}
-	m.core.ob.Count("dist.snapshot.writes", 1)
-	return true
+	buf.Reset()
+	return retired, gob.NewEncoder(buf).Encode(&snap)
 }
 
-// writeSnapshot gob-encodes the snapshot to a temp file beside path and
-// renames it into place, so readers never observe a torn write.
-func writeSnapshot(path string, snap *snapshot) error {
+// writeSnapshotFile writes an encoded snapshot to a temp file beside path
+// and renames it into place, so readers never observe a torn write.
+func writeSnapshotFile(path string, b []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	err = gob.NewEncoder(tmp).Encode(snap)
+	_, err = tmp.Write(b)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -4,22 +4,29 @@ package dist
 // beside it: the version gate, the value + extents round trip, a restart
 // that serves a finished reducer's output from the data file (torn append
 // included), the orphan sweep and the missing/short file errors, the empty
-// directory a closed cluster leaves, and a snapshot whose size follows the
-// task table rather than the input.
+// directory a closed cluster leaves, a snapshot whose size follows the
+// task table rather than the input, and the one snapshot writer: off the
+// master's lock, awaited by Submit alone, flushed and stopped by Close.
 
 import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"heterohadoop/internal/mapreduce"
+	"heterohadoop/internal/obs"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -47,6 +54,16 @@ func dirNames(t *testing.T, dir string) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// writeSnapshot encodes snap and writes it at path the way the persister
+// does.
+func writeSnapshot(path string, snap *snapshot) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		return err
+	}
+	return writeSnapshotFile(path, buf.Bytes())
 }
 
 // TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
@@ -169,8 +186,9 @@ func TestSnapshotRestartResumesFinishedReducer(t *testing.T) {
 				t.Errorf("resumer ran %d tasks, want 1 (the finished reducer comes from the data file)", n)
 			}
 			// Wait returns inside the retiring critical section; the unlink
-			// follows its snapshot write under the same lock.
+			// follows the persister's write covering that commit.
 			m2.mu.Lock()
+			m2.waitSavedLocked(m2.commits)
 			m2.mu.Unlock()
 			if files := dataFiles(t, snap); len(files) != 0 {
 				t.Errorf("retired job left its data file: %v", files)
@@ -352,6 +370,9 @@ func TestSnapshotOrphanSweep(t *testing.T) {
 		}
 	}
 	m2 := startMaster(t, WithSnapshotPath(snap))
+	if n := masterGoroutines(); n < 3 {
+		t.Errorf("%d goroutines started by an open snapshotting master, want its accept loop, janitor and writer", n)
+	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Errorf("orphan survived StartMaster: %v", err)
 	}
@@ -377,6 +398,13 @@ func TestSnapshotOrphanSweep(t *testing.T) {
 		if err == nil {
 			m.Close()
 			t.Fatalf("%s data file: StartMaster resumed the job", c.name)
+		}
+		// Closed masters' goroutines exit on their own; a failed start's
+		// snapshot writer would wait for a commit forever.
+		for deadline := time.Now().Add(5 * time.Second); masterGoroutines() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s data file: %d master goroutines left after the failed StartMaster", c.name, masterGoroutines())
+			}
 		}
 		for _, want := range []string{h.ID(), named[0], c.want} {
 			if !strings.Contains(err.Error(), want) {
@@ -408,6 +436,263 @@ func TestSnapshotLeavesOnlyItsFile(t *testing.T) {
 	m.Close()
 	if got := dirNames(t, dir); len(got) != 1 || got[0] != "master.snap" {
 		t.Errorf("directory after Close holds %v, want only master.snap", got)
+	}
+}
+
+// masterGoroutines counts the goroutines StartMaster started — accept
+// loop, janitor, snapshot writer — still present in the process, started
+// or not.
+func masterGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by heterohadoop/internal/dist.StartMaster"))
+}
+
+// returnsWithin fails the test unless f returns, without error, within 5 s.
+func returnsWithin(t *testing.T, what string, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5 s", what)
+	}
+}
+
+// TestSnapshotWriteOffLock blocks the persister inside its file write: a
+// completing beat, a zero-wait polling beat, Stats and Cancel all return
+// meanwhile, while each Submit returns only once a write that names its
+// job is on disk — a Submit issued during the blocked write waits for the
+// next one, which also covers the commits made meanwhile. A cancelled
+// job's data file stays until the write without the job is done. A write
+// that fails is counted, and its Submit still succeeds.
+func TestSnapshotWriteOffLock(t *testing.T) {
+	c := obs.NewCollector()
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	m := startMaster(t, WithSnapshotPath(snap), WithObserver(c), WithTaskTimeout(time.Minute))
+	entered, release, done := make(chan struct{}), make(chan error), make(chan struct{})
+	t.Cleanup(func() { close(done) }) // lets Close's flush through
+	m.mu.Lock()
+	m.writeFile = func(path string, b []byte) error {
+		select {
+		case entered <- struct{}{}:
+		case <-done:
+			return writeSnapshotFile(path, b)
+		}
+		select {
+		case err := <-release:
+			if err != nil {
+				return err
+			}
+		case <-done:
+		}
+		return writeSnapshotFile(path, b)
+	}
+	m.mu.Unlock()
+	blocked := func() {
+		t.Helper()
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the persister never started a write")
+		}
+	}
+	type submitted struct {
+		h   *JobHandle
+		err error
+	}
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 1}
+	submit := func() chan submitted {
+		ch := make(chan submitted, 1)
+		go func() {
+			h, err := m.Submit(context.Background(), desc, workloads.GenerateText(4*units.KB, 71), 64*1024)
+			ch <- submitted{h, err}
+		}()
+		return ch
+	}
+	// acked waits for a Submit blocked on the write just released and checks
+	// that the snapshot on disk names its job.
+	acked := func(ch chan submitted) *JobHandle {
+		t.Helper()
+		var s submitted
+		returnsWithin(t, "Submit after its write", func() error { s = <-ch; return s.err })
+		on, err := loadSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(on.Jobs, func(sj snapJob) bool { return sj.ID == s.h.ID() }) {
+			t.Errorf("Submit of %s returned before a snapshot naming it was on disk", s.h.ID())
+		}
+		return s.h
+	}
+	notReturned := func(ch chan submitted, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+			t.Fatalf("%s returned during the write that covers its admission", what)
+		default:
+		}
+	}
+
+	a := submit()
+	blocked() // the write covering a's admission
+	notReturned(a, "Submit a")
+	w := connectWorker(t, m, "clerk")
+	var task Task
+	returnsWithin(t, "zero-wait polling beat", func() error {
+		return w.client.Call("Master.Heartbeat", Heartbeat{WorkerID: w.ID, Poll: true}, &task)
+	})
+	if task.Kind != TaskMap {
+		t.Fatalf("polling beat got %q, want a map", task.Kind)
+	}
+	rep, err := w.runMap(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	returnsWithin(t, "completing beat", func() error {
+		return w.client.Call("Master.Heartbeat", Heartbeat{WorkerID: w.ID, Addr: w.shuffleAddr, Reports: []TaskReport{rep}}, &Task{})
+	})
+	returnsWithin(t, "Stats", func() error { m.Stats(); return nil })
+	m.mu.Lock()
+	before := m.commits
+	m.mu.Unlock()
+	b := submit()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		admitted := m.commits > before
+		m.mu.Unlock()
+		if admitted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Submit b was not admitted during the blocked write")
+		}
+	}
+	notReturned(b, "Submit b")
+	release <- nil
+	ha := acked(a)
+
+	blocked() // b's admission and the map completion, in one write
+	notReturned(b, "Submit b")
+	returnsWithin(t, "Cancel", func() error { ha.Cancel(); return nil })
+	files := dataFiles(t, snap) // a's and b's
+	release <- nil
+	acked(b)
+	if n := c.Counter("dist.snapshot.coalesced"); n < 1 {
+		t.Errorf("dist.snapshot.coalesced = %d, want the second write to cover more than one commit", n)
+	}
+
+	blocked() // the cancel, which retires a
+	if got := dataFiles(t, snap); fmt.Sprint(got) != fmt.Sprint(files) {
+		t.Errorf("data files during the write that retires a: %v, want %v until it is done", got, files)
+	}
+	release <- nil
+	failed := submit()
+	blocked()
+	release <- errors.New("disk full")
+	returnsWithin(t, "Submit over a failed write", func() error { return (<-failed).err })
+	if got := dataFiles(t, snap); len(got) != 2 || slices.Equal(got, files) {
+		t.Errorf("data files after the write that retired a: %v, want b's and the new job's", got)
+	}
+	if n := c.Counter("dist.snapshot.errors"); n != 1 {
+		t.Errorf("dist.snapshot.errors = %d, want 1", n)
+	}
+	if w, s := c.Counter("dist.snapshot.writes"), c.SpanCount("dist.snapshot.write"); w != 3 || s != 4 {
+		t.Errorf("%d snapshot files written in %d dist.snapshot.write spans, want 3 in 4 (one failed)", w, s)
+	}
+}
+
+// TestSnapshotCloseFlushes runs a burst of submits and cancels against a
+// slow persister, then closes the master: the snapshot on disk restores
+// exactly the jobs still active, the cancelled jobs' data files are gone,
+// and nothing is written once Close has returned.
+func TestSnapshotCloseFlushes(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "master.snap")
+	m := startMaster(t, WithSnapshotPath(snap), WithMaxConcurrentJobs(2))
+	var closed atomic.Bool
+	var late atomic.Int64
+	m.mu.Lock()
+	m.writeFile = func(path string, b []byte) error {
+		if closed.Load() {
+			late.Add(1)
+		}
+		time.Sleep(time.Millisecond) // a slow disk, so commits queue behind each write
+		return writeSnapshotFile(path, b)
+	}
+	m.mu.Unlock()
+
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		active []*JobHandle
+	)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h, err := m.Submit(context.Background(), desc, workloads.GenerateText(8*units.KB, int64(80+i)), 2*1024)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 1 {
+				h.Cancel()
+				return
+			}
+			mu.Lock()
+			active = append(active, h)
+			mu.Unlock()
+		}(i)
+	}
+	wg.Wait()
+	m.Close()
+	closed.Store(true)
+	active[0].Cancel() // a commit after Close persists nothing
+	if _, err := m.Submit(context.Background(), desc, []byte("x\n"), 2); !errors.Is(err, ErrMasterClosed) {
+		t.Errorf("Submit after Close: %v, want ErrMasterClosed", err)
+	}
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d snapshot writes after Close returned", n)
+	}
+
+	on, err := loadSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got, named []string
+	for _, h := range active {
+		want = append(want, h.ID())
+	}
+	for _, sj := range on.Jobs {
+		got = append(got, sj.ID)
+		named = append(named, filepath.Join(dir, sj.DataFile))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("snapshot after Close holds jobs %v, want the active %v", got, want)
+	}
+	sort.Strings(named)
+	if files := dataFiles(t, snap); fmt.Sprint(files) != fmt.Sprint(named) {
+		t.Errorf("data files after Close: %v, want only the active jobs' %v", files, named)
+	}
+	if names := dirNames(t, dir); len(names) != len(named)+1 {
+		t.Errorf("directory after Close holds %v, want the snapshot and %d data files", names, len(named))
+	}
+
+	m2 := startMaster(t, WithSnapshotPath(snap))
+	startWorker(t, m2, "resumer")
+	for _, id := range want {
+		h, ok := m2.Handle(id)
+		if !ok {
+			t.Fatalf("restarted master lost job %s", id)
+		}
+		waitJob(t, h, jobDeadline)
 	}
 }
 
@@ -452,17 +737,37 @@ func TestSnapshotSizeIndependentOfInput(t *testing.T) {
 }
 
 // BenchmarkSnapshotWrite times one snapshot write with a 16-map job in
-// flight; B/op must not grow with the job's input.
+// flight, in its two halves: the encode the persister runs under m.mu and
+// the file write it runs off the lock. B/op must not grow with the job's
+// input.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	for _, n := range []units.Bytes{units.MB, 16 * units.MB} {
-		b.Run(fmt.Sprintf("input=%dMB", n/units.MB), func(b *testing.B) {
-			m, _ := snapshotWithJob(b, n)
+		m, snap := snapshotWithJob(b, n)
+		var buf bytes.Buffer
+		m.mu.Lock()
+		_, err := m.encodeSnapshotLocked(&buf)
+		m.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("encode/input=%dMB", n/units.MB), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.mu.Lock()
-				m.saveSnapshotLocked()
+				_, err := m.encodeSnapshotLocked(&buf)
 				m.mu.Unlock()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		enc := bytes.Clone(buf.Bytes())
+		b.Run(fmt.Sprintf("file/input=%dMB", n/units.MB), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := writeSnapshotFile(snap, enc); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
