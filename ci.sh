@@ -31,6 +31,14 @@ test -z "$(grep -l '"compress/' $(ls internal/mapreduce/*.go | grep -v _test.go)
 # neither the splits nor the buffered reduce outputs.
 test -z "$(grep -nE 'SplitData|redOutputs' internal/dist/snapshot.go)"
 
+# Task gate: a cluster map task is the engine's map task — the master cuts
+# the engine's byte-range splits and hands out their windows, and a
+# spill-dir worker's spill files are the engine's — so non-test
+# internal/dist cuts no split, ships no chunk and writes no map output
+# itself.
+# shellcheck disable=SC2046
+test -z "$(grep -nE 'SplitInput|WriteSegmentsFile|SplitData' $(ls internal/dist/*.go | grep -v _test.go))"
+
 # Knob gate: scheduling is the master's alone and a failed engine task fails
 # its job, so the per-job overrides, the engine retry loop and the task
 # fields that restated the descriptor stay deleted outside tests.
@@ -248,11 +256,15 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # whose size does not follow the input; a job restored queued under a lower
 # cap; a snapshot carrying fields since deleted; beats that do not wait for
 # the snapshot writer while Submit does; Close flushing it, then stopping
-# it), and a grep pattern that
+# it), a grep pattern that
 # does not compile, rejected in process and over RPC with the master still
-# serving. These run inside the blanket race gate too; -count=2 here shakes out scheduling-order flakes
+# serving, and the engine's map task on a worker (absolute offsets at cuts
+# inside, at and across lines; a block size of math.MaxInt; a restored job
+# of block size 0 refused; several spills per map on a spill-dir worker,
+# byte-identical to the engine; a map failing after its second spill
+# leaving no file). These run inside the blanket race gate too; -count=2 here shakes out scheduling-order flakes
 # and makes a chaos failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes|TestClusterOffsetsMatchEngine|TestSubmitMaxBlockSize|TestSnapshotZeroBlockSizeRejected|TestSpillDirWorkerMatchesEngine|TestSpillDirFailedMapLeavesNoFile' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six
@@ -284,6 +296,7 @@ go test -run '^$' -fuzz '^FuzzStreamingShuffleParity$' -fuzztime 10s ./internal/
 go test -run '^$' -fuzz '^FuzzSegmentFileReader$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzResultGobDecode$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/dist/
+go test -run '^$' -fuzz '^FuzzWindow$' -fuzztime 10s ./internal/hdfs/
 go test -run '^$' -fuzz '^FuzzFPTreeMine$' -fuzztime 10s ./internal/workloads/
 go test -run '^$' -fuzz '^FuzzNaiveBayesModel$' -fuzztime 10s ./internal/workloads/
 go test -run '^$' -fuzz '^FuzzGrepMapper$' -fuzztime 10s ./internal/workloads/

@@ -51,7 +51,7 @@ func main() {
 		workerTO = flag.Duration("worker-timeout", 30*time.Second, "silent-worker eviction window (role=master)")
 		snapshot = flag.String("snapshot", "", "persist master state to this file and resume from it on start; per-job data files (FILE.job-*) live beside it (role=master)")
 		poll     = flag.Duration("poll", 10*time.Millisecond, "longest the master holds an idle poll or an empty fetch (role=worker)")
-		spillDir = flag.String("spill-dir", "", "serve map output from checksummed spill files under this directory instead of memory (role=worker)")
+		spillDir = flag.String("spill-dir", "", "spill map tasks to checksummed segment files under this directory and serve their output from there, bounding a map task's memory by its sort buffer (role=worker)")
 		trace    = flag.String("trace", "", "stream a JSONL observability trace to this file (master/worker)")
 		httpAddr = flag.String("http", "", "serve the live plane (/metrics, /jobs, /tasks, pprof) on this address (master/worker)")
 		powerArg = flag.String("power-profile", "", "core-class power profile: big, little, or a JSON profile file — stamps the class on phase events and enables hh_energy_joules/hh_edp on /metrics (master/worker)")

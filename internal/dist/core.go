@@ -100,21 +100,22 @@ func (c *core) workerIDs() []string {
 	return ids
 }
 
-// admit queues a job of the given splits and runs it at once when a slot
-// is free. It returns nil when the master already holds maxQueuedJobs jobs.
-func (c *core) admit(desc JobDescriptor, blockSize int, chunks [][]byte, now time.Time) (js *jobState, wake, save bool) {
+// admit queues a job over input, cut into blockSize-byte splits, and runs
+// it at once when a slot is free. It returns nil when the master already
+// holds maxQueuedJobs jobs.
+func (c *core) admit(desc JobDescriptor, blockSize int, input []byte, now time.Time) (js *jobState, wake, save bool) {
 	if len(c.jobs) >= maxQueuedJobs {
 		return nil, false, false
 	}
 	c.epoch++
-	js = newJobState(fmt.Sprintf("job-%d", c.epoch), c.epoch, desc, blockSize, chunks, now)
+	js = newJobState(fmt.Sprintf("job-%d", c.epoch), c.epoch, desc, blockSize, input, now)
 	c.jobs[js.id], c.byEpoch[js.epoch] = js, js
 	c.order = append(c.order, js)
 	if c.ob.Enabled() {
 		js.span = obs.Start(c.ob, "dist.submit",
 			obs.Str("job", desc.Workload),
 			obs.Str("id", js.id),
-			obs.Int("maps", int64(len(chunks))),
+			obs.Int("maps", int64(len(js.mapTasks))),
 			obs.Int("reducers", int64(desc.NumReducers)))
 		c.mapProgress(js)
 	}
@@ -671,11 +672,13 @@ func (c *core) restore(snap *snapshot, data [][]byte, now time.Time) error {
 	}
 	for i, sj := range snap.Jobs {
 		buf := data[i]
-		chunks := mapreduce.SplitInput(buf[:sj.InputLen], sj.BlockSize)
-		if len(chunks) != len(sj.MapTasks) || len(sj.Outputs) != sj.Desc.NumReducers {
+		if sj.BlockSize < 1 {
+			return fmt.Errorf("dist: snapshot job %s: block size %d", sj.ID, sj.BlockSize)
+		}
+		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, buf[:sj.InputLen], sj.SubmittedAt)
+		if len(js.mapTasks) != len(sj.MapTasks) || len(sj.Outputs) != sj.Desc.NumReducers {
 			return fmt.Errorf("dist: snapshot job %s: data file %s does not match its task table", sj.ID, sj.DataFile)
 		}
-		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, chunks, sj.SubmittedAt)
 		js.partSegs = sj.PartSegs
 		js.counters = sj.Counters
 		js.reassigned = sj.Reassigned

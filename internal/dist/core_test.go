@@ -70,7 +70,7 @@ func lines(n int) []byte {
 // admitLines admits a wordcount job of maps map tasks and reds reducers.
 func admitLines(t *testing.T, c *core, maps, reds int, now time.Time) *jobState {
 	t.Helper()
-	js, _, _ := c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, mapreduce.SplitInput(lines(maps), 8), now)
+	js, _, _ := c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, lines(maps), now)
 	if js == nil || len(js.mapTasks) != maps {
 		t.Fatalf("admission of a %d-map job failed: %+v", maps, js)
 	}
@@ -466,7 +466,7 @@ func (r *replay) jobByEpoch(epoch uint64) *replayJob {
 func (r *replay) submit() {
 	maps, reds := 1+r.rng.Intn(4), 1+r.rng.Intn(3)
 	input := lines(maps)
-	js, wake, save := r.c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, mapreduce.SplitInput(input, 8), r.now)
+	js, wake, save := r.c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, input, r.now)
 	if js == nil {
 		r.fatalf("admission refused with %d jobs held", len(r.c.jobs))
 	}

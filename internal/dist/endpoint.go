@@ -95,11 +95,11 @@ func (e *endpoint) serve(c net.Conn) {
 		if _, err := io.ReadFull(c, req[:]); err != nil {
 			return
 		}
-		f, ok := e.store.getFrame(binary.LittleEndian.Uint64(req[0:]),
+		seg, blob, more, err := e.store.frame(binary.LittleEndian.Uint64(req[0:]),
 			int(int32(binary.LittleEndian.Uint32(req[8:]))),
 			int(int32(binary.LittleEndian.Uint32(req[12:]))),
 			int(int32(binary.LittleEndian.Uint32(req[16:]))))
-		if err := writeReply(c, f, ok); err != nil {
+		if err := writeReply(c, seg, blob, more, err == nil); err != nil {
 			return
 		}
 	}
@@ -116,23 +116,23 @@ func (e *endpoint) close() {
 	}
 }
 
-// writeReply writes one reply. A resident segment goes out as its header
-// and then its arena bytes, in one vectored write; a frame read from disk
-// goes out as read.
-func writeReply(w io.Writer, f storedFrame, ok bool) error {
+// writeReply writes one reply, ok = 0 when !ok. A resident segment goes out
+// as its header and then its arena bytes, in one vectored write; a frame
+// read from disk (blob, non-nil) goes out as read.
+func writeReply(w io.Writer, seg mapreduce.Segment, blob []byte, more, ok bool) error {
 	if !ok {
 		_, err := w.Write(make([]byte, replyHeaderSize))
 		return err
 	}
 	var head, body []byte
-	if f.blob != nil {
-		head, body = make([]byte, replyHeaderSize), f.blob
+	if blob != nil {
+		head, body = make([]byte, replyHeaderSize), blob
 	} else {
-		body = f.seg.Payload()
-		head = f.seg.AppendHeader(make([]byte, replyHeaderSize, replyHeaderSize+f.seg.EncodedSize()-len(body)))
+		body = seg.Payload()
+		head = seg.AppendHeader(make([]byte, replyHeaderSize, replyHeaderSize+seg.EncodedSize()-len(body)))
 	}
 	head[0] = 1
-	if f.more {
+	if more {
 		head[1] = 1
 	}
 	binary.LittleEndian.PutUint32(head[2:], uint32(len(head)-replyHeaderSize+len(body)))

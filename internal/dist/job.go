@@ -10,6 +10,7 @@ package dist
 import (
 	"time"
 
+	"heterohadoop/internal/hdfs"
 	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 )
@@ -89,26 +90,31 @@ type jobState struct {
 	final *JobStatus
 }
 
-// newJobState builds a queued job from its split input. The caller
-// assigns id and epoch and registers the state in the master's tables.
-func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, chunks [][]byte, now time.Time) *jobState {
+// newJobState builds a queued job over input, one map task per
+// blockSize-byte split (blockSize ≥ 1) with its window, a view of input.
+// The caller assigns id and epoch and registers the state in the master's
+// tables.
+func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, input []byte, now time.Time) *jobState {
 	js := &jobState{
 		id:          id,
 		epoch:       epoch,
 		desc:        desc,
 		blockSize:   blockSize,
 		state:       JobQueued,
-		mapsLeft:    len(chunks),
 		redsLeft:    desc.NumReducers,
 		submittedAt: now,
 		doneCh:      make(chan struct{}),
 	}
-	js.mapTasks = make([]*taskState, len(chunks))
-	for i, c := range chunks {
-		js.mapTasks[i] = &taskState{task: Task{
-			Kind: TaskMap, Epoch: epoch, Seq: i, Job: desc, SplitData: c,
-		}, readyAt: now}
+	// start steps on only from inside the input and end adds at most its
+	// rest: no block size, math.MaxInt included, overflows the cut.
+	for start := 0; start < len(input); start += blockSize {
+		end := start + min(blockSize, len(input)-start)
+		js.mapTasks = append(js.mapTasks, &taskState{task: Task{
+			Kind: TaskMap, Epoch: epoch, Seq: len(js.mapTasks), Job: desc,
+			Start: start, End: end, Window: hdfs.Window(input, start, end),
+		}, readyAt: now})
 	}
+	js.mapsLeft = len(js.mapTasks)
 	js.partSegs = make([][]TaggedSegment, desc.NumReducers)
 	// Reduce tasks exist from the start: they carry no shuffle data
 	// (workers stream segments with FetchSegments), so they can be

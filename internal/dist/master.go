@@ -227,8 +227,8 @@ func (m *Master) Stats() Stats {
 }
 
 // Submit admits one job and returns immediately with its handle: the input
-// is split into record-aligned chunks of roughly blockSize bytes (one map
-// task each), the job queues behind the concurrent-job cap, and connected
+// is cut into the engine's blockSize-byte splits (one map task each), the
+// job queues behind the concurrent-job cap, and connected
 // workers pick its tasks up alongside every other running job's. Wait on
 // the handle for the result; ctx only bounds the admission itself (a
 // cancelled ctx before admission fails the call — it is not attached to
@@ -259,8 +259,7 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidJob, err)
 	}
-	chunks := mapreduce.SplitInput(input, blockSize)
-	if len(chunks) == 0 {
+	if len(input) == 0 {
 		return nil, ErrEmptyInput
 	}
 	var data *os.File
@@ -276,7 +275,7 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 		removeDataFile(data)
 		return nil, ErrMasterClosed
 	}
-	js, wake, save := m.core.admit(desc, blockSize, chunks, time.Now())
+	js, wake, save := m.core.admit(desc, blockSize, input, time.Now())
 	if js == nil {
 		removeDataFile(data)
 		return nil, ErrQueueFull

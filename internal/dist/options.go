@@ -16,7 +16,7 @@ var (
 	// ErrMasterClosed marks a submission against a master whose listener
 	// has been closed.
 	ErrMasterClosed = errors.New("dist: master closed")
-	// ErrEmptyInput marks a submission whose input splits to zero chunks.
+	// ErrEmptyInput marks a submission with no input bytes.
 	ErrEmptyInput = errors.New("dist: empty input")
 	// ErrInvalidJob marks a job descriptor that fails validation.
 	ErrInvalidJob = errors.New("dist: invalid job")
@@ -146,15 +146,16 @@ func WithSnapshotPath(path string) Option {
 	return func(c *config) { c.snapshotPath = path }
 }
 
-// WithSpillDir gives a worker an out-of-core map-output store: completed
-// map output is written to a checksummed segment file (raw frames, CRC-32
-// each) under a per-worker temp directory inside dir instead of staying
-// resident, and reducers pull it frame by frame from the byte endpoint. The
-// worker's resident shuffle state drops from the full map output to one
-// frame per in-flight fetch. A spill file that fails
-// validation on read is answered as segment loss, so the master re-executes
-// the owning map — the same recovery path as a dead worker. Empty keeps the
-// in-memory store.
+// WithSpillDir bounds a worker's map side out of core: its map tasks run
+// the engine's spill path with no spill kept resident, so every sort-buffer
+// spill is a checksummed segment file (raw frames, CRC-32 each) under a
+// per-worker temp directory inside dir, a task's spills merge into one
+// file, and a map task's memory is its job's SortBuffer, not its output.
+// Reducers pull that file frame by frame from the byte endpoint, so the
+// worker's resident shuffle state is one frame per in-flight fetch. A spill
+// file that fails validation on read is answered as segment loss, so the
+// master re-executes the owning map — the same recovery path as a dead
+// worker. Empty keeps map output in memory.
 func WithSpillDir(dir string) Option {
 	return func(c *config) { c.spillDir = dir }
 }

@@ -7,11 +7,12 @@
 // layer. A worker has one control call, the Heartbeat, the way a Hadoop 1
 // TaskTracker has one heartbeat: each beat carries every task report since
 // the last one and, when it polls, returns the next task (held by the
-// master while there is none). Workers execute tasks with the engine's
-// task-granular entry points, and the master reassigns tasks whose workers
-// go silent — speculative re-execution included. Jobs are referenced by registered workload names (shipping class
-// names, not code), with sampler/f-list auxiliary data computed master-side
-// and sent alongside.
+// master while there is none). A map task carries the engine's split and
+// its window, and workers run the engine's task bodies; the master
+// reassigns tasks whose workers go silent — speculative re-execution
+// included. Jobs are referenced by registered workload names (shipping
+// class names, not code), with sampler/f-list auxiliary data computed
+// master-side and sent alongside.
 //
 // The master is multi-tenant: Submit is asynchronous and returns a
 // JobHandle, many jobs run concurrently under a fair/capacity scheduler,
@@ -69,8 +70,12 @@ type Task struct {
 	// Job describes how to build the job; map output is split into
 	// Job.NumReducers partitions.
 	Job JobDescriptor
-	// SplitData is the record-aligned input chunk (map tasks).
-	SplitData []byte
+	// Start and End are a map task's split of the job's input, cut as the
+	// engine cuts it: [i·B, min((i+1)·B, n)) for block size B. Window is
+	// what hdfs.ReadWindow returns for it, the input from Start through the
+	// record straddling End.
+	Start, End int
+	Window     []byte
 	// ActiveEpochs lists the epochs of every job currently queued or
 	// running, piggybacked on every polling beat's reply so the worker can
 	// prune stored map output belonging to finished jobs.

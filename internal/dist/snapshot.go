@@ -13,16 +13,16 @@ package dist
 // next write loses the later transitions, which the restart redoes. A
 // retired job's file goes only after a snapshot without the job is on
 // disk: a crash in between leaves an orphan, which StartMaster sweeps,
-// never a dangling name. A restart re-derives the splits from the input,
-// reads finished outputs back at their extents (bytes past the last are a
-// torn append), keeps done maps done while their workers serve them, and
-// clears every assignment; segments lost with dead workers recover through
-// loss reports.
+// never a dangling name. A restart re-cuts the splits from the input and
+// its block size, reads finished outputs back at their extents (bytes past
+// the last are a torn append), keeps done maps done while their workers
+// serve them, and clears every assignment; segments lost with dead workers
+// recover through loss reports.
 //
 // Deleting a field does not bump snapshotVersion: gob skips stream fields
-// the destination type lacks. A version-3 file that still carries the
-// descriptor's old per-job scheduling knobs, a stored job phase or the
-// engine's old retry counter therefore resumes unchanged; the phase is
+// the destination type lacks. A file that still carries a deleted field —
+// the descriptor's old per-job scheduling knobs, a stored job phase, the
+// engine's old retry counter — therefore resumes unchanged; the phase is
 // derived from the restored task table.
 
 import (
@@ -44,8 +44,9 @@ import (
 // snapshot with a different version is rejected (the operator removes the
 // stale file) rather than misread. Version 3 moved the splits and reduce
 // outputs out of the snapshot into per-job data files: gob would decode a
-// version-2 file without complaint and resume jobs with no input.
-const snapshotVersion = 3
+// version-2 file without complaint and resume jobs with no input. Version 4
+// cuts the engine's splits; a version-3 file's done maps ran the old cut.
+const snapshotVersion = 4
 
 // extent locates one blob in a job's data file; Len 0 means absent.
 type extent struct{ Off, Len int64 }

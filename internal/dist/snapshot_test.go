@@ -25,7 +25,6 @@ import (
 	"testing"
 	"time"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
@@ -68,20 +67,25 @@ func writeSnapshot(path string, snap *snapshot) error {
 
 // TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
 // written by the version-2 layout (splits and outputs inside the snapshot
-// file) must fail StartMaster instead of resuming jobs with no data file.
+// file) must fail StartMaster instead of resuming jobs with no data file,
+// and one written by the version-3 layout (done maps cut by the old
+// record-aligned rule) instead of mixing its segments with the engine's
+// splits.
 func TestSnapshotVersionMismatchRejected(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "master.snap")
-	v2 := snapshot{Version: 2, Epoch: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
-	if err := writeSnapshot(snap, &v2); err != nil {
-		t.Fatal(err)
-	}
-	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
-	if err == nil {
-		m.Close()
-		t.Fatal("StartMaster resumed a version-2 snapshot")
-	}
-	if want := "snapshot version 2, want 3"; !strings.Contains(err.Error(), want) {
-		t.Errorf("StartMaster error %q, want it to name %q", err, want)
+	for _, v := range []int{2, 3} {
+		snap := filepath.Join(t.TempDir(), "master.snap")
+		old := snapshot{Version: v, Epoch: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
+		if err := writeSnapshot(snap, &old); err != nil {
+			t.Fatal(err)
+		}
+		m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+		if err == nil {
+			m.Close()
+			t.Fatalf("StartMaster resumed a version-%d snapshot", v)
+		}
+		if want := fmt.Sprintf("snapshot version %d, want 4", v); !strings.Contains(err.Error(), want) {
+			t.Errorf("StartMaster error %q, want it to name %q", err, want)
+		}
 	}
 }
 
@@ -241,8 +245,9 @@ func TestSnapshotRestoredQueuedJobHasNoPhase(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeletedFieldsStillLoad writes a version-3 snapshot the way a
-// master did while the descriptor carried per-job scheduling knobs and a
+// TestSnapshotDeletedFieldsStillLoad writes a snapshot of the current
+// version in the layout a master wrote while the descriptor carried per-job
+// scheduling knobs and a
 // sort buffer, the job its phase, JobStatus Running and Priority, Counters
 // TaskRetries, and the snapshot a job-ID counter beside the epoch. gob
 // skips the fields the current types lack, so StartMaster must resume the
@@ -298,14 +303,14 @@ func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
 	if err := os.WriteFile(snap+".job-2", input, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := oldSnapshot{Version: 3, Epoch: 2, JobSeq: 2,
+	old := oldSnapshot{Version: snapshotVersion, Epoch: 2, JobSeq: 2,
 		Jobs: []oldJob{{
 			ID: "job-2", Epoch: 2, BlockSize: 2 * 1024, State: JobRunning, Phase: "reduce",
 			Desc: oldDesc{Workload: desc.Workload, NumReducers: desc.NumReducers, SortBuffer: 64 << 10,
 				Priority: 3, TaskTimeout: time.Nanosecond, SpecFraction: 0.01, ReduceSlowstart: 1},
 			DataFile: filepath.Base(snap) + ".job-2", InputLen: int64(len(input)),
 			Outputs:  make([]extent, desc.NumReducers),
-			MapTasks: make([]snapTask, len(mapreduce.SplitInput(input, 2*1024))),
+			MapTasks: make([]snapTask, (len(input)-1)/(2*1024)+1),
 			PartSegs: make([][]TaggedSegment, desc.NumReducers),
 			Counters: oldCounters{TaskRetries: 2},
 		}},

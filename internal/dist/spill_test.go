@@ -1,10 +1,12 @@
 package dist
 
 // spill_test.go covers the worker-served out-of-core shuffle
-// (WithSpillDir): map output stored as checksummed segment files, served to
-// reducers frame by frame through the endpoint's frame cursor, pruned with its epoch,
-// and — the recovery contract — a spill file that fails validation on read
-// is answered as segment loss, so the master re-executes the owning map.
+// (WithSpillDir): map tasks spilling through the engine's path into
+// checksummed segment files, byte-identical to the engine and leaving no
+// file when they fail; the output served to reducers frame by frame through
+// the endpoint's frame cursor and pruned with its epoch; and — the recovery
+// contract — a spill file that fails validation on read answered as segment
+// loss, so the master re-executes the owning map.
 
 import (
 	"bytes"
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"heterohadoop/internal/mapreduce"
+	"heterohadoop/internal/obs"
 	"heterohadoop/internal/units"
 	"heterohadoop/internal/workloads"
 )
@@ -28,42 +31,69 @@ import (
 // and parses the reply back the way a puller does.
 func serveFrame(store *shuffleStore, epoch uint64, key, part, frame int) (mapreduce.Segment, bool, error) {
 	var buf bytes.Buffer
-	f, ok := store.getFrame(epoch, key, part, frame)
-	if err := writeReply(&buf, f, ok); err != nil {
+	seg, blob, more, err := store.frame(epoch, key, part, frame)
+	if err := writeReply(&buf, seg, blob, more, err == nil); err != nil {
 		return mapreduce.Segment{}, false, err
 	}
-	seg, _, more, err := readReply(&buf, maxFrameLen)
+	seg, _, more, err = readReply(&buf, maxFrameLen)
 	if err == nil && buf.Len() != 0 {
 		err = fmt.Errorf("%d bytes left after the reply", buf.Len())
 	}
 	return seg, more, err
 }
 
+// listSegFiles lists the segment files in dir.
+func listSegFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestShuffleStoreFrameCursor exercises the store through the endpoint's
-// reply format: a disk-backed multi-frame partition must come back frame by
-// frame, record-identical, and a resident one as one frame; replacing an
-// entry and pruning its epoch must remove the files.
+// reply format: a disk-backed multi-frame partition — a map task's output
+// under a spill dir — must come back frame by frame, record-identical, and
+// a resident one as one frame; replacing an entry and pruning its epoch
+// must remove the files.
 func TestShuffleStoreFrameCursor(t *testing.T) {
 	dir := t.TempDir()
-	// ~2.5 MB of records in one partition: several 1 MB frames.
+	// ~2.5 MB of records, all in partition 0: several 1 MB frames.
 	kvs := make([]mapreduce.KV, 30000)
+	var input []byte
 	for i := range kvs {
 		kvs[i] = mapreduce.KV{
 			Key:   fmt.Sprintf("key-%08d", i),
 			Value: strings.Repeat("v", 64) + strconv.Itoa(i),
 		}
+		input = append(input, kvs[i].Key+" "+kvs[i].Value+"\n"...)
 	}
-	seg := mapreduce.SegmentFromKVs(kvs)
-	sf, err := mapreduce.WriteSegmentsFile(filepath.Join(dir, "m0.seg"), []mapreduce.Segment{seg, {}})
-	if err != nil {
-		t.Fatal(err)
+	job := mapreduce.Job{
+		Config: mapreduce.DefaultConfig("frames"),
+		Mapper: mapreduce.MapperFunc(func(_, line string, emit mapreduce.Emitter) error {
+			k, v, _ := strings.Cut(line, " ")
+			emit(k, v)
+			return nil
+		}),
+		Reducer:     mapreduce.IdentityReducer(),
+		Partitioner: mapreduce.PartitionerFunc(func(string, int) int { return 0 }),
 	}
-	if sf.Frames(0) < 2 {
-		t.Fatalf("test wants a multi-frame partition, got %d frames", sf.Frames(0))
+	runMapTask := func(attempt int) *mapreduce.MapOutput {
+		t.Helper()
+		out, _, err := mapreduce.ExecuteMapTask(job, input, 0, len(input), 2, dir, attempt, obs.TaskRef{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 
 	store := newShuffleStore()
-	store.putFile(7, 0, sf)
+	store.put(7, 0, runMapTask(1))
+	first := listSegFiles(t, dir)
+	if len(first) != 1 {
+		t.Fatalf("a map task's output is one file, found %v", first)
+	}
 
 	var got []mapreduce.KV
 	frames := 0
@@ -78,8 +108,8 @@ func TestShuffleStoreFrameCursor(t *testing.T) {
 			break
 		}
 	}
-	if frames != sf.Frames(0) {
-		t.Errorf("cursor walked %d frames, file has %d", frames, sf.Frames(0))
+	if frames < 2 {
+		t.Fatalf("test wants a multi-frame partition, got %d frames", frames)
 	}
 	if len(got) != len(kvs) {
 		t.Fatalf("round-tripped %d records, want %d", len(got), len(kvs))
@@ -103,7 +133,8 @@ func TestShuffleStoreFrameCursor(t *testing.T) {
 
 	// Resident output: the whole partition is one frame, written from the
 	// stored segment's header and arena bytes.
-	store.put(8, 0, []mapreduce.Segment{seg, {}})
+	seg := mapreduce.SegmentFromKVs(kvs)
+	store.put(8, 0, mapreduce.ResidentOutput(seg, mapreduce.Segment{}))
 	if s, more, err := serveFrame(store, 8, 0, 0, 0); err != nil || more || !reflect.DeepEqual(s.KVs(), kvs) {
 		t.Errorf("resident partition: %d records, more=%v, err %v", s.Len(), more, err)
 	}
@@ -116,17 +147,13 @@ func TestShuffleStoreFrameCursor(t *testing.T) {
 
 	// A replacement entry releases the superseded file; pruning the epoch
 	// releases the replacement.
-	sf2, err := mapreduce.WriteSegmentsFile(filepath.Join(dir, "m0-retry.seg"), []mapreduce.Segment{seg, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.putFile(7, 0, sf2)
-	if _, err := os.Stat(sf.Path()); !os.IsNotExist(err) {
-		t.Error("superseded spill file not removed")
+	store.put(7, 0, runMapTask(2))
+	if files := listSegFiles(t, dir); len(files) != 1 || files[0] == first[0] {
+		t.Errorf("after the replacement the dir holds %v, want one file other than %s", files, first[0])
 	}
 	store.prune(nil)
-	if _, err := os.Stat(sf2.Path()); !os.IsNotExist(err) {
-		t.Error("pruned epoch's spill file not removed")
+	if files := listSegFiles(t, dir); len(files) != 0 {
+		t.Errorf("pruned epoch's spill files survive: %v", files)
 	}
 	if _, _, err := serveFrame(store, 7, 0, 0, 0); !errors.Is(err, errNotServed) {
 		t.Errorf("pruned entry: %v, want errNotServed", err)
@@ -163,9 +190,11 @@ func TestSpillDirShuffleEndToEnd(t *testing.T) {
 	if want := len(strings.Split(strings.TrimRight(string(input), "\n"), "\n")); total != want {
 		t.Fatalf("%d output records, want %d", total, want)
 	}
-	if res.Counters.SpillFilesWritten < res.Counters.MapTasks {
-		t.Errorf("SpillFilesWritten = %d, want >= one per map task (%d)",
-			res.Counters.SpillFilesWritten, res.Counters.MapTasks)
+	// A split inside one line (the input's tail can be one) has no output
+	// and writes no file.
+	if want := mapsWithOutput(input, 256*1024); res.Counters.SpillFilesWritten < want {
+		t.Errorf("SpillFilesWritten = %d, want >= one per map task with output (%d of %d)",
+			res.Counters.SpillFilesWritten, want, res.Counters.MapTasks)
 	}
 	if res.Counters.SpillFileBytesWritten == 0 {
 		t.Error("SpillFileBytesWritten = 0 for a disk-served shuffle")
@@ -235,5 +264,87 @@ func TestSpillFileCorruptionRerun(t *testing.T) {
 	checkWordCount(t, waitJob(t, h, jobDeadline), input)
 	if st := m.Stats(); st.RecoveredMaps < served {
 		t.Errorf("RecoveredMaps = %d, want >= %d (every corrupt map re-run)", st.RecoveredMaps, served)
+	}
+}
+
+// smallBufferJob is wordcount with a sort buffer of a few hundred records
+// and a merge factor of 3, so every map task of a few-KB split spills
+// several times and merges in more than one round.
+func smallBufferJob(desc JobDescriptor) (mapreduce.Job, error) {
+	cfg := mapreduce.DefaultConfig("smallbuffer")
+	cfg.NumReducers = desc.NumReducers
+	cfg.SortBuffer = 2 * units.KB
+	cfg.MergeFactor = 3
+	return workloads.NewWordCount().Build(cfg, nil)
+}
+
+// TestSpillDirWorkerMatchesEngine runs a job whose map tasks spill several
+// times on spill-dir workers: each spill is a segment file and a task's
+// spills merge into one more, so the job writes more spill files than it
+// has map tasks, and its output is the engine's, byte for byte.
+func TestSpillDirWorkerMatchesEngine(t *testing.T) {
+	input := workloads.GenerateText(32*units.KB, 47)
+	const blockSize = 8 * 1024
+	desc := JobDescriptor{Workload: "smallbuffer", NumReducers: 2}
+	m := startMaster(t)
+	for _, id := range []string{"spill-a", "spill-b"} {
+		registerOnCluster(t, m, id, "smallbuffer", smallBufferJob, WithSpillDir(t.TempDir()))
+	}
+	res := submitWait(t, m, desc, input, blockSize)
+	job, err := smallBufferJob(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := outputBytes(t, res), engineOutput(t, job, input, blockSize); !bytes.Equal(got, want) {
+		t.Errorf("spill-dir cluster output differs from the engine's (%d vs %d bytes)", len(got), len(want))
+	}
+	if c := res.Counters; c.SpillFilesWritten <= c.MapTasks || c.Spills <= c.MapTasks {
+		t.Errorf("%d spills in %d files for %d map tasks, want several spills per task, each in its own file",
+			c.Spills, c.SpillFilesWritten, c.MapTasks)
+	}
+}
+
+// TestSpillDirFailedMapLeavesNoFile: a map task that fails after its second
+// spill leaves nothing in the worker's spill dir — neither its spill files
+// nor a merged output.
+func TestSpillDirFailedMapLeavesNoFile(t *testing.T) {
+	var w *Worker
+	spilled := -1 // the spill files present when the mapper fails
+	failing := func(desc JobDescriptor) (mapreduce.Job, error) {
+		cfg := mapreduce.DefaultConfig("failing")
+		cfg.NumReducers = desc.NumReducers
+		cfg.SortBuffer = units.KB
+		pad := strings.Repeat("p", 600) // two records fill the sort buffer
+		records := 0
+		return mapreduce.Job{
+			Config: cfg,
+			Mapper: mapreduce.MapperFunc(func(_, line string, emit mapreduce.Emitter) error {
+				if records++; records == 5 {
+					files, _ := filepath.Glob(filepath.Join(w.spillDir, "*.seg"))
+					spilled = len(files)
+					return errors.New("mapper fails after its second spill")
+				}
+				emit(line, pad)
+				return nil
+			}),
+			Reducer: mapreduce.IdentityReducer(),
+		}, nil
+	}
+	m := startMaster(t)
+	m.Registry().Register("failing", failing)
+	w = connectWorker(t, m, "failing", WithSpillDir(t.TempDir()))
+	w.Registry().Register("failing", failing)
+	input := []byte("a\nb\nc\nd\ne\nf\n")
+	if _, err := m.Submit(context.Background(), JobDescriptor{Workload: "failing", NumReducers: 1}, input, len(input)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.runMap(stealMapTask(t, w.client, w.ID)); err == nil {
+		t.Fatal("the failing map task succeeded")
+	}
+	if spilled < 2 {
+		t.Fatalf("the mapper failed with %d spill files written, want 2", spilled)
+	}
+	if files := listSegFiles(t, w.spillDir); len(files) != 0 {
+		t.Errorf("a failed map task left %v in the spill dir", files)
 	}
 }

@@ -119,9 +119,13 @@ func TestSegmentWireRejectsCorruptBlobs(t *testing.T) {
 // with its length are errors.
 func FuzzFrameReader(f *testing.F) {
 	seg := mapreduce.SegmentFromKVs([]mapreduce.KV{{Key: "alpha", Value: "1"}, {Key: "beta", Value: "2"}})
-	for _, fr := range []storedFrame{{seg: seg}, {seg: seg, more: true}, {}, {blob: mapreduce.EncodeSegment(seg)}} {
+	for _, fr := range []struct {
+		seg  mapreduce.Segment
+		blob []byte
+		more bool
+	}{{seg: seg}, {seg: seg, more: true}, {}, {blob: mapreduce.EncodeSegment(seg)}} {
 		var buf bytes.Buffer
-		if err := writeReply(&buf, fr, true); err != nil {
+		if err := writeReply(&buf, fr.seg, fr.blob, fr.more, true); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/rpc"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -45,9 +44,9 @@ type Worker struct {
 	// spillDir is this worker's out-of-core map-output directory
 	// (WithSpillDir), "" for the in-memory store; removed on Close.
 	spillDir string
-	// spillSeq uniquifies spill-file names across re-executions of the same
-	// map seq (guarded by mu).
-	spillSeq int
+	// attempts counts map attempts; the count names an attempt's spill
+	// files, unique across re-executions of the same map (guarded by mu).
+	attempts int
 
 	mu      sync.Mutex
 	stopped bool
@@ -68,74 +67,38 @@ type Worker struct {
 	bgErr error
 }
 
-// storedOutput is one task's stored output: resident segments, one per
-// partition — a map task's output as the engine returned it, or a finished
-// reduce's output waiting for the master's pull — or a disk-backed segment
-// file (WithSpillDir workers) served frame by frame.
-type storedOutput struct {
-	segs []mapreduce.Segment
-	file *mapreduce.SegmentFile
-}
-
-// storedFrame is one servable unit of a stored output: a resident segment,
-// or one wire-form frame read from a segment file (blob), with more
-// reporting whether the partition has frames after it.
-type storedFrame struct {
-	seg  mapreduce.Segment
-	blob []byte
-	more bool
-}
-
-// segment returns the frame as a segment; a disk frame is decoded, aliasing
-// its blob.
-func (f storedFrame) segment() (mapreduce.Segment, error) {
-	if f.blob == nil {
-		return f.seg, nil
-	}
-	return mapreduce.DecodeSegment(f.blob)
-}
-
 // shuffleStore holds a worker's stored outputs: epoch → key (a map Seq, or a
-// reduceKey) → output. It has its own lock because the endpoint's serving
-// goroutines race the polling loop; disk reads happen outside the lock
-// (SegmentFile handles are goroutine-safe).
+// reduceKey) → output, resident or a segment file. It has its own lock
+// because the endpoint's serving goroutines race the polling loop; disk
+// reads happen outside the lock.
 type shuffleStore struct {
 	mu      sync.Mutex
-	byEpoch map[uint64]map[int]*storedOutput
+	byEpoch map[uint64]map[int]*mapreduce.MapOutput
 }
 
 func newShuffleStore() *shuffleStore {
-	return &shuffleStore{byEpoch: make(map[uint64]map[int]*storedOutput)}
+	return &shuffleStore{byEpoch: make(map[uint64]map[int]*mapreduce.MapOutput)}
 }
 
-func (s *shuffleStore) put(epoch uint64, key int, segs []mapreduce.Segment) *storedOutput {
-	return s.set(epoch, key, &storedOutput{segs: segs})
-}
-
-func (s *shuffleStore) putFile(epoch uint64, mapSeq int, sf *mapreduce.SegmentFile) {
-	s.set(epoch, mapSeq, &storedOutput{file: sf})
-}
-
-func (s *shuffleStore) set(epoch uint64, key int, out *storedOutput) *storedOutput {
+func (s *shuffleStore) put(epoch uint64, key int, out *mapreduce.MapOutput) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.byEpoch[epoch]
 	if e == nil {
-		e = make(map[int]*storedOutput)
+		e = make(map[int]*mapreduce.MapOutput)
 		s.byEpoch[epoch] = e
 	}
-	// A re-executed attempt replaces the entry; release the superseded spill
-	// file (names are uniquified, so the new file is never the old path).
-	if old := e[key]; old != nil && old.file != nil {
-		old.file.Remove()
+	// A re-executed attempt replaces the entry and releases the superseded
+	// spill file, never its own: file names are unique per attempt.
+	if old := e[key]; old != nil {
+		old.Remove()
 	}
 	e[key] = out
-	return out
 }
 
 // drop removes the entry under key if it is still out: a later attempt may
 // have replaced it.
-func (s *shuffleStore) drop(epoch uint64, key int, out *storedOutput) {
+func (s *shuffleStore) drop(epoch uint64, key int, out *mapreduce.MapOutput) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.byEpoch[epoch]; e[key] == out {
@@ -143,47 +106,17 @@ func (s *shuffleStore) drop(epoch uint64, key int, out *storedOutput) {
 	}
 }
 
-// getFrame hands out one servable unit of a stored output: the whole
-// partition for resident output (frame 0 only), or frame `frame` of the
-// partition for disk-backed output. ok is false for anything this worker
-// cannot serve — unknown task, out-of-range partition or frame, or a spill
-// file that fails validation on read — which the puller treats as loss.
-func (s *shuffleStore) getFrame(epoch uint64, key, part, frame int) (storedFrame, bool) {
+// frame serves frame i of a stored output's partition part. An error — no
+// such task, partition or frame, or a spill file failing validation — is
+// loss to the puller.
+func (s *shuffleStore) frame(epoch uint64, key, part, i int) (mapreduce.Segment, []byte, bool, error) {
 	s.mu.Lock()
 	out := s.byEpoch[epoch][key]
 	s.mu.Unlock()
 	if out == nil {
-		return storedFrame{}, false
+		return mapreduce.Segment{}, nil, false, errNotServed
 	}
-	if out.file == nil {
-		if part < 0 || part >= len(out.segs) || frame != 0 {
-			return storedFrame{}, false
-		}
-		return storedFrame{seg: out.segs[part]}, true
-	}
-	sf := out.file
-	if part < 0 || part >= sf.NumPartitions() {
-		return storedFrame{}, false
-	}
-	nframes := sf.Frames(part)
-	if nframes == 0 {
-		// An empty partition has no frames on disk; serve the empty segment
-		// (defensive — the master only publishes non-empty segments).
-		if frame != 0 {
-			return storedFrame{}, false
-		}
-		return storedFrame{}, true
-	}
-	if frame < 0 || frame >= nframes {
-		return storedFrame{}, false
-	}
-	blob, err := sf.ReadFrame(part, frame)
-	if err != nil {
-		// Corrupt or truncated on disk: answer as loss so the master
-		// re-executes the owning map instead of the reducer stalling.
-		return storedFrame{}, false
-	}
-	return storedFrame{blob: blob, more: frame+1 < nframes}, true
+	return out.Frame(part, i)
 }
 
 // prune drops stored output for every epoch not in the active set — the
@@ -201,9 +134,7 @@ func (s *shuffleStore) prune(active []uint64) {
 			continue
 		}
 		for _, out := range outs {
-			if out.file != nil {
-				out.file.Remove()
-			}
+			out.Remove()
 		}
 		delete(s.byEpoch, e)
 	}
@@ -211,9 +142,10 @@ func (s *shuffleStore) prune(active []uint64) {
 
 // ConnectWorker dials the master and returns a ready worker, configured by
 // functional options: WithPollInterval bounds how long the master holds an
-// idle call, WithSpillDir moves served map output to disk, WithCoreClass
-// declares the node class and WithObserver attaches telemetry (dist.task
-// spans, failure-report counters).
+// idle call, WithSpillDir bounds map tasks by their sort buffer and serves
+// their output from disk, WithCoreClass declares the node class and
+// WithObserver attaches telemetry (dist.task spans, failure-report
+// counters).
 func ConnectWorker(id, masterAddr string, opts ...Option) (*Worker, error) {
 	if id == "" {
 		return nil, fmt.Errorf("dist: worker needs an id")
@@ -432,8 +364,9 @@ func (w *Worker) taskSpan(task Task) obs.Span {
 		obs.Int("epoch", int64(task.Epoch)))
 }
 
-// runMap executes one map task and keeps its output here — resident blobs,
-// or a segment file under WithSpillDir — returning the completion for the
+// runMap executes one map task, the engine's, over its split's window and
+// keeps its output here — resident, or under WithSpillDir in the one
+// segment file its spills merged into — returning the completion for the
 // master: per-partition accounting, the segments addressed by this
 // worker's endpoint. A failure is reported at once.
 func (w *Worker) runMap(task Task) (TaskReport, error) {
@@ -444,50 +377,26 @@ func (w *Worker) runMap(task Task) (TaskReport, error) {
 		w.reportFailure(task, err)
 		return TaskReport{}, err
 	}
-	ref := taskRef(task, w.ID, w.class)
-	pc := obs.NewPhaseClock(w.ob, ref)
-	segs, counters, err := mapreduce.ExecuteMapSplitObs(job, task.SplitData, task.Job.NumReducers, ref, w.ob)
+	w.mu.Lock()
+	w.attempts++
+	attempt := w.attempts
+	w.mu.Unlock()
+	out, counters, err := mapreduce.ExecuteMapTask(job, task.Window, task.Start, task.End, task.Job.NumReducers,
+		w.spillDir, attempt, taskRef(task, w.ID, w.class), w.ob)
 	if err != nil {
 		w.reportFailure(task, err)
 		return TaskReport{}, fmt.Errorf("dist: worker %s map %d: %w", w.ID, task.Seq, err)
 	}
 	w.mu.Lock()
 	w.tasksRun++
-	w.spillSeq++
-	seq := w.spillSeq
 	w.mu.Unlock()
-	stats := make([]PartStat, 0, len(segs))
-	if w.spillDir != "" {
-		// Out-of-core serving: the output goes straight to a segment file and
-		// is served from it frame by frame — the resident blobs are never
-		// built. The accounting PartStats carry comes from the file's index,
-		// which matches the in-memory per-record formula exactly.
-		path := filepath.Join(w.spillDir, fmt.Sprintf("e%d-m%d-a%d.seg", task.Epoch, task.Seq, seq))
-		tSpill := pc.Start()
-		sf, err := mapreduce.WriteSegmentsFile(path, segs)
-		if err != nil {
-			w.reportFailure(task, err)
-			return TaskReport{}, fmt.Errorf("dist: worker %s map %d spill: %w", w.ID, task.Seq, err)
+	// The endpoint serves the output as it is: nothing is encoded here.
+	w.store.put(task.Epoch, task.Seq, out)
+	var stats []PartStat
+	for p := range out.NumPartitions() {
+		if recs := out.Records(p); recs > 0 {
+			stats = append(stats, PartStat{Part: p, Recs: int(recs), Bytes: int64(out.Bytes(p))})
 		}
-		pc.EmitIO(obs.PhaseSpillWrite, tSpill, 0, int64(sf.StoredBytes()))
-		counters.SpillFilesWritten++
-		counters.SpillFileBytesWritten += sf.StoredBytes()
-		w.store.putFile(task.Epoch, task.Seq, sf)
-		for p := range segs {
-			if segs[p].Len() > 0 {
-				stats = append(stats, PartStat{Part: p, Recs: int(sf.Records(p)), Bytes: int64(sf.PartitionBytes(p))})
-			}
-		}
-	} else {
-		// Keep the segments as the engine returned them — freshly allocated
-		// per task, never reused — and let the endpoint write each one's
-		// header and then its arena bytes: nothing is encoded here.
-		for p, seg := range segs {
-			if seg.Len() > 0 {
-				stats = append(stats, PartStat{Part: p, Recs: seg.Len(), Bytes: int64(seg.Bytes())})
-			}
-		}
-		w.store.put(task.Epoch, task.Seq, segs)
 	}
 	return TaskReport{Epoch: task.Epoch, Kind: TaskMap, Seq: task.Seq, PartStats: stats, Counters: counters}, nil
 }
@@ -511,40 +420,29 @@ func (w *Worker) runReduceBg(ctx context.Context, task Task) {
 	}
 }
 
-// fetchServed pulls one served segment from its producing worker (or this
-// worker's own store), looping the frame cursor until the producer reports
-// no more frames: one segment for in-memory producers, the partition's
-// frames in order for disk-backed ones. Any failure — dial, read, the
-// producer no longer holding the segment, or a frame failing validation —
-// is segment loss to the caller.
+// fetchServed pulls one served segment from its producing worker, or as it
+// is from this worker's own store, looping the frame cursor until the
+// producer reports no more frames: one segment for in-memory producers, the
+// partition's frames in order for disk-backed ones. Any failure — dial,
+// read, the producer no longer holding the segment, or a frame failing
+// validation — is segment loss to the caller.
 func (w *Worker) fetchServed(s TaggedSegment, epoch uint64, partition int) ([]mapreduce.Segment, error) {
 	var segs []mapreduce.Segment
-	for frame := 0; ; frame++ {
-		seg, more, err := w.fetchServedFrame(s, epoch, partition, frame)
+	for frame, more := 0, true; more; frame++ {
+		var seg mapreduce.Segment
+		var err error
+		if s.Addr == w.shuffleAddr {
+			seg, _, more, err = w.store.frame(epoch, s.MapSeq, partition, frame)
+		} else {
+			seg, _, more, err = w.peers.pull(s.Addr, epoch, s.MapSeq, partition, frame)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("dist: worker %s: epoch %d map %d part %d frame %d from %s: %w",
 				w.ID, epoch, s.MapSeq, partition, frame, s.Addr, err)
 		}
 		segs = append(segs, seg)
-		if !more {
-			return segs, nil
-		}
 	}
-}
-
-// fetchServedFrame pulls one frame of a served segment. The own store hands
-// over its resident segment as it is.
-func (w *Worker) fetchServedFrame(s TaggedSegment, epoch uint64, partition, frame int) (mapreduce.Segment, bool, error) {
-	if s.Addr == w.shuffleAddr {
-		f, ok := w.store.getFrame(epoch, s.MapSeq, partition, frame)
-		if !ok {
-			return mapreduce.Segment{}, false, errNotServed
-		}
-		seg, err := f.segment()
-		return seg, f.more, err
-	}
-	seg, _, more, err := w.peers.pull(s.Addr, epoch, s.MapSeq, partition, frame)
-	return seg, more, err
+	return segs, nil
 }
 
 // runReduceStreaming fetches the task's partition segments from their
@@ -656,8 +554,8 @@ func (w *Worker) runReduceStreaming(ctx context.Context, task Task) error {
 	w.mu.Unlock()
 	// The output waits in the store while the master pulls it from the
 	// endpoint inside the beat that reports it; that beat is the write phase.
-	key := reduceKey(task.Seq)
-	held := w.store.put(task.Epoch, key, []mapreduce.Segment{out})
+	key, held := reduceKey(task.Seq), mapreduce.ResidentOutput(out)
+	w.store.put(task.Epoch, key, held)
 	defer w.store.drop(task.Epoch, key, held)
 	tWrite := pc.Start()
 	err = w.report([]TaskReport{{Epoch: task.Epoch, Kind: TaskReduce, Seq: task.Seq, Counters: counters}}, nil)

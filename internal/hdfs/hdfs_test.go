@@ -309,3 +309,31 @@ func TestReadWindowStoreMatchesLocal(t *testing.T) {
 		t.Errorf("ReadAt across EOF = %d, %v, want 2, io.EOF", n, err)
 	}
 }
+
+// FuzzWindow holds the in-memory window view to ReadWindow: for every split
+// of the data at the block size, Window returns the bytes ReadWindow reads,
+// with no capacity past them.
+func FuzzWindow(f *testing.F) {
+	f.Add([]byte("alpha\nbe\n\ngamma delta\nx\nlast line without newline"), uint8(7))
+	f.Add([]byte("aaaa\nbbbb\ncccc\ndddd\n"), uint8(10))
+	f.Add([]byte("aaaa\nbbbb\ncccc\ndddd\n"), uint8(5))
+	f.Add([]byte("one line longer than a block\nx\n"), uint8(3))
+	f.Add([]byte("\n\n\n"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, block uint8) {
+		bs := int(block)%(len(data)+2) + 1
+		for start := 0; start < len(data); start += bs {
+			end := start + bs
+			want, err := ReadWindow(bytes.NewReader(data), int64(len(data)), int64(start), int64(end), nil)
+			if err != nil {
+				t.Fatalf("ReadWindow [%d,%d): %v", start, end, err)
+			}
+			got := Window(data, start, end)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Window [%d,%d) = %q, ReadWindow = %q", start, end, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("Window [%d,%d) has capacity %d past its %d bytes", start, end, cap(got), len(got))
+			}
+		}
+	})
+}

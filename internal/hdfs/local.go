@@ -12,7 +12,7 @@ import (
 // local.go is the input path: ReadWindow cuts a map split's window out of
 // any io.ReaderAt — a stored File or a disk-resident LocalFile — so every
 // map task reads only its own split, and paper-scale (multi-GB) local
-// inputs never need to fit in memory.
+// inputs never need to fit in memory; Window makes the same cut in memory.
 
 // LocalFile is a read-only handle on a local input file.
 type LocalFile struct {
@@ -96,4 +96,16 @@ func ReadWindow(r io.ReaderAt, size, start, end int64, buf []byte) ([]byte, erro
 		chunk = min(2*chunk, 64*1024)
 	}
 	return buf, nil
+}
+
+// Window returns ReadWindow's bytes for split [start, end) of data as a
+// view, capped so an append cannot reach past it. start must lie in data.
+func Window(data []byte, start, end int) []byte {
+	end = min(max(end, start), len(data))
+	if i := bytes.IndexByte(data[end:], '\n'); i >= 0 {
+		end += i + 1
+	} else {
+		end = len(data)
+	}
+	return data[start:end:end]
 }

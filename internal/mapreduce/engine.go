@@ -113,9 +113,8 @@ type taskBufs struct {
 	win     []byte      // input window: the map task's split plus its straddling-record tail
 }
 
-// bufsPool backs the task-granular entry points (ExecuteMapSplit and
-// friends), which have no slot system of their own. The engine's runs do
-// not use it.
+// bufsPool backs the task-granular map entry point (ExecuteMapTask), which
+// has no slot system of its own. The engine's runs do not use it.
 var bufsPool = sync.Pool{New: func() interface{} { return new(taskBufs) }}
 
 // jobSpill is one run's out-of-core context: where spill files live and
@@ -436,8 +435,7 @@ type splitRange struct {
 // map/sort/spill/spill-write/merge-fetch intervals: the map phase is
 // closed around each spill so phase totals sum to task wall time without
 // double counting.
-func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc phaseClock, bufs *taskBufs, js *jobSpill, task int) ([]partRun, Counters, error) {
-	var c Counters
+func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc phaseClock, bufs *taskBufs, js *jobSpill, task int) (_ []partRun, c Counters, err error) {
 	c.MapInputBytes = units.Bytes(split.end - split.start)
 
 	buf := &bufs.emit
@@ -448,6 +446,17 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 		memBytes units.Bytes // accounting size of the resident spills
 		spills   [][]partRun // [spill][partition], resident or one file's partitions
 	)
+	// A failed task leaves no file: whatever spills it holds on disk when it
+	// returns — its own, or the merge intermediates that replaced them — go.
+	defer func() {
+		if err != nil {
+			for _, sp := range spills {
+				if f := sp[0].file; f != nil {
+					f.Remove()
+				}
+			}
+		}
+	}()
 	doSpill := func() error {
 		if len(buf.meta) == 0 {
 			return nil
@@ -508,7 +517,7 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 			tMap = pc.Start()
 		}
 	}
-	err := forEachRecordWindow(win, base, split.start, split.end, func(offset int, line []byte) error {
+	err = forEachRecordWindow(win, base, split.start, split.end, func(offset int, line []byte) error {
 		c.MapInputRecords++
 		if err := job.Mapper.MapBytes(offset, line, emit); err != nil {
 			return fmt.Errorf("mapreduce: %s: map: %w", job.Config.Name, err)
@@ -551,10 +560,11 @@ func runMapTask(job Job, win []byte, base int, split splitRange, nparts int, pc 
 	// at most MergeFactor spills in real rounds, then stream every remaining
 	// spill's partition runs — resident and on-disk alike, in spill order, so
 	// the output is byte-identical to the arena sink's — into it.
-	spills, _, _, err = consolidate(spills, job.Config.MergeFactor, js.mapInterPrefix(task), true, pc, obs.PhaseMergeFetch, &c)
+	merged, _, _, err := consolidate(spills, job.Config.MergeFactor, js.mapInterPrefix(task), true, pc, obs.PhaseMergeFetch, &c)
 	if err != nil {
 		return nil, c, fmt.Errorf("mapreduce: %s: merge pass: %w", job.Config.Name, err)
 	}
+	spills = merged
 	tMerge = pc.Start()
 	sf, read, err := mergeToFile(js.mapOutPath(task), spills, &c)
 	if err != nil {
