@@ -39,6 +39,14 @@ test -z "$(grep -nE 'SplitData|redOutputs' internal/dist/snapshot.go)"
 # shellcheck disable=SC2046
 test -z "$(grep -nE 'SplitInput|WriteSegmentsFile|SplitData' $(ls internal/dist/*.go | grep -v _test.go))"
 
+# Side-data gate: a workload computes its own side data (workloads.Sider)
+# and rebuilds its job from it (workloads.SideBuilder), so non-test
+# internal/dist names no workload: the registry is one loop over
+# workloads.All, PrepareAux one Side call, and the descriptor has no
+# sort-only cut field.
+# shellcheck disable=SC2046
+test -z "$(grep -nE 'workloads\.(New|Build|SampleCuts|TeraKey|CountItems)|\bCuts\b|Register\("' $(ls internal/dist/*.go | grep -v _test.go))"
+
 # Knob gate: scheduling is the master's alone and a failed engine task fails
 # its job, so the per-job overrides, the engine retry loop and the task
 # fields that restated the descriptor stay deleted outside tests.
@@ -258,13 +266,14 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # the snapshot writer while Submit does; Close flushing it, then stopping
 # it), a grep pattern that
 # does not compile, rejected in process and over RPC with the master still
-# serving, and the engine's map task on a worker (absolute offsets at cuts
+# serving, every bundled workload byte-identical to the engine (side data
+# included), and the engine's map task on a worker (absolute offsets at cuts
 # inside, at and across lines; a block size of math.MaxInt; a restored job
 # of block size 0 refused; several spills per map on a spill-dir worker,
 # byte-identical to the engine; a map failing after its second spill
 # leaving no file). These run inside the blanket race gate too; -count=2 here shakes out scheduling-order flakes
 # and makes a chaos failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes|TestClusterOffsetsMatchEngine|TestSubmitMaxBlockSize|TestSnapshotZeroBlockSizeRejected|TestSpillDirWorkerMatchesEngine|TestSpillDirFailedMapLeavesNoFile' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestBundledWorkloadsMatchEngine|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes|TestClusterOffsetsMatchEngine|TestSubmitMaxBlockSize|TestSnapshotZeroBlockSizeRejected|TestSpillDirWorkerMatchesEngine|TestSpillDirFailedMapLeavesNoFile' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six

@@ -184,10 +184,7 @@ func main() {
 			fatal(err)
 		}
 		defer client.Close()
-		desc := dist.JobDescriptor{Workload: *workload, NumReducers: *reducers}
-		if *pattern != "" {
-			desc.Aux = []byte(*pattern)
-		}
+		desc := dist.JobDescriptor{Workload: *workload, NumReducers: *reducers, Aux: []byte(*pattern)}
 		var res mapreduce.Result
 		start := time.Now()
 		if err := client.Call("Master.Submit", dist.SubmitArgs{Desc: desc, Input: data, BlockSize: *block}, &res); err != nil {

@@ -242,6 +242,46 @@ func TestDistributedFPGrowthMatchesLocalMiner(t *testing.T) {
 	}
 }
 
+// TestBundledWorkloadsMatchEngine runs every bundled workload on a
+// 2-worker cluster and on the engine, over the same input and block size:
+// the cluster builds each job from the side data the workload computes
+// (or, for grep, the submitted pattern), so the output is the same bytes.
+// FP-Growth's input holds the item "\x00minSupport", which must count as
+// an item like any other, not as the f-list's min support.
+func TestBundledWorkloadsMatchEngine(t *testing.T) {
+	m, _ := startCluster(t, 2)
+	for _, w := range workloads.All() {
+		t.Run(w.Name(), func(t *testing.T) {
+			desc := JobDescriptor{Workload: w.Name(), NumReducers: 3}
+			input, blockSize := w.Generate(16*units.KB, 29), 4*1024
+			switch w.Name() {
+			case "grep":
+				desc.Aux = []byte("ou")
+			case "fpgrowth":
+				desc.NumReducers = 2
+				input, blockSize = []byte("a b \x00minSupport\na \x00minSupport\nb \x00minSupport c\na b\n"), 16
+			}
+			cfg := mapreduce.DefaultConfig(w.Name())
+			cfg.NumReducers = desc.NumReducers
+			job, err := w.Build(cfg, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := engineOutput(t, job, input, blockSize)
+			if len(want) == 0 {
+				t.Fatal("the engine's output is empty")
+			}
+			if n := bytes.Count(want, []byte("\n")); w.Name() == "fpgrowth" && n != 6 {
+				t.Fatalf("the engine mined %d patterns, want 6:\n%q", n, want)
+			}
+			if got := outputBytes(t, submitWait(t, m, desc, input, blockSize)); !bytes.Equal(got, want) {
+				t.Errorf("cluster output (%d lines)\n%q\nengine output (%d lines)\n%q",
+					bytes.Count(got, []byte("\n")), got, bytes.Count(want, []byte("\n")), want)
+			}
+		})
+	}
+}
+
 // TestIdleWorkersSurviveUntilSubmission is the regression for the one-shot
 // worker loop: workers that poll an idle master — here for well over five
 // poll intervals before any job exists — must keep polling, so the job

@@ -247,8 +247,8 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if blockSize < 1 {
 		return nil, fmt.Errorf("%w: block size must be positive, got %d", ErrInvalidJob, blockSize)
 	}
-	// Validate the descriptor builds locally before distributing, and
-	// prepare sampler/f-list auxiliary data.
+	// Compute the side data, and check the descriptor builds locally
+	// before distributing it.
 	if err := PrepareAux(&desc, input); err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@
 // its window, and workers run the engine's task bodies; the master
 // reassigns tasks whose workers go silent — speculative re-execution
 // included. Jobs are referenced by registered workload names (shipping
-// class names, not code), with sampler/f-list auxiliary data computed
-// master-side and sent alongside.
+// class names, not code), with the side data a workload computes from its
+// whole input computed master-side by the workload and sent alongside.
 //
 // The master is multi-tenant: Submit is asynchronous and returns a
 // JobHandle, many jobs run concurrently under a fair/capacity scheduler,
@@ -35,11 +35,9 @@ type JobDescriptor struct {
 	Workload string
 	// NumReducers is the reduce-partition count.
 	NumReducers int
-	// Cuts are range-partitioner cut keys (TeraSort/Sort), computed by the
-	// master's sampler.
-	Cuts []string
-	// Aux is workload-specific auxiliary data (e.g. FP-Growth's f-list or
-	// grep's pattern), encoded by the job factory's conventions.
+	// Aux is the job's side data in the workload's encoding: what PrepareAux
+	// computes from the whole input (the sorts' sampled cut keys,
+	// FP-Growth's f-list), or the submitter's (grep's pattern).
 	Aux []byte
 }
 

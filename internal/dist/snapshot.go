@@ -46,7 +46,12 @@ import (
 // outputs out of the snapshot into per-job data files: gob would decode a
 // version-2 file without complaint and resume jobs with no input. Version 4
 // cuts the engine's splits; a version-3 file's done maps ran the old cut.
-const snapshotVersion = 4
+// Version 5 carries a sort's cut keys in the descriptor's Aux: a version-4
+// job kept them in a descriptor field since deleted, so it would resume
+// with none, and its reducers would merge map outputs cut by the old keys
+// with map outputs not cut at all — every record kept, the global order
+// broken.
+const snapshotVersion = 5
 
 // extent locates one blob in a job's data file; Len 0 means absent.
 type extent struct{ Off, Len int64 }

@@ -68,11 +68,12 @@ func writeSnapshot(path string, snap *snapshot) error {
 // TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
 // written by the version-2 layout (splits and outputs inside the snapshot
 // file) must fail StartMaster instead of resuming jobs with no data file,
-// and one written by the version-3 layout (done maps cut by the old
+// one written by the version-3 layout (done maps cut by the old
 // record-aligned rule) instead of mixing its segments with the engine's
-// splits.
+// splits, and one written by the version-4 layout (a sort's cut keys in the
+// deleted Cuts field) instead of resuming the sort with no cuts.
 func TestSnapshotVersionMismatchRejected(t *testing.T) {
-	for _, v := range []int{2, 3} {
+	for _, v := range []int{2, 3, 4} {
 		snap := filepath.Join(t.TempDir(), "master.snap")
 		old := snapshot{Version: v, Epoch: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
 		if err := writeSnapshot(snap, &old); err != nil {
@@ -83,7 +84,7 @@ func TestSnapshotVersionMismatchRejected(t *testing.T) {
 			m.Close()
 			t.Fatalf("StartMaster resumed a version-%d snapshot", v)
 		}
-		if want := fmt.Sprintf("snapshot version %d, want 4", v); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version %d, want 5", v); !strings.Contains(err.Error(), want) {
 			t.Errorf("StartMaster error %q, want it to name %q", err, want)
 		}
 	}

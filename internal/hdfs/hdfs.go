@@ -52,6 +52,9 @@ type File struct {
 // Size returns the file's total size.
 func (f *File) Size() units.Bytes { return units.Bytes(f.size) }
 
+// BlockSize returns the block size the file was stored with.
+func (f *File) BlockSize() units.Bytes { return units.Bytes(f.blockSize) }
+
 // NumBlocks returns the block count — which is also the number of map tasks
 // a MapReduce job over this file will run.
 func (f *File) NumBlocks() int { return len(f.blocks) }
@@ -74,12 +77,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// numBlocks returns how many blockSize-sized blocks cover size bytes.
+// numBlocks returns how many blockSize-sized blocks cover size bytes. It
+// divides size-1, so a block size near math.MaxInt64 cannot overflow.
 func numBlocks(size int64, blockSize units.Bytes) int {
-	if blockSize <= 0 || size == 0 {
+	if blockSize <= 0 || size <= 0 {
 		return 0
 	}
-	return int((size + int64(blockSize) - 1) / int64(blockSize))
+	return int((size-1)/int64(blockSize) + 1)
 }
 
 // Store is an in-memory HDFS-like block store.

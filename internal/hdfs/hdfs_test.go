@@ -102,6 +102,36 @@ func TestSplitsMatchBlockCount(t *testing.T) {
 	}
 }
 
+// TestMaxBlockSizeOneBlock: a block size near math.MaxInt64 covers any
+// file in one block, stored or local — the block count must not overflow
+// to zero blocks, which left the file's bytes unreadable.
+func TestMaxBlockSizeOneBlock(t *testing.T) {
+	data := []byte("b\na\nc\n")
+	f, err := newTestStore(t, math.MaxInt64).Write("f", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumBlocks() != 1 || f.BlockSize() != math.MaxInt64 {
+		t.Fatalf("stored %d bytes as %d blocks of %v, want 1 of math.MaxInt64", len(data), f.NumBlocks(), f.BlockSize())
+	}
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("ReadAt = %q, %v; want %q", got, err, data)
+	}
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lf, err := OpenLocal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	if n := lf.NumBlocks(math.MaxInt64); n != 1 {
+		t.Errorf("LocalFile.NumBlocks(math.MaxInt64) = %d, want 1", n)
+	}
+}
+
 func TestNumMapTasksEqualsInputOverBlockSize(t *testing.T) {
 	// The paper's relation: number of map tasks = input size / block size.
 	for _, bs := range []units.Bytes{32, 64, 128, 256, 512} {

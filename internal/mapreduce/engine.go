@@ -44,17 +44,7 @@ func (e *Engine) RunContext(ctx context.Context, job Job, input string) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, err)
 	}
-	// The first block is one block size long, or the whole file when it
-	// fits one block — which cuts the same single split.
-	blockSize := file.Size()
-	if file.NumBlocks() > 1 {
-		first, err := e.store.ReadBlock(input, 0)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: %s: %w", job.Config.Name, err)
-		}
-		blockSize = units.Bytes(len(first))
-	}
-	return e.runInput(ctx, job, input, file, int64(file.Size()), blockSize)
+	return e.runInput(ctx, job, input, file, int64(file.Size()), file.BlockSize())
 }
 
 // RunFileContext executes the job over a local disk file instead of a

@@ -233,6 +233,39 @@ func TestSortJobGlobalOrder(t *testing.T) {
 	}
 }
 
+// TestRunContextSplitsByBlockSize: RunContext cuts one map task per
+// stored block, the block size taken from the file — a file of one block
+// (shorter than, or exactly, one block), of many with a short tail or none,
+// and of one block under a block size near math.MaxInt64, which must run to
+// the identity output instead of panicking on a block count overflowed to
+// zero.
+func TestRunContextSplitsByBlockSize(t *testing.T) {
+	input := "b\na\nc\n"
+	for _, bs := range []units.Bytes{1, 2, 3, 4, 6, 7, math.MaxInt64} {
+		e := newEngine(t, bs, input)
+		cfg := DefaultConfig("identity")
+		cfg.NumReducers = 1
+		res, err := e.RunContext(context.Background(), Job{Config: cfg, Mapper: IdentityMapper(), Reducer: IdentityReducer()}, "input")
+		if err != nil {
+			t.Fatalf("block size %v: %v", bs, err)
+		}
+		f, err := e.store.Open("input")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters.MapTasks != f.NumBlocks() {
+			t.Errorf("block size %v: %d map tasks for %d blocks", bs, res.Counters.MapTasks, f.NumBlocks())
+		}
+		var keys []string
+		for _, kv := range res.Output()[0] {
+			keys = append(keys, kv.Key)
+		}
+		if got := strings.Join(keys, " "); got != "a b c" {
+			t.Errorf("block size %v: output %q, want \"a b c\"", bs, got)
+		}
+	}
+}
+
 func TestRangePartitionerPreservesGlobalOrderAcrossReducers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var lines []string

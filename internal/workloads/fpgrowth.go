@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
 	"strconv"
@@ -56,7 +58,42 @@ const pathSep = "|"
 // Build scans the input once for the global item-frequency list (Mahout's
 // f-list step), then assembles the mining job.
 func (f *FPGrowth) Build(cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
-	return buildFPGrowthJob(cfg, CountItems(input), f.minSupport), nil
+	return buildFPGrowthJob(cfg, countItems(input), f.minSupport), nil
+}
+
+// fList is FP-Growth's side data: the min support has a field of its own.
+type fList struct {
+	MinSupport int
+	Counts     map[string]int
+}
+
+// Side counts the input's items (the f-list) and encodes them with the
+// min support, in gob, which keeps every item's bytes as they are.
+func (f *FPGrowth) Side(input []byte, _ int) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(fList{MinSupport: f.minSupport, Counts: countItems(input)})
+	return buf.Bytes(), err
+}
+
+// BuildSide assembles the mining job around Side's f-list.
+func (*FPGrowth) BuildSide(cfg mapreduce.Config, side []byte) (mapreduce.Job, error) {
+	var fl fList
+	if err := gob.NewDecoder(bytes.NewReader(side)).Decode(&fl); err != nil {
+		return mapreduce.Job{}, fmt.Errorf("fpgrowth: f-list: %w", err)
+	}
+	return buildFPGrowthJob(cfg, fl.Counts, fl.MinSupport), nil
+}
+
+// countItems builds the f-list from transaction input:
+// per-transaction-deduplicated item counts.
+func countItems(input []byte) map[string]int {
+	counts := make(map[string]int)
+	for _, line := range strings.Split(string(input), "\n") {
+		for _, item := range dedupe(strings.Fields(line)) {
+			counts[item]++
+		}
+	}
+	return counts
 }
 
 // buildFPGrowthJob wires the mining job around a given f-list.

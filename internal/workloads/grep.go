@@ -128,3 +128,12 @@ func (g *Grep) Build(cfg mapreduce.Config, _ []byte) (mapreduce.Job, error) {
 		Reducer:  sumReducer(),
 	}, nil
 }
+
+// BuildSide assembles the grep job for the pattern in side, the
+// submitter's, which a cluster ships to every task.
+func (*Grep) BuildSide(cfg mapreduce.Config, side []byte) (mapreduce.Job, error) {
+	if len(side) == 0 {
+		return mapreduce.Job{}, fmt.Errorf("grep: no pattern")
+	}
+	return NewGrep(string(side)).Build(cfg, nil)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // sampleCuts implements TeraSort's input sampler: it samples input lines,
@@ -40,4 +41,21 @@ func sampleCuts(input []byte, numReducers int, keyOf func(line string) string) (
 		cuts[i-1] = keys[i*len(keys)/numReducers]
 	}
 	return cuts, nil
+}
+
+// sideCuts is the sorts' Side: sampleCuts' keys, each followed by a
+// newline, which no key holds (every key comes from within a line).
+func sideCuts(input []byte, numReducers int, keyOf func(line string) string) ([]byte, error) {
+	cuts, err := sampleCuts(input, numReducers, keyOf)
+	var side []byte
+	for _, c := range cuts {
+		side = append(append(side, c...), '\n')
+	}
+	return side, err
+}
+
+// parseCuts reads sideCuts' encoding back: no side data is no cuts.
+func parseCuts(side []byte) []string {
+	cuts := strings.Split(string(side), "\n")
+	return cuts[:len(cuts)-1]
 }

@@ -29,17 +29,27 @@ func (*Sort) Generate(size units.Bytes, seed int64) []byte {
 // Spec returns the calibrated resource profile.
 func (*Sort) Spec() Spec { return sortSpec() }
 
-// Build assembles the sort job: identity mapper keyed by the record, a
-// sampled range partitioner for global order, and an identity reducer.
-func (*Sort) Build(cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
-	cuts, err := sampleCuts(input, cfg.NumReducers, func(line string) string { return line })
+// Build samples the input for quantile cuts and assembles the sort job.
+func (s *Sort) Build(cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
+	side, err := s.Side(input, cfg.NumReducers)
 	if err != nil {
 		return mapreduce.Job{}, err
 	}
+	return s.BuildSide(cfg, side)
+}
+
+// Side samples the input for numReducers-1 quantile cut keys.
+func (*Sort) Side(input []byte, numReducers int) ([]byte, error) {
+	return sideCuts(input, numReducers, func(line string) string { return line })
+}
+
+// BuildSide assembles the sort job around Side's cuts: identity mapper keyed
+// by the record, a range partitioner for global order, identity reducer.
+func (*Sort) BuildSide(cfg mapreduce.Config, side []byte) (mapreduce.Job, error) {
 	return mapreduce.Job{
 		Config:      cfg,
 		Mapper:      mapreduce.IdentityMapper(),
 		Reducer:     mapreduce.IdentityReducer(),
-		Partitioner: mapreduce.RangePartitioner(cuts),
+		Partitioner: mapreduce.RangePartitioner(parseCuts(side)),
 	}, nil
 }

@@ -52,10 +52,20 @@ func (teraMapper) MapBytes(_ int, line []byte, emit mapreduce.ByteEmitter) error
 }
 
 // Build samples the input for quantile cuts and assembles the sort job.
-func (*TeraSort) Build(cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
-	cuts, err := sampleCuts(input, cfg.NumReducers, teraKey)
+func (t *TeraSort) Build(cfg mapreduce.Config, input []byte) (mapreduce.Job, error) {
+	side, err := t.Side(input, cfg.NumReducers)
 	if err != nil {
 		return mapreduce.Job{}, err
 	}
-	return BuildTeraSortWithCuts(cfg, cuts), nil
+	return t.BuildSide(cfg, side)
+}
+
+// Side samples the record keys for TeraSort's partition list.
+func (*TeraSort) Side(input []byte, numReducers int) ([]byte, error) {
+	return sideCuts(input, numReducers, teraKey)
+}
+
+// BuildSide assembles the sort job around Side's cuts.
+func (*TeraSort) BuildSide(cfg mapreduce.Config, side []byte) (mapreduce.Job, error) {
+	return BuildTeraSortWithCuts(cfg, parseCuts(side)), nil
 }

@@ -123,6 +123,19 @@ type Workload interface {
 	Spec() Spec
 }
 
+// Sider is a workload whose job needs side data computed once from its whole
+// input for numReducers reducers, as Hadoop computes TeraSort's partition
+// list or Mahout PFP's f-list at submission for the distributed cache.
+type Sider interface {
+	Side(input []byte, numReducers int) ([]byte, error)
+}
+
+// SideBuilder is a workload whose tasks rebuild its job from side data
+// alone: a Sider's Side output, or the submitter's (grep's pattern).
+type SideBuilder interface {
+	BuildSide(cfg mapreduce.Config, side []byte) (mapreduce.Job, error)
+}
+
 // All returns the six studied workloads in the paper's order: the four
 // micro-benchmarks, then the two real-world applications.
 func All() []Workload {
