@@ -31,6 +31,12 @@ test -z "$(grep -l '"compress/' $(ls internal/mapreduce/*.go | grep -v _test.go)
 # neither the splits nor the buffered reduce outputs.
 test -z "$(grep -nE 'SplitData|redOutputs' internal/dist/snapshot.go)"
 
+# Codec gate: the master's journal records and a Result's counters are
+# hand-encoded, so no non-test file under internal/dist or internal/mapreduce
+# imports encoding/gob (net/rpc still gob-encodes the RPC messages itself).
+# shellcheck disable=SC2046
+test -z "$(grep -l '"encoding/gob"' $(ls internal/dist/*.go internal/mapreduce/*.go | grep -v _test.go))"
+
 # Task gate: a cluster map task is the engine's map task — the master cuts
 # the engine's byte-range splits and hands out their windows, and a
 # spill-dir worker's spill files are the engine's — so non-test
@@ -262,18 +268,21 @@ go test -run '^$' -bench 'BenchmarkContendedShuffle' -benchtime 1x -cpu 1,4 ./in
 # files beside the snapshot (a finished reducer restored from its file,
 # torn append included; the orphan sweep; nothing left behind; a snapshot
 # whose size does not follow the input; a job restored queued under a lower
-# cap; a snapshot carrying fields since deleted; beats that do not wait for
-# the snapshot writer while Submit does; Close flushing it, then stopping
-# it), a grep pattern that
-# does not compile, rejected in process and over RPC with the master still
-# serving, every bundled workload byte-identical to the engine (side data
+# cap; a journal of another version, a gob file of the old layout, an
+# unknown or malformed record refused; a journal cut at every byte offset
+# restoring the state of its last whole record and compacted before the
+# next append; beats that do not wait for the snapshot writer while Submit
+# does; Close flushing it, then stopping it), a grep pattern that
+# does not compile and a sort whose side data cannot be cut, rejected in
+# process and over RPC with the master still serving, an empty input
+# refused before any side data is computed, every bundled workload byte-identical to the engine (side data
 # included), and the engine's map task on a worker (absolute offsets at cuts
 # inside, at and across lines; a block size of math.MaxInt; a restored job
 # of block size 0 refused; several spills per map on a spill-dir worker,
 # byte-identical to the engine; a map failing after its second spill
 # leaving no file). These run inside the blanket race gate too; -count=2 here shakes out scheduling-order flakes
 # and makes a chaos failure easy to attribute.
-go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotDeletedFieldsStillLoad|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestBundledWorkloadsMatchEngine|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes|TestClusterOffsetsMatchEngine|TestSubmitMaxBlockSize|TestSnapshotZeroBlockSizeRejected|TestSpillDirWorkerMatchesEngine|TestSpillDirFailedMapLeavesNoFile' ./internal/dist/
+go test -race -count=2 -run 'TestChaosMultiTenantRecovery|TestLostShuffleMapRerun|TestClosedWorkerStopsServing|TestWorkerEvictionRequeuesInFlight|TestSnapshotRestartResumesJob|TestSnapshotRestartResumesFinishedReducer|TestSnapshotOrphanSweep|TestSnapshotLeavesOnlyItsFile|TestSnapshotSizeIndependentOfInput|TestSnapshotBlobsRoundTrip|TestSnapshotRestoredQueuedJobHasNoPhase|TestSnapshotVersionMismatchRejected|TestSnapshotUnknownKindOrVersionRefused|TestSnapshotTruncatedAtEveryOffset|TestSubmitChecksInputBeforeSideData|TestHeldPollIdleWorkersThenSubmit|TestHeldPollOverlappingJobs|TestHeldFetchReceivesMapTail|TestZeroWaitPollAnswersAtOnce|TestCloseReleasesHeldCalls|TestSlowPollWorkerSurvivesIdle|TestBusyWorkerPrunesFinishedJobs|TestPollingBeatAppliesReportsFirst|TestStoppedWorkerFlushesCompletion|TestHeartbeatPullsOnlyAcceptedReduceOutput|TestInvalidGrepPatternRejected|TestBundledWorkloadsMatchEngine|TestSnapshotWriteOffLock|TestSnapshotCloseFlushes|TestClusterOffsetsMatchEngine|TestSubmitMaxBlockSize|TestSnapshotZeroBlockSizeRejected|TestSpillDirWorkerMatchesEngine|TestSpillDirFailedMapLeavesNoFile' ./internal/dist/
 
 # String-API equivalence corpus: the parity fuzz seeds (the echo job native
 # and through the func adapters over the adversarial record shapes, all six
@@ -289,9 +298,10 @@ go test -race -run 'FuzzStringVsArenaParity' .
 # the raw-frame file format (unknown codec, writer cap, ReadFrame
 # ownership), the forced-hops consolidation table and hop count, the
 # passthrough identity reduce, the reduce-side spill-read accounting, the
-# collector's arrival-order property, the merge-based SortedOutput and the
-# Result gob wire round-trip.
-go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestRecycledFrameLifetime|TestFrameReader|TestSegmentFileRoundTrip|TestUnknownCodecIsCorrupt|TestSpillWriterFrameCap|TestReadFrameCallerOwns|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestOutOfCoreHopCount|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
+# collector's arrival-order property, the merge-based SortedOutput, the
+# Result gob wire round-trip and the counters' fixed binary form (every
+# field set by reflection).
+go test -race -run 'TestSortMetaMatchesStableSort|TestMergeSegs|TestMergeStreamAliasing|TestRecycledFrameLifetime|TestFrameReader|TestSegmentFileRoundTrip|TestUnknownCodecIsCorrupt|TestSpillWriterFrameCap|TestReadFrameCallerOwns|TestReduceSideSpillReadsCounted|TestPassthroughReduceParity|TestCollectorArrivalOrderProperty|TestShuffleDegeneratePartitions|TestConsolidateRounds|TestConsolidateFailureLeavesNothing|TestOutOfCoreHopCount|TestSortedOutputMergeMatchesSort|TestSortedOutputUnsortedPartitionFallback|TestResultGobRoundTrip|TestCountersBinaryRoundTrip|TestParallelMatchesSerialConcurrentPublication' ./internal/mapreduce/
 
 # Fuzz lane: everything above runs only the fuzz targets' seed corpora;
 # here each target mutates for ten seconds (go test -fuzz takes one target
@@ -305,6 +315,7 @@ go test -run '^$' -fuzz '^FuzzStreamingShuffleParity$' -fuzztime 10s ./internal/
 go test -run '^$' -fuzz '^FuzzSegmentFileReader$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzResultGobDecode$' -fuzztime 10s ./internal/mapreduce/
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/dist/
+go test -run '^$' -fuzz '^FuzzJournalRecord$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzWindow$' -fuzztime 10s ./internal/hdfs/
 go test -run '^$' -fuzz '^FuzzFPTreeMine$' -fuzztime 10s ./internal/workloads/
 go test -run '^$' -fuzz '^FuzzNaiveBayesModel$' -fuzztime 10s ./internal/workloads/

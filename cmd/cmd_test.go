@@ -4,12 +4,15 @@ package cmd_test
 
 import (
 	"bufio"
+	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // build compiles one command into dir and returns the binary path.
@@ -189,6 +192,144 @@ func TestHadoopdCLIRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "\t") {
 		t.Error("no key<TAB>count lines in the output")
+	}
+}
+
+// startDaemon starts one hadoopd role, stopped with SIGKILL when the test
+// ends, and returns it with the value of each announced "<what> listening
+// on" line of its stdout (master, http), in wants' order.
+func startDaemon(t *testing.T, hadoopd string, wants []string, args ...string) (*exec.Cmd, []string) {
+	t.Helper()
+	cmd := exec.Command(hadoopd, args...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	got := make([]string, len(wants))
+	sc := bufio.NewScanner(stdout)
+	for i := range wants {
+		for got[i] == "" && sc.Scan() {
+			got[i], _ = strings.CutPrefix(sc.Text(), wants[i]+" listening on ")
+			if got[i] == sc.Text() {
+				got[i] = ""
+			}
+		}
+		if got[i] == "" {
+			t.Fatalf("hadoopd %v exited without announcing its %s address", args, wants[i])
+		}
+	}
+	go func() {
+		for sc.Scan() {
+		}
+	}()
+	return cmd, got
+}
+
+// jobRow is the part of a /jobs entry the crash test reads.
+type jobRow struct {
+	ID           string `json:"id"`
+	State        string `json:"state"`
+	MapsDone     int    `json:"maps_done"`
+	MapsTotal    int    `json:"maps_total"`
+	ReducesDone  int    `json:"reduces_done"`
+	ReducesTotal int    `json:"reduces_total"`
+}
+
+// pollJobs reads the master's /jobs until ok accepts a row, and returns
+// that row; it fails the test after 30 s.
+func pollJobs(t *testing.T, httpAddr string, ok func(jobRow) bool) jobRow {
+	t.Helper()
+	var last []jobRow
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get("http://" + httpAddr + "/jobs")
+		if err != nil {
+			continue
+		}
+		last = nil
+		err = json.NewDecoder(resp.Body).Decode(&last)
+		resp.Body.Close()
+		for _, row := range last {
+			if err == nil && ok(row) {
+				return row
+			}
+		}
+	}
+	t.Fatalf("/jobs never showed the awaited job; last read %+v", last)
+	return jobRow{}
+}
+
+// TestHadoopdMasterCrashResumes kills a snapshotting hadoopd master with
+// SIGKILL — no clean Close, no final write — once /jobs shows a map done,
+// then restarts the master on the same snapshot file with fresh workers:
+// the job resumes from the journal and /jobs reports it done with every map
+// and reducer counted.
+func TestHadoopdMasterCrashResumes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts, kills and restarts hadoopd processes")
+	}
+	dir := t.TempDir()
+	hadoopd := build(t, dir, "hadoopd")
+	teragen := build(t, dir, "teragen")
+	input := filepath.Join(dir, "in.txt")
+	run(t, teragen, "-kind", "text", "-size", "4194304", "-out", input)
+	fi, err := os.Stat(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "master.snap")
+	// startCluster starts a master on the snapshot and two workers, and
+	// returns them with the master's RPC and HTTP addresses.
+	startCluster := func() (*exec.Cmd, []*exec.Cmd, string, string) {
+		master, addrs := startDaemon(t, hadoopd, []string{"master", "http"},
+			"-role", "master", "-addr", "127.0.0.1:0", "-http", "127.0.0.1:0", "-snapshot", snap)
+		var workers []*exec.Cmd
+		for _, id := range []string{"w0", "w1"} {
+			w := exec.Command(hadoopd, "-role", "worker", "-master", addrs[0], "-id", id)
+			if err := w.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				w.Process.Kill()
+				w.Wait()
+			})
+			workers = append(workers, w)
+		}
+		return master, workers, addrs[0], addrs[1]
+	}
+
+	master, workers, addr, httpAddr := startCluster()
+	submit := exec.Command(hadoopd, "-role", "submit", "-master", addr,
+		"-workload", "wordcount", "-input", input, "-reducers", "2", "-block", "2048", "-out", filepath.Join(dir, "out.txt"))
+	if err := submit.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		submit.Process.Kill()
+		submit.Wait()
+	})
+	at := pollJobs(t, httpAddr, func(r jobRow) bool { return r.MapsDone > 0 })
+	master.Process.Kill()
+	master.Wait()
+	for _, w := range workers {
+		w.Process.Kill()
+		w.Wait()
+	}
+	if at.State == "done" {
+		t.Fatalf("the job finished before the kill (%+v): nothing was left to resume", at)
+	}
+
+	_, _, _, httpAddr = startCluster()
+	done := pollJobs(t, httpAddr, func(r jobRow) bool { return r.ID == at.ID && r.State != "running" && r.State != "queued" })
+	maps := int(fi.Size()+2047) / 2048
+	if done.State != "done" || done.MapsDone != maps || done.MapsTotal != maps || done.ReducesDone != 2 || done.ReducesTotal != 2 {
+		t.Errorf("resumed job = %+v, want done with %d of %d maps and 2 of 2 reducers", done, maps, maps)
 	}
 }
 

@@ -49,7 +49,7 @@ func main() {
 		specFrac = flag.Float64("spec-fraction", 0.5, "speculative-execution age fraction of the timeout (role=master)")
 		maxJobs  = flag.Int("max-jobs", 4, "concurrent running job cap (role=master)")
 		workerTO = flag.Duration("worker-timeout", 30*time.Second, "silent-worker eviction window (role=master)")
-		snapshot = flag.String("snapshot", "", "persist master state to this file and resume from it on start; per-job data files (FILE.job-*) live beside it (role=master)")
+		snapshot = flag.String("snapshot", "", "persist master state to this file and resume from it on start: a checkpoint plus one appended record per transition, compacted once the records outgrow 4x the checkpoint; per-job data files (FILE.job-*) live beside it; survives a killed master, not a power loss (no fsync) (role=master)")
 		poll     = flag.Duration("poll", 10*time.Millisecond, "longest the master holds an idle poll or an empty fetch (role=worker)")
 		spillDir = flag.String("spill-dir", "", "spill map tasks to checksummed segment files under this directory and serve their output from there, bounding a map task's memory by its sort buffer (role=worker)")
 		trace    = flag.String("trace", "", "stream a JSONL observability trace to this file (master/worker)")

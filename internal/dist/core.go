@@ -1,9 +1,11 @@
 package dist
 
 // core.go is the master's state machine: the job and worker tables, every
-// rule that changes them, the status views and the snapshot value. It has
-// no goroutine, lock, file, socket or clock: each transition takes the time
-// and reports whether to wake held calls and whether to write the snapshot.
+// rule that changes them and the status views. It has no goroutine, lock,
+// file, socket or clock: each transition takes the time and reports whether
+// to wake held calls and whether to write the snapshot. With snapshots on,
+// each transition that must survive a restart also appends its journal
+// record (journal.go) to the pending batch the driver writes.
 
 import (
 	"fmt"
@@ -61,6 +63,11 @@ type core struct {
 
 	workers map[string]*workerInfo
 	stats   Stats // lifetime totals; Workers is filled in when read
+
+	// journal is set with snapshots on; batch then holds the records of the
+	// transitions since the driver last took it (takeBatch).
+	journal bool
+	batch   []byte
 }
 
 func newCore(cfg config) *core {
@@ -70,8 +77,12 @@ func newCore(cfg config) *core {
 		jobs:    make(map[string]*jobState),
 		byEpoch: make(map[uint64]*jobState),
 		workers: make(map[string]*workerInfo),
+		journal: cfg.snapshotPath != "",
 	}
 }
+
+// jobID is the ID of the job admitted at epoch.
+func jobID(epoch uint64) string { return fmt.Sprintf("job-%d", epoch) }
 
 // touch refreshes (or creates) a worker's record; an evicted worker that
 // calls again rejoins as live. A non-empty addr or class is recorded.
@@ -101,14 +112,20 @@ func (c *core) workerIDs() []string {
 }
 
 // admit queues a job over input, cut into blockSize-byte splits, and runs
-// it at once when a slot is free. It returns nil when the master already
-// holds maxQueuedJobs jobs.
-func (c *core) admit(desc JobDescriptor, blockSize int, input []byte, now time.Time) (js *jobState, wake, save bool) {
+// it at once when a slot is free; dataFile names the input's copy beside
+// the snapshot. It returns nil when the master already holds maxQueuedJobs
+// jobs.
+func (c *core) admit(desc JobDescriptor, blockSize int, input []byte, dataFile string, now time.Time) (js *jobState, wake, save bool) {
 	if len(c.jobs) >= maxQueuedJobs {
 		return nil, false, false
 	}
 	c.epoch++
-	js = newJobState(fmt.Sprintf("job-%d", c.epoch), c.epoch, desc, blockSize, input, now)
+	js = newJobState(jobID(c.epoch), c.epoch, desc, blockSize, len(input), now)
+	js.setInput(input)
+	js.dataFile = dataFile
+	if c.journal {
+		c.batch = appendJob(c.batch, js)
+	}
 	c.jobs[js.id], c.byEpoch[js.epoch] = js, js
 	c.order = append(c.order, js)
 	if c.ob.Enabled() {
@@ -306,7 +323,7 @@ func (c *core) completeMap(worker, addr string, res *TaskReport, now time.Time) 
 	ts.owner = worker
 	js.counters.Add(res.Counters)
 	for _, ps := range res.PartStats {
-		if ps.Part < 0 || ps.Part >= len(js.partSegs) || ps.Recs == 0 {
+		if !published(ps, len(js.partSegs)) {
 			continue
 		}
 		js.partSegs[ps.Part] = append(js.partSegs[ps.Part], TaggedSegment{
@@ -316,6 +333,9 @@ func (c *core) completeMap(worker, addr string, res *TaskReport, now time.Time) 
 		js.counters.ShuffleBytes += units.Bytes(ps.Bytes)
 	}
 	js.mapsLeft--
+	if c.journal {
+		c.batch = appendMapDone(c.batch, js, res.Seq, worker, addr, res.PartStats)
+	}
 	c.mapProgress(js)
 	return true, true
 }
@@ -353,20 +373,31 @@ func (c *core) acceptsReduce(epoch uint64, seq int) bool {
 	return js != nil && seq >= 0 && seq < len(js.redTasks) && !js.redTasks[seq].done
 }
 
-// completeReduce records a reduce result and its pulled output; duplicates
-// and stale completions are ignored. The last reduce finalizes the job.
-func (c *core) completeReduce(res *TaskReport, output []byte, now time.Time) (wake, save bool) {
+// keepsOutput reports whether the driver should write a reduce output to
+// the job's data file before reporting it: the core would accept it, and it
+// does not finish the job — a retirement record stands for the last one.
+func (c *core) keepsOutput(epoch uint64, seq int) bool {
+	return c.acceptsReduce(epoch, seq) && c.byEpoch[epoch].redsLeft > 1
+}
+
+// completeReduce records a reduce result and its pulled output, written at
+// e in the job's data file (empty when it was not written); duplicates and
+// stale completions are ignored. The last reduce finalizes the job.
+func (c *core) completeReduce(res *TaskReport, output []byte, e extent, now time.Time) (wake, save bool) {
 	if !c.acceptsReduce(res.Epoch, res.Seq) {
 		return false, false
 	}
 	js := c.byEpoch[res.Epoch]
 	js.reduceDone(res.Seq, output)
+	js.outExt[res.Seq] = e
 	js.counters.Add(res.Counters)
 	if c.ob.Enabled() {
 		c.ob.Progress("dist.reduce/"+js.id, len(js.redTasks)-js.redsLeft, len(js.redTasks))
 	}
 	if js.redsLeft == 0 {
 		c.finalize(js, now)
+	} else if c.journal {
+		c.batch = appendReduceDone(c.batch, js, res.Seq, e)
 	}
 	return true, true
 }
@@ -430,6 +461,9 @@ func (c *core) invalidateMap(js *jobState, ts *taskState, now time.Time) bool {
 	js.recoveredMaps++
 	c.stats.RecoveredMaps++
 	c.ob.Count("dist.tasks.recovered", 1)
+	if c.journal {
+		c.batch = appendMapLost(c.batch, js, ts.task.Seq)
+	}
 	return true
 }
 
@@ -458,6 +492,9 @@ func (c *core) evict(id string, now time.Time) bool {
 	w.Evicted = true
 	c.stats.Evicted++
 	c.ob.Count("dist.workers.evicted", 1)
+	if c.journal {
+		c.batch = appendWorker(c.batch, w)
+	}
 	for _, js := range c.order {
 		for _, ts := range slices.Concat(js.mapTasks, js.redTasks) {
 			if ts.assigned && !ts.done && ts.assignee == id {
@@ -521,18 +558,30 @@ func (c *core) finalize(js *jobState, now time.Time) {
 func (c *core) retire(js *jobState, now time.Time) {
 	final := c.jobStatus(js)
 	js.final = &final
-	c.history = append(c.history, final)
-	if len(c.history) > maxRetired {
-		c.history = c.history[len(c.history)-maxRetired:]
+	if c.journal {
+		c.batch = appendRetire(c.batch, &final)
 	}
-	delete(c.jobs, js.id)
-	delete(c.byEpoch, js.epoch)
-	c.order = slices.DeleteFunc(c.order, func(o *jobState) bool { return o == js })
+	c.closeOut(js, final)
 	c.retired = trimRetired(append(c.retired, js))
 	js.clearTables()
 	js.span.End()
 	close(js.doneCh)
 	c.promote()
+}
+
+// closeOut appends a terminal job's final status to the bounded history
+// and removes the job, when it is active (js non-nil), from the active
+// tables.
+func (c *core) closeOut(js *jobState, final JobStatus) {
+	c.history = append(c.history, final)
+	if len(c.history) > maxRetired {
+		c.history = c.history[len(c.history)-maxRetired:]
+	}
+	if js != nil {
+		delete(c.jobs, js.id)
+		delete(c.byEpoch, js.epoch)
+		c.order = slices.DeleteFunc(c.order, func(o *jobState) bool { return o == js })
+	}
 }
 
 // trimRetired drops the oldest jobs from the retired ring while it holds
@@ -631,76 +680,4 @@ func (c *core) taskStatuses(jobID string, now time.Time) []TaskStatus {
 		}
 	}
 	return out
-}
-
-// snapshot builds the core's persistent value, workers in ID order; the
-// driver fills in where each job's bytes live (DataFile, InputLen, Outputs).
-func (c *core) snapshot() snapshot {
-	snap := snapshot{Version: snapshotVersion, Epoch: c.epoch, History: slices.Clone(c.history)}
-	for _, js := range c.order {
-		sj := snapJob{
-			ID: js.id, Epoch: js.epoch, Desc: js.desc, BlockSize: js.blockSize, State: js.state,
-			PartSegs: js.partSegs, Counters: js.counters, Reassigned: js.reassigned,
-			Speculative: js.speculative, EarlyReduces: js.earlyReduces,
-			RecoveredMaps: js.recoveredMaps, SubmittedAt: js.submittedAt,
-		}
-		sj.MapTasks = make([]snapTask, len(js.mapTasks))
-		for i, ts := range js.mapTasks {
-			sj.MapTasks[i] = snapTask{Done: ts.done, Owner: ts.owner}
-		}
-		snap.Jobs = append(snap.Jobs, sj)
-	}
-	for _, id := range c.workerIDs() {
-		snap.Workers = append(snap.Workers, *c.workers[id])
-	}
-	return snap
-}
-
-// restore rebuilds an empty core from a loaded snapshot; data[i] is job
-// i's data file, read back whole. Every restored assignment is cleared (the
-// assignees are gone or must re-poll), so the scheduler re-dispatches
-// outstanding work; done maps (their segments still referenced at their
-// workers) and finished reduce outputs resume as done.
-func (c *core) restore(snap *snapshot, data [][]byte, now time.Time) error {
-	c.epoch = snap.Epoch
-	c.history = append(c.history, snap.History...)
-	for _, w := range snap.Workers {
-		// Restored workers start evicted-but-known: a live one re-polls
-		// within its heartbeat and rejoins; a dead one never counts as
-		// live and its served segments recover through loss reports.
-		c.workers[w.ID] = &workerInfo{ID: w.ID, Addr: w.Addr, LastSeen: now, Evicted: true}
-	}
-	for i, sj := range snap.Jobs {
-		buf := data[i]
-		if sj.BlockSize < 1 {
-			return fmt.Errorf("dist: snapshot job %s: block size %d", sj.ID, sj.BlockSize)
-		}
-		js := newJobState(sj.ID, sj.Epoch, sj.Desc, sj.BlockSize, buf[:sj.InputLen], sj.SubmittedAt)
-		if len(js.mapTasks) != len(sj.MapTasks) || len(sj.Outputs) != sj.Desc.NumReducers {
-			return fmt.Errorf("dist: snapshot job %s: data file %s does not match its task table", sj.ID, sj.DataFile)
-		}
-		js.partSegs = sj.PartSegs
-		js.counters = sj.Counters
-		js.reassigned = sj.Reassigned
-		js.speculative = sj.Speculative
-		js.earlyReduces = sj.EarlyReduces
-		js.recoveredMaps = sj.RecoveredMaps
-		for k, st := range sj.MapTasks {
-			ts := js.mapTasks[k]
-			ts.done = st.Done
-			ts.owner = st.Owner
-			if st.Done {
-				js.mapsLeft--
-			}
-		}
-		for p, e := range sj.Outputs {
-			if e.Len > 0 {
-				js.reduceDone(p, buf[e.Off:e.Off+e.Len])
-			}
-		}
-		c.jobs[js.id], c.byEpoch[js.epoch] = js, js
-		c.order = append(c.order, js) // queued: promote re-admits up to the cap
-	}
-	c.promote()
-	return nil
 }

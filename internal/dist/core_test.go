@@ -8,7 +8,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -70,7 +69,7 @@ func lines(n int) []byte {
 // admitLines admits a wordcount job of maps map tasks and reds reducers.
 func admitLines(t *testing.T, c *core, maps, reds int, now time.Time) *jobState {
 	t.Helper()
-	js, _, _ := c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, lines(maps), now)
+	js, _, _ := c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, lines(maps), "", now)
 	if js == nil || len(js.mapTasks) != maps {
 		t.Fatalf("admission of a %d-map job failed: %+v", maps, js)
 	}
@@ -201,26 +200,18 @@ func TestCoreLeaseExpiryReissuesOnce(t *testing.T) {
 }
 
 // TestCoreSnapshotDeterministic: the same core state encodes to the same
-// snapshot bytes every time — the worker table is written in ID order, not
-// in Go's map order.
+// checkpoint bytes every time — the worker table is written in ID order,
+// not in Go's map order.
 func TestCoreSnapshotDeterministic(t *testing.T) {
 	c := newCore(coreConfig(obs.Nop))
 	for _, w := range []string{"w5", "w2", "w7", "w0", "w3", "w6", "w1", "w4"} {
 		poll(c, w, t0)
 	}
 	admitLines(t, c, 3, 2, t0)
-	encode := func() []byte {
-		var buf bytes.Buffer
-		snap := c.snapshot()
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	first := encode()
+	first := c.checkpoint(nil)
 	for i := 0; i < 8; i++ {
-		if !bytes.Equal(encode(), first) {
-			t.Fatal("encoding the same core state twice gave different snapshot bytes")
+		if !bytes.Equal(c.checkpoint(nil), first) {
+			t.Fatal("encoding the same core state twice gave different checkpoint bytes")
 		}
 	}
 }
@@ -271,7 +262,8 @@ func raceBuild() bool {
 }
 
 // replay is one seeded schedule against a core, with the driver's part —
-// data files, snapshot writes, restarts — played by the harness.
+// data files, journal writes and compactions, restarts — played by the
+// harness.
 type replay struct {
 	t      *testing.T
 	seed   int64
@@ -286,15 +278,20 @@ type replay struct {
 	workers []string
 	jobs    []*replayJob
 	files   map[uint64]*replayFile
-	saved   snapshot // the last snapshot the driver wrote
-	savedAt int      // the step that wrote it
-	enc     *gob.Encoder
-	dec     *gob.Decoder // reads what enc writes: restarts pass through gob
+	saved   []byte // the journal the driver wrote: a checkpoint, then batches
+	base    int    // the checkpoint's length
+	savedAt int    // the step that last wrote to it
 	held    []*attempt
 	tags    int // attempts handed out so far: each one's output differs
 
-	pre  map[uint64][]snapTask // map done/owner columns before the step
-	lost *SegmentsLost         // the step's loss report, if any
+	pre  map[uint64][]mapCol // map done/owner columns before the step
+	lost *SegmentsLost       // the step's loss report, if any
+}
+
+// mapCol is one map's done and owner columns.
+type mapCol struct {
+	done  bool
+	owner string
 }
 
 // replayJob is the harness's record of one submitted job.
@@ -307,11 +304,9 @@ type replayJob struct {
 	checked   bool
 }
 
-// replayFile is a job's data file: the input, then each persisted output.
+// replayFile is a job's data file: the input, then each written output.
 type replayFile struct {
-	buf      []byte
-	inputLen int64
-	ext      []extent
+	buf []byte
 }
 
 // attempt is a task a worker is running.
@@ -329,11 +324,13 @@ func newReplay(t *testing.T, seed int64, ob obs.Observer) *replay {
 	cfg := coreConfig(ob)
 	cfg.taskTimeout = 400 * time.Millisecond
 	cfg.workerTimeout = time.Second
+	cfg.snapshotPath = "master.snap" // the core keeps a journal; the harness writes it
 	r := &replay{
 		t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), cfg: cfg, c: newCore(cfg), now: t0,
 		faults: true, workers: []string{"w0", "w1", "w2"}, files: make(map[uint64]*replayFile),
 	}
-	r.saved, r.savedAt = r.c.snapshot(), -1
+	r.compact()
+	r.savedAt = -1
 	return r
 }
 
@@ -466,11 +463,11 @@ func (r *replay) jobByEpoch(epoch uint64) *replayJob {
 func (r *replay) submit() {
 	maps, reds := 1+r.rng.Intn(4), 1+r.rng.Intn(3)
 	input := lines(maps)
-	js, wake, save := r.c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, input, r.now)
+	js, wake, save := r.c.admit(JobDescriptor{Workload: "wordcount", NumReducers: reds}, 8, input, fmt.Sprintf("job-%d.data", r.c.epoch+1), r.now)
 	if js == nil {
 		r.fatalf("admission refused with %d jobs held", len(r.c.jobs))
 	}
-	r.files[js.epoch] = &replayFile{buf: input, inputLen: int64(len(input)), ext: make([]extent, reds)}
+	r.files[js.epoch] = &replayFile{buf: input}
 	r.jobs = append(r.jobs, &replayJob{epoch: js.epoch, reds: reds, js: js, accepted: make(map[int][]byte)})
 	r.commit(wake, save)
 }
@@ -556,17 +553,21 @@ func (r *replay) complete(a *attempt) {
 	out := mapreduce.EncodeSegment(mapreduce.SegmentFromKVs([]mapreduce.KV{
 		{Key: fmt.Sprintf("e%d/p%d", epoch, seq), Value: fmt.Sprintf("attempt %d", a.tag)},
 	}))
-	wake, save := r.c.completeReduce(&TaskReport{Epoch: epoch, Kind: TaskReduce, Seq: seq}, out, r.now)
+	// The driver writes the output to the data file before the completion
+	// is applied, unless it would finish the job.
+	var e extent
+	if r.c.keepsOutput(epoch, seq) {
+		f := r.files[epoch]
+		e = extent{Off: int64(len(f.buf)), Len: int64(len(out))}
+		f.buf = append(f.buf, out...)
+	}
+	wake, save := r.c.completeReduce(&TaskReport{Epoch: epoch, Kind: TaskReduce, Seq: seq}, out, e, r.now)
 	if save {
 		rj := r.jobByEpoch(epoch)
 		if _, ok := rj.accepted[seq]; ok {
 			r.fatalf("reduce %d of epoch %d accepted twice", seq, epoch)
 		}
 		rj.accepted[seq] = out
-		if f := r.files[epoch]; r.c.byEpoch[epoch] != nil {
-			f.ext[seq] = extent{Off: int64(len(f.buf)), Len: int64(len(out))}
-			f.buf = append(f.buf, out...)
-		}
 	}
 	r.commit(wake, save)
 }
@@ -596,55 +597,44 @@ func (r *replay) loseSegments() {
 	r.commit(r.c.reportLostSegments(r.lost, r.now))
 }
 
-// commit plays the driver's commit step: a snapshot write when the
-// transition asks for one.
+// commit plays the driver's commit step: when the transition asks for a
+// write, the batch is appended to the journal, or a fresh checkpoint
+// replaces it once the appends outgrow compactRatio times the last one.
 func (r *replay) commit(_, save bool) {
 	if save {
-		r.saved, r.savedAt = r.snapshot(), r.step
+		r.saved = append(r.saved, r.c.takeBatch(nil)...)
+		r.savedAt = r.step
+		if len(r.saved)-r.base > compactRatio*r.base {
+			r.compact()
+		}
 	}
 }
 
-// snapshot is the driver's snapshot value: the core's, completed with the
-// data files' extents.
-func (r *replay) snapshot() snapshot {
-	snap := r.c.snapshot()
-	for i := range snap.Jobs {
-		sj := &snap.Jobs[i]
-		f := r.files[sj.Epoch]
-		sj.DataFile, sj.InputLen, sj.Outputs = fmt.Sprintf("job-%d.data", sj.Epoch), f.inputLen, slices.Clone(f.ext)
-	}
-	return snap
+// compact replaces the journal by a checkpoint of the current state.
+func (r *replay) compact() {
+	r.c.takeBatch(nil)
+	r.saved = r.c.checkpoint(nil)
+	r.base = len(r.saved)
 }
 
-// restoreFrom builds a fresh core from a snapshot value and the data files.
-func (r *replay) restoreFrom(snap *snapshot, cfg config) *core {
-	data := make([][]byte, len(snap.Jobs))
-	for i, sj := range snap.Jobs {
-		data[i] = r.files[sj.Epoch].buf
-	}
+// snapshot is a checkpoint of the current state.
+func (r *replay) snapshot() []byte { return r.c.checkpoint(nil) }
+
+// restoreFrom builds a fresh core from journal bytes and the data files.
+func (r *replay) restoreFrom(snap []byte, cfg config) *core {
 	c := newCore(cfg)
-	if err := c.restore(snap, data, r.now); err != nil {
-		r.fatalf("restore: %v", err)
+	if err := c.replay(snap, func(js *jobState) error { return js.attach(r.files[js.epoch].buf) }, r.now); err != nil {
+		r.fatalf("replay: %v", err)
 	}
 	return c
 }
 
-// restart replaces the core with one restored from the last snapshot
-// written, through its gob encoding; the workers and their attempts
-// survive.
+// restart replaces the core with one replayed from the journal written so
+// far, which it then compacts before anything is appended; the workers and
+// their attempts survive.
 func (r *replay) restart() {
-	if r.enc == nil {
-		buf := new(bytes.Buffer)
-		r.enc, r.dec = gob.NewEncoder(buf), gob.NewDecoder(buf)
-	}
-	var snap snapshot
-	if err := r.enc.Encode(&r.saved); err != nil {
-		r.fatalf("encode: %v", err)
-	}
-	if err := r.dec.Decode(&snap); err != nil {
-		r.fatalf("decode: %v", err)
-	}
-	r.c = r.restoreFrom(&snap, r.cfg)
+	r.c = r.restoreFrom(r.saved, r.cfg)
+	r.compact()
 	for _, rj := range r.jobs {
 		if js := r.c.byEpoch[rj.epoch]; js != nil {
 			rj.js = js
@@ -657,11 +647,11 @@ func (r *replay) restart() {
 // begin records the map columns the step starts from.
 func (r *replay) begin() {
 	r.lost = nil
-	r.pre = make(map[uint64][]snapTask, len(r.c.order))
+	r.pre = make(map[uint64][]mapCol, len(r.c.order))
 	for _, js := range r.c.order {
-		col := make([]snapTask, len(js.mapTasks))
+		col := make([]mapCol, len(js.mapTasks))
 		for i, ts := range js.mapTasks {
-			col[i] = snapTask{Done: ts.done, Owner: ts.owner}
+			col[i] = mapCol{done: ts.done, owner: ts.owner}
 		}
 		r.pre[js.epoch] = col
 	}
@@ -700,16 +690,16 @@ func (r *replay) checkTables() {
 func (r *replay) checkInvalidations() {
 	for _, js := range r.c.order {
 		for seq, was := range r.pre[js.epoch] {
-			if !was.Done || js.mapTasks[seq].done {
+			if !was.done || js.mapTasks[seq].done {
 				continue
 			}
-			if w := r.c.workers[was.Owner]; w != nil && w.Evicted {
+			if w := r.c.workers[was.owner]; w != nil && w.Evicted {
 				continue
 			}
-			if l := r.lost; l != nil && l.Epoch == js.epoch && l.Owner == was.Owner && slices.Contains(l.MapSeqs, seq) {
+			if l := r.lost; l != nil && l.Epoch == js.epoch && l.Owner == was.owner && slices.Contains(l.MapSeqs, seq) {
 				continue
 			}
-			r.fatalf("map %d of %s undone while its owner %s still serves it", seq, js.id, was.Owner)
+			r.fatalf("map %d of %s undone while its owner %s still serves it", seq, js.id, was.owner)
 		}
 	}
 }
@@ -749,7 +739,7 @@ func (r *replay) checkRestore() {
 	}
 	cfg := r.cfg
 	cfg.observer = obs.Nop
-	c := r.restoreFrom(&snap, cfg)
+	c := r.restoreFrom(snap, cfg)
 	if got, want := c.statuses(), r.c.statuses(); !slices.Equal(got, want) {
 		r.fatalf("restored Jobs() differ:\n got %+v\nwant %+v", got, want)
 	}

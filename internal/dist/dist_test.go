@@ -459,6 +459,49 @@ func TestInvalidGrepPatternRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitChecksInputBeforeSideData: Submit refuses an empty input with
+// ErrEmptyInput before it computes any side data, and a side-data error —
+// a sort whose input has too few keys to cut for its reducers — is an
+// invalid job, both in process and over RPC; the master then still serves
+// a good job over the same connection.
+func TestSubmitChecksInputBeforeSideData(t *testing.T) {
+	m := startMaster(t)
+	startWorker(t, m, "daemon")
+	ctx := context.Background()
+	sorted := JobDescriptor{Workload: "sort", NumReducers: 4}
+	tera := JobDescriptor{Workload: "terasort", NumReducers: 2}
+	few := []byte("a\nb\n")
+	if _, err := m.Submit(ctx, sorted, few, 4096); !errors.Is(err, ErrInvalidJob) {
+		t.Errorf("in-process sort of %q over 4 reducers: %v, want wrapped ErrInvalidJob", few, err)
+	}
+	if _, err := m.Submit(ctx, tera, nil, 4096); !errors.Is(err, ErrEmptyInput) {
+		t.Errorf("in-process terasort of no input: %v, want ErrEmptyInput", err)
+	}
+	client, err := rpc.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	var res mapreduce.Result
+	for _, c := range []struct {
+		desc  JobDescriptor
+		input []byte
+		want  error
+	}{{sorted, few, ErrInvalidJob}, {tera, nil, ErrEmptyInput}} {
+		err := client.Call("Master.Submit", SubmitArgs{Desc: c.desc, Input: c.input, BlockSize: 4096}, &res)
+		if _, ok := err.(rpc.ServerError); !ok || !strings.Contains(err.Error(), c.want.Error()) {
+			t.Errorf("remote %s of %q: %v, want a server error naming %q", c.desc.Workload, c.input, err, c.want)
+		}
+	}
+	input := workloads.GenerateTeraRecords(16*units.KB, 5)
+	if err := client.Call("Master.Submit", SubmitArgs{Desc: tera, Input: input, BlockSize: 4096}, &res); err != nil {
+		t.Fatalf("remote terasort after the rejections: %v", err)
+	}
+	if got, want := res.Counters.ReduceOutputRecords, int64(bytes.Count(input, []byte("\n"))); got != want {
+		t.Errorf("terasort after the rejections wrote %d records, want %d", got, want)
+	}
+}
+
 // TestSpeculativeExecution checks the backup-task path: an idle worker
 // receives a speculative copy of a straggler's task well before the hard
 // reassignment timeout, and the job completes with first-result-wins

@@ -8,6 +8,8 @@ package dist
 // close is the happens-before edge).
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"heterohadoop/internal/hdfs"
@@ -55,6 +57,12 @@ type jobState struct {
 	epoch     uint64
 	desc      JobDescriptor
 	blockSize int
+	inputLen  int
+	// dataFile is the base name of the job's data file beside the snapshot
+	// ("" with snapshots off), and outExt each finished reducer's output's
+	// extent in it (empty until then, or when it was not written).
+	dataFile string
+	outExt   []extent
 
 	state string // Job* constants
 
@@ -78,6 +86,8 @@ type jobState struct {
 	speculative   int
 	earlyReduces  int
 	recoveredMaps int
+	// logged is the tally the journal last recorded.
+	logged [4]int
 
 	submittedAt time.Time
 
@@ -90,16 +100,17 @@ type jobState struct {
 	final *JobStatus
 }
 
-// newJobState builds a queued job over input, one map task per
-// blockSize-byte split (blockSize ≥ 1) with its window, a view of input.
-// The caller assigns id and epoch and registers the state in the master's
-// tables.
-func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, input []byte, now time.Time) *jobState {
+// newJobState builds a queued job over inputLen bytes, one map task per
+// blockSize-byte split (blockSize ≥ 1); setInput gives the tasks their
+// windows. The caller assigns id and epoch and registers the state in the
+// master's tables.
+func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize, inputLen int, now time.Time) *jobState {
 	js := &jobState{
 		id:          id,
 		epoch:       epoch,
 		desc:        desc,
 		blockSize:   blockSize,
+		inputLen:    inputLen,
 		state:       JobQueued,
 		redsLeft:    desc.NumReducers,
 		submittedAt: now,
@@ -107,11 +118,10 @@ func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, inp
 	}
 	// start steps on only from inside the input and end adds at most its
 	// rest: no block size, math.MaxInt included, overflows the cut.
-	for start := 0; start < len(input); start += blockSize {
-		end := start + min(blockSize, len(input)-start)
+	for start := 0; start < inputLen; start += blockSize {
+		end := start + min(blockSize, inputLen-start)
 		js.mapTasks = append(js.mapTasks, &taskState{task: Task{
-			Kind: TaskMap, Epoch: epoch, Seq: len(js.mapTasks), Job: desc,
-			Start: start, End: end, Window: hdfs.Window(input, start, end),
+			Kind: TaskMap, Epoch: epoch, Seq: len(js.mapTasks), Job: desc, Start: start, End: end,
 		}, readyAt: now})
 	}
 	js.mapsLeft = len(js.mapTasks)
@@ -127,7 +137,47 @@ func newJobState(id string, epoch uint64, desc JobDescriptor, blockSize int, inp
 		}, readyAt: now}
 	}
 	js.redOutputs = make([][]byte, desc.NumReducers)
+	js.outExt = make([]extent, desc.NumReducers)
 	return js
+}
+
+// setInput gives each map task its window, a view of input, the job's
+// whole input.
+func (js *jobState) setInput(input []byte) {
+	for _, ts := range js.mapTasks {
+		ts.task.Window = hdfs.Window(input, ts.task.Start, ts.task.End)
+	}
+}
+
+// attach gives a job replayed from the journal its data file, read whole:
+// the input at its head cuts the splits' windows, and each finished
+// reducer's output is read back at its extent. Bytes past the last extent
+// are a torn append and are ignored; a file short of any extent is an
+// error.
+func (js *jobState) attach(buf []byte) error {
+	n := int64(len(buf))
+	for _, e := range append(slices.Clone(js.outExt), extent{Len: int64(js.inputLen)}) {
+		if e.Off < 0 || e.Len < 0 || e.Off > n || e.Len > n-e.Off {
+			return fmt.Errorf("%d bytes, shorter than extent %+v", n, e)
+		}
+	}
+	js.setInput(buf[:js.inputLen])
+	for p, e := range js.outExt {
+		if js.redTasks[p].done {
+			js.redOutputs[p] = buf[e.Off : e.Off+e.Len]
+		}
+	}
+	return nil
+}
+
+// tally is the job's share of the master's Stats counters, in the order
+// the journal records it; setTally restores it.
+func (js *jobState) tally() [4]int {
+	return [4]int{js.reassigned, js.speculative, js.earlyReduces, js.recoveredMaps}
+}
+
+func (js *jobState) setTally(t [4]int) {
+	js.reassigned, js.speculative, js.earlyReduces, js.recoveredMaps = t[0], t[1], t[2], t[3]
 }
 
 // taskRef is the phase-event identity of one attempt of task on a worker
@@ -186,9 +236,8 @@ func (js *jobState) runningTasks() int {
 	return n
 }
 
-// reduceDone records partition p's output as done: a reducer's completion,
-// or one read back from the data file on restore. Called under the
-// master's mutex.
+// reduceDone records partition p's output as done: a reducer's
+// completion. Called under the master's mutex.
 func (js *jobState) reduceDone(p int, output []byte) {
 	js.redTasks[p].done = true
 	js.redOutputs[p] = output
@@ -203,4 +252,5 @@ func (js *jobState) clearTables() {
 	js.partSegs = nil
 	js.redTasks = nil
 	js.redOutputs = nil
+	js.outExt = nil
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/rpc"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -43,7 +44,8 @@ type Master struct {
 	commits, saved        uint64
 	commitCond, savedCond *sync.Cond
 	persisting            sync.WaitGroup
-	writeFile             func(path string, b []byte) error // tests replace it
+	journal               journalFile
+	writeFile             func(b []byte, checkpoint bool) error // journal.write; tests replace it
 }
 
 // StartMaster starts a master listening on addr ("127.0.0.1:0" for an
@@ -75,21 +77,15 @@ func StartMaster(addr string, opts ...Option) (*Master, error) {
 		files:       make(map[uint64]*dataFile),
 		changed:     make(chan struct{}),
 		janitorStop: make(chan struct{}),
-		writeFile:   writeSnapshotFile,
+		journal:     journalFile{path: cfg.snapshotPath},
 	}
+	m.writeFile = m.journal.write
 	m.commitCond = sync.NewCond(&m.mu)
 	m.savedCond = sync.NewCond(&m.mu)
 	if m.snapPath != "" {
-		snap, err := loadSnapshot(m.snapPath)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		if snap != nil {
-			m.mu.Lock()
-			err = m.restoreLocked(snap)
-			m.mu.Unlock()
-		}
+		m.mu.Lock()
+		err := m.restoreLocked()
+		m.mu.Unlock()
 		if err != nil {
 			m.Close() // releases the data files restored so far
 			return nil, err
@@ -232,11 +228,13 @@ func (m *Master) Stats() Stats {
 // workers pick its tasks up alongside every other running job's. Wait on
 // the handle for the result; ctx only bounds the admission itself (a
 // cancelled ctx before admission fails the call — it is not attached to
-// the job). With snapshots on, a job whose input cannot be written to its
-// data file is refused: the master could not resume it. An admitted job is
-// acknowledged only once the snapshot write covering its admission has
-// finished (a failed one is counted in dist.snapshot.errors, and the job
-// still runs).
+// the job). An empty input fails with ErrEmptyInput before any side data
+// is computed; side data that cannot be computed, or a job that does not
+// build, is an ErrInvalidJob. With snapshots on, a job whose input cannot be
+// written to its data file is refused: the master could not resume it. An
+// admitted job is acknowledged only once the snapshot write covering its
+// admission record has finished (a failed one is counted in
+// dist.snapshot.errors, and the job still runs).
 func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, blockSize int) (*JobHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: submit cancelled: %w", err)
@@ -247,26 +245,29 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 	if blockSize < 1 {
 		return nil, fmt.Errorf("%w: block size must be positive, got %d", ErrInvalidJob, blockSize)
 	}
+	if len(input) == 0 {
+		return nil, ErrEmptyInput
+	}
 	// Compute the side data, and check the descriptor builds locally
 	// before distributing it.
-	if err := PrepareAux(&desc, input); err != nil {
-		return nil, err
+	err := PrepareAux(&desc, input)
+	var job mapreduce.Job
+	if err == nil {
+		job, err = m.registry.Build(desc)
 	}
-	job, err := m.registry.Build(desc)
 	if err == nil {
 		err = job.Validate() // the config carries client-supplied numbers
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidJob, err)
 	}
-	if len(input) == 0 {
-		return nil, ErrEmptyInput
-	}
 	var data *os.File
+	name := ""
 	if m.snapPath != "" {
 		if data, err = createDataFile(m.snapPath, input); err != nil {
 			return nil, fmt.Errorf("dist: submit: persist input: %w", err)
 		}
+		name = filepath.Base(data.Name())
 	}
 
 	m.mu.Lock()
@@ -275,14 +276,13 @@ func (m *Master) Submit(ctx context.Context, desc JobDescriptor, input []byte, b
 		removeDataFile(data)
 		return nil, ErrMasterClosed
 	}
-	js, wake, save := m.core.admit(desc, blockSize, input, time.Now())
+	js, wake, save := m.core.admit(desc, blockSize, input, name, time.Now())
 	if js == nil {
 		removeDataFile(data)
 		return nil, ErrQueueFull
 	}
 	if data != nil {
-		n := int64(len(input))
-		m.files[js.epoch] = &dataFile{f: data, inputLen: n, end: n, ext: make([]extent, desc.NumReducers)}
+		m.files[js.epoch] = &dataFile{f: data, end: int64(len(input))}
 	}
 	m.commitLocked(wake, save)
 	m.waitSavedLocked(m.commits)
@@ -372,11 +372,19 @@ func (r *masterRPC) Heartbeat(hb Heartbeat, reply *Task) error {
 	return nil
 }
 
+// pulled is a reduce output the master pulled, and where writeOutput put
+// it in the job's data file.
+type pulled struct {
+	out []byte
+	ext extent
+}
+
 // pullOutputs pulls, by report index and before the beat takes m.mu, the
-// output of each reduce completion the core would accept, so neither a
-// transfer nor a duplicate's bytes hold up the control plane.
-func (m *Master) pullOutputs(hb *Heartbeat) (map[int][]byte, error) {
-	outputs := make(map[int][]byte)
+// output of each reduce completion the core would accept, and writes it to
+// the job's data file, so neither a transfer, a disk write nor a
+// duplicate's bytes hold up the control plane.
+func (m *Master) pullOutputs(hb *Heartbeat) (map[int]pulled, error) {
+	outputs := make(map[int]pulled)
 	for i, rep := range hb.Reports {
 		if rep.Kind != TaskReduce || rep.Failure != "" {
 			continue
@@ -391,28 +399,24 @@ func (m *Master) pullOutputs(hb *Heartbeat) (map[int][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist: reduce %d output from %s (epoch %d): %w", rep.Seq, hb.Addr, rep.Epoch, err)
 		}
-		outputs[i] = out
+		outputs[i] = pulled{out, m.writeOutput(rep.Epoch, rep.Seq, out)}
 	}
 	return outputs, nil
 }
 
 // applyLocked applies a beat's reports, then its loss reports, through the
-// core's transitions. A reduce completion counts only with a pulled output,
-// appended to the data file unless the job retired on it.
-func (m *Master) applyLocked(hb *Heartbeat, outputs map[int][]byte, now time.Time) (wake, save bool) {
+// core's transitions. A reduce completion counts only with a pulled output.
+func (m *Master) applyLocked(hb *Heartbeat, outputs map[int]pulled, now time.Time) (wake, save bool) {
 	for i := range hb.Reports {
 		rep := &hb.Reports[i]
 		var w, s bool
-		switch out, pulled := outputs[i]; {
+		switch p, ok := outputs[i]; {
 		case rep.Failure != "":
 			w, s = m.core.reportFailure(hb.WorkerID, rep, now)
 		case rep.Kind == TaskMap:
 			w, s = m.core.completeMap(hb.WorkerID, hb.Addr, rep, now)
-		case pulled:
-			w, s = m.core.completeReduce(rep, out, now)
-			if s && m.core.byEpoch[rep.Epoch] != nil {
-				m.persistOutputLocked(rep.Epoch, rep.Seq, out)
-			}
+		case ok:
+			w, s = m.core.completeReduce(rep, p.out, p.ext, now)
 		}
 		wake, save = wake || w, save || s
 	}

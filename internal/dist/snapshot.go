@@ -1,33 +1,38 @@
 package dist
 
-// snapshot.go is the master's crash-recovery persistence: the data files,
-// and the snapshot value the core builds (core.go) on disk. It writes every
-// bulk byte once: Submit writes a job's input to a data file of its own
-// beside the snapshot (<snapshot>.job-*), and each reduce output is appended
-// to it on arrival. The snapshot — one versioned gob value — names those
-// bytes by extent beside each job's task table, shuffle publication log and
-// counters, so its size follows the task table, not the job. One persister
-// goroutine replaces it (temp file + rename) off the master's lock; commits
-// that land during a write share the next one, and only Submit waits for
-// the write covering its admission, so a kill between a commit and the
-// next write loses the later transitions, which the restart redoes. A
-// retired job's file goes only after a snapshot without the job is on
-// disk: a crash in between leaves an orphan, which StartMaster sweeps,
-// never a dangling name. A restart re-cuts the splits from the input and
-// its block size, reads finished outputs back at their extents (bytes past
-// the last are a torn append), keeps done maps done while their workers
-// serve them, and clears every assignment; segments lost with dead workers
-// recover through loss reports.
+// snapshot.go is the master's crash-recovery persistence. On disk it is one
+// file at the snapshot path plus one data file per active job beside it
+// (<snapshot>.job-*). Submit writes a job's input to its data file before it
+// takes the master's lock, and each reduce output but a job's last is
+// written to it off the lock before the record naming its extent is made, so
+// the snapshot file names a job's bytes instead of carrying them and its
+// size follows the task tables, not the data.
 //
-// Deleting a field does not bump snapshotVersion: gob skips stream fields
-// the destination type lacks. A file that still carries a deleted field —
-// the descriptor's old per-job scheduling knobs, a stored job phase, the
-// engine's old retry counter — therefore resumes unchanged; the phase is
-// derived from the restored task table.
+// The snapshot file is a journal (journal.go): a checkpoint — the whole
+// state as records — followed by the batches of records the core's
+// transitions made since. One persister goroutine appends each batch with
+// one write, off the master's lock; commits that land during a write share
+// the next one, and only Submit waits for the write covering its admission.
+// Once the appended bytes exceed compactRatio times the checkpoint (and
+// compactMinBytes), the persister compacts: it writes a fresh checkpoint to
+// a temp file and renames it over the path. A restart replays the
+// checkpoint and the records up to the first torn one, and the persister's
+// first write is a checkpoint, so no record is ever written after a torn
+// one. A retired job's data file is unlinked once the record that retires
+// it is written: a crash in between leaves an orphan, which StartMaster
+// sweeps, never a dangling name. A restart re-cuts the splits from the
+// input and its block size, reads finished outputs back at their extents,
+// keeps done maps done while their workers serve them, and clears every
+// assignment; segments lost with dead workers recover through loss reports.
+//
+// Nothing is fsynced: the files survive a killed master, whose writes are
+// already in the kernel's page cache, but not a power loss or a kernel
+// crash. On smalljobs-dist, an fsync per append and per data file put a
+// job's latency at 3.21 ms against 2.24 ms without (3.45 ms when the whole
+// state was rewritten per commit), so durability across a power loss is a
+// separate change on this record format.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -36,82 +41,87 @@ import (
 	"strings"
 	"time"
 
-	"heterohadoop/internal/mapreduce"
 	"heterohadoop/internal/obs"
 )
 
-// snapshotVersion is bumped on any incompatible layout change; a loaded
-// snapshot with a different version is rejected (the operator removes the
-// stale file) rather than misread. Version 3 moved the splits and reduce
-// outputs out of the snapshot into per-job data files: gob would decode a
-// version-2 file without complaint and resume jobs with no input. Version 4
-// cuts the engine's splits; a version-3 file's done maps ran the old cut.
-// Version 5 carries a sort's cut keys in the descriptor's Aux: a version-4
-// job kept them in a descriptor field since deleted, so it would resume
-// with none, and its reducers would merge map outputs cut by the old keys
-// with map outputs not cut at all — every record kept, the global order
-// broken.
-const snapshotVersion = 5
-
-// extent locates one blob in a job's data file; Len 0 means absent.
-type extent struct{ Off, Len int64 }
-
-// snapTask is one map task's persistent state.
-type snapTask struct {
-	Done  bool
-	Owner string
-}
-
-// snapJob is one active job's persistent state.
-type snapJob struct {
-	ID            string
-	Epoch         uint64
-	Desc          JobDescriptor
-	BlockSize     int
-	State         string
-	DataFile      string   // base name, beside the snapshot
-	InputLen      int64    // the input is the file's [0, InputLen)
-	Outputs       []extent // one per reducer, Len 0 until it is done
-	MapTasks      []snapTask
-	PartSegs      [][]TaggedSegment
-	Counters      mapreduce.Counters
-	Reassigned    int
-	Speculative   int
-	EarlyReduces  int
-	RecoveredMaps int
-	SubmittedAt   time.Time
-}
-
-// snapshot is the full persistent master state.
-type snapshot struct {
-	Version int
-	Epoch   uint64
-	Jobs    []snapJob
-	History []JobStatus
-	Workers []workerInfo
-}
-
-// dataFile is a job's data file: the input at [0, inputLen), then reduce
-// outputs appended at end as they arrive, at ext (zero until then).
+// dataFile is a job's data file: the input, then the reduce outputs written
+// as they arrive; end is where the next one goes.
 type dataFile struct {
-	f             *os.File
-	inputLen, end int64
-	ext           []extent
+	f   *os.File
+	end int64
+}
+
+// journalFile is the persister's handle on the snapshot file: after the
+// first checkpoint it writes, the file is open at its end for appends.
+// Only the persister goroutine uses it.
+type journalFile struct {
+	path       string
+	f          *os.File
+	size, base int64 // the file's length and its checkpoint's
+}
+
+// due reports whether the next write must be a checkpoint: nothing has been
+// written through this handle yet (a fresh start or a restart), the last
+// write failed, or the appends outgrew the checkpoint.
+func (j *journalFile) due() bool { return j.f == nil || compactDue(j.size-j.base, j.base) }
+
+// write appends a batch of records to the file or, with checkpoint set,
+// replaces the file by b — written to a temp file beside it and renamed
+// into place, so the file always starts with a whole checkpoint — and keeps
+// the new file open for the appends that follow.
+func (j *journalFile) write(b []byte, checkpoint bool) error {
+	if !checkpoint {
+		_, err := j.f.Write(b)
+		j.size += int64(len(b))
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(j.path), "."+filepath.Base(j.path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	if _, err = tmp.Write(b); err == nil {
+		err = os.Rename(tmp.Name(), j.path)
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	j.close()
+	j.f, j.size, j.base = tmp, int64(len(b)), int64(len(b))
+	return nil
+}
+
+// close closes the file, so the next write is a checkpoint.
+func (j *journalFile) close() {
+	if j.f != nil {
+		j.f.Close()
+		j.f = nil
+	}
 }
 
 // persist is the master's one snapshot writer, started by StartMaster
-// with snapshots on and stopped by Close. Each round encodes the latest
-// state under m.mu, writes it off the lock, releases the retired jobs' data
-// files — deleted once the write succeeded, only closed otherwise — and
-// marks every commit it covered saved. A failed write is only counted: a
-// master that cannot persist keeps serving. Once the master is closed it
-// writes until the last commit is covered, then returns.
+// with snapshots on and stopped by Close. Each round takes the batch of
+// records the commits since the last made — or, when a checkpoint is due,
+// encodes the whole state instead — under m.mu, writes it off the lock,
+// deletes the data files of the jobs the written records retire, and marks
+// every commit it covered saved. A failed write is only counted, and the
+// next round writes a checkpoint: a master that cannot persist keeps
+// serving. Once the master is closed it writes until the last commit is
+// covered, then returns.
 func (m *Master) persist() {
 	defer m.persisting.Done()
 	ob := m.core.ob
-	var buf bytes.Buffer
+	var batch []byte
+	var retired []*dataFile // retired jobs' files, deleted once a write succeeds
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer func() {
+		m.journal.close()
+		for _, d := range retired {
+			d.f.Close()
+		}
+	}()
 	for {
 		for m.saved == m.commits && !m.closed {
 			m.commitCond.Wait()
@@ -120,27 +130,28 @@ func (m *Master) persist() {
 			return
 		}
 		seq, covered, write := m.commits, m.commits-m.saved, m.writeFile
-		retired, err := m.encodeSnapshotLocked(&buf)
-		m.mu.Unlock()
-		if err == nil {
-			span := obs.Start(ob, "dist.snapshot.write")
-			err = write(m.snapPath, buf.Bytes())
-			span.End()
+		batch = m.core.takeBatch(batch)
+		checkpoint := m.journal.due()
+		if checkpoint {
+			batch = m.core.checkpoint(batch[:0])
 		}
+		retired = m.retiredLocked(retired)
+		m.mu.Unlock()
+		span := obs.Start(ob, "dist.snapshot.write")
+		err := write(batch, checkpoint)
+		span.End()
 		if err != nil {
+			m.journal.close()
 			ob.Count("dist.snapshot.errors", 1)
 		} else {
 			ob.Count("dist.snapshot.writes", 1)
+			for _, d := range retired {
+				removeDataFile(d.f)
+			}
+			retired = retired[:0]
 		}
 		if covered > 1 {
 			ob.Count("dist.snapshot.coalesced", int64(covered-1))
-		}
-		for _, d := range retired {
-			if err == nil {
-				removeDataFile(d.f)
-			} else {
-				d.f.Close()
-			}
 		}
 		m.mu.Lock()
 		m.saved = seq
@@ -148,62 +159,17 @@ func (m *Master) persist() {
 	}
 }
 
-// encodeSnapshotLocked gob-encodes the master state into buf, so the write
-// shares no slice the core goes on mutating, and takes the data files of
-// the jobs retired since the last encode out of m.files.
-func (m *Master) encodeSnapshotLocked(buf *bytes.Buffer) (retired []*dataFile, err error) {
-	snap := m.core.snapshot()
-	for i := range snap.Jobs {
-		sj := &snap.Jobs[i]
-		d := m.files[sj.Epoch]
-		sj.DataFile, sj.InputLen, sj.Outputs = filepath.Base(d.f.Name()), d.inputLen, d.ext
-	}
+// retiredLocked moves the data files of the jobs retired since the last
+// call out of m.files and onto list. Their retirement records are in the
+// batch just taken, or in one taken before.
+func (m *Master) retiredLocked(list []*dataFile) []*dataFile {
 	for epoch, d := range m.files {
 		if m.core.byEpoch[epoch] == nil {
-			retired = append(retired, d)
+			list = append(list, d)
 			delete(m.files, epoch)
 		}
 	}
-	buf.Reset()
-	return retired, gob.NewEncoder(buf).Encode(&snap)
-}
-
-// writeSnapshotFile writes an encoded snapshot to a temp file beside path
-// and renames it into place, so readers never observe a torn write.
-func writeSnapshotFile(path string, b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	_, err = tmp.Write(b)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// loadSnapshot reads a snapshot file; a missing file is (nil, nil).
-func loadSnapshot(path string) (*snapshot, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dist: snapshot open: %w", err)
-	}
-	defer f.Close()
-	var snap snapshot
-	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("dist: snapshot decode: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("dist: snapshot version %d, want %d", snap.Version, snapshotVersion)
-	}
-	return &snap, nil
+	return list
 }
 
 // createDataFile writes a job's input to a fresh data file beside the
@@ -221,7 +187,7 @@ func createDataFile(path string, input []byte) (*os.File, error) {
 	return f, nil
 }
 
-// removeDataFile closes and deletes a data file no snapshot names, if any.
+// removeDataFile closes and deletes a data file no record names, if any.
 func removeDataFile(f *os.File) {
 	if f != nil {
 		f.Close()
@@ -229,74 +195,84 @@ func removeDataFile(f *os.File) {
 	}
 }
 
-// persistOutputLocked appends partition p's output to the data file of
-// the job at epoch and records its extent. A failed write leaves the extent
-// empty — a restart re-runs that reducer — and counts as a snapshot error.
-// Called under m.mu.
-func (m *Master) persistOutputLocked(epoch uint64, p int, out []byte) {
+// writeOutput writes reduce output seq of the job at epoch to the job's
+// data file, off the master's lock, and returns its extent there: empty
+// with snapshots off, when the core would not keep it (the job is gone, the
+// reducer done, or this output finishes the job) or when the write failed —
+// counted as a snapshot error unless the file was closed meanwhile (the job
+// retired, or the master closed); a restart re-runs that reducer. The
+// extent is reserved under the lock, so concurrent beats write disjoint
+// ranges.
+func (m *Master) writeOutput(epoch uint64, seq int, out []byte) extent {
+	m.mu.Lock()
 	d := m.files[epoch]
-	if d == nil || m.closed {
-		return
+	if d == nil || m.closed || !m.core.keepsOutput(epoch, seq) {
+		m.mu.Unlock()
+		return extent{}
 	}
-	if _, err := d.f.WriteAt(out, d.end); err != nil {
-		m.core.ob.Count("dist.snapshot.errors", 1)
-		return
+	e := extent{Off: d.end, Len: int64(len(out))}
+	d.end += e.Len
+	m.mu.Unlock()
+	if _, err := d.f.WriteAt(out, e.Off); err != nil {
+		if !errors.Is(err, os.ErrClosed) {
+			m.core.ob.Count("dist.snapshot.errors", 1)
+		}
+		return extent{}
 	}
-	d.ext[p] = extent{Off: d.end, Len: int64(len(out))}
-	d.end += int64(len(out))
+	return e
 }
 
-// readDataFile reads a restored job's data file back and opens it for
-// further appends. A missing file, or one short of any recorded extent, is
-// an error naming the job and the file.
-func readDataFile(dir string, sj *snapJob) (*os.File, []byte, error) {
-	path := filepath.Join(dir, sj.DataFile)
+// restoreLocked replays the snapshot file, if there is one, into the empty
+// core and reopens the active jobs' data files; called from StartMaster
+// before the RPC plane accepts connections.
+func (m *Master) restoreLocked() error {
+	b, err := os.ReadFile(m.snapPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err == nil {
+		err = m.core.replay(b, m.openDataFile, time.Now())
+	}
+	if err != nil {
+		return fmt.Errorf("dist: snapshot %s: %w", m.snapPath, err)
+	}
+	return nil
+}
+
+// openDataFile reads a replayed job's data file back, attaches it to the
+// job and opens it for the outputs still to come, written past its whole
+// length, a torn write included.
+func (m *Master) openDataFile(js *jobState) error {
+	path := filepath.Join(filepath.Dir(m.snapPath), js.dataFile)
 	buf, err := os.ReadFile(path)
-	for _, e := range append(sj.Outputs, extent{Len: sj.InputLen}) {
-		if err == nil && (e.Off < 0 || e.Len < 0 || e.Off+e.Len > int64(len(buf))) {
-			err = fmt.Errorf("%d bytes, shorter than extent %+v", len(buf), e)
-		}
+	if err == nil {
+		err = js.attach(buf)
 	}
 	var f *os.File
 	if err == nil {
 		f, err = os.OpenFile(path, os.O_WRONLY, 0)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("dist: snapshot job %s: data file %s: %w", sj.ID, path, err)
+		return fmt.Errorf("data file %s: %w", path, err)
 	}
-	return f, buf, nil
-}
-
-// restoreLocked reopens the snapshot's data files and restores the core
-// from both; called from StartMaster before the RPC plane accepts
-// connections.
-func (m *Master) restoreLocked(snap *snapshot) error {
-	data := make([][]byte, len(snap.Jobs))
-	for i := range snap.Jobs {
-		sj := &snap.Jobs[i]
-		f, buf, err := readDataFile(filepath.Dir(m.snapPath), sj)
-		if err != nil {
-			return err
-		}
-		// Appends go past the whole file, a torn one included.
-		m.files[sj.Epoch] = &dataFile{f: f, inputLen: sj.InputLen, end: int64(len(buf)), ext: sj.Outputs}
-		data[i] = buf
-	}
-	return m.core.restore(snap, data, time.Now())
+	m.files[js.epoch] = &dataFile{f: f, end: int64(len(buf))}
+	return nil
 }
 
 // sweepDataFiles removes every data file beside the snapshot that no
-// restored job names: orphans of a crash between a snapshot write and the
-// unlink it allowed, or of one in the middle of a Submit.
+// restored job names — orphans of a crash between a write and the unlink it
+// allowed, or of one in the middle of a Submit — and every checkpoint temp
+// file a crash left before its rename.
 func (m *Master) sweepDataFiles() {
 	named := make(map[string]bool, len(m.files))
 	for _, d := range m.files {
 		named[d.f.Name()] = true
 	}
-	dir, prefix := filepath.Dir(m.snapPath), filepath.Base(m.snapPath)+".job-"
+	dir, base := filepath.Dir(m.snapPath), filepath.Base(m.snapPath)
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
-		if p := filepath.Join(dir, e.Name()); strings.HasPrefix(e.Name(), prefix) && !named[p] {
+		p, name := filepath.Join(dir, e.Name()), e.Name()
+		if strings.HasPrefix(name, base+".job-") && !named[p] || strings.HasPrefix(name, "."+base+".tmp-") {
 			os.Remove(p)
 		}
 	}

@@ -1,12 +1,14 @@
 package dist
 
-// snapshot_test.go covers the snapshot layout and the per-job data files
-// beside it: the version gate, the value + extents round trip, a restart
-// that serves a finished reducer's output from the data file (torn append
-// included), the orphan sweep and the missing/short file errors, the empty
-// directory a closed cluster leaves, a snapshot whose size follows the
-// task table rather than the input, and the one snapshot writer: off the
-// master's lock, awaited by Submit alone, flushed and stopped by Close.
+// snapshot_test.go covers the snapshot file — a journal of records after a
+// checkpoint — and the per-job data files beside it: the version and kind
+// gates, a job record's data file and extents read back, a restart that
+// serves a finished reducer's output from the data file (torn append
+// included), a journal cut at every byte offset, the orphan sweep and the
+// missing/short file errors, the empty directory a closed cluster leaves, a
+// file whose size follows the task table rather than the input, and the one
+// snapshot writer: off the master's lock, awaited by Submit alone, flushed
+// and stopped by Close.
 
 import (
 	"bytes"
@@ -55,46 +57,162 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// writeSnapshot encodes snap and writes it at path the way the persister
-// does.
-func writeSnapshot(path string, snap *snapshot) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return err
+// writeJournal writes, at path, a checkpoint of epoch and jobs as the
+// persister would.
+func writeJournal(t *testing.T, path string, epoch uint64, jobs ...*jobState) {
+	t.Helper()
+	b := appendHeader(nil, epoch)
+	for _, js := range jobs {
+		b = appendJob(b, js)
 	}
-	return writeSnapshotFile(path, buf.Bytes())
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestSnapshotVersionMismatchRejected pins the version gate: a snapshot
-// written by the version-2 layout (splits and outputs inside the snapshot
-// file) must fail StartMaster instead of resuming jobs with no data file,
-// one written by the version-3 layout (done maps cut by the old
-// record-aligned rule) instead of mixing its segments with the engine's
-// splits, and one written by the version-4 layout (a sort's cut keys in the
-// deleted Cuts field) instead of resuming the sort with no cuts.
+// loadSnapshot replays the journal at path into a fresh core, each job
+// attached to its data file beside it.
+func loadSnapshot(path string) (*core, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	c := newCore(config{observer: obs.Nop, maxActiveJobs: 1, snapshotPath: path})
+	err = c.replay(b, func(js *jobState) error {
+		buf, err := os.ReadFile(filepath.Join(filepath.Dir(path), js.dataFile))
+		if err == nil {
+			err = js.attach(buf)
+		}
+		return err
+	}, time.Now())
+	return c, err
+}
+
+// wholeRecords splits b into its whole records and the bytes after them.
+func wholeRecords(b []byte) (ends []int, torn []byte) {
+	for off := 0; ; {
+		_, _, rest, ok := nextRecord(b[off:])
+		if !ok {
+			return ends, b[off:]
+		}
+		off = len(b) - len(rest)
+		ends = append(ends, off)
+	}
+}
+
+// rawRecord frames payload as a record of kind.
+func rawRecord(b []byte, kind byte, payload []byte) []byte {
+	start := len(b)
+	return endRecord(append(beginRecord(b, kind), payload...), start)
+}
+
+// TestSnapshotVersionMismatchRejected pins the version gate: a journal
+// whose header names another version fails StartMaster with an error
+// naming both versions, and so does a file in the version-5 layout — one
+// gob value — which does not start with a journal header at all.
 func TestSnapshotVersionMismatchRejected(t *testing.T) {
-	for _, v := range []int{2, 3, 4} {
+	for _, v := range []uint64{2, 3, 4, 5, 7} {
 		snap := filepath.Join(t.TempDir(), "master.snap")
-		old := snapshot{Version: v, Epoch: 1, Jobs: []snapJob{{ID: "job-1", Epoch: 1}}}
-		if err := writeSnapshot(snap, &old); err != nil {
+		b := rawRecord(nil, recHeader, appendUint(appendUint(nil, v), 1))
+		if err := os.WriteFile(snap, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
 		if err == nil {
 			m.Close()
-			t.Fatalf("StartMaster resumed a version-%d snapshot", v)
+			t.Fatalf("StartMaster resumed a version-%d journal", v)
 		}
-		if want := fmt.Sprintf("snapshot version %d, want 5", v); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version %d, want 6", v); !strings.Contains(err.Error(), want) {
+			t.Errorf("StartMaster error %q, want it to name %q", err, want)
+		}
+	}
+
+	type v5Job struct {
+		ID          string
+		Epoch       uint64
+		Desc        JobDescriptor
+		BlockSize   int
+		DataFile    string
+		InputLen    int64
+		SubmittedAt time.Time
+	}
+	type v5Snapshot struct {
+		Version int
+		Epoch   uint64
+		Jobs    []v5Job
+	}
+	var buf bytes.Buffer
+	old := v5Snapshot{Version: 5, Epoch: 1, Jobs: []v5Job{{ID: "job-1", Epoch: 1, BlockSize: 8}}}
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	if err := os.WriteFile(snap, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+	if err == nil {
+		m.Close()
+		t.Fatal("StartMaster resumed a version-5 gob snapshot")
+	}
+	for _, want := range []string{snap, "not a version-6 snapshot"} {
+		if !strings.Contains(err.Error(), want) {
 			t.Errorf("StartMaster error %q, want it to name %q", err, want)
 		}
 	}
 }
 
-// TestSnapshotBlobsRoundTrip pins the version-3 layout: the snapshot value
-// names the data file and the extents in it, and reading the file back at
-// those extents returns the input and the finished reducer's output — an
-// unfinished reducer's extent stays empty (restoreLocked reads "done" off
-// exactly that), and a torn append past the last extent is not an error.
+// TestSnapshotUnknownKindOrVersionRefused: a journal is refused, with an
+// error naming what is wrong, when its header names an unknown version, a
+// checksummed record has an unknown kind, a header follows the first
+// record, or a known kind has a malformed payload. Only a torn or
+// corrupt record — the tail a killed write leaves — ends the replay
+// quietly.
+func TestSnapshotUnknownKindOrVersionRefused(t *testing.T) {
+	header := appendHeader(nil, 0)
+	for _, c := range []struct {
+		name    string
+		journal []byte
+		want    string
+	}{
+		{"version", rawRecord(nil, recHeader, appendUint(appendUint(nil, 99), 0)), "snapshot version 99, want 6"},
+		{"kind", rawRecord(bytes.Clone(header), 99, []byte("x")), "record 1: unknown record kind 99"},
+		{"header twice", appendHeader(bytes.Clone(header), 0), "record 1: a header past the first record"},
+		{"malformed", rawRecord(bytes.Clone(header), recWorker, []byte{5, 'w'}), "record 1 (worker): count 5, but only 1 bytes follow"},
+		{"trailing", rawRecord(bytes.Clone(header), recWorker, []byte{0, 0, 0}), "record 1 (worker): 1 trailing bytes"},
+		{"unknown job", rawRecord(bytes.Clone(header), recMapLost, []byte{7, 0}), "record 1 (map-lost): no active job of epoch 7"},
+	} {
+		snap := filepath.Join(t.TempDir(), "master.snap")
+		if err := os.WriteFile(snap, c.journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+		if err == nil {
+			m.Close()
+			t.Errorf("%s: StartMaster resumed the journal", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: StartMaster error %q, want it to name %q", c.name, err, c.want)
+		}
+	}
+
+	torn := appendWorker(bytes.Clone(header), &workerInfo{ID: "w1"})
+	torn[len(torn)-1] ^= 0xff
+	snap := filepath.Join(t.TempDir(), "master.snap")
+	if err := os.WriteFile(snap, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := startMaster(t, WithSnapshotPath(snap))
+	if st := m.Stats(); st.Workers != 0 {
+		t.Errorf("a record failing its checksum was replayed: %d workers known", st.Workers)
+	}
+}
+
+// TestSnapshotBlobsRoundTrip pins the job record: it names the data file
+// and the extents in it, and replaying it reads the input and the finished
+// reducer's output back at those extents — an unfinished reducer's extent
+// stays empty, and a torn append past the last extent is not an error.
 func TestSnapshotBlobsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "master.snap")
@@ -104,34 +222,27 @@ func TestSnapshotBlobsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	outs := []extent{{}, {Off: int64(len(input)), Len: int64(len(out))}, {}}
-	in := snapshot{Version: snapshotVersion, Epoch: 1, Jobs: []snapJob{
-		{ID: "job-1", Epoch: 1, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 3},
-			DataFile: filepath.Base(data), InputLen: int64(len(input)), Outputs: outs,
-			MapTasks: []snapTask{{Done: true, Owner: "w"}}, PartSegs: make([][]TaggedSegment, 3)},
-	}}
-	if err := writeSnapshot(path, &in); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := loadSnapshot(path)
+	in := newJobState("job-1", 1, JobDescriptor{Workload: "wordcount", NumReducers: 3}, len(input), len(input), t0)
+	in.dataFile, in.outExt = filepath.Base(data), outs
+	in.mapTasks[0].done, in.mapTasks[0].owner = true, "w"
+	writeJournal(t, path, 1, in)
+	c, err := loadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj := snap.Jobs[0]
-	if sj.DataFile != filepath.Base(data) || sj.InputLen != int64(len(input)) || fmt.Sprint(sj.Outputs) != fmt.Sprint(outs) {
-		t.Errorf("snapshot value = file %q input %d outputs %v, want %q %d %v",
-			sj.DataFile, sj.InputLen, sj.Outputs, filepath.Base(data), len(input), outs)
+	js := c.byEpoch[1]
+	if js.dataFile != filepath.Base(data) || js.inputLen != len(input) || fmt.Sprint(js.outExt) != fmt.Sprint(outs) {
+		t.Errorf("job record = file %q input %d outputs %v, want %q %d %v",
+			js.dataFile, js.inputLen, js.outExt, filepath.Base(data), len(input), outs)
 	}
-	if ts := sj.MapTasks[0]; !ts.Done || ts.Owner != "w" || len(sj.PartSegs) != 3 {
-		t.Errorf("task table did not survive: %+v, %d partitions", ts, len(sj.PartSegs))
+	if ts := js.mapTasks[0]; !ts.done || ts.owner != "w" || len(js.partSegs) != 3 {
+		t.Errorf("task table did not survive: done %v owner %q, %d partitions", ts.done, ts.owner, len(js.partSegs))
 	}
-	f, buf, err := readDataFile(dir, &sj)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(js.mapTasks[0].task.Window, input) || !bytes.Equal(js.redOutputs[1], out) {
+		t.Errorf("data file read back as window %q and output %q, want %q and %q", js.mapTasks[0].task.Window, js.redOutputs[1], input, out)
 	}
-	defer f.Close()
-	e := sj.Outputs[1]
-	if !bytes.Equal(buf[:sj.InputLen], input) || !bytes.Equal(buf[e.Off:e.Off+e.Len], out) {
-		t.Errorf("data file read back %q, want input %q then output %q", buf, input, out)
+	if js.redsLeft != 2 || js.redTasks[0].done || !js.redTasks[1].done {
+		t.Errorf("reducers done %v %v %v (%d left), want only reducer 1", js.redTasks[0].done, js.redTasks[1].done, js.redTasks[2].done, js.redsLeft)
 	}
 }
 
@@ -246,114 +357,10 @@ func TestSnapshotRestoredQueuedJobHasNoPhase(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeletedFieldsStillLoad writes a snapshot of the current
-// version in the layout a master wrote while the descriptor carried per-job
-// scheduling knobs and a
-// sort buffer, the job its phase, JobStatus Running and Priority, Counters
-// TaskRetries, and the snapshot a job-ID counter beside the epoch. gob
-// skips the fields the current types lack, so StartMaster must resume the
-// job — its phase derived from the task table, not the stale stored one —
-// to the same output as a plain run, and number the next submission from
-// the epoch.
-func TestSnapshotDeletedFieldsStillLoad(t *testing.T) {
-	type oldDesc struct {
-		Workload        string
-		NumReducers     int
-		SortBuffer      int64
-		Priority        int
-		TaskTimeout     time.Duration
-		SpecFraction    float64
-		ReduceSlowstart float64
-	}
-	type oldCounters struct{ MapTasks, TaskRetries int }
-	type oldJob struct {
-		ID          string
-		Epoch       uint64
-		Desc        oldDesc
-		BlockSize   int
-		State       string
-		Phase       string
-		DataFile    string
-		InputLen    int64
-		Outputs     []extent
-		MapTasks    []snapTask
-		PartSegs    [][]TaggedSegment
-		Counters    oldCounters
-		SubmittedAt time.Time
-	}
-	type oldStatus struct {
-		ID, State, Phase string
-		Running          bool
-		Priority         int
-	}
-	type oldSnapshot struct {
-		Version       int
-		Epoch, JobSeq uint64
-		Jobs          []oldJob
-		History       []oldStatus
-	}
-
-	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
-	input := workloads.GenerateText(8*units.KB, 53)
-	ref := startMaster(t)
-	startWorker(t, ref, "reference")
-	want := outputBytes(t, submitWait(t, ref, desc, input, 2*1024))
-
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "master.snap")
-	if err := os.WriteFile(snap+".job-2", input, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := oldSnapshot{Version: snapshotVersion, Epoch: 2, JobSeq: 2,
-		Jobs: []oldJob{{
-			ID: "job-2", Epoch: 2, BlockSize: 2 * 1024, State: JobRunning, Phase: "reduce",
-			Desc: oldDesc{Workload: desc.Workload, NumReducers: desc.NumReducers, SortBuffer: 64 << 10,
-				Priority: 3, TaskTimeout: time.Nanosecond, SpecFraction: 0.01, ReduceSlowstart: 1},
-			DataFile: filepath.Base(snap) + ".job-2", InputLen: int64(len(input)),
-			Outputs:  make([]extent, desc.NumReducers),
-			MapTasks: make([]snapTask, (len(input)-1)/(2*1024)+1),
-			PartSegs: make([][]TaggedSegment, desc.NumReducers),
-			Counters: oldCounters{TaskRetries: 2},
-		}},
-		History: []oldStatus{{ID: "job-1", State: JobDone, Priority: 3}},
-	}
-	f, err := os.Create(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	m := startMaster(t, WithSnapshotPath(snap))
-	if st, ok := m.JobStatus("job-1"); !ok || st.State != JobDone {
-		t.Errorf("history entry job-1 = %+v (found %v), want done", st, ok)
-	}
-	st, ok := m.JobStatus("job-2")
-	if !ok || st.State != JobRunning || st.Phase != "map" || st.MapsDone != 0 {
-		t.Fatalf("restored job-2 = %+v (found %v), want running in map with no map done", st, ok)
-	}
-	h, _ := m.Handle("job-2")
-	startWorker(t, m, "resumer")
-	if got := outputBytes(t, waitJob(t, h, jobDeadline)); !bytes.Equal(got, want) {
-		t.Errorf("resumed output differs from the plain run (%d vs %d bytes)", len(got), len(want))
-	}
-	next, err := m.Submit(context.Background(), desc, input, 2*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.ID() != "job-3" {
-		t.Errorf("submission after restore got ID %s, want job-3", next.ID())
-	}
-	if got := outputBytes(t, waitJob(t, next, jobDeadline)); !bytes.Equal(got, want) {
-		t.Errorf("post-restore job output differs from the plain run (%d vs %d bytes)", len(got), len(want))
-	}
-}
-
 // TestSnapshotOrphanSweep: StartMaster removes the data files its
-// snapshot does not name (and nothing else), and refuses — naming job and
-// file — a snapshot whose data file is missing or short.
+// snapshot does not name and the checkpoint temp files a crash left before
+// their rename (and nothing else), and refuses — naming job and file — a
+// snapshot whose data file is missing or short.
 func TestSnapshotOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "master.snap")
@@ -369,8 +376,9 @@ func TestSnapshotOrphanSweep(t *testing.T) {
 		t.Fatalf("data files of one in-flight job: %v", named)
 	}
 	orphan := snap + ".job-orphan"
+	temp := filepath.Join(dir, ".master.snap.tmp-123")
 	other := filepath.Join(dir, "unrelated.job-1")
-	for _, p := range []string{orphan, other} {
+	for _, p := range []string{orphan, temp, other} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -379,8 +387,10 @@ func TestSnapshotOrphanSweep(t *testing.T) {
 	if n := masterGoroutines(); n < 3 {
 		t.Errorf("%d goroutines started by an open snapshotting master, want its accept loop, janitor and writer", n)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Errorf("orphan survived StartMaster: %v", err)
+	for _, p := range []string{orphan, temp} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived StartMaster: %v", p, err)
+		}
 	}
 	for _, p := range []string{named[0], other} {
 		if _, err := os.Stat(p); err != nil {
@@ -482,11 +492,12 @@ func TestSnapshotWriteOffLock(t *testing.T) {
 	entered, release, done := make(chan struct{}), make(chan error), make(chan struct{})
 	t.Cleanup(func() { close(done) }) // lets Close's flush through
 	m.mu.Lock()
-	m.writeFile = func(path string, b []byte) error {
+	write := m.writeFile
+	m.writeFile = func(b []byte, checkpoint bool) error {
 		select {
 		case entered <- struct{}{}:
 		case <-done:
-			return writeSnapshotFile(path, b)
+			return write(b, checkpoint)
 		}
 		select {
 		case err := <-release:
@@ -495,7 +506,7 @@ func TestSnapshotWriteOffLock(t *testing.T) {
 			}
 		case <-done:
 		}
-		return writeSnapshotFile(path, b)
+		return write(b, checkpoint)
 	}
 	m.mu.Unlock()
 	blocked := func() {
@@ -529,7 +540,7 @@ func TestSnapshotWriteOffLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.ContainsFunc(on.Jobs, func(sj snapJob) bool { return sj.ID == s.h.ID() }) {
+		if !slices.ContainsFunc(on.order, func(js *jobState) bool { return js.id == s.h.ID() }) {
 			t.Errorf("Submit of %s returned before a snapshot naming it was on disk", s.h.ID())
 		}
 		return s.h
@@ -622,12 +633,13 @@ func TestSnapshotCloseFlushes(t *testing.T) {
 	var closed atomic.Bool
 	var late atomic.Int64
 	m.mu.Lock()
-	m.writeFile = func(path string, b []byte) error {
+	write := m.writeFile
+	m.writeFile = func(b []byte, checkpoint bool) error {
 		if closed.Load() {
 			late.Add(1)
 		}
 		time.Sleep(time.Millisecond) // a slow disk, so commits queue behind each write
-		return writeSnapshotFile(path, b)
+		return write(b, checkpoint)
 	}
 	m.mu.Unlock()
 
@@ -674,9 +686,9 @@ func TestSnapshotCloseFlushes(t *testing.T) {
 	for _, h := range active {
 		want = append(want, h.ID())
 	}
-	for _, sj := range on.Jobs {
-		got = append(got, sj.ID)
-		named = append(named, filepath.Join(dir, sj.DataFile))
+	for _, js := range on.order {
+		got = append(got, js.id)
+		named = append(named, filepath.Join(dir, js.dataFile))
 	}
 	sort.Strings(want)
 	sort.Strings(got)
@@ -742,39 +754,141 @@ func TestSnapshotSizeIndependentOfInput(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshotWrite times one snapshot write with a 16-map job in
-// flight, in its two halves: the encode the persister runs under m.mu and
-// the file write it runs off the lock. B/op must not grow with the job's
-// input.
+// BenchmarkSnapshotWrite times one commit's persistence with a 16-map job
+// in flight: the map completion's record appended to the batch under m.mu,
+// the batch taken, and the append off the lock — a checkpoint whenever the
+// appends outgrow the last, as the persister does. B/op must not grow with
+// the job's input.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	for _, n := range []units.Bytes{units.MB, 16 * units.MB} {
 		m, snap := snapshotWithJob(b, n)
-		var buf bytes.Buffer
-		m.mu.Lock()
-		_, err := m.encodeSnapshotLocked(&buf)
-		m.mu.Unlock()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("encode/input=%dMB", n/units.MB), func(b *testing.B) {
+		j := journalFile{path: snap + ".bench"}
+		b.Cleanup(func() { j.close(); os.Remove(j.path) })
+		var batch []byte
+		b.Run(fmt.Sprintf("commit/input=%dMB", n/units.MB), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m.mu.Lock()
-				_, err := m.encodeSnapshotLocked(&buf)
+				js := m.core.order[0]
+				m.core.batch = appendMapDone(m.core.batch, js, i%16, "w", "w:addr", []PartStat{{Part: 0, Recs: 1}, {Part: 1, Recs: 1}})
+				batch = m.core.takeBatch(batch)
+				checkpoint := j.due()
+				if checkpoint {
+					batch = m.core.checkpoint(batch[:0])
+				}
 				m.mu.Unlock()
-				if err != nil {
+				if err := j.write(batch, checkpoint); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		enc := bytes.Clone(buf.Bytes())
-		b.Run(fmt.Sprintf("file/input=%dMB", n/units.MB), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := writeSnapshotFile(snap, enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+}
+
+// TestSnapshotTruncatedAtEveryOffset cuts a master's journal at every byte
+// offset past its checkpoint and restarts on each cut: the restarted master
+// holds the state of the last whole record before the cut — a torn record
+// is dropped, never misread. A master restarted on a torn tail then writes
+// a checkpoint before anything else, so no record lands after torn bytes.
+func TestSnapshotTruncatedAtEveryOffset(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "master.snap")
+	m1 := startMaster(t, WithSnapshotPath(snap))
+	desc := JobDescriptor{Workload: "wordcount", NumReducers: 2}
+	h, err := m1.Submit(ctx, desc, workloads.GenerateText(8*units.KB, 61), 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clerk := connectWorker(t, m1, "clerk")
+	// states[k] is the job table once the write that ends at sizes[k] is on
+	// disk: the checkpoint, then one record per commit.
+	var states [][]JobStatus
+	var sizes []int
+	saved := func() {
+		t.Helper()
+		m1.mu.Lock()
+		m1.waitSavedLocked(m1.commits)
+		m1.mu.Unlock()
+		fi, err := os.Stat(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, sizes = append(states, m1.Jobs()), append(sizes, int(fi.Size()))
+	}
+	saved()
+	for st := h.Status(); st.MapsDone < st.MapsTotal; st = h.Status() {
+		if err := runMapReported(clerk, stealMapTask(t, clerk.client, clerk.ID)); err != nil {
+			t.Fatal(err)
+		}
+		saved()
+	}
+	if err := clerk.runReduceStreaming(ctx, stealTask(t, clerk.client, clerk.ID, TaskReduce)); err != nil {
+		t.Fatal(err)
+	}
+	saved()
+	m1.Close()
+
+	journal, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, torn := wholeRecords(journal)
+	if len(torn) != 0 || !slices.Equal(ends[len(ends)-len(sizes)+1:], sizes[1:]) {
+		t.Fatalf("journal records end at %v (%d torn bytes), want one record per write, ending at %v", ends, len(torn), sizes)
+	}
+	for off := sizes[0]; off <= len(journal); off++ {
+		if err := os.WriteFile(snap, journal[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
+		if err != nil {
+			t.Fatalf("journal cut at %d of %d bytes: %v", off, len(journal), err)
+		}
+		got := m.Jobs()
+		m.Close()
+		k := 0
+		for k+1 < len(sizes) && sizes[k+1] <= off {
+			k++
+		}
+		if !slices.Equal(got, states[k]) {
+			t.Fatalf("journal cut at %d of %d bytes restored\n%+v\nwant the state after %d records\n%+v", off, len(journal), got, k, states[k])
+		}
+	}
+
+	if err := os.WriteFile(snap, journal[:len(journal)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2 := startMaster(t, WithSnapshotPath(snap))
+	h2, err := m2.Submit(ctx, desc, workloads.GenerateText(4*units.KB, 62), 2*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for rest := after; len(rest) > 0; {
+		kind, _, r, ok := nextRecord(rest)
+		if !ok {
+			t.Fatalf("%d torn bytes survived the restart's first write", len(rest))
+		}
+		if len(rest) == len(after) != (kind == recHeader) || kind != recHeader && kind != recWorker && kind != recJob {
+			t.Fatalf("first write after the restart holds a %s record at byte %d: not a checkpoint", recordNames[kind], len(after)-len(rest))
+		}
+		if kind == recJob {
+			jobs++
+		}
+		rest = r
+	}
+	if jobs != 2 {
+		t.Errorf("checkpoint after the restart holds %d jobs, want the resumed and the new one", jobs)
+	}
+	want := m2.Jobs()
+	m2.Close()
+	m3 := startMaster(t, WithSnapshotPath(snap))
+	if got := m3.Jobs(); !slices.Equal(got, want) || len(got) != 2 || got[0].ID != h.ID() || got[1].ID != h2.ID() {
+		t.Errorf("restart on the compacted journal restored %+v, want %+v", got, want)
 	}
 }

@@ -140,14 +140,9 @@ func TestSnapshotZeroBlockSizeRejected(t *testing.T) {
 	if err := os.WriteFile(snap+".job-1", input, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := snapshot{Version: snapshotVersion, Epoch: 1, Jobs: []snapJob{{
-		ID: "job-1", Epoch: 1, Desc: JobDescriptor{Workload: "wordcount", NumReducers: 1}, BlockSize: 0,
-		State: JobRunning, DataFile: filepath.Base(snap) + ".job-1", InputLen: int64(len(input)),
-		Outputs: make([]extent, 1), MapTasks: make([]snapTask, 1), PartSegs: make([][]TaggedSegment, 1),
-	}}}
-	if err := writeSnapshot(snap, &bad); err != nil {
-		t.Fatal(err)
-	}
+	bad := newJobState("job-1", 1, JobDescriptor{Workload: "wordcount", NumReducers: 1}, len(input), len(input), t0)
+	bad.blockSize, bad.dataFile = 0, filepath.Base(snap)+".job-1"
+	writeJournal(t, snap, 1, bad)
 	m, err := StartMaster("127.0.0.1:0", WithSnapshotPath(snap))
 	if err == nil {
 		m.Close()

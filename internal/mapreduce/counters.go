@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"heterohadoop/internal/units"
@@ -52,6 +53,62 @@ type Counters struct {
 	ReduceInputRecords  int64
 	ReduceOutputRecords int64
 	ReduceOutputBytes   units.Bytes
+}
+
+// CountersSize is the length of Counters' binary form: each field, in
+// declaration order, as a little-endian 64-bit integer.
+const CountersSize = 23 * 8
+
+// walk passes every field, in declaration order, through f and stores
+// what f returns: the one field list the binary codec reads and writes.
+func (c *Counters) walk(f func(int64) int64) {
+	c.MapTasks = int(f(int64(c.MapTasks)))
+	c.ReduceTasks = int(f(int64(c.ReduceTasks)))
+	c.MapInputRecords = f(c.MapInputRecords)
+	c.MapInputBytes = units.Bytes(f(int64(c.MapInputBytes)))
+	c.MapOutputRecords = f(c.MapOutputRecords)
+	c.MapOutputBytes = units.Bytes(f(int64(c.MapOutputBytes)))
+	c.CombineInputRecords = f(c.CombineInputRecords)
+	c.CombineOutputRecords = f(c.CombineOutputRecords)
+	c.Spills = int(f(int64(c.Spills)))
+	c.SpilledRecords = f(c.SpilledRecords)
+	c.SpilledBytes = units.Bytes(f(int64(c.SpilledBytes)))
+	c.MergePasses = int(f(int64(c.MergePasses)))
+	c.MergeBytes = units.Bytes(f(int64(c.MergeBytes)))
+	c.ShuffleBytes = units.Bytes(f(int64(c.ShuffleBytes)))
+	c.ShuffleSegments = int(f(int64(c.ShuffleSegments)))
+	c.ReduceMergePasses = int(f(int64(c.ReduceMergePasses)))
+	c.SpillFilesWritten = int(f(int64(c.SpillFilesWritten)))
+	c.SpillFileBytesWritten = units.Bytes(f(int64(c.SpillFileBytesWritten)))
+	c.SpillFileBytesRead = units.Bytes(f(int64(c.SpillFileBytesRead)))
+	c.ReduceInputGroups = f(c.ReduceInputGroups)
+	c.ReduceInputRecords = f(c.ReduceInputRecords)
+	c.ReduceOutputRecords = f(c.ReduceOutputRecords)
+	c.ReduceOutputBytes = units.Bytes(f(int64(c.ReduceOutputBytes)))
+}
+
+// AppendCounters appends c's CountersSize-byte binary form to b.
+func AppendCounters(b []byte, c Counters) []byte {
+	c.walk(func(v int64) int64 {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		return v
+	})
+	return b
+}
+
+// DecodeCounters reads Counters from the first CountersSize bytes of b
+// and returns them with the rest of b.
+func DecodeCounters(b []byte) (Counters, []byte, error) {
+	var c Counters
+	if len(b) < CountersSize {
+		return c, nil, fmt.Errorf("mapreduce: counters need %d bytes, %d remain", CountersSize, len(b))
+	}
+	c.walk(func(int64) int64 {
+		v := int64(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return v
+	})
+	return c, b, nil
 }
 
 // Add merges o into c. The caller is responsible for synchronization.

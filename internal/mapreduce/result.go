@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -197,20 +196,17 @@ func segmentSorted(s Segment) bool {
 // GobEncode implements gob.GobEncoder. A result crosses a process boundary
 // (net/rpc job submission) as one exactly sized buffer, little-endian:
 //
-//	u32  counters length c
-//	c ×  gob-encoded Counters
+//	u32  counters length, CountersSize
+//	     the counters in AppendCounters' fixed form
 //	u32  partition count
 //	     each partition in the binary segment wire format
 //
-// so the string records are never materialized in transit and the payload
-// is copied once. File-backed partitions are materialized for encoding.
+// so the string records are never materialized in transit, the payload is
+// copied once and no gob coder is built per result. File-backed partitions
+// are materialized for encoding.
 func (r *Result) GobEncode() ([]byte, error) {
-	var counters bytes.Buffer
-	if err := gob.NewEncoder(&counters).Encode(r.Counters); err != nil {
-		return nil, err
-	}
 	parts := make([]Segment, len(r.parts))
-	size := 4 + counters.Len() + 4
+	size := 4 + CountersSize + 4
 	for i := range r.parts {
 		p, err := r.PartitionSeg(i)
 		if err != nil {
@@ -220,8 +216,8 @@ func (r *Result) GobEncode() ([]byte, error) {
 		size += p.EncodedSize()
 	}
 	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(counters.Len()))
-	buf = append(buf, counters.Bytes()...)
+	buf = binary.LittleEndian.AppendUint32(buf, CountersSize)
+	buf = AppendCounters(buf, r.Counters)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(parts)))
 	for _, p := range parts {
 		buf = p.AppendEncoded(buf)
@@ -238,14 +234,14 @@ func (r *Result) GobDecode(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if cn > len(rest) {
-		return fmt.Errorf("mapreduce: result counters claim %d bytes, %d remain", cn, len(rest))
+	if cn != CountersSize {
+		return fmt.Errorf("mapreduce: result counters claim %d bytes, want %d", cn, CountersSize)
 	}
-	var c Counters
-	if err := gob.NewDecoder(bytes.NewReader(rest[:cn])).Decode(&c); err != nil {
+	c, rest, err := DecodeCounters(rest)
+	if err != nil {
 		return fmt.Errorf("mapreduce: result counters: %w", err)
 	}
-	n, rest, err := takeU32(rest[cn:], "partition count")
+	n, rest, err := takeU32(rest, "partition count")
 	if err != nil {
 		return err
 	}

@@ -263,3 +263,40 @@ func BenchmarkSortedOutput(b *testing.B) {
 		}
 	})
 }
+
+// TestCountersBinaryRoundTrip sets every Counters field to a distinct value
+// by reflection and round-trips it through AppendCounters/DecodeCounters
+// and through a Result's wire form: a field added to Counters but not to
+// the codec's field list fails here instead of being dropped in transit.
+func TestCountersBinaryRoundTrip(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	if n := v.NumField(); n*8 != CountersSize {
+		t.Fatalf("Counters has %d fields, CountersSize covers %d", n, CountersSize/8)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i+1)<<40 | int64(i+1))
+	}
+	b := AppendCounters([]byte("prefix"), c)
+	if len(b) != len("prefix")+CountersSize {
+		t.Fatalf("AppendCounters wrote %d bytes, want %d", len(b)-len("prefix"), CountersSize)
+	}
+	back, rest, err := DecodeCounters(append(b[len("prefix"):], "tail"...))
+	if err != nil || string(rest) != "tail" {
+		t.Fatalf("DecodeCounters: %v, rest %q", err, rest)
+	}
+	if back != c {
+		t.Errorf("counters round trip:\ngot  %+v\nwant %+v", back, c)
+	}
+	if _, _, err := DecodeCounters(b[len("prefix") : len(b)-1]); err == nil {
+		t.Error("DecodeCounters accepted a truncated form")
+	}
+	blob, err := (&Result{Counters: c}).GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Result
+	if err := r.GobDecode(blob); err != nil || r.Counters != c {
+		t.Errorf("result wire form: %v, counters %+v, want %+v", err, r.Counters, c)
+	}
+}
